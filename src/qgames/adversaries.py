@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Union
 
 from .arena import Arena, Edge, History, VertexId, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _fmt_mem)
 from .strategies import (FiniteMemory, Memoryless, Scripted, StepCounterTable,
-                         Strategy)
+                         Strategy, Tracking)
 from .zoo import ZooEntry, a4_router, _edge_to, _first_edge
 
 
@@ -34,25 +35,6 @@ def _require_incremental_fm(sigma: Strategy, what: str) -> None:
     if not isinstance(sigma, (FiniteMemory, Memoryless)):
         raise TypeError("%s needs a finite-memory strategy, got %s"
                         % (what, type(sigma).__name__))
-
-
-def _replay_state(sigma: Strategy, h: History):
-    state = sigma.initial_state()
-    for e in h.edges:
-        state = sigma.step_state(state, e)
-    return state
-
-
-def _fold_state(sigma: Strategy, state, edges) -> object:
-    for e in edges:
-        state = sigma.step_state(state, e)
-    return state
-
-
-def _state_count(sigma: Strategy) -> int:
-    if isinstance(sigma, FiniteMemory):
-        return len(sigma.mealy.states)
-    return 1
 
 
 def _closing_rounds(record: PlayRecord, starts: list[int]) -> Optional[int]:
@@ -97,19 +79,19 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry, rounds: int) -> DefeatResu
     def reply_weight(state_after_challenge) -> Fraction:
         return sigma.choose(arena, t, 0, state_after_challenge).weight
 
-    def fn(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    # the opponent carries the responder's memory state along the play
+    def decide(ar: Arena, v: VertexId, state) -> Edge:
         if v != s:
             return _first_edge(ar, v)
-        state = _replay_state(sigma, h)
         f = max(reply_weight(sigma.step_state(state, e)) for e in ar.edges(s))
         want = f + 1
         if want > b:
-            capped.append(len(h))
+            capped.append(v)
             want = Fraction(b)
         return _edge_to_weight(ar, s, -want)
 
-    p2 = Scripted("owe_one_more", fn, player=2)
+    p2 = Tracking("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
+                  player=2)
     horizon = 2 * rounds
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = [step for step in range(0, len(record.edges) + 1)
@@ -176,19 +158,20 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry, rounds: int,
                 return j
         raise RuntimeError("no losing challenge within the probe cap")
 
-    # memoized per (i, formatted state) so the scripted opponent is pure
+    # memoized per (i, formatted state) so the opponent is pure
     targets: dict[tuple, int] = {}
 
-    def fn(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    # state: the responder's memory now and on the latest arrival at a round
+    # start a(i, 0) (its initial memory before the first arrival)
+    def update(state, e: Edge):
+        m = sigma.step_state(state[0], e)
+        return m, (m if e.dst.name == "a" and e.dst.params[1] == 0 else state[1])
+
+    def decide(ar: Arena, v: VertexId, state) -> Edge:
         if v.name != "a":
             return _first_edge(ar, v)
         i, jj = v.params
-        cut = len(h)
-        while cut > 0 and not (h.edges[cut - 1].dst.name == "a"
-                               and h.edges[cut - 1].dst.params[1] == 0):
-            cut -= 1
-        m0 = _replay_state(sigma, h.prefix(cut))
+        m0 = state[1]
         key = (i, _fmt_mem(m0))
         if key not in targets:
             targets[key] = probe(i, m0)
@@ -201,7 +184,8 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry, rounds: int,
                 dive = e
         return climb if jj < target else dive
 
-    p2 = Scripted("owe_one_more_a2", fn, player=2)
+    initial = sigma.initial_state()
+    p2 = Tracking("owe_one_more_a2", (initial, initial), update, decide, player=2)
     horizon = max(64, rounds * 16)
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = [step for step in range(0, len(record.edges) + 1)
@@ -372,7 +356,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         if (i, j) not in update_cache:
             edges = _gadget_edges(i, j)
             update_cache[(i, j)] = tuple(
-                index[_fold_state(sigma, m, edges)] for m in states)
+                index[reduce(sigma.step_state, edges, m)] for m in states)
         return update_cache[(i, j)]
 
     def label(i: int, k: int) -> RamseyLabel:
@@ -383,8 +367,10 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     # cheap pre-pass: an entry index where the strategy exits at once
     # already loses -i-1; no clique machinery needed
     for i in range(lo, min(hi, lo + 256) + 1):
-        state = _entry_state(sigma, entry, i)
-        if exit_profile(i)[index[state]]:
+        # the entry walk costs O(i) steps, so skip it when no state exits
+        if not any(exit_profile(i)):
+            continue
+        if exit_profile(i)[index[_entry_state(sigma, entry, i)]]:
             p2 = a4_router(i, [1])
             record = play(arena, entry.start, sigma, p2, horizon)
             if record.termination != "sink" or not record.final_tp < 0:
@@ -553,14 +539,14 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
     b = entry.extras["truncation"]
     v = V("v", ())
 
-    def choice_at(s: int) -> Edge:
-        if isinstance(sigma, Scripted):
-            # any same-length history gives the same move; probe with loops
-            loop = next(e for e in arena.edges(v) if e.dst == v)
-            return sigma.decide(arena, History(v, (loop,) * s))
-        return sigma.choose(arena, v, s, None)
-
-    exit_steps = {s for s in range(horizon + 1) if choice_at(s).dst.name == "u"}
+    # any same-length history gives the same move; probe along the loop
+    loop = next(e for e in arena.edges(v) if e.dst == v)
+    exit_steps = set()
+    state = sigma.initial_state()
+    for s in range(horizon + 1):
+        if sigma.choose(arena, v, s, state).dst.name == "u":
+            exit_steps.add(s)
+        state = sigma.step_state(state, loop)
 
     blocked: list[int] = []
 

@@ -138,10 +138,6 @@ class ArenaExplicit(Arena):
     def edges(self, v: VertexId) -> tuple[Edge, ...]:
         return self._adj[v]
 
-    def with_start(self, start: VertexId) -> "ArenaExplicit":
-        return ArenaExplicit(self._owners, [e for es in self._adj.values() for e in es],
-                             start, self.name)
-
 
 class ArenaGenerator(Arena):
     """Lazily expanded arena.
@@ -222,14 +218,29 @@ class History:
     def total(self) -> Weight:
         return sum((e.weight for e in self.edges), Fraction(0))
 
-    def extend(self, e: Edge) -> "History":
-        return History(self.origin, self.edges + (e,))
+    def extend(self, *edges: Edge) -> "History":
+        """Longer by the given edges; checks only the new ones."""
+        at = self.to_vertex
+        for e in edges:
+            if e.src != at:
+                raise ValueError("non-contiguous history at %s: %s" % (at, e))
+            at = e.dst
+        return History._checked(self.origin, self.edges + edges)
 
     def prefix(self, n: int) -> "History":
-        return History(self.origin, self.edges[:n])
+        return History._checked(self.origin, self.edges[:n])
 
     def suffix_from(self, n: int) -> "History":
-        return History(self.prefix(n).to_vertex, self.edges[n:])
+        return History._checked(self.prefix(n).to_vertex, self.edges[n:])
+
+    @staticmethod
+    def _checked(origin: VertexId, edges: tuple[Edge, ...]) -> "History":
+        """A history from edges already known to be contiguous from origin,
+        built without re-validating them."""
+        h = object.__new__(History)
+        object.__setattr__(h, "origin", origin)
+        object.__setattr__(h, "edges", edges)
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +292,6 @@ class StepCounter(MemoryStructure):
         return state + 1
 
 
-class StepCounterTimesK(MemoryStructure):
-    """A step counter paired with K extra finite states.
-
-    States are pairs (step, mode); the update is
-    (s, m) -> (s + 1, delta'((s, m), e)).
-    """
-
-    def __init__(self, k: int, mode_update: Callable[[tuple[int, int], Edge], int], initial_mode: int = 0):
-        if k < 1:
-            raise ValueError("K must be >= 1")
-        self.k = k
-        self._mode_update = mode_update
-        self._initial_mode = initial_mode
-
-    def initial(self) -> tuple[int, int]:
-        return (0, self._initial_mode)
-
-    def update(self, state: tuple[int, int], edge: Edge) -> tuple[int, int]:
-        s, m = state
-        nm = self._mode_update((s, m), edge)
-        if not (0 <= nm < self.k):
-            raise ValueError("mode update out of range: %r" % (nm,))
-        return (s + 1, nm)
-
-
 def _encode_mem_state(state) -> tuple[int, ...]:
     if isinstance(state, bool):
         return (int(state),)
@@ -333,20 +319,25 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
     if start is None:
         raise ValueError("product needs a start vertex")
 
-    base_param_len: dict[str, int] = {}
-
-    def pack(v: VertexId, state) -> VertexId:
-        base_param_len.setdefault(v.name, len(v.params))
-        return VertexId(v.name + "*", v.params + _encode_mem_state(state))
-
     state_of: dict[VertexId, tuple[VertexId, object]] = {}
 
     def register(v: VertexId, state) -> VertexId:
-        pv = pack(v, state)
+        pv = VertexId(v.name + "*", v.params + _encode_mem_state(state))
         state_of[pv] = (v, state)
         return pv
 
     root = register(start, memory.initial())
+
+    if isinstance(arena, ArenaExplicit) and isinstance(memory, MealyMemory):
+        owners: dict[VertexId, int] = {}
+        edges: list[Edge] = []
+        for v in arena.vertices:
+            for state in memory.states:
+                pv = register(v, state)
+                owners[pv] = arena.owner(v)
+                for e in arena.edges(v):
+                    edges.append(Edge(pv, e.weight, register(e.dst, memory.update(state, e))))
+        return ArenaExplicit(owners, edges, start=root, name=arena.name + "@mem")
 
     def expand(pv: VertexId) -> tuple[int, tuple[Edge, ...]]:
         try:
@@ -359,20 +350,7 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
             out.append(Edge(pv, e.weight, nxt))
         return arena.owner(v), tuple(out)
 
-    gen = ArenaGenerator(root, expand, name=arena.name + "@mem")
-
-    finite_mealy = isinstance(memory, MealyMemory)
-    if isinstance(arena, ArenaExplicit) and finite_mealy:
-        owners: dict[VertexId, int] = {}
-        edges: list[Edge] = []
-        for v in arena.vertices:
-            for state in memory.states:
-                pv = register(v, state)
-                owners[pv] = arena.owner(v)
-                for e in arena.edges(v):
-                    edges.append(Edge(pv, e.weight, register(e.dst, memory.update(state, e))))
-        return ArenaExplicit(owners, edges, start=root, name=arena.name + "@mem")
-    return gen
+    return ArenaGenerator(root, expand, name=arena.name + "@mem")
 
 
 # ---------------------------------------------------------------------------
@@ -511,51 +489,6 @@ def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResul
         if not frontier:
             return StepCountResult(dict(first_level), None)
     return StepCountResult(dict(first_level), None, frontier=tuple(sorted(frontier)))
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-
-def to_dot(arena: Arena, start: Optional[VertexId] = None, depth: int = 12) -> str:
-    """DOT rendering of a bounded exploration from the start vertex."""
-
-    if start is None:
-        start = arena.start
-    if start is None and isinstance(arena, ArenaExplicit):
-        vertices = list(arena.vertices)
-    else:
-        if start is None:
-            raise ValueError("DOT export of a generator needs a start vertex")
-        vertices = []
-        seen = {start}
-        frontier = [start]
-        for _ in range(depth):
-            nxt = []
-            for v in frontier:
-                vertices.append(v)
-                for e in arena.edges(v):
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        nxt.append(e.dst)
-            frontier = nxt
-        vertices.extend(frontier)
-        vertices = sorted(set(vertices))
-    lines = ["digraph %s {" % _dot_id(arena.name)]
-    vset = set(vertices)
-    for v in sorted(vset):
-        shape = "box" if arena.owner(v) == P2 else "ellipse"
-        lines.append('  %s [label="%s|P%d", shape=%s];' % (_dot_id(str(v)), v, arena.owner(v), shape))
-    for v in sorted(vset):
-        for e in arena.edges(v):
-            if e.dst in vset:
-                lines.append('  %s -> %s [label="%s"];' % (_dot_id(str(v)), _dot_id(str(e.dst)), e.weight))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_id(text: str) -> str:
-    return '"%s"' % text.replace('"', '\\"')
 
 
 def node_cap_from_env(default: int = 10**6) -> int:

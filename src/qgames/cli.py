@@ -19,7 +19,7 @@ from typing import Optional
 from . import zoo
 from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, validate
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
-                     check_certificate, explore_consistent, play)
+                     check_certificate, explore_consistent, missing_context, play)
 from .objectives import Objective, decompose, parse_objective
 from .strategies import Strategy, parse_strategy, serialize_strategy
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize,
@@ -339,6 +339,10 @@ def cmd_verify(args) -> int:
         if not hasattr(deco, "sub"):
             return _err("objective %s: %s" % (args.objective, deco.reason))
         context["subs"] = deco.sub
+    missing = missing_context(cert, context,
+                              {"sigma1": "--p1", "sigma2": "--p2", "subs": "--objective"})
+    if missing:
+        return _err(missing)
     result = check_certificate(cert, context)
     for line in result.diagnostics:
         print(line)

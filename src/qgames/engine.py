@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .arena import Arena, Edge, History, VertexId, Weight, node_cap_from_env
 from .objectives import OpenSub
-from .strategies import FiniteMemory, Memoryless, Scripted, Strategy
+from .strategies import FiniteMemory, Memoryless, Strategy
 
 CERT_SCHEMA = "qg-cert/1"
 
@@ -74,33 +74,13 @@ def _fmt_mem(state) -> str:
     return str(state).replace(",", ";").replace(" ", "")
 
 
-class _StrategyRunner:
-    """Tracks one strategy's incremental state along a play."""
-
-    def __init__(self, arena: Arena, origin: VertexId, strategy: Strategy):
-        self.arena = arena
-        self.strategy = strategy
-        self.scripted = isinstance(strategy, Scripted)
-        self.state = None if self.scripted else strategy.initial_state()
-        self.origin = origin
-
-    def decide(self, edges: list[Edge], vertex: VertexId, step: int) -> Edge:
-        if self.scripted:
-            return self.strategy.decide(self.arena, History(self.origin, tuple(edges)))
-        return self.strategy.choose(self.arena, vertex, step, self.state)
-
-    def advance(self, edge: Edge):
-        if not self.scripted:
-            self.state = self.strategy.step_state(self.state, edge)
-
-
 def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
          horizon: int) -> PlayRecord:
     """The unique play consistent with both strategies, up to the horizon
     or until an absorbing weight-0 self-loop is reached."""
-    runners = {1: _StrategyRunner(arena, v0, sigma1), 2: _StrategyRunner(arena, v0, sigma2)}
     if sigma1.player != 1 or sigma2.player != 2:
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
+    state1, state2 = sigma1.initial_state(), sigma2.initial_state()
     edges: list[Edge] = []
     tp_trace: list[Fraction] = []
     mem1: list[object] = []
@@ -113,17 +93,20 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
             termination = "sink"
             break
         owner = arena.owner(at)
-        edge = runners[owner].decide(edges, at, step)
+        if owner == 1:
+            edge = sigma1.choose(arena, at, step, state1)
+        else:
+            edge = sigma2.choose(arena, at, step, state2)
         if edge.src != at or edge not in arena.edges(at):
             raise ValueError("strategy for player %d returned a non-edge %s at %s"
                              % (owner, edge, at))
-        for r in runners.values():
-            r.advance(edge)
+        state1 = sigma1.step_state(state1, edge)
+        state2 = sigma2.step_state(state2, edge)
         edges.append(edge)
         tp += edge.weight
         tp_trace.append(tp)
-        mem1.append(runners[1].state)
-        mem2.append(runners[2].state)
+        mem1.append(state1 if sigma1.traces_state else None)
+        mem2.append(state2 if sigma2.traces_state else None)
         at = edge.dst
     else:
         termination = "horizon"
@@ -143,17 +126,7 @@ class Node:
     tp: Fraction
     parent: Optional["Node"]
     edge: Optional[Edge]
-    state: object = None  # strategy memory state (None for scripted)
-    satisfied: bool = False
-
-    def history(self, origin: VertexId) -> History:
-        edges = []
-        node = self
-        while node.edge is not None:
-            edges.append(node.edge)
-            node = node.parent
-        edges.reverse()
-        return History(origin, tuple(edges))
+    state: object = None  # the strategy's state after this history
 
 
 @dataclass
@@ -168,22 +141,10 @@ class ExploreResult:
         return [len(level) for level in self.levels]
 
 
-def _node_decision(arena: Arena, origin: VertexId, strategy: Strategy, node: Node) -> Edge:
-    if isinstance(strategy, Scripted):
-        return strategy.decide(arena, node.history(origin))
-    return strategy.choose(arena, node.vertex, node.depth, node.state)
-
-
-def _child_state(strategy: Strategy, node: Node, edge: Edge):
-    if isinstance(strategy, Scripted):
-        return None
-    return strategy.step_state(node.state, edge)
-
-
-def _expand(arena: Arena, origin: VertexId, strategy: Strategy, node: Node) -> list[Edge]:
+def _expand(arena: Arena, strategy: Strategy, node: Node) -> list[Edge]:
     """Outgoing edges of a node in the strategy-consistent tree."""
     if arena.owner(node.vertex) == strategy.player:
-        return [_node_decision(arena, origin, strategy, node)]
+        return [strategy.choose(arena, node.vertex, node.depth, node.state)]
     return list(arena.edges(node.vertex))
 
 
@@ -197,17 +158,16 @@ def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
     """
     if node_cap is None:
         node_cap = node_cap_from_env()
-    root = Node(v0, 0, Fraction(0), None, None,
-                None if isinstance(sigma, Scripted) else sigma.initial_state())
+    root = Node(v0, 0, Fraction(0), None, None, sigma.initial_state())
     levels = [[root]]
     total = 1
     complete = True
     for d in range(depth):
         nxt: list[Node] = []
         for node in levels[d]:
-            for e in _expand(arena, v0, sigma, node):
+            for e in _expand(arena, sigma, node):
                 child = Node(e.dst, d + 1, node.tp + e.weight, node, e,
-                             _child_state(sigma, node, e))
+                             sigma.step_state(node.state, e))
                 nxt.append(child)
                 total += 1
                 if total > node_cap:
@@ -259,8 +219,7 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     """
     if node_cap is None:
         node_cap = node_cap_from_env()
-    root = Node(v0, 0, Fraction(0), None, None,
-                None if isinstance(sigma, Scripted) else sigma.initial_state())
+    root = Node(v0, 0, Fraction(0), None, None, sigma.initial_state())
     frontier = [root]
     total = 1
     for d in range(max_depth):
@@ -269,11 +228,11 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
         merged: dict[tuple, Node] = {}
         nxt: list[Node] = []
         for node in frontier:
-            for e in _expand(arena, v0, sigma, node):
+            for e in _expand(arena, sigma, node):
                 tp = node.tp + e.weight
                 if open_sub.step_satisfies(d + 1, tp, e.weight):
                     continue
-                state = _child_state(sigma, node, e)
+                state = sigma.step_state(node.state, e)
                 child = Node(e.dst, d + 1, tp, node, e, state)
                 sig = sigma.signature(d + 1, state)
                 if sig is None:
@@ -456,13 +415,39 @@ class CheckResult:
         return self
 
 
+_CONTEXT_ROLES = {"sigma1": "the player-1 strategy", "sigma2": "the opponent strategy",
+                  "subs": "the open sub-objectives"}
+
+
+def missing_context(cert: Certificate, context: dict,
+                    labels: Optional[dict[str, str]] = None) -> Optional[str]:
+    """A message naming what the certificate's check needs and the context
+    lacks, or None.  ``labels`` names the context keys for the reader
+    (default: the keys themselves)."""
+    if isinstance(cert, (SinkPayoff, EarlyExitNegative, Divergence, ColourStarvation)):
+        needed = ("sigma1", "sigma2")
+    elif isinstance(cert, LevelSatisfaction):
+        needed = ("sigma1", "subs")
+    else:
+        needed = ("sigma1",)
+    missing = [key for key in needed if context.get(key) is None]
+    if not missing:
+        return None
+    return "%s certificate needs %s" % (type(cert).__name__, " and ".join(
+        "%s (%s)" % (_CONTEXT_ROLES[key], (labels or {}).get(key, key)) for key in missing))
+
+
 def check_certificate(cert: Certificate, context: dict) -> CheckResult:
     """Independently re-derive every claim in the certificate.
 
     ``context`` supplies the referenced objects: ``arena``, ``v0``, and
     either both strategies (play-based variants) or a strategy plus open
-    sub-objectives (bound-based variants).
+    sub-objectives (bound-based variants).  A missing one raises a
+    ValueError naming it.
     """
+    missing = missing_context(cert, context)
+    if missing:
+        raise ValueError(missing)
     result = CheckResult(True)
     arena: Arena = context["arena"]
     v0: VertexId = context["v0"]

@@ -330,9 +330,6 @@ class Decomposition:
             raise ValueError("sub-objective index is 1-based")
         return self._gen(n)
 
-    def prefix(self, n: int) -> list[OpenSub]:
-        return [self.sub(k) for k in range(1, n + 1)]
-
 
 def _diagonal_pair(n: int) -> tuple[int, int]:
     """n-th pair (m, i), m, i >= 1, ordered by (m + i, m) ascending."""

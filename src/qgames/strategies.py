@@ -1,10 +1,14 @@
 """Strategy representations and evaluation.
 
 A strategy for one player is a pure function from histories ending in
-that player's vertices to outgoing edges.  Five representations are
-supported: memoryless tables, finite-memory (Mealy) tables, step-counter
-tables, step-counter-plus-K-states tables, and scripted callbacks for
-closed-form strategies no finite table can hold.
+that player's vertices to outgoing edges.  Every representation is
+incremental: ``initial_state`` and ``step_state`` fold the history into
+a state one edge at a time, and ``choose`` decides from (vertex, step,
+state), so a play folds each edge into each state once.  Six
+representations are supported: memoryless tables, finite-memory (Mealy)
+tables, step-counter tables, step-counter-plus-K-states tables, tracked
+callbacks over an unbounded running summary (a counter, an opponent's
+memory), and scripted callbacks over the full history.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import (Arena, Edge, History, MealyMemory, StepCounterTimesK,
-                    VertexId, Weight)
+from .arena import Arena, Edge, History, MealyMemory, VertexId, Weight
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -28,11 +31,14 @@ class HorizonExceeded(Exception):
 
 
 class Strategy:
-    """Base class.  Subclasses implement ``decide`` and the incremental
-    state API used by the exploration engine."""
+    """Base class.  Subclasses implement the incremental state API; plays,
+    explorations and ``decide`` all go through it."""
 
     player: int = 1
     name: str = "strategy"
+    # whether plays record the state in their memory traces; False for
+    # states that grow with the history
+    traces_state: bool = True
 
     # -- incremental API -------------------------------------------------
     def initial_state(self):
@@ -155,9 +161,6 @@ class StepCounterPlusK(Strategy):
         self.player = player
         self.name = name
 
-    def memory_structure(self) -> StepCounterTimesK:
-        return StepCounterTimesK(self.k, self._update_mode)
-
     def _update_mode(self, sm: tuple[int, int], edge: Edge) -> int:
         if callable(self.bit_update):
             return self.bit_update(sm, edge)
@@ -182,8 +185,46 @@ class StepCounterPlusK(Strategy):
         return (state[1],)
 
 
+class Tracking(Strategy):
+    """Named callback deciding from a running summary of the history.
+
+    ``update`` folds the summary forward one edge at a time from
+    ``initial``; ``decide(arena, vertex, summary)`` picks the move.  The
+    summary may grow without bound (a delay counter, an opponent's memory
+    state), so plays do not trace it and exploration never merges on it.
+    """
+
+    traces_state = False
+
+    def __init__(self, name: str, initial, update: Callable[[object, Edge], object],
+                 decide: Callable[[Arena, VertexId, object], Edge], player: int = 1):
+        self.name = name
+        self.initial = initial
+        self.update = update
+        self.fn = decide
+        self.player = player
+
+    def initial_state(self):
+        return self.initial
+
+    def step_state(self, state, edge):
+        return self.update(state, edge)
+
+    def choose(self, arena, vertex, step, state):
+        return self.fn(arena, vertex, state)
+
+
 class Scripted(Strategy):
-    """Named deterministic callback over full histories."""
+    """Named deterministic callback over full histories.
+
+    Its state is the history so far as a parent-pointer chain of
+    ``(parent, edge)`` pairs (``None`` before the first edge), extended in
+    O(1) per edge.  A decision builds the History from the one the
+    previous decision built when it lies on the chain, so a play checks
+    each edge once and holds one History at a time.
+    """
+
+    traces_state = False
 
     def __init__(self, name: str, fn: Callable[[Arena, History], Edge], player: int = 1,
                  step_determined: bool = False):
@@ -193,9 +234,28 @@ class Scripted(Strategy):
         # True when decisions provably depend on (vertex, step) only;
         # lets the engine merge exploration branches.
         self.step_determined = step_determined
+        self._last: tuple = (None, None)  # (chain, History) of the latest decision
 
-    def initial_state(self):
-        raise NotImplementedError("scripted strategies decide from full histories")
+    def step_state(self, state, edge):
+        return (state, edge)
+
+    def choose(self, arena, vertex, step, state):
+        return self.fn(arena, self._history(state, vertex))
+
+    def _history(self, chain, vertex: VertexId) -> History:
+        if chain is None:
+            return History(vertex)
+        last_chain, last = self._last
+        new = []
+        at = chain
+        while at is not None and at is not last_chain:
+            new.append(at[1])
+            at = at[0]
+        base = last if at is not None else History(new[-1].src)
+        new.reverse()
+        history = base.extend(*new)
+        self._last = (chain, history)
+        return history
 
     def decide(self, arena, history):
         return self.fn(arena, history)
@@ -210,21 +270,12 @@ class Scripted(Strategy):
 
 def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
     """True iff the history follows the strategy at every owned vertex."""
-    state = None
-    incremental = not isinstance(strategy, Scripted)
-    if incremental:
-        state = strategy.initial_state()
+    state = strategy.initial_state()
     at = history.origin
     for idx, e in enumerate(history.edges):
-        if arena.owner(at) == strategy.player:
-            if incremental:
-                move = strategy.choose(arena, at, idx, state)
-            else:
-                move = strategy.decide(arena, history.prefix(idx))
-            if move != e:
-                return False
-        if incremental:
-            state = strategy.step_state(state, e)
+        if arena.owner(at) == strategy.player and strategy.choose(arena, at, idx, state) != e:
+            return False
+        state = strategy.step_state(state, e)
         at = e.dst
     return True
 

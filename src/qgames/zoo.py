@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .arena import (Arena, ArenaGenerator, Edge, History, MealyMemory,
                     VertexId, P1, P2, V)
-from .strategies import FiniteMemory, Memoryless, Scripted, Strategy
+from .strategies import FiniteMemory, Memoryless, Scripted, Strategy, Tracking
 
 
 def E(src: VertexId, w, dst: VertexId) -> Edge:
@@ -278,38 +278,38 @@ def _a4_expand(v: VertexId):
     raise KeyError(v)
 
 
+def _count_delay(delays: int, e: Edge) -> int:
+    """Delay count on A4 after one more edge."""
+    return delays + 1 if e.src.name == "t" and e.dst.name == "g" else delays
+
+
 def _make_a4(guarded: bool = False) -> ZooEntry:
     start = V("s", (-1,)) if guarded else V("s", (0,))
     name = "a4guarded" if guarded else "a4"
     arena = ArenaGenerator(start, _a4_expand, name=name)
 
     def sigma_k_factory(k: int) -> Strategy:
-        def fn(ar: Arena, h: History) -> Edge:
-            v = h.to_vertex
+        def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
             if v.name != "t":
                 return _first_edge(ar, v)
-            delays = sum(1 for e in h.edges if e.src.name == "t" and e.dst.name == "g")
-            if delays < k:
-                return _edge_to(ar, v, "g")
-            return _edge_to(ar, v, "r0")
+            return _edge_to(ar, v, "g" if delays < k else "r0")
 
-        return Scripted("sigma_%d" % k, fn)
+        return Tracking("sigma_%d" % k, 0, _count_delay, decide)
 
-    def adaptive_fn(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    # state: (index of the first decision vertex reached, delays taken)
+    def adaptive_update(state, e: Edge):
+        entry, delays = state
+        if entry is None and e.dst.name == "t":
+            entry = e.dst.params[0]
+        return entry, _count_delay(delays, e)
+
+    def adaptive_decide(ar: Arena, v: VertexId, state) -> Edge:
         if v.name != "t":
             return _first_edge(ar, v)
-        entry = None
-        for e in h.edges:
-            if e.dst.name == "t":
-                entry = e.dst.params[0]
-                break
+        entry, delays = state
         if entry is None:
             entry = v.params[0]
-        delays = sum(1 for e in h.edges if e.src.name == "t" and e.dst.name == "g")
-        if delays < entry + 1:
-            return _edge_to(ar, v, "g")
-        return _edge_to(ar, v, "r0")
+        return _edge_to(ar, v, "g" if delays < entry + 1 else "r0")
 
     def always_delay_decide(ar: Arena, v: VertexId, m):
         if v.name == "t":
@@ -327,7 +327,8 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
             "bank of delay counts can be routed into ever-longer stretches.")
     return ZooEntry(name, {"guarded": guarded}, arena, start, note,
                     strategies={
-                        "adaptive": Scripted("adaptive", adaptive_fn),
+                        "adaptive": Tracking("adaptive", (None, 0), adaptive_update,
+                                             adaptive_decide),
                         "delay_twice_exit": delay_twice_exit_fm("g"),
                         "always_delay": always_delay,
                     },
@@ -352,8 +353,7 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
         cycle = gaps[cycle_from:] or gaps
         return cycle[(idx - len(gaps)) % len(cycle)]
 
-    def fn(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
         if v.name == "s":
             (j,) = v.params
             if j < entry:
@@ -361,8 +361,7 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
             return _edge_to(ar, v, "d")
         if v.name == "g":
             i, j = v.params
-            drops = sum(1 for e in h.edges if e.src.name == "t" and e.dst.name == "g")
-            target = gap_at(drops - 1)  # current stretch began at the latest delay
+            target = gap_at(delays - 1)  # current stretch began at the latest delay
             if j < target:
                 return _edge_to(ar, v, "g")
             for e in ar.edges(v):
@@ -371,7 +370,8 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
             raise AssertionError
         return _first_edge(ar, v)
 
-    return Scripted("router_%d_%s" % (entry, "-".join(map(str, gaps))), fn, player=2)
+    return Tracking("router_%d_%s" % (entry, "-".join(map(str, gaps))), 0, _count_delay,
+                    decide, player=2)
 
 
 def _a4_router_simple_factory():

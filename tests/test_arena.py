@@ -55,6 +55,16 @@ def test_history_contiguity_and_accessors():
         History(a, (E(b, 1, c),))
 
 
+def test_history_extend_checks_only_the_new_edges():
+    a, b, c = V("a"), V("b"), V("c")
+    h = History(a).extend(E(a, 1, b)).extend(E(b, -2, c), E(c, 0, a))
+    assert h == History(a, (E(a, 1, b), E(b, -2, c), E(c, 0, a)))
+    assert h.prefix(2) == History(a, h.edges[:2])
+    assert h.suffix_from(1) == History(b, h.edges[1:])
+    with pytest.raises(ValueError):
+        h.extend(E(b, 1, c))
+
+
 def test_is_sink_absorbing_zero_loop():
     arena = chain_arena()
     assert arena.is_sink(V("c"))

@@ -119,6 +119,20 @@ def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys):
     assert "step-counter" in capsys.readouterr().err
 
 
+def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    assert main(["defeat", "--arena", "zoo:a4", "--strategy", "always_delay",
+                 "--out", cert]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--arena", "zoo:a4", "--cert", cert,
+                 "--p1", "always_delay"]) == 1
+    assert ("Divergence certificate needs the opponent strategy (--p2)"
+            in capsys.readouterr().err)
+    assert main(["verify", "--arena", "zoo:a4", "--cert", cert]) == 1
+    err = capsys.readouterr().err
+    assert "player-1 strategy (--p1) and the opponent strategy (--p2)" in err
+
+
 def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
     path = _write(tmp_path, "pos.txt", POS_ARENA)
     out = str(tmp_path / "pos.strategy")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import ArenaExplicit, Edge, MealyMemory, VertexId
+from qgames.arena import ArenaExplicit, Edge, History, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction,
                            RefutedBranch, SinkPayoff, certificate_from_json,
@@ -11,6 +11,7 @@ from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
 from qgames.objectives import OpenSub
 from qgames.strategies import (FIRST_EDGE, FiniteMemory, Memoryless, Scripted,
                                StepCounterTable)
+from qgames.zoo import make
 
 F = Fraction
 V = VertexId
@@ -228,3 +229,30 @@ def test_check_level_satisfaction():
     assert check_certificate(good, ctx).ok
     bad = LevelSatisfaction([(2, 2)])
     assert not check_certificate(bad, ctx).ok
+
+
+def test_plays_validate_linearly_many_history_edges(monkeypatch):
+    # a play checks each history edge a bounded number of times, also with
+    # scripted strategies deciding from the full history
+    validated = [0]
+    post_init, extend = History.__post_init__, History.extend
+
+    def counting_post_init(self):
+        validated[0] += len(self.edges)
+        post_init(self)
+
+    def counting_extend(self, *edges):
+        validated[0] += len(edges)
+        return extend(self, *edges)
+
+    monkeypatch.setattr(History, "__post_init__", counting_post_init)
+    monkeypatch.setattr(History, "extend", counting_extend)
+    entry = make("a4")
+    first = Scripted("first_edge", lambda ar, h: ar.edges(h.to_vertex)[0])
+    for horizon in (1000, 2000):
+        for p1 in (entry.strategy("sigma_100000"), first):
+            validated[0] = 0
+            record = play(entry.arena, entry.start, p1, entry.strategy("p2_enter_1"),
+                          horizon)
+            assert len(record.edges) == horizon
+            assert validated[0] <= 2 * horizon

@@ -4,7 +4,7 @@ import pytest
 
 from qgames.arena import VertexId
 from qgames.engine import play
-from qgames.strategies import Memoryless
+from qgames.strategies import Memoryless, Scripted
 from qgames.zoo import a4_router, bitarena_wprime, make, names, parse_uri
 
 F = Fraction
@@ -190,3 +190,91 @@ def test_nonuniform_exit_point_sets_final_total(j):
     record = play(entry.arena, entry.start, sigma, P2_FIRST, 200)
     assert record.termination == "sink"
     assert record.final_tp == F(-5 + j)
+
+
+# ---------------------------------------------------------------------------
+# The A4 strategies carry counters; these history-scanning scripts are the
+# definitions they must agree with on every history.
+
+
+def _scan_edge_to(ar, v, dst_name):
+    return next(e for e in ar.edges(v) if e.dst.name == dst_name)
+
+
+def _scan_delays(h):
+    return sum(1 for e in h.edges if e.src.name == "t" and e.dst.name == "g")
+
+
+def _scan_sigma_k(k):
+    def fn(ar, h):
+        v = h.to_vertex
+        if v.name != "t":
+            return ar.edges(v)[0]
+        return _scan_edge_to(ar, v, "g" if _scan_delays(h) < k else "r0")
+
+    return Scripted("scan_sigma_%d" % k, fn)
+
+
+def _scan_adaptive():
+    def fn(ar, h):
+        v = h.to_vertex
+        if v.name != "t":
+            return ar.edges(v)[0]
+        entry = next((e.dst.params[0] for e in h.edges if e.dst.name == "t"),
+                     v.params[0])
+        return _scan_edge_to(ar, v, "g" if _scan_delays(h) < entry + 1 else "r0")
+
+    return Scripted("scan_adaptive", fn)
+
+
+def _scan_router(entry, gaps, cycle_from=0):
+    def gap_at(idx):
+        if idx < len(gaps):
+            return gaps[idx]
+        cycle = gaps[cycle_from:] or gaps
+        return cycle[(idx - len(gaps)) % len(cycle)]
+
+    def fn(ar, h):
+        v = h.to_vertex
+        if v.name == "s":
+            return _scan_edge_to(ar, v, "s" if v.params[0] < entry else "d")
+        if v.name == "g":
+            if v.params[1] < gap_at(_scan_delays(h) - 1):
+                return _scan_edge_to(ar, v, "g")
+            return next(e for e in ar.edges(v) if e.dst.name != "g")
+        return ar.edges(v)[0]
+
+    return Scripted("scan_router", fn, player=2)
+
+
+ROUTINGS = [("a4", 0, [1], 0), ("a4", 2, [2, 1], 0), ("a4", 3, [1, 4, 2], 1),
+            ("a4", 1, [3, 3, 1, 2], 2), ("a4guarded", 2, [2, 5], 1)]
+P1_NAMES = ["adaptive", "sigma_0", "sigma_1", "sigma_2", "sigma_5", "sigma_100"]
+
+
+def _scan_p1(name):
+    return _scan_adaptive() if name == "adaptive" else _scan_sigma_k(int(name[6:]))
+
+
+@pytest.mark.parametrize("zoo_name,entry_index,gaps,cycle_from", ROUTINGS)
+def test_a4_counting_strategies_match_history_scans(zoo_name, entry_index, gaps,
+                                                     cycle_from):
+    entry = make(zoo_name)
+    router = a4_router(entry_index, gaps, cycle_from)
+    scan_router = _scan_router(entry_index, gaps, cycle_from)
+    for p1_name in P1_NAMES:
+        sigma, scan = entry.strategy(p1_name), _scan_p1(p1_name)
+        record = play(entry.arena, entry.start, sigma, router, 250)
+        assert record.to_csv() == play(entry.arena, entry.start, scan, scan_router,
+                                       250).to_csv()
+        history = record.history()
+        # every prefix, and every prefix of suffixes starting at a decision
+        # vertex (where the adaptive rule reads the entry off the vertex)
+        starts = [0] + [j for j in range(1, len(history))
+                        if record.vertex_at(j).name == "t"][:3]
+        for start in starts:
+            tail = history.suffix_from(start)
+            for n in range(len(tail) + 1):
+                h = tail.prefix(n)
+                assert sigma.decide(entry.arena, h) == scan.decide(entry.arena, h)
+                assert router.decide(entry.arena, h) == scan_router.decide(entry.arena, h)
