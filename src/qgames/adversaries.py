@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .arena import Arena, Edge, History, VertexId, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
@@ -363,14 +363,15 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         return RamseyLabel(exit_profile(i) + exit_profile(k), gadget_update(i, k - i))
 
     lo, hi = K, K + window
+    entry_state = _entry_states(sigma, entry)
 
     # cheap pre-pass: an entry index where the strategy exits at once
     # already loses -i-1; no clique machinery needed
     for i in range(lo, min(hi, lo + 256) + 1):
-        # the entry walk costs O(i) steps, so skip it when no state exits
+        # the descent costs O(i) steps, so skip it when no state exits
         if not any(exit_profile(i)):
             continue
-        if exit_profile(i)[index[_entry_state(sigma, entry, i)]]:
+        if exit_profile(i)[index[entry_state(i)]]:
             p2 = a4_router(i, [1])
             record = play(arena, entry.start, sigma, p2, horizon)
             if record.termination != "sink" or not record.final_tp < 0:
@@ -391,7 +392,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         labels = {label(a, bb) for a, bb in itertools.combinations(clique, 2)}
         assert len(labels) == 1, "clique search returned a non-monochromatic set"
         result = _run_plan(sigma, entry, clique, states, index,
-                           exit_profile, gadget_update, horizon)
+                           entry_state, exit_profile, gadget_update, horizon)
         if result is not None:
             plan = AdversaryPlan(clique[0], list(clique),
                                  rationale={"window": window, "states": K,
@@ -431,12 +432,11 @@ def _cliques(lo: int, hi: int, size: int, label, max_cliques: int):
 
 
 def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
-              exit_profile, gadget_update, horizon) -> Optional[DefeatResult]:
+              entry_state, exit_profile, gadget_update, horizon) -> Optional[DefeatResult]:
     arena = entry.arena
     gaps = [b - a for a, b in zip(clique, clique[1:])]
     # predicted memory trajectory at successive decision vertices
-    start_state = _entry_state(sigma, entry, clique[0])
-    m = index[start_state]
+    m = index[entry_state(clique[0])]
     exits_at = None
     traj = [m]
     f = exit_profile(clique[0])
@@ -505,22 +505,43 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
                         notes=["all-delay memory cycle from round %d" % cycle_from])
 
 
-def _entry_state(sigma: Strategy, entry: ZooEntry, ell0: int):
-    """The strategy's memory on arrival at the ell0-th decision vertex."""
-    arena = entry.arena
-    state = sigma.initial_state()
-    v = entry.start
-    while True:
-        if v.name == "t":
-            return state
-        if v.name == "s":
-            (i,) = v.params
-            e = _edge_to(arena, v, "s") if 0 <= i < ell0 else \
-                (_first_edge(arena, v) if i < 0 else _edge_to(arena, v, "d"))
-        else:
-            e = _first_edge(arena, v)
-        state = sigma.step_state(state, e)
-        v = e.dst
+_MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
+
+
+def _descent_edges(i: int):
+    """The entry descent from s(i) to t(i) in closed form: 2i+2 edges of
+    weight -1 through d(i, 1..2i+2), then a weight-0 edge to t(i)."""
+    at = V("s", (i,))
+    for p in range(1, 2 * i + 3):
+        nxt = V("d", (i, p))
+        yield Edge(at, _MINUS_ONE, nxt)
+        at = nxt
+    yield Edge(at, _ZERO, V("t", (i,)))
+
+
+def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
+    """Lookup of the strategy's memory on arrival at t(i) when the opponent
+    enters at index i.  One walk along the s-chain, shared by every index
+    and extended on demand, gives the memory at s(i); the descent to t(i)
+    is folded from its closed form."""
+    def chain():
+        v, state = entry.start, sigma.initial_state()
+        while True:
+            (j,) = v.params
+            if j >= 0:
+                yield state
+            e = _first_edge(entry.arena, v) if j < 0 else _edge_to(entry.arena, v, "s")
+            v, state = e.dst, sigma.step_state(state, e)
+
+    walk = chain()
+    at_s: list = []  # memory on arrival at s(0), s(1), ...
+
+    def lookup(i: int):
+        while len(at_s) <= i:
+            at_s.append(next(walk))
+        return reduce(sigma.step_state, _descent_edges(i), at_s[i])
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------

@@ -256,13 +256,6 @@ class MemoryStructure:
     def update(self, state, edge: Edge):
         raise NotImplementedError
 
-    def run(self, history: History):
-        """delta* over the whole history."""
-        state = self.initial()
-        for e in history.edges:
-            state = self.update(state, e)
-        return state
-
 
 class MealyMemory(MemoryStructure):
     """Finite memory: explicit state set with an edge-driven update."""

@@ -20,7 +20,7 @@ from . import zoo
 from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, validate
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
-from .objectives import Objective, decompose, parse_objective
+from .objectives import decompose, parse_objective, shift_to_zero_threshold
 from .strategies import Strategy, parse_strategy, serialize_strategy
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize,
                         finite_mp_oracle, finite_wprime_oracle, sc1bit_synthesize)
@@ -262,25 +262,6 @@ def _synth_report_text(report: SynthReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _shift_explicit(arena: ArenaExplicit, objective):
-    """Zero-threshold normalization that keeps the arena explicit."""
-    thr = objective.threshold
-    if objective.kind == "mp":
-        owners = {v: arena.owner(v) for v in arena.vertices}
-        edges = [Edge(e.src, e.weight - thr, e.dst)
-                 for v in arena.vertices for e in arena.edges(v)]
-        shifted = ArenaExplicit(owners, edges, arena.start, name=arena.name + "+shift")
-        return shifted, shifted.start, Objective("mp", objective.mode,
-                                                 objective.relation, Fraction(0))
-    pre = VertexId("pre^" + arena.start.name, arena.start.params)
-    owners = {v: arena.owner(v) for v in arena.vertices}
-    owners[pre] = 2
-    edges = [e for v in arena.vertices for e in arena.edges(v)]
-    edges.append(Edge(pre, -thr, arena.start))
-    shifted = ArenaExplicit(owners, edges, pre, name=arena.name + "+shift")
-    return shifted, pre, Objective("tp", objective.mode, objective.relation, Fraction(0))
-
-
 def cmd_synthesize(args) -> int:
     arena, start, entry = _load_arena(args.arena)
     objective = parse_objective(args.objective)
@@ -290,7 +271,7 @@ def cmd_synthesize(args) -> int:
         if objective.threshold != 0:
             if not isinstance(arena, ArenaExplicit):
                 return _err("threshold shifting on generators is a library operation")
-            arena, start, objective = _shift_explicit(arena, objective)
+            arena, start, objective, _ = shift_to_zero_threshold(arena, start, objective)
             entry = None
             print("note: threshold shifted to 0 on a transformed arena")
     deco = decompose(objective)
@@ -383,19 +364,24 @@ _BENCH_GRID = [
 
 def cmd_bench(args) -> int:
     rows = []
+    truncated = []
     for uri, strat_name, label in _BENCH_GRID:
         entry = zoo.parse_uri(uri)
         sigma = entry.strategy(strat_name)
         tree = explore_consistent(entry.arena, entry.start, sigma, min(args.horizon, 12))
         width = max(tree.level_widths)
         rows.append((uri, strat_name, sigma.__class__.__name__, width, label))
+        if tree.truncated is not None:
+            truncated.append("%s: %s" % (uri, tree.truncated.reason))
     name_w = max(len(r[0]) for r in rows)
     strat_w = max(len(r[1]) for r in rows)
     print("%-*s  %-*s  %-16s  %5s  %s" % (name_w, "arena", strat_w, "strategy",
                                           "class", "width", "demonstrates"))
     for uri, sn, cls, width, label in rows:
         print("%-*s  %-*s  %-16s  %5d  %s" % (name_w, uri, strat_w, sn, cls, width, label))
-    return OK
+    for line in truncated:
+        print("inconclusive: %s" % line)
+    return INCONCLUSIVE if truncated else OK
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--arena", required=True, help="arena file or zoo:<name>?k=v URI")
         p.add_argument("--horizon", type=int, default=200)
         p.add_argument("--depth", type=int, default=40)
-        p.add_argument("--jobs", type=int, default=1, help="worker hint (runs are sequential)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 

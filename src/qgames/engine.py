@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Optional, Union
 
 from .arena import Arena, Edge, History, VertexId, Weight, node_cap_from_env
 from .objectives import OpenSub
@@ -37,10 +37,6 @@ class PlayRecord:
     @property
     def colours(self) -> list[Weight]:
         return [e.weight for e in self.edges]
-
-    @property
-    def mp_trace(self) -> list[Fraction]:
-        return [tp / (j + 1) for j, tp in enumerate(self.tp_trace)]
 
     @property
     def final_tp(self) -> Fraction:
@@ -121,60 +117,122 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
 
 @dataclass
 class Node:
+    """One consistent history in a layered walk: where it ends, its length
+    and running total, whether the walk's open sub-objective fired along
+    it, the strategy's state after it, and the node and edge it extends."""
+
     vertex: VertexId
     depth: int
     tp: Fraction
     parent: Optional["Node"]
     edge: Optional[Edge]
-    state: object = None  # the strategy's state after this history
+    state: object = None
+    satisfied: bool = False
+
+    def edges(self) -> tuple[Edge, ...]:
+        out = []
+        node = self
+        while node.edge is not None:
+            out.append(node.edge)
+            node = node.parent
+        out.reverse()
+        return tuple(out)
+
+    def word(self) -> tuple[Weight, ...]:
+        return tuple(e.weight for e in self.edges())
+
+
+class Layers:
+    """Breadth-first layers of the sigma-consistent histories from v0, to
+    a depth.
+
+    Opponent vertices branch over all edges; owned vertices follow the
+    strategy.  Each layer (a list of Nodes) is yielded before it is
+    expanded, so the caller may read it, append nodes to it to have them
+    expanded too, or stop.  Children for which ``prune`` holds are
+    dropped.  Children with equal ``key`` (``None`` never merges) are
+    merged, keeping the first unless ``prefer(child, kept)`` holds.  With
+    an ``open_sub``, ``satisfied`` records whether it fired along the
+    history.  Every child kept past pruning counts against the node cap;
+    exhausting it ends the walk with ``truncated`` set to an Inconclusive
+    naming the cap and the depth.
+    """
+
+    def __init__(self, arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
+                 open_sub: Optional[OpenSub] = None,
+                 prune: Optional[Callable[[Node], bool]] = None,
+                 key: Optional[Callable[[Node], Hashable]] = None,
+                 prefer: Optional[Callable[[Node, Node], bool]] = None,
+                 node_cap: Optional[int] = None):
+        self.arena, self.v0, self.sigma, self.depth = arena, v0, sigma, depth
+        self.open_sub, self.prune, self.key, self.prefer = open_sub, prune, key, prefer
+        self.node_cap = node_cap_from_env() if node_cap is None else node_cap
+        self.created = 0
+        self.truncated: Optional[Inconclusive] = None
+
+    def moves(self, node: Node) -> tuple[Edge, ...]:
+        """The edges the walk takes from a node."""
+        if self.arena.owner(node.vertex) == self.sigma.player:
+            return (self.sigma.choose(self.arena, node.vertex, node.depth, node.state),)
+        return self.arena.edges(node.vertex)
+
+    def __iter__(self) -> Iterator[list[Node]]:
+        sigma, sub = self.sigma, self.open_sub
+        layer = [Node(self.v0, 0, Fraction(0), None, None, sigma.initial_state())]
+        self.created = 1
+        for d in range(self.depth):
+            yield layer
+            unmerged: list[Node] = []
+            merged: dict[Hashable, Node] = {}
+            for node in layer:
+                for e in self.moves(node):
+                    tp = node.tp + e.weight
+                    sat = node.satisfied or (sub is not None
+                                             and sub.step_satisfies(d + 1, tp, e.weight))
+                    child = Node(e.dst, d + 1, tp, node, e, sigma.step_state(node.state, e), sat)
+                    if self.prune is not None and self.prune(child):
+                        continue
+                    k = None if self.key is None else self.key(child)
+                    if k is None:
+                        unmerged.append(child)
+                    else:
+                        kept = merged.get(k)
+                        if kept is None or (self.prefer is not None and self.prefer(child, kept)):
+                            merged[k] = child
+                    self.created += 1
+                    if self.created > self.node_cap:
+                        self.truncated = Inconclusive(
+                            "node cap %d exceeded at depth %d" % (self.node_cap, d + 1),
+                            d + 1, len(unmerged) + len(merged), self.node_cap)
+                        return
+            layer = unmerged + list(merged.values())
+        yield layer
 
 
 @dataclass
 class ExploreResult:
     origin: VertexId
     levels: list[list[Node]]
-    complete: bool
     nodes: int
+    truncated: Optional[Inconclusive] = None
+
+    @property
+    def complete(self) -> bool:
+        return self.truncated is None
 
     @property
     def level_widths(self) -> list[int]:
         return [len(level) for level in self.levels]
 
 
-def _expand(arena: Arena, strategy: Strategy, node: Node) -> list[Edge]:
-    """Outgoing edges of a node in the strategy-consistent tree."""
-    if arena.owner(node.vertex) == strategy.player:
-        return [strategy.choose(arena, node.vertex, node.depth, node.state)]
-    return list(arena.edges(node.vertex))
-
-
 def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
                        node_cap: Optional[int] = None) -> ExploreResult:
-    """Level-indexed tree of all sigma-consistent histories from v0.
-
-    Opponent vertices branch over all edges; owned vertices follow the
-    strategy.  Exceeding the node cap yields a partial (incomplete)
-    result.
-    """
-    if node_cap is None:
-        node_cap = node_cap_from_env()
-    root = Node(v0, 0, Fraction(0), None, None, sigma.initial_state())
-    levels = [[root]]
-    total = 1
-    complete = True
-    for d in range(depth):
-        nxt: list[Node] = []
-        for node in levels[d]:
-            for e in _expand(arena, sigma, node):
-                child = Node(e.dst, d + 1, node.tp + e.weight, node, e,
-                             sigma.step_state(node.state, e))
-                nxt.append(child)
-                total += 1
-                if total > node_cap:
-                    levels.append(nxt)
-                    return ExploreResult(v0, levels, False, total)
-        levels.append(nxt)
-    return ExploreResult(v0, levels, complete, total)
+    """Level-indexed tree of all sigma-consistent histories from v0, with
+    no merging.  Exceeding the node cap yields the levels completed so far
+    and the truncation."""
+    walk = Layers(arena, v0, sigma, depth, node_cap=node_cap)
+    levels = list(walk)
+    return ExploreResult(v0, levels, walk.created, walk.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +250,7 @@ class Inconclusive:
     reason: str
     depth: int = 0
     remaining: int = 0
+    node_cap: Optional[int] = None  # set when the node cap was the binding cap
 
 
 @dataclass
@@ -217,40 +276,21 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     satisfy.  A repeated (vertex, signature) along a branch with a
     non-positive cycle total refutes the bound for TP-style families.
     """
-    if node_cap is None:
-        node_cap = node_cap_from_env()
-    root = Node(v0, 0, Fraction(0), None, None, sigma.initial_state())
-    frontier = [root]
-    total = 1
-    for d in range(max_depth):
+    def key(node: Node):
+        sig = sigma.signature(node.depth, node.state)
+        return None if sig is None else (node.vertex, sig)
+
+    walk = Layers(arena, v0, sigma, max_depth, open_sub=open_sub,
+                  prune=lambda node: node.satisfied, key=key,
+                  prefer=lambda node, kept: node.tp < kept.tp, node_cap=node_cap)
+    for d, frontier in enumerate(walk):
         if not frontier:
             return KoenigBound(d, open_sub)
-        merged: dict[tuple, Node] = {}
-        nxt: list[Node] = []
-        for node in frontier:
-            for e in _expand(arena, sigma, node):
-                tp = node.tp + e.weight
-                if open_sub.step_satisfies(d + 1, tp, e.weight):
-                    continue
-                state = sigma.step_state(node.state, e)
-                child = Node(e.dst, d + 1, tp, node, e, state)
-                sig = sigma.signature(d + 1, state)
-                if sig is None:
-                    nxt.append(child)
-                else:
-                    key = (e.dst, sig)
-                    kept = merged.get(key)
-                    if kept is None or tp < kept.tp:
-                        merged[key] = child
-                total += 1
-                if total > node_cap:
-                    return Inconclusive("node cap exceeded", d + 1, len(nxt) + len(merged))
-        frontier = nxt + list(merged.values())
         refuted = _detect_refuted(sigma, frontier, open_sub)
         if refuted is not None:
             return refuted
-    if not frontier:
-        return KoenigBound(max_depth, open_sub)
+    if walk.truncated is not None:
+        return walk.truncated
     return Inconclusive("depth exhausted with unsatisfied branches", max_depth, len(frontier))
 
 

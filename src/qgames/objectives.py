@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arena import Arena, ArenaGenerator, Edge, VertexId, Weight
+from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -392,7 +392,8 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
     MP thresholds subtract r from every weight; TP thresholds prepend a
     single weight ``-r`` edge before the start vertex.  A strict TP
     relation over weights with common denominator D becomes ``>= r + 1/D``
-    first.  Returns (arena, start, objective, note).
+    first.  An explicit arena stays explicit.  Returns (arena, start,
+    objective, note).
     """
     if objective.kind == BUCHI_ALL:
         return arena, start, objective, "unchanged"
@@ -417,18 +418,30 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
 
     pre = VertexId("pre^" + start.name, start.params)
     debt = -thr
+    if isinstance(arena, ArenaExplicit):
+        owners = {v: arena.owner(v) for v in arena.vertices}
+        owners[pre] = 2
+        edges = [e for v in arena.vertices for e in arena.edges(v)]
+        out = ArenaExplicit(owners, edges + [Edge(pre, debt, start)], pre,
+                            name=arena.name + "+shift")
+    else:
+        def expand(v: VertexId):
+            if v == pre:
+                return 2, (Edge(pre, debt, start),)
+            return arena.owner(v), arena.edges(v)
 
-    def expand(v: VertexId):
-        if v == pre:
-            return 2, (Edge(pre, debt, start),)
-        return arena.owner(v), arena.edges(v)
-
-    out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
+        out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
     note_parts.append("prepended a weight %s edge before %s" % (debt, start))
     return out, pre, Objective(TP, obj.mode, obj.relation, Fraction(0)), "; ".join(note_parts)
 
 
 def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) -> Arena:
+    if isinstance(arena, ArenaExplicit):
+        return ArenaExplicit({v: arena.owner(v) for v in arena.vertices},
+                             [Edge(e.src, fn(e.weight), e.dst)
+                              for v in arena.vertices for e in arena.edges(v)],
+                             start, name=arena.name + "+mapw")
+
     def expand(v: VertexId):
         return arena.owner(v), tuple(Edge(e.src, fn(e.weight), e.dst) for e in arena.edges(v))
 

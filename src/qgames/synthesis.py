@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import Arena, ArenaExplicit, Edge, History, VertexId, Weight, node_cap_from_env
-from .engine import KoenigBound, koenig_bound
+from .arena import Arena, ArenaExplicit, Edge, History, VertexId, node_cap_from_env
+from .engine import Inconclusive, KoenigBound, Layers, Node, koenig_bound
 from .objectives import (Decomposition, Lasso, OpenSub, lasso_limit,
                          prefix_compare, LE, BOTH, POS_INF, NEG_INF, TP, MP)
-from .strategies import (FIRST_EDGE, FiniteMemory, Memoryless, Scripted,
-                         StepCounterPlusK, StepCounterTable, Strategy)
+from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
+                         StepCounterTable, Strategy)
 
 ExtValue = Union[Fraction, float]
 
@@ -146,20 +147,22 @@ def _min_cycle_mean(arena: ArenaExplicit, vertices: set[VertexId],
     return best
 
 
-def _p1_profiles(arena: ArenaExplicit, cap: int) -> Optional[list[dict[VertexId, Edge]]]:
-    p1 = [v for v in arena.vertices if arena.owner(v) == 1]
+def _profiles(arena: ArenaExplicit, player: int, cap: int
+              ) -> Optional[list[dict[VertexId, Edge]]]:
+    """Every positional strategy of the player as a vertex -> edge map, or
+    None if there are more than ``cap``."""
+    owned = [v for v in arena.vertices if arena.owner(v) == player]
     size = 1
-    for v in p1:
+    for v in owned:
         size *= len(arena.edges(v))
         if size > cap:
             return None
-    choices = [arena.edges(v) for v in p1]
-    return [dict(zip(p1, combo)) for combo in itertools.product(*choices)]
+    return [dict(zip(owned, combo)) for combo in itertools.product(*map(arena.edges, owned))]
 
 
 def _mp_witness(arena: ArenaExplicit, values: dict[VertexId, ExtValue],
                 cap: int) -> Optional[Memoryless]:
-    profiles = _p1_profiles(arena, cap)
+    profiles = _profiles(arena, 1, cap)
     if profiles is None:
         return None
     for moves in profiles:
@@ -204,8 +207,8 @@ def _tpsup_values(arena: ArenaExplicit, cap: int = 1 << 14) -> dict[VertexId, Ex
     sub = ArenaExplicit({v: arena.owner(v) for v in zero},
                         [e for es in adj.values() for e in es],
                         order[0], name=arena.name + "+zero")
-    p1_profiles = _p1_profiles(sub, cap)
-    p2_profiles = _opponent_profiles(sub, cap)
+    p1_profiles = _profiles(sub, 1, cap)
+    p2_profiles = _profiles(sub, 2, cap)
     if p1_profiles is None or p2_profiles is None:
         raise RuntimeError("zero-region profile space exceeds the cap %d" % cap)
     for v in order:
@@ -244,8 +247,8 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = 1 << 14
                        ) -> Optional[dict[VertexId, ExtValue]]:
     """Max-min over all memoryless profile pairs, evaluated on lassos."""
     kind = MP if family == "mp" else TP
-    p1_profiles = _p1_profiles(arena, cap)
-    swapped = _opponent_profiles(arena, cap)
+    p1_profiles = _profiles(arena, 1, cap)
+    swapped = _profiles(arena, 2, cap)
     if p1_profiles is None or swapped is None:
         return None
     out: dict[VertexId, ExtValue] = {}
@@ -263,20 +266,10 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = 1 << 14
     return out
 
 
-def _opponent_profiles(arena: ArenaExplicit, cap: int) -> Optional[list[dict[VertexId, Edge]]]:
-    p2 = [v for v in arena.vertices if arena.owner(v) == 2]
-    size = 1
-    for v in p2:
-        size *= len(arena.edges(v))
-        if size > cap:
-            return None
-    return [dict(zip(p2, combo)) for combo in itertools.product(*[arena.edges(v) for v in p2])]
-
-
 def _tpsup_witness(arena: ArenaExplicit, values: dict[VertexId, ExtValue],
                    cap: int) -> Optional[Memoryless]:
-    profiles = _p1_profiles(arena, cap)
-    opponents = _opponent_profiles(arena, cap)
+    profiles = _profiles(arena, 1, cap)
+    opponents = _profiles(arena, 2, cap)
     if profiles is None or opponents is None:
         return None
     for moves in profiles:
@@ -346,37 +339,12 @@ def sigma_safe(arena: ArenaExplicit) -> tuple[Memoryless, WPrimeRegion, ValueMap
 # Minimal consistent histories and the step-counter conversion
 
 
-@dataclass
-class MinHistory:
-    vertex: VertexId
-    depth: int
-    tp: Fraction
-    satisfied: bool
-    lex: tuple[int, ...]
-    parent: Optional["MinHistory"]
-    edge: Optional[Edge]
-    aux: object = None  # strategy bookkeeping (e.g. tracked bit)
-
-    def history(self, origin: VertexId) -> History:
-        edges = []
-        node = self
-        while node.edge is not None:
-            edges.append(node.edge)
-            node = node.parent
-        edges.reverse()
-        return History(origin, tuple(edges))
-
-    def word(self) -> tuple[Weight, ...]:
-        out = []
-        node = self
-        while node.edge is not None:
-            out.append(node.edge.weight)
-            node = node.parent
-        out.reverse()
-        return tuple(out)
+def _lex(arena: Arena, node: Node) -> tuple[int, ...]:
+    """Edge indices along the node's history, for lexicographic ties."""
+    return tuple(arena.edges(e.src).index(e) for e in node.edges())
 
 
-def _less_minimal(open_sub: OpenSub, a: MinHistory, b: MinHistory) -> bool:
+def _less_minimal(arena: Arena, open_sub: OpenSub, a: Node, b: Node) -> bool:
     """Is candidate a strictly more minimal (worse continuation-wise) than
     the kept b, or equivalent with a smaller lexicographic key?"""
     if a.satisfied != b.satisfied:
@@ -385,60 +353,58 @@ def _less_minimal(open_sub: OpenSub, a: MinHistory, b: MinHistory) -> bool:
         # equal lengths, so TP order coincides with MP order
         if a.tp != b.tp:
             return a.tp < b.tp
-    return a.lex < b.lex
+    return _lex(arena, a) < _lex(arena, b)
 
 
-def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
-                           open_sub: OpenSub, depth: int,
-                           decision: Optional[Callable[["MinHistory"], Edge]] = None
-                           ) -> list[dict[VertexId, MinHistory]]:
-    """Per (vertex, level) minimal sigma_prime-consistent history.
+def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
+                    depth: int, node_cap: Optional[int] = None) -> Layers:
+    """Layers keeping one minimal consistent history per vertex.
 
     The prefix order is a congruence, so extending only the kept minima
     preserves the property that the kept history at a cell is dominated by
     no consistent history there; ties break lexicographically over edge
-    indices.  ``decision`` overrides how the strategy's move after a kept
-    history is computed (used by the bit-tracking synthesizer).
+    indices.
     """
-    if decision is None:
-        decision = lambda node: sigma_prime.decide(arena, node.history(v0))
-    root = MinHistory(v0, 0, Fraction(0), False, (), None, None)
-    levels = [{v0: root}]
-    for d in range(depth):
-        nxt: dict[VertexId, MinHistory] = {}
-        for v, node in levels[d].items():
-            if arena.owner(v) == sigma_prime.player:
-                edges = [decision(node)]
-            else:
-                edges = list(arena.edges(v))
-            order = {e: k for k, e in enumerate(arena.edges(v))}
-            for e in edges:
-                tp = node.tp + e.weight
-                sat = node.satisfied or open_sub.step_satisfies(d + 1, tp, e.weight)
-                child = MinHistory(e.dst, d + 1, tp, sat, node.lex + (order[e],), node, e)
-                kept = nxt.get(e.dst)
-                if kept is None or _less_minimal(open_sub, child, kept):
-                    nxt[e.dst] = child
-        levels.append(nxt)
-    return levels
+    return Layers(arena, v0, sigma, depth, open_sub=open_sub, key=lambda node: node.vertex,
+                  prefer=lambda node, kept: _less_minimal(arena, open_sub, node, kept),
+                  node_cap=node_cap)
+
+
+def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
+                           open_sub: OpenSub, depth: int
+                           ) -> Union[list[dict[VertexId, Node]], Inconclusive]:
+    """Per (vertex, level) minimal sigma_prime-consistent history, or the
+    Inconclusive of an exhausted node cap."""
+    walk = _minimal_layers(arena, v0, sigma_prime, open_sub, depth)
+    levels = [{node.vertex: node for node in layer} for layer in walk]
+    return walk.truncated or levels
+
+
+def _sc_table(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub, depth: int,
+              node_cap: Optional[int] = None
+              ) -> Union[dict[tuple[VertexId, int], Edge], Inconclusive]:
+    """(v, s) -> the move sigma makes after the minimal consistent
+    length-s history ending at v, for s below the depth."""
+    walk = _minimal_layers(arena, v0, sigma, open_sub, depth - 1, node_cap)
+    table = {(node.vertex, node.depth): sigma.choose(arena, node.vertex, node.depth, node.state)
+             for layer in walk for node in layer
+             if node.depth < depth and arena.owner(node.vertex) == sigma.player}
+    return walk.truncated or table
 
 
 def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy,
-                     open_sub: OpenSub, depth: int) -> StepCounterTable:
+                     open_sub: OpenSub, depth: int) -> Union[StepCounterTable, Inconclusive]:
     """Step-counter table playing, at (v, s), the move the given strategy
     makes after the minimal consistent length-s history ending at v."""
-    levels = minimal_history_levels(arena, v0, sigma_prime, open_sub, depth)
-    table = {}
-    for d, cells in enumerate(levels[:depth]):
-        for v, node in cells.items():
-            if arena.owner(v) == sigma_prime.player:
-                table[(v, d)] = sigma_prime.decide(arena, node.history(v0))
+    table = _sc_table(arena, v0, sigma_prime, open_sub, depth)
+    if isinstance(table, Inconclusive):
+        return table
     return StepCounterTable(table, depth, FIRST_EDGE, player=sigma_prime.player,
                             name=sigma_prime.name + "+sc")
 
 
 def domination_holds(arena: Arena, v0: VertexId, open_sub: OpenSub,
-                     levels: list[dict[VertexId, MinHistory]],
+                     levels: list[dict[VertexId, Node]],
                      histories_by_level: list[list[History]]) -> bool:
     """Every given history must dominate the kept minimal history at its
     (endpoint, length) cell."""
@@ -520,24 +486,58 @@ class SynthReport:
                 and all(ok for (_, _, ok) in self.level_certs))
 
 
-def _composite(arena: Arena, v0: VertexId, fixed: dict[tuple[VertexId, int], Edge],
-               boundary: int, oracle: RegionOracle) -> Strategy:
-    cache: dict[VertexId, Strategy] = {}
+class _Composite(Strategy):
+    """A fixed table up to the boundary step, then a winning continuation
+    from the reached (vertex, running total) pair.
 
-    def fn(ar: Arena, h: History) -> Edge:
-        if len(h) < boundary:
-            try:
-                return fixed[(h.to_vertex, len(h))]
-            except KeyError:
-                raise KeyError("fixed table missing entry (%s, %d)" % (h.to_vertex, len(h)))
-        w = h.prefix(boundary).to_vertex
-        strat = cache.get(w)
+    The state is the fixed table's state and the running total up to the
+    boundary, then the boundary pair and the continuation's own state.
+    """
+
+    def __init__(self, v0: VertexId, fixed: Strategy, boundary: int,
+                 continuation: Callable[[VertexId, Fraction], Strategy],
+                 step_determined: bool):
+        self.name = "composite@%d" % boundary
+        self._v0 = v0
+        self._fixed = fixed
+        self._boundary = boundary
+        self._continuation = continuation
+        self._cache: dict[tuple[VertexId, Fraction], Strategy] = {}
+        # True when decisions depend on (vertex, step) only
+        self._step_determined = step_determined
+
+    def _cont(self, at: tuple[VertexId, Fraction]) -> Strategy:
+        strat = self._cache.get(at)
         if strat is None:
-            strat = cache[w] = oracle.strategy_from(w)
-        return strat.decide(ar, h.suffix_from(boundary))
+            strat = self._cache[at] = self._continuation(*at)
+        return strat
 
-    return Scripted("composite@%d" % boundary, fn,
-                    step_determined=oracle.uniform_memoryless)
+    def _enter(self, at: tuple[VertexId, Fraction]):
+        return (at, self._cont(at).initial_state())
+
+    def initial_state(self):
+        if self._boundary == 0:
+            return self._enter((self._v0, Fraction(0)))
+        return (None, (0, self._fixed.initial_state(), Fraction(0)))
+
+    def step_state(self, state, edge):
+        at, inner = state
+        if at is not None:
+            return (at, self._cont(at).step_state(inner, edge))
+        steps, fixed_state, tp = inner
+        steps, tp = steps + 1, tp + edge.weight
+        if steps == self._boundary:
+            return self._enter((edge.dst, tp))
+        return (None, (steps, self._fixed.step_state(fixed_state, edge), tp))
+
+    def choose(self, arena, vertex, step, state):
+        at, inner = state
+        if at is not None:
+            return self._cont(at).choose(arena, vertex, step - self._boundary, inner)
+        return self._fixed.choose(arena, vertex, step, inner[1])
+
+    def signature(self, step, state):
+        return () if self._step_determined else None
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
@@ -555,45 +555,60 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     k_prev = 0
     for m in range(1, m_max + 1):
         sub = decomposition.sub(m)
-        comp = _composite(arena, v0, fixed, k_prev, oracle)
+        comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev,
+                          lambda w, r: oracle.strategy_from(w),
+                          step_determined=oracle.uniform_memoryless)
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
             return SynthReport(schedule, None, [], False, False,
                                failure="bubble %d: %r" % (m, kb))
         k_m = max(kb.level, k_prev + 1)
-        levels = minimal_history_levels(arena, v0, comp, sub, k_m)
-        new_fixed: dict[tuple[VertexId, int], Edge] = {}
-        for d, cells in enumerate(levels[:k_m]):
-            for v, node in cells.items():
-                if arena.owner(v) == 1:
-                    move = comp.decide(arena, node.history(v0))
-                    new_fixed[(v, d)] = move
-                    if d < k_prev and fixed.get((v, d)) != move:
-                        return SynthReport(schedule, None, [], False, False,
-                                           failure="bubble %d rewrote the fixed table" % m)
+        new_fixed = _sc_table(arena, v0, comp, sub, k_m, node_cap)
+        if isinstance(new_fixed, Inconclusive):
+            return SynthReport(schedule, None, [], False, False,
+                               failure="bubble %d: %r" % (m, new_fixed))
+        if any(new_fixed[key] != fixed.get(key) for key in new_fixed if key[1] < k_prev):
+            return SynthReport(schedule, None, [], False, False,
+                               failure="bubble %d rewrote the fixed table" % m)
         fixed = new_fixed
         k_prev = k_m
         schedule.append((m, k_m))
 
     strategy = StepCounterTable(fixed, k_prev, FIRST_EDGE, name="bubble_sc")
+    return _final_report(arena, v0, strategy, schedule, decomposition.sub,
+                         lambda v, r: oracle.in_region(v), node_cap)
+
+
+def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
+                  schedule: list[tuple[int, int]], subs: Callable[[int], OpenSub],
+                  member: Callable[[VertexId, Fraction], bool], node_cap: int) -> SynthReport:
+    """Re-certify every scheduled level on the final strategy and check
+    that no consistent history up to the last level leaves the region."""
     level_certs = []
     for (m, k_m) in schedule:
-        again = koenig_bound(arena, v0, strategy, decomposition.sub(m), k_m, node_cap)
+        again = koenig_bound(arena, v0, strategy, subs(m), k_m, node_cap)
+        if isinstance(again, Inconclusive) and again.node_cap is not None:
+            return SynthReport(schedule, strategy, level_certs, False, False,
+                               failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
-    region_ok = _region_preserved(arena, v0, strategy, k_prev, oracle.in_region, node_cap)
+    walk = _merged_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0, node_cap)
+    region_ok = all(member(node.vertex, node.tp) for layer in walk for node in layer)
+    if walk.truncated is not None:
+        return SynthReport(schedule, strategy, level_certs, False, False,
+                           failure="region check: %s" % walk.truncated.reason)
     return SynthReport(schedule, strategy, level_certs, region_ok, True)
 
 
-def _region_preserved(arena: Arena, v0: VertexId, strategy: Strategy, depth: int,
-                      member: Callable[[VertexId], bool], node_cap: int) -> bool:
-    from .engine import explore_consistent
+def _merged_layers(arena: Arena, v0: VertexId, strategy: Strategy, depth: int,
+                   node_cap: int) -> Layers:
+    """Consistent layers merging histories with equal (vertex, signature,
+    running total): they take the same edges and meet the same (vertex,
+    sum) regions from there on."""
+    def key(node: Node):
+        sig = strategy.signature(node.depth, node.state)
+        return None if sig is None else (node.vertex, sig, node.tp)
 
-    tree = explore_consistent(arena, v0, strategy, depth, node_cap)
-    for level in tree.levels:
-        for node in level:
-            if not member(node.vertex):
-                return False
-    return tree.complete
+    return Layers(arena, v0, strategy, depth, key=key, node_cap=node_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +633,9 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     if not oracle.wprime(v0, Fraction(0)):
         raise ValueError("start %s with sum 0 is outside the winnable region" % v0)
 
-    table: dict[tuple[VertexId, int, int], Edge] = {}
-    bitupd: dict[tuple[int, int, Edge], int] = {}
+    # the table under construction; each bubble fills the levels it adds
+    live = StepCounterPlusK(2, {}, depth_cap, {}, ERROR, name="sc1bit_partial")
+    table, bitupd = live.table, live.bit_update
     schedule: list[tuple[int, int]] = []
     k_prev = 0
 
@@ -630,17 +646,22 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         # reset the bit entering this bubble: the update on every edge
         # crossing the boundary yields mode 0
         if k_prev > 0:
-            partial = StepCounterPlusK(2, dict(table), k_prev, dict(bitupd),
-                                       FIRST_EDGE, name="sc1bit_partial")
-            for e in _edges_at_level(arena, v0, partial, k_prev - 1, node_cap):
-                bitupd[(k_prev - 1, 0, e)] = 0
-                bitupd[(k_prev - 1, 1, e)] = 0
-        current = StepCounterPlusK(2, dict(table), max(k_prev, 1), dict(bitupd),
-                                   FIRST_EDGE, name="sc1bit_partial")
-        comp = _Sc1BitComposite(arena, v0, current, k_prev, oracle)
+            walk = _merged_layers(arena, v0, live, k_prev - 1, node_cap)
+            *_, last = walk
+            if walk.truncated is not None:
+                return SynthReport(schedule, None, [], False, False,
+                                   failure="bubble m=%d: %s" % (m_sched, walk.truncated.reason))
+            for node in last:
+                for e in walk.moves(node):
+                    bitupd[(k_prev - 1, 0, e)] = 0
+                    bitupd[(k_prev - 1, 1, e)] = 0
+        comp = _Composite(v0, StepCounterPlusK(2, table, k_prev, bitupd, ERROR), k_prev,
+                          oracle.winning_from, step_determined=False)
 
-        built = _build_bubble(arena, v0, comp, sub, k_prev, table, bitupd,
-                              oracle, depth_cap, node_cap)
+        built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap)
+        if isinstance(built, Inconclusive):
+            return SynthReport(schedule, None, [], False, False,
+                               failure="bubble m=%d: %s" % (m_sched, built.reason))
         if built is None:
             return SynthReport(schedule, None, [], False, False,
                                failure="bubble m=%d: no bound within the depth cap" % m_sched)
@@ -652,188 +673,57 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         k_prev = k_m
 
     strategy = StepCounterPlusK(2, table, k_prev, bitupd, FIRST_EDGE, name="sc1bit")
-    level_certs = []
-    for (m, k_m) in schedule:
-        again = koenig_bound(arena, v0, strategy, OpenSub("tp-sup", m=m), k_m, node_cap)
-        level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
-    region_ok = _wprime_preserved(arena, v0, strategy, k_prev, oracle.wprime, node_cap)
-    return SynthReport(schedule, strategy, level_certs, region_ok, True)
+    return _final_report(arena, v0, strategy, schedule, lambda m: OpenSub("tp-sup", m=m),
+                         oracle.wprime, node_cap)
 
 
-class _Sc1BitComposite(Scripted):
-    """Fixed bit-tracking table up to the boundary, then a winning
-    continuation from the reached (vertex, sum) pair."""
+def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterPlusK,
+                  sub: OpenSub, k_prev: int, oracle: WPrimeOracle, depth_cap: int,
+                  node_cap: int):
+    """Extend the live table over one bubble.
 
-    def __init__(self, arena: Arena, v0: VertexId, fixed: StepCounterPlusK,
-                 boundary: int, oracle: WPrimeOracle):
-        self._arena = arena
-        self._v0 = v0
-        self._fixed = fixed
-        self._boundary = boundary
-        self._oracle = oracle
-        self._cache: dict[tuple[VertexId, Fraction], Strategy] = {}
-        super().__init__("sc1bit_composite@%d" % boundary, self._fn,
-                         step_determined=False)
-
-    def _fn(self, ar: Arena, h: History) -> Edge:
-        if len(h) < self._boundary:
-            state = self._fixed.initial_state()
-            for e in h.edges:
-                state = self._fixed.step_state(state, e)
-            hit = self._fixed.table.get((h.to_vertex, len(h), state[1]))
-            if hit is None:
-                raise KeyError("fixed sc+1bit table missing (%s, %d, %d)"
-                               % (h.to_vertex, len(h), state[1]))
-            return hit
-        pre = h.prefix(self._boundary)
-        key = (pre.to_vertex, pre.total())
-        strat = self._cache.get(key)
-        if strat is None:
-            strat = self._cache[key] = self._oracle.winning_from(*key)
-        return strat.decide(ar, h.suffix_from(self._boundary))
-
-
-def _edges_at_level(arena: Arena, v0: VertexId, strategy: StepCounterPlusK,
-                    level: int, node_cap: int) -> list[Edge]:
-    """All edges the consistent tree of the fixed table can take at a level."""
-    from .engine import explore_consistent
-
-    tree = explore_consistent(arena, v0, strategy, level + 1, node_cap)
-    out = []
-    seen = set()
-    for node in tree.levels[level + 1] if len(tree.levels) > level + 1 else []:
-        if node.edge is not None and node.edge not in seen:
-            seen.add(node.edge)
-            out.append(node.edge)
-    return out
-
-
-def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, sub: OpenSub,
-                  k_prev: int, table: dict, bitupd: dict, oracle: WPrimeOracle,
-                  depth_cap: int, node_cap: int):
-    """Extend the table over one bubble.  Returns (k_m, violation) or None
-    if the depth cap is hit before every consistent branch satisfies."""
-    levels = minimal_history_levels(arena, v0, comp, sub, 0)
-    min_cells = levels[0]
-
-    # exploration nodes of the strategy under construction: (vertex, bit,
-    # tp, satisfied); decisions below k_prev follow the existing table,
-    # above it bit 0 mimics the minimal history and bit 1 plays safe
-    @dataclass
-    class _ENode:
-        vertex: VertexId
-        bit: int
-        tp: Fraction
-        satisfied: bool
-        parent: Optional["_ENode"] = None
-        edge: Optional[Edge] = None
-
-    def _cell_of(n: "_ENode") -> MinHistory:
-        """A minimal-history cell backed by the exploration node's own
-        play, for vertices the mimic never reaches (a bit reset at a
-        bubble boundary can land on a safe-strategy detour)."""
-        chain = []
-        cur = n
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.parent
-        chain.reverse()
-        cell = None
-        lex: tuple = ()
-        for depth, en in enumerate(chain):
-            if en.edge is not None:
-                order = {e: k for k, e in enumerate(arena.edges(en.edge.src))}
-                lex = lex + (order[en.edge],)
-            cell = MinHistory(en.vertex, depth, en.tp, en.satisfied, lex, cell, en.edge)
-        return cell
-
-    frontier = [_ENode(v0, 0, Fraction(0), False)]
-    mim_levels = [min_cells]
-    violation = None
-    d = 0
-    while d < depth_cap:
+    Walks the minimal consistent histories of the composite and the
+    consistent tree of the live table in lockstep.  At each level from
+    k_prev on, the minimal histories fill the bit-0 moves and bit updates
+    before the live walk expands the level: bit 0 mimics the minimal
+    history, bit 1 plays safe.  Returns (k_m, violation), None if the
+    depth cap is hit before every consistent branch satisfies, or the
+    Inconclusive of an exhausted node cap.
+    """
+    table, bitupd = live.table, live.bit_update
+    mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap)
+    # a later duplicate replaces the kept node: its history backs the
+    # minimal-history cell when the mimic never reaches its vertex
+    runs = Layers(arena, v0, live, depth_cap, open_sub=sub,
+                  key=lambda node: (node.vertex, node.state[1], node.tp, node.satisfied),
+                  prefer=lambda node, kept: True, node_cap=node_cap)
+    for d, (cells, frontier) in enumerate(zip(mimics, runs)):
+        for node in frontier:
+            if not oracle.wprime(node.vertex, node.tp):
+                return (d, "(%s, %s) at step %d" % (node.vertex, node.tp, d))
+        if d == depth_cap:
+            return None
         if d >= max(k_prev, 1) and d >= sub.step_index and all(n.satisfied for n in frontier):
-            break
-        cells = mim_levels[d]
+            return (max(d, k_prev + 1), None)
         if d >= k_prev:
-            for n in frontier:
-                if n.bit == 0 and n.vertex not in cells:
-                    cells[n.vertex] = _cell_of(n)
-        # fill this level's table entries from the construction
-        for v, node in cells.items():
-            if arena.owner(v) == 1 and d >= k_prev:
-                table[(v, d, 0)] = comp.decide(arena, node.history(v0))
-        for n in frontier:
-            if arena.owner(n.vertex) == 1 and n.bit == 1:
-                key = (n.vertex, d, 1)
-                if key not in table:
-                    table[key] = oracle.safe.choose(arena, n.vertex, d, None)
-        # bit updates for this level, driven by the minimal histories
-        if d >= k_prev:
-            for v, node in cells.items():
-                edges = ([comp.decide(arena, node.history(v0))]
-                         if arena.owner(v) == 1 else list(arena.edges(v)))
-                for e in edges:
+            # a bit reset at a bubble boundary can land on a safe-strategy
+            # detour the mimic never reaches: back the cell by the run itself
+            reached = {node.vertex for node in cells}
+            for node in frontier:
+                if node.state[1] == 0 and node.vertex not in reached:
+                    reached.add(node.vertex)
+                    state = reduce(comp.step_state, node.edges(), comp.initial_state())
+                    cells.append(Node(node.vertex, d, node.tp, node.parent, node.edge, state,
+                                      node.satisfied))
+            for node in cells:
+                moves = mimics.moves(node)
+                if arena.owner(node.vertex) == 1:
+                    table[(node.vertex, d, 0)] = moves[0]
+                for e in moves:
                     fires = node.satisfied or sub.step_satisfies(d + 1, node.tp + e.weight, e.weight)
                     bitupd[(d, 0, e)] = 1 if fires else 0
-
-        # advance the minimal-history cells
-        nxt_cells: dict[VertexId, MinHistory] = {}
-        for v, node in cells.items():
-            edges = ([comp.decide(arena, node.history(v0))]
-                     if arena.owner(v) == 1 else list(arena.edges(v)))
-            order = {e: k for k, e in enumerate(arena.edges(v))}
-            for e in edges:
-                tp = node.tp + e.weight
-                sat = node.satisfied or sub.step_satisfies(d + 1, tp, e.weight)
-                child = MinHistory(e.dst, d + 1, tp, sat, node.lex + (order[e],), node, e)
-                kept = nxt_cells.get(e.dst)
-                if kept is None or _less_minimal(sub, child, kept):
-                    nxt_cells[e.dst] = child
-        mim_levels.append(nxt_cells)
-
-        # advance the exploration of the strategy under construction
-        nxt_frontier: dict[tuple, _ENode] = {}
-        for n in frontier:
-            if arena.owner(n.vertex) == 1:
-                if n.bit == 0:
-                    move = table.get((n.vertex, d, 0))
-                    if move is None:
-                        raise AssertionError("missing bit-0 entry (%s, %d)" % (n.vertex, d))
-                    edges = [move]
-                else:
-                    edges = [table[(n.vertex, d, 1)]]
-            else:
-                edges = list(arena.edges(n.vertex))
-            for e in edges:
-                tp = n.tp + e.weight
-                sat = n.satisfied or sub.step_satisfies(d + 1, tp, e.weight)
-                bit = bitupd.get((d, n.bit, e), n.bit)
-                if not oracle.wprime(e.dst, tp):
-                    violation = "(%s, %s) at step %d" % (e.dst, tp, d + 1)
-                child = _ENode(e.dst, bit, tp, sat, n, e)
-                key = (e.dst, bit, tp, sat)
-                nxt_frontier[key] = child
-        frontier = list(nxt_frontier.values())
-        if violation is not None:
-            return (d + 1, violation)
-        d += 1
-    else:
-        return None
-
-    # every consistent branch satisfied at level d; ensure bit-1 coverage
-    # for the remaining in-bubble levels was recorded along the way
-    k_m = max(d, k_prev + 1)
-    return (k_m, None)
-
-
-def _wprime_preserved(arena: Arena, v0: VertexId, strategy: Strategy, depth: int,
-                      member: Callable[[VertexId, Fraction], bool], node_cap: int) -> bool:
-    from .engine import explore_consistent
-
-    tree = explore_consistent(arena, v0, strategy, depth, node_cap)
-    for level in tree.levels:
-        for node in level:
-            if not member(node.vertex, node.tp):
-                return False
-    return tree.complete
+        for node in frontier:
+            key = (node.vertex, d, 1)
+            if arena.owner(node.vertex) == 1 and node.state[1] == 1 and key not in table:
+                table[key] = oracle.safe.choose(arena, node.vertex, d, None)
+    return mimics.truncated or runs.truncated

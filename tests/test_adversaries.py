@@ -239,3 +239,39 @@ def test_defeat_sc_buchi_guards():
     with pytest.raises(ValueError):
         defeat_sc_buchi(Scripted("x", lambda ar, h: ar.edges(h.to_vertex)[0],
                                  step_determined=True), make("a3"))
+
+
+def _entry_state_by_walk(sigma, entry, ell0):
+    # reference: walk the generator from the start, entering at ell0
+    arena = entry.arena
+    state = sigma.initial_state()
+    v = entry.start
+    while v.name != "t":
+        if v.name == "s" and v.params[0] >= 0:
+            dst = "s" if v.params[0] < ell0 else "d"
+            e = next(e for e in arena.edges(v) if e.dst.name == dst)
+        else:
+            e = arena.edges(v)[0]
+        state = sigma.step_state(state, e)
+        v = e.dst
+    return state
+
+
+def test_ramsey_entry_states_match_the_per_index_walk():
+    from qgames.adversaries import _entry_states
+
+    # a memory that folds every edge's endpoints and weight, so a wrong
+    # descent edge in the closed form changes the state
+    def fold(m, e):
+        return (m * 7 + 3 * sum(e.src.params) + sum(e.dst.params) + int(e.weight)) % 5
+
+    for name in ("a4", "a4guarded"):
+        entry = make(name)
+        folding = FiniteMemory(MealyMemory(range(5), 0, fold),
+                               lambda ar, v, m: ar.edges(v)[0], name="fold")
+        for sigma in (entry.strategy("always_delay"), entry.strategy("delay_twice_exit"),
+                      folding):
+            lookup = _entry_states(sigma, entry)
+            order = [7, 0, 3, 40, 1] + list(range(45))
+            assert [lookup(i) for i in order] == \
+                [_entry_state_by_walk(sigma, entry, i) for i in order], (name, sigma.name)

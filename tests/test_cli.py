@@ -185,3 +185,29 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QG_NODE_CAP", "lots")
     assert main(["zoo", "list"]) == 1
     assert "QG_NODE_CAP" in capsys.readouterr().err
+
+
+def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
+    monkeypatch.setenv("QG_NODE_CAP", "5")
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "3"]) == 2
+    assert "failure: bubble m=2: node cap 5 exceeded at depth" in capsys.readouterr().out
+    monkeypatch.setenv("QG_NODE_CAP", "1000")
+    assert main(["bench"]) == 2
+    assert "inconclusive: zoo:a1prime?b=8: node cap 1000 exceeded at depth" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("objective", ["mp:limsup:>=:1/2", "tp:limsup:>=:1"])
+def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
+    path = _write(tmp_path, "shift.txt",
+                  "arena shift\nvertex a owner=1\nvertex b owner=2\n"
+                  "edge a b weight=1\nedge a a weight=0\nedge b a weight=0\n"
+                  "edge b b weight=1\nstart a\n")
+    out = str(tmp_path / "shift.strategy")
+    assert main(["synthesize", "--arena", path, "--objective", objective,
+                 "--m-max", "2", "--out", out]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("note: threshold shifted to 0 on a transformed arena\n")
+    assert "certified: yes" in text
+    assert "move a " in open(out).read()

@@ -227,3 +227,20 @@ def test_shift_strict_tp_uses_common_denominator():
     (debt,) = shifted.edges(start)
     assert debt.weight == F(-1, 2)
     assert obj.relation == ">="
+
+
+def test_shift_keeps_an_explicit_arena_explicit():
+    arena = _loop_arena()
+    shifted, start, _, _ = shift_to_zero_threshold(
+        arena, arena.start, Objective("mp", "limsup", ">=", F(1, 2)))
+    assert isinstance(shifted, ArenaExplicit)
+    assert shifted.vertices == arena.vertices and start == arena.start
+    shifted, start, _, _ = shift_to_zero_threshold(
+        arena, arena.start, Objective("tp", "limsup", ">=", F(3)))
+    assert isinstance(shifted, ArenaExplicit)
+    assert shifted.vertices == tuple(sorted(arena.vertices + (start,)))
+    assert shifted.owner(start) == 2 and shifted.edges(arena.start) == arena.edges(arena.start)
+    generator = ArenaGenerator(arena.start, lambda v: (1, arena.edges(v)))
+    shifted, _, _, _ = shift_to_zero_threshold(
+        generator, arena.start, Objective("tp", "limsup", ">=", F(3)))
+    assert isinstance(shifted, ArenaGenerator)

@@ -207,3 +207,58 @@ def test_solve_values_type_and_family_guards():
         solve_values(entry.arena, "mp")
     with pytest.raises(ValueError):
         solve_values(pos_arena(), "discounted")
+
+
+def _bitarena_sc1bit(m_max, node_cap=None):
+    entry = make("bitarena")
+    oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
+                          entry.extras["winning_from"])
+    return sc1bit_synthesize(entry.arena, entry.start, m_max, oracle,
+                             depth_cap=200, node_cap=node_cap)
+
+
+def test_sc1bit_bitarena_certifies_within_a_small_node_cap():
+    # merged layers stay polynomial, so 20000 nodes cover fourteen bubbles
+    report = _bitarena_sc1bit(14, node_cap=20000)
+    assert report.certified, report.failure
+    assert len(report.schedule) == 14
+
+
+def test_sc1bit_bitarena_certifies_forty_bubbles():
+    report = _bitarena_sc1bit(40)
+    assert report.certified, report.failure
+    assert len(report.schedule) == 40
+
+
+def test_synthesizers_name_an_exhausted_node_cap():
+    report = _bitarena_sc1bit(3, node_cap=5)
+    assert not report.certified
+    assert "node cap 5 exceeded at depth" in report.failure
+    assert "depth cap" not in report.failure
+    decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
+    report = bubble_synthesize(pos_arena(), A, decomp, 3, finite_mp_oracle(pos_arena()),
+                               node_cap=2)
+    assert not report.certified
+    assert "node cap 2 exceeded at depth" in report.failure
+
+
+def test_sc1bit_resets_the_bit_on_every_boundary_edge():
+    # two histories crossing a boundary on different edges can meet at
+    # the same (vertex, bit, total); both edges still reset the bit
+    from qgames.engine import explore_consistent
+
+    n = [V("n", (i,)) for i in range(5)]
+    arena = ArenaExplicit(
+        {n[0]: 2, n[1]: 1, n[2]: 2, n[3]: 1, n[4]: 2},
+        [E(n[0], 4, n[3]), E(n[0], 4, n[0]), E(n[0], 6, n[2]), E(n[1], 2, n[0]),
+         E(n[1], 4, n[4]), E(n[2], 2, n[2]), E(n[2], 2, n[0]), E(n[3], 3, n[1]),
+         E(n[3], 5, n[4]), E(n[3], -2, n[3]), E(n[4], -1, n[2]), E(n[4], 3, n[3])], n[0])
+    report = sc1bit_synthesize(arena, n[0], 4, finite_wprime_oracle(arena))
+    assert report.certified, report.failure
+    sigma = report.strategy
+    tree = explore_consistent(arena, n[0], sigma, report.schedule[-1][1])
+    for _, k in report.schedule[:-1]:
+        crossing = {node.edge for node in tree.levels[k]}
+        assert crossing
+        for e in crossing:
+            assert sigma.bit_update[(k - 1, 0, e)] == sigma.bit_update[(k - 1, 1, e)] == 0
