@@ -21,8 +21,8 @@ from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, validat
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
-from .strategies import Strategy, parse_strategy, serialize_strategy
-from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize,
+from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy
+from .synthesis import (ProfileCapExceeded, SynthReport, WPrimeOracle, bubble_synthesize,
                         finite_mp_oracle, finite_wprime_oracle, sc1bit_synthesize)
 from .adversaries import (DefeatResult, NoCliqueFound, defeat_fm_match,
                           defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary)
@@ -455,7 +455,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _err("QG_NODE_CAP must be an integer")
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except ProfileCapExceeded as exc:
+        print("inconclusive: %s" % exc)
+        return INCONCLUSIVE
+    except (OSError, ValueError, KeyError, HorizonExceeded) as exc:
         return _err(str(exc))
 
 

@@ -611,12 +611,12 @@ def _check_divergence(cert: Divergence, arena: Arena, record: PlayRecord,
     cf = cert.cycle_from
     if not (0 <= cf < len(starts) - 1):
         return result.fail("cycle_from out of range")
-    sig_a = _round_signature(record, context, starts[cf])
-    sig_b = _round_signature(record, context, starts[-1])
+    sig_a = _round_signature(record, starts[cf])
+    sig_b = _round_signature(record, starts[-1])
     if sig_a != sig_b:
         return result.fail("round-start states differ: %r vs %r" % (sig_a, sig_b))
     if cert.round_states:
-        recomputed = [_round_signature(record, context, s) for s in starts]
+        recomputed = [_round_signature(record, s) for s in starts]
         if [str(s) for s in recomputed] != cert.round_states:
             return result.fail("claimed round states do not match the replay")
     result.diagnostics.append("verified %d rounds, cycle closes from round %d"
@@ -624,7 +624,7 @@ def _check_divergence(cert: Divergence, arena: Arena, record: PlayRecord,
     return result
 
 
-def _round_signature(record: PlayRecord, context: dict, step: int):
+def _round_signature(record: PlayRecord, step: int):
     """Vertex family plus both strategies' memory states at a position.
 
     Successive rounds of a diverging play visit different indexed

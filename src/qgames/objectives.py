@@ -75,10 +75,6 @@ class Objective:
             return "buchi-all:%d" % self.colour_count
         return "%s:%s:%s:%s" % (self.kind, self.mode, self.relation, format_ext(self.threshold))
 
-    @property
-    def classification(self) -> str:
-        return classify(self)
-
 
 def format_ext(x: ExtValue) -> str:
     if x == POS_INF:

@@ -38,7 +38,15 @@ class ValueMap:
     witness: Optional[Memoryless]
 
 
-def solve_values(arena: ArenaExplicit, family: str, witness_cap: int = 1 << 14) -> ValueMap:
+# the largest positional profile space either player may enumerate
+PROFILE_CAP = 1 << 14
+
+
+class ProfileCapExceeded(RuntimeError):
+    """A positional enumeration would pass ``PROFILE_CAP`` profiles."""
+
+
+def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
     Mean payoff uses exact value iteration long enough that rounding to
@@ -47,18 +55,24 @@ def solve_values(arena: ArenaExplicit, family: str, witness_cap: int = 1 << 14) 
     exact fixed point on the zero region.  The returned witness is a
     memoryless strategy achieving the value against every memoryless
     opponent, found by enumeration and absent if the profile space
-    exceeds ``witness_cap``.
+    exceeds ``PROFILE_CAP``.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
     if family == "mp":
         values = _mp_values(arena)
-        witness = _mp_witness(arena, values, witness_cap)
-        return ValueMap("mp", values, witness)
+        return ValueMap("mp", values, _mp_witness(arena, values, PROFILE_CAP))
     if family == "tpsup":
-        values = _tpsup_values(arena, witness_cap)
-        witness = _tpsup_witness(arena, values, witness_cap)
-        return ValueMap("tpsup", values, witness)
+        values = _tpsup_values(arena)
+        solved = _max_min(arena, TP, PROFILE_CAP)
+        if solved is None:
+            return ValueMap("tpsup", values, None)
+        attained, moves = solved
+        if attained != values:
+            raise RuntimeError("value attainment cross-check failed: %r vs %r"
+                               % (values, attained))
+        return ValueMap("tpsup", values,
+                        None if moves is None else Memoryless(moves, name="tpsup_witness"))
     raise ValueError("unknown value family %r" % family)
 
 
@@ -166,18 +180,13 @@ def _mp_witness(arena: ArenaExplicit, values: dict[VertexId, ExtValue],
     if profiles is None:
         return None
     for moves in profiles:
-        ok = True
-        for v in arena.vertices:
-            reach = _reachable(arena, v, moves)
-            if _min_cycle_mean(arena, reach, moves) != values[v]:
-                ok = False
-                break
-        if ok:
-            return Memoryless(dict(moves), name="mp_witness")
+        if all(_min_cycle_mean(arena, _reachable(arena, v, moves), moves) == values[v]
+               for v in arena.vertices):
+            return Memoryless(moves, name="mp_witness")
     return None
 
 
-def _tpsup_values(arena: ArenaExplicit, cap: int = 1 << 14) -> dict[VertexId, ExtValue]:
+def _tpsup_values(arena: ArenaExplicit, cap: int = PROFILE_CAP) -> dict[VertexId, ExtValue]:
     mp = _mp_values(arena)
     out: dict[VertexId, ExtValue] = {}
     zero = set()
@@ -203,25 +212,13 @@ def _tpsup_values(arena: ArenaExplicit, cap: int = 1 << 14) -> dict[VertexId, Ex
         if not keep:
             raise AssertionError("zero region not closed at %s" % v)
         adj[v] = keep
-    order = sorted(zero)
     sub = ArenaExplicit({v: arena.owner(v) for v in zero},
                         [e for es in adj.values() for e in es],
-                        order[0], name=arena.name + "+zero")
-    p1_profiles = _profiles(sub, 1, cap)
-    p2_profiles = _profiles(sub, 2, cap)
-    if p1_profiles is None or p2_profiles is None:
-        raise RuntimeError("zero-region profile space exceeds the cap %d" % cap)
-    for v in order:
-        best = None
-        for m1 in p1_profiles:
-            worst = None
-            for m2 in p2_profiles:
-                val = lasso_limit(TP, "limsup", lasso_of_profiles(sub, v, m1, m2))
-                if worst is None or val < worst:
-                    worst = val
-            if best is None or worst > best:
-                best = worst
-        out[v] = best
+                        min(zero), name=arena.name + "+zero")
+    solved = _max_min(sub, TP, cap)
+    if solved is None:
+        raise ProfileCapExceeded("zero-region profile space exceeds the cap %d" % cap)
+    out.update(solved[0])
     return out
 
 
@@ -229,83 +226,53 @@ def lasso_of_profiles(arena: ArenaExplicit, v: VertexId, moves1: dict[VertexId, 
                       moves2: dict[VertexId, Edge]) -> Lasso:
     """The unique lasso from v when both players play positionally."""
     at = v
-    path = []
     seen = {v: 0}
     weights = []
     while True:
         e = moves1[at] if arena.owner(at) == 1 else moves2[at]
         weights.append(e.weight)
-        path.append(e)
         at = e.dst
         if at in seen:
             cut = seen[at]
             return Lasso(tuple(weights[:cut]), tuple(weights[cut:]))
-        seen[at] = len(path)
+        seen[at] = len(weights)
 
 
-def brute_force_values(arena: ArenaExplicit, family: str, cap: int = 1 << 14
+def _max_min(arena: ArenaExplicit, kind: str, cap: int
+             ) -> Optional[tuple[dict[VertexId, ExtValue], Optional[dict[VertexId, Edge]]]]:
+    """Per vertex, the max over player-1 positional profiles of the min
+    over player-2 profiles of the limsup lasso value, and the first
+    player-1 profile attaining it at every vertex (None if none does);
+    None if either profile space exceeds ``cap``."""
+    p1_profiles = _profiles(arena, 1, cap)
+    p2_profiles = _profiles(arena, 2, cap)
+    if p1_profiles is None or p2_profiles is None:
+        return None
+    vs = arena.vertices
+    worst = [{v: min(lasso_limit(kind, "limsup", lasso_of_profiles(arena, v, m1, m2))
+                     for m2 in p2_profiles)
+              for v in vs}
+             for m1 in p1_profiles]
+    values = {v: max(w[v] for w in worst) for v in vs}
+    return values, next((m1 for m1, w in zip(p1_profiles, worst) if w == values), None)
+
+
+def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
                        ) -> Optional[dict[VertexId, ExtValue]]:
     """Max-min over all memoryless profile pairs, evaluated on lassos."""
-    kind = MP if family == "mp" else TP
-    p1_profiles = _profiles(arena, 1, cap)
-    swapped = _profiles(arena, 2, cap)
-    if p1_profiles is None or swapped is None:
-        return None
-    out: dict[VertexId, ExtValue] = {}
-    for v in arena.vertices:
-        best = None
-        for m1 in p1_profiles:
-            worst = None
-            for m2 in swapped:
-                val = lasso_limit(kind, "limsup", lasso_of_profiles(arena, v, m1, m2))
-                if worst is None or val < worst:
-                    worst = val
-            if best is None or worst > best:
-                best = worst
-        out[v] = best
-    return out
-
-
-def _tpsup_witness(arena: ArenaExplicit, values: dict[VertexId, ExtValue],
-                   cap: int) -> Optional[Memoryless]:
-    profiles = _profiles(arena, 1, cap)
-    opponents = _profiles(arena, 2, cap)
-    if profiles is None or opponents is None:
-        return None
-    for moves in profiles:
-        ok = True
-        for v in arena.vertices:
-            worst = None
-            for m2 in opponents:
-                val = lasso_limit(TP, "limsup", lasso_of_profiles(arena, v, moves, m2))
-                if worst is None or val < worst:
-                    worst = val
-            if worst != values[v]:
-                ok = False
-                break
-        if ok:
-            return Memoryless(dict(moves), name="tpsup_witness")
-    return None
+    solved = _max_min(arena, MP if family == "mp" else TP, cap)
+    return None if solved is None else solved[0]
 
 
 # ---------------------------------------------------------------------------
 # sigma_safe and the W' region
 
 
-@dataclass
-class WPrimeRegion:
-    """(vertex, current sum) pairs from which the limsup-TP>=0 game is
-    winnable; upward closed in the sum."""
-
-    contains: Callable[[VertexId, Fraction], bool]
-
-    def __call__(self, v: VertexId, r: Fraction) -> bool:
-        return self.contains(v, r)
-
-
-def sigma_safe(arena: ArenaExplicit) -> tuple[Memoryless, WPrimeRegion, ValueMap]:
+def sigma_safe(arena: ArenaExplicit
+               ) -> tuple[Memoryless, Callable[[VertexId, Fraction], bool], ValueMap]:
     """Memoryless strategy maximizing weight + value of the target, which
-    never leaves the winnable (vertex, sum) region."""
+    never leaves the winnable (vertex, sum) region; the region itself,
+    upward closed in the sum; and the solved values."""
     vm = solve_values(arena, "tpsup")
 
     def score(e: Edge) -> ExtValue:
@@ -314,15 +281,8 @@ def sigma_safe(arena: ArenaExplicit) -> tuple[Memoryless, WPrimeRegion, ValueMap
             return val
         return e.weight + val
 
-    table = {}
-    for v in arena.vertices:
-        if arena.owner(v) != 1:
-            continue
-        best = arena.edges(v)[0]
-        for e in arena.edges(v)[1:]:
-            if score(e) > score(best):
-                best = e
-        table[v] = best
+    # the first edge of highest score
+    table = {v: max(arena.edges(v), key=score) for v in arena.vertices if arena.owner(v) == 1}
 
     def contains(v: VertexId, r: Fraction) -> bool:
         val = vm.values[v]
@@ -332,7 +292,7 @@ def sigma_safe(arena: ArenaExplicit) -> tuple[Memoryless, WPrimeRegion, ValueMap
             return False
         return r + val >= 0
 
-    return Memoryless(table, name="sigma_safe"), WPrimeRegion(contains), vm
+    return Memoryless(table, name="sigma_safe"), contains, vm
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +395,7 @@ class RegionOracle:
 def finite_mp_oracle(arena: ArenaExplicit) -> RegionOracle:
     vm = solve_values(arena, "mp")
     if vm.witness is None:
-        raise RuntimeError("no memoryless witness found within the profile cap")
+        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
 
     def in_region(v: VertexId) -> bool:
         return vm.values[v] >= 0
@@ -452,19 +412,13 @@ class WPrimeOracle:
     wprime: Callable[[VertexId, Fraction], bool]
     safe: Strategy
     winning_from: Callable[[VertexId, Fraction], Strategy]
-    uniform_memoryless: bool = False
 
 
 def finite_wprime_oracle(arena: ArenaExplicit) -> WPrimeOracle:
     safe, region, vm = sigma_safe(arena)
     if vm.witness is None:
-        raise RuntimeError("no memoryless witness found within the profile cap")
-    bf = brute_force_values(arena, "tpsup")
-    if bf is not None and bf != vm.values:
-        raise RuntimeError("value attainment cross-check failed: %r vs %r"
-                           % (vm.values, bf))
-    return WPrimeOracle(region.contains, safe, lambda v, r: vm.witness,
-                        uniform_memoryless=True)
+        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
+    return WPrimeOracle(region, safe, lambda v, r: vm.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,38 @@ def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
     assert text.startswith("note: threshold shifted to 0 on a transformed arena\n")
     assert "certified: yes" in text
     assert "move a " in open(out).read()
+
+
+@pytest.mark.parametrize("objective,weight,needle", [
+    ("mp:limsup:>=:0", 0, "no memoryless witness within the profile cap 16384"),
+    ("tp:limsup:>=:0", 0, "zero-region profile space exceeds the cap 16384"),
+    ("tp:limsup:>=:0", 1, "no memoryless witness within the profile cap 16384"),
+], ids=["mp", "tp-zero-region", "tp-whole-arena"])
+def test_cli_synthesize_names_an_exhausted_profile_cap(tmp_path, capsys, objective, weight,
+                                                       needle):
+    # nine player-1 vertices of out-degree 3 give 3^9 > 2^14 profiles
+    lines = ["arena wide", "vertex y owner=2", "edge y x0 weight=%d" % weight]
+    for i in range(9):
+        lines += ["vertex x%d owner=1" % i, "edge x%d x%d weight=%d" % (i, (i + 1) % 9, weight),
+                  "edge x%d x%d weight=%d" % (i, i, weight), "edge x%d y weight=%d" % (i, weight)]
+    path = _write(tmp_path, "wide.txt", "\n".join(lines + ["start x0"]) + "\n")
+    assert main(["synthesize", "--arena", path, "--objective", objective,
+                 "--m-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "inconclusive: %s\n" % needle
+    assert captured.err == ""
+
+
+def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
+    out = str(tmp_path / "bit.strategy")
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "2", "--out", out]) == 0
+    text = open(out).read()
+    assert "fallback=first" in text
+    _write(tmp_path, "bit.strategy", text.replace("fallback=first", "fallback=error"))
+    capsys.readouterr()
+    assert main(["simulate", "--arena", "zoo:bitarena", "--p1", out, "--p2", "allzero",
+                 "--horizon", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no table entry for uc(1) at step 4 and fallback is 'error'\n"
+    assert captured.out == ""

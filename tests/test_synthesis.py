@@ -262,3 +262,13 @@ def test_sc1bit_resets_the_bit_on_every_boundary_edge():
         assert crossing
         for e in crossing:
             assert sigma.bit_update[(k - 1, 0, e)] == sigma.bit_update[(k - 1, 1, e)] == 0
+
+
+def test_minimal_histories_break_ties_lexicographically():
+    # both level-2 histories at d have total 0 and neither satisfies, so
+    # the one through the smaller edge index at a (to b) is kept
+    arena = ArenaExplicit(
+        {A: 2, B: 2, C: 2, D: 2},
+        [E(A, 0, B), E(A, 0, C), E(B, 0, D), E(C, 0, D), E(D, 0, D)], A)
+    levels = minimal_history_levels(arena, A, Memoryless({}), OpenSub("tp-sup", m=5), 3)
+    assert [e.dst for e in levels[2][D].edges()] == [B, D]
