@@ -263,6 +263,8 @@ def _synth_report_text(report: SynthReport) -> str:
 
 
 def cmd_synthesize(args) -> int:
+    if args.m_max < 1:
+        return _err("--m-max must be at least 1")
     arena, start, entry = _load_arena(args.arena)
     objective = parse_objective(args.objective)
     if objective.kind in ("tp", "mp") and not isinstance(objective.threshold, float):

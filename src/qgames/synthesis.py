@@ -12,15 +12,16 @@ fresh winning continuation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, History, VertexId, node_cap_from_env
-from .engine import Inconclusive, KoenigBound, Layers, Node, koenig_bound
-from .objectives import (Decomposition, Lasso, OpenSub, lasso_limit,
-                         prefix_compare, LE, BOTH, POS_INF, NEG_INF, TP, MP)
+from .engine import Inconclusive, KoenigBound, Layers, Node, RefutedBranch, koenig_bound
+from .objectives import (Decomposition, OpenSub, prefix_compare, LE, BOTH, POS_INF, NEG_INF,
+                         TP, MP)
 from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
                          StepCounterTable, Strategy)
 
@@ -49,22 +50,30 @@ class ProfileCapExceeded(RuntimeError):
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
-    Mean payoff uses exact value iteration long enough that rounding to
-    denominators at most |V| recovers the value.  Limsup total payoff is
-    +/-inf on the positive/negative mean-payoff regions and a bounded
-    exact fixed point on the zero region.  The returned witness is a
-    memoryless strategy achieving the value against every memoryless
-    opponent, found by enumeration and absent if the profile space
-    exceeds ``PROFILE_CAP``.
+    Mean payoff uses exact value iteration on integer-scaled weights.  By
+    Zwick & Paterson (1996) the k-round value x_k(v) stays within 2nW of
+    k times the value, which is a fraction with denominator at most n
+    (n vertices, W the largest scaled weight).  Every n rounds each vertex
+    is checked: once [(x_k - 2nW)/k, (x_k + 2nW)/k] holds exactly one such
+    fraction at every vertex, those fractions are the values.  At k =
+    4n^3 W the interval is narrower than the gap between two such
+    fractions, so the iteration never runs longer than that.  Limsup
+    total payoff is +/-inf on the positive/negative mean-payoff regions
+    and a bounded exact fixed point on the zero region.  The returned
+    witness is a memoryless strategy achieving the value against every
+    memoryless opponent, found by enumeration and absent if the profile
+    space exceeds ``PROFILE_CAP``.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
     if family == "mp":
-        values = _mp_values(arena)
-        return ValueMap("mp", values, _mp_witness(arena, values, PROFILE_CAP))
+        view = _view(arena)
+        values = _mp_values(view)
+        return ValueMap("mp", values, _mp_witness(view, values, PROFILE_CAP))
     if family == "tpsup":
-        values = _tpsup_values(arena)
-        solved = _max_min(arena, TP, PROFILE_CAP)
+        view = _view(arena)
+        values = _tpsup_values(view, PROFILE_CAP)
+        solved = _max_min(view, TP, PROFILE_CAP)
         if solved is None:
             return ValueMap("tpsup", values, None)
         attained, moves = solved
@@ -76,127 +85,165 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     raise ValueError("unknown value family %r" % family)
 
 
-def _scaled_int_weights(arena: ArenaExplicit) -> tuple[dict[Edge, int], int, int]:
-    import math
+@dataclass(frozen=True)
+class _View:
+    """An explicit arena indexed by position in its sorted vertex order.
 
-    denom = 1
-    for v in arena.vertices:
-        for e in arena.edges(v):
-            denom = denom * e.weight.denominator // math.gcd(denom, e.weight.denominator)
-    scaled = {}
-    w_max = 1
-    for v in arena.vertices:
-        for e in arena.edges(v):
-            w = int(e.weight * denom)
-            scaled[e] = w
-            w_max = max(w_max, abs(w))
-    return scaled, denom, w_max
+    ``succ[i]`` lists the edges of vertex i, in the arena's edge order, as
+    (successor index, weight * denom) integer pairs; ``edges[i]`` holds
+    the same edges as ``Edge`` objects, read only to name a witness.
+    """
 
+    vertices: tuple[VertexId, ...]
+    p1: tuple[bool, ...]
+    succ: tuple[tuple[tuple[int, int], ...], ...]
+    edges: tuple[tuple[Edge, ...], ...]
+    denom: int
+    w_max: int
 
-def _mp_values(arena: ArenaExplicit) -> dict[VertexId, ExtValue]:
-    scaled, denom, w_max = _scaled_int_weights(arena)
-    vs = arena.vertices
-    n = len(vs)
-    horizon = 4 * n * n * n * w_max
-    x = {v: 0 for v in vs}
-    for _ in range(horizon):
-        x = {v: (max if arena.owner(v) == 1 else min)(
-            scaled[e] + x[e.dst] for e in arena.edges(v)) for v in vs}
-    out: dict[VertexId, ExtValue] = {}
-    for v in vs:
-        out[v] = Fraction(x[v], horizon).limit_denominator(n) / denom
-    return out
+    def restrict(self, keep: list[int]) -> _View:
+        """The subarena on the given ascending vertex indices."""
+        index = {i: k for k, i in enumerate(keep)}
+        kept = [[j for j, (d, _) in enumerate(self.succ[i]) if d in index] for i in keep]
+        return _View(tuple(self.vertices[i] for i in keep), tuple(self.p1[i] for i in keep),
+                     tuple(tuple((index[self.succ[i][j][0]], self.succ[i][j][1]) for j in js)
+                           for i, js in zip(keep, kept)),
+                     tuple(tuple(self.edges[i][j] for j in js) for i, js in zip(keep, kept)),
+                     self.denom, self.w_max)
 
 
-def _reachable(arena: ArenaExplicit, v: VertexId, moves: dict[VertexId, Edge]) -> set[VertexId]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        es = [moves[u]] if u in moves else list(arena.edges(u))
-        for e in es:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return seen
+def _view(arena: ArenaExplicit) -> _View:
+    vertices = arena.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = tuple(arena.edges(v) for v in vertices)
+    denom = math.lcm(*(e.weight.denominator for es in edges for e in es))
+    succ = tuple(tuple((index[e.dst], e.weight.numerator * (denom // e.weight.denominator))
+                       for e in es) for es in edges)
+    w_max = max([1] + [abs(w) for out in succ for _, w in out])
+    return _View(vertices, tuple(arena.owner(v) == 1 for v in vertices), succ, edges,
+                 denom, w_max)
 
 
-def _min_cycle_mean(arena: ArenaExplicit, vertices: set[VertexId],
-                    moves: dict[VertexId, Edge]) -> Optional[Fraction]:
-    """Minimum mean over cycles inside ``vertices`` of the graph where
-    player-1 vertices follow ``moves`` and the rest keep all edges."""
-    vs = sorted(vertices)
-    index = {v: k for k, v in enumerate(vs)}
-    n = len(vs)
-    edges = []
-    for v in vs:
-        es = [moves[v]] if v in moves else list(arena.edges(v))
-        for e in es:
-            if e.dst in vertices:
-                edges.append((index[v], index[e.dst], e.weight))
-    # Karp: d[k][v] = min weight of a k-edge walk ending at v
-    inf = None
-    d = [[inf] * n for _ in range(n + 1)]
-    for v in range(n):
-        d[0][v] = Fraction(0)
-    for k in range(1, n + 1):
-        for (a, b, w) in edges:
-            if d[k - 1][a] is not None:
-                cand = d[k - 1][a] + w
-                if d[k][b] is None or cand < d[k][b]:
-                    d[k][b] = cand
-    best = None
-    for v in range(n):
-        if d[n][v] is None:
+def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
+    """Mean-payoff values by value iteration with the early stop of
+    ``solve_values``."""
+    n = len(view.vertices)
+    slack = 2 * n * view.w_max
+    horizon = 4 * n * n * n * view.w_max
+    rows = list(zip(view.p1, view.succ))
+    x = [0] * n
+    for k in range(1, horizon + 1):
+        x = [max([w + x[d] for d, w in out]) if p1 else min([w + x[d] for d, w in out])
+             for p1, out in rows]
+        if k % n:
             continue
-        worst = None
-        for k in range(n):
-            if d[k][v] is None:
-                continue
-            mean = (d[n][v] - d[k][v]) / (n - k)
-            if worst is None or mean > worst:
-                worst = mean
-        if worst is not None and (best is None or worst < best):
-            best = worst
-    return best
+        found = []
+        for total in x:
+            nu = _isolated(total - slack, total + slack, k, n)
+            if nu is None:
+                break
+            found.append(nu)
+        else:
+            return {v: Fraction(p, q * view.denom) for v, (p, q) in zip(view.vertices, found)}
+    if n:
+        raise AssertionError("values not isolated at the Zwick-Paterson horizon")
+    return {}
 
 
-def _profiles(arena: ArenaExplicit, player: int, cap: int
-              ) -> Optional[list[dict[VertexId, Edge]]]:
-    """Every positional strategy of the player as a vertex -> edge map, or
-    None if there are more than ``cap``."""
-    owned = [v for v in arena.vertices if arena.owner(v) == player]
-    size = 1
-    for v in owned:
-        size *= len(arena.edges(v))
-        if size > cap:
+def _isolated(lo: int, hi: int, k: int, n: int) -> Optional[tuple[int, int]]:
+    """The only fraction p/q with q <= n in [lo/k, hi/k], or None if the
+    interval holds none or several."""
+    found = None
+    for q in range(1, n + 1):
+        p, top = -(-lo * q // k), hi * q // k
+        if p < top:
             return None
-    return [dict(zip(owned, combo)) for combo in itertools.product(*map(arena.edges, owned))]
+        if p == top:
+            if found is None:
+                found = (p, q)
+            elif p * found[1] != found[0] * q:
+                return None
+    return found
 
 
-def _mp_witness(arena: ArenaExplicit, values: dict[VertexId, ExtValue],
+def _min_cycle_mean(out: list[tuple[tuple[int, int], ...]], start: int) -> Fraction:
+    """Minimum mean over the cycles reachable from ``start`` in the graph
+    whose vertex i has the (successor, weight) edges ``out[i]`` (Karp)."""
+    local = {start: 0}  # the reachable vertices, numbered from 0
+    stack = [start]
+    while stack:
+        for d, _ in out[stack.pop()]:
+            if d not in local:
+                local[d] = len(local)
+                stack.append(d)
+    m = len(local)
+    edges = [(a, local[d], w) for u, a in local.items() for d, w in out[u]]
+    # walks[k][b]: least weight of a k-edge walk ending at b
+    walks = [[0] * m]
+    for _ in range(m):
+        prev, cur = walks[-1], [None] * m
+        for a, b, w in edges:
+            if prev[a] is not None and (cur[b] is None or prev[a] + w < cur[b]):
+                cur[b] = prev[a] + w
+        walks.append(cur)
+    # means scaled by a common multiple of the walk-length differences
+    scale = math.lcm(*range(1, m + 1))
+    return Fraction(min(max((walks[m][b] - walks[k][b]) * (scale // (m - k))
+                            for k in range(m) if walks[k][b] is not None)
+                        for b in range(m) if walks[m][b] is not None), scale)
+
+
+def _profiles(view: _View, player: int, cap: int,
+              keep: Optional[Callable[[int, int], bool]] = None):
+    """Every positional strategy of the player as (its vertex indices, an
+    iterator of edge-position tuples in product order), offering vertex i
+    only the edges to successors d with keep(i, d); None if the
+    unrestricted strategy space has more than ``cap`` profiles."""
+    owned = [i for i, p1 in enumerate(view.p1) if p1 == (player == 1)]
+    if math.prod(len(view.succ[i]) for i in owned) > cap:
+        return None
+    return owned, itertools.product(*(
+        [j for j, (d, _) in enumerate(view.succ[i]) if keep is None or keep(i, d)]
+        for i in owned))
+
+
+def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
                 cap: int) -> Optional[Memoryless]:
-    profiles = _profiles(arena, 1, cap)
+    """The first player-1 profile under which the least cycle mean
+    reachable from every vertex is the vertex's value.
+
+    Only edges to a successor of the same value are offered: when a
+    profile passes at v and at its successor d, the vertices reachable
+    from v are those reachable from d plus v, which lies on a cycle only
+    if it is reachable from d, so both sets hold the same cycles and the
+    values of v and d agree.
+    """
+    target = [values[v] * view.denom for v in view.vertices]
+    profiles = _profiles(view, 1, cap, keep=lambda i, d: target[d] == target[i])
     if profiles is None:
         return None
-    for moves in profiles:
-        if all(_min_cycle_mean(arena, _reachable(arena, v, moves), moves) == values[v]
-               for v in arena.vertices):
-            return Memoryless(moves, name="mp_witness")
+    owned, combos = profiles
+    for combo in combos:
+        out = list(view.succ)
+        for i, j in zip(owned, combo):
+            out[i] = (view.succ[i][j],)
+        if all(_min_cycle_mean(out, v) == target[v] for v in range(len(out))):
+            return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)},
+                              name="mp_witness")
     return None
 
 
-def _tpsup_values(arena: ArenaExplicit, cap: int = PROFILE_CAP) -> dict[VertexId, ExtValue]:
-    mp = _mp_values(arena)
+def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
+    mp = _mp_values(view)
     out: dict[VertexId, ExtValue] = {}
-    zero = set()
-    for v in arena.vertices:
+    zero = []
+    for i, v in enumerate(view.vertices):
         if mp[v] > 0:
             out[v] = POS_INF
         elif mp[v] < 0:
             out[v] = NEG_INF
         else:
-            zero.add(v)
+            zero.append(i)
     if not zero:
         return out
     # exact values on the zero-mean region.  Edges leaving the region are
@@ -206,15 +253,10 @@ def _tpsup_values(arena: ArenaExplicit, cap: int = PROFILE_CAP) -> dict[VertexId
     # total payoff admits positional optimal strategies for both players
     # on finite arenas, so a max-min over positional profiles evaluated
     # on the induced lassos is exact.
-    adj: dict[VertexId, list[Edge]] = {}
-    for v in zero:
-        keep = [e for e in arena.edges(v) if e.dst in zero]
-        if not keep:
+    sub = view.restrict(zero)
+    for v, out_edges in zip(sub.vertices, sub.succ):
+        if not out_edges:
             raise AssertionError("zero region not closed at %s" % v)
-        adj[v] = keep
-    sub = ArenaExplicit({v: arena.owner(v) for v in zero},
-                        [e for es in adj.values() for e in es],
-                        min(zero), name=arena.name + "+zero")
     solved = _max_min(sub, TP, cap)
     if solved is None:
         raise ProfileCapExceeded("zero-region profile space exceeds the cap %d" % cap)
@@ -222,45 +264,82 @@ def _tpsup_values(arena: ArenaExplicit, cap: int = PROFILE_CAP) -> dict[VertexId
     return out
 
 
-def lasso_of_profiles(arena: ArenaExplicit, v: VertexId, moves1: dict[VertexId, Edge],
-                      moves2: dict[VertexId, Edge]) -> Lasso:
-    """The unique lasso from v when both players play positionally."""
-    at = v
-    seen = {v: 0}
-    weights = []
-    while True:
-        e = moves1[at] if arena.owner(at) == 1 else moves2[at]
-        weights.append(e.weight)
-        at = e.dst
-        if at in seen:
-            cut = seen[at]
-            return Lasso(tuple(weights[:cut]), tuple(weights[cut:]))
-        seen[at] = len(weights)
+def _pair_values(step: list[tuple[int, int]], kind: str, scale: int) -> list:
+    """Limsup TP, or MP times ``scale``, of the play from every vertex when
+    vertex i always moves along step[i] = (successor, weight)."""
+    n = len(step)
+    val: list = [None] * n
+    mark = [0] * n  # 0 unseen, 1 on the current path, 2 valued
+    for s in range(n):
+        path = []
+        u = s
+        while not mark[u]:
+            mark[u] = 1
+            path.append(u)
+            u = step[u][0]
+        if mark[u] == 1:
+            cut = path.index(u)
+            cycle = path[cut:]
+            del path[cut:]
+            total = sum(step[c][1] for c in cycle)
+            if kind == MP:
+                tops = [total * (scale // len(cycle))] * len(cycle)
+            elif total:
+                tops = [POS_INF if total > 0 else NEG_INF] * len(cycle)
+            else:
+                # prefix sums phi along the cycle; from c the running total
+                # peaks at max(phi) - phi(c)
+                phi = list(itertools.accumulate([step[c][1] for c in cycle[:-1]], initial=0))
+                peak = max(phi)
+                tops = [peak - p for p in phi]
+            for c, top in zip(cycle, tops):
+                val[c] = top
+                mark[c] = 2
+        for p in reversed(path):
+            val[p] = val[step[p][0]] + (step[p][1] if kind == TP else 0)
+            mark[p] = 2
+    return val
 
 
-def _max_min(arena: ArenaExplicit, kind: str, cap: int
+def _max_min(view: _View, kind: str, cap: int
              ) -> Optional[tuple[dict[VertexId, ExtValue], Optional[dict[VertexId, Edge]]]]:
     """Per vertex, the max over player-1 positional profiles of the min
     over player-2 profiles of the limsup lasso value, and the first
     player-1 profile attaining it at every vertex (None if none does);
     None if either profile space exceeds ``cap``."""
-    p1_profiles = _profiles(arena, 1, cap)
-    p2_profiles = _profiles(arena, 2, cap)
+    p1_profiles = _profiles(view, 1, cap)
+    p2_profiles = _profiles(view, 2, cap)
     if p1_profiles is None or p2_profiles is None:
         return None
-    vs = arena.vertices
-    worst = [{v: min(lasso_limit(kind, "limsup", lasso_of_profiles(arena, v, m1, m2))
-                     for m2 in p2_profiles)
-              for v in vs}
-             for m1 in p1_profiles]
-    values = {v: max(w[v] for w in worst) for v in vs}
-    return values, next((m1 for m1, w in zip(p1_profiles, worst) if w == values), None)
+    (own1, combos1), (own2, combos2) = p1_profiles, p2_profiles
+    succ = view.succ
+    scale = math.lcm(*range(1, len(succ) + 1)) if kind == MP else 1
+    replies = [[succ[i][j] for i, j in zip(own2, combo)] for combo in combos2]
+    combos1 = list(combos1)
+    step = list(succ)
+    worst = []
+    for combo in combos1:
+        for i, j in zip(own1, combo):
+            step[i] = succ[i][j]
+        low = None
+        for reply in replies:
+            for i, move in zip(own2, reply):
+                step[i] = move
+            vals = _pair_values(step, kind, scale)
+            low = vals if low is None else list(map(min, low, vals))
+        worst.append(low)
+    best = [max(column) for column in zip(*worst)]
+    values = {v: x if isinstance(x, float) else Fraction(x, view.denom * scale)
+              for v, x in zip(view.vertices, best)}
+    first = next((combo for combo, low in zip(combos1, worst) if low == best), None)
+    return values, None if first is None else {
+        view.vertices[i]: view.edges[i][j] for i, j in zip(own1, first)}
 
 
 def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
                        ) -> Optional[dict[VertexId, ExtValue]]:
     """Max-min over all memoryless profile pairs, evaluated on lassos."""
-    solved = _max_min(arena, MP if family == "mp" else TP, cap)
+    solved = _max_min(_view(arena), MP if family == "mp" else TP, cap)
     return None if solved is None else solved[0]
 
 
@@ -500,6 +579,8 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     """Fix a step-counter table on growing step intervals, one open
     sub-objective per bubble, then re-certify every level on the final
     table and check the winning region is never left."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     if node_cap is None:
         node_cap = node_cap_from_env()
     if not oracle.in_region(v0):
@@ -515,12 +596,12 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
             return SynthReport(schedule, None, [], False, False,
-                               failure="bubble %d: %r" % (m, kb))
+                               failure="bubble %d: %s" % (m, _why(kb)))
         k_m = max(kb.level, k_prev + 1)
         new_fixed = _sc_table(arena, v0, comp, sub, k_m, node_cap)
         if isinstance(new_fixed, Inconclusive):
             return SynthReport(schedule, None, [], False, False,
-                               failure="bubble %d: %r" % (m, new_fixed))
+                               failure="bubble %d: %s" % (m, _why(new_fixed)))
         if any(new_fixed[key] != fixed.get(key) for key in new_fixed if key[1] < k_prev):
             return SynthReport(schedule, None, [], False, False,
                                failure="bubble %d rewrote the fixed table" % m)
@@ -531,6 +612,16 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     strategy = StepCounterTable(fixed, k_prev, FIRST_EDGE, name="bubble_sc")
     return _final_report(arena, v0, strategy, schedule, decomposition.sub,
                          lambda v, r: oracle.in_region(v), node_cap)
+
+
+def _why(result: Union[Inconclusive, RefutedBranch]) -> str:
+    """Why a bubble found no bound, as a sentence."""
+    if isinstance(result, RefutedBranch):
+        return result.detail
+    if result.node_cap is None:
+        return "depth cap %d exhausted with %d unsatisfied branch%s" % (
+            result.depth, result.remaining, "" if result.remaining == 1 else "es")
+    return result.reason
 
 
 def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
@@ -582,6 +673,8 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     strategy keeps the (vertex, sum) pair winnable; the bit resets at
     every bubble boundary.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     if node_cap is None:
         node_cap = node_cap_from_env()
     if not oracle.wprime(v0, Fraction(0)):

@@ -246,3 +246,24 @@ def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: no table entry for uc(1) at step 4 and fallback is 'error'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("m_max", ["0", "-1"])
+def test_cli_synthesize_rejects_fewer_than_one_bubble(tmp_path, capsys, m_max):
+    path = _write(tmp_path, "pos.txt", POS_ARENA)
+    out = tmp_path / "pos.strategy"
+    assert main(["synthesize", "--arena", path, "--objective", "mp:limsup:>=:0",
+                 "--m-max", m_max, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --m-max must be at least 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_synthesize_names_an_exhausted_depth_cap(tmp_path, capsys):
+    path = _write(tmp_path, "pos.txt", POS_ARENA)
+    assert main(["synthesize", "--arena", path, "--objective", "mp:limsup:>=:0",
+                 "--depth", "0"]) == 2
+    assert capsys.readouterr().out == (
+        "schedule:\nregion preserved: NO\ncertified: NO\n"
+        "failure: bubble 1: depth cap 0 exhausted with 1 unsatisfied branch\n")

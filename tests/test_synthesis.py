@@ -272,3 +272,19 @@ def test_minimal_histories_break_ties_lexicographically():
         [E(A, 0, B), E(A, 0, C), E(B, 0, D), E(C, 0, D), E(D, 0, D)], A)
     levels = minimal_history_levels(arena, A, Memoryless({}), OpenSub("tp-sup", m=5), 3)
     assert [e.dst for e in levels[2][D].edges()] == [B, D]
+
+
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_synthesizers_reject_fewer_than_one_bubble(m_max):
+    decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        bubble_synthesize(pos_arena(), A, decomp, m_max, finite_mp_oracle(pos_arena()))
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        sc1bit_synthesize(pos_arena(), A, m_max, finite_wprime_oracle(pos_arena()))
+
+
+def test_bubble_synthesize_names_an_exhausted_depth_cap():
+    decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
+    report = bubble_synthesize(pos_arena(), A, decomp, 3, finite_mp_oracle(pos_arena()),
+                               depth_cap=1)
+    assert report.failure == "bubble 2: depth cap 1 exhausted with 1 unsatisfied branch"

@@ -1,0 +1,196 @@
+"""The integer-indexed value layer of ``synthesis`` against the direct
+algorithms it replaces, kept here as oracles: value iteration for the full
+4n^3 W rounds, the witness search over every player-1 profile, and the
+max-min that walks one lasso per vertex and profile pair."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from qgames.arena import ArenaExplicit, Edge, VertexId
+from qgames.objectives import MP, TP, Lasso, lasso_limit
+from qgames.synthesis import (PROFILE_CAP, _max_min, _mp_values, _mp_witness, _view,
+                              solve_values)
+
+F = Fraction
+V = VertexId
+
+
+def E(src, w, dst):
+    return Edge(src, F(w), dst)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def fixed_horizon_mp_values(arena):
+    vs = arena.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    denom = 1
+    for v in vs:
+        for e in arena.edges(v):
+            denom = denom * e.weight.denominator // math.gcd(denom, e.weight.denominator)
+    rows = [(arena.owner(v) == 1, [(index[e.dst], int(e.weight * denom)) for e in arena.edges(v)])
+            for v in vs]
+    w_max = max([1] + [abs(w) for _, out in rows for _, w in out])
+    n = len(vs)
+    horizon = 4 * n * n * n * w_max
+    x = [0] * n
+    for _ in range(horizon):
+        x = [(max if p1 else min)([w + x[d] for d, w in out]) for p1, out in rows]
+    return {v: F(x[i], horizon).limit_denominator(n) / denom for i, v in enumerate(vs)}
+
+
+def _all_profiles(arena, player):
+    owned = [v for v in arena.vertices if arena.owner(v) == player]
+    return [dict(zip(owned, combo)) for combo in itertools.product(*map(arena.edges, owned))]
+
+
+def _reachable(arena, v, moves):
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for e in [moves[u]] if u in moves else arena.edges(u):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen
+
+
+def _min_cycle_mean(arena, vertices, moves):
+    vs = sorted(vertices)
+    index = {v: k for k, v in enumerate(vs)}
+    n = len(vs)
+    edges = [(index[v], index[e.dst], e.weight)
+             for v in vs for e in ([moves[v]] if v in moves else arena.edges(v))
+             if e.dst in vertices]
+    d = [[None] * n for _ in range(n + 1)]
+    d[0] = [F(0)] * n
+    for k in range(1, n + 1):
+        for (a, b, w) in edges:
+            if d[k - 1][a] is not None and (d[k][b] is None or d[k - 1][a] + w < d[k][b]):
+                d[k][b] = d[k - 1][a] + w
+    return min(max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] is not None)
+               for v in range(n) if d[n][v] is not None)
+
+
+def unfiltered_mp_witness(arena, values):
+    for moves in _all_profiles(arena, 1):
+        if all(_min_cycle_mean(arena, _reachable(arena, v, moves), moves) == values[v]
+               for v in arena.vertices):
+            return moves
+    return None
+
+
+def _lasso(arena, v, moves1, moves2):
+    at = v
+    seen = {v: 0}
+    weights = []
+    while True:
+        e = moves1[at] if arena.owner(at) == 1 else moves2[at]
+        weights.append(e.weight)
+        at = e.dst
+        if at in seen:
+            return Lasso(tuple(weights[:seen[at]]), tuple(weights[seen[at]:]))
+        seen[at] = len(weights)
+
+
+def per_vertex_lasso_max_min(arena, kind):
+    p1, p2 = _all_profiles(arena, 1), _all_profiles(arena, 2)
+    worst = [{v: min(lasso_limit(kind, "limsup", _lasso(arena, v, m1, m2)) for m2 in p2)
+              for v in arena.vertices}
+             for m1 in p1]
+    values = {v: max(w[v] for w in worst) for v in arena.vertices}
+    return values, next((m1 for m1, w in zip(p1, worst) if w == values), None)
+
+
+# ---------------------------------------------------------------------------
+# Arenas
+
+
+def random_arena(rng):
+    n = rng.randint(2, 7)
+    vs = [V("n", (i,)) for i in range(n)]
+    owners = {v: rng.choice((1, 2)) for v in vs}
+    edges = [E(v, F(rng.randint(-2, 2), rng.randint(1, 3)), rng.choice(vs))
+             for v in vs for _ in range(rng.randint(1, 3))]
+    return ArenaExplicit(owners, edges, vs[0])
+
+
+def random_arenas(seed, count=200):
+    rng = random.Random(seed)
+    return [random_arena(rng) for _ in range(count)]
+
+
+def cycle(owner, weights, name="c"):
+    vs = [V(name, (i,)) for i in range(len(weights))]
+    return ({v: owner for v in vs},
+            [E(v, w, vs[(i + 1) % len(vs)]) for i, (v, w) in enumerate(zip(vs, weights))])
+
+
+def test_mp_values_match_the_fixed_horizon_loop():
+    for arena in random_arenas(51):
+        assert _mp_values(_view(arena)) == fixed_horizon_mp_values(arena)
+
+
+def test_mp_witness_matches_the_unfiltered_search():
+    for arena in random_arenas(52):
+        values = _mp_values(_view(arena))
+        witness = _mp_witness(_view(arena), values, PROFILE_CAP)
+        assert witness is not None
+        assert witness.table == unfiltered_mp_witness(arena, values)
+
+
+@pytest.mark.parametrize("kind", [TP, MP])
+def test_max_min_matches_per_vertex_lassos(kind):
+    for arena in random_arenas(53):
+        assert _max_min(_view(arena), kind, PROFILE_CAP) == per_vertex_lasso_max_min(arena, kind)
+
+
+def test_mp_values_one_player_twelve_cycle():
+    # the slowest value to isolate at n = 12: 1/12 sits 1/132 from 1/11
+    owners, edges = cycle(1, [1] + [0] * 11)
+    arena = ArenaExplicit(owners, edges)
+    values = _mp_values(_view(arena))
+    assert values == {v: F(1, 12) for v in owners}
+    assert values == fixed_horizon_mp_values(arena)
+
+
+def test_mp_values_separate_farey_neighbours():
+    # a 3-cycle of mean 1/3 and a 4-cycle of mean 1/4 (1*4 - 1*3 = 1, so
+    # no fraction of denominator at most 4 lies between them); x picks the
+    # larger, y the smaller.  Values of one arena are never adjacent in the
+    # Farey sequence of its own size: a pair of optimal positional profiles
+    # takes them from disjoint cycles, whose lengths sum to at most n.
+    o3, e3 = cycle(2, [1, 0, 0], "t")
+    o4, e4 = cycle(1, [1, 0, 0, 0], "f")
+    x, y = V("x"), V("y")
+    t0, f0 = V("t", (0,)), V("f", (0,))
+    arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
+                          e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
+    values = _mp_values(_view(arena))
+    assert values[x] == F(1, 3) and values[y] == F(1, 4)
+    assert values == fixed_horizon_mp_values(arena)
+    vm = solve_values(arena, "mp")
+    assert vm.witness.table[x] == E(x, 0, t0)
+
+
+def test_mp_values_after_a_heavy_transient():
+    # the zero loop at z is isolated after about 2n^2 W = 486 rounds, when
+    # the weight-3 path still holds x_k / k at its head nearer 3/8 than its
+    # value 1/3: every vertex must be isolated before the iteration stops
+    path = [V("p", (i,)) for i in range(5)]
+    z = V("z")
+    owners, edges = cycle(2, [1, 0, 0], "c")
+    owners.update({v: 1 for v in path + [z]})
+    edges += [E(a, 3, b) for a, b in zip(path, path[1:] + [V("c", (0,))])]
+    edges.append(E(z, 0, z))
+    arena = ArenaExplicit(owners, edges)
+    values = _mp_values(_view(arena))
+    assert values == {v: F(0) if v == z else F(1, 3) for v in owners}
+    assert values == fixed_horizon_mp_values(arena)
