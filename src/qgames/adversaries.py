@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 from .arena import Arena, Edge, History, VertexId, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
-                     Inconclusive, PlayRecord, play, _fmt_mem)
+                     Inconclusive, PlayRecord, play, _fmt_mem, _round_signature)
 from .strategies import (FiniteMemory, Memoryless, Scripted, StepCounterTable,
                          Strategy, Tracking)
 from .zoo import ZooEntry, a4_router, _edge_to, _first_edge
@@ -37,40 +37,48 @@ def _require_incremental_fm(sigma: Strategy, what: str) -> None:
                         % (what, type(sigma).__name__))
 
 
-def _closing_rounds(record: PlayRecord, starts: list[int]) -> Optional[int]:
-    """Index into ``starts`` whose (vertex family, memory) signature equals
-    the final boundary's, so the certified rounds close a cycle."""
-    def sig(step: int):
-        vertex = record.vertex_at(step)
-        m1 = None if step == 0 else record.mem1_trace[step - 1]
-        m2 = None if step == 0 else record.mem2_trace[step - 1]
-        return (vertex.name, _fmt_mem(m1), _fmt_mem(m2))
-
-    last = sig(starts[-1])
-    for idx in range(len(starts) - 1):
-        if sig(starts[idx]) == last:
-            return idx
-    return None
+def _decrease_certificate(record: PlayRecord, starts: list[int]) -> Union[Divergence, str]:
+    """The Divergence claiming that every round between successive
+    ``starts`` loses at least 1 and that the rounds close a cycle, or why
+    the play does not support that claim."""
+    payoffs = [record.tp_at(bb) - record.tp_at(aa) for aa, bb in zip(starts, starts[1:])]
+    if not payoffs or max(payoffs) > -1:
+        return "a round failed to lose at least 1; no certificate"
+    elevation = max(
+        max(record.tp_at(x) for x in range(aa, bb + 1)) - record.tp_at(aa)
+        for aa, bb in zip(starts, starts[1:]))
+    last = _round_signature(record, starts[-1])
+    cf = next((idx for idx, step in enumerate(starts[:-1])
+               if _round_signature(record, step) == last), None)
+    if cf is None:
+        return "memory cycle did not close within the horizon"
+    return Divergence("decrease", starts, len(record.edges), decrease=Fraction(1),
+                      elevation=elevation, cycle_from=cf)
 
 
 # ---------------------------------------------------------------------------
 # Finite memory loses the repeated match game (A1' and A2)
 
+# rounds in a match-game play: two steps each on a1prime, sixteen on a2
+_ROUNDS = 24
+# the highest challenge probed on a2, and the longest descent followed
+_PROBE_CAP = 256
+_DESCENT_CAP = 4096
 
-def defeat_fm_match(sigma: Strategy, entry: ZooEntry, rounds: int = 24,
-                    probe_cap: int = 256, descent_cap: int = 4096) -> DefeatResult:
+
+def defeat_fm_match(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     """Opponent beating any finite-memory responder on the repeated match
     families: track the responder's memory, precompute the largest number
     it can answer from that state, and owe one more."""
     _require_incremental_fm(sigma, "defeat_fm_match")
     if entry.name == "a1prime":
-        return _defeat_a1prime(sigma, entry, rounds)
+        return _defeat_a1prime(sigma, entry)
     if entry.name == "a2":
-        return _defeat_a2(sigma, entry, rounds, probe_cap, descent_cap)
+        return _defeat_a2(sigma, entry)
     raise ValueError("defeat_fm_match targets a1prime or a2, not %r" % entry.name)
 
 
-def _defeat_a1prime(sigma: Strategy, entry: ZooEntry, rounds: int) -> DefeatResult:
+def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     arena = entry.arena
     b = entry.params["b"]
     s, t = V("s"), V("t")
@@ -92,12 +100,11 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry, rounds: int) -> DefeatResu
 
     p2 = Tracking("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
                   player=2)
-    horizon = 2 * rounds
+    horizon = 2 * _ROUNDS
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = [step for step in range(0, len(record.edges) + 1)
               if record.vertex_at(step) == s]
-    return _finish_decrease(entry, sigma, p2, record, starts,
-                            partial=bool(capped),
+    return _finish_decrease(p2, record, starts, partial=bool(capped),
                             notes=(["truncation cap bound the response"] if capped else []))
 
 
@@ -108,34 +115,22 @@ def _edge_to_weight(arena: Arena, v: VertexId, weight: Fraction) -> Edge:
     raise AssertionError("no edge of weight %s at %s" % (weight, v))
 
 
-def _finish_decrease(entry: ZooEntry, sigma: Strategy, p2: Strategy,
-                     record: PlayRecord, starts: list[int], partial: bool,
+def _finish_decrease(p2: Strategy, record: PlayRecord, starts: list[int], partial: bool,
                      notes: list[str]) -> DefeatResult:
-    payoffs = [record.tp_at(bb) - record.tp_at(aa) for aa, bb in zip(starts, starts[1:])]
-    if not payoffs or max(payoffs) > -1:
-        notes = notes + ["a round failed to lose at least 1; no certificate"]
-        return DefeatResult(p2, None, record, True, notes)
-    elevation = max(
-        max(record.tp_at(x) for x in range(aa, bb + 1)) - record.tp_at(aa)
-        for aa, bb in zip(starts, starts[1:]))
-    cf = _closing_rounds(record, starts)
-    if cf is None:
-        notes = notes + ["memory cycle did not close within the horizon"]
-        return DefeatResult(p2, None, record, True, notes)
-    cert = Divergence("decrease", starts, len(record.edges), decrease=Fraction(1),
-                      elevation=elevation, cycle_from=cf)
+    cert = _decrease_certificate(record, starts)
+    if isinstance(cert, str):
+        return DefeatResult(p2, None, record, True, notes + [cert])
     return DefeatResult(p2, cert, record, partial, notes)
 
 
-def _defeat_a2(sigma: Strategy, entry: ZooEntry, rounds: int,
-               probe_cap: int, descent_cap: int) -> DefeatResult:
+def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     arena = entry.arena
     INF = None  # descent never exits within the cap
 
     def descent_length(i: int, m_b) -> Optional[int]:
         state = m_b
         k = 0
-        while k < descent_cap:
+        while k < _DESCENT_CAP:
             v = V("b", (i, k))
             move = sigma.choose(arena, v, 0, state)
             if move.dst.name == "a":
@@ -148,7 +143,7 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry, rounds: int,
         """Challenge height j making this round lose: the responder either
         answers k < j or descends past the cap."""
         state = m0
-        for j in range(1, probe_cap + 1):
+        for j in range(1, _PROBE_CAP + 1):
             climb = Edge(V("a", (i, j - 1)), Fraction(1), V("a", (i, j)))
             state = sigma.step_state(state, climb) if j > 1 else \
                 sigma.step_state(m0, climb)
@@ -186,12 +181,12 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry, rounds: int,
 
     initial = sigma.initial_state()
     p2 = Tracking("owe_one_more_a2", (initial, initial), update, decide, player=2)
-    horizon = max(64, rounds * 16)
+    horizon = max(64, _ROUNDS * 16)
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = [step for step in range(0, len(record.edges) + 1)
               if record.vertex_at(step).name == "a" and record.vertex_at(step).params[1] == 0]
     if len(starts) >= 3 and starts[-1] - starts[-2] > 0:
-        result = _finish_decrease(entry, sigma, p2, record, starts, False, [])
+        result = _finish_decrease(p2, record, starts, False, [])
         if result.certificate is not None:
             return result
     # the responder descends forever: certify along the descent itself
@@ -296,13 +291,10 @@ class AdversaryPlan:
     rationale: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class RamseyLabel:
     exit_profile: tuple  # per-state: True iff the strategy exits
     gadget_update: tuple  # per-state: successor state index
-
-    def __hash__(self):
-        return hash((self.exit_profile, self.gadget_update))
 
 
 def _gadget_edges(i: int, j: int) -> list[Edge]:
@@ -319,9 +311,12 @@ def _gadget_edges(i: int, j: int) -> list[Edge]:
     return out
 
 
+# the most monochromatic cliques tried before giving up
+_MAX_CLIQUES = 64
+
+
 def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
-                     horizon: int = 4000, max_cliques: int = 64
-                     ) -> tuple[AdversaryPlan, DefeatResult]:
+                     horizon: int = 4000) -> tuple[AdversaryPlan, DefeatResult]:
     """Defeat a finite-memory strategy on the delay-gadget arena.
 
     Pairs of decision indices are coloured by the strategy's exit profile
@@ -385,7 +380,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
 
     failures: list[str] = []
     failed_first: dict[int, int] = {}
-    for clique in _cliques(lo, hi, size, label, max_cliques):
+    for clique in _cliques(lo, hi, size, label):
         if failed_first.get(clique[0], 0) >= 2:
             continue
         # independent re-verification of monochromaticity
@@ -403,13 +398,13 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     raise NoCliqueFound(window, size)
 
 
-def _cliques(lo: int, hi: int, size: int, label, max_cliques: int):
+def _cliques(lo: int, hi: int, size: int, label):
     """Lexicographically ordered monochromatic cliques with gaps >= 2."""
     emitted = 0
 
     def extend(chosen: list[int], colour):
         nonlocal emitted
-        if emitted >= max_cliques:
+        if emitted >= _MAX_CLIQUES:
             return
         if len(chosen) == size:
             emitted += 1
@@ -425,7 +420,7 @@ def _cliques(lo: int, hi: int, size: int, label, max_cliques: int):
                 continue
             if all(label(c, cand) == colour for c in chosen):
                 yield from extend(chosen + [cand], colour)
-            if emitted >= max_cliques:
+            if emitted >= _MAX_CLIQUES:
                 return
 
     yield from extend([], None)
@@ -484,17 +479,9 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
               if record.vertex_at(step).name == "t"]
     if len(starts) < 3:
         return None
-    payoffs = [record.tp_at(bb) - record.tp_at(aa) for aa, bb in zip(starts, starts[1:])]
-    if max(payoffs) > -1:
+    cert = _decrease_certificate(record, starts)
+    if isinstance(cert, str):
         return None
-    elevation = max(
-        max(record.tp_at(x) for x in range(aa, bb + 1)) - record.tp_at(aa)
-        for aa, bb in zip(starts, starts[1:]))
-    cf = _closing_rounds(record, starts)
-    if cf is None:
-        return None
-    cert = Divergence("decrease", starts, len(record.edges), decrease=Fraction(1),
-                      elevation=elevation, cycle_from=cf)
     # monochromatic-cycle soundness: the predicted round map must match
     # the simulated memory trace at every certified boundary
     for n, step in enumerate(starts[:len(traj)]):

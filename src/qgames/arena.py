@@ -104,10 +104,9 @@ class ArenaExplicit(Arena):
         edges: Iterable[Edge],
         start: Optional[VertexId] = None,
         name: str = "arena",
-        vertex_cap: int = DEFAULT_VERTEX_CAP,
     ):
-        if len(owners) > vertex_cap:
-            raise ValueError("arena exceeds vertex cap %d" % vertex_cap)
+        if len(owners) > DEFAULT_VERTEX_CAP:
+            raise ValueError("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
         self.name = name
         self._owners = dict(owners)
         self._adj: dict[VertexId, tuple[Edge, ...]] = {v: () for v in owners}
@@ -152,13 +151,11 @@ class ArenaGenerator(Arena):
         root: VertexId,
         expand: Callable[[VertexId], tuple[int, tuple[Edge, ...]]],
         name: str = "generator",
-        branching_bound: Optional[int] = None,
         cache: bool = True,
     ):
         self.name = name
         self.root = root
         self._expand = expand
-        self.branching_bound = branching_bound
         self._cache_enabled = cache
         self._cache: dict[VertexId, tuple[int, tuple[Edge, ...]]] = {}
 
@@ -360,8 +357,8 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50,
-             vertex_cap: int = DEFAULT_VERTEX_CAP) -> ValidationReport:
+def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
+             ) -> ValidationReport:
     """Check non-blocking, endpoint declaration, and generator determinism.
 
     Explicit arenas are checked in full; generators are explored breadth
@@ -403,14 +400,12 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50,
                 report.violations.append("bad owner at %s: %r" % (v, owner))
             if not es:
                 report.violations.append("blocking vertex %s" % v)
-            if arena.branching_bound is not None and len(es) > arena.branching_bound:
-                report.violations.append("branching bound exceeded at %s" % v)
             for e in es:
                 if e.src != v:
                     report.violations.append("edge source mismatch at %s: %s" % (v, e))
                 if e.dst not in seen:
                     seen.add(e.dst)
-                    if len(seen) > vertex_cap:
+                    if len(seen) > DEFAULT_VERTEX_CAP:
                         report.violations.append("vertex cap exceeded during exploration")
                         report.explored = len(seen)
                         return report

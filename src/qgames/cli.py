@@ -262,6 +262,11 @@ def _synth_report_text(report: SynthReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# decomposition label -> the winning-region oracle of an explicit arena; a
+# generator takes the zoo entry's W' fields, which serve tp-limsup>=0
+_FINITE_ORACLES = {"tp-limsup>=0": finite_wprime_oracle, "mp-limsup>=0": finite_mp_oracle}
+
+
 def cmd_synthesize(args) -> int:
     if args.m_max < 1:
         return _err("--m-max must be at least 1")
@@ -279,26 +284,20 @@ def cmd_synthesize(args) -> int:
     deco = decompose(objective)
     if not hasattr(deco, "sub"):
         return _err("objective %s: %s" % (objective, deco.reason))
-    if objective.kind == "tp" and objective.threshold == 0:
-        if entry is not None:
-            if entry.wprime is None:
-                return _err("zoo entry %r has no winnable-region predicate" % entry.name)
-            oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
-                                  entry.extras["winning_from"])
-        else:
-            oracle = finite_wprime_oracle(arena)
-        report = sc1bit_synthesize(arena, start, args.m_max, oracle,
-                                   depth_cap=args.depth)
-    elif objective.kind == "mp":
-        if not isinstance(arena, ArenaExplicit):
-            return _err("mean-payoff synthesis on generators needs a scripted "
-                        "oracle; use the library API")
-        oracle = finite_mp_oracle(arena)
-        report = bubble_synthesize(arena, start, deco, args.m_max, oracle,
-                                   depth_cap=args.depth)
-    else:
+    if deco.label not in _FINITE_ORACLES:
         return _err("synthesis supports tp:limsup:>=:<finite> and "
                     "mp:limsup:>=:<finite> objectives")
+    if isinstance(arena, ArenaExplicit):
+        oracle = _FINITE_ORACLES[deco.label](arena)
+    elif deco.label == "tp-limsup>=0" and entry.wprime is not None:
+        oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
+                              entry.extras["winning_from"])
+    else:
+        return _err("zoo entry %r has no winning-region oracle for %s" % (entry.name, objective))
+    if objective.kind == "tp":
+        report = sc1bit_synthesize(arena, start, args.m_max, oracle, depth_cap=args.depth)
+    else:
+        report = bubble_synthesize(arena, start, deco, args.m_max, oracle, depth_cap=args.depth)
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
         _atomic_write(args.out, serialize_strategy(report.strategy))
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--arena", required=True, help="arena file or zoo:<name>?k=v URI")
         p.add_argument("--horizon", type=int, default=200)
         p.add_argument("--depth", type=int, default=40)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="check arena well-formedness")

@@ -10,6 +10,7 @@ ranks how good their continuations are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -387,9 +388,10 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
 
     MP thresholds subtract r from every weight; TP thresholds prepend a
     single weight ``-r`` edge before the start vertex.  A strict TP
-    relation over weights with common denominator D becomes ``>= r + 1/D``
-    first.  An explicit arena stays explicit.  Returns (arena, start,
-    objective, note).
+    relation becomes ``>= r + 1/D`` first, D the common denominator of r
+    and every edge weight; on a generator, whose weights cannot all be
+    read, it raises ``ValueError``.  An explicit arena stays explicit.
+    Returns (arena, start, objective, note).
     """
     if objective.kind == BUCHI_ALL:
         return arena, start, objective, "unchanged"
@@ -400,7 +402,7 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
     obj = objective
     note_parts = []
     if obj.kind == TP and obj.relation == ">":
-        d = _common_denominator(arena, start, thr)
+        d = _common_denominator(arena, thr)
         thr = thr + Fraction(1, d)
         obj = Objective(TP, obj.mode, ">=", thr)
         note_parts.append("strict TP relation rewritten as >= %s" % thr)
@@ -444,21 +446,11 @@ def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) 
     return ArenaGenerator(start, expand, name=arena.name + "+mapw")
 
 
-def _common_denominator(arena: Arena, start: VertexId, thr: Fraction, depth: int = 40) -> int:
-    import math
-
-    d = thr.denominator
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for e in arena.edges(v):
-                d = d * e.weight.denominator // math.gcd(d, e.weight.denominator)
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    nxt.append(e.dst)
-        frontier = nxt
-        if not frontier:
-            break
-    return d
+def _common_denominator(arena: Arena, thr: Fraction) -> int:
+    """The lcm of the threshold's and every edge weight's denominator."""
+    if not isinstance(arena, ArenaExplicit):
+        raise ValueError("a strict total-payoff threshold is rewritten over the common "
+                         "denominator of every weight, which a generator cannot list; "
+                         "rewrite it as >= first")
+    return math.lcm(thr.denominator,
+                    *(e.weight.denominator for v in arena.vertices for e in arena.edges(v)))

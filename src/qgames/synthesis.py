@@ -34,7 +34,6 @@ ExtValue = Union[Fraction, float]
 
 @dataclass
 class ValueMap:
-    family: str
     values: dict[VertexId, ExtValue]
     witness: Optional[Memoryless]
 
@@ -69,19 +68,18 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     if family == "mp":
         view = _view(arena)
         values = _mp_values(view)
-        return ValueMap("mp", values, _mp_witness(view, values, PROFILE_CAP))
+        return ValueMap(values, _mp_witness(view, values, PROFILE_CAP))
     if family == "tpsup":
         view = _view(arena)
         values = _tpsup_values(view, PROFILE_CAP)
         solved = _max_min(view, TP, PROFILE_CAP)
         if solved is None:
-            return ValueMap("tpsup", values, None)
+            return ValueMap(values, None)
         attained, moves = solved
         if attained != values:
             raise RuntimeError("value attainment cross-check failed: %r vs %r"
                                % (values, attained))
-        return ValueMap("tpsup", values,
-                        None if moves is None else Memoryless(moves, name="tpsup_witness"))
+        return ValueMap(values, None if moves is None else Memoryless(moves, name="tpsup_witness"))
     raise ValueError("unknown value family %r" % family)
 
 
@@ -458,46 +456,47 @@ def domination_holds(arena: Arena, v0: VertexId, open_sub: OpenSub,
 
 
 # ---------------------------------------------------------------------------
-# Oracles
-
-
-@dataclass
-class RegionOracle:
-    """Winning-region oracle for a prefix-independent objective: region
-    membership plus a winning strategy from any member vertex."""
-
-    in_region: Callable[[VertexId], bool]
-    strategy_from: Callable[[VertexId], Strategy]
-    uniform_memoryless: bool = False
-
-
-def finite_mp_oracle(arena: ArenaExplicit) -> RegionOracle:
-    vm = solve_values(arena, "mp")
-    if vm.witness is None:
-        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
-
-    def in_region(v: VertexId) -> bool:
-        return vm.values[v] >= 0
-
-    return RegionOracle(in_region, lambda v: vm.witness, uniform_memoryless=True)
+# The winning-region oracle
 
 
 @dataclass
 class WPrimeOracle:
-    """Oracle for the non-prefix-independent limsup-TP>=0 objective:
-    region over (vertex, sum) pairs, a safe memoryless strategy, and a
-    winning strategy from any pair in the region."""
+    """Winning-region oracle: a region over (vertex, sum) pairs, a safe
+    memoryless strategy that never leaves it, and a winning strategy from
+    any pair in it.
+
+    ``uniform_memoryless`` marks a region that ignores the sum and one
+    memoryless strategy winning from all of it, so that a continuation's
+    decisions depend on the vertex and step only.
+    """
 
     wprime: Callable[[VertexId, Fraction], bool]
     safe: Strategy
     winning_from: Callable[[VertexId, Fraction], Strategy]
+    uniform_memoryless: bool = False
+
+
+def _witness(vm: ValueMap) -> Memoryless:
+    if vm.witness is None:
+        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
+    return vm.witness
+
+
+def finite_mp_oracle(arena: ArenaExplicit) -> WPrimeOracle:
+    """Limsup mean payoff >= 0: the vertices of nonnegative value, won by
+    the mean-payoff witness."""
+    vm = solve_values(arena, "mp")
+    witness = _witness(vm)
+    return WPrimeOracle(lambda v, r: vm.values[v] >= 0, witness, lambda v, r: witness,
+                        uniform_memoryless=True)
 
 
 def finite_wprime_oracle(arena: ArenaExplicit) -> WPrimeOracle:
+    """Limsup total payoff >= 0: the (vertex, sum) pairs of ``sigma_safe``,
+    won by the limsup-TP witness."""
     safe, region, vm = sigma_safe(arena)
-    if vm.witness is None:
-        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
-    return WPrimeOracle(region, safe, lambda v, r: vm.witness)
+    witness = _witness(vm)
+    return WPrimeOracle(region, safe, lambda v, r: witness)
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +509,17 @@ class SynthReport:
     strategy: Optional[Strategy]
     level_certs: list[tuple[int, int, bool]]  # (m, k_m, recertified)
     region_ok: bool
-    complete: bool
     failure: Optional[str] = None
 
     @property
     def certified(self) -> bool:
-        return (self.complete and self.region_ok
+        return (self.failure is None and self.region_ok
                 and all(ok for (_, _, ok) in self.level_certs))
+
+
+def _failed(schedule: list[tuple[int, int]], why: str) -> SynthReport:
+    """A synthesis that stopped before it had a strategy."""
+    return SynthReport(schedule, None, [], False, failure=why)
 
 
 class _Composite(Strategy):
@@ -574,7 +577,7 @@ class _Composite(Strategy):
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
-                      m_max: int, oracle: RegionOracle, depth_cap: int = 400,
+                      m_max: int, oracle: WPrimeOracle, depth_cap: int = 400,
                       node_cap: Optional[int] = None) -> SynthReport:
     """Fix a step-counter table on growing step intervals, one open
     sub-objective per bubble, then re-certify every level on the final
@@ -583,7 +586,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         raise ValueError("m_max must be at least 1")
     if node_cap is None:
         node_cap = node_cap_from_env()
-    if not oracle.in_region(v0):
+    if not oracle.wprime(v0, Fraction(0)):
         raise ValueError("start vertex %s is outside the winning region" % v0)
     fixed: dict[tuple[VertexId, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
@@ -591,27 +594,23 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     for m in range(1, m_max + 1):
         sub = decomposition.sub(m)
         comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev,
-                          lambda w, r: oracle.strategy_from(w),
-                          step_determined=oracle.uniform_memoryless)
+                          oracle.winning_from, step_determined=oracle.uniform_memoryless)
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
-            return SynthReport(schedule, None, [], False, False,
-                               failure="bubble %d: %s" % (m, _why(kb)))
+            return _failed(schedule, "bubble %d: %s" % (m, _why(kb)))
         k_m = max(kb.level, k_prev + 1)
         new_fixed = _sc_table(arena, v0, comp, sub, k_m, node_cap)
         if isinstance(new_fixed, Inconclusive):
-            return SynthReport(schedule, None, [], False, False,
-                               failure="bubble %d: %s" % (m, _why(new_fixed)))
+            return _failed(schedule, "bubble %d: %s" % (m, _why(new_fixed)))
         if any(new_fixed[key] != fixed.get(key) for key in new_fixed if key[1] < k_prev):
-            return SynthReport(schedule, None, [], False, False,
-                               failure="bubble %d rewrote the fixed table" % m)
+            return _failed(schedule, "bubble %d rewrote the fixed table" % m)
         fixed = new_fixed
         k_prev = k_m
         schedule.append((m, k_m))
 
     strategy = StepCounterTable(fixed, k_prev, FIRST_EDGE, name="bubble_sc")
-    return _final_report(arena, v0, strategy, schedule, decomposition.sub,
-                         lambda v, r: oracle.in_region(v), node_cap)
+    return _final_report(arena, v0, strategy, schedule, decomposition.sub, oracle.wprime,
+                         node_cap)
 
 
 def _why(result: Union[Inconclusive, RefutedBranch]) -> str:
@@ -633,15 +632,15 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
     for (m, k_m) in schedule:
         again = koenig_bound(arena, v0, strategy, subs(m), k_m, node_cap)
         if isinstance(again, Inconclusive) and again.node_cap is not None:
-            return SynthReport(schedule, strategy, level_certs, False, False,
+            return SynthReport(schedule, strategy, level_certs, False,
                                failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
     walk = _merged_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0, node_cap)
     region_ok = all(member(node.vertex, node.tp) for layer in walk for node in layer)
     if walk.truncated is not None:
-        return SynthReport(schedule, strategy, level_certs, False, False,
+        return SynthReport(schedule, strategy, level_certs, False,
                            failure="region check: %s" % walk.truncated.reason)
-    return SynthReport(schedule, strategy, level_certs, region_ok, True)
+    return SynthReport(schedule, strategy, level_certs, region_ok)
 
 
 def _merged_layers(arena: Arena, v0: VertexId, strategy: Strategy, depth: int,
@@ -696,8 +695,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
             walk = _merged_layers(arena, v0, live, k_prev - 1, node_cap)
             *_, last = walk
             if walk.truncated is not None:
-                return SynthReport(schedule, None, [], False, False,
-                                   failure="bubble m=%d: %s" % (m_sched, walk.truncated.reason))
+                return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
             for node in last:
                 for e in walk.moves(node):
                     bitupd[(k_prev - 1, 0, e)] = 0
@@ -707,15 +705,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap)
         if isinstance(built, Inconclusive):
-            return SynthReport(schedule, None, [], False, False,
-                               failure="bubble m=%d: %s" % (m_sched, built.reason))
+            return _failed(schedule, "bubble m=%d: %s" % (m_sched, built.reason))
         if built is None:
-            return SynthReport(schedule, None, [], False, False,
-                               failure="bubble m=%d: no bound within the depth cap" % m_sched)
+            return _failed(schedule, "bubble m=%d: no bound within the depth cap" % m_sched)
         k_m, violation = built
         if violation is not None:
-            return SynthReport(schedule, None, [], False, False,
-                               failure="left the winnable region: %s" % violation)
+            return _failed(schedule, "left the winnable region: %s" % violation)
         schedule.append((m_sched, k_m))
         k_prev = k_m
 

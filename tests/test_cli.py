@@ -267,3 +267,13 @@ def test_cli_synthesize_names_an_exhausted_depth_cap(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "schedule:\nregion preserved: NO\ncertified: NO\n"
         "failure: bubble 1: depth cap 0 exhausted with 1 unsatisfied branch\n")
+
+
+@pytest.mark.parametrize("uri, objective", [("zoo:a4", "tp:limsup:>=:0"),
+                                            ("zoo:bitarena", "mp:limsup:>=:0")])
+def test_cli_synthesize_names_a_zoo_entry_without_an_oracle(capsys, uri, objective):
+    assert main(["synthesize", "--arena", uri, "--objective", objective]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: zoo entry %r has no winning-region oracle for %s\n" % (
+        uri[len("zoo:"):], objective)
+    assert captured.out == ""

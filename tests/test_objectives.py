@@ -244,3 +244,24 @@ def test_shift_keeps_an_explicit_arena_explicit():
     shifted, _, _, _ = shift_to_zero_threshold(
         generator, arena.start, Objective("tp", "limsup", ">=", F(3)))
     assert isinstance(shifted, ArenaGenerator)
+
+
+def test_shift_strict_tp_reads_a_denominator_far_from_the_start():
+    # a weight-0 path whose only 1/3 weight is the 45th edge, then a loop:
+    # every total is a multiple of 1/3, so > 0 means >= 1/3
+    path = [V("p", (i,)) for i in range(46)]
+    edges = [Edge(a, F(0), b) for a, b in zip(path[:44], path[1:45])]
+    edges += [Edge(path[44], F(1, 3), path[45]), Edge(path[45], F(0), path[45])]
+    arena = ArenaExplicit({v: 1 for v in path}, edges, path[0])
+    shifted, start, obj, _ = shift_to_zero_threshold(
+        arena, arena.start, Objective("tp", "limsup", ">", F(0)))
+    (debt,) = shifted.edges(start)
+    assert debt.weight == F(-1, 3)
+    assert (obj.relation, obj.threshold) == (">=", 0)
+
+
+def test_shift_strict_tp_refuses_a_generator():
+    arena = _loop_arena()
+    generator = ArenaGenerator(arena.start, lambda v: (1, arena.edges(v)))
+    with pytest.raises(ValueError, match="generator"):
+        shift_to_zero_threshold(generator, arena.start, Objective("tp", "limsup", ">", F(0)))

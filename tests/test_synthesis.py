@@ -7,6 +7,7 @@ from qgames.arena import ArenaExplicit, Edge, History, VertexId
 from qgames.engine import play
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
+from qgames.strategies import serialize_strategy
 from qgames.synthesis import (WPrimeOracle, brute_force_values,
                               bubble_synthesize, domination_holds,
                               finite_mp_oracle, finite_wprime_oracle,
@@ -288,3 +289,22 @@ def test_bubble_synthesize_names_an_exhausted_depth_cap():
     report = bubble_synthesize(pos_arena(), A, decomp, 3, finite_mp_oracle(pos_arena()),
                                depth_cap=1)
     assert report.failure == "bubble 2: depth cap 1 exhausted with 1 unsatisfied branch"
+
+
+@pytest.mark.parametrize("arena", [
+    pos_arena(),
+    # the maximizer must leave a's losing loop for the b-c cycle of mean 1/2
+    ArenaExplicit({A: 1, B: 1, C: 2},
+                  [E(A, -1, A), E(A, 0, B), E(B, 2, C), E(B, -1, B), E(C, -1, B), E(C, 1, A)],
+                  A),
+], ids=["pos", "leave_a_loop"])
+def test_bubble_synthesize_reads_a_hand_built_uniform_oracle(arena):
+    vm = solve_values(arena, "mp")
+    oracle = WPrimeOracle(lambda v, r: vm.values[v] >= 0, vm.witness,
+                          lambda v, r: vm.witness, uniform_memoryless=True)
+    decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
+    built = bubble_synthesize(arena, arena.start, decomp, 4, finite_mp_oracle(arena))
+    report = bubble_synthesize(arena, arena.start, decomp, 4, oracle)
+    assert report.certified and built.certified
+    assert report.schedule == built.schedule
+    assert serialize_strategy(report.strategy) == serialize_strategy(built.strategy)
