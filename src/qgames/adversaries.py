@@ -31,10 +31,10 @@ class DefeatResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _require_incremental_fm(sigma: Strategy, what: str) -> None:
+def _require_incremental_fm(sigma: Strategy, entry: ZooEntry, note: str = "") -> None:
     if not isinstance(sigma, (FiniteMemory, Memoryless)):
-        raise TypeError("%s needs a finite-memory strategy, got %s"
-                        % (what, type(sigma).__name__))
+        raise TypeError("only finite-memory strategies can be defeated on zoo entry %r, got %s%s"
+                        % (entry.name, type(sigma).__name__, note))
 
 
 def _decrease_certificate(record: PlayRecord, starts: list[int]) -> Union[Divergence, str]:
@@ -70,7 +70,7 @@ def defeat_fm_match(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     """Opponent beating any finite-memory responder on the repeated match
     families: track the responder's memory, precompute the largest number
     it can answer from that state, and owe one more."""
-    _require_incremental_fm(sigma, "defeat_fm_match")
+    _require_incremental_fm(sigma, entry, "; match_plus_one is player 1's winning strategy there")
     if entry.name == "a1prime":
         return _defeat_a1prime(sigma, entry)
     if entry.name == "a2":
@@ -327,7 +327,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     total negative) or its memory cycles while every stretched delay
     loses at least 1.
     """
-    _require_incremental_fm(sigma, "ramsey_adversary")
+    _require_incremental_fm(sigma, entry)
     if entry.name not in ("a4", "a4guarded"):
         raise ValueError("ramsey_adversary targets a4 or a4guarded, not %r" % entry.name)
     arena = entry.arena

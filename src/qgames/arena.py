@@ -142,8 +142,8 @@ class ArenaGenerator(Arena):
     """Lazily expanded arena.
 
     ``expand`` maps a vertex to its owner and outgoing edge list; it must
-    be pure.  Expansions are memoized, but semantics do not depend on the
-    cache (``cache=False`` disables it).
+    be pure; the ``expand`` attribute is that uncached function.  ``owner``
+    and ``edges`` memoize it (``cache=False`` disables that).
     """
 
     def __init__(
@@ -155,7 +155,7 @@ class ArenaGenerator(Arena):
     ):
         self.name = name
         self.root = root
-        self._expand = expand
+        self.expand = expand
         self._cache_enabled = cache
         self._cache: dict[VertexId, tuple[int, tuple[Edge, ...]]] = {}
 
@@ -168,7 +168,7 @@ class ArenaGenerator(Arena):
             hit = self._cache.get(v)
             if hit is not None:
                 return hit
-        owner, es = self._expand(v)
+        owner, es = self.expand(v)
         es = tuple(sorted(es, key=_edge_sort_key))
         if not es:
             raise ValueError("generator produced blocking vertex %s" % v)
@@ -387,8 +387,8 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
         nxt: list[VertexId] = []
         for v in frontier:
             try:
-                first = arena._expand(v)
-                second = arena._expand(v)
+                first = arena.expand(v)
+                second = arena.expand(v)
             except Exception as exc:  # expansion itself failed
                 report.violations.append("expansion failed at %s: %s" % (v, exc))
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
@@ -49,19 +50,19 @@ class ProfileCapExceeded(RuntimeError):
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
-    Mean payoff uses exact value iteration on integer-scaled weights.  By
-    Zwick & Paterson (1996) the k-round value x_k(v) stays within 2nW of
-    k times the value, which is a fraction with denominator at most n
-    (n vertices, W the largest scaled weight).  Every n rounds each vertex
-    is checked: once [(x_k - 2nW)/k, (x_k + 2nW)/k] holds exactly one such
-    fraction at every vertex, those fractions are the values.  At k =
-    4n^3 W the interval is narrower than the gap between two such
-    fractions, so the iteration never runs longer than that.  Limsup
-    total payoff is +/-inf on the positive/negative mean-payoff regions
-    and a bounded exact fixed point on the zero region.  The returned
-    witness is a memoryless strategy achieving the value against every
-    memoryless opponent, found by enumeration and absent if the profile
-    space exceeds ``PROFILE_CAP``.
+    Mean payoff uses exact value iteration on integer-scaled weights.  At
+    rounds k = n, 2n, 4n, ... both players' greedy positional profiles on
+    the k-round values x_k are checked by least reachable cycle means
+    (Karp); where player 1's lower bound meets player 2's upper bound at
+    every vertex, they are the values.  The guaranteed stop is Zwick &
+    Paterson's (1996): x_k(v) stays within 2nW of k times the value, a
+    fraction with denominator at most n, so once that interval holds one
+    such fraction at every vertex, those are the values.  Limsup total
+    payoff is +/-inf on the positive/negative mean-payoff regions and a
+    bounded exact fixed point on the zero region.  The witness is the
+    first memoryless strategy achieving the value against every
+    memoryless opponent, absent past ``PROFILE_CAP``; the limsup-TP one
+    comes with a player-2 profile holding the values from above.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
@@ -72,14 +73,7 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     if family == "tpsup":
         view = _view(arena)
         values = _tpsup_values(view, PROFILE_CAP)
-        solved = _max_min(view, TP, PROFILE_CAP)
-        if solved is None:
-            return ValueMap(values, None)
-        attained, moves = solved
-        if attained != values:
-            raise RuntimeError("value attainment cross-check failed: %r vs %r"
-                               % (values, attained))
-        return ValueMap(values, None if moves is None else Memoryless(moves, name="tpsup_witness"))
+        return ValueMap(values, _tpsup_witness(view, values, PROFILE_CAP))
     raise ValueError("unknown value family %r" % family)
 
 
@@ -123,7 +117,7 @@ def _view(arena: ArenaExplicit) -> _View:
 
 
 def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
-    """Mean-payoff values by value iteration with the early stop of
+    """Mean-payoff values by value iteration with the early stops of
     ``solve_values``."""
     n = len(view.vertices)
     slack = 2 * n * view.w_max
@@ -134,6 +128,15 @@ def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
         x = [max([w + x[d] for d, w in out]) if p1 else min([w + x[d] for d, w in out])
              for p1, out in rows]
         if k % n:
+            continue
+        # the greedy certificate at k = n 2^j (at most log2(4n^2 W) + 1
+        # times), isolation at the other multiples of n: for n > 1 it is
+        # certain once 4nW/k < 1/(n(n-1)), 4nW multiples before the
+        # horizon; one vertex certifies at k = 1
+        if not (k // n) & (k // n - 1):
+            means = _greedy_certificate(view, x)
+            if means is not None:
+                return {v: mean / view.denom for v, mean in zip(view.vertices, means)}
             continue
         found = []
         for total in x:
@@ -164,44 +167,73 @@ def _isolated(lo: int, hi: int, k: int, n: int) -> Optional[tuple[int, int]]:
     return found
 
 
-def _min_cycle_mean(out: list[tuple[tuple[int, int], ...]], start: int) -> Fraction:
-    """Minimum mean over the cycles reachable from ``start`` in the graph
-    whose vertex i has the (successor, weight) edges ``out[i]`` (Karp)."""
-    local = {start: 0}  # the reachable vertices, numbered from 0
-    stack = [start]
-    while stack:
-        for d, _ in out[stack.pop()]:
-            if d not in local:
-                local[d] = len(local)
-                stack.append(d)
-    m = len(local)
-    edges = [(a, local[d], w) for u, a in local.items() for d, w in out[u]]
-    # walks[k][b]: least weight of a k-edge walk ending at b
-    walks = [[0] * m]
-    for _ in range(m):
-        prev, cur = walks[-1], [None] * m
-        for a, b, w in edges:
-            if prev[a] is not None and (cur[b] is None or prev[a] + w < cur[b]):
-                cur[b] = prev[a] + w
-        walks.append(cur)
-    # means scaled by a common multiple of the walk-length differences
-    scale = math.lcm(*range(1, m + 1))
-    return Fraction(min(max((walks[m][b] - walks[k][b]) * (scale // (m - k))
-                            for k in range(m) if walks[k][b] is not None)
-                        for b in range(m) if walks[m][b] is not None), scale)
+def _least_cycle_means(out: list[tuple[tuple[int, int], ...]]) -> list[Fraction]:
+    """Per vertex, the least mean of a cycle reachable from it in the graph
+    whose vertex i has the (successor, weight) edges ``out[i]``, none
+    empty: Karp (1978) on each strongly connected component, then the
+    least over the components each vertex reaches."""
+    reach = []
+    for s in range(len(out)):
+        seen, stack = {s}, [s]
+        while stack:
+            for d, _ in out[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        reach.append(seen)
+    mean: dict[int, Fraction] = {}  # the least cycle mean of the vertex's component
+    for s, seen in enumerate(reach):
+        if s in mean:
+            continue
+        comp = [u for u in seen if s in reach[u]]
+        local = {u: a for a, u in enumerate(comp)}
+        into: list[list[tuple[int, int]]] = [[] for _ in comp]  # (predecessor, weight)
+        for u in comp:
+            for d, w in out[u]:
+                if d in local:
+                    into[local[d]].append((local[u], w))
+        if not all(into):
+            continue  # one vertex without a self-loop
+        # walks[k][b]: least weight of a k-edge walk in the component ending at b
+        m = len(comp)
+        walks = [[0] * m]
+        for _ in range(m):
+            walks.append([min(walks[-1][a] + w for a, w in ins) for ins in into])
+        # means scaled by a common multiple of the walk-length differences
+        scale = math.lcm(*range(1, m + 1))
+        mean.update(dict.fromkeys(comp, Fraction(min(
+            max((walks[m][b] - walks[k][b]) * (scale // (m - k)) for k in range(m))
+            for b in range(m)), scale)))
+    return [min(mean[u] for u in seen if u in mean) for seen in reach]
+
+
+def _greedy_certificate(view: _View, x: list[int]) -> Optional[list[Fraction]]:
+    """The scaled values if both players' greedy profiles on x prove them:
+    each vertex takes its first edge maximising (player 1) or minimising
+    (player 2) w + x[d].  Under player 1's every play from v has mean at
+    least the least cycle mean reachable from v, under player 2's at most
+    the greatest; where the two agree they are the values."""
+    def greedy(i: int, best: Callable) -> tuple[tuple[int, int], ...]:
+        return (best(view.succ[i], key=lambda e: e[1] + x[e[0]]),)
+
+    low = _least_cycle_means([greedy(i, max) if p1 else out
+                              for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
+    high = _least_cycle_means([tuple((d, -w) for d, w in (out if p1 else greedy(i, min)))
+                               for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
+    return low if all(a == -b for a, b in zip(low, high)) else None
 
 
 def _profiles(view: _View, player: int, cap: int,
-              keep: Optional[Callable[[int, int], bool]] = None):
+              keep: Optional[Callable[[int, int, int], bool]] = None):
     """Every positional strategy of the player as (its vertex indices, an
     iterator of edge-position tuples in product order), offering vertex i
-    only the edges to successors d with keep(i, d); None if the
-    unrestricted strategy space has more than ``cap`` profiles."""
+    only the edges (successor d, scaled weight w) with keep(i, d, w); None
+    if the unrestricted strategy space has more than ``cap`` profiles."""
     owned = [i for i, p1 in enumerate(view.p1) if p1 == (player == 1)]
     if math.prod(len(view.succ[i]) for i in owned) > cap:
         return None
     return owned, itertools.product(*(
-        [j for j, (d, _) in enumerate(view.succ[i]) if keep is None or keep(i, d)]
+        [j for j, (d, w) in enumerate(view.succ[i]) if keep is None or keep(i, d, w)]
         for i in owned))
 
 
@@ -217,7 +249,7 @@ def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
     values of v and d agree.
     """
     target = [values[v] * view.denom for v in view.vertices]
-    profiles = _profiles(view, 1, cap, keep=lambda i, d: target[d] == target[i])
+    profiles = _profiles(view, 1, cap, keep=lambda i, d, w: target[d] == target[i])
     if profiles is None:
         return None
     owned, combos = profiles
@@ -225,7 +257,7 @@ def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
         out = list(view.succ)
         for i, j in zip(owned, combo):
             out[i] = (view.succ[i][j],)
-        if all(_min_cycle_mean(out, v) == target[v] for v in range(len(out))):
+        if _least_cycle_means(out) == target:
             return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)},
                               name="mp_witness")
     return None
@@ -297,6 +329,42 @@ def _pair_values(step: list[tuple[int, int]], kind: str, scale: int) -> list:
             val[p] = val[step[p][0]] + (step[p][1] if kind == TP else 0)
             mark[p] = 2
     return val
+
+
+def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
+                   cap: int) -> Optional[Memoryless]:
+    """The first player-1 profile that no player-2 profile brings below
+    the limsup-TP values anywhere, after the first player-2 profile that no
+    player-1 profile lifts above them: together they prove max-min =
+    min-max = values, and a missing side raises.  None if either profile
+    space exceeds ``cap``.  Only edges with value(v) = w + value(d) are
+    offered: lasso values satisfy it along every move, so a profile
+    holding the values takes no other edge."""
+    target = [values[v] * view.denom for v in view.vertices]
+    if _profiles(view, 1, cap) is None or _profiles(view, 2, cap) is None:
+        return None
+    step = list(view.succ)
+
+    def holds(player: int, beats: Callable) -> tuple[list[int], tuple[int, ...]]:
+        owned, combos = _profiles(view, player, cap, lambda i, d, w: target[i] == w + target[d])
+        for combo in combos:
+            for i, j in zip(owned, combo):
+                step[i] = view.succ[i][j]
+            other, replies = _profiles(view, 3 - player, cap)
+            for reply in replies:
+                for i, j in zip(other, reply):
+                    step[i] = view.succ[i][j]
+                if any(map(beats, _pair_values(step, TP, 1), target)):
+                    break
+            else:
+                return owned, combo
+        raise RuntimeError("value attainment cross-check failed: no player-%d profile holds %r"
+                           % (player, values))
+
+    holds(2, operator.gt)
+    owned, combo = holds(1, operator.lt)
+    return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)},
+                      name="tpsup_witness")
 
 
 def _max_min(view: _View, kind: str, cap: int

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import json
 import pytest
@@ -117,6 +118,16 @@ def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys):
                    "strategy ml kind=memoryless\nmove t(0) -> e(0,1) weight=0\n")
     assert main(["defeat", "--arena", "zoo:a3", "--strategy", strat]) == 1
     assert "step-counter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["a1prime", "a2"])
+def test_cli_defeat_names_the_entry_of_a_scripted_strategy(capsys, entry):
+    assert main(["defeat", "--arena", "zoo:" + entry, "--strategy", "match_plus_one"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: only finite-memory strategies can be defeated on zoo entry %r, got Scripted; "
+        "match_plus_one is player 1's winning strategy there\n" % entry)
+    assert captured.out == ""
 
 
 def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
@@ -277,3 +288,25 @@ def test_cli_synthesize_names_a_zoo_entry_without_an_oracle(capsys, uri, objecti
     assert captured.err == "error: zoo entry %r has no winning-region oracle for %s\n" % (
         uri[len("zoo:"):], objective)
     assert captured.out == ""
+
+
+# qg synthesize --m-max 4 on four benchmark pool arenas: the exit code,
+# stdout, stderr and strategy file, byte for byte
+GOLDEN = Path(__file__).parent / "data" / "synthesize"
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
+def test_cli_synthesize_matches_the_golden_files(tmp_path, capsysbinary, monkeypatch, case):
+    golden = GOLDEN / case
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "arena.txt").write_bytes((golden / "arena.txt").read_bytes())
+    code = main(["synthesize", "--arena", "arena.txt", "--objective",
+                 "%s:limsup:>=:0" % case.split("-")[0], "--m-max", "4", "--out", "strategy.txt"])
+    captured = capsysbinary.readouterr()
+    assert str(code) == (golden / "exit_code").read_text()
+    assert captured.out == (golden / "stdout").read_bytes()
+    assert captured.err == (golden / "stderr").read_bytes()
+    written, expected = tmp_path / "strategy.txt", golden / "strategy.txt"
+    assert written.exists() == expected.exists()
+    if expected.exists():
+        assert written.read_bytes() == expected.read_bytes()

@@ -1,19 +1,24 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
 algorithms it replaces, kept here as oracles: value iteration for the full
-4n^3 W rounds, the witness search over every player-1 profile, and the
-max-min that walks one lasso per vertex and profile pair."""
+4n^3 W rounds, the witness search over every player-1 profile, Karp's
+cycle mean once per start vertex, and the max-min that walks one lasso per
+vertex and profile pair."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
-from qgames.objectives import MP, TP, Lasso, lasso_limit
-from qgames.synthesis import (PROFILE_CAP, _max_min, _mp_values, _mp_witness, _view,
-                              solve_values)
+from qgames.cli import parse_arena
+from qgames.objectives import MP, TP, Lasso, lasso_limit, parse_ext
+from qgames.synthesis import (PROFILE_CAP, _least_cycle_means, _max_min, _mp_values, _mp_witness,
+                              _tpsup_witness, _view, solve_values)
 
 F = Fraction
 V = VertexId
@@ -152,6 +157,42 @@ def test_max_min_matches_per_vertex_lassos(kind):
         assert _max_min(_view(arena), kind, PROFILE_CAP) == per_vertex_lasso_max_min(arena, kind)
 
 
+def test_least_cycle_means_match_karp_per_start_vertex():
+    rng = random.Random(54)
+    for arena in random_arenas(54):
+        view = _view(arena)
+        out, moves = list(view.succ), {}
+        for i, v in enumerate(view.vertices):
+            if arena.owner(v) == 1:
+                j = rng.randrange(len(out[i]))
+                out[i], moves[v] = (out[i][j],), arena.edges(v)[j]
+        assert [mean / view.denom for mean in _least_cycle_means(out)] == [
+            _min_cycle_mean(arena, _reachable(arena, v, moves), moves) for v in view.vertices]
+
+
+def test_tpsup_witness_matches_the_whole_arena_max_min():
+    for arena in random_arenas(55):
+        assert solve_values(arena, "tpsup").witness.table == _max_min(
+            _view(arena), TP, PROFILE_CAP)[1]
+
+
+def test_tpsup_witness_cross_checks_both_sides():
+    # a value raised by 1 leaves no player-1 profile holding the values, one
+    # lowered by 1 no player-2 profile; either side missing raises
+    checked = 0
+    for arena in random_arenas(56, count=40):
+        values = solve_values(arena, "tpsup").values
+        zero = [v for v, x in values.items() if not isinstance(x, float)]
+        if not zero:
+            continue
+        for delta in (1, -1):
+            with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
+                _tpsup_witness(_view(arena), {**values, zero[0]: values[zero[0]] + delta},
+                               PROFILE_CAP)
+        checked += 1
+    assert checked
+
+
 def test_mp_values_one_player_twelve_cycle():
     # the slowest value to isolate at n = 12: 1/12 sits 1/132 from 1/11
     owners, edges = cycle(1, [1] + [0] * 11)
@@ -178,6 +219,55 @@ def test_mp_values_separate_farey_neighbours():
     assert values == fixed_horizon_mp_values(arena)
     vm = solve_values(arena, "mp")
     assert vm.witness.table[x] == E(x, 0, t0)
+
+
+def test_mp_values_stop_on_the_greedy_certificate(monkeypatch):
+    o3, e3 = cycle(2, [1, 0, 0], "t")
+    o4, e4 = cycle(1, [1, 0, 0, 0], "f")
+    x, y = V("x"), V("y")
+    t0, f0 = V("t", (0,)), V("f", (0,))
+    arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
+                          e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
+
+    def isolated(*args):
+        raise AssertionError("isolation check reached")
+
+    monkeypatch.setattr(synthesis, "_isolated", isolated)
+    assert _mp_values(_view(arena)) == fixed_horizon_mp_values(arena)
+
+
+def test_mp_values_without_a_greedy_certificate(monkeypatch):
+    # ties in x_k can keep a greedy profile off the optimal cycle at every
+    # check (in arena 170 player 2 keeps the zero self-loop at n(0), which
+    # ties the -1/2 two-cycle through n(1) at every even k); the
+    # Zwick-Paterson isolation stop must still give the values
+    certificate = synthesis._greedy_certificate
+    uncertified = []
+    for arena in random_arenas(60):
+        results = []
+        monkeypatch.setattr(synthesis, "_greedy_certificate",
+                            lambda view, x: results.append(certificate(view, x)) or results[-1])
+        values = _mp_values(_view(arena))
+        if not any(results):
+            uncertified.append((arena, values))
+    assert uncertified
+    for arena, values in uncertified:
+        assert values == fixed_horizon_mp_values(arena)
+
+
+POOL = Path(__file__).parent.parent / "perfbench" / "pool.json"
+
+
+def test_solve_values_match_the_benchmark_pool():
+    # start values derived by brute force when the pool was built
+    pool = json.loads(POOL.read_text())
+    assert sum(map(len, pool.values())) == 80
+    for cell, members in pool.items():
+        family = {"mp": "mp", "tp": "tpsup"}[cell.split("-")[0]]
+        for member in members:
+            arena = parse_arena(member["arena"])
+            assert solve_values(arena, family).values[arena.start] == parse_ext(
+                member["start_value"]), cell
 
 
 def test_mp_values_after_a_heavy_transient():
