@@ -451,9 +451,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if "QG_NODE_CAP" in os.environ:
         try:
-            int(os.environ["QG_NODE_CAP"])
+            positive = int(os.environ["QG_NODE_CAP"]) >= 1
         except ValueError:
-            return _err("QG_NODE_CAP must be an integer")
+            positive = False
+        if not positive:
+            return _err("QG_NODE_CAP must be a positive integer")
     try:
         return args.fn(args)
     except ProfileCapExceeded as exc:

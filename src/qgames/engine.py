@@ -156,6 +156,12 @@ class Layers:
     history.  Every child kept past pruning counts against the node cap;
     exhausting it ends the walk with ``truncated`` set to an Inconclusive
     naming the cap and the depth.
+
+    ``resume`` = (layer, depth, created) starts the walk at a layer that
+    another walk reached, instead of at the root: the layer at that depth
+    and the nodes created up to it.  Depths in the truncation message and
+    the node count then read as those of a walk from the root, provided
+    the skipped prefix is the one this walk would have built.
     """
 
     def __init__(self, arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
@@ -163,10 +169,12 @@ class Layers:
                  prune: Optional[Callable[[Node], bool]] = None,
                  key: Optional[Callable[[Node], Hashable]] = None,
                  prefer: Optional[Callable[[Node, Node], bool]] = None,
-                 node_cap: Optional[int] = None):
+                 node_cap: Optional[int] = None,
+                 resume: Optional[tuple[list[Node], int, int]] = None):
         self.arena, self.v0, self.sigma, self.depth = arena, v0, sigma, depth
         self.open_sub, self.prune, self.key, self.prefer = open_sub, prune, key, prefer
         self.node_cap = node_cap_from_env() if node_cap is None else node_cap
+        self.resume = resume
         self.created = 0
         self.truncated: Optional[Inconclusive] = None
 
@@ -178,9 +186,12 @@ class Layers:
 
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub = self.sigma, self.open_sub
-        layer = [Node(self.v0, 0, Fraction(0), None, None, sigma.initial_state())]
-        self.created = 1
-        for d in range(self.depth):
+        if self.resume is None:
+            root = Node(self.v0, 0, Fraction(0), None, None, sigma.initial_state())
+            layer, first, self.created = [root], 0, 1
+        else:
+            layer, first, self.created = self.resume
+        for d in range(first, self.depth):
             yield layer
             unmerged: list[Node] = []
             merged: dict[Hashable, Node] = {}

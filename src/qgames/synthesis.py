@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -449,20 +449,20 @@ def _lex(arena: Arena, node: Node) -> tuple[int, ...]:
     return tuple(arena.edges(e.src).index(e) for e in node.edges())
 
 
-def _less_minimal(arena: Arena, open_sub: OpenSub, a: Node, b: Node) -> bool:
+def _less_minimal(arena: Arena, open_sub: Optional[OpenSub], a: Node, b: Node) -> bool:
     """Is candidate a strictly more minimal (worse continuation-wise) than
     the kept b, or equivalent with a smaller lexicographic key?"""
     if a.satisfied != b.satisfied:
         return b.satisfied
-    if open_sub.family != "buchi" and not a.satisfied:
+    if (open_sub is None or open_sub.family != "buchi") and not a.satisfied:
         # equal lengths, so TP order coincides with MP order
         if a.tp != b.tp:
             return a.tp < b.tp
     return _lex(arena, a) < _lex(arena, b)
 
 
-def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
-                    depth: int, node_cap: Optional[int] = None) -> Layers:
+def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: Optional[OpenSub],
+                    depth: int, node_cap: Optional[int] = None, resume=None) -> Layers:
     """Layers keeping one minimal consistent history per vertex.
 
     The prefix order is a congruence, so extending only the kept minima
@@ -472,7 +472,7 @@ def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenS
     """
     return Layers(arena, v0, sigma, depth, open_sub=open_sub, key=lambda node: node.vertex,
                   prefer=lambda node, kept: _less_minimal(arena, open_sub, node, kept),
-                  node_cap=node_cap)
+                  node_cap=node_cap, resume=resume)
 
 
 def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
@@ -739,6 +739,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     already satisfies the sub-objective, after which a safe memoryless
     strategy keeps the (vertex, sum) pair winnable; the bit resets at
     every bubble boundary.
+
+    Each bubble's walks start from the layer before its boundary, which
+    two walks of the live table kept across bubbles reach: no scheduled
+    sub-objective fires by the boundary, and the table and bit updates at
+    a depth are final before they expand it, so those layers are the ones
+    the bubble's walks would build from the root.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -750,28 +756,41 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     # the table under construction; each bubble fills the levels it adds
     live = StepCounterPlusK(2, {}, depth_cap, {}, ERROR, name="sc1bit_partial")
     table, bitupd = live.table, live.bit_update
+    runs = _run_layers(arena, v0, live, None, depth_cap, node_cap)
+    mimics = _minimal_layers(arena, v0, live, None, depth_cap, node_cap)
+    kept = [(runs, iter(runs)), (mimics, iter(mimics))]
     schedule: list[tuple[int, int]] = []
     k_prev = 0
 
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = OpenSub("tp-sup", m=m_sched)
-
-        # reset the bit entering this bubble: the update on every edge
-        # crossing the boundary yields mode 0
+        run_from = mimic_from = None
         if k_prev > 0:
-            walk = _merged_layers(arena, v0, live, k_prev - 1, node_cap)
-            *_, last = walk
-            if walk.truncated is not None:
-                return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
-            for node in last:
-                for e in walk.moves(node):
+            # the run walk, then the minimal-history walk, to the layer
+            # before the boundary
+            reached = []
+            for walk, layers in kept:
+                reached.append(next((layer for layer in layers
+                                     if layer[0].depth == k_prev - 1), None))
+                if walk.truncated is not None:
+                    return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
+            run_layer, mimic_layer = reached
+            # reset the bit entering this bubble: the update on every edge
+            # crossing the boundary yields mode 0
+            for node in run_layer:
+                for e in runs.moves(node):
                     bitupd[(k_prev - 1, 0, e)] = 0
                     bitupd[(k_prev - 1, 1, e)] = 0
+            run_from = (run_layer, k_prev - 1, runs.created)
+            # the minimal histories in the composite's state before its boundary
+            mimic_from = ([replace(node, state=(None, (k_prev - 1, node.state, node.tp)))
+                           for node in mimic_layer], k_prev - 1, mimics.created)
         comp = _Composite(v0, StepCounterPlusK(2, table, k_prev, bitupd, ERROR), k_prev,
                           oracle.winning_from, step_determined=False)
 
-        built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap)
+        built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
+                              run_from, mimic_from)
         if isinstance(built, Inconclusive):
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, built.reason))
         if built is None:
@@ -787,27 +806,35 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
                          oracle.wprime, node_cap)
 
 
+def _run_layers(arena: Arena, v0: VertexId, live: StepCounterPlusK, sub: Optional[OpenSub],
+                depth: int, node_cap: int, resume=None) -> Layers:
+    """Consistent layers of the live table merging on (vertex, bit,
+    running total, satisfied).  A later duplicate replaces the kept node:
+    its history backs the minimal-history cell when the mimic never
+    reaches its vertex."""
+    return Layers(arena, v0, live, depth, open_sub=sub,
+                  key=lambda node: (node.vertex, node.state[1], node.tp, node.satisfied),
+                  prefer=lambda node, kept: True, node_cap=node_cap, resume=resume)
+
+
 def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterPlusK,
                   sub: OpenSub, k_prev: int, oracle: WPrimeOracle, depth_cap: int,
-                  node_cap: int):
+                  node_cap: int, run_from=None, mimic_from=None):
     """Extend the live table over one bubble.
 
     Walks the minimal consistent histories of the composite and the
-    consistent tree of the live table in lockstep.  At each level from
-    k_prev on, the minimal histories fill the bit-0 moves and bit updates
-    before the live walk expands the level: bit 0 mimics the minimal
-    history, bit 1 plays safe.  Returns (k_m, violation), None if the
-    depth cap is hit before every consistent branch satisfies, or the
-    Inconclusive of an exhausted node cap.
+    consistent tree of the live table in lockstep, from the root or from
+    the given resume points (see ``Layers``).  At each level from k_prev
+    on, the minimal histories fill the bit-0 moves and bit updates before
+    the live walk expands the level: bit 0 mimics the minimal history,
+    bit 1 plays safe.  Returns (k_m, violation), None if the depth cap is
+    hit before every consistent branch satisfies, or the Inconclusive of
+    an exhausted node cap.
     """
     table, bitupd = live.table, live.bit_update
-    mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap)
-    # a later duplicate replaces the kept node: its history backs the
-    # minimal-history cell when the mimic never reaches its vertex
-    runs = Layers(arena, v0, live, depth_cap, open_sub=sub,
-                  key=lambda node: (node.vertex, node.state[1], node.tp, node.satisfied),
-                  prefer=lambda node, kept: True, node_cap=node_cap)
-    for d, (cells, frontier) in enumerate(zip(mimics, runs)):
+    mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap, mimic_from)
+    runs = _run_layers(arena, v0, live, sub, depth_cap, node_cap, run_from)
+    for d, (cells, frontier) in enumerate(zip(mimics, runs), max(k_prev - 1, 0)):
         for node in frontier:
             if not oracle.wprime(node.vertex, node.tp):
                 return (d, "(%s, %s) at step %d" % (node.vertex, node.tp, d))

@@ -198,6 +198,16 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert "QG_NODE_CAP" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_rejects_a_node_cap_below_one(capsys, monkeypatch, value):
+    monkeypatch.setenv("QG_NODE_CAP", value)
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: QG_NODE_CAP must be a positive integer\n"
+    assert captured.out == ""
+
+
 def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
     monkeypatch.setenv("QG_NODE_CAP", "5")
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
@@ -302,11 +312,27 @@ def test_cli_synthesize_matches_the_golden_files(tmp_path, capsysbinary, monkeyp
     (tmp_path / "arena.txt").write_bytes((golden / "arena.txt").read_bytes())
     code = main(["synthesize", "--arena", "arena.txt", "--objective",
                  "%s:limsup:>=:0" % case.split("-")[0], "--m-max", "4", "--out", "strategy.txt"])
-    captured = capsysbinary.readouterr()
+    _assert_golden(golden, code, capsysbinary.readouterr(), tmp_path / "strategy.txt")
+
+
+def _assert_golden(golden, code, captured, written):
     assert str(code) == (golden / "exit_code").read_text()
     assert captured.out == (golden / "stdout").read_bytes()
     assert captured.err == (golden / "stderr").read_bytes()
-    written, expected = tmp_path / "strategy.txt", golden / "strategy.txt"
+    expected = golden / "strategy.txt"
     assert written.exists() == expected.exists()
     if expected.exists():
         assert written.read_bytes() == expected.read_bytes()
+
+
+# qg synthesize --m-max 16 on zoo:bitarena (sixteen sc1bit bubbles), byte
+# for byte
+GOLDEN_ZOO = Path(__file__).parent / "data" / "synthesize_zoo"
+
+
+def test_cli_synthesize_bitarena_matches_the_golden_files(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "16", "--out", "strategy.txt"])
+    _assert_golden(GOLDEN_ZOO / "bitarena-m16", code, capsysbinary.readouterr(),
+                   tmp_path / "strategy.txt")

@@ -210,12 +210,12 @@ def test_solve_values_type_and_family_guards():
         solve_values(pos_arena(), "discounted")
 
 
-def _bitarena_sc1bit(m_max, node_cap=None):
+def _bitarena_sc1bit(m_max, node_cap=None, depth_cap=200):
     entry = make("bitarena")
     oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
                           entry.extras["winning_from"])
     return sc1bit_synthesize(entry.arena, entry.start, m_max, oracle,
-                             depth_cap=200, node_cap=node_cap)
+                             depth_cap=depth_cap, node_cap=node_cap)
 
 
 def test_sc1bit_bitarena_certifies_within_a_small_node_cap():
@@ -241,6 +241,53 @@ def test_synthesizers_name_an_exhausted_node_cap():
                                node_cap=2)
     assert not report.certified
     assert "node cap 2 exceeded at depth" in report.failure
+
+
+@pytest.mark.parametrize("node_cap, failure", [
+    (5, "bubble m=2: node cap 5 exceeded at depth 3"),
+    (20, "bubble m=9: node cap 20 exceeded at depth 11"),
+    (50, "bubble m=25: node cap 50 exceeded at depth 26"),
+    (100, "bubble m=49: node cap 100 exceeded at depth 51"),
+])
+def test_sc1bit_bitarena_names_the_bubble_and_depth_of_an_exhausted_node_cap(node_cap,
+                                                                            failure):
+    # the count and the depth are those of a walk from the root, although
+    # each bubble's walks resume from the previous boundary
+    assert _bitarena_sc1bit(14, node_cap=node_cap).failure == failure
+
+
+@pytest.mark.parametrize("depth_cap, m", [(3, 2), (10, 9), (30, 29)])
+def test_sc1bit_bitarena_names_the_bubble_of_an_exhausted_depth_cap(depth_cap, m):
+    report = _bitarena_sc1bit(30, depth_cap=depth_cap)
+    assert report.failure == "bubble m=%d: no bound within the depth cap" % m
+
+
+def test_sc1bit_work_grows_linearly_in_m_max(monkeypatch):
+    # every walk the synthesizer builds itself (not the re-certification
+    # inside koenig_bound), counting the children it creates past the
+    # layer it starts from
+    import qgames.synthesis as synthesis
+
+    walks = []
+
+    class Counting(synthesis.Layers):
+        def __iter__(self):
+            walks.append(self)
+            layers = super().__iter__()
+            start = next(layers)
+            self.start_created = self.created
+            yield start
+            yield from layers
+
+    monkeypatch.setattr(synthesis, "Layers", Counting)
+
+    def children(m_max):
+        walks.clear()
+        assert _bitarena_sc1bit(m_max).certified
+        return sum(walk.created - walk.start_created for walk in walks)
+
+    small, large = children(16), children(32)
+    assert large <= 2.3 * small, (small, large)
 
 
 def test_sc1bit_resets_the_bit_on_every_boundary_edge():
