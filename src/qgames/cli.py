@@ -456,6 +456,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             positive = False
         if not positive:
             return _err("QG_NODE_CAP must be a positive integer")
+    for option in ("horizon", "depth", "window"):
+        if getattr(args, option, 0) < 0:
+            return _err("--%s must be at least 0" % option)
     try:
         return args.fn(args)
     except ProfileCapExceeded as exc:

@@ -275,8 +275,23 @@ class RefutedBranch:
     detail: str
 
 
+def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
+                  open_sub: Optional[OpenSub] = None, node_cap: Optional[int] = None,
+                  resume: Optional[tuple[list[Node], int, int]] = None) -> Layers:
+    """Layers pruning satisfied branches and merging histories with equal
+    (vertex, strategy signature), keeping the lowest running total."""
+    def key(node: Node):
+        sig = sigma.signature(node.depth, node.state)
+        return None if sig is None else (node.vertex, sig)
+
+    return Layers(arena, v0, sigma, depth, open_sub=open_sub,
+                  prune=lambda node: node.satisfied, key=key,
+                  prefer=lambda node, kept: node.tp < kept.tp, node_cap=node_cap, resume=resume)
+
+
 def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
-                 max_depth: int, node_cap: Optional[int] = None
+                 max_depth: int, node_cap: Optional[int] = None,
+                 resume: Optional[tuple[list[Node], int, int]] = None
                  ) -> Union[KoenigBound, Inconclusive, RefutedBranch]:
     """Least level by which every sigma-consistent history satisfies the
     open sub-objective.
@@ -286,15 +301,10 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     merged, keeping the lowest running total, which is the hardest to
     satisfy.  A repeated (vertex, signature) along a branch with a
     non-positive cycle total refutes the bound for TP-style families.
+    With ``resume`` (see ``Layers``) levels count from the resumed depth.
     """
-    def key(node: Node):
-        sig = sigma.signature(node.depth, node.state)
-        return None if sig is None else (node.vertex, sig)
-
-    walk = Layers(arena, v0, sigma, max_depth, open_sub=open_sub,
-                  prune=lambda node: node.satisfied, key=key,
-                  prefer=lambda node, kept: node.tp < kept.tp, node_cap=node_cap)
-    for d, frontier in enumerate(walk):
+    walk = koenig_layers(arena, v0, sigma, max_depth, open_sub, node_cap, resume)
+    for d, frontier in enumerate(walk, 0 if resume is None else resume[1]):
         if not frontier:
             return KoenigBound(d, open_sub)
         refuted = _detect_refuted(sigma, frontier, open_sub)

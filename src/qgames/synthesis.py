@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, History, VertexId, node_cap_from_env
-from .engine import Inconclusive, KoenigBound, Layers, Node, RefutedBranch, koenig_bound
+from .engine import (Inconclusive, KoenigBound, Layers, Node, RefutedBranch, koenig_bound,
+                     koenig_layers)
 from .objectives import (Decomposition, OpenSub, prefix_compare, LE, BOTH, POS_INF, NEG_INF,
                          TP, MP)
 from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
@@ -444,21 +445,26 @@ def sigma_safe(arena: ArenaExplicit
 # Minimal consistent histories and the step-counter conversion
 
 
-def _lex(arena: Arena, node: Node) -> tuple[int, ...]:
-    """Edge indices along the node's history, for lexicographic ties."""
-    return tuple(arena.edges(e.src).index(e) for e in node.edges())
-
-
 def _less_minimal(arena: Arena, open_sub: Optional[OpenSub], a: Node, b: Node) -> bool:
     """Is candidate a strictly more minimal (worse continuation-wise) than
-    the kept b, or equivalent with a smaller lexicographic key?"""
+    the kept b, or equivalent with smaller edge indices lexicographically?"""
     if a.satisfied != b.satisfied:
         return b.satisfied
     if (open_sub is None or open_sub.family != "buchi") and not a.satisfied:
         # equal lengths, so TP order coincides with MP order
         if a.tp != b.tp:
             return a.tp < b.tp
-    return _lex(arena, a) < _lex(arena, b)
+    # equal lengths: the topmost differing edges leave one vertex and
+    # decide, and none differs above the last common node
+    first = None
+    while a is not b and a.edge is not None:
+        if a.edge != b.edge:
+            first = a.edge, b.edge
+        a, b = a.parent, b.parent
+    if first is None:
+        return False
+    edges = arena.edges(first[0].src)
+    return edges.index(first[0]) < edges.index(first[1])
 
 
 def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: Optional[OpenSub],
@@ -695,15 +701,34 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
                   schedule: list[tuple[int, int]], subs: Callable[[int], OpenSub],
                   member: Callable[[VertexId, Fraction], bool], node_cap: int) -> SynthReport:
     """Re-certify every scheduled level on the final strategy and check
-    that no consistent history up to the last level leaves the region."""
+    that no consistent history up to the last level leaves the region.
+
+    Each level's ``koenig_bound`` resumes, with its node count, from a base
+    walk of the final strategy without sub-objective, at the layer below
+    the step index: no branch fires, so none is pruned, before it.  The
+    base walk advances only as deep as the levels so far need, so a node
+    cap is named at the level a walk from the root would exhaust it.  It
+    reads only the final strategy, independently of the synthesizer.
+    """
+    depth = schedule[-1][1] if schedule else 0
+    base = koenig_layers(arena, v0, strategy, depth, node_cap=node_cap)
+    reached, layers = [], iter(base)
     level_certs = []
     for (m, k_m) in schedule:
-        again = koenig_bound(arena, v0, strategy, subs(m), k_m, node_cap)
+        sub = subs(m)
+        start = max(min(sub.step_index, k_m) - 1, 0)
+        reached.extend((layer, base.created)
+                       for layer in itertools.islice(layers, max(start + 1 - len(reached), 0)))
+        if base.truncated is not None:
+            return SynthReport(schedule, strategy, level_certs, False,
+                               failure="level m=%d: %s" % (m, base.truncated.reason))
+        layer, created = reached[start]
+        again = koenig_bound(arena, v0, strategy, sub, k_m, node_cap, (layer, start, created))
         if isinstance(again, Inconclusive) and again.node_cap is not None:
             return SynthReport(schedule, strategy, level_certs, False,
                                failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
-    walk = _merged_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0, node_cap)
+    walk = _merged_layers(arena, v0, strategy, depth, node_cap)
     region_ok = all(member(node.vertex, node.tp) for layer in walk for node in layer)
     if walk.truncated is not None:
         return SynthReport(schedule, strategy, level_certs, False,
@@ -849,7 +874,7 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
             for node in frontier:
                 if node.state[1] == 0 and node.vertex not in reached:
                     reached.add(node.vertex)
-                    state = reduce(comp.step_state, node.edges(), comp.initial_state())
+                    state = _backing_state(comp, node, k_prev)
                     cells.append(Node(node.vertex, d, node.tp, node.parent, node.edge, state,
                                       node.satisfied))
             for node in cells:
@@ -864,3 +889,14 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
             if arena.owner(node.vertex) == 1 and node.state[1] == 1 and key not in table:
                 table[key] = oracle.safe.choose(arena, node.vertex, d, None)
     return mimics.truncated or runs.truncated
+
+
+def _backing_state(comp: Strategy, node: Node, k_prev: int):
+    """The composite's state after a run node's history, folded from its
+    ancestor before the boundary, lifted as the minimal histories are."""
+    edges = []
+    while node.depth > max(k_prev - 1, 0):
+        edges.append(node.edge)
+        node = node.parent
+    start = comp.initial_state() if k_prev == 0 else (None, (k_prev - 1, node.state, node.tp))
+    return reduce(comp.step_state, reversed(edges), start)

@@ -208,6 +208,23 @@ def test_cli_rejects_a_node_cap_below_one(capsys, monkeypatch, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("horizon", ["simulate", "--arena", "zoo:a4", "--p1", "always_delay", "--p2", "p2_enter_1",
+                 "--horizon", "-5"]),
+    ("depth", ["zoo", "export", "--arena", "zoo:a4", "--depth", "-1"]),
+    ("depth", ["validate", "--arena", "zoo:a4", "--depth", "-2"]),
+    ("depth", ["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+               "--depth", "-3"]),
+    ("window", ["defeat", "--arena", "zoo:a4", "--strategy", "always_delay", "--window", "-4"]),
+], ids=["simulate-horizon", "export-depth", "validate-depth", "synthesize-depth",
+        "defeat-window"])
+def test_cli_rejects_a_negative_horizon_depth_or_window(capsys, option, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --%s must be at least 0\n" % option
+    assert captured.out == ""
+
+
 def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
     monkeypatch.setenv("QG_NODE_CAP", "5")
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",

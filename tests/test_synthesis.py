@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qgames.arena import ArenaExplicit, Edge, History, VertexId
-from qgames.engine import play
+from qgames.cli import parse_arena
+from qgames.engine import Inconclusive, KoenigBound, koenig_bound, play
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
 from qgames.strategies import serialize_strategy
@@ -13,12 +16,15 @@ from qgames.synthesis import (WPrimeOracle, brute_force_values,
                               finite_mp_oracle, finite_wprime_oracle,
                               minimal_history_levels, sc1bit_synthesize,
                               sc_from_strategy, sigma_safe, solve_values)
+from qgames.synthesis import _final_report
 from qgames.zoo import make
 
 F = Fraction
 V = VertexId
 
 A, B, C, D = V("a"), V("b"), V("c"), V("d")
+
+POOL = Path(__file__).parent.parent / "perfbench" / "pool.json"
 
 
 def E(src, w, dst):
@@ -290,6 +296,113 @@ def test_sc1bit_work_grows_linearly_in_m_max(monkeypatch):
     assert large <= 2.3 * small, (small, large)
 
 
+def test_sc1bit_whole_job_work_grows_linearly_in_m_max(monkeypatch):
+    # every walk of the job, the re-certification inside koenig_bound
+    # included, counting the children it creates past the layer it starts from
+    from qgames import engine
+
+    walks = []
+    walk = engine.Layers.__iter__
+
+    def counting(self):
+        walks.append(self)
+        layers = walk(self)
+        start = next(layers)
+        self.start_created = self.created
+        yield start
+        yield from layers
+
+    monkeypatch.setattr(engine.Layers, "__iter__", counting)
+
+    def children(m_max):
+        walks.clear()
+        assert _bitarena_sc1bit(m_max).certified
+        return sum(walk.created - walk.start_created for walk in walks)
+
+    small, large = children(16), children(32)
+    assert large <= 2.3 * small, (small, large)
+
+
+def _recertified_from_the_root(arena, v0, report, subs, node_cap):
+    """Level certificates and failure of a koenig_bound walk from the root
+    per scheduled level."""
+    certs = []
+    for m, k in report.schedule:
+        again = koenig_bound(arena, v0, report.strategy, subs(m), k, node_cap)
+        if isinstance(again, Inconclusive) and again.node_cap is not None:
+            return certs, "level m=%d: %s" % (m, again.reason)
+        certs.append((m, k, isinstance(again, KoenigBound) and again.level <= k))
+    return certs, None
+
+
+def _assert_recertified_as_from_the_root(arena, report, subs, member, node_caps):
+    assert report.certified, report.failure
+    for node_cap in node_caps:
+        again = _final_report(arena, arena.start, report.strategy, report.schedule, subs,
+                              member, node_cap)
+        failure = again.failure if (again.failure or "").startswith("level") else None
+        assert (again.level_certs, failure) == _recertified_from_the_root(
+            arena, arena.start, report, subs, node_cap), node_cap
+
+
+def _tp_sub(m):
+    return OpenSub("tp-sup", m=m)
+
+
+def test_sc1bit_recertification_matches_walks_from_the_root_on_bitarena():
+    entry = make("bitarena")
+    for m_max in range(1, 41):
+        _assert_recertified_as_from_the_root(entry.arena, _bitarena_sc1bit(m_max), _tp_sub,
+                                             entry.wprime, (None, 7 * m_max))
+
+
+def _pool_arenas(kind):
+    pool = json.loads(POOL.read_text())
+    return [parse_arena(member["arena"]) for cell, members in sorted(pool.items())
+            if cell.startswith(kind) for member in members]
+
+
+def test_sc1bit_recertification_matches_walks_from_the_root_on_the_tp_pool():
+    arenas = _pool_arenas("tp-")
+    assert len(arenas) == 16
+    for arena in arenas:
+        oracle = finite_wprime_oracle(arena)
+        if oracle.wprime(arena.start, F(0)):
+            report = sc1bit_synthesize(arena, arena.start, 8, oracle)
+            _assert_recertified_as_from_the_root(arena, report, _tp_sub, oracle.wprime,
+                                                 (None, 10, 30, 100))
+
+
+def test_bubble_recertification_matches_walks_from_the_root_on_the_mp_pool():
+    # mp-sup step indices run 1, 2, 1, 3, ..., so a level may resume below
+    # the layer the previous level resumed from
+    decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
+    for arena in _pool_arenas("mp-"):
+        oracle = finite_mp_oracle(arena)
+        if oracle.wprime(arena.start, F(0)):
+            report = bubble_synthesize(arena, arena.start, decomp, 4, oracle)
+            _assert_recertified_as_from_the_root(arena, report, decomp.sub, oracle.wprime,
+                                                 (None, 5, 10, 30, 100))
+
+
+@pytest.mark.parametrize("node_cap, failure", [
+    (4, "level m=5: node cap 4 exceeded at depth 3"),
+    (10, "level m=5: node cap 10 exceeded at depth 6"),
+    (50, "level m=25: node cap 50 exceeded at depth 26"),
+    (117, "region check: node cap 117 exceeded at depth 59"),
+    (120, None),
+])
+def test_final_report_names_the_level_or_region_check_of_an_exhausted_node_cap(node_cap,
+                                                                               failure):
+    # the synthesis itself runs uncapped; caps 4 and 10 bind before and
+    # after the layer that level m=5 resumes from (depth 4)
+    entry = make("bitarena")
+    report = _bitarena_sc1bit(16)
+    again = _final_report(entry.arena, entry.start, report.strategy, report.schedule, _tp_sub,
+                          entry.wprime, node_cap)
+    assert again.failure == failure
+
+
 def test_sc1bit_resets_the_bit_on_every_boundary_edge():
     # two histories crossing a boundary on different edges can meet at
     # the same (vertex, bit, total); both edges still reset the bit
@@ -318,6 +431,16 @@ def test_minimal_histories_break_ties_lexicographically():
     arena = ArenaExplicit(
         {A: 2, B: 2, C: 2, D: 2},
         [E(A, 0, B), E(A, 0, C), E(B, 0, D), E(C, 0, D), E(D, 0, D)], A)
+    levels = minimal_history_levels(arena, A, Memoryless({}), OpenSub("tp-sup", m=5), 3)
+    assert [e.dst for e in levels[2][D].edges()] == [B, D]
+
+
+def test_minimal_histories_break_ties_on_the_first_differing_edge():
+    # a-b-d takes edge indices (0, 1) and a-c-d takes (1, 0): the first
+    # edge decides, not the last
+    arena = ArenaExplicit(
+        {A: 2, B: 2, C: 2, D: 2},
+        [E(A, 0, B), E(A, 0, C), E(B, 0, C), E(B, 0, D), E(C, 0, D), E(D, 0, D)], A)
     levels = minimal_history_levels(arena, A, Memoryless({}), OpenSub("tp-sup", m=5), 3)
     assert [e.dst for e in levels[2][D].edges()] == [B, D]
 
