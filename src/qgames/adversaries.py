@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, History, VertexId, V
+from .arena import Arena, Edge, VertexId, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
-                     Inconclusive, PlayRecord, play, _fmt_mem, _round_signature)
+                     Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import (FiniteMemory, Memoryless, Scripted, StepCounterTable,
                          Strategy, Tracking)
 from .zoo import ZooEntry, a4_router, _edge_to, _first_edge
@@ -139,22 +139,20 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
             k += 1
         return INF
 
+    # memoized per (i, memory state) so the opponent is pure
+    @cache
     def probe(i: int, m0) -> int:
         """Challenge height j making this round lose: the responder either
         answers k < j or descends past the cap."""
         state = m0
         for j in range(1, _PROBE_CAP + 1):
             climb = Edge(V("a", (i, j - 1)), Fraction(1), V("a", (i, j)))
-            state = sigma.step_state(state, climb) if j > 1 else \
-                sigma.step_state(m0, climb)
+            state = sigma.step_state(state, climb)
             dive = Edge(V("a", (i, j)), Fraction(-2 * j), V("b", (i, 0)))
             k = descent_length(i, sigma.step_state(state, dive))
             if k is INF or k < j:
                 return j
         raise RuntimeError("no losing challenge within the probe cap")
-
-    # memoized per (i, formatted state) so the opponent is pure
-    targets: dict[tuple, int] = {}
 
     # state: the responder's memory now and on the latest arrival at a round
     # start a(i, 0) (its initial memory before the first arrival)
@@ -166,18 +164,7 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         if v.name != "a":
             return _first_edge(ar, v)
         i, jj = v.params
-        m0 = state[1]
-        key = (i, _fmt_mem(m0))
-        if key not in targets:
-            targets[key] = probe(i, m0)
-        target = targets[key]
-        climb = dive = None
-        for e in ar.edges(v):
-            if e.dst.name == "a":
-                climb = e
-            else:
-                dive = e
-        return climb if jj < target else dive
+        return _edge_to(ar, v, "a" if jj < probe(i, state[1]) else "b")
 
     initial = sigma.initial_state()
     p2 = Tracking("owe_one_more_a2", (initial, initial), update, decide, player=2)
@@ -203,10 +190,10 @@ def _certify_endless_descent(sigma: Strategy, p2: Strategy, record: PlayRecord
         return DefeatResult(p2, None, record, True,
                             ["no usable round or descent structure found"])
     # pick boundaries sharing the responder's memory state
-    by_state: dict[str, list[int]] = {}
+    by_state: dict[object, list[int]] = {}
     for step in runs:
         m1 = None if step == 0 else record.mem1_trace[step - 1]
-        by_state.setdefault(_fmt_mem(m1), []).append(step)
+        by_state.setdefault(m1, []).append(step)
     best = max(by_state.values(), key=len)
     if len(best) < 2:
         return DefeatResult(p2, None, record, True,
@@ -288,7 +275,6 @@ class NoCliqueFound(Exception):
 class AdversaryPlan:
     entry: int
     routing: list[int]
-    rationale: dict
 
 
 @dataclass(frozen=True)
@@ -336,23 +322,15 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     K = len(states)
     size = K + 2
 
-    exit_cache: dict[int, tuple] = {}
-    update_cache: dict[tuple[int, int], tuple] = {}
-
+    @cache
     def exit_profile(i: int) -> tuple:
-        if i not in exit_cache:
-            t_i = V("t", (i,))
-            exit_cache[i] = tuple(
-                sigma.choose(arena, t_i, 3 * (i + 1), m).dst.name == "r0"
-                for m in states)
-        return exit_cache[i]
+        t_i = V("t", (i,))
+        return tuple(sigma.choose(arena, t_i, 3 * (i + 1), m).dst.name == "r0" for m in states)
 
+    @cache
     def gadget_update(i: int, j: int) -> tuple:
-        if (i, j) not in update_cache:
-            edges = _gadget_edges(i, j)
-            update_cache[(i, j)] = tuple(
-                index[reduce(sigma.step_state, edges, m)] for m in states)
-        return update_cache[(i, j)]
+        edges = _gadget_edges(i, j)
+        return tuple(index[reduce(sigma.step_state, edges, m)] for m in states)
 
     def label(i: int, k: int) -> RamseyLabel:
         return RamseyLabel(exit_profile(i) + exit_profile(k), gadget_update(i, k - i))
@@ -372,15 +350,11 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
             if record.termination != "sink" or not record.final_tp < 0:
                 continue
             cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
-            plan = AdversaryPlan(i, [i],
-                                 rationale={"window": window, "states": K,
-                                            "label": "entry exit"})
-            return plan, DefeatResult(p2, cert, record,
-                                      notes=["exits immediately when entered at %d" % i])
+            return AdversaryPlan(i, [i]), DefeatResult(
+                p2, cert, record, notes=["exits immediately when entered at %d" % i])
 
-    failures: list[str] = []
     failed_first: dict[int, int] = {}
-    for clique in _cliques(lo, hi, size, label):
+    for clique in itertools.islice(_cliques(lo, hi, size, label), _MAX_CLIQUES):
         if failed_first.get(clique[0], 0) >= 2:
             continue
         # independent re-verification of monochromaticity
@@ -389,25 +363,17 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         result = _run_plan(sigma, entry, clique, states, index,
                            entry_state, exit_profile, gadget_update, horizon)
         if result is not None:
-            plan = AdversaryPlan(clique[0], list(clique),
-                                 rationale={"window": window, "states": K,
-                                            "label": next(iter(labels))})
-            return plan, result
-        failures.append("clique %r did not certify" % (clique,))
+            return AdversaryPlan(clique[0], list(clique)), result
         failed_first[clique[0]] = failed_first.get(clique[0], 0) + 1
     raise NoCliqueFound(window, size)
 
 
 def _cliques(lo: int, hi: int, size: int, label):
-    """Lexicographically ordered monochromatic cliques with gaps >= 2."""
-    emitted = 0
+    """Lexicographically ordered monochromatic cliques with gaps >= 2, as
+    many as the caller takes."""
 
     def extend(chosen: list[int], colour):
-        nonlocal emitted
-        if emitted >= _MAX_CLIQUES:
-            return
         if len(chosen) == size:
-            emitted += 1
             yield tuple(chosen)
             return
         nxt_lo = lo if not chosen else chosen[-1] + 2
@@ -420,8 +386,6 @@ def _cliques(lo: int, hi: int, size: int, label):
                 continue
             if all(label(c, cand) == colour for c in chosen):
                 yield from extend(chosen + [cand], colour)
-            if emitted >= _MAX_CLIQUES:
-                return
 
     yield from extend([], None)
 
@@ -457,12 +421,7 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
                                    % (exits_at, clique[0])])
 
     # no exit on the clique: the memory trajectory repeats; cycle the gaps
-    first, repeat = None, None
-    for n, mn in enumerate(traj):
-        if traj.index(mn) < n:
-            first, repeat = traj.index(mn), n
-            break
-    cycle_from = first if first is not None else 0
+    cycle_from = next((traj.index(mn) for n, mn in enumerate(traj) if traj.index(mn) < n), 0)
     p2 = a4_router(clique[0], gaps, cycle_from=cycle_from)
     record = play(arena, entry.start, sigma, p2, horizon)
     if record.termination == "sink":
@@ -544,14 +503,15 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
     if entry.name != "buchib":
         raise ValueError("defeat_sc_buchi targets buchib, not %r" % entry.name)
     arena = entry.arena
-    b = entry.extras["truncation"]
+    b = entry.params["b"]
     v = V("v", ())
 
     # any same-length history gives the same move; probe along the loop
     loop = next(e for e in arena.edges(v) if e.dst == v)
+    # past the horizon too, so the last arrival is padded into an exit
     exit_steps = set()
     state = sigma.initial_state()
-    for s in range(horizon + 1):
+    for s in range(horizon + b + 1):
         if sigma.choose(arena, v, s, state).dst.name == "u":
             exit_steps.add(s)
         state = sigma.step_state(state, loop)
@@ -567,11 +527,10 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
         blocked.append(step_at_u)
         return 1
 
-    def fn(ar: Arena, h: History) -> Edge:
-        w = h.to_vertex
+    def decide(ar: Arena, w: VertexId, step: int) -> Edge:
         if w.name != "u":
             return _first_edge(ar, w)
-        n = pad_length(len(h))
+        n = pad_length(step)
         for e in ar.edges(w):
             if n == 1 and e.dst.name == "v":
                 return e
@@ -579,7 +538,7 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
                 return e
         raise AssertionError("no padding of length %d" % n)
 
-    p2 = Scripted("pad_into_exits", fn, player=2)
+    p2 = Tracking("pad_into_exits", 0, lambda step, e: step + 1, decide, player=2)
     record = play(arena, entry.start, sigma, p2, horizon)
     loop_steps = [i for i, e in enumerate(record.edges) if e.src == v and e.dst == v]
     exit_uses = [i for i, e in enumerate(record.edges) if e.src == v and e.dst.name == "u"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional
 
 Weight = Fraction
 
@@ -143,7 +143,7 @@ class ArenaGenerator(Arena):
 
     ``expand`` maps a vertex to its owner and outgoing edge list; it must
     be pure; the ``expand`` attribute is that uncached function.  ``owner``
-    and ``edges`` memoize it (``cache=False`` disables that).
+    and ``edges`` memoize it.
     """
 
     def __init__(
@@ -151,12 +151,10 @@ class ArenaGenerator(Arena):
         root: VertexId,
         expand: Callable[[VertexId], tuple[int, tuple[Edge, ...]]],
         name: str = "generator",
-        cache: bool = True,
     ):
         self.name = name
         self.root = root
         self.expand = expand
-        self._cache_enabled = cache
         self._cache: dict[VertexId, tuple[int, tuple[Edge, ...]]] = {}
 
     @property
@@ -164,17 +162,14 @@ class ArenaGenerator(Arena):
         return self.root
 
     def _lookup(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
-        if self._cache_enabled:
-            hit = self._cache.get(v)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(v)
+        if hit is not None:
+            return hit
         owner, es = self.expand(v)
         es = tuple(sorted(es, key=_edge_sort_key))
         if not es:
             raise ValueError("generator produced blocking vertex %s" % v)
-        result = (owner, es)
-        if self._cache_enabled:
-            self._cache[v] = result
+        result = self._cache[v] = (owner, es)
         return result
 
     def owner(self, v: VertexId) -> int:

@@ -17,15 +17,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import zoo
-from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, validate
+from .arena import Arena, ArenaExplicit, Edge, VertexId, validate
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
 from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy
 from .synthesis import (ProfileCapExceeded, SynthReport, WPrimeOracle, bubble_synthesize,
                         finite_mp_oracle, finite_wprime_oracle, sc1bit_synthesize)
-from .adversaries import (DefeatResult, NoCliqueFound, defeat_fm_match,
-                          defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary)
+from .adversaries import (NoCliqueFound, defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3,
+                          ramsey_adversary)
 
 OK, FAILED, INCONCLUSIVE = 0, 1, 2
 
@@ -224,8 +224,11 @@ def cmd_defeat(args) -> int:
             result = defeat_sc_buchi(sigma, entry, horizon=args.horizon)
         else:
             return _err("no adversary routine for zoo entry %r" % entry.name)
-    except (TypeError, NoCliqueFound) as exc:
+    except TypeError as exc:
         return _err(str(exc))
+    except NoCliqueFound as exc:  # the window is a cap, not a refutation
+        print("inconclusive: %s" % exc)
+        return INCONCLUSIVE
     if isinstance(result, Inconclusive):
         print("inconclusive: %s" % result.reason)
         return INCONCLUSIVE

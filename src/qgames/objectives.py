@@ -110,7 +110,8 @@ def classify(obj: Objective) -> str:
     """Borel level and memory-sufficiency metadata for the variant."""
     if obj.kind == BUCHI_ALL:
         return "Pi02; step-counter sufficient, finite memory insufficient"
-    key = (obj.kind, obj.mode, obj.relation, _threshold_class(obj.threshold))
+    thr = obj.threshold
+    key = (obj.kind, obj.mode, obj.relation, format_ext(thr) if isinstance(thr, float) else "fin")
     table = {
         (MP, "liminf", ">", "fin"): "Sigma02; memoryless sufficient (prior work)",
         (TP, "liminf", ">", "-inf"): "Sigma02; memoryless sufficient (prior work)",
@@ -125,14 +126,6 @@ def classify(obj: Objective) -> str:
         (TP, "liminf", ">=", "fin"): "step counter plus finite memory insufficient",
     }
     return table.get(key, "unclassified variant")
-
-
-def _threshold_class(thr: ExtValue) -> str:
-    if thr == POS_INF:
-        return "+inf"
-    if thr == NEG_INF:
-        return "-inf"
-    return "fin"
 
 
 # ---------------------------------------------------------------------------

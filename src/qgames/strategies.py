@@ -13,11 +13,10 @@ memory), and scripted callbacks over the full history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, History, MealyMemory, VertexId, Weight
+from .arena import Arena, Edge, History, MealyMemory, VertexId
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -144,14 +143,13 @@ class StepCounterTable(Strategy):
 class StepCounterPlusK(Strategy):
     """Decisions from (vertex, step, mode) with a finite mode update.
 
-    ``bit_update`` maps ((step, mode), edge) to the next mode; missing
-    entries keep the mode unchanged (dict form) so partial tables degrade
-    gracefully past the horizon.
+    ``bit_update`` maps (step, mode, edge) to the next mode; missing
+    entries keep the mode unchanged so partial tables degrade gracefully
+    past the horizon.
     """
 
     def __init__(self, k: int, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
-                 bit_update: Union[dict[tuple[int, int, Edge], int],
-                                   Callable[[tuple[int, int], Edge], int]],
+                 bit_update: dict[tuple[int, int, Edge], int],
                  fallback: str = FIRST_EDGE, player: int = 1, name: str = "sc+k"):
         self.k = k
         self.table = dict(table)
@@ -162,8 +160,6 @@ class StepCounterPlusK(Strategy):
         self.name = name
 
     def _update_mode(self, sm: tuple[int, int], edge: Edge) -> int:
-        if callable(self.bit_update):
-            return self.bit_update(sm, edge)
         return self.bit_update.get((sm[0], sm[1], edge), sm[1])
 
     def initial_state(self):
@@ -338,28 +334,26 @@ def serialize_strategy(strategy: Strategy) -> str:
         lines.append("strategy %s kind=memoryless player=%d" % (strategy.name, strategy.player))
         for v in sorted(strategy.table):
             e = strategy.table[v]
-            lines.append("move %s -> %s weight=%s" % (v, e.dst, _fmt_w(e.weight)))
+            lines.append("move %s -> %s weight=%s" % (v, e.dst, e.weight))
     elif isinstance(strategy, StepCounterTable):
         lines.append("strategy %s kind=sc horizon=%d fallback=%s player=%d"
                      % (strategy.name, strategy.horizon, strategy.fallback, strategy.player))
         for (v, s) in sorted(strategy.table, key=lambda key: (key[1], key[0])):
             e = strategy.table[(v, s)]
-            lines.append("move %s step=%d -> %s weight=%s" % (v, s, e.dst, _fmt_w(e.weight)))
+            lines.append("move %s step=%d -> %s weight=%s" % (v, s, e.dst, e.weight))
     elif isinstance(strategy, StepCounterPlusK):
-        if callable(strategy.bit_update):
-            raise ValueError("callable bit update is not serializable")
         lines.append("strategy %s kind=sc+k states=%d horizon=%d fallback=%s player=%d"
                      % (strategy.name, strategy.k, strategy.horizon, strategy.fallback,
                         strategy.player))
         for (v, s, m) in sorted(strategy.table, key=lambda key: (key[1], key[2], key[0])):
             e = strategy.table[(v, s, m)]
             lines.append("move %s state=%d step=%d -> %s weight=%s"
-                         % (v, m, s, e.dst, _fmt_w(e.weight)))
+                         % (v, m, s, e.dst, e.weight))
         for (s, m, e) in sorted(strategy.bit_update,
                                 key=lambda key: (key[0], key[1], key[2].src, key[2].dst, key[2].weight)):
             nm = strategy.bit_update[(s, m, e)]
             lines.append("bitupd state=%d step=%d edge=%s->%s weight=%s -> %d"
-                         % (m, s, e.src, e.dst, _fmt_w(e.weight), nm))
+                         % (m, s, e.src, e.dst, e.weight, nm))
     elif isinstance(strategy, FiniteMemory):
         if callable(strategy.table):
             raise ValueError("callable-backed strategy is not serializable")
@@ -367,14 +361,10 @@ def serialize_strategy(strategy: Strategy) -> str:
                      % (strategy.name, len(strategy.mealy.states), strategy.player))
         for (v, m) in sorted(strategy.table, key=lambda key: (key[1], key[0])):
             e = strategy.table[(v, m)]
-            lines.append("move %s state=%d -> %s weight=%s" % (v, m, e.dst, _fmt_w(e.weight)))
+            lines.append("move %s state=%d -> %s weight=%s" % (v, m, e.dst, e.weight))
     else:
         raise ValueError("strategy kind %s is not serializable" % type(strategy).__name__)
     return "\n".join(lines) + "\n"
-
-
-def _fmt_w(w: Weight) -> str:
-    return str(w)
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -411,7 +401,7 @@ def parse_strategy(text: str) -> Strategy:
             table[v] = edge
         return Memoryless(table, player=player, name=name)
     if kind == "sc":
-        horizon = int(attrs["horizon"])
+        horizon = _header_int(attrs, kind, "horizon")
         table = {}
         for v, state, step, edge in moves:
             if step is None:
@@ -419,8 +409,8 @@ def parse_strategy(text: str) -> Strategy:
             table[(v, step)] = edge
         return StepCounterTable(table, horizon, fallback, player=player, name=name)
     if kind == "sc+k":
-        k = int(attrs["states"])
-        horizon = int(attrs["horizon"])
+        k = _header_int(attrs, kind, "states")
+        horizon = _header_int(attrs, kind, "horizon")
         table = {}
         for v, state, step, edge in moves:
             if step is None or state is None:
@@ -433,19 +423,38 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError("unknown strategy kind %r" % kind)
 
 
+def _header_int(attrs: dict, kind: str, key: str) -> int:
+    if key not in attrs:
+        raise ValueError("%s strategy header needs %s=" % (kind, key))
+    return int(attrs[key])
+
+
+def _attributes(words: list[str], readers: Optional[dict] = None, directive: str = "") -> dict:
+    """The ``key=value`` words of a line, left to right.  With ``readers``
+    only their keys are allowed and each value goes through its reader;
+    without, any key is kept as text but every word needs an ``=``.  A
+    repeated key keeps its last value."""
+    attrs = {}
+    for word in words:
+        key, eq, val = word.partition("=")
+        if readers is None:
+            if not eq:
+                raise ValueError("malformed attribute %r" % word)
+            attrs[key] = val
+        elif key in readers:
+            attrs[key] = readers[key](val)
+        else:
+            raise ValueError("unknown %s attribute %r" % (directive, key))
+    return attrs
+
+
 def _parse_header(parts: list[str]):
     if len(parts) < 3:
         raise ValueError("strategy header needs a name and kind=")
-    name = parts[1]
-    attrs = {}
-    for part in parts[2:]:
-        if "=" not in part:
-            raise ValueError("malformed attribute %r" % part)
-        key, _, val = part.partition("=")
-        attrs[key] = val
+    attrs = _attributes(parts[2:])
     if "kind" not in attrs:
         raise ValueError("strategy header needs kind=")
-    return name, attrs.pop("kind"), attrs
+    return parts[1], attrs.pop("kind"), attrs
 
 
 def _parse_move(parts: list[str]):
@@ -455,21 +464,18 @@ def _parse_move(parts: list[str]):
     except ValueError:
         raise ValueError("move line without ->")
     v = VertexId.parse(parts[1])
-    state = step = None
-    for part in parts[2:arrow]:
-        key, _, val = part.partition("=")
-        if key == "state":
-            state = int(val)
-        elif key == "step":
-            step = int(val)
-        else:
-            raise ValueError("unknown move attribute %r" % key)
+    attrs = _attributes(parts[2:arrow], {"state": int, "step": int}, "move")
     rest = parts[arrow + 1:]
     if len(rest) != 2 or not rest[1].startswith("weight="):
         raise ValueError("move line needs '-> <to> weight=<w>'")
     dst = VertexId.parse(rest[0])
     weight = Fraction(rest[1][len("weight="):])
-    return v, state, step, Edge(v, weight, dst)
+    return v, attrs.get("state"), attrs.get("step"), Edge(v, weight, dst)
+
+
+def _edge_ends(text: str) -> tuple[VertexId, VertexId]:
+    src, _, dst = text.partition("->")
+    return VertexId.parse(src), VertexId.parse(dst)
 
 
 def _parse_bitupd(parts: list[str]):
@@ -478,23 +484,11 @@ def _parse_bitupd(parts: list[str]):
         arrow = len(parts) - 1 - parts[::-1].index("->")
     except ValueError:
         raise ValueError("bitupd line without ->")
-    state = step = None
-    src = dst = None
-    weight = None
-    for part in parts[1:arrow]:
-        key, _, val = part.partition("=")
-        if key == "state":
-            state = int(val)
-        elif key == "step":
-            step = int(val)
-        elif key == "edge":
-            s, _, d = val.partition("->")
-            src, dst = VertexId.parse(s), VertexId.parse(d)
-        elif key == "weight":
-            weight = Fraction(val)
-        else:
-            raise ValueError("unknown bitupd attribute %r" % key)
-    if None in (state, step, src, dst, weight):
+    attrs = _attributes(parts[1:arrow], {"state": int, "step": int, "edge": _edge_ends,
+                                         "weight": Fraction}, "bitupd")
+    if len(attrs) < 4:
         raise ValueError("bitupd needs state=, step=, edge= and weight=")
-    nm = int(parts[arrow + 1])
-    return state, step, Edge(src, weight, dst), nm
+    if arrow + 1 == len(parts):
+        raise ValueError("bitupd line needs a target mode after ->")
+    src, dst = attrs["edge"]
+    return attrs["state"], attrs["step"], Edge(src, attrs["weight"], dst), int(parts[arrow + 1])

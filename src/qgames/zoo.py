@@ -97,8 +97,7 @@ def _make_a1(b: int = 8, repeated: bool = False) -> ZooEntry:
             "tops out at some bound and loses to -bound-1. Truncated to "
             "challenges 1..%d." % b)
     return ZooEntry(name, {"b": b}, arena, s, note,
-                    strategies={"match_plus_one": Scripted("match_plus_one", match_plus_one)},
-                    extras={"sink": None if repeated else q, "truncation": b})
+                    strategies={"match_plus_one": Scripted("match_plus_one", match_plus_one)})
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +128,7 @@ def _make_a2() -> ZooEntry:
                 break
         if challenge is None:
             challenge = k  # suffix start inside the chain: exit now
-        climb, exit_edge = None, None
-        for e in ar.edges(v):
-            if e.dst.name == "b":
-                climb = e
-            else:
-                exit_edge = e
-        return exit_edge if k >= challenge + 1 else climb
+        return _edge_to(ar, v, "a" if k >= challenge + 1 else "b")
 
     note = ("acyclic, finitely branching round game: the opponent climbs j "
             "unit steps then drops 2j, the responder descends k unit steps "
@@ -143,27 +136,16 @@ def _make_a2() -> ZooEntry:
             "running mean is positive at every round boundary.")
     return ZooEntry("a2", {}, arena, start, note,
                     strategies={"match_plus_one": Scripted("match_plus_one", match_plus_one)},
-                    strategy_factories={"p2_pick_": _a2_p2_factory(arena)})
+                    strategy_factories={"p2_pick_": _a2_p2_pick})
 
 
-def _a2_p2_factory(arena: Arena):
-    def factory(j: int) -> Strategy:
-        def fn(ar: Arena, h: History) -> Edge:
-            v = h.to_vertex
-            if v.name != "a":
-                return _first_edge(ar, v)
-            jj = v.params[1]
-            climb, dive = None, None
-            for e in ar.edges(v):
-                if e.dst.name == "a":
-                    climb = e
-                else:
-                    dive = e
-            return climb if jj < j else dive
+def _a2_p2_pick(j: int) -> Strategy:
+    def choose(ar: Arena, v: VertexId) -> Edge:
+        if v.name != "a":
+            return _first_edge(ar, v)
+        return _edge_to(ar, v, "a" if v.params[1] < j else "b")
 
-        return Scripted("p2_pick_%d" % j, fn, player=2)
-
-    return factory
+    return Memoryless(choose, player=2, name="p2_pick_%d" % j)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +185,7 @@ def _make_a3() -> ZooEntry:
             "each vertex is pinned to one step and can be entered against.")
     entry = ZooEntry("a3", {}, arena, start, note,
                      strategies={"delay_twice_exit": delay_twice_exit_fm("e")},
-                     strategy_factories={"p2_enter_": _descend_at_factory(arena)})
+                     strategy_factories={"p2_enter_": _a3_p2_enter})
     return entry
 
 
@@ -227,24 +209,17 @@ def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
                         name="delay_twice_exit")
 
 
-def _descend_at_factory(arena: Arena):
-    def factory(i: int) -> Strategy:
-        def fn(ar: Arena, h: History) -> Edge:
-            v = h.to_vertex
-            if v.name != "s":
-                return _first_edge(ar, v)
-            (j,) = v.params
-            advance, descend = None, None
-            for e in ar.edges(v):
-                if e.dst.name == "s":
-                    advance = e
-                else:
-                    descend = e
-            return advance if j < i else descend
+def _a3_p2_enter(i: int) -> Strategy:
+    def choose(ar: Arena, v: VertexId) -> Edge:
+        if v.name != "s":
+            return _first_edge(ar, v)
+        advance = _edge_to(ar, v, "s")
+        if v.params[0] < i:
+            return advance
+        # the descent goes to t(0) or d(i, 1): the edge that does not advance
+        return next(e for e in ar.edges(v) if e != advance)
 
-        return Scripted("p2_enter_%d" % i, fn, player=2)
-
-    return factory
+    return Memoryless(choose, player=2, name="p2_enter_%d" % i)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +309,8 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
                     },
                     strategy_factories={
                         "sigma_": sigma_k_factory,
-                        "p2_enter_": _a4_router_simple_factory(),
-                    },
-                    extras={"router": a4_router})
+                        "p2_enter_": lambda i: a4_router(i, [1]),
+                    })
 
 
 def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
@@ -362,23 +336,11 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
         if v.name == "g":
             i, j = v.params
             target = gap_at(delays - 1)  # current stretch began at the latest delay
-            if j < target:
-                return _edge_to(ar, v, "g")
-            for e in ar.edges(v):
-                if e.dst.name != "g":
-                    return e
-            raise AssertionError
+            return _edge_to(ar, v, "g" if j < target else "dr")
         return _first_edge(ar, v)
 
     return Tracking("router_%d_%s" % (entry, "-".join(map(str, gaps))), 0, _count_delay,
                     decide, player=2)
-
-
-def _a4_router_simple_factory():
-    def factory(entry: int) -> Strategy:
-        return a4_router(entry, [1])
-
-    return factory
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +440,14 @@ def bitarena_winning_from(vertex: VertexId, r: Fraction) -> Strategy:
     opposite of the opponent's move each full round, stay level on a
     partial first round."""
 
-    def fn(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def decide(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
         if v.name != "u":
             return _first_edge(ar, v)
-        last = h.edges[-1] if h.edges else None
-        if last is not None and last.src.name == "vc":
-            return _edge_to(ar, v, "uz")
         if last is not None and last.src.name == "vz":
             return _edge_to(ar, v, "uc")
         return _edge_to(ar, v, "uz")
 
-    return Scripted("opposite_from_%s" % vertex, fn)
+    return Tracking("opposite_from_%s" % vertex, None, lambda last, e: e, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +515,14 @@ def _make_buchib(b: int = 6) -> ZooEntry:
         last = h.edges[-1] if h.edges else None
         if last is not None and last.src == v and last.dst == v:
             return _edge_to(ar, v, "u")  # colour 0 after the colour-1 loop
-        for e in ar.edges(v):
-            if e.dst == v:
-                return e
-        raise AssertionError
+        return _edge_to(ar, v, "v")
 
     note = ("two colours: a colour-1 self-loop at the decision vertex and a "
             "colour-0 exit into opponent-chosen colour-0 padding of length "
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
     return ZooEntry("buchib", {"b": b}, arena, start, note,
-                    strategies={"alternating": Scripted("alternating", alternating)},
-                    extras={"truncation": b})
+                    strategies={"alternating": Scripted("alternating", alternating)})
 
 
 # ---------------------------------------------------------------------------

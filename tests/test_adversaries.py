@@ -5,10 +5,10 @@ import pytest
 from qgames.adversaries import (AdversaryPlan, DefeatResult, NoCliqueFound,
                                 defeat_fm_match, defeat_sc_buchi,
                                 defeat_sc_on_A3, ramsey_adversary)
-from qgames.arena import MealyMemory, VertexId
+from qgames.arena import Edge, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
-from qgames.strategies import FiniteMemory, Memoryless, Scripted
+from qgames.strategies import FiniteMemory, Memoryless, Scripted, StepCounterTable
 from qgames.zoo import make
 
 F = Fraction
@@ -91,6 +91,65 @@ def test_defeat_fm_match_on_a2():
     ctx = {"arena": entry.arena, "v0": entry.start,
            "sigma1": sigma, "sigma2": result.p2}
     assert check_certificate(result.certificate, ctx).ok
+
+
+def _descend_forever(states):
+    """A responder on a2 that never leaves the descending chain, with a
+    memory stepping through ``states`` states on every edge."""
+    def decide(ar, v, m):
+        if v.name == "b":
+            return next(e for e in ar.edges(v) if e.dst.name == "b")
+        return ar.edges(v)[0]
+
+    mealy = MealyMemory(tuple(range(states)), 0, lambda m, e: (m + 1) % states)
+    return FiniteMemory(mealy, decide, name="descend_forever")
+
+
+@pytest.mark.parametrize("states", [1, 2])
+def test_defeat_fm_match_certifies_an_endless_descent_on_a2(states):
+    # every probed challenge is answered by descending past the cap, so the
+    # opponent dives at once and the rounds are taken along the descent,
+    # between boundaries that share the responder's memory state
+    entry = make("a2")
+    sigma = _descend_forever(states)
+    result = defeat_fm_match(sigma, entry)
+    assert result.notes == ["responder never exits the descending chain"]
+    assert not result.partial
+    cert = result.certificate
+    assert isinstance(cert, Divergence) and cert.mode == "decrease"
+    assert cert.round_starts[:3] == [2, 2 + states, 2 + 2 * states]
+    assert [e.dst for e in result.record.edges[:2]] == [V("a", (0, 1)), V("b", (0, 0))]
+    ctx = {"arena": entry.arena, "v0": entry.start,
+           "sigma1": sigma, "sigma2": result.p2}
+    assert check_certificate(cert, ctx).ok
+
+
+def _exit_every_third_step(horizon=1000):
+    """A step-counter table on buchib exiting the decision vertex at steps
+    1, 4, 7, ... and looping there at every other step."""
+    v, u = V("v", ()), V("u", ())
+    table = {(v, s): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v)
+             for s in range(horizon)}
+    return StepCounterTable(table, horizon, name="exit_every_third_step")
+
+
+@pytest.mark.parametrize("horizon", [60, 200, 600])
+def test_defeat_sc_buchi_pads_two_steps_into_every_third_step_exit(horizon):
+    # at 60 and 600 the last arrival before the horizon must be padded
+    # into an exit step past it, or the certificate's replay sees the loop
+    entry = make("buchib", b=6)
+    sigma = _exit_every_third_step()
+    result = defeat_sc_buchi(sigma, entry, horizon=horizon)
+    assert isinstance(result, DefeatResult)
+    assert result.notes == ["every arrival hits an exit step"]
+    # the exit at step 1 reaches u at step 2, so the padding takes two steps
+    assert [e.dst for e in result.record.edges[1:5]] == \
+        [V("u", ()), V("w", (2, 1)), V("v", ()), V("u", ())]
+    cert = result.certificate
+    assert isinstance(cert, ColourStarvation) and cert.colour == F(1)
+    ctx = {"arena": entry.arena, "v0": entry.start,
+           "sigma1": sigma, "sigma2": result.p2}
+    assert check_certificate(cert, ctx).ok
 
 
 def _exit_from(index):

@@ -87,7 +87,7 @@ def test_validate_generator_nondeterminism():
         w = F(rng.randint(0, 5))
         return 1, (Edge(v, w, a),)
 
-    gen = ArenaGenerator(a, expand, name="flaky", cache=False)
+    gen = ArenaGenerator(a, expand, name="flaky")
     report = validate(gen, a, depth=4)
     assert not report.ok
     assert any("nondeterministic" in msg for msg in report.violations)

@@ -4,8 +4,10 @@ from pathlib import Path
 import json
 import pytest
 
+from qgames.adversaries import ramsey_adversary
 from qgames.arena import Edge, VertexId
 from qgames.cli import main, parse_arena, serialize_arena, truncate_generator
+from qgames.engine import certificate_from_json, check_certificate
 from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
                                parse_strategy, serialize_strategy)
 from qgames.zoo import make
@@ -143,6 +145,114 @@ def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "player-1 strategy (--p1) and the opponent strategy (--p2)" in err
 
+
+@pytest.fixture(scope="module")
+def defeat_certificates(tmp_path_factory):
+    """The certificate JSON that qg defeat writes for an early exit and a
+    stagnation on a3 and a decrease on a4, each with the context that
+    checks it."""
+    tmp = tmp_path_factory.mktemp("defeat")
+    t2, r0 = V("t", (2,)), V("r0")
+    exit2 = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
+    stay = StepCounterTable({}, 0, FIRST_EDGE, name="stay")  # t(i)'s first edge delays
+    a3, a4 = make("a3"), make("a4")
+    always_delay = a4.strategy("always_delay")
+    runs = {"a3-exit": (a3, exit2, a3.strategy("p2_enter_2")),
+            "a3-stay": (a3, stay, a3.strategy("p2_enter_0")),
+            # qg defeat runs the Ramsey adversary at these window and horizon
+            "a4-delay": (a4, always_delay,
+                         ramsey_adversary(always_delay, a4, window=2000, horizon=2000)[1].p2)}
+    found = {}
+    for label, (entry, sigma, p2) in runs.items():
+        spec = "always_delay" if sigma is always_delay else \
+            _write(tmp, label + ".strategy", serialize_strategy(sigma))
+        cert = tmp / (label + ".json")
+        assert main(["defeat", "--arena", "zoo:" + entry.name, "--strategy", spec,
+                     "--out", str(cert)]) == 0
+        data = json.loads(cert.read_text())
+        context = {"arena": entry.arena, "v0": entry.start, "sigma1": sigma, "sigma2": p2}
+        assert check_certificate(certificate_from_json(cert.read_text()), context).ok
+        found[label] = data, context
+    return found
+
+
+@pytest.mark.parametrize("source, changes, diagnostic", [
+    ("a3-exit", {"variant": "SinkPayoff", "sink": "q"}, "sink mismatch: played r0, claimed q"),
+    ("a3-exit", {"threshold": "-1"}, "final TP -1 is not below the threshold -1"),
+    ("a3-stay", {"variant": "EarlyExitNegative", "final_tp": "-1", "threshold": "0",
+                 "steps": 30}, "play does not reach a sink within 30 steps"),
+    ("a3-stay", {"round_starts": [4, 1]},
+     "round boundaries must be strictly increasing, >= 2 of them"),
+    ("a3-stay", {"round_starts": [1, 4, 203]}, "round boundaries exceed the simulated horizon"),
+    ("a4-delay", {"cycle_from": -1}, "cycle_from out of range"),
+    # step 8 is the first delay vertex after t(2)
+    ("a3-stay", {"round_starts": [1, 4, 8]},
+     "round-start states differ: ('t', '-', '-') vs ('e', '-', '-')"),
+    # step 6 is t(1), and its delay edge gains 1
+    ("a4-delay", {"mode": "stagnation", "ceiling": "-1", "round_starts": [6, 7]},
+     "round at step 6 gains payoff"),
+    ("a4-delay", {"decrease": "2"}, "round at step 6 has payoff -1 > -2"),
+    ("a4-delay", {"elevation": "1"}, "in-round spike 2 exceeds elevation bound 1"),
+    ("a4-delay", {"ceiling": "-3"}, "TP reaches -2 above the ceiling -3"),
+    ("a4-delay", {"mode": "sideways"}, "unknown divergence mode 'sideways'"),
+], ids=["wrong-sink", "exit-not-below", "no-sink", "boundaries-out-of-order",
+        "boundary-past-horizon", "cycle-from-out-of-range", "round-states-differ",
+        "stagnation-round-gains", "round-loses-too-little", "spike-above-elevation",
+        "above-ceiling", "unknown-mode"])
+def test_tampered_defeat_certificates_are_refuted_with_their_diagnostic(
+        defeat_certificates, source, changes, diagnostic):
+    data, context = defeat_certificates[source]
+    tampered = json.loads(json.dumps(data))
+    tampered["variant"] = changes.get("variant", data["variant"])
+    tampered["body"].update((k, v) for k, v in changes.items() if k != "variant")
+    check = check_certificate(certificate_from_json(json.dumps(tampered)), context)
+    assert not check.ok
+    assert check.diagnostics == [diagnostic]
+
+
+def test_cli_defeat_reports_an_exhausted_window_as_inconclusive(capsys):
+    assert main(["defeat", "--arena", "zoo:a4", "--strategy", "always_delay",
+                 "--window", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "inconclusive: no monochromatic index clique of size 3 within window 1; enlarge the "
+        "window (existence is guaranteed only in the infinite limit)\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 ->\n",
+     "line 2: bitupd line needs a target mode after ->"),
+    ("strategy x kind=sc\n", "sc strategy header needs horizon="),
+    ("strategy x kind=sc+k horizon=4\n", "sc+k strategy header needs states="),
+    ("strategy x kind=sc+k states=2\n", "sc+k strategy header needs horizon="),
+], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
+        "sc+k-without-horizon"])
+def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
+    strat = _write(tmp_path, "bad.strategy", text)
+    assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "certificate must be a JSON object"),
+    ('{"schema": "qg-cert/1", "variant": "SinkPayoff", "body": [1]}',
+     "certificate body must be a JSON object"),
+    ('{"schema": "qg-cert/1", "variant": "EarlyExitNegative", '
+     '"body": {"final_tp": "-1", "steps": 5}}',
+     "EarlyExitNegative certificate body lacks 'threshold'"),
+    ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, '
+     '"open_sub": {"m": 1, "i": 0, "colour": null}}}',
+     "KoenigBound certificate body lacks 'family'"),
+], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field"])
+def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, text, message):
+    cert = _write(tmp_path, "bad.json", text)
+    assert main(["verify", "--arena", "zoo:a3", "--cert", cert]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
 
 def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
     path = _write(tmp_path, "pos.txt", POS_ARENA)
