@@ -36,7 +36,7 @@ class VertexId:
     def __str__(self) -> str:
         if not self.params:
             return self.name
-        return "%s(%s)" % (self.name, ",".join(str(p) for p in self.params))
+        return "%s(%s)" % (self.name, ",".join(map(str, self.params)))
 
     @staticmethod
     def parse(text: str) -> "VertexId":
@@ -74,6 +74,11 @@ def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
     return Edge(src, Fraction(weight), dst)
 
 
+def is_sink_row(v: VertexId, es: tuple[Edge, ...]) -> bool:
+    """Whether ``es``, the edges out of ``v``, are one weight-0 self-loop."""
+    return len(es) == 1 and es[0].dst == v and es[0].weight == 0
+
+
 class Arena:
     """Common interface for explicit arenas and lazy generators."""
 
@@ -85,14 +90,17 @@ class Arena:
     def edges(self, v: VertexId) -> tuple[Edge, ...]:
         raise NotImplementedError
 
+    def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
+        """The owner of ``v`` and its edges, from one lookup."""
+        return self.owner(v), self.edges(v)
+
     @property
     def start(self) -> Optional[VertexId]:
         raise NotImplementedError
 
     def is_sink(self, v: VertexId) -> bool:
         """A sink is a vertex whose only edge is a weight-0 self-loop."""
-        es = self.edges(v)
-        return len(es) == 1 and es[0].dst == v and es[0].weight == 0
+        return is_sink_row(v, self.edges(v))
 
 
 class ArenaExplicit(Arena):
@@ -142,8 +150,8 @@ class ArenaGenerator(Arena):
     """Lazily expanded arena.
 
     ``expand`` maps a vertex to its owner and outgoing edge list; it must
-    be pure; the ``expand`` attribute is that uncached function.  ``owner``
-    and ``edges`` memoize it.
+    be pure; the ``expand`` attribute is that uncached function.  ``row``
+    memoizes it, and ``owner`` and ``edges`` read the memoized row.
     """
 
     def __init__(
@@ -161,22 +169,24 @@ class ArenaGenerator(Arena):
     def start(self) -> Optional[VertexId]:
         return self.root
 
-    def _lookup(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
+    def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
         hit = self._cache.get(v)
         if hit is not None:
             return hit
         owner, es = self.expand(v)
-        es = tuple(sorted(es, key=_edge_sort_key))
-        if not es:
+        es = tuple(es)
+        if len(es) > 1:
+            es = tuple(sorted(es, key=_edge_sort_key))
+        elif not es:
             raise ValueError("generator produced blocking vertex %s" % v)
         result = self._cache[v] = (owner, es)
         return result
 
     def owner(self, v: VertexId) -> int:
-        return self._lookup(v)[0]
+        return self.row(v)[0]
 
     def edges(self, v: VertexId) -> tuple[Edge, ...]:
-        return self._lookup(v)[1]
+        return self.row(v)[1]
 
 
 @dataclass(frozen=True)

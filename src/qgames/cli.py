@@ -467,7 +467,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ProfileCapExceeded as exc:
         print("inconclusive: %s" % exc)
         return INCONCLUSIVE
-    except (OSError, ValueError, KeyError, HorizonExceeded) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        return _err(str(exc.args[0]) if exc.args else str(exc))
+    except (OSError, ValueError, HorizonExceeded) as exc:
         return _err(str(exc))
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Hashable, Iterator, Optional, Union
 
-from .arena import Arena, Edge, History, VertexId, Weight, node_cap_from_env
+from .arena import (Arena, Edge, History, VertexId, Weight, is_sink_row,
+                    node_cap_from_env)
 from .objectives import OpenSub
 from .strategies import FiniteMemory, Memoryless, Strategy
 
@@ -56,11 +58,21 @@ class PlayRecord:
         return self.tp_trace[step - 1]
 
     def to_csv(self) -> str:
+        """One row per step.  ``mp`` is the exact tp/(step+1), found without
+        a Fraction division: with tp = n/d in lowest terms and
+        g = gcd(n, step+1), (n/g) / (d*(step+1)/g) is in lowest terms."""
         lines = ["step,from,to,weight,tp,mp,mem1,mem2"]
-        for j, e in enumerate(self.edges):
+        src = str(self.origin)  # each row starts where the previous one ended
+        for j, (e, tp, m1, m2) in enumerate(zip(self.edges, self.tp_trace,
+                                                self.mem1_trace, self.mem2_trace)):
+            dst = str(e.dst)
+            n = tp.numerator
+            g = gcd(n, j + 1)
+            den = tp.denominator * ((j + 1) // g)
+            mp = "%d" % (n // g) if den == 1 else "%d/%d" % (n // g, den)
             lines.append("%d,%s,%s,%s,%s,%s,%s,%s" % (
-                j, e.src, e.dst, e.weight, self.tp_trace[j], self.tp_trace[j] / (j + 1),
-                _fmt_mem(self.mem1_trace[j]), _fmt_mem(self.mem2_trace[j])))
+                j, src, dst, e.weight, tp, mp, _fmt_mem(m1), _fmt_mem(m2)))
+            src = dst
         return "\n".join(lines) + "\n"
 
 
@@ -77,6 +89,7 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     if sigma1.player != 1 or sigma2.player != 2:
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
     state1, state2 = sigma1.initial_state(), sigma2.initial_state()
+    trace1, trace2 = sigma1.traces_state, sigma2.traces_state
     edges: list[Edge] = []
     tp_trace: list[Fraction] = []
     mem1: list[object] = []
@@ -85,15 +98,15 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     tp = Fraction(0)
     termination = "horizon"
     for step in range(horizon):
-        if arena.is_sink(at):
+        owner, out = arena.row(at)
+        if is_sink_row(at, out):
             termination = "sink"
             break
-        owner = arena.owner(at)
         if owner == 1:
             edge = sigma1.choose(arena, at, step, state1)
         else:
             edge = sigma2.choose(arena, at, step, state2)
-        if edge.src != at or edge not in arena.edges(at):
+        if edge.src != at or edge not in out:
             raise ValueError("strategy for player %d returned a non-edge %s at %s"
                              % (owner, edge, at))
         state1 = sigma1.step_state(state1, edge)
@@ -101,8 +114,8 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
         edges.append(edge)
         tp += edge.weight
         tp_trace.append(tp)
-        mem1.append(state1 if sigma1.traces_state else None)
-        mem2.append(state2 if sigma2.traces_state else None)
+        mem1.append(state1 if trace1 else None)
+        mem2.append(state2 if trace2 else None)
         at = edge.dst
     if termination != "sink" and arena.is_sink(at):
         termination = "sink"

@@ -419,7 +419,7 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
         def expand(v: VertexId):
             if v == pre:
                 return 2, (Edge(pre, debt, start),)
-            return arena.owner(v), arena.edges(v)
+            return arena.row(v)
 
         out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
     note_parts.append("prepended a weight %s edge before %s" % (debt, start))
@@ -434,7 +434,8 @@ def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) 
                              start, name=arena.name + "+mapw")
 
     def expand(v: VertexId):
-        return arena.owner(v), tuple(Edge(e.src, fn(e.weight), e.dst) for e in arena.edges(v))
+        owner, es = arena.row(v)
+        return owner, tuple(Edge(e.src, fn(e.weight), e.dst) for e in es)
 
     return ArenaGenerator(start, expand, name=arena.name + "+mapw")
 

@@ -17,8 +17,13 @@ from .arena import (Arena, ArenaGenerator, Edge, History, MealyMemory,
 from .strategies import FiniteMemory, Memoryless, Scripted, Strategy, Tracking
 
 
+# the constant weights of the zoo's expansions, built once
+_SMALL = {w: Fraction(w) for w in range(-2, 3)}
+
+
 def E(src: VertexId, w, dst: VertexId) -> Edge:
-    return Edge(src, Fraction(w), dst)
+    weight = _SMALL.get(w)  # None test: Fraction(0) is falsy
+    return Edge(src, Fraction(w) if weight is None else weight, dst)
 
 
 @dataclass
@@ -44,8 +49,8 @@ class ZooEntry:
                 except ValueError:
                     continue
                 return factory(arg)
-        raise KeyError("entry %s has no strategy %r (have: %s)"
-                       % (self.name, name, ", ".join(sorted(self.strategies))))
+        have = sorted(self.strategies) + ["%s<int>" % p for p in sorted(self.strategy_factories)]
+        raise KeyError("entry %s has no strategy %r (have: %s)" % (self.name, name, ", ".join(have)))
 
 
 def _first_edge(arena: Arena, v: VertexId) -> Edge:

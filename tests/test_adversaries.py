@@ -234,6 +234,21 @@ def test_ramsey_defeats_delay_twice_exit():
     assert check_certificate(cert, ctx).ok
 
 
+def test_ramsey_defeats_delay_twice_exit_on_the_guarded_arena():
+    # the guard edge adds +1 to every play, so the exit lands one above
+    # a4's total; any negative total still defeats the strategy
+    entry = make("a4guarded")
+    sigma = entry.strategy("delay_twice_exit")
+    plan, result = ramsey_adversary(sigma, entry)
+    cert = result.certificate
+    assert isinstance(cert, EarlyExitNegative)
+    assert (plan.entry, cert.final_tp, cert.steps) == (3, F(-1), 26)
+    assert result.notes == ["exited after 2 delays from entry 3"]
+    ctx = {"arena": entry.arena, "v0": entry.start,
+           "sigma1": sigma, "sigma2": result.p2}
+    assert check_certificate(cert, ctx).ok
+
+
 def test_ramsey_guards_and_no_clique():
     entry = make("a4")
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import hashlib
 import json
 import pytest
 
@@ -89,6 +90,61 @@ def test_cli_simulate_deterministic_csv(tmp_path):
     assert data == open(out2).read()
     assert data.splitlines()[0] == "step,from,to,weight,tp,mp,mem1,mem2"
     assert len(data.splitlines()) == 21
+
+
+# sha256 of qg simulate's CSV on zoo arenas, fixed before the play loop and
+# the CSV writer were reworked
+@pytest.mark.parametrize("arena, p1, p2, horizon, digest", [
+    ("zoo:a4", "sigma_100000", "p2_enter_1", 4000,
+     "f2464833f423081252f61b9191abb8e14b3f4c78127c4cd1d121df5db3d6dbcf"),
+    ("zoo:a4", "always_delay", "p2_enter_1", 4000,
+     "4928835b4a09ca3dbd59ea5e2057fe875a6adc1c6808bff7be1a352edcb413cf"),
+    ("zoo:bitarena", "opposite", "allzero", 200,
+     "8269bdf86e8379742663cf6cf1ed91654e8a6a89dd952173b13e92e8b1811c97"),
+], ids=["a4-sigma", "a4-always-delay", "bitarena-opposite"])
+def test_cli_simulate_matches_the_golden_digests(tmp_path, arena, p1, p2, horizon, digest):
+    out = tmp_path / "play.csv"
+    assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2,
+                 "--horizon", str(horizon), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# qg simulate on an explicit arena with fractional weights, a zero total and
+# negative totals, against a traced sc+k player 1, byte for byte
+GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate"
+
+
+def test_cli_simulate_matches_the_golden_csv(capsysbinary):
+    assert main(["simulate", "--arena", str(GOLDEN_SIMULATE / "arena.txt"),
+                 "--p1", str(GOLDEN_SIMULATE / "p1.strategy"),
+                 "--p2", str(GOLDEN_SIMULATE / "p2.strategy"), "--horizon", "16"]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == (GOLDEN_SIMULATE / "expected.csv").read_bytes()
+    assert captured.err == b""
+
+
+@pytest.mark.parametrize("arena, name, have", [
+    ("a3", "p2_enter", "delay_twice_exit, p2_enter_<int>"),
+    ("nonuniform", "exit_at", "exit_at_<int>"),
+], ids=["a3", "nonuniform"])
+def test_cli_names_the_strategies_and_factories_of_an_unknown_name(capsys, arena, name, have):
+    assert main(["simulate", "--arena", "zoo:" + arena, "--p1", name, "--p2", name,
+                 "--horizon", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: entry %s has no strategy %r (have: %s)\n" % (arena, name, have)
+    assert captured.out == ""
+
+
+def test_cli_defeat_accepts_the_guarded_a4_exit(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["defeat", "--arena", "zoo:a4guarded", "--strategy", "delay_twice_exit",
+                 "--out", str(cert)]) == 0
+    assert capsys.readouterr().out == (
+        "plan: enter 3, route [3, 5, 7, 9, 11]\n"
+        "note: exited after 2 delays from entry 3\n"
+        "certificate written to %s\n"
+        "defeat: certificate accepted\n" % cert)
+    assert json.loads(cert.read_text())["body"]["final_tp"] == "-1"
 
 
 def test_cli_defeat_verify_cycle(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,29 @@ def test_play_records_traces_and_csv():
     csv = record.to_csv()
     assert csv.splitlines()[0] == "step,from,to,weight,tp,mp,mem1,mem2"
     assert len(csv.splitlines()) == 6
+
+
+def test_csv_mp_column_is_the_exact_mean_payoff():
+    # seeded random explicit arenas with weights k/6 and random positional
+    # players: every mp field is str(tp / (step + 1)), a zero total included
+    rng = random.Random(11)
+    zeros = 0
+    for _ in range(150):
+        vs = [V("n", (i,)) for i in range(rng.randint(2, 6))]
+        owners = {v: rng.choice((1, 2)) for v in vs}
+        arena = ArenaExplicit(owners, [E(v, F(rng.randint(-12, 12), 6), rng.choice(vs))
+                                       for v in vs for _ in range(rng.randint(1, 3))], vs[0])
+        pick = {v: rng.choice(arena.edges(v)) for v in vs}
+        p1 = Memoryless({v: e for v, e in pick.items() if owners[v] == 1})
+        p2 = Memoryless({v: e for v, e in pick.items() if owners[v] == 2}, player=2)
+        record = play(arena, vs[0], p1, p2, 40)
+        rows = [line.split(",") for line in record.to_csv().splitlines()[1:]]
+        assert len(rows) == len(record.edges)
+        for step, (row, tp) in enumerate(zip(rows, record.tp_trace)):
+            assert row[4] == str(tp)
+            assert row[5] == str(tp / (step + 1))
+            zeros += tp == 0
+    assert zeros > 0
 
 
 def test_play_stops_at_sink():
