@@ -17,9 +17,8 @@ from typing import Callable, Optional, Union
 from .arena import Arena, Edge, VertexId, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
-from .strategies import (FiniteMemory, Memoryless, Scripted, StepCounterTable,
-                         Strategy, Tracking)
-from .zoo import ZooEntry, a4_router, _edge_to, _first_edge
+from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
+from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight, _first_edge
 
 
 @dataclass
@@ -106,13 +105,6 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
               if record.vertex_at(step) == s]
     return _finish_decrease(p2, record, starts, partial=bool(capped),
                             notes=(["truncation cap bound the response"] if capped else []))
-
-
-def _edge_to_weight(arena: Arena, v: VertexId, weight: Fraction) -> Edge:
-    for e in arena.edges(v):
-        if e.weight == weight:
-            return e
-    raise AssertionError("no edge of weight %s at %s" % (weight, v))
 
 
 def _finish_decrease(p2: Strategy, record: PlayRecord, starts: list[int], partial: bool,
@@ -210,13 +202,8 @@ def _certify_endless_descent(sigma: Strategy, p2: Strategy, record: PlayRecord
 
 
 def _require_step_counter(sigma: Strategy, what: str) -> None:
-    if isinstance(sigma, StepCounterTable):
-        return
-    if isinstance(sigma, Scripted) and sigma.step_determined:
-        return
-    raise TypeError("%s needs a step-counter strategy (table or step-determined "
-                    "script); %s decisions can differ across same-step histories"
-                    % (what, type(sigma).__name__))
+    if not isinstance(sigma, StepCounterTable):
+        raise TypeError("%s needs a step-counter table, got %s" % (what, type(sigma).__name__))
 
 
 def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Union[DefeatResult, Inconclusive]:

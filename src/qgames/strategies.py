@@ -4,11 +4,11 @@ A strategy for one player is a pure function from histories ending in
 that player's vertices to outgoing edges.  Every representation is
 incremental: ``initial_state`` and ``step_state`` fold the history into
 a state one edge at a time, and ``choose`` decides from (vertex, step,
-state), so a play folds each edge into each state once.  Six
+state), so a play folds each edge into each state once.  Five
 representations are supported: memoryless tables, finite-memory (Mealy)
-tables, step-counter tables, step-counter-plus-K-states tables, tracked
-callbacks over an unbounded running summary (a counter, an opponent's
-memory), and scripted callbacks over the full history.
+tables, step-counter tables, step-counter-plus-K-states tables, and
+tracked callbacks over an unbounded running summary (a counter, the last
+edge, an opponent's memory).
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ class Tracking(Strategy):
 
     ``update`` folds the summary forward one edge at a time from
     ``initial``; ``decide(arena, vertex, summary)`` picks the move.  The
-    summary may grow without bound (a delay counter, an opponent's memory
-    state), so plays do not trace it and exploration never merges on it.
+    summary may grow without bound (a delay counter, the last edge, an
+    opponent's memory state), so plays do not trace it and exploration
+    never merges on it.
     """
 
     traces_state = False
@@ -208,56 +209,6 @@ class Tracking(Strategy):
 
     def choose(self, arena, vertex, step, state):
         return self.fn(arena, vertex, state)
-
-
-class Scripted(Strategy):
-    """Named deterministic callback over full histories.
-
-    Its state is the history so far as a parent-pointer chain of
-    ``(parent, edge)`` pairs (``None`` before the first edge), extended in
-    O(1) per edge.  A decision builds the History from the one the
-    previous decision built when it lies on the chain, so a play checks
-    each edge once and holds one History at a time.
-    """
-
-    traces_state = False
-
-    def __init__(self, name: str, fn: Callable[[Arena, History], Edge], player: int = 1,
-                 step_determined: bool = False):
-        self.name = name
-        self.fn = fn
-        self.player = player
-        # True when decisions provably depend on (vertex, step) only;
-        # lets the engine merge exploration branches.
-        self.step_determined = step_determined
-        self._last: tuple = (None, None)  # (chain, History) of the latest decision
-
-    def step_state(self, state, edge):
-        return (state, edge)
-
-    def choose(self, arena, vertex, step, state):
-        return self.fn(arena, self._history(state, vertex))
-
-    def _history(self, chain, vertex: VertexId) -> History:
-        if chain is None:
-            return History(vertex)
-        last_chain, last = self._last
-        new = []
-        at = chain
-        while at is not None and at is not last_chain:
-            new.append(at[1])
-            at = at[0]
-        base = last if at is not None else History(new[-1].src)
-        new.reverse()
-        history = base.extend(*new)
-        self._last = (chain, history)
-        return history
-
-    def decide(self, arena, history):
-        return self.fn(arena, history)
-
-    def signature(self, step, state):
-        return () if self.step_determined else None
 
 
 # ---------------------------------------------------------------------------

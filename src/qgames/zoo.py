@@ -1,7 +1,8 @@
-"""Parametric arena families with their scripted strategies and regions.
+"""Parametric arena families with their strategies and regions.
 
 Each entry bundles a lazily generated arena, the closed-form strategies
-the analysis of that arena relies on, and (where relevant) a scripted
+the analysis of that arena relies on, each keeping only the summary of
+the history it decides from, and (where relevant) a closed-form
 winning-region predicate.  Entries are addressed by ``zoo:<name>?k=v``
 URIs on the command line.
 """
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arena import (Arena, ArenaGenerator, Edge, History, MealyMemory,
-                    VertexId, P1, P2, V)
-from .strategies import FiniteMemory, Memoryless, Scripted, Strategy, Tracking
+from .arena import Arena, ArenaGenerator, Edge, MealyMemory, VertexId, P1, P2, V
+from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
 
 # the constant weights of the zoo's expansions, built once
@@ -64,6 +64,18 @@ def _edge_to(arena: Arena, v: VertexId, dst_name: str) -> Edge:
     raise KeyError("no edge from %s to a %r vertex" % (v, dst_name))
 
 
+def _edge_to_weight(arena: Arena, v: VertexId, weight) -> Edge:
+    for e in arena.edges(v):
+        if e.weight == weight:
+            return e
+    raise KeyError("no edge of weight %s at %s" % (weight, v))
+
+
+def _last_edge(last: Optional[Edge], e: Edge) -> Edge:
+    """Running summary keeping the latest edge (``None`` before any)."""
+    return e
+
+
 # ---------------------------------------------------------------------------
 # A1 and A1': one-shot and repeated match-the-number games (truncated)
 
@@ -86,23 +98,19 @@ def _make_a1(b: int = 8, repeated: bool = False) -> ZooEntry:
     name = "a1prime" if repeated else "a1"
     arena = ArenaGenerator(s, expand, name=name)
 
-    def match_plus_one(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def match_plus_one(ar: Arena, v: VertexId, last: Edge) -> Edge:
         if v != t:
             return _first_edge(ar, v)
-        challenge = -h.edges[-1].weight  # P2 just played -i
-        reply = min(int(challenge) + 1, b)
-        for e in ar.edges(t):
-            if e.weight == reply:
-                return e
-        raise AssertionError("missing reply edge %d" % reply)
+        challenge = -last.weight  # P2 just played -i
+        return _edge_to_weight(ar, t, min(challenge + 1, b))
 
     note = ("one challenge-response round (repeated when primed): the opponent "
             "owes -i, the responder answers +j; every finite-memory responder "
             "tops out at some bound and loses to -bound-1. Truncated to "
             "challenges 1..%d." % b)
     return ZooEntry(name, {"b": b}, arena, s, note,
-                    strategies={"match_plus_one": Scripted("match_plus_one", match_plus_one)})
+                    strategies={"match_plus_one": Tracking("match_plus_one", None, _last_edge,
+                                                           match_plus_one)})
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +129,16 @@ def _make_a2() -> ZooEntry:
     start = V("a", (0, 0))
     arena = ArenaGenerator(start, expand, name="a2")
 
-    def match_plus_one(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def latest_challenge(j: Optional[int], e: Edge) -> Optional[int]:
+        # P2 descends from a(i, j) to b(i, 0)
+        return e.src.params[1] if e.src.name == "a" and e.dst.name == "b" else j
+
+    def match_plus_one(ar: Arena, v: VertexId, challenge: Optional[int]) -> Edge:
         if v.name != "b":
             return _first_edge(ar, v)
         k = v.params[1]
-        challenge = None
-        for e in reversed(h.edges):
-            if e.dst.name == "b" and e.dst.params[1] == 0 and e.src.name == "a":
-                challenge = e.src.params[1]  # P2 descended from a(i, j)
-                break
         if challenge is None:
-            challenge = k  # suffix start inside the chain: exit now
+            challenge = k - 1  # suffix start inside the chain: exit now
         return _edge_to(ar, v, "a" if k >= challenge + 1 else "b")
 
     note = ("acyclic, finitely branching round game: the opponent climbs j "
@@ -140,7 +146,8 @@ def _make_a2() -> ZooEntry:
             "then regains 2k; answering k = j+1 nets +1 per round, so the "
             "running mean is positive at every round boundary.")
     return ZooEntry("a2", {}, arena, start, note,
-                    strategies={"match_plus_one": Scripted("match_plus_one", match_plus_one)},
+                    strategies={"match_plus_one": Tracking("match_plus_one", None,
+                                                           latest_challenge, match_plus_one)},
                     strategy_factories={"p2_pick_": _a2_p2_pick})
 
 
@@ -377,7 +384,7 @@ def _bit_expand(v: VertexId):
 
 
 def bitarena_wprime(v: VertexId, r: Fraction) -> bool:
-    """Scripted region of (vertex, current sum) pairs the maximizer wins
+    """Closed-form region of (vertex, current sum) pairs the maximizer wins
     the limsup-total-payoff-at-least-0 game from."""
     (i,) = v.params
     if v.name == "v":
@@ -452,7 +459,7 @@ def bitarena_winning_from(vertex: VertexId, r: Fraction) -> Strategy:
             return _edge_to(ar, v, "uc")
         return _edge_to(ar, v, "uz")
 
-    return Tracking("opposite_from_%s" % vertex, None, lambda last, e: e, decide)
+    return Tracking("opposite_from_%s" % vertex, None, _last_edge, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +486,7 @@ def _make_buchia(k: int = 3) -> ZooEntry:
 
     arena = ArenaGenerator(start, expand, name="buchia")
 
-    def round_robin(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def round_robin(ar: Arena, v: VertexId) -> Edge:
         if v.name == "x" and len(ar.edges(v)) > 1:
             return _edge_to(ar, v, "y")
         return _first_edge(ar, v)
@@ -490,8 +496,7 @@ def _make_buchia(k: int = 3) -> ZooEntry:
             "unbounded colour supply no finite-memory walker can keep "
             "reaching new colours; this entry truncates the palette." % k)
     return ZooEntry("buchia", {"k": k}, arena, start, note,
-                    strategies={"round_robin": Scripted("round_robin", round_robin,
-                                                        step_determined=True)})
+                    strategies={"round_robin": Memoryless(round_robin, name="round_robin")})
 
 
 def _make_buchib(b: int = 6) -> ZooEntry:
@@ -513,11 +518,9 @@ def _make_buchib(b: int = 6) -> ZooEntry:
 
     arena = ArenaGenerator(start, expand, name="buchib")
 
-    def alternating(ar: Arena, h: History) -> Edge:
-        v = h.to_vertex
+    def alternating(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
         if v.name != "v":
             return _first_edge(ar, v)
-        last = h.edges[-1] if h.edges else None
         if last is not None and last.src == v and last.dst == v:
             return _edge_to(ar, v, "u")  # colour 0 after the colour-1 loop
         return _edge_to(ar, v, "v")
@@ -527,7 +530,8 @@ def _make_buchib(b: int = 6) -> ZooEntry:
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
     return ZooEntry("buchib", {"b": b}, arena, start, note,
-                    strategies={"alternating": Scripted("alternating", alternating)})
+                    strategies={"alternating": Tracking("alternating", None, _last_edge,
+                                                        alternating)})
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +555,14 @@ def _make_nonuniform(start_index: int = 0) -> ZooEntry:
     arena = ArenaGenerator(start, expand, name="nonuniform")
 
     def exit_at_factory(j: int) -> Strategy:
-        def fn(ar: Arena, h: History) -> Edge:
-            v = h.to_vertex
+        def choose(ar: Arena, v: VertexId) -> Edge:
             if v.name != "ray":
                 return _first_edge(ar, v)
             if v.params[0] >= j:
                 return _edge_to(ar, v, "r0")
             return _edge_to(ar, v, "ray")
 
-        return Scripted("exit_at_%d" % j, fn, step_determined=True)
+        return Memoryless(choose, name="exit_at_%d" % j)
 
     note = ("every start vertex owes its own debt before a shared free ray "
             "whose j-th exit repays +j; each start wins by exiting far "

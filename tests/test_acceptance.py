@@ -21,13 +21,14 @@ from qgames.engine import (Divergence, EarlyExitNegative, check_certificate,
 from qgames.objectives import (Lasso, Objective, OpenSub, eval_on_lasso,
                                lasso_limit, prefix_compare, LE, GE, BOTH,
                                decompose)
-from qgames.strategies import (FIRST_EDGE, FiniteMemory, Memoryless, Scripted,
-                               StepCounterTable)
+from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
 from qgames.synthesis import (brute_force_values, bubble_synthesize,
                               domination_holds, finite_mp_oracle,
                               minimal_history_levels, sc1bit_synthesize,
                               sc_from_strategy, solve_values, WPrimeOracle)
 from qgames.zoo import a4_router, make
+
+from history_scans import scanning
 
 F = Fraction
 V = VertexId
@@ -337,7 +338,7 @@ def test_criterion_08_sc1bit_and_step_counter_defeats():
                 return next(e for e in ar.edges(v) if e.dst.name == want)
             return ar.edges(v)[0]
 
-        p2 = Scripted("mirror", mirror, player=2)
+        p2 = scanning("mirror", mirror, player=2)
         record = play(arena, entry.start, sc, p2, 80)
         starts = [4 * i - 3 for i in range(12, 19)]
         spikes = max(

@@ -8,7 +8,7 @@ from qgames.adversaries import (AdversaryPlan, DefeatResult, NoCliqueFound,
 from qgames.arena import Edge, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
-from qgames.strategies import FiniteMemory, Memoryless, Scripted, StepCounterTable
+from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Tracking
 from qgames.zoo import make
 
 F = Fraction
@@ -77,8 +77,7 @@ def test_defeat_fm_match_truncation_cap_is_partial():
 def test_defeat_fm_match_guards():
     entry = make("a1prime")
     with pytest.raises(TypeError):
-        defeat_fm_match(Scripted("s", lambda ar, h: ar.edges(h.to_vertex)[0]),
-                        entry)
+        defeat_fm_match(entry.strategy("match_plus_one"), entry)
     with pytest.raises(ValueError):
         defeat_fm_match(Memoryless(lambda ar, v: ar.edges(v)[0]), make("a3"))
 
@@ -152,17 +151,21 @@ def test_defeat_sc_buchi_pads_two_steps_into_every_third_step_exit(horizon):
     assert check_certificate(cert, ctx).ok
 
 
-def _exit_from(index):
-    def fn(ar, h):
-        v = h.to_vertex
-        if v.name != "t":
-            return ar.edges(v)[0]
-        for e in ar.edges(v):
-            if (e.dst.name == "r0") == (v.params[0] >= index):
-                return e
-        raise AssertionError
+def _a3_table(name, exits):
+    # every history reaches a3's decision vertex t(i) at step 3i+1; the
+    # table exits where exits(i) holds and delays elsewhere, at every
+    # step below the default defeat horizon 400
+    arena = make("a3").arena
+    table = {}
+    for i in range(133):
+        t = V("t", (i,))
+        table[(t, 3 * i + 1)] = next(e for e in arena.edges(t)
+                                     if (e.dst.name == "r0") == exits(i))
+    return StepCounterTable(table, 400, FIRST_EDGE, name=name)
 
-    return Scripted("exit_from_%d" % index, fn, step_determined=True)
+
+def _exit_from(index):
+    return _a3_table("exit_from_%d" % index, lambda i: i >= index)
 
 
 def test_defeat_sc_on_a3_enters_at_the_exit_step():
@@ -179,17 +182,7 @@ def test_defeat_sc_on_a3_enters_at_the_exit_step():
 
 def test_defeat_sc_on_a3_never_exit_stagnates():
     entry = make("a3")
-
-    def delay(ar, h):
-        v = h.to_vertex
-        if v.name != "t":
-            return ar.edges(v)[0]
-        for e in ar.edges(v):
-            if e.dst.name == "e":
-                return e
-        raise AssertionError
-
-    sigma = Scripted("never_exit", delay, step_determined=True)
+    sigma = _a3_table("never_exit", lambda i: False)
     result = defeat_sc_on_A3(sigma, entry)
     assert isinstance(result, DefeatResult)
     cert = result.certificate
@@ -205,8 +198,8 @@ def test_defeat_sc_on_a3_rejects_history_dependent_strategies():
     with pytest.raises(TypeError):
         defeat_sc_on_A3(entry.strategy("delay_twice_exit"), entry)
     with pytest.raises(TypeError):
-        defeat_sc_on_A3(Scripted("free", lambda ar, h: ar.edges(h.to_vertex)[0]),
-                        entry)
+        defeat_sc_on_A3(Tracking("free", None, lambda last, e: e,
+                                 lambda ar, v, last: ar.edges(v)[0]), entry)
 
 
 def test_ramsey_defeats_always_delay():
@@ -259,19 +252,20 @@ def test_ramsey_guards_and_no_clique():
     assert exc.value.needed == 3
 
 
+def _buchib_table(entry, name, exits):
+    # exits at the steps where exits(step) holds and loops elsewhere, at
+    # every step the adversary probes: its horizon 600 plus the longest
+    # padding and one
+    v = V("v", ())
+    table = {(v, step): next(e for e in entry.arena.edges(v)
+                             if (e.dst.name == "u") == exits(step))
+             for step in range(607)}
+    return StepCounterTable(table, 607, FIRST_EDGE, name=name)
+
+
 def test_defeat_sc_buchi_starves_the_loop_colour():
     entry = make("buchib", b=6)
-
-    def always_exit(ar, h):
-        v = h.to_vertex
-        if v.name != "v":
-            return ar.edges(v)[0]
-        for e in ar.edges(v):
-            if e.dst.name == "u":
-                return e
-        raise AssertionError
-
-    sigma = Scripted("always_exit", always_exit, step_determined=True)
+    sigma = _buchib_table(entry, "always_exit", lambda step: True)
     result = defeat_sc_buchi(sigma, entry)
     assert isinstance(result, DefeatResult)
     cert = result.certificate
@@ -284,18 +278,7 @@ def test_defeat_sc_buchi_starves_the_loop_colour():
 
 def test_defeat_sc_buchi_starves_the_exit_colour():
     entry = make("buchib", b=6)
-
-    def exit_once(ar, h):
-        v = h.to_vertex
-        if v.name != "v":
-            return ar.edges(v)[0]
-        want = "u" if len(h) == 0 else "v"
-        for e in ar.edges(v):
-            if e.dst.name == want:
-                return e
-        raise AssertionError
-
-    sigma = Scripted("exit_once", exit_once, step_determined=True)
+    sigma = _buchib_table(entry, "exit_once", lambda step: step == 0)
     result = defeat_sc_buchi(sigma, entry)
     assert isinstance(result, DefeatResult)
     cert = result.certificate
@@ -311,8 +294,7 @@ def test_defeat_sc_buchi_guards():
     with pytest.raises(TypeError):
         defeat_sc_buchi(entry.strategy("alternating"), entry)
     with pytest.raises(ValueError):
-        defeat_sc_buchi(Scripted("x", lambda ar, h: ar.edges(h.to_vertex)[0],
-                                 step_determined=True), make("a3"))
+        defeat_sc_buchi(StepCounterTable({}, 0, name="x"), make("a3"))
 
 
 def _entry_state_by_walk(sigma, entry, ell0):

@@ -92,8 +92,12 @@ def test_cli_simulate_deterministic_csv(tmp_path):
     assert len(data.splitlines()) == 21
 
 
+ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
+
+
 # sha256 of qg simulate's CSV on zoo arenas, fixed before the play loop and
-# the CSV writer were reworked
+# the CSV writer were reworked, and (the last five rows) before the
+# player-1 zoo strategies kept only the summary they decide from
 @pytest.mark.parametrize("arena, p1, p2, horizon, digest", [
     ("zoo:a4", "sigma_100000", "p2_enter_1", 4000,
      "f2464833f423081252f61b9191abb8e14b3f4c78127c4cd1d121df5db3d6dbcf"),
@@ -101,7 +105,18 @@ def test_cli_simulate_deterministic_csv(tmp_path):
      "4928835b4a09ca3dbd59ea5e2057fe875a6adc1c6808bff7be1a352edcb413cf"),
     ("zoo:bitarena", "opposite", "allzero", 200,
      "8269bdf86e8379742663cf6cf1ed91654e8a6a89dd952173b13e92e8b1811c97"),
-], ids=["a4-sigma", "a4-always-delay", "bitarena-opposite"])
+    ("zoo:a1prime", "match_plus_one", str(ZOO_P2 / "a1prime_challenge_3.strategy"), 200,
+     "3ca766369e339b2bba62ba3734a51c5a2f3417d46393eebe876eb4a7a419efe7"),
+    ("zoo:a2", "match_plus_one", "p2_pick_3", 400,
+     "f69a8f386733efa137ebcdc77cef703efabae836f15c32b4a10b7bcfcf70efb3"),
+    ("zoo:buchia", "round_robin", str(ZOO_P2 / "idle.strategy"), 200,
+     "1829a327045fabf069eb4d5ac46f0d52e8981e552e644ab6f7a03f1f6d01bb4e"),
+    ("zoo:buchib", "alternating", str(ZOO_P2 / "buchib_pad_4.strategy"), 200,
+     "30631d1e60ec253a940f1c795e870c9196c974f71f1f94c435d2459189873a26"),
+    ("zoo:nonuniform?start_index=3", "exit_at_5", str(ZOO_P2 / "idle.strategy"), 200,
+     "bdafde236d203c3d244a1660b9dc1849f1069229640046af665355fd6145f383"),
+], ids=["a4-sigma", "a4-always-delay", "bitarena-opposite", "a1prime-match", "a2-match",
+        "buchia-round-robin", "buchib-alternating", "nonuniform-exit"])
 def test_cli_simulate_matches_the_golden_digests(tmp_path, arena, p1, p2, horizon, digest):
     out = tmp_path / "play.csv"
     assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2,
@@ -183,7 +198,7 @@ def test_cli_defeat_names_the_entry_of_a_scripted_strategy(capsys, entry):
     assert main(["defeat", "--arena", "zoo:" + entry, "--strategy", "match_plus_one"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: only finite-memory strategies can be defeated on zoo entry %r, got Scripted; "
+        "error: only finite-memory strategies can be defeated on zoo entry %r, got Tracking; "
         "match_plus_one is player 1's winning strategy there\n" % entry)
     assert captured.out == ""
 
@@ -350,10 +365,25 @@ def test_cli_zoo_list_and_export(tmp_path, capsys):
 
 
 def test_cli_bench_prints_grid(capsys):
+    # the widths were read before the player-1 zoo strategies kept only
+    # the summary they decide from; that change moved the class column
     assert main(["bench"]) == 0
-    out = capsys.readouterr().out
-    assert "zoo:bitarena" in out
-    assert "width" in out.splitlines()[0]
+    assert capsys.readouterr().out == (
+        "arena            strategy          class             width  demonstrates\n"
+        "zoo:a1prime?b=8  match_plus_one    Tracking          262144  "
+        "unbounded replies win the repeated match game\n"
+        "zoo:a2           match_plus_one    Tracking             64  "
+        "answering one more wins the finitely branching rounds\n"
+        "zoo:a3           delay_twice_exit  FiniteMemory         13  "
+        "two delays then exit bank at least 1\n"
+        "zoo:a4           adaptive          Tracking             30  "
+        "adapting delays to the entry reaches exactly 0\n"
+        "zoo:bitarena     opposite          FiniteMemory          8  "
+        "one bit of memory tracks the opponent's round move\n"
+        "zoo:buchia?k=3   round_robin       Memoryless            1  "
+        "sweeping detours sees every colour\n"
+        "zoo:buchib?b=6   alternating       Tracking             91  "
+        "loop-then-exit alternates both colours\n")
 
 
 def test_cli_error_paths(tmp_path, capsys, monkeypatch):

@@ -10,9 +10,10 @@ from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            certificate_to_json, check_certificate,
                            explore_consistent, koenig_bound, play)
 from qgames.objectives import OpenSub
-from qgames.strategies import (FIRST_EDGE, FiniteMemory, Memoryless, Scripted,
-                               StepCounterTable)
+from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
 from qgames.zoo import make
+
+from history_scans import scanning
 
 F = Fraction
 V = VertexId
@@ -257,7 +258,7 @@ def test_check_level_satisfaction():
 
 def test_plays_validate_linearly_many_history_edges(monkeypatch):
     # a play checks each history edge a bounded number of times, also with
-    # scripted strategies deciding from the full history
+    # a strategy deciding from the full history
     validated = [0]
     post_init, extend = History.__post_init__, History.extend
 
@@ -272,7 +273,7 @@ def test_plays_validate_linearly_many_history_edges(monkeypatch):
     monkeypatch.setattr(History, "__post_init__", counting_post_init)
     monkeypatch.setattr(History, "extend", counting_extend)
     entry = make("a4")
-    first = Scripted("first_edge", lambda ar, h: ar.edges(h.to_vertex)[0])
+    first = scanning("first_edge", lambda ar, h: ar.edges(h.to_vertex)[0])
     for horizon in (1000, 2000):
         for p1 in (entry.strategy("sigma_100000"), first):
             validated[0] = 0

@@ -6,7 +6,7 @@ from qgames.arena import (ArenaExplicit, Edge, History, MealyMemory, StepCounter
                           VertexId, encodes_step_count, product)
 from qgames.engine import play
 from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded,
-                               Memoryless, Scripted, StepCounterPlusK,
+                               Memoryless, StepCounterPlusK,
                                StepCounterTable, collapse_sc_fm, consistent,
                                parse_strategy, serialize_strategy)
 
@@ -76,16 +76,6 @@ def test_step_counter_plus_k_bit_update():
     # missing bit-update entries keep the mode
     state = sigma.step_state(state, E(C, 0, A))
     assert state == (2, 1)
-
-
-def test_scripted_decide_and_signature():
-    arena = two_choice_arena()
-    sigma = Scripted("len_parity", lambda ar, h: ar.edges(h.to_vertex)[len(h) % 2],
-                     step_determined=True)
-    assert sigma.decide(arena, History(A)) == arena.edges(A)[0]
-    assert sigma.signature(0, None) == ()
-    free = Scripted("free", lambda ar, h: ar.edges(h.to_vertex)[0])
-    assert free.signature(0, None) is None
 
 
 def test_consistent_accepts_own_play_and_rejects_deviation():

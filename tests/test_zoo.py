@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qgames.arena import VertexId
+from qgames.arena import Edge, VertexId
 from qgames.engine import play
-from qgames.strategies import Memoryless, Scripted
+from qgames.strategies import Memoryless, Tracking, parse_strategy
 from qgames.zoo import a4_router, bitarena_wprime, make, names, parse_uri
+
+from history_scans import scanning
 
 F = Fraction
 V = VertexId
@@ -193,7 +197,7 @@ def test_nonuniform_exit_point_sets_final_total(j):
 
 
 # ---------------------------------------------------------------------------
-# The A4 strategies carry counters; these history-scanning scripts are the
+# The A4 strategies carry counters; these history scans are the
 # definitions they must agree with on every history.
 
 
@@ -212,7 +216,7 @@ def _scan_sigma_k(k):
             return ar.edges(v)[0]
         return _scan_edge_to(ar, v, "g" if _scan_delays(h) < k else "r0")
 
-    return Scripted("scan_sigma_%d" % k, fn)
+    return scanning("scan_sigma_%d" % k, fn)
 
 
 def _scan_adaptive():
@@ -224,7 +228,7 @@ def _scan_adaptive():
                      v.params[0])
         return _scan_edge_to(ar, v, "g" if _scan_delays(h) < entry + 1 else "r0")
 
-    return Scripted("scan_adaptive", fn)
+    return scanning("scan_adaptive", fn)
 
 
 def _scan_router(entry, gaps, cycle_from=0):
@@ -244,7 +248,7 @@ def _scan_router(entry, gaps, cycle_from=0):
             return next(e for e in ar.edges(v) if e.dst.name != "g")
         return ar.edges(v)[0]
 
-    return Scripted("scan_router", fn, player=2)
+    return scanning("scan_router", fn, player=2)
 
 
 ROUTINGS = [("a4", 0, [1], 0), ("a4", 2, [2, 1], 0), ("a4", 3, [1, 4, 2], 1),
@@ -278,3 +282,158 @@ def test_a4_counting_strategies_match_history_scans(zoo_name, entry_index, gaps,
                 h = tail.prefix(n)
                 assert sigma.decide(entry.arena, h) == scan.decide(entry.arena, h)
                 assert router.decide(entry.arena, h) == scan_router.decide(entry.arena, h)
+
+
+# ---------------------------------------------------------------------------
+# The other player-1 strategies keep the last edge, the latest challenge or
+# nothing at all; these full-history functions are the definitions they
+# must agree with on every history.
+
+
+def _ref_match_plus_one_a1(b):
+    def fn(ar, h):
+        v = h.to_vertex
+        if v != V("t"):
+            return ar.edges(v)[0]
+        reply = min(int(-h.edges[-1].weight) + 1, b)
+        return next(e for e in ar.edges(v) if e.weight == reply)
+
+    return fn
+
+
+def _ref_match_plus_one_a2(ar, h):
+    v = h.to_vertex
+    if v.name != "b":
+        return ar.edges(v)[0]
+    k = v.params[1]
+    # a suffix starting inside the chain has seen no challenge: exit now
+    challenge = next((e.src.params[1] for e in reversed(h.edges)
+                      if e.dst.name == "b" and e.dst.params[1] == 0 and e.src.name == "a"),
+                     k - 1)
+    return _scan_edge_to(ar, v, "a" if k >= challenge + 1 else "b")
+
+
+def _ref_round_robin(ar, h):
+    v = h.to_vertex
+    if v.name == "x" and len(ar.edges(v)) > 1:
+        return _scan_edge_to(ar, v, "y")
+    return ar.edges(v)[0]
+
+
+def _ref_alternating(ar, h):
+    v = h.to_vertex
+    if v.name != "v":
+        return ar.edges(v)[0]
+    last = h.edges[-1] if h.edges else None
+    if last is not None and last.src == v and last.dst == v:
+        return _scan_edge_to(ar, v, "u")
+    return _scan_edge_to(ar, v, "v")
+
+
+def _ref_exit_at(j):
+    def fn(ar, h):
+        v = h.to_vertex
+        if v.name != "ray":
+            return ar.edges(v)[0]
+        return _scan_edge_to(ar, v, "r0" if v.params[0] >= j else "ray")
+
+    return fn
+
+
+HORIZON = 48
+ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
+
+
+def _challenge(c):
+    return parse_strategy("strategy challenge_%d kind=memoryless player=2\n"
+                          "move s -> t weight=-%d\n" % (c, c))
+
+
+def _p2_file(name):
+    return parse_strategy((ZOO_P2 / name).read_text())
+
+
+def _seeded(seed, draws, pick):
+    """Player 2 moving by pick(arena, vertex, draw), one seeded draw per step."""
+    rng = random.Random(seed)
+    by_step = [rng.choice(draws) for _ in range(HORIZON)]
+    return Tracking("seeded_%d" % seed, 0, lambda n, e: n + 1,
+                    lambda ar, v, n: pick(ar, v, by_step[n]), player=2)
+
+
+def _challenge_by_draw(ar, v, c):
+    return next(e for e in ar.edges(v) if e.weight == -c) if v == V("s") else ar.edges(v)[0]
+
+
+def _climb_by_draw(ar, v, climb):
+    return _scan_edge_to(ar, v, "a" if climb else "b")
+
+
+def _pad_by_draw(ar, v, n):
+    if v.name != "u":
+        return ar.edges(v)[0]
+    want = V("v", ()) if n == 1 else V("w", (n, 1))
+    return next(e for e in ar.edges(v) if e.dst == want)
+
+
+# (zoo entry, its parameters, player-1 strategy, reference, opponents)
+REWRITTEN = [
+    ("a1", {"b": 8}, "match_plus_one", _ref_match_plus_one_a1(8),
+     [lambda entry, c=c: _challenge(c) for c in (2, 8)]),
+    ("a1prime", {"b": 8}, "match_plus_one", _ref_match_plus_one_a1(8),
+     [lambda entry, c=c: _challenge(c) for c in range(1, 9)]
+     + [lambda entry: _seeded(1, range(1, 9), _challenge_by_draw)]),
+    ("a1prime", {"b": 3}, "match_plus_one", _ref_match_plus_one_a1(3),
+     [lambda entry: _seeded(2, range(1, 4), _challenge_by_draw)]),
+    ("a2", {}, "match_plus_one", _ref_match_plus_one_a2,
+     [lambda entry, j=j: entry.strategy("p2_pick_%d" % j) for j in (0, 1, 3, 7)]
+     + [lambda entry: _seeded(3, (True, True, False), _climb_by_draw)]),
+    ("buchib", {"b": 6}, "alternating", _ref_alternating,
+     [lambda entry: _p2_file("buchib_pad_1.strategy"),
+      lambda entry: _p2_file("buchib_pad_4.strategy"),
+      lambda entry: _seeded(4, range(1, 7), _pad_by_draw)]),
+    ("buchia", {"k": 3}, "round_robin", _ref_round_robin,
+     [lambda entry: _p2_file("idle.strategy")]),
+    ("buchia", {"k": 5}, "round_robin", _ref_round_robin,
+     [lambda entry: _p2_file("idle.strategy")]),
+    ("nonuniform", {"start_index": 3}, "exit_at_5", _ref_exit_at(5),
+     [lambda entry: _p2_file("idle.strategy")]),
+    ("nonuniform", {"start_index": 0}, "exit_at_60", _ref_exit_at(60),
+     [lambda entry: _p2_file("idle.strategy")]),
+]
+
+
+@pytest.mark.parametrize("zoo_name,params,p1_name,reference,opponents", REWRITTEN,
+                         ids=["a1", "a1prime", "a1prime-b3", "a2", "buchib", "buchia-k3",
+                              "buchia-k5", "nonuniform-3", "nonuniform-0"])
+def test_rewritten_zoo_strategies_match_history_scans(zoo_name, params, p1_name, reference,
+                                                      opponents):
+    entry = make(zoo_name, **params)
+    sigma, scan = entry.strategy(p1_name), scanning("scan_" + p1_name, reference)
+    for opponent in opponents:
+        p2 = opponent(entry)
+        record = play(entry.arena, entry.start, sigma, p2, HORIZON)
+        assert record.to_csv() == play(entry.arena, entry.start, scan, p2,
+                                       HORIZON).to_csv()
+        history = record.history()
+        # every prefix of every suffix; a1's reply reads the challenge
+        # off the last edge, so its suffixes start where a round does
+        starts = [j for j in range(len(history) + 1)
+                  if not zoo_name.startswith("a1") or record.vertex_at(j) == V("s")]
+        for start in starts:
+            tail = history.suffix_from(start)
+            for n in range(len(tail) + 1):
+                h = tail.prefix(n)
+                assert sigma.decide(entry.arena, h) == reference(entry.arena, h)
+
+
+def test_a2_match_plus_one_exits_at_once_inside_a_descending_chain():
+    # started in the chain with no challenge seen, exit now and regain 2k
+    entry = make("a2")
+    b03 = V("b", (0, 3))
+    record = play(entry.arena, b03, entry.strategy("match_plus_one"),
+                  entry.strategy("p2_pick_2"), 12)
+    assert record.edges[0] == Edge(b03, F(6), V("a", (1, 0)))
+    # then each round answers challenge 2 with 3 and nets +1
+    assert [record.tp_at(j) for j in (1, 8)] == [F(6), F(7)]
+    assert record.final_tp == F(4)
