@@ -169,11 +169,10 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         if result.certificate is not None:
             return result
     # the responder descends forever: certify along the descent itself
-    return _certify_endless_descent(sigma, p2, record)
+    return _certify_endless_descent(p2, record)
 
 
-def _certify_endless_descent(sigma: Strategy, p2: Strategy, record: PlayRecord
-                             ) -> DefeatResult:
+def _certify_endless_descent(p2: Strategy, record: PlayRecord) -> DefeatResult:
     tail = [step for step in range(len(record.edges) + 1)
             if record.vertex_at(step).name == "b"]
     runs = [step for step in tail if step + 8 <= len(record.edges)
@@ -190,11 +189,8 @@ def _certify_endless_descent(sigma: Strategy, p2: Strategy, record: PlayRecord
     if len(best) < 2:
         return DefeatResult(p2, None, record, True,
                             ["descent memory state never repeats in the window"])
-    starts = best
-    cert = Divergence("decrease", starts, len(record.edges), decrease=Fraction(1),
-                      elevation=Fraction(0), cycle_from=0)
-    return DefeatResult(p2, cert, record, False,
-                        ["responder never exits the descending chain"])
+    return _finish_decrease(p2, record, best, False,
+                            ["responder never exits the descending chain"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +329,10 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
             continue
         if exit_profile(i)[index[entry_state(i)]]:
             p2 = a4_router(i, [1])
-            record = play(arena, entry.start, sigma, p2, horizon)
-            if record.termination != "sink" or not record.final_tp < 0:
-                continue
-            cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
-            return AdversaryPlan(i, [i]), DefeatResult(
-                p2, cert, record, notes=["exits immediately when entered at %d" % i])
+            result = _exit_defeat(p2, play(arena, entry.start, sigma, p2, horizon),
+                                  "exits immediately when entered at %d" % i)
+            if result is not None:
+                return AdversaryPlan(i, [i]), result
 
     failed_first: dict[int, int] = {}
     for clique in itertools.islice(_cliques(lo, hi, size, label), _MAX_CLIQUES):
@@ -396,13 +390,8 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
 
     if exits_at is not None:
         p2 = a4_router(clique[0], gaps[:max(exits_at, 1)])
-        record = play(arena, entry.start, sigma, p2, horizon)
-        if record.termination != "sink" or not record.final_tp < 0:
-            return None
-        cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
-        return DefeatResult(p2, cert, record,
-                            notes=["exited after %d delays from entry %d"
-                                   % (exits_at, clique[0])])
+        return _exit_defeat(p2, play(arena, entry.start, sigma, p2, horizon),
+                            "exited after %d delays from entry %d" % (exits_at, clique[0]))
 
     # no exit on the clique: the memory trajectory repeats; cycle the gaps
     cycle_from = next((traj.index(mn) for n, mn in enumerate(traj) if traj.index(mn) < n), 0)
@@ -411,13 +400,7 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
     if record.termination == "sink":
         # the strategy exited once the cycled gaps left the clique; a
         # negative total still defeats it, otherwise try another clique
-        if record.final_tp < 0:
-            cert = EarlyExitNegative(record.final_tp, Fraction(0),
-                                     len(record.edges))
-            return DefeatResult(p2, cert, record,
-                                notes=["late exit beyond the clique from entry %d"
-                                       % clique[0]])
-        return None
+        return _exit_defeat(p2, record, "late exit beyond the clique from entry %d" % clique[0])
     starts = [step for step in range(len(record.edges) + 1)
               if record.vertex_at(step).name == "t"]
     if len(starts) < 3:
@@ -433,6 +416,14 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
             return None
     return DefeatResult(p2, cert, record,
                         notes=["all-delay memory cycle from round %d" % cycle_from])
+
+
+def _exit_defeat(p2: Strategy, record: PlayRecord, note: str) -> Optional[DefeatResult]:
+    """The early-exit defeat of a play absorbed below 0, or None."""
+    if record.termination != "sink" or not record.final_tp < 0:
+        return None
+    cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
+    return DefeatResult(p2, cert, record, notes=[note])
 
 
 _MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)

@@ -485,10 +485,14 @@ def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResul
 
 
 def node_cap_from_env(default: int = 10**6) -> int:
+    """``QG_NODE_CAP``, or ``default`` when unset; ValueError unless a positive integer."""
     raw = os.environ.get("QG_NODE_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("QG_NODE_CAP must be a positive integer")
+    return cap

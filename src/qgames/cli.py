@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import zoo
-from .arena import Arena, ArenaExplicit, Edge, VertexId, validate
+from .arena import Arena, ArenaExplicit, Edge, VertexId, node_cap_from_env, validate
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
@@ -452,13 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "QG_NODE_CAP" in os.environ:
-        try:
-            positive = int(os.environ["QG_NODE_CAP"]) >= 1
-        except ValueError:
-            positive = False
-        if not positive:
-            return _err("QG_NODE_CAP must be a positive integer")
+    try:
+        node_cap_from_env()
+    except ValueError as exc:
+        return _err(str(exc))
     for option in ("horizon", "depth", "window"):
         if getattr(args, option, 0) < 0:
             return _err("--%s must be at least 0" % option)

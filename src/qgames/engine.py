@@ -5,15 +5,20 @@ payoffs, bound levels at which an open sub-objective is satisfied on
 every consistent branch, or divergence witnesses (a repeating memory
 cycle whose rounds strictly decrease the total payoff).  Certificate
 checkers re-derive every claimed quantity from scratch.
+
+Each certificate variant is one dataclass, listed once in ``Certificate``:
+``needs`` names the context keys its check reads, ``check`` re-derives the
+claim (the play-based variants from one replay, ``_PlayClaim``), and
+``certificate_from_json`` reads each field by its annotation (``_READERS``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Hashable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
 from .arena import (Arena, Edge, History, VertexId, Weight, is_sink_row,
                     node_cap_from_env)
@@ -266,6 +271,15 @@ class KoenigBound:
     level: int
     open_sub: OpenSub
 
+    needs = ("sigma1",)
+
+    def check(self, context: dict) -> CheckResult:
+        again = koenig_bound(context["arena"], context["v0"], context["sigma1"], self.open_sub,
+                             self.level, node_cap=context.get("node_cap"))
+        if not isinstance(again, KoenigBound):
+            return CheckResult(False, ["bound did not reproduce: %r" % (again,)])
+        return CheckResult(True, ["bound reproduced at level %d" % again.level])
+
 
 @dataclass
 class Inconclusive:
@@ -365,27 +379,82 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
 # Certificates
 
 
+class _PlayClaim:
+    """A claim about the unique play of both strategies, checked on one
+    replay of ``horizon`` + 1 steps."""
+
+    needs = ("sigma1", "sigma2")
+
+    def check(self, context: dict) -> CheckResult:
+        record = play(context["arena"], context["v0"], context["sigma1"], context["sigma2"],
+                      self.horizon + 1)
+        return self.check_record(context["arena"], record, CheckResult(True))
+
+
 @dataclass
-class SinkPayoff:
+class SinkPayoff(_PlayClaim):
     final_tp: Fraction
     sink: VertexId
     steps: int
 
+    horizon = property(lambda self: self.steps)
+
+    def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+        if record.termination != "sink":
+            return result.fail("play does not reach a sink within %d steps" % self.steps)
+        final_vertex = record.vertex_at(len(record.edges))
+        if not arena.is_sink(final_vertex):
+            return result.fail("%s is not an absorbing weight-0 self-loop" % final_vertex)
+        if final_vertex != self.sink:
+            return result.fail("sink mismatch: played %s, claimed %s" % (final_vertex, self.sink))
+        if record.final_tp != self.final_tp:
+            return result.fail("final TP %s differs from claimed %s"
+                               % (record.final_tp, self.final_tp))
+        result.diagnostics.append("sink %s reached with TP %s" % (self.sink, self.final_tp))
+        return result
+
 
 @dataclass
-class EarlyExitNegative:
+class EarlyExitNegative(_PlayClaim):
     final_tp: Fraction
     threshold: Fraction
     steps: int
+
+    horizon = property(lambda self: self.steps)
+
+    def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+        if record.termination != "sink":
+            return result.fail("play does not reach a sink within %d steps" % self.steps)
+        if record.final_tp != self.final_tp:
+            return result.fail("final TP %s differs from claimed %s"
+                               % (record.final_tp, self.final_tp))
+        if not record.final_tp < self.threshold:
+            return result.fail("final TP %s is not below the threshold %s"
+                               % (record.final_tp, self.threshold))
+        result.diagnostics.append("absorbed with TP %s < %s" % (self.final_tp, self.threshold))
+        return result
 
 
 @dataclass
 class LevelSatisfaction:
     levels: list[tuple[int, int]]  # (m, k_m)
 
+    needs = ("sigma1", "subs")
+
+    def check(self, context: dict) -> CheckResult:
+        """``context["subs"]`` maps m to the open sub-objective bounded at k_m."""
+        result = CheckResult(True)
+        for m, k_m in self.levels:
+            again = koenig_bound(context["arena"], context["v0"], context["sigma1"],
+                                 context["subs"](m), k_m, node_cap=context.get("node_cap"))
+            if not isinstance(again, KoenigBound):
+                return result.fail("level (m=%d, k=%d) failed: %r" % (m, k_m, again))
+            result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))
+        return result
+
 
 @dataclass
-class Divergence:
+class Divergence(_PlayClaim):
     """Finite evidence that the total payoff tends to minus infinity, or
     stays pinned below a negative ceiling, along the unique play.
 
@@ -406,9 +475,62 @@ class Divergence:
     cycle_from: int = 0  # index into round_starts where the cycle closes
     round_states: list[str] = field(default_factory=list)
 
+    def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+        if record.termination == "sink":
+            return result.fail("play reaches a sink; no divergence")
+        starts = self.round_starts
+        if len(starts) < 2 or any(b <= a for a, b in zip(starts, starts[1:])):
+            return result.fail("round boundaries must be strictly increasing, >= 2 of them")
+        if starts[-1] > len(record.edges):
+            return result.fail("round boundaries exceed the simulated horizon")
+
+        if self.mode == "decrease":
+            if self.decrease is None or self.decrease < 1:
+                return result.fail("decrease certificates need a per-round decrease >= 1")
+            if self.elevation is None or self.elevation < 0:
+                return result.fail("decrease certificates need an elevation bound >= 0")
+            for a, b in zip(starts, starts[1:]):
+                round_payoff = record.tp_at(b) - record.tp_at(a)
+                if round_payoff > -self.decrease:
+                    return result.fail("round at step %d has payoff %s > -%s"
+                                       % (a, round_payoff, self.decrease))
+                spike = max(record.tp_at(s) for s in range(a, b + 1)) - record.tp_at(a)
+                if spike > self.elevation:
+                    return result.fail("in-round spike %s exceeds elevation bound %s"
+                                       % (spike, self.elevation))
+        elif self.mode == "stagnation":
+            if self.ceiling is None or self.ceiling >= 0:
+                return result.fail("stagnation certificates need a negative ceiling")
+            for a, b in zip(starts, starts[1:]):
+                if record.tp_at(b) - record.tp_at(a) > 0:
+                    return result.fail("round at step %d gains payoff" % a)
+        else:
+            return result.fail("unknown divergence mode %r" % self.mode)
+        if self.ceiling is not None:
+            high = max(record.tp_at(s) for s in range(starts[0], len(record.edges) + 1))
+            if high > self.ceiling:
+                return result.fail("TP reaches %s above the ceiling %s" % (high, self.ceiling))
+
+        # Cycle closure: the round map over (vertex, strategy memory) must
+        # repeat so the certified rounds describe the whole infinite play.
+        cf = self.cycle_from
+        if not (0 <= cf < len(starts) - 1):
+            return result.fail("cycle_from out of range")
+        sig_a = _round_signature(record, starts[cf])
+        sig_b = _round_signature(record, starts[-1])
+        if sig_a != sig_b:
+            return result.fail("round-start states differ: %r vs %r" % (sig_a, sig_b))
+        if self.round_states:
+            recomputed = [_round_signature(record, s) for s in starts]
+            if [str(s) for s in recomputed] != self.round_states:
+                return result.fail("claimed round states do not match the replay")
+        result.diagnostics.append("verified %d rounds, cycle closes from round %d"
+                                  % (len(starts) - 1, cf))
+        return result
+
 
 @dataclass
-class ColourStarvation:
+class ColourStarvation(_PlayClaim):
     """Beyond ``after_step``, the named colour never occurs in the play
     within the simulated horizon."""
 
@@ -416,29 +538,53 @@ class ColourStarvation:
     after_step: int
     horizon: int
 
+    def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+        tail = record.colours[self.after_step:]
+        if self.colour in tail:
+            return result.fail("colour %s occurs again at step %d"
+                               % (self.colour, self.after_step + tail.index(self.colour)))
+        result.diagnostics.append("colour %s absent after step %d over %d steps"
+                                  % (self.colour, self.after_step, len(record.edges)))
+        return result
+
 
 Certificate = Union[SinkPayoff, EarlyExitNegative, KoenigBound, LevelSatisfaction,
                     Divergence, ColourStarvation]
+_VARIANTS = {cls.__name__: cls for cls in get_args(Certificate)}
 
 
 def certificate_to_json(cert: Certificate) -> str:
     def enc(value):
-        if isinstance(value, Fraction):
-            return str(value)
-        if isinstance(value, VertexId):
+        if isinstance(value, (Fraction, VertexId)):
             return str(value)
         if isinstance(value, OpenSub):
-            return {"family": value.family, "m": value.m, "i": value.i,
-                    "colour": None if value.colour is None else str(value.colour)}
-        if isinstance(value, list):
-            return [enc(x) for x in value]
-        if isinstance(value, tuple):
+            return {k: enc(v) for k, v in vars(value).items()}
+        if isinstance(value, (list, tuple)):
             return [enc(x) for x in value]
         return value
 
     body = {k: enc(v) for k, v in vars(cert).items()}
     return json.dumps({"schema": CERT_SCHEMA, "variant": type(cert).__name__,
                        "body": body}, indent=2, sort_keys=True) + "\n"
+
+
+def _read_open_sub(sub) -> OpenSub:
+    colour = None if sub["colour"] is None else Fraction(sub["colour"])
+    return OpenSub(sub["family"], m=sub["m"], i=sub["i"], colour=colour)
+
+
+# certificate field annotation -> how certificate_from_json reads the field
+_READERS: dict[str, Callable] = {
+    "int": int,
+    "str": lambda x: x,  # taken as written
+    "Fraction": Fraction,
+    "Optional[Fraction]": lambda x: None if x is None else Fraction(x),
+    "VertexId": VertexId.parse,
+    "OpenSub": _read_open_sub,
+    "list[int]": lambda xs: [int(x) for x in xs],
+    "list[str]": lambda xs: [str(x) for x in xs],
+    "list[tuple[int, int]]": lambda xs: [(int(m), int(k)) for m, k in xs],
+}
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -451,40 +597,15 @@ def certificate_from_json(text: str) -> Certificate:
     body = data.get("body", {})
     if not isinstance(body, dict):
         raise ValueError("certificate body must be a JSON object")
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError("unknown certificate variant %r" % variant)
+    # a field with a default (neither default is MISSING) may be absent
     try:
-        return _certificate_from_body(variant, body)
+        return cls(**{f.name: _READERS[f.type](body[f.name]) for f in fields(cls)
+                      if f.name in body or f.default is f.default_factory is MISSING})
     except KeyError as exc:
         raise ValueError("%s certificate body lacks %s" % (variant, exc))
-
-
-def _certificate_from_body(variant, body: dict) -> Certificate:
-    if variant == "SinkPayoff":
-        return SinkPayoff(Fraction(body["final_tp"]), VertexId.parse(body["sink"]),
-                          int(body["steps"]))
-    if variant == "EarlyExitNegative":
-        return EarlyExitNegative(Fraction(body["final_tp"]), Fraction(body["threshold"]),
-                                 int(body["steps"]))
-    if variant == "KoenigBound":
-        sub = body["open_sub"]
-        colour = None if sub["colour"] is None else Fraction(sub["colour"])
-        return KoenigBound(int(body["level"]),
-                           OpenSub(sub["family"], m=sub["m"], i=sub["i"], colour=colour))
-    if variant == "LevelSatisfaction":
-        return LevelSatisfaction([(int(m), int(k)) for m, k in body["levels"]])
-    if variant == "ColourStarvation":
-        return ColourStarvation(Fraction(body["colour"]), int(body["after_step"]),
-                                int(body["horizon"]))
-    if variant == "Divergence":
-        return Divergence(
-            mode=body["mode"],
-            round_starts=[int(x) for x in body["round_starts"]],
-            horizon=int(body["horizon"]),
-            decrease=None if body.get("decrease") is None else Fraction(body["decrease"]),
-            elevation=None if body.get("elevation") is None else Fraction(body["elevation"]),
-            ceiling=None if body.get("ceiling") is None else Fraction(body["ceiling"]),
-            cycle_from=int(body.get("cycle_from", 0)),
-            round_states=[str(s) for s in body.get("round_states", [])])
-    raise ValueError("unknown certificate variant %r" % variant)
 
 
 @dataclass
@@ -507,13 +628,7 @@ def missing_context(cert: Certificate, context: dict,
     """A message naming what the certificate's check needs and the context
     lacks, or None.  ``labels`` names the context keys for the reader
     (default: the keys themselves)."""
-    if isinstance(cert, (SinkPayoff, EarlyExitNegative, Divergence, ColourStarvation)):
-        needed = ("sigma1", "sigma2")
-    elif isinstance(cert, LevelSatisfaction):
-        needed = ("sigma1", "subs")
-    else:
-        needed = ("sigma1",)
-    missing = [key for key in needed if context.get(key) is None]
+    missing = [key for key in cert.needs if context.get(key) is None]
     if not missing:
         return None
     return "%s certificate needs %s" % (type(cert).__name__, " and ".join(
@@ -521,147 +636,15 @@ def missing_context(cert: Certificate, context: dict,
 
 
 def check_certificate(cert: Certificate, context: dict) -> CheckResult:
-    """Independently re-derive every claim in the certificate.
-
-    ``context`` supplies the referenced objects: ``arena``, ``v0``, and
-    either both strategies (play-based variants) or a strategy plus open
-    sub-objectives (bound-based variants).  A missing one raises a
-    ValueError naming it.
-    """
+    """Independently re-derive every claim in the certificate from
+    ``context``: ``arena``, ``v0`` and the keys its ``needs`` names.  A
+    missing key raises a ValueError naming it."""
+    if type(cert) not in _VARIANTS.values():
+        return CheckResult(False, ["unknown certificate %r" % (cert,)])
     missing = missing_context(cert, context)
     if missing:
         raise ValueError(missing)
-    result = CheckResult(True)
-    arena: Arena = context["arena"]
-    v0: VertexId = context["v0"]
-
-    if isinstance(cert, (SinkPayoff, EarlyExitNegative, Divergence, ColourStarvation)):
-        horizon = cert.steps if isinstance(cert, (SinkPayoff, EarlyExitNegative)) \
-            else cert.horizon
-        record = play(arena, v0, context["sigma1"], context["sigma2"], horizon + 1)
-        if isinstance(cert, SinkPayoff):
-            return _check_sink(cert, arena, record, result)
-        if isinstance(cert, EarlyExitNegative):
-            return _check_early_exit(cert, arena, record, result)
-        if isinstance(cert, ColourStarvation):
-            tail = record.colours[cert.after_step:]
-            if cert.colour in tail:
-                return result.fail("colour %s occurs again at step %d"
-                                   % (cert.colour, cert.after_step + tail.index(cert.colour)))
-            result.diagnostics.append("colour %s absent after step %d over %d steps"
-                                      % (cert.colour, cert.after_step, len(record.edges)))
-            return result
-        return _check_divergence(cert, arena, record, context, result)
-
-    if isinstance(cert, KoenigBound):
-        sigma = context["sigma1"]
-        again = koenig_bound(arena, v0, sigma, cert.open_sub, cert.level,
-                             node_cap=context.get("node_cap"))
-        if not isinstance(again, KoenigBound):
-            return result.fail("bound did not reproduce: %r" % (again,))
-        result.diagnostics.append("bound reproduced at level %d" % again.level)
-        return result
-
-    if isinstance(cert, LevelSatisfaction):
-        sigma = context["sigma1"]
-        subs = context["subs"]  # callable m -> OpenSub
-        for m, k_m in cert.levels:
-            again = koenig_bound(arena, v0, sigma, subs(m), k_m,
-                                 node_cap=context.get("node_cap"))
-            if not isinstance(again, KoenigBound):
-                return result.fail("level (m=%d, k=%d) failed: %r" % (m, k_m, again))
-            result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))
-        return result
-
-    return result.fail("unknown certificate %r" % (cert,))
-
-
-def _check_sink(cert: SinkPayoff, arena: Arena, record: PlayRecord,
-                result: CheckResult) -> CheckResult:
-    if record.termination != "sink":
-        return result.fail("play does not reach a sink within %d steps" % cert.steps)
-    final_vertex = record.vertex_at(len(record.edges))
-    if not arena.is_sink(final_vertex):
-        return result.fail("%s is not an absorbing weight-0 self-loop" % final_vertex)
-    if final_vertex != cert.sink:
-        return result.fail("sink mismatch: played %s, claimed %s" % (final_vertex, cert.sink))
-    if record.final_tp != cert.final_tp:
-        return result.fail("final TP %s differs from claimed %s"
-                           % (record.final_tp, cert.final_tp))
-    result.diagnostics.append("sink %s reached with TP %s" % (cert.sink, cert.final_tp))
-    return result
-
-
-def _check_early_exit(cert: EarlyExitNegative, arena: Arena, record: PlayRecord,
-                      result: CheckResult) -> CheckResult:
-    if record.termination != "sink":
-        return result.fail("play does not reach a sink within %d steps" % cert.steps)
-    if record.final_tp != cert.final_tp:
-        return result.fail("final TP %s differs from claimed %s"
-                           % (record.final_tp, cert.final_tp))
-    if not record.final_tp < cert.threshold:
-        return result.fail("final TP %s is not below the threshold %s"
-                           % (record.final_tp, cert.threshold))
-    result.diagnostics.append("absorbed with TP %s < %s" % (cert.final_tp, cert.threshold))
-    return result
-
-
-def _check_divergence(cert: Divergence, arena: Arena, record: PlayRecord,
-                      context: dict, result: CheckResult) -> CheckResult:
-    if record.termination == "sink":
-        return result.fail("play reaches a sink; no divergence")
-    starts = cert.round_starts
-    if len(starts) < 2 or any(b <= a for a, b in zip(starts, starts[1:])):
-        return result.fail("round boundaries must be strictly increasing, >= 2 of them")
-    if starts[-1] > len(record.edges):
-        return result.fail("round boundaries exceed the simulated horizon")
-
-    if cert.mode == "decrease":
-        if cert.decrease is None or cert.decrease < 1:
-            return result.fail("decrease certificates need a per-round decrease >= 1")
-        if cert.elevation is None or cert.elevation < 0:
-            return result.fail("decrease certificates need an elevation bound >= 0")
-        for a, b in zip(starts, starts[1:]):
-            round_payoff = record.tp_at(b) - record.tp_at(a)
-            if round_payoff > -cert.decrease:
-                return result.fail("round at step %d has payoff %s > -%s"
-                                   % (a, round_payoff, cert.decrease))
-            spike = max(record.tp_at(s) for s in range(a, b + 1)) - record.tp_at(a)
-            if spike > cert.elevation:
-                return result.fail("in-round spike %s exceeds elevation bound %s"
-                                   % (spike, cert.elevation))
-        if cert.ceiling is not None:
-            high = max(record.tp_at(s) for s in range(starts[0], len(record.edges) + 1))
-            if high > cert.ceiling:
-                return result.fail("TP reaches %s above the ceiling %s" % (high, cert.ceiling))
-    elif cert.mode == "stagnation":
-        if cert.ceiling is None or cert.ceiling >= 0:
-            return result.fail("stagnation certificates need a negative ceiling")
-        for a, b in zip(starts, starts[1:]):
-            if record.tp_at(b) - record.tp_at(a) > 0:
-                return result.fail("round at step %d gains payoff" % a)
-        high = max(record.tp_at(s) for s in range(starts[0], len(record.edges) + 1))
-        if high > cert.ceiling:
-            return result.fail("TP reaches %s above the ceiling %s" % (high, cert.ceiling))
-    else:
-        return result.fail("unknown divergence mode %r" % cert.mode)
-
-    # Cycle closure: the round map over (vertex, strategy memory) must
-    # repeat so the certified rounds describe the whole infinite play.
-    cf = cert.cycle_from
-    if not (0 <= cf < len(starts) - 1):
-        return result.fail("cycle_from out of range")
-    sig_a = _round_signature(record, starts[cf])
-    sig_b = _round_signature(record, starts[-1])
-    if sig_a != sig_b:
-        return result.fail("round-start states differ: %r vs %r" % (sig_a, sig_b))
-    if cert.round_states:
-        recomputed = [_round_signature(record, s) for s in starts]
-        if [str(s) for s in recomputed] != cert.round_states:
-            return result.fail("claimed round states do not match the replay")
-    result.diagnostics.append("verified %d rounds, cycle closes from round %d"
-                              % (len(starts) - 1, cf))
-    return result
+    return cert.check(context)
 
 
 def _round_signature(record: PlayRecord, step: int):

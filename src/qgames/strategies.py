@@ -305,14 +305,6 @@ def serialize_strategy(strategy: Strategy) -> str:
             nm = strategy.bit_update[(s, m, e)]
             lines.append("bitupd state=%d step=%d edge=%s->%s weight=%s -> %d"
                          % (m, s, e.src, e.dst, e.weight, nm))
-    elif isinstance(strategy, FiniteMemory):
-        if callable(strategy.table):
-            raise ValueError("callable-backed strategy is not serializable")
-        lines.append("strategy %s kind=fm states=%d player=%d"
-                     % (strategy.name, len(strategy.mealy.states), strategy.player))
-        for (v, m) in sorted(strategy.table, key=lambda key: (key[1], key[0])):
-            e = strategy.table[(v, m)]
-            lines.append("move %s state=%d -> %s weight=%s" % (v, m, e.dst, e.weight))
     else:
         raise ValueError("strategy kind %s is not serializable" % type(strategy).__name__)
     return "\n".join(lines) + "\n"

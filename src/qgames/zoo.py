@@ -29,10 +29,10 @@ def E(src: VertexId, w, dst: VertexId) -> Edge:
 @dataclass
 class ZooEntry:
     name: str
-    params: dict
     arena: Arena
     start: VertexId
     note: str
+    params: dict = field(default_factory=dict)  # the URI parameters, set by ``make``
     strategies: dict[str, Strategy] = field(default_factory=dict)
     strategy_factories: dict[str, Callable[[int], Strategy]] = field(default_factory=dict)
     wprime: Optional[Callable[[VertexId, Fraction], bool]] = None
@@ -80,7 +80,7 @@ def _last_edge(last: Optional[Edge], e: Edge) -> Edge:
 # A1 and A1': one-shot and repeated match-the-number games (truncated)
 
 
-def _make_a1(b: int = 8, repeated: bool = False) -> ZooEntry:
+def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
     if b < 1:
         raise ValueError("truncation must be >= 1")
     s, t, q = V("s"), V("t"), V("q")
@@ -108,7 +108,7 @@ def _make_a1(b: int = 8, repeated: bool = False) -> ZooEntry:
             "owes -i, the responder answers +j; every finite-memory responder "
             "tops out at some bound and loses to -bound-1. Truncated to "
             "challenges 1..%d." % b)
-    return ZooEntry(name, {"b": b}, arena, s, note,
+    return ZooEntry(name, arena, s, note,
                     strategies={"match_plus_one": Tracking("match_plus_one", None, _last_edge,
                                                            match_plus_one)})
 
@@ -145,7 +145,7 @@ def _make_a2() -> ZooEntry:
             "unit steps then drops 2j, the responder descends k unit steps "
             "then regains 2k; answering k = j+1 nets +1 per round, so the "
             "running mean is positive at every round boundary.")
-    return ZooEntry("a2", {}, arena, start, note,
+    return ZooEntry("a2", arena, start, note,
                     strategies={"match_plus_one": Tracking("match_plus_one", None,
                                                            latest_challenge, match_plus_one)},
                     strategy_factories={"p2_pick_": _a2_p2_pick})
@@ -195,7 +195,7 @@ def _make_a3() -> ZooEntry:
             "exit from the j-th one regains +j. Delaying twice then exiting "
             "always banks at least +1, but a pure step-counter's decision at "
             "each vertex is pinned to one step and can be entered against.")
-    entry = ZooEntry("a3", {}, arena, start, note,
+    entry = ZooEntry("a3", arena, start, note,
                      strategies={"delay_twice_exit": delay_twice_exit_fm("e")},
                      strategy_factories={"p2_enter_": _a3_p2_enter})
     return entry
@@ -312,7 +312,7 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
             "exiting the k-th vertex regains k+1. Adapting the number of "
             "delays to the observed entry wins exactly 0, while any finite "
             "bank of delay counts can be routed into ever-longer stretches.")
-    return ZooEntry(name, {"guarded": guarded}, arena, start, note,
+    return ZooEntry(name, arena, start, note,
                     strategies={
                         "adaptive": Tracking("adaptive", (None, 0), adaptive_update,
                                              adaptive_decide),
@@ -435,7 +435,7 @@ def _make_bitarena() -> ZooEntry:
             "touching 0 once each round, which wins the limsup total-payoff "
             "condition; with only a step counter the touching rounds can be "
             "dodged.")
-    return ZooEntry("bitarena", {}, arena, start, note,
+    return ZooEntry("bitarena", arena, start, note,
                     strategies={
                         "opposite": opposite,
                         "allzero": p2_const("vz", "allzero"),
@@ -466,7 +466,7 @@ def bitarena_winning_from(vertex: VertexId, r: Fraction) -> Strategy:
 # Buechi-style entries
 
 
-def _make_buchia(k: int = 3) -> ZooEntry:
+def _make_buchia(k: int) -> ZooEntry:
     if k < 2:
         raise ValueError("need at least 2 colours")
     start = V("x", (0,))
@@ -495,11 +495,11 @@ def _make_buchia(k: int = 3) -> ZooEntry:
             "detour sees all %d colour codes infinitely often. With an "
             "unbounded colour supply no finite-memory walker can keep "
             "reaching new colours; this entry truncates the palette." % k)
-    return ZooEntry("buchia", {"k": k}, arena, start, note,
+    return ZooEntry("buchia", arena, start, note,
                     strategies={"round_robin": Memoryless(round_robin, name="round_robin")})
 
 
-def _make_buchib(b: int = 6) -> ZooEntry:
+def _make_buchib(b: int) -> ZooEntry:
     if b < 1:
         raise ValueError("truncation must be >= 1")
     start = V("v", ())
@@ -529,7 +529,7 @@ def _make_buchib(b: int = 6) -> ZooEntry:
             "colour-0 exit into opponent-chosen colour-0 padding of length "
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
-    return ZooEntry("buchib", {"b": b}, arena, start, note,
+    return ZooEntry("buchib", arena, start, note,
                     strategies={"alternating": Tracking("alternating", None, _last_edge,
                                                         alternating)})
 
@@ -538,7 +538,7 @@ def _make_buchib(b: int = 6) -> ZooEntry:
 # Non-uniformity example: debts resolved arbitrarily far down a free ray
 
 
-def _make_nonuniform(start_index: int = 0) -> ZooEntry:
+def _make_nonuniform(start_index: int) -> ZooEntry:
     start = V("st", (start_index,))
 
     def expand(v: VertexId):
@@ -569,7 +569,7 @@ def _make_nonuniform(start_index: int = 0) -> ZooEntry:
             "enough, but no single strategy with a step counter and one bit "
             "serves all starts, because the required exit point grows with "
             "the debt while the shared ray looks identical.")
-    return ZooEntry("nonuniform", {"start": start_index}, arena, start, note,
+    return ZooEntry("nonuniform", arena, start, note,
                     strategy_factories={"exit_at_": exit_at_factory})
 
 
@@ -577,17 +577,18 @@ def _make_nonuniform(start_index: int = 0) -> ZooEntry:
 # Registry
 
 
-_REGISTRY: dict[str, Callable[..., ZooEntry]] = {
-    "a1": _make_a1,
-    "a1prime": lambda b=8: _make_a1(b, repeated=True),
-    "a2": _make_a2,
-    "a3": _make_a3,
-    "a4": _make_a4,
-    "a4guarded": lambda: _make_a4(guarded=True),
-    "bitarena": _make_bitarena,
-    "buchia": _make_buchia,
-    "buchib": _make_buchib,
-    "nonuniform": _make_nonuniform,
+# name -> (factory, the URI parameters it takes with their defaults)
+_REGISTRY: dict[str, tuple[Callable[..., ZooEntry], dict]] = {
+    "a1": (_make_a1, {"b": 8}),
+    "a1prime": (lambda b: _make_a1(b, repeated=True), {"b": 8}),
+    "a2": (_make_a2, {}),
+    "a3": (_make_a3, {}),
+    "a4": (_make_a4, {}),
+    "a4guarded": (lambda: _make_a4(guarded=True), {}),
+    "bitarena": (_make_bitarena, {}),
+    "buchia": (_make_buchia, {"k": 3}),
+    "buchib": (_make_buchib, {"b": 6}),
+    "nonuniform": (_make_nonuniform, {"start_index": 0}),
 }
 
 
@@ -597,10 +598,17 @@ def names() -> list[str]:
 
 def make(name: str, **params) -> ZooEntry:
     try:
-        factory = _REGISTRY[name]
+        factory, declared = _REGISTRY[name]
     except KeyError:
         raise KeyError("unknown zoo entry %r (have: %s)" % (name, ", ".join(names())))
-    return factory(**params)
+    for key in params:
+        if key not in declared:
+            raise ValueError("zoo entry %r takes no parameter %r (accepted: %s)"
+                             % (name, key, ", ".join(declared) or "none"))
+    params = {**declared, **params}
+    entry = factory(**params)
+    entry.params = params
+    return entry
 
 
 def parse_uri(uri: str) -> ZooEntry:

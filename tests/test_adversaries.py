@@ -242,6 +242,28 @@ def test_ramsey_defeats_delay_twice_exit_on_the_guarded_arena():
     assert check_certificate(cert, ctx).ok
 
 
+def test_ramsey_certifies_a_late_exit_beyond_the_clique():
+    # the memory toggles on every delay and the strategy exits in state 1
+    # only from t(12) on, so no exit is predicted on the clique below 12;
+    # cycling its gaps exits at t(15) after 5 delays from entry 5, total -1
+    def decide(ar, v, m):
+        if v.name != "t":
+            return ar.edges(v)[0]
+        exits = m == 1 and v.params[0] >= 12
+        return next(e for e in ar.edges(v) if (e.dst.name == "r0") == exits)
+
+    sigma = FiniteMemory(MealyMemory((0, 1), 0, lambda m, e: (
+        1 - m if e.src.name == "t" and e.dst.name == "g" else m)), decide, name="late")
+    entry = make("a4")
+    plan, result = ramsey_adversary(sigma, entry, window=24)
+    assert (plan.entry, plan.routing) == (5, [5, 7, 9, 11])
+    assert result.notes == ["late exit beyond the clique from entry 5"]
+    assert result.certificate == EarlyExitNegative(F(-1), F(0), 49)
+    ctx = {"arena": entry.arena, "v0": entry.start,
+           "sigma1": sigma, "sigma2": result.p2}
+    assert check_certificate(result.certificate, ctx).ok
+
+
 def test_ramsey_guards_and_no_clique():
     entry = make("a4")
     with pytest.raises(TypeError):

@@ -154,6 +154,13 @@ def test_node_cap_env_override(monkeypatch):
     assert node_cap_from_env(55) == 55
 
 
+@pytest.mark.parametrize("value", ["lots", "0", "-5"])
+def test_node_cap_env_rejects_a_value_below_one_or_not_a_number(monkeypatch, value):
+    monkeypatch.setenv("QG_NODE_CAP", value)
+    with pytest.raises(ValueError, match="^QG_NODE_CAP must be a positive integer$"):
+        node_cap_from_env()
+
+
 def test_make_edge_coerces_weight():
     e = make_edge(V("a"), 3, V("b"))
     assert e.weight == F(3)

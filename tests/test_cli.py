@@ -8,7 +8,8 @@ import pytest
 from qgames.adversaries import ramsey_adversary
 from qgames.arena import Edge, VertexId
 from qgames.cli import main, parse_arena, serialize_arena, truncate_generator
-from qgames.engine import certificate_from_json, check_certificate
+from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
+                           check_certificate)
 from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
                                parse_strategy, serialize_strategy)
 from qgames.zoo import make
@@ -184,6 +185,61 @@ def test_cli_defeat_verify_cycle(tmp_path, capsys):
     assert main(["verify", "--arena", "zoo:a3", "--cert", bad,
                  "--p1", strat, "--p2", "p2_enter_2"]) == 1
     assert "refuted" in capsys.readouterr().out
+
+
+def test_cli_defeat_without_out_writes_the_certificate_to_stdout(tmp_path, capsys):
+    t2, r0 = V("t", (2,)), V("r0")
+    sc = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
+    strat = _write(tmp_path, "exit2.strategy", serialize_strategy(sc))
+    cert = tmp_path / "cert.json"
+    assert main(["defeat", "--arena", "zoo:a3", "--strategy", strat, "--out", str(cert)]) == 0
+    assert capsys.readouterr().out == (
+        "note: entered at index 2, the strategy's own exit step\n"
+        "certificate written to %s\n"
+        "defeat: certificate accepted\n" % cert)
+    assert main(["defeat", "--arena", "zoo:a3", "--strategy", strat]) == 0
+    assert capsys.readouterr().out == (
+        "note: entered at index 2, the strategy's own exit step\n"
+        + cert.read_text() + "defeat: certificate accepted\n")
+
+
+def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsys):
+    # the table exits the decision vertex at steps 1, 4, 7, ... and loops
+    # there at every other step
+    v, u = V("v", ()), V("u", ())
+    table = {(v, s): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(100)}
+    strat = _write(tmp_path, "third.strategy",
+                   serialize_strategy(StepCounterTable(table, 100, name="third")))
+    assert main(["defeat", "--arena", "zoo:buchib", "--strategy", strat,
+                 "--horizon", "60"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "note: every arrival hits an exit step\n"
+        '{\n  "body": {\n    "after_step": 1,\n    "colour": "1",\n    "horizon": 60\n  },\n'
+        '  "schema": "qg-cert/1",\n  "variant": "ColourStarvation"\n}\n'
+        "defeat: certificate accepted\n")
+    assert captured.err == ""
+
+
+def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, capsys):
+    strat = str(tmp_path / "bit.strategy")
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "3", "--out", strat]) == 0
+    schedule = [tuple(int(word[2:]) for word in line.split())
+                for line in capsys.readouterr().out.splitlines() if line.startswith("  m=")]
+    assert schedule == [(1, 1), (2, 4), (5, 8)]
+    good = _write(tmp_path, "good.json", certificate_to_json(LevelSatisfaction(schedule)))
+    argv = ["verify", "--arena", "zoo:bitarena", "--p1", strat, "--objective", "tp:limsup:>=:0"]
+    assert main(argv + ["--cert", good]) == 0
+    assert capsys.readouterr().out == (
+        "m=1 certified at level 1 <= 1\nm=2 certified at level 4 <= 4\n"
+        "m=5 certified at level 8 <= 8\nverify: accepted\n")
+    tampered = _write(tmp_path, "bad.json",
+                      certificate_to_json(LevelSatisfaction([(1, 1), (2, 3), (5, 8)])))
+    assert main(argv + ["--cert", tampered]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("m=1 certified at level 1 <= 1\nlevel (m=2, k=3) failed: ")
+    assert out.endswith("\nverify: refuted\n")
 
 
 def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys):
@@ -362,6 +418,22 @@ def test_cli_zoo_list_and_export(tmp_path, capsys):
                  "--out", path]) == 0
     text = open(path).read()
     assert serialize_arena(parse_arena(text)) == text
+
+
+@pytest.mark.parametrize("uri, message", [
+    ("zoo:nonuniform?start=3", "zoo entry 'nonuniform' takes no parameter 'start' "
+                               "(accepted: start_index)"),
+    ("zoo:a3?b=2", "zoo entry 'a3' takes no parameter 'b' (accepted: none)"),
+    ("zoo:a1?repeated=1", "zoo entry 'a1' takes no parameter 'repeated' (accepted: b)"),
+    ("zoo:a4?guarded=1", "zoo entry 'a4' takes no parameter 'guarded' (accepted: none)"),
+], ids=["nonuniform-start", "a3-b", "a1-repeated", "a4-guarded"])
+def test_cli_rejects_an_undeclared_zoo_parameter(tmp_path, capsys, uri, message):
+    out = tmp_path / "arena.txt"
+    assert main(["zoo", "export", "--arena", uri, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_bench_prints_grid(capsys):

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import ArenaExplicit, Edge, History, MealyMemory, VertexId
+from qgames.arena import ArenaExplicit, ArenaGenerator, Edge, History, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction,
                            RefutedBranch, SinkPayoff, certificate_from_json,
                            certificate_to_json, check_certificate,
-                           explore_consistent, koenig_bound, play)
+                           explore_consistent, koenig_bound, missing_context, play)
 from qgames.objectives import OpenSub
 from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
 from qgames.zoo import make
@@ -175,6 +175,40 @@ def test_certificate_json_rejects_unknown_schema():
         certificate_from_json('{"schema": "other/9", "variant": "SinkPayoff", "body": {}}')
 
 
+def test_a_play_whose_last_step_lands_on_a_sink_ends_on_the_sink():
+    p2 = Memoryless({B: E(B, 0, A)}, player=2)
+    for horizon in (1, 2):
+        record = play(branch_arena(), A, P1_SINK, p2, horizon)
+        assert record.edges == [E(A, -2, S)]
+        assert record.termination == "sink"
+
+
+@pytest.mark.parametrize("cert, needed", [
+    (SinkPayoff(F(-2), S, 1), "the player-1 strategy (sigma1) and the opponent strategy (sigma2)"),
+    (EarlyExitNegative(F(-1), F(0), 9),
+     "the player-1 strategy (sigma1) and the opponent strategy (sigma2)"),
+    (Divergence("stagnation", [0, 3], 6, ceiling=F(-1)),
+     "the player-1 strategy (sigma1) and the opponent strategy (sigma2)"),
+    (ColourStarvation(F(1), 4, 60),
+     "the player-1 strategy (sigma1) and the opponent strategy (sigma2)"),
+    (KoenigBound(3, OpenSub("tp-sup", m=2)), "the player-1 strategy (sigma1)"),
+    (LevelSatisfaction([(1, 1)]),
+     "the player-1 strategy (sigma1) and the open sub-objectives (subs)"),
+], ids=["sink", "early-exit", "divergence", "starvation", "koenig", "levels"])
+def test_each_certificate_names_what_its_check_needs(cert, needed):
+    message = "%s certificate needs %s" % (type(cert).__name__, needed)
+    assert missing_context(cert, {}) == message
+    with pytest.raises(ValueError) as raised:
+        check_certificate(cert, {"arena": branch_arena(), "v0": A})
+    assert str(raised.value) == message
+
+
+def test_a_non_certificate_fails_the_check():
+    check = check_certificate("nonsense", {})
+    assert not check.ok
+    assert check.diagnostics == ["unknown certificate 'nonsense'"]
+
+
 def test_check_sink_payoff_and_tamper():
     arena = branch_arena()
     p2 = Memoryless({B: E(B, 0, A)}, player=2)
@@ -258,9 +292,11 @@ def test_check_level_satisfaction():
 
 def test_plays_validate_linearly_many_history_edges(monkeypatch):
     # a play checks each history edge a bounded number of times, also with
-    # a strategy deciding from the full history
+    # a strategy deciding from the full history, and reads a bounded number
+    # of arena rows per step
     validated = [0]
-    post_init, extend = History.__post_init__, History.extend
+    rows = [0]
+    post_init, extend, row = History.__post_init__, History.extend, ArenaGenerator.row
 
     def counting_post_init(self):
         validated[0] += len(self.edges)
@@ -271,13 +307,21 @@ def test_plays_validate_linearly_many_history_edges(monkeypatch):
         return extend(self, *edges)
 
     monkeypatch.setattr(History, "__post_init__", counting_post_init)
+    def counting_row(self, v):
+        rows[0] += 1
+        return row(self, v)
+
     monkeypatch.setattr(History, "extend", counting_extend)
+    monkeypatch.setattr(ArenaGenerator, "row", counting_row)
     entry = make("a4")
     first = scanning("first_edge", lambda ar, h: ar.edges(h.to_vertex)[0])
     for horizon in (1000, 2000):
         for p1 in (entry.strategy("sigma_100000"), first):
-            validated[0] = 0
+            validated[0] = rows[0] = 0
             record = play(entry.arena, entry.start, p1, entry.strategy("p2_enter_1"),
                           horizon)
             assert len(record.edges) == horizon
             assert validated[0] <= 2 * horizon
+            # the play's row and the strategy's edge lookup per step, then
+            # the sink test after the last step
+            assert rows[0] <= 2 * horizon + 1

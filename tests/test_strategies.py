@@ -176,11 +176,13 @@ def test_serialize_parse_sc_plus_k_roundtrip():
 
 
 def test_fm_files_are_rejected():
+    # no fm file is written, and a hand-written one is not read
     mealy = MealyMemory((0,), 0, lambda m, e: 0)
     sigma = FiniteMemory(mealy, {(A, 0): E(A, 1, B)})
-    text = serialize_strategy(sigma)
-    with pytest.raises(ValueError):
-        parse_strategy(text)
+    with pytest.raises(ValueError, match="strategy kind FiniteMemory is not serializable"):
+        serialize_strategy(sigma)
+    with pytest.raises(ValueError, match="fm strategy files are not supported"):
+        parse_strategy("strategy fm kind=fm states=1 player=1\nmove a state=0 -> b weight=1\n")
 
 
 def test_parse_strategy_error_reporting():

@@ -29,6 +29,14 @@ def test_parse_uri_with_params():
     assert parse_uri("zoo:a3").name == "a3"
 
 
+def test_entries_report_their_declared_uri_parameters():
+    entry = parse_uri("zoo:nonuniform?start_index=3")
+    assert (entry.params, entry.start) == ({"start_index": 3}, V("st", (3,)))
+    assert make("nonuniform").params == {"start_index": 0}
+    assert make("a1prime").params == {"b": 8}
+    assert make("a4guarded").params == {}
+
+
 def test_parse_uri_errors():
     with pytest.raises(ValueError):
         parse_uri("menagerie:a3")
