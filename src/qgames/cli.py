@@ -1,10 +1,10 @@
 """Command-line interface: validate, simulate, defeat, synthesize, verify,
 zoo inspection, and a small benchmark grid.
 
-Exit codes: 0 success / accepted certificate, 1 refuted or failed,
-2 inconclusive (a cap or window was exhausted before a verdict).
-All numeric output is exact rational text; artifacts are written
-atomically.
+Exit codes: 0 success / accepted certificate, 1 refuted, failed or a
+malformed command line, 2 inconclusive (a cap or window was exhausted
+before a verdict).  All numeric output is exact rational text; artifacts
+are written atomically.
 """
 
 from __future__ import annotations
@@ -240,11 +240,9 @@ def cmd_defeat(args) -> int:
     check = check_certificate(result.certificate,
                               {"arena": arena, "v0": start,
                                "sigma1": sigma, "sigma2": result.p2})
+    _emit(certificate_to_json(result.certificate), args.out)
     if args.out:
-        _atomic_write(args.out, certificate_to_json(result.certificate))
         print("certificate written to %s" % args.out)
-    else:
-        sys.stdout.write(certificate_to_json(result.certificate))
     if not check.ok:
         print("self-check failed: %s" % "; ".join(check.diagnostics))
         return FAILED
@@ -265,14 +263,18 @@ def _synth_report_text(report: SynthReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# decomposition label -> the winning-region oracle of an explicit arena; a
-# generator takes the zoo entry's W' fields, which serve tp-limsup>=0
-_FINITE_ORACLES = {"tp-limsup>=0": finite_wprime_oracle, "mp-limsup>=0": finite_mp_oracle}
+# decomposition label -> (the winning-region oracle of an explicit arena, the
+# synthesizer, called by its module-level name); a generator takes the zoo
+# entry's W' fields, which serve tp-limsup>=0
+_FINITE_ORACLES = {
+    "tp-limsup>=0": (finite_wprime_oracle, lambda arena, start, deco, m_max, oracle, depth:
+                     sc1bit_synthesize(arena, start, m_max, oracle, depth_cap=depth)),
+    "mp-limsup>=0": (finite_mp_oracle, lambda arena, start, deco, m_max, oracle, depth:
+                     bubble_synthesize(arena, start, deco, m_max, oracle, depth_cap=depth)),
+}
 
 
 def cmd_synthesize(args) -> int:
-    if args.m_max < 1:
-        return _err("--m-max must be at least 1")
     arena, start, entry = _load_arena(args.arena)
     objective = parse_objective(args.objective)
     if objective.kind in ("tp", "mp") and not isinstance(objective.threshold, float):
@@ -282,7 +284,6 @@ def cmd_synthesize(args) -> int:
             if not isinstance(arena, ArenaExplicit):
                 return _err("threshold shifting on generators is a library operation")
             arena, start, objective, _ = shift_to_zero_threshold(arena, start, objective)
-            entry = None
             print("note: threshold shifted to 0 on a transformed arena")
     deco = decompose(objective)
     if not hasattr(deco, "sub"):
@@ -290,17 +291,15 @@ def cmd_synthesize(args) -> int:
     if deco.label not in _FINITE_ORACLES:
         return _err("synthesis supports tp:limsup:>=:<finite> and "
                     "mp:limsup:>=:<finite> objectives")
+    finite_oracle, synthesize = _FINITE_ORACLES[deco.label]
     if isinstance(arena, ArenaExplicit):
-        oracle = _FINITE_ORACLES[deco.label](arena)
+        oracle = finite_oracle(arena)
     elif deco.label == "tp-limsup>=0" and entry.wprime is not None:
         oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
                               entry.extras["winning_from"])
     else:
         return _err("zoo entry %r has no winning-region oracle for %s" % (entry.name, objective))
-    if objective.kind == "tp":
-        report = sc1bit_synthesize(arena, start, args.m_max, oracle, depth_cap=args.depth)
-    else:
-        report = bubble_synthesize(arena, start, deco, args.m_max, oracle, depth_cap=args.depth)
+    report = synthesize(arena, start, deco, args.m_max, oracle, args.depth)
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
         _atomic_write(args.out, serialize_strategy(report.strategy))
@@ -335,23 +334,23 @@ def cmd_verify(args) -> int:
     return OK if result.ok else FAILED
 
 
-def cmd_zoo(args) -> int:
-    if args.zoo_command == "list":
-        for name in zoo.names():
-            entry = zoo.make(name)
-            strategies = sorted(entry.strategies)
-            print("%s: %s" % (name, entry.note))
-            if strategies:
-                print("  strategies: %s" % ", ".join(strategies))
-        return OK
-    if args.zoo_command == "export":
-        arena, start, entry = _load_arena(args.arena)
-        if entry is None:
-            return _err("zoo export takes a zoo: URI")
-        explicit = truncate_generator(arena, start, args.depth, name=entry.name)
-        _emit(serialize_arena(explicit), args.out)
-        return OK
-    return _err("unknown zoo subcommand")
+def cmd_zoo_list(args) -> int:
+    for name in zoo.names():
+        entry = zoo.make(name)
+        strategies = sorted(entry.strategies)
+        print("%s: %s" % (name, entry.note))
+        if strategies:
+            print("  strategies: %s" % ", ".join(strategies))
+    return OK
+
+
+def cmd_zoo_export(args) -> int:
+    arena, start, entry = _load_arena(args.arena)
+    if entry is None:
+        return _err("zoo export takes a zoo: URI")
+    explicit = truncate_generator(arena, start, args.depth, name=entry.name)
+    _emit(serialize_arena(explicit), args.out)
+    return OK
 
 
 _BENCH_GRID = [
@@ -391,75 +390,64 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+# every option a subcommand may take, with its argparse keywords
+_OPTIONS = {
+    "--arena": {"help": "arena file or zoo:<name>?k=v URI"},
+    "--horizon": {"type": int, "default": 200},
+    "--depth": {"type": int, "default": 40},
+    "--window": {"type": int, "default": 2000},
+    "--m-max": {"type": int, "default": 3},
+    "--seed": {"type": int, "default": 0, "help": "accepted and ignored"},
+    "--out": {}, "--strategy": {}, "--cert": {}, "--objective": {}, "--p1": {}, "--p2": {},
+}
+
+# option dest -> its least value, checked before any handler runs
+_BOUNDS = {"horizon": 0, "depth": 0, "window": 0, "m_max": 1}
+
+
+def _command(sub, name: str, fn, options: str, **parser_kw) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``fn``, taking exactly the listed
+    ``_OPTIONS`` (a trailing ``!`` makes one required)."""
+    p = sub.add_parser(name, **parser_kw)
+    for option in options.split():
+        flag = option.rstrip("!")
+        p.add_argument(flag, required=option.endswith("!"), **_OPTIONS[flag])
+    p.set_defaults(fn=fn)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, arena=True):
-        if arena:
-            p.add_argument("--arena", required=True, help="arena file or zoo:<name>?k=v URI")
-        p.add_argument("--horizon", type=int, default=200)
-        p.add_argument("--depth", type=int, default=40)
-        p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("validate", help="check arena well-formedness")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("simulate", help="play two strategies, emit the play CSV")
-    common(p)
-    p.add_argument("--p1", required=True)
-    p.add_argument("--p2", required=True)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("defeat", help="construct an opponent defeating the strategy")
-    common(p)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--window", type=int, default=2000)
-    p.set_defaults(fn=cmd_defeat)
-
-    p = sub.add_parser("synthesize", help="synthesize a certified strategy")
-    common(p)
-    p.add_argument("--objective", required=True)
-    p.add_argument("--m-max", type=int, default=3)
-    p.set_defaults(fn=cmd_synthesize, depth=200)
-
-    p = sub.add_parser("verify", help="re-check a certificate file")
-    common(p)
-    p.add_argument("--cert", required=True)
-    p.add_argument("--p1", default=None)
-    p.add_argument("--p2", default=None)
-    p.add_argument("--objective", default=None)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("zoo", help="inspect or export zoo arenas")
-    zsub = p.add_subparsers(dest="zoo_command", required=True)
-    pl = zsub.add_parser("list")
-    pl.set_defaults(fn=cmd_zoo, zoo_command="list")
-    pe = zsub.add_parser("export")
-    common(pe)
-    pe.set_defaults(fn=cmd_zoo, zoo_command="export")
-
-    p = sub.add_parser("bench", help="tournament grid over zoo arenas")
-    common(p, arena=False)
-    p.set_defaults(fn=cmd_bench)
-
+    _command(sub, "validate", cmd_validate, "--arena! --depth --seed",
+             help="check arena well-formedness")
+    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --seed --out --p1! --p2!",
+             help="play two strategies, emit the play CSV")
+    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --seed --out --strategy! --window",
+             help="construct an opponent defeating the strategy")
+    _command(sub, "synthesize", cmd_synthesize,
+             "--arena! --depth --seed --out --objective! --m-max",
+             help="synthesize a certified strategy").set_defaults(depth=200)
+    _command(sub, "verify", cmd_verify, "--arena! --seed --cert! --p1 --p2 --objective",
+             help="re-check a certificate file")
+    zoo_sub = sub.add_parser("zoo", help="inspect or export zoo arenas").add_subparsers(
+        required=True)
+    _command(zoo_sub, "list", cmd_zoo_list, "")
+    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --seed --out")
+    _command(sub, "bench", cmd_bench, "--horizon --seed", help="tournament grid over zoo arenas")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed command line, 0 after --help
+        return FAILED if exc.code else OK
     try:
         node_cap_from_env()
-    except ValueError as exc:
-        return _err(str(exc))
-    for option in ("horizon", "depth", "window"):
-        if getattr(args, option, 0) < 0:
-            return _err("--%s must be at least 0" % option)
-    try:
+        for option, least in _BOUNDS.items():
+            if getattr(args, option, least) < least:
+                return _err("--%s must be at least %d" % (option.replace("_", "-"), least))
         return args.fn(args)
     except ProfileCapExceeded as exc:
         print("inconclusive: %s" % exc)

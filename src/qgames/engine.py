@@ -568,22 +568,29 @@ def certificate_to_json(cert: Certificate) -> str:
                        "body": body}, indent=2, sort_keys=True) + "\n"
 
 
+def _int(value) -> int:
+    """A JSON integer, unchanged; ``true`` reads as a bool, which is an int subclass."""
+    if type(value) is not int:
+        raise ValueError("%s is not an integer" % json.dumps(value))
+    return value
+
+
 def _read_open_sub(sub) -> OpenSub:
     colour = None if sub["colour"] is None else Fraction(sub["colour"])
-    return OpenSub(sub["family"], m=sub["m"], i=sub["i"], colour=colour)
+    return OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]), colour=colour)
 
 
 # certificate field annotation -> how certificate_from_json reads the field
 _READERS: dict[str, Callable] = {
-    "int": int,
+    "int": _int,
     "str": lambda x: x,  # taken as written
     "Fraction": Fraction,
     "Optional[Fraction]": lambda x: None if x is None else Fraction(x),
     "VertexId": VertexId.parse,
     "OpenSub": _read_open_sub,
-    "list[int]": lambda xs: [int(x) for x in xs],
+    "list[int]": lambda xs: [_int(x) for x in xs],
     "list[str]": lambda xs: [str(x) for x in xs],
-    "list[tuple[int, int]]": lambda xs: [(int(m), int(k)) for m, k in xs],
+    "list[tuple[int, int]]": lambda xs: [(_int(m), _int(k)) for m, k in xs],
 }
 
 
@@ -600,12 +607,16 @@ def certificate_from_json(text: str) -> Certificate:
     cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError("unknown certificate variant %r" % variant)
-    # a field with a default (neither default is MISSING) may be absent
+    values = {}
     try:
-        return cls(**{f.name: _READERS[f.type](body[f.name]) for f in fields(cls)
-                      if f.name in body or f.default is f.default_factory is MISSING})
+        for f in fields(cls):  # a field with a default (neither is MISSING) may be absent
+            if f.name in body or f.default is f.default_factory is MISSING:
+                values[f.name] = _READERS[f.type](body[f.name])
     except KeyError as exc:
         raise ValueError("%s certificate body lacks %s" % (variant, exc))
+    except ValueError as exc:
+        raise ValueError("%s certificate field %s: %s" % (variant, f.name, exc))
+    return cls(**values)
 
 
 @dataclass

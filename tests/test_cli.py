@@ -1,13 +1,15 @@
 from fractions import Fraction
 from pathlib import Path
 
+import argparse
 import hashlib
+import itertools
 import json
 import pytest
 
 from qgames.adversaries import ramsey_adversary
 from qgames.arena import Edge, VertexId
-from qgames.cli import main, parse_arena, serialize_arena, truncate_generator
+from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate)
 from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
@@ -322,10 +324,18 @@ def defeat_certificates(tmp_path_factory):
     ("a4-delay", {"elevation": "1"}, "in-round spike 2 exceeds elevation bound 1"),
     ("a4-delay", {"ceiling": "-3"}, "TP reaches -2 above the ceiling -3"),
     ("a4-delay", {"mode": "sideways"}, "unknown divergence mode 'sideways'"),
+    ("a4-delay", {"decrease": "1/2"}, "decrease certificates need a per-round decrease >= 1"),
+    ("a4-delay", {"elevation": "-1"}, "decrease certificates need an elevation bound >= 0"),
+    ("a4-delay", {"round_states": ["x"]}, "claimed round states do not match the replay"),
+    ("a3-exit", {"variant": "Divergence", "mode": "decrease", "round_starts": [0, 1],
+                 "horizon": 30}, "play reaches a sink; no divergence"),
+    ("a3-stay", {"variant": "SinkPayoff", "final_tp": "0", "sink": "r0", "steps": 30},
+     "play does not reach a sink within 30 steps"),
 ], ids=["wrong-sink", "exit-not-below", "no-sink", "boundaries-out-of-order",
         "boundary-past-horizon", "cycle-from-out-of-range", "round-states-differ",
         "stagnation-round-gains", "round-loses-too-little", "spike-above-elevation",
-        "above-ceiling", "unknown-mode"])
+        "above-ceiling", "unknown-mode", "decrease-below-one", "negative-elevation",
+        "round-states-claimed-wrong", "divergence-reaches-a-sink", "sink-never-reached"])
 def test_tampered_defeat_certificates_are_refuted_with_their_diagnostic(
         defeat_certificates, source, changes, diagnostic):
     data, context = defeat_certificates[source]
@@ -380,6 +390,29 @@ def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, t
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % message
     assert captured.out == ""
+
+OPEN_SUB = '"family": "tp-sup", "m": %s, "i": 1, "colour": null'
+
+
+@pytest.mark.parametrize("body, message", [
+    ('"KoenigBound", "body": {"level": true, "open_sub": {%s}}' % (OPEN_SUB % 1),
+     "KoenigBound certificate field level: true is not an integer"),
+    ('"ColourStarvation", "body": {"colour": "1", "after_step": 1.5, "horizon": 10}',
+     "ColourStarvation certificate field after_step: 1.5 is not an integer"),
+    ('"KoenigBound", "body": {"level": 3, "open_sub": {%s}}' % (OPEN_SUB % 1.5),
+     "KoenigBound certificate field open_sub: 1.5 is not an integer"),
+    ('"KoenigBound", "body": {"level": 3, "open_sub": {%s}}' % (OPEN_SUB % '"2"'),
+     'KoenigBound certificate field open_sub: "2" is not an integer'),
+], ids=["bool-level", "float-after-step", "float-open-sub-m", "string-open-sub-m"])
+def test_cli_verify_refuses_a_certificate_integer_that_is_not_a_json_integer(
+        tmp_path, capsys, body, message):
+    cert = _write(tmp_path, "bad.json", '{"schema": "qg-cert/1", "variant": %s}' % body)
+    assert main(["verify", "--arena", "zoo:bitarena", "--cert", cert,
+                 "--p1", "opposite", "--p2", "allzero"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
 
 def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
     path = _write(tmp_path, "pos.txt", POS_ARENA)
@@ -493,6 +526,96 @@ def test_cli_rejects_a_negative_horizon_depth_or_window(capsys, option, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--arena", "zoo:a3", "--horizon", "3"],
+    ["validate", "--arena", "zoo:a3", "--out", "x"],
+    ["simulate", "--arena", "zoo:a3", "--p1", "delay_twice_exit", "--p2", "p2_enter_1",
+     "--depth", "3"],
+    ["defeat", "--arena", "zoo:a3", "--strategy", "delay_twice_exit", "--depth", "3"],
+    ["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+     "--horizon", "3"],
+    ["verify", "--arena", "zoo:a3", "--cert", "cert.json", "--horizon", "3"],
+    ["verify", "--arena", "zoo:a3", "--cert", "cert.json", "--depth", "9"],
+    ["verify", "--arena", "zoo:a3", "--cert", "cert.json", "--out", "x"],
+    ["zoo", "export", "--arena", "zoo:a3", "--horizon", "3"],
+    ["bench", "--depth", "3"],
+    ["bench", "--out", "x"],
+], ids=["validate-horizon", "validate-out", "simulate-depth", "defeat-depth",
+        "synthesize-horizon", "verify-horizon", "verify-depth", "verify-out",
+        "export-horizon", "bench-depth", "bench-out"])
+def test_cli_refuses_an_option_its_handler_does_not_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: qg ")
+    assert captured.err.endswith("error: unrecognized arguments: %s %s\n" % tuple(argv[-2:]))
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_exits_1_on_a_malformed_command_line(capsys):
+    assert main(["simulate", "--arena", "zoo:a4", "--p2", "p2_enter_1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage: qg simulate [-h] --arena ARENA [--horizon HORIZON] [--seed SEED]\n"
+        "                   [--out OUT] --p1 P1 --p2 P2\n"
+        "qg simulate: error: the following arguments are required: --p1\n")
+    assert captured.out == ""
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "two"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: argument --m-max: invalid int value: 'two'\n")
+    assert captured.out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qg [-h]")
+
+
+# the options each subcommand takes, and nothing else
+CLI_OPTIONS = {
+    "validate": {"--arena", "--depth", "--seed"},
+    "simulate": {"--arena", "--horizon", "--out", "--p1", "--p2", "--seed"},
+    "defeat": {"--arena", "--horizon", "--out", "--strategy", "--window", "--seed"},
+    "synthesize": {"--arena", "--depth", "--out", "--objective", "--m-max", "--seed"},
+    "verify": {"--arena", "--cert", "--p1", "--p2", "--objective", "--seed"},
+    "zoo list": set(),
+    "zoo export": {"--arena", "--depth", "--out", "--seed"},
+    "bench": {"--horizon", "--seed"},
+}
+
+
+def _subcommands(parser, prefix=""):
+    """(name, parser) for each leaf subcommand under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, prefix + name + " ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_cli_subcommands_declare_exactly_the_options_their_handlers_read():
+    found = {name: {flag for action in p._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, p in _subcommands(build_parser())}
+    assert found == CLI_OPTIONS
+    assert sum(len(options) for options in found.values()) == 33
+
+
+def test_readme_command_lines_parse_with_every_option_of_their_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    parser = build_parser()
+    named = set()
+    for line in block.strip().splitlines():
+        words = [w.strip("[]") for w in line.split()]
+        assert words[0] == "qg", line
+        name = " ".join(itertools.takewhile(lambda w: not w.startswith("--"), words[1:]))
+        parser.parse_args(["1" if w == "N" else w for w in words[1:]])
+        assert {w for w in words if w.startswith("--")} == CLI_OPTIONS[name], line
+        named.add(name)
+    assert named == set(CLI_OPTIONS)
+
+
 def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
     monkeypatch.setenv("QG_NODE_CAP", "5")
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
@@ -582,6 +705,36 @@ def test_cli_synthesize_names_a_zoo_entry_without_an_oracle(capsys, uri, objecti
     captured = capsys.readouterr()
     assert captured.err == "error: zoo entry %r has no winning-region oracle for %s\n" % (
         uri[len("zoo:"):], objective)
+    assert captured.out == ""
+
+
+SINK_CERT = ('{"schema": "qg-cert/1", "variant": "SinkPayoff", '
+             '"body": {"final_tp": "0", "sink": "b", "steps": 1}}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["defeat", "--arena", "{arena}", "--strategy", "x"],
+     "defeat targets zoo entries; pass a zoo: URI"),
+    (["defeat", "--arena", "zoo:bitarena", "--strategy", "opposite"],
+     "no adversary routine for zoo entry 'bitarena'"),
+    (["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:1"],
+     "threshold shifting on generators is a library operation"),
+    (["synthesize", "--arena", "{arena}", "--objective", "mp:liminf:>=:0"],
+     "objective mp:liminf:>=:0: Sigma03; sufficiency open"),
+    (["synthesize", "--arena", "{arena}", "--objective", "tp:limsup:>=:+inf"],
+     "synthesis supports tp:limsup:>=:<finite> and mp:limsup:>=:<finite> objectives"),
+    (["verify", "--arena", "{arena}", "--cert", "{cert}", "--objective", "mp:liminf:>=:0"],
+     "objective mp:liminf:>=:0: Sigma03; sufficiency open"),
+    (["zoo", "export", "--arena", "{arena}"], "zoo export takes a zoo: URI"),
+], ids=["defeat-arena-file", "defeat-no-routine", "synthesize-shift-generator",
+        "synthesize-open-objective", "synthesize-unsupported-objective",
+        "verify-open-objective", "export-arena-file"])
+def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
+    files = {"arena": _write(tmp_path, "pos.txt", POS_ARENA),
+             "cert": _write(tmp_path, "sink.json", SINK_CERT)}
+    assert main([word.format(**files) for word in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
     assert captured.out == ""
 
 
