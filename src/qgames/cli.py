@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "simulate", cmd_simulate, "--arena! --horizon --seed --out --p1! --p2!",
              help="play two strategies, emit the play CSV")
     _command(sub, "defeat", cmd_defeat, "--arena! --horizon --seed --out --strategy! --window",
-             help="construct an opponent defeating the strategy")
+             help="construct an opponent defeating the strategy",
+             epilog="--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
+                    "horizon is max(--horizon, 2000); a1prime and a2 do not read it")
     _command(sub, "synthesize", cmd_synthesize,
              "--arena! --depth --seed --out --objective! --m-max",
              help="synthesize a certified strategy").set_defaults(depth=200)

@@ -614,7 +614,7 @@ def certificate_from_json(text: str) -> Certificate:
                 values[f.name] = _READERS[f.type](body[f.name])
     except KeyError as exc:
         raise ValueError("%s certificate body lacks %s" % (variant, exc))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON shape
         raise ValueError("%s certificate field %s: %s" % (variant, f.name, exc))
     return cls(**values)
 

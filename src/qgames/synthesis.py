@@ -62,8 +62,11 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     payoff is +/-inf on the positive/negative mean-payoff regions and a
     bounded exact fixed point on the zero region.  The witness is the
     first memoryless strategy achieving the value against every
-    memoryless opponent, absent past ``PROFILE_CAP``; the limsup-TP one
-    comes with a player-2 profile holding the values from above.
+    memoryless opponent, absent past ``PROFILE_CAP``.  The mean-payoff one
+    is found by a depth-first search that drops a partial profile once
+    its edges close a negative cycle on weights shifted by the values
+    (``_mp_witness``); the limsup-TP one comes with a player-2 profile
+    holding the values from above.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
@@ -226,41 +229,79 @@ def _greedy_certificate(view: _View, x: list[int]) -> Optional[list[Fraction]]:
 
 def _profiles(view: _View, player: int, cap: int,
               keep: Optional[Callable[[int, int, int], bool]] = None):
-    """Every positional strategy of the player as (its vertex indices, an
-    iterator of edge-position tuples in product order), offering vertex i
-    only the edges (successor d, scaled weight w) with keep(i, d, w); None
-    if the unrestricted strategy space has more than ``cap`` profiles."""
+    """The player's vertex indices and, per vertex, the positions of the
+    edges (successor d, scaled weight w) it is offered, those with
+    keep(i, d, w): their product, in order, is every positional strategy.
+    None if the unrestricted strategy space has more than ``cap`` profiles."""
     owned = [i for i, p1 in enumerate(view.p1) if p1 == (player == 1)]
     if math.prod(len(view.succ[i]) for i in owned) > cap:
         return None
-    return owned, itertools.product(*(
-        [j for j, (d, w) in enumerate(view.succ[i]) if keep is None or keep(i, d, w)]
-        for i in owned))
+    return owned, [[j for j, (d, w) in enumerate(view.succ[i]) if keep is None or keep(i, d, w)]
+                   for i in owned]
 
 
 def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
                 cap: int) -> Optional[Memoryless]:
-    """The first player-1 profile under which the least cycle mean
-    reachable from every vertex is the vertex's value.
+    """The first player-1 profile, in product order, under which the least
+    cycle mean reachable from every vertex is the vertex's value.
 
-    Only edges to a successor of the same value are offered: when a
-    profile passes at v and at its successor d, the vertices reachable
-    from v are those reachable from d plus v, which lies on a cycle only
-    if it is reachable from d, so both sets hold the same cycles and the
-    values of v and d agree.
+    Only edges to a successor of the same value are offered.  Values never
+    drop along an offered edge nor along a player-2 edge, so every cycle of
+    a profile stays in one value class c = p/q.  Player 2 holds every
+    vertex to its value, so a profile passes exactly when no cycle has mean
+    below its class: when the graph of in-class edges, each (d, w) weighed
+    w q - p, has no negative cycle.  A depth-first search over the owned
+    vertices in product order drops every completion of a partial profile
+    whose fixed edges already close a negative cycle.
     """
     target = [values[v] * view.denom for v in view.vertices]
     profiles = _profiles(view, 1, cap, keep=lambda i, d, w: target[d] == target[i])
     if profiles is None:
         return None
-    owned, combos = profiles
-    for combo in combos:
-        out = list(view.succ)
-        for i, j in zip(owned, combo):
-            out[i] = (view.succ[i][j],)
-        if _least_cycle_means(out) == target:
-            return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)},
-                              name="mp_witness")
+    owned, choices = profiles
+    # each in-class edge (d, w) of a vertex of value p/q weighs w q - p; the others, None
+    shifted = [[(d, w * t.denominator - t.numerator) if target[d] == t else None for d, w in out]
+               for t, out in zip(target, view.succ)]
+    out = [[e for e in es if e is not None] for es in shifted]
+    # a player-1 vertex with several offered edges is left out until the search fixes one;
+    # the others are fixed from the start, so the search recurses at most log2(cap) deep
+    branch = [k for k, js in enumerate(choices) if len(js) != 1]
+    for k in branch:
+        out[owned[k]] = []
+    pick = [js[0] if js else None for js in choices]
+
+    def search(b: int, dist: list[int]) -> bool:
+        if b == len(branch):
+            return True
+        k = branch[b]
+        for j in choices[k]:
+            out[owned[k]], pick[k] = [shifted[owned[k]][j]], j
+            trial = _potential(out, dist)
+            if trial is not None and search(b + 1, trial):
+                return True
+        out[owned[k]] = []
+        return False
+
+    dist = _potential(out, [0] * len(out))
+    if dist is None or not search(0, dist):
+        return None
+    return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, pick)},
+                      name="mp_witness")
+
+
+def _potential(out: list[list[tuple[int, int]]], dist: list[int]) -> Optional[list[int]]:
+    """Bellman-Ford from a virtual source, warm-started at ``dist``: a
+    potential under which no edge of ``out`` is negative, or None if the
+    graph has a negative cycle."""
+    dist = list(dist)
+    for _ in range(len(out) + 1):
+        changed = False
+        for u, edges in enumerate(out):
+            for d, w in edges:
+                if dist[u] + w < dist[d]:
+                    dist[d], changed = dist[u] + w, True
+        if not changed:
+            return dist
     return None
 
 
@@ -347,12 +388,12 @@ def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
     step = list(view.succ)
 
     def holds(player: int, beats: Callable) -> tuple[list[int], tuple[int, ...]]:
-        owned, combos = _profiles(view, player, cap, lambda i, d, w: target[i] == w + target[d])
-        for combo in combos:
+        owned, choices = _profiles(view, player, cap, lambda i, d, w: target[i] == w + target[d])
+        for combo in itertools.product(*choices):
             for i, j in zip(owned, combo):
                 step[i] = view.succ[i][j]
             other, replies = _profiles(view, 3 - player, cap)
-            for reply in replies:
+            for reply in itertools.product(*replies):
                 for i, j in zip(other, reply):
                     step[i] = view.succ[i][j]
                 if any(map(beats, _pair_values(step, TP, 1), target)):
@@ -381,8 +422,8 @@ def _max_min(view: _View, kind: str, cap: int
     (own1, combos1), (own2, combos2) = p1_profiles, p2_profiles
     succ = view.succ
     scale = math.lcm(*range(1, len(succ) + 1)) if kind == MP else 1
-    replies = [[succ[i][j] for i, j in zip(own2, combo)] for combo in combos2]
-    combos1 = list(combos1)
+    replies = [[succ[i][j] for i, j in zip(own2, combo)] for combo in itertools.product(*combos2)]
+    combos1 = list(itertools.product(*combos1))
     step = list(succ)
     worst = []
     for combo in combos1:

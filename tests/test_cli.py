@@ -383,7 +383,12 @@ def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, 
     ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, '
      '"open_sub": {"m": 1, "i": 0, "colour": null}}}',
      "KoenigBound certificate body lacks 'family'"),
-], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field"])
+    ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, "open_sub": 3}}',
+     "KoenigBound certificate field open_sub: 'int' object is not subscriptable"),
+    ('{"schema": "qg-cert/1", "variant": "LevelSatisfaction", "body": {"levels": 5}}',
+     "LevelSatisfaction certificate field levels: 'int' object is not iterable"),
+], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field",
+        "open-sub-not-an-object", "levels-not-a-list"])
 def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, text, message):
     cert = _write(tmp_path, "bad.json", text)
     assert main(["verify", "--arena", "zoo:a3", "--cert", cert]) == 1
@@ -568,6 +573,13 @@ def test_cli_exits_1_on_a_malformed_command_line(capsys):
     assert captured.out == ""
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: qg [-h]")
+
+
+def test_cli_defeat_help_says_which_adversaries_read_the_horizon(capsys):
+    assert main(["defeat", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play horizon "
+            "is max(--horizon, 2000); a1prime and a2 do not read it") in text
 
 
 # the options each subcommand takes, and nothing else

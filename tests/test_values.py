@@ -1,8 +1,9 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
 algorithms it replaces, kept here as oracles: value iteration for the full
-4n^3 W rounds, the witness search over every player-1 profile, Karp's
-cycle mean once per start vertex, and the max-min that walks one lasso per
-vertex and profile pair."""
+4n^3 W rounds, the witness search over every player-1 profile, the
+product-order witness loop with one least-cycle-mean pass per profile,
+Karp's cycle mean once per start vertex, and the max-min that walks one
+lasso per vertex and profile pair."""
 
 import itertools
 import json
@@ -92,6 +93,24 @@ def unfiltered_mp_witness(arena, values):
     return None
 
 
+def product_order_mp_witness(view, values, cap):
+    """Every player-1 profile of same-value edges in product order, each
+    checked by one least-cycle-mean pass over the whole arena."""
+    target = [values[v] * view.denom for v in view.vertices]
+    owned = [i for i, p1 in enumerate(view.p1) if p1]
+    if math.prod(len(view.succ[i]) for i in owned) > cap:
+        return None
+    offered = [[j for j, (d, _) in enumerate(view.succ[i]) if target[d] == target[i]]
+               for i in owned]
+    for combo in itertools.product(*offered):
+        out = list(view.succ)
+        for i, j in zip(owned, combo):
+            out[i] = (view.succ[i][j],)
+        if _least_cycle_means(out) == target:
+            return {view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)}
+    return None
+
+
 def _lasso(arena, v, moves1, moves2):
     at = v
     seen = {v: 0}
@@ -130,6 +149,23 @@ def random_arena(rng):
 def random_arenas(seed, count=200):
     rng = random.Random(seed)
     return [random_arena(rng) for _ in range(count)]
+
+
+def pool_shaped_arena(rng, n, w):
+    """n vertices split evenly between the players, out-degrees 2 and 3 in
+    alternation, distinct successors, integer weights in [-w, w]: the shape
+    of the benchmark pool's arenas."""
+    vs = [V("n", (i,)) for i in range(n)]
+    owners = [1] * (n // 2) + [2] * (n - n // 2)
+    rng.shuffle(owners)
+    degree = {}
+    for player in (1, 2):
+        mine = [v for v, o in zip(vs, owners) if o == player]
+        pattern = [2 + k % 2 for k in range(len(mine))]
+        rng.shuffle(pattern)
+        degree.update(zip(mine, pattern))
+    edges = [E(v, rng.randint(-w, w), d) for v in vs for d in rng.sample(vs, degree[v])]
+    return ArenaExplicit(dict(zip(vs, owners)), edges, vs[0])
 
 
 def cycle(owner, weights, name="c"):
@@ -268,6 +304,58 @@ def test_solve_values_match_the_benchmark_pool():
             arena = parse_arena(member["arena"])
             assert solve_values(arena, family).values[arena.start] == parse_ext(
                 member["start_value"]), cell
+
+
+def _assert_witness_is_the_product_order_one(arena):
+    view = _view(arena)
+    values = _mp_values(view)
+    witness = _mp_witness(view, values, PROFILE_CAP)
+    assert witness.table == product_order_mp_witness(view, values, PROFILE_CAP)
+    # one profile short of the unfiltered product, both searches give up
+    below = math.prod(len(view.succ[i]) for i, p1 in enumerate(view.p1) if p1) - 1
+    assert _mp_witness(view, values, below) is None
+    assert product_order_mp_witness(view, values, below) is None
+
+
+def test_mp_witness_is_the_product_order_one_on_the_benchmark_pool():
+    pool = json.loads(POOL.read_text())
+    for cell, members in pool.items():
+        if cell.startswith("mp"):
+            for member in members:
+                _assert_witness_is_the_product_order_one(parse_arena(member["arena"]))
+
+
+@pytest.mark.parametrize("w", [2, 6])
+def test_mp_witness_is_the_product_order_one_on_pool_shaped_arenas(w):
+    rng = random.Random(61 + w)
+    for n in range(8, 13):
+        for _ in range(12):
+            _assert_witness_is_the_product_order_one(pool_shaped_arena(rng, n, w))
+
+
+def test_mp_witness_drops_a_first_edge_that_closes_a_cycle_below_the_value(monkeypatch):
+    # every value is 0.  n(0)'s first edge closes n(0) n(1) n(3) of mean
+    # -1/3 through two player-2 vertices, so both profiles below it are
+    # dropped unchecked and the witness takes the second edge, to n(2);
+    # n(4) then keeps its first edge
+    n = [V("n", (i,)) for i in range(5)]
+    arena = ArenaExplicit({n[0]: 1, n[1]: 2, n[2]: 2, n[3]: 2, n[4]: 1}, [
+        E(n[0], 0, n[1]), E(n[0], 0, n[2]), E(n[1], 0, n[3]), E(n[3], -1, n[0]),
+        E(n[2], 0, n[2]), E(n[2], 1, n[4]), E(n[4], 0, n[2]), E(n[4], 0, n[4])])
+    view = _view(arena)
+    values = _mp_values(view)
+    assert set(values.values()) == {0}
+    calls = {"_least_cycle_means": 0, "_potential": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(synthesis, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(synthesis, name, counted)
+    witness = _mp_witness(view, values, PROFILE_CAP)
+    assert witness.table == {n[0]: E(n[0], 0, n[2]), n[4]: E(n[4], 0, n[2])}
+    # no cycle-mean pass; one negative-cycle pass for the player-2 edges,
+    # one per edge tried at n(0) and one for n(4)'s first edge
+    assert calls == {"_least_cycle_means": 0, "_potential": 4}
 
 
 def test_mp_values_after_a_heavy_transient():
