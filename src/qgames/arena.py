@@ -5,6 +5,11 @@ players and whose edges carry exact rational weights.  Arenas are
 non-blocking (every vertex has at least one outgoing edge) and finitely
 branching.  Infinite arenas are represented by deterministic lazy
 generators that expand one vertex at a time.
+
+Vertices and edges are immutable named tuples, so hashing, equality and
+ordering are the tuple's own, in C; they compare equal to plain tuples
+with the same fields.  Being tuples, a lone one must be wrapped for
+``%``-formatting: ``"%s" % (v,)``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 Weight = Fraction
 
@@ -22,8 +27,7 @@ P2 = 2
 DEFAULT_VERTEX_CAP = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class VertexId(NamedTuple):
     """Structured vertex identifier: a name plus integer parameters.
 
     Totally ordered (name first, then parameters) so that edge lists and
@@ -56,8 +60,7 @@ class VertexId:
 V = VertexId  # short alias used heavily by the zoo
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: VertexId
     weight: Weight
     dst: VertexId
@@ -121,14 +124,14 @@ class ArenaExplicit(Arena):
         buckets: dict[VertexId, list[Edge]] = {v: [] for v in owners}
         for e in edges:
             if e.src not in owners:
-                raise ValueError("edge from undeclared vertex %s" % e.src)
+                raise ValueError("edge from undeclared vertex %s" % (e.src,))
             if e.dst not in owners:
-                raise ValueError("edge to undeclared vertex %s" % e.dst)
+                raise ValueError("edge to undeclared vertex %s" % (e.dst,))
             buckets[e.src].append(e)
         for v, bucket in buckets.items():
             self._adj[v] = tuple(sorted(bucket, key=_edge_sort_key))
         if start is not None and start not in owners:
-            raise ValueError("start vertex %s not declared" % start)
+            raise ValueError("start vertex %s not declared" % (start,))
         self._start = start
 
     @property
@@ -178,7 +181,7 @@ class ArenaGenerator(Arena):
         if len(es) > 1:
             es = tuple(sorted(es, key=_edge_sort_key))
         elif not es:
-            raise ValueError("generator produced blocking vertex %s" % v)
+            raise ValueError("generator produced blocking vertex %s" % (v,))
         result = self._cache[v] = (owner, es)
         return result
 
@@ -292,7 +295,7 @@ def _encode_mem_state(state) -> tuple[int, ...]:
         return (int(state),)
     if isinstance(state, int):
         return (state,)
-    if isinstance(state, tuple):
+    if isinstance(state, tuple) and not isinstance(state, (VertexId, Edge)):
         out: list[int] = []
         for part in state:
             out.extend(_encode_mem_state(part))
@@ -338,7 +341,7 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
         try:
             v, state = state_of[pv]
         except KeyError:
-            raise ValueError("unreachable product vertex %s" % pv)
+            raise ValueError("unreachable product vertex %s" % (pv,))
         out = []
         for e in arena.edges(v):
             nxt = register(e.dst, memory.update(state, e))
@@ -375,7 +378,7 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
     if isinstance(arena, ArenaExplicit):
         for v in arena.vertices:
             if not arena.edges(v):
-                report.violations.append("blocking vertex %s" % v)
+                report.violations.append("blocking vertex %s" % (v,))
         report.explored = len(arena.vertices)
         return report
 
@@ -398,13 +401,13 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
                 report.violations.append("expansion failed at %s: %s" % (v, exc))
                 continue
             if first != second:
-                report.violations.append("nondeterministic expansion at %s" % v)
+                report.violations.append("nondeterministic expansion at %s" % (v,))
             owner, es = first
             es = tuple(sorted(es, key=_edge_sort_key))
             if owner not in (P1, P2):
                 report.violations.append("bad owner at %s: %r" % (v, owner))
             if not es:
-                report.violations.append("blocking vertex %s" % v)
+                report.violations.append("blocking vertex %s" % (v,))
             for e in es:
                 if e.src != v:
                     report.violations.append("edge source mismatch at %s: %s" % (v, e))

@@ -58,7 +58,7 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
                 if owner not in (1, 2):
                     raise ValueError("owner must be 1 or 2")
                 if v in owners:
-                    raise ValueError("vertex %s declared twice" % v)
+                    raise ValueError("vertex %s declared twice" % (v,))
                 owners[v] = owner
             elif parts[0] == "edge":
                 if len(parts) != 4 or not parts[3].startswith("weight="):
@@ -79,15 +79,15 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
         raise ValueError("no start vertex")
     for e in edges:
         if e.src not in owners:
-            raise ValueError("edge from undeclared vertex %s" % e.src)
+            raise ValueError("edge from undeclared vertex %s" % (e.src,))
         if e.dst not in owners:
-            raise ValueError("dangling edge target %s" % e.dst)
+            raise ValueError("dangling edge target %s" % (e.dst,))
     out = {v: [] for v in owners}
     for e in edges:
         out[e.src].append(e)
     for v, es in out.items():
         if not es:
-            raise ValueError("blocking vertex %s has no outgoing edge" % v)
+            raise ValueError("blocking vertex %s has no outgoing edge" % (v,))
     return ArenaExplicit(owners, edges, start, name=name)
 
 
@@ -99,7 +99,7 @@ def serialize_arena(arena: ArenaExplicit) -> str:
     for v in arena.vertices:
         for e in arena.edges(v):
             lines.append("edge %s %s weight=%s" % (e.src, e.dst, e.weight))
-    lines.append("start %s" % arena.start)
+    lines.append("start %s" % (arena.start,))
     return "\n".join(lines) + "\n"
 
 

@@ -404,7 +404,7 @@ class SinkPayoff(_PlayClaim):
             return result.fail("play does not reach a sink within %d steps" % self.steps)
         final_vertex = record.vertex_at(len(record.edges))
         if not arena.is_sink(final_vertex):
-            return result.fail("%s is not an absorbing weight-0 self-loop" % final_vertex)
+            return result.fail("%s is not an absorbing weight-0 self-loop" % (final_vertex,))
         if final_vertex != self.sink:
             return result.fail("sink mismatch: played %s, claimed %s" % (final_vertex, self.sink))
         if record.final_tp != self.final_tp:
@@ -555,6 +555,7 @@ _VARIANTS = {cls.__name__: cls for cls in get_args(Certificate)}
 
 def certificate_to_json(cert: Certificate) -> str:
     def enc(value):
+        # VertexId is a tuple: it must be tested before (list, tuple) below
         if isinstance(value, (Fraction, VertexId)):
             return str(value)
         if isinstance(value, OpenSub):

@@ -82,7 +82,7 @@ class Memoryless(Strategy):
         try:
             return self.table[vertex]
         except KeyError:
-            raise KeyError("memoryless table has no entry for %s" % vertex)
+            raise KeyError("memoryless table has no entry for %s" % (vertex,))
 
     def signature(self, step, state):
         return ()
@@ -242,7 +242,7 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
         try:
             return n_map[v]
         except KeyError:
-            raise KeyError("vertex %s missing from the step-count map" % v)
+            raise KeyError("vertex %s missing from the step-count map" % (v,))
 
     if isinstance(strategy, StepCounterTable):
         table = {}

@@ -328,7 +328,7 @@ def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
     sub = view.restrict(zero)
     for v, out_edges in zip(sub.vertices, sub.succ):
         if not out_edges:
-            raise AssertionError("zero region not closed at %s" % v)
+            raise AssertionError("zero region not closed at %s" % (v,))
     solved = _max_min(sub, TP, cap)
     if solved is None:
         raise ProfileCapExceeded("zero-region profile space exceeds the cap %d" % cap)
@@ -702,7 +702,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     if node_cap is None:
         node_cap = node_cap_from_env()
     if not oracle.wprime(v0, Fraction(0)):
-        raise ValueError("start vertex %s is outside the winning region" % v0)
+        raise ValueError("start vertex %s is outside the winning region" % (v0,))
     fixed: dict[tuple[VertexId, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
     k_prev = 0
@@ -817,7 +817,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     if node_cap is None:
         node_cap = node_cap_from_env()
     if not oracle.wprime(v0, Fraction(0)):
-        raise ValueError("start %s with sum 0 is outside the winnable region" % v0)
+        raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
 
     # the table under construction; each bubble fills the levels it adds
     live = StepCounterPlusK(2, {}, depth_cap, {}, ERROR, name="sc1bit_partial")

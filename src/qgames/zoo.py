@@ -459,7 +459,7 @@ def bitarena_winning_from(vertex: VertexId, r: Fraction) -> Strategy:
             return _edge_to(ar, v, "uc")
         return _edge_to(ar, v, "uz")
 
-    return Tracking("opposite_from_%s" % vertex, None, _last_edge, decide)
+    return Tracking("opposite_from_%s" % (vertex,), None, _last_edge, decide)
 
 
 # ---------------------------------------------------------------------------

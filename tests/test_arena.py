@@ -6,6 +6,7 @@ import pytest
 from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History,
                           MealyMemory, StepCounter, VertexId, encodes_step_count,
                           make_edge, node_cap_from_env, product, validate)
+from qgames.engine import SinkPayoff, certificate_to_json
 
 V = VertexId
 F = Fraction
@@ -30,6 +31,29 @@ def test_vertex_id_parse_and_order():
     assert VertexId.parse(str(v)) == v
     assert V("a") < V("b")
     assert V("t", (1,)) < V("t", (2,))
+
+
+def test_vertex_and_edge_are_immutable_values_hashed_as_their_field_tuples():
+    v, w = V("r", (3,)), V("s")
+    e = E(v, -1, w)
+    assert (str(v), str(w), str(e)) == ("r(3)", "s", "r(3) --1-> s")
+    assert repr(v) == "VertexId(name='r', params=(3,))"
+    assert repr(e) == ("Edge(src=VertexId(name='r', params=(3,)), weight=Fraction(-1, 1), "
+                       "dst=VertexId(name='s', params=()))")
+    # name first, then parameters
+    assert sorted([V("b"), V("a", (2,)), V("a", (1, 5)), V("a")]) == [
+        V("a"), V("a", (1, 5)), V("a", (2,)), V("b")]
+    for obj, attr in ((v, "name"), (v, "params"), (e, "weight"), (e, "dst")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    # the hash of the field tuple, as before: set and dict orders stay seed-stable
+    assert hash(v) == hash(("r", (3,))) and hash(w) == hash(("s", ()))
+    assert hash(e) == hash((v, F(-1), w))
+
+
+def test_certificate_json_writes_a_sink_vertex_as_its_string():
+    text = certificate_to_json(SinkPayoff(F(-2), V("r", (3,)), 4))
+    assert '"sink": "r(3)"' in text
 
 
 def test_edges_sorted_by_dst_then_weight():
@@ -76,7 +100,7 @@ def test_validate_reports_blocking_vertex():
     arena = ArenaExplicit({a: 1, b: 2}, [E(a, 0, b)], a)
     report = validate(arena)
     assert not report.ok
-    assert any("blocking" in msg and "b" in msg for msg in report.violations)
+    assert report.violations == ["blocking vertex b"]
 
 
 def test_validate_generator_nondeterminism():
@@ -90,7 +114,7 @@ def test_validate_generator_nondeterminism():
     gen = ArenaGenerator(a, expand, name="flaky")
     report = validate(gen, a, depth=4)
     assert not report.ok
-    assert any("nondeterministic" in msg for msg in report.violations)
+    assert "nondeterministic expansion at a" in report.violations
 
 
 def test_generator_blocks_on_empty_expansion():
@@ -103,7 +127,7 @@ def test_generator_blocks_on_empty_expansion():
 
     gen = ArenaGenerator(a, expand)
     gen.edges(a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator produced blocking vertex b$"):
         gen.edges(b)
 
 
@@ -165,3 +189,36 @@ def test_make_edge_coerces_weight():
     e = make_edge(V("a"), 3, V("b"))
     assert e.weight == F(3)
     assert isinstance(e.weight, Fraction)
+
+
+def test_explicit_arena_names_an_undeclared_endpoint_or_start():
+    a, b = V("a", (1,)), V("b", (2, 3))
+    with pytest.raises(ValueError) as exc:
+        ArenaExplicit({b: 1}, [E(a, 0, b)], b)
+    assert str(exc.value) == "edge from undeclared vertex a(1)"
+    with pytest.raises(ValueError) as exc:
+        ArenaExplicit({a: 1}, [E(a, 0, b)], a)
+    assert str(exc.value) == "edge to undeclared vertex b(2,3)"
+    with pytest.raises(ValueError) as exc:
+        ArenaExplicit({a: 1}, [E(a, 0, a)], b)
+    assert str(exc.value) == "start vertex b(2,3) not declared"
+
+
+def test_product_names_an_unreachable_vertex():
+    prod = product(chain_arena(), StepCounter())
+    with pytest.raises(ValueError) as exc:
+        prod.edges(V("c*", (9,)))
+    assert str(exc.value) == "unreachable product vertex c*(9)"
+
+
+def test_validate_names_a_blocking_generator_vertex():
+    stuck = ArenaGenerator(V("b", (7,)), lambda v: (2, ()))
+    assert validate(stuck, depth=0).violations == ["blocking vertex b(7)"]
+
+
+@pytest.mark.parametrize("state", [V("s"), E(V("s"), 1, V("t"))], ids=["vertex", "edge"])
+def test_product_refuses_a_vertex_or_edge_memory_state_by_its_whole_value(state):
+    mealy = MealyMemory((state,), state, lambda m, e: m)
+    with pytest.raises(TypeError) as exc:
+        product(chain_arena(), mealy)
+    assert str(exc.value) == "cannot encode memory state %r into a product vertex" % (state,)

@@ -54,6 +54,13 @@ def test_parse_arena_roundtrip():
     ("vertex a owner=1\nedge a b weight=0\nstart a\n", "dangling"),
     ("vertex a owner=1\nvertex b owner=2\nedge a b weight=0\nstart a\n",
      "blocking vertex b"),
+    # the whole message, naming a vertex with parameters
+    ("vertex a(1) owner=1\nvertex a(1) owner=2\nstart a(1)\n",
+     r"^line 2: vertex a\(1\) declared twice$"),
+    ("vertex a owner=1\nedge b(2) a weight=0\nstart a\n", r"^edge from undeclared vertex b\(2\)$"),
+    ("vertex a owner=1\nedge a b(2,5) weight=0\nstart a\n", r"^dangling edge target b\(2,5\)$"),
+    ("vertex a owner=1\nvertex b(4) owner=2\nedge a b(4) weight=0\nstart a\n",
+     r"^blocking vertex b\(4\) has no outgoing edge$"),
 ])
 def test_parse_arena_errors(text, needle):
     with pytest.raises(ValueError, match=needle):

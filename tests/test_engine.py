@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qgames.arena import ArenaExplicit, ArenaGenerator, Edge, History, MealyMemory, VertexId
-from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
-                           Inconclusive, KoenigBound, LevelSatisfaction,
+from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
+                           Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
                            RefutedBranch, SinkPayoff, certificate_from_json,
                            certificate_to_json, check_certificate,
                            explore_consistent, koenig_bound, missing_context, play)
@@ -168,6 +168,15 @@ def test_certificate_json_roundtrip_all_variants():
     for cert in certs:
         again = certificate_from_json(certificate_to_json(cert))
         assert again == cert
+
+
+def test_sink_payoff_names_a_final_vertex_that_is_not_a_sink():
+    t = V("t", (5,))
+    arena = ArenaExplicit({t: 1}, [E(t, 1, t)], t)
+    record = PlayRecord(t, [], [], [], [], "sink")
+    check = SinkPayoff(F(0), t, 0).check_record(arena, record, CheckResult(True))
+    assert not check.ok
+    assert check.diagnostics == ["t(5) is not an absorbing weight-0 self-loop"]
 
 
 def test_certificate_json_rejects_unknown_schema():

@@ -33,9 +33,20 @@ def test_memoryless_table_and_fallback():
     sigma = Memoryless({A: E(A, 0, C)})
     assert sigma.choose(arena, A, 5, None).dst == C
     # vertices missing from the table are an error, not a silent fallback
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         sigma.choose(arena, C, 0, None)
+    assert exc.value.args == ("memoryless table has no entry for c",)
     assert sigma.signature(0, None) == ()
+
+
+def test_collapse_names_a_vertex_missing_from_the_step_count_map():
+    d = V("d", (2,))
+    arena = ArenaExplicit({A: 1, d: 2}, [E(A, 0, d), E(d, 1, A)], A)
+    sigma = StepCounterPlusK(1, {(A, 0, 0): E(A, 0, d)}, 4, {}, FIRST_EDGE)
+    collapsed = collapse_sc_fm(arena, sigma, {A: 0})
+    with pytest.raises(KeyError) as exc:
+        collapsed.step_state(collapsed.initial_state(), E(d, 1, A))
+    assert exc.value.args == ("vertex d(2) missing from the step-count map",)
 
 
 def test_finite_memory_threads_state():

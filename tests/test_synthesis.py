@@ -178,8 +178,10 @@ def test_bubble_synthesize_rejects_losing_start():
     arena = ArenaExplicit({A: 1}, [E(A, -1, A)], A)
     oracle = finite_mp_oracle(arena)
     decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^start vertex a is outside the winning region$"):
         bubble_synthesize(arena, A, decomp, 2, oracle)
+    with pytest.raises(ValueError, match=r"^start a with sum 0 is outside the winnable region$"):
+        sc1bit_synthesize(arena, A, 2, finite_wprime_oracle(arena))
 
 
 def test_sc1bit_on_pos_arena():
