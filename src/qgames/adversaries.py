@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, reduce
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, VertexId, V
+from .arena import Arena, Edge, VertexId, Weight, V
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
@@ -51,7 +50,7 @@ def _decrease_certificate(record: PlayRecord, starts: list[int]) -> Union[Diverg
                if _round_signature(record, step) == last), None)
     if cf is None:
         return "memory cycle did not close within the horizon"
-    return Divergence("decrease", starts, len(record.edges), decrease=Fraction(1),
+    return Divergence("decrease", starts, len(record.edges), decrease=1,
                       elevation=elevation, cycle_from=cf)
 
 
@@ -83,7 +82,7 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     s, t = V("s"), V("t")
     capped = []
 
-    def reply_weight(state_after_challenge) -> Fraction:
+    def reply_weight(state_after_challenge) -> Weight:
         return sigma.choose(arena, t, 0, state_after_challenge).weight
 
     # the opponent carries the responder's memory state along the play
@@ -94,7 +93,7 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         want = f + 1
         if want > b:
             capped.append(v)
-            want = Fraction(b)
+            want = b
         return _edge_to_weight(ar, s, -want)
 
     p2 = Tracking("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
@@ -138,9 +137,9 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         answers k < j or descends past the cap."""
         state = m0
         for j in range(1, _PROBE_CAP + 1):
-            climb = Edge(V("a", (i, j - 1)), Fraction(1), V("a", (i, j)))
+            climb = Edge(V("a", (i, j - 1)), 1, V("a", (i, j)))
             state = sigma.step_state(state, climb)
-            dive = Edge(V("a", (i, j)), Fraction(-2 * j), V("b", (i, 0)))
+            dive = Edge(V("a", (i, j)), -2 * j, V("b", (i, 0)))
             k = descent_length(i, sigma.step_state(state, dive))
             if k is INF or k < j:
                 return j
@@ -224,7 +223,7 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Uni
         if record.termination != "sink":
             return Inconclusive("horizon too small to absorb after entering at %d"
                                 % exit_index, depth=horizon)
-        cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
+        cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
         return DefeatResult(p2, cert, record,
                             notes=["entered at index %d, the strategy's own exit step"
                                    % exit_index])
@@ -235,7 +234,7 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Uni
     if len(starts) < 2:
         return Inconclusive("horizon too small to cover any decision vertex",
                             depth=horizon)
-    cert = Divergence("stagnation", starts, len(probe.edges), ceiling=Fraction(-1),
+    cert = Divergence("stagnation", starts, len(probe.edges), ceiling=-1,
                       cycle_from=0)
     return DefeatResult(entry.strategy("p2_enter_0"), cert, probe,
                         notes=["no exit within the horizon; the play stays at -1"])
@@ -270,13 +269,13 @@ def _gadget_edges(i: int, j: int) -> list[Edge]:
     """The expanded delay path from the i-th decision vertex stretched j
     rounds: one delay edge, j-1 climbs, then the 2j-step drop."""
     t_i = V("t", (i,))
-    out = [Edge(t_i, Fraction(1), V("g", (i, 1)))]
+    out = [Edge(t_i, 1, V("g", (i, 1)))]
     for c in range(1, j):
-        out.append(Edge(V("g", (i, c)), Fraction(1), V("g", (i, c + 1))))
-    out.append(Edge(V("g", (i, j)), Fraction(-1), V("dr", (i, j, 1))))
+        out.append(Edge(V("g", (i, c)), 1, V("g", (i, c + 1))))
+    out.append(Edge(V("g", (i, j)), -1, V("dr", (i, j, 1))))
     for p in range(1, 2 * j - 1):
-        out.append(Edge(V("dr", (i, j, p)), Fraction(-1), V("dr", (i, j, p + 1))))
-    out.append(Edge(V("dr", (i, j, 2 * j - 1)), Fraction(0), V("t", (i + j,))))
+        out.append(Edge(V("dr", (i, j, p)), -1, V("dr", (i, j, p + 1))))
+    out.append(Edge(V("dr", (i, j, 2 * j - 1)), 0, V("t", (i + j,))))
     return out
 
 
@@ -422,11 +421,8 @@ def _exit_defeat(p2: Strategy, record: PlayRecord, note: str) -> Optional[Defeat
     """The early-exit defeat of a play absorbed below 0, or None."""
     if record.termination != "sink" or not record.final_tp < 0:
         return None
-    cert = EarlyExitNegative(record.final_tp, Fraction(0), len(record.edges))
+    cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
     return DefeatResult(p2, cert, record, notes=[note])
-
-
-_MINUS_ONE, _ZERO = Fraction(-1), Fraction(0)
 
 
 def _descent_edges(i: int):
@@ -435,9 +431,9 @@ def _descent_edges(i: int):
     at = V("s", (i,))
     for p in range(1, 2 * i + 3):
         nxt = V("d", (i, p))
-        yield Edge(at, _MINUS_ONE, nxt)
+        yield Edge(at, -1, nxt)
         at = nxt
-    yield Edge(at, _ZERO, V("t", (i,)))
+    yield Edge(at, 0, V("t", (i,)))
 
 
 def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
@@ -522,12 +518,12 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
                             % (blocked[0], b), depth=blocked[0])
     if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
         after = 0 if not loop_steps else loop_steps[-1] + 1
-        cert = ColourStarvation(Fraction(1), after, len(record.edges))
+        cert = ColourStarvation(1, after, len(record.edges))
         return DefeatResult(p2, cert, record,
                             notes=["every arrival hits an exit step"])
     if exit_uses and loop_steps and exit_uses[-1] < loop_steps[-1]:
         last_zero = max(i for i, e in enumerate(record.edges) if e.weight == 0)
-        cert = ColourStarvation(Fraction(0), last_zero + 1, len(record.edges))
+        cert = ColourStarvation(0, last_zero + 1, len(record.edges))
         return DefeatResult(p2, cert, record,
                             notes=["exit steps exhausted; the loop colour remains"])
     return Inconclusive("both colours keep occurring within the horizon",

@@ -1,7 +1,13 @@
 """Game arenas: explicit graphs, lazy generators, histories, memory structures.
 
 An arena is a directed graph whose vertices are partitioned between two
-players and whose edges carry exact rational weights.  Arenas are
+players and whose edges carry exact rational weights.  Weights, parsed
+values and solved values are canonical (``exact``): a plain ``int`` when
+integral, a ``Fraction`` only when there is a denominator.  The two mix
+exactly, and an integral ``Fraction(n)``, such as a sum of fractional
+weights may be, compares, hashes and prints as ``n``: only ``repr`` and
+``type`` tell them apart.  A true division keeps a ``Fraction`` operand,
+since ``int / int`` is a float.  Arenas are
 non-blocking (every vertex has at least one outgoing edge) and finitely
 branching.  Infinite arenas are represented by deterministic lazy
 generators that expand one vertex at a time.
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
-Weight = Fraction
+Weight = int | Fraction  # an int when integral, see ``exact``
 
 P1 = 1
 P2 = 2
@@ -73,8 +79,22 @@ def _edge_sort_key(e: Edge):
     return (e.dst, e.weight)
 
 
+def exact(x, d: int = 1) -> Weight:
+    """``x / d`` as a canonical exact rational: an ``int`` when integral,
+    else a ``Fraction``.  ``x`` is an int or a Fraction, or, with no ``d``,
+    anything ``Fraction()`` takes, such as ``"-5/6"``.  Every division of
+    exact values goes through here: ``int / int`` would be a float."""
+    if d != 1:
+        x = Fraction(x, d)
+    elif type(x) is int:
+        return x
+    elif type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
-    return Edge(src, Fraction(weight), dst)
+    return Edge(src, exact(weight), dst)
 
 
 def is_sink_row(v: VertexId, es: tuple[Edge, ...]) -> bool:
@@ -221,7 +241,7 @@ class History:
         return tuple(e.weight for e in self.edges)
 
     def total(self) -> Weight:
-        return sum((e.weight for e in self.edges), Fraction(0))
+        return sum(e.weight for e in self.edges)
 
     def extend(self, *edges: Edge) -> "History":
         """Longer by the given edges; checks only the new ones."""

@@ -13,11 +13,11 @@ import argparse
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Optional
 
 from . import zoo
-from .arena import Arena, ArenaExplicit, Edge, VertexId, node_cap_from_env, validate
+from .arena import (Arena, ArenaExplicit, Edge, VertexId, make_edge, node_cap_from_env,
+                    validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
@@ -65,8 +65,7 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
                     raise ValueError("edge syntax: edge <from> <to> weight=<w>")
                 src = VertexId.parse(parts[1])
                 dst = VertexId.parse(parts[2])
-                weight = Fraction(parts[3][len("weight="):])
-                edges.append(Edge(src, weight, dst))
+                edges.append(make_edge(src, parts[3][len("weight="):], dst))
             elif parts[0] == "start":
                 if len(parts) != 2:
                     raise ValueError("start line takes exactly one vertex")
@@ -122,7 +121,7 @@ def truncate_generator(arena: Arena, start: VertexId, depth: int,
     for v, level in seen.items():
         owners[v] = arena.owner(v)
         if level >= depth:
-            edges.append(Edge(v, Fraction(0), v))
+            edges.append(Edge(v, 0, v))
             continue
         for e in arena.edges(v):
             edges.append(e)
@@ -397,7 +396,6 @@ _OPTIONS = {
     "--depth": {"type": int, "default": 40},
     "--window": {"type": int, "default": 2000},
     "--m-max": {"type": int, "default": 3},
-    "--seed": {"type": int, "default": 0, "help": "accepted and ignored"},
     "--out": {}, "--strategy": {}, "--cert": {}, "--objective": {}, "--p1": {}, "--p2": {},
 }
 
@@ -419,24 +417,24 @@ def _command(sub, name: str, fn, options: str, **parser_kw) -> argparse.Argument
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "validate", cmd_validate, "--arena! --depth --seed",
+    _command(sub, "validate", cmd_validate, "--arena! --depth",
              help="check arena well-formedness")
-    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --seed --out --p1! --p2!",
+    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --out --p1! --p2!",
              help="play two strategies, emit the play CSV")
-    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --seed --out --strategy! --window",
+    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --out --strategy! --window",
              help="construct an opponent defeating the strategy",
              epilog="--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
                     "horizon is max(--horizon, 2000); a1prime and a2 do not read it")
     _command(sub, "synthesize", cmd_synthesize,
-             "--arena! --depth --seed --out --objective! --m-max",
+             "--arena! --depth --out --objective! --m-max",
              help="synthesize a certified strategy").set_defaults(depth=200)
-    _command(sub, "verify", cmd_verify, "--arena! --seed --cert! --p1 --p2 --objective",
+    _command(sub, "verify", cmd_verify, "--arena! --cert! --p1 --p2 --objective",
              help="re-check a certificate file")
     zoo_sub = sub.add_parser("zoo", help="inspect or export zoo arenas").add_subparsers(
         required=True)
     _command(zoo_sub, "list", cmd_zoo_list, "")
-    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --seed --out")
-    _command(sub, "bench", cmd_bench, "--horizon --seed", help="tournament grid over zoo arenas")
+    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out")
+    _command(sub, "bench", cmd_bench, "--horizon", help="tournament grid over zoo arenas")
     return parser
 
 

@@ -9,7 +9,8 @@ checkers re-derive every claimed quantity from scratch.
 Each certificate variant is one dataclass, listed once in ``Certificate``:
 ``needs`` names the context keys its check reads, ``check`` re-derives the
 claim (the play-based variants from one replay, ``_PlayClaim``), and
-``certificate_from_json`` reads each field by its annotation (``_READERS``).
+``certificate_to_json`` and ``certificate_from_json`` write and read each
+field by its annotation (``_WRITERS``, ``_READERS``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
-from .arena import (Arena, Edge, History, VertexId, Weight, is_sink_row,
+from .arena import (Arena, Edge, History, VertexId, Weight, exact, is_sink_row,
                     node_cap_from_env)
 from .objectives import OpenSub
 from .strategies import FiniteMemory, Memoryless, Strategy
@@ -36,7 +37,7 @@ CERT_SCHEMA = "qg-cert/1"
 class PlayRecord:
     origin: VertexId
     edges: list[Edge]
-    tp_trace: list[Fraction]
+    tp_trace: list[Weight]
     mem1_trace: list[object]
     mem2_trace: list[object]
     termination: str  # "horizon" | "sink"
@@ -46,8 +47,8 @@ class PlayRecord:
         return [e.weight for e in self.edges]
 
     @property
-    def final_tp(self) -> Fraction:
-        return self.tp_trace[-1] if self.tp_trace else Fraction(0)
+    def final_tp(self) -> Weight:
+        return self.tp_trace[-1] if self.tp_trace else 0
 
     def history(self) -> History:
         return History(self.origin, tuple(self.edges))
@@ -57,9 +58,9 @@ class PlayRecord:
             return self.origin
         return self.edges[step - 1].dst
 
-    def tp_at(self, step: int) -> Fraction:
+    def tp_at(self, step: int) -> Weight:
         if step == 0:
-            return Fraction(0)
+            return 0
         return self.tp_trace[step - 1]
 
     def to_csv(self) -> str:
@@ -96,11 +97,11 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     state1, state2 = sigma1.initial_state(), sigma2.initial_state()
     trace1, trace2 = sigma1.traces_state, sigma2.traces_state
     edges: list[Edge] = []
-    tp_trace: list[Fraction] = []
+    tp_trace: list[Weight] = []
     mem1: list[object] = []
     mem2: list[object] = []
     at = v0
-    tp = Fraction(0)
+    tp = 0
     termination = "horizon"
     for step in range(horizon):
         owner, out = arena.row(at)
@@ -139,7 +140,7 @@ class Node:
 
     vertex: VertexId
     depth: int
-    tp: Fraction
+    tp: Weight
     parent: Optional["Node"]
     edge: Optional[Edge]
     state: object = None
@@ -203,7 +204,7 @@ class Layers:
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub = self.sigma, self.open_sub
         if self.resume is None:
-            root = Node(self.v0, 0, Fraction(0), None, None, sigma.initial_state())
+            root = Node(self.v0, 0, 0, None, None, sigma.initial_state())
             layer, first, self.created = [root], 0, 1
         else:
             layer, first, self.created = self.resume
@@ -296,7 +297,7 @@ class RefutedBranch:
     prefix_len: int
     cycle_len: int
     vertex: VertexId
-    cycle_tp: Fraction
+    cycle_tp: Fraction  # a Fraction even when integral: the refutation's repr is printed
     detail: str
 
 
@@ -348,7 +349,7 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
     # independent of the elapsed step count
     if not isinstance(sigma, (Memoryless, FiniteMemory)):
         return None
-    bar = Fraction(-1, open_sub.m) if open_sub.family == "tp-sup" else Fraction(open_sub.m)
+    bar = exact(-1, open_sub.m) if open_sub.family == "tp-sup" else open_sub.m
     for node in frontier:
         sig = sigma.signature(node.depth, node.state)
         if sig is None:
@@ -369,7 +370,7 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
                         prefix_len=anc.depth,
                         cycle_len=node.depth - anc.depth,
                         vertex=node.vertex,
-                        cycle_tp=delta,
+                        cycle_tp=Fraction(delta),
                         detail="unsatisfied branch pumps a cycle with total %s" % delta)
             anc = anc.parent
     return None
@@ -393,7 +394,7 @@ class _PlayClaim:
 
 @dataclass
 class SinkPayoff(_PlayClaim):
-    final_tp: Fraction
+    final_tp: Weight
     sink: VertexId
     steps: int
 
@@ -416,8 +417,8 @@ class SinkPayoff(_PlayClaim):
 
 @dataclass
 class EarlyExitNegative(_PlayClaim):
-    final_tp: Fraction
-    threshold: Fraction
+    final_tp: Weight
+    threshold: Weight
     steps: int
 
     horizon = property(lambda self: self.steps)
@@ -469,9 +470,9 @@ class Divergence(_PlayClaim):
     mode: str
     round_starts: list[int]
     horizon: int
-    decrease: Optional[Fraction] = None
-    elevation: Optional[Fraction] = None
-    ceiling: Optional[Fraction] = None
+    decrease: Optional[Weight] = None
+    elevation: Optional[Weight] = None
+    ceiling: Optional[Weight] = None
     cycle_from: int = 0  # index into round_starts where the cycle closes
     round_states: list[str] = field(default_factory=list)
 
@@ -534,7 +535,7 @@ class ColourStarvation(_PlayClaim):
     """Beyond ``after_step``, the named colour never occurs in the play
     within the simulated horizon."""
 
-    colour: Fraction
+    colour: Weight
     after_step: int
     horizon: int
 
@@ -554,19 +555,17 @@ _VARIANTS = {cls.__name__: cls for cls in get_args(Certificate)}
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    def enc(value):
-        # VertexId is a tuple: it must be tested before (list, tuple) below
-        if isinstance(value, (Fraction, VertexId)):
-            return str(value)
-        if isinstance(value, OpenSub):
-            return {k: enc(v) for k, v in vars(value).items()}
-        if isinstance(value, (list, tuple)):
-            return [enc(x) for x in value]
-        return value
-
-    body = {k: enc(v) for k, v in vars(cert).items()}
     return json.dumps({"schema": CERT_SCHEMA, "variant": type(cert).__name__,
-                       "body": body}, indent=2, sort_keys=True) + "\n"
+                       "body": _write(cert)}, indent=2, sort_keys=True) + "\n"
+
+
+def _write(obj) -> dict:
+    """A dataclass's fields, each written by its annotation (``_WRITERS``)."""
+    return {f.name: _WRITERS.get(f.type, _same)(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _same(value):
+    return value
 
 
 def _int(value) -> int:
@@ -576,17 +575,30 @@ def _int(value) -> int:
     return value
 
 
-def _read_open_sub(sub) -> OpenSub:
-    colour = None if sub["colour"] is None else Fraction(sub["colour"])
-    return OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]), colour=colour)
+def _optional(fn: Callable) -> Callable:
+    return lambda x: None if x is None else fn(x)
 
+
+def _read_open_sub(sub) -> OpenSub:
+    return OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]),
+                   colour=_optional(exact)(sub["colour"]))
+
+
+# field annotation -> how certificate_to_json writes the field, if not as it
+# is: exact values as strings, an int among them too
+_WRITERS: dict[str, Callable] = {
+    "Weight": str,
+    "Optional[Weight]": _optional(str),
+    "VertexId": str,
+    "OpenSub": _write,
+}
 
 # certificate field annotation -> how certificate_from_json reads the field
 _READERS: dict[str, Callable] = {
     "int": _int,
-    "str": lambda x: x,  # taken as written
-    "Fraction": Fraction,
-    "Optional[Fraction]": lambda x: None if x is None else Fraction(x),
+    "str": _same,  # taken as written
+    "Weight": exact,
+    "Optional[Weight]": _optional(exact),
     "VertexId": VertexId.parse,
     "OpenSub": _read_open_sub,
     "list[int]": lambda xs: [_int(x) for x in xs],

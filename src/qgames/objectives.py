@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight
+from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight, exact
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
 
-ExtValue = Union[Fraction, float]  # floats only ever hold +-infinity
+ExtValue = Union[Weight, float]  # floats only ever hold +-infinity
 
 TP = "tp"
 MP = "mp"
@@ -31,14 +30,14 @@ GE = "GE"
 BOTH = "BOTH"
 
 
-def payoff(kind: str, word: Sequence[Weight]) -> Fraction:
+def payoff(kind: str, word: Sequence[Weight]) -> Weight:
     """Total or mean payoff of a finite weight word."""
     if kind == TP:
-        return sum(word, Fraction(0))
+        return sum(word)
     if kind == MP:
         if not word:
             raise ValueError("mean payoff of the empty word is undefined")
-        return sum(word, Fraction(0)) / len(word)
+        return exact(sum(word), len(word))
     raise ValueError("unknown payoff kind %r" % kind)
 
 
@@ -54,7 +53,7 @@ class Objective:
     kind: str
     mode: str = "limsup"  # limsup | liminf
     relation: str = ">="  # > | >=
-    threshold: ExtValue = Fraction(0)
+    threshold: ExtValue = 0
     colour_count: int = 0
 
     def __post_init__(self):
@@ -90,7 +89,7 @@ def parse_ext(text: str) -> ExtValue:
         return POS_INF
     if text == "-inf":
         return NEG_INF
-    return Fraction(text)
+    return exact(text)
 
 
 def parse_objective(text: str) -> Objective:
@@ -146,7 +145,7 @@ class OpenSub:
     family: str
     m: int = 1
     i: int = 1
-    colour: Optional[Fraction] = None
+    colour: Optional[Weight] = None
 
     def __post_init__(self):
         if self.family not in ("mp-sup", "tp-inf", "tp-sup", "buchi"):
@@ -172,7 +171,7 @@ class OpenSub:
             return self.m
         return self.i
 
-    def step_satisfies(self, j: int, tp: Fraction, colour: Optional[Fraction] = None) -> bool:
+    def step_satisfies(self, j: int, tp: Weight, colour: Optional[Weight] = None) -> bool:
         """Does position j (1-based), with running total ``tp`` and step
         colour ``colour``, witness the sub-objective?"""
         if j < self.step_index:
@@ -182,7 +181,7 @@ class OpenSub:
         if self.family == "tp-inf":
             return tp >= self.m
         if self.family == "tp-sup":
-            return tp >= Fraction(-1, self.m)
+            return tp * self.m >= -1  # TP >= -1/m without division
         return colour == self.colour
 
     def already_satisfies(self, word: Sequence[Weight]) -> bool:
@@ -190,20 +189,20 @@ class OpenSub:
 
         Monotone: once true, true for every extension.
         """
-        tp = Fraction(0)
+        tp = 0
         for j, c in enumerate(word, start=1):
             tp += c
             if self.step_satisfies(j, tp, c):
                 return True
         return False
 
-    def score(self, word: Sequence[Weight]) -> Fraction:
+    def score(self, word: Sequence[Weight]) -> Weight:
         """The quantity continuations of an unsatisfied word are ranked by."""
         if self.family == "buchi":
             raise ValueError("buchi prefixes are not ranked by a score")
-        total = sum(word, Fraction(0))
+        total = sum(word)
         if self.family == "mp-sup" and word:
-            return total / len(word)
+            return exact(total, len(word))
         return total
 
 
@@ -229,8 +228,8 @@ def prefix_compare(open_sub: OpenSub, w1: Sequence[Weight], w2: Sequence[Weight]
         elif sat2:
             le, ge = True, False
         else:
-            s1 = open_sub.score(w1) if w1 else Fraction(0)
-            s2 = open_sub.score(w2) if w2 else Fraction(0)
+            s1 = open_sub.score(w1) if w1 else 0
+            s2 = open_sub.score(w2) if w2 else 0
             le = s1 <= s2
             ge = s2 <= s1
     if le and ge:
@@ -266,16 +265,16 @@ class Lasso:
 
 def lasso_limit(kind: str, mode: str, lasso: Lasso) -> ExtValue:
     """Exact limit of the running TP or MP over the lasso's infinite word."""
-    cycle_sum = sum(lasso.cycle, Fraction(0))
+    cycle_sum = sum(lasso.cycle)
     if kind == MP:
-        return cycle_sum / len(lasso.cycle)
+        return exact(cycle_sum, len(lasso.cycle))
     if kind != TP:
         raise ValueError("no numeric limit for kind %r" % kind)
     if cycle_sum > 0:
         return POS_INF
     if cycle_sum < 0:
         return NEG_INF
-    base = sum(lasso.prefix, Fraction(0))
+    base = sum(lasso.prefix)
     partials = []
     run = base
     for c in lasso.cycle:
@@ -288,7 +287,7 @@ def eval_on_lasso(objective: Objective, lasso: Lasso) -> bool:
     """Exact membership of prefix . cycle^omega in the objective."""
     if objective.kind == BUCHI_ALL:
         seen = set(lasso.cycle)
-        return all(Fraction(c) in seen for c in range(objective.colour_count))
+        return all(c in seen for c in range(objective.colour_count))
     value = lasso_limit(objective.kind, objective.mode, lasso)
     if objective.relation == ">":
         return value > objective.threshold
@@ -341,7 +340,7 @@ def decompose(objective: Objective) -> Union[Decomposition, Unsupported]:
 
         def buchi_gen(n: int) -> OpenSub:
             q, r = divmod(n - 1, k)
-            return OpenSub("buchi", i=q + 1, colour=Fraction(r))
+            return OpenSub("buchi", i=q + 1, colour=r)
 
         return Decomposition(objective, "buchi-all(%d)" % k, buchi_gen)
 
@@ -396,16 +395,16 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
     note_parts = []
     if obj.kind == TP and obj.relation == ">":
         d = _common_denominator(arena, thr)
-        thr = thr + Fraction(1, d)
+        thr = exact(thr * d + 1, d)
         obj = Objective(TP, obj.mode, ">=", thr)
         note_parts.append("strict TP relation rewritten as >= %s" % thr)
     if thr == 0:
         return arena, start, obj, "; ".join(note_parts) or "unchanged"
 
     if obj.kind == MP:
-        shifted = _map_weights(arena, start, lambda w: w - thr)
+        shifted = _map_weights(arena, start, lambda w: exact(w - thr))
         note_parts.append("subtracted %s from every weight" % thr)
-        return shifted, start, Objective(MP, obj.mode, obj.relation, Fraction(0)), "; ".join(note_parts)
+        return shifted, start, Objective(MP, obj.mode, obj.relation, 0), "; ".join(note_parts)
 
     pre = VertexId("pre^" + start.name, start.params)
     debt = -thr
@@ -423,7 +422,7 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
 
         out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
     note_parts.append("prepended a weight %s edge before %s" % (debt, start))
-    return out, pre, Objective(TP, obj.mode, obj.relation, Fraction(0)), "; ".join(note_parts)
+    return out, pre, Objective(TP, obj.mode, obj.relation, 0), "; ".join(note_parts)
 
 
 def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) -> Arena:
@@ -440,7 +439,7 @@ def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) 
     return ArenaGenerator(start, expand, name=arena.name + "+mapw")
 
 
-def _common_denominator(arena: Arena, thr: Fraction) -> int:
+def _common_denominator(arena: Arena, thr: Weight) -> int:
     """The lcm of the threshold's and every edge weight's denominator."""
     if not isinstance(arena, ArenaExplicit):
         raise ValueError("a strict total-payoff threshold is rewritten over the common "

@@ -13,10 +13,9 @@ edge, an opponent's memory).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, History, MealyMemory, VertexId
+from .arena import Arena, Edge, History, MealyMemory, VertexId, exact, make_edge
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -412,8 +411,7 @@ def _parse_move(parts: list[str]):
     if len(rest) != 2 or not rest[1].startswith("weight="):
         raise ValueError("move line needs '-> <to> weight=<w>'")
     dst = VertexId.parse(rest[0])
-    weight = Fraction(rest[1][len("weight="):])
-    return v, attrs.get("state"), attrs.get("step"), Edge(v, weight, dst)
+    return v, attrs.get("state"), attrs.get("step"), make_edge(v, rest[1][len("weight="):], dst)
 
 
 def _edge_ends(text: str) -> tuple[VertexId, VertexId]:
@@ -428,7 +426,7 @@ def _parse_bitupd(parts: list[str]):
     except ValueError:
         raise ValueError("bitupd line without ->")
     attrs = _attributes(parts[1:arrow], {"state": int, "step": int, "edge": _edge_ends,
-                                         "weight": Fraction}, "bitupd")
+                                         "weight": exact}, "bitupd")
     if len(attrs) < 4:
         raise ValueError("bitupd needs state=, step=, edge= and weight=")
     if arrow + 1 == len(parts):

@@ -19,16 +19,14 @@ from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import Arena, ArenaExplicit, Edge, History, VertexId, node_cap_from_env
+from .arena import (Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact,
+                    node_cap_from_env)
 from .engine import (Inconclusive, KoenigBound, Layers, Node, RefutedBranch, koenig_bound,
                      koenig_layers)
-from .objectives import (Decomposition, OpenSub, prefix_compare, LE, BOTH, POS_INF, NEG_INF,
-                         TP, MP)
+from .objectives import (Decomposition, ExtValue, OpenSub, prefix_compare, LE, BOTH, POS_INF,
+                         NEG_INF, TP, MP)
 from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
                          StepCounterTable, Strategy)
-
-ExtValue = Union[Fraction, float]
-
 
 # ---------------------------------------------------------------------------
 # Value solving on finite arenas
@@ -140,7 +138,7 @@ def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
         if not (k // n) & (k // n - 1):
             means = _greedy_certificate(view, x)
             if means is not None:
-                return {v: mean / view.denom for v, mean in zip(view.vertices, means)}
+                return {v: exact(mean, view.denom) for v, mean in zip(view.vertices, means)}
             continue
         found = []
         for total in x:
@@ -149,7 +147,7 @@ def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
                 break
             found.append(nu)
         else:
-            return {v: Fraction(p, q * view.denom) for v, (p, q) in zip(view.vertices, found)}
+            return {v: exact(p, q * view.denom) for v, (p, q) in zip(view.vertices, found)}
     if n:
         raise AssertionError("values not isolated at the Zwick-Paterson horizon")
     return {}
@@ -400,8 +398,9 @@ def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
                     break
             else:
                 return owned, combo
+        shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
         raise RuntimeError("value attainment cross-check failed: no player-%d profile holds %r"
-                           % (player, values))
+                           % (player, shown))  # finite values in their Fraction repr
 
     holds(2, operator.gt)
     owned, combo = holds(1, operator.lt)
@@ -437,7 +436,7 @@ def _max_min(view: _View, kind: str, cap: int
             low = vals if low is None else list(map(min, low, vals))
         worst.append(low)
     best = [max(column) for column in zip(*worst)]
-    values = {v: x if isinstance(x, float) else Fraction(x, view.denom * scale)
+    values = {v: x if isinstance(x, float) else exact(x, view.denom * scale)
               for v, x in zip(view.vertices, best)}
     first = next((combo for combo, low in zip(combos1, worst) if low == best), None)
     return values, None if first is None else {
@@ -456,7 +455,7 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
 
 
 def sigma_safe(arena: ArenaExplicit
-               ) -> tuple[Memoryless, Callable[[VertexId, Fraction], bool], ValueMap]:
+               ) -> tuple[Memoryless, Callable[[VertexId, Weight], bool], ValueMap]:
     """Memoryless strategy maximizing weight + value of the target, which
     never leaves the winnable (vertex, sum) region; the region itself,
     upward closed in the sum; and the solved values."""
@@ -471,7 +470,7 @@ def sigma_safe(arena: ArenaExplicit
     # the first edge of highest score
     table = {v: max(arena.edges(v), key=score) for v in arena.vertices if arena.owner(v) == 1}
 
-    def contains(v: VertexId, r: Fraction) -> bool:
+    def contains(v: VertexId, r: Weight) -> bool:
         val = vm.values[v]
         if val == POS_INF:
             return True
@@ -585,9 +584,9 @@ class WPrimeOracle:
     decisions depend on the vertex and step only.
     """
 
-    wprime: Callable[[VertexId, Fraction], bool]
+    wprime: Callable[[VertexId, Weight], bool]
     safe: Strategy
-    winning_from: Callable[[VertexId, Fraction], Strategy]
+    winning_from: Callable[[VertexId, Weight], Strategy]
     uniform_memoryless: bool = False
 
 
@@ -646,30 +645,30 @@ class _Composite(Strategy):
     """
 
     def __init__(self, v0: VertexId, fixed: Strategy, boundary: int,
-                 continuation: Callable[[VertexId, Fraction], Strategy],
+                 continuation: Callable[[VertexId, Weight], Strategy],
                  step_determined: bool):
         self.name = "composite@%d" % boundary
         self._v0 = v0
         self._fixed = fixed
         self._boundary = boundary
         self._continuation = continuation
-        self._cache: dict[tuple[VertexId, Fraction], Strategy] = {}
+        self._cache: dict[tuple[VertexId, Weight], Strategy] = {}
         # True when decisions depend on (vertex, step) only
         self._step_determined = step_determined
 
-    def _cont(self, at: tuple[VertexId, Fraction]) -> Strategy:
+    def _cont(self, at: tuple[VertexId, Weight]) -> Strategy:
         strat = self._cache.get(at)
         if strat is None:
             strat = self._cache[at] = self._continuation(*at)
         return strat
 
-    def _enter(self, at: tuple[VertexId, Fraction]):
+    def _enter(self, at: tuple[VertexId, Weight]):
         return (at, self._cont(at).initial_state())
 
     def initial_state(self):
         if self._boundary == 0:
-            return self._enter((self._v0, Fraction(0)))
-        return (None, (0, self._fixed.initial_state(), Fraction(0)))
+            return self._enter((self._v0, 0))
+        return (None, (0, self._fixed.initial_state(), 0))
 
     def step_state(self, state, edge):
         at, inner = state
@@ -701,7 +700,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         raise ValueError("m_max must be at least 1")
     if node_cap is None:
         node_cap = node_cap_from_env()
-    if not oracle.wprime(v0, Fraction(0)):
+    if not oracle.wprime(v0, 0):
         raise ValueError("start vertex %s is outside the winning region" % (v0,))
     fixed: dict[tuple[VertexId, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
@@ -740,7 +739,7 @@ def _why(result: Union[Inconclusive, RefutedBranch]) -> str:
 
 def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
                   schedule: list[tuple[int, int]], subs: Callable[[int], OpenSub],
-                  member: Callable[[VertexId, Fraction], bool], node_cap: int) -> SynthReport:
+                  member: Callable[[VertexId, Weight], bool], node_cap: int) -> SynthReport:
     """Re-certify every scheduled level on the final strategy and check
     that no consistent history up to the last level leaves the region.
 
@@ -816,7 +815,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         raise ValueError("m_max must be at least 1")
     if node_cap is None:
         node_cap = node_cap_from_env()
-    if not oracle.wprime(v0, Fraction(0)):
+    if not oracle.wprime(v0, 0):
         raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
 
     # the table under construction; each bubble fills the levels it adds

@@ -10,20 +10,13 @@ URIs on the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .arena import Arena, ArenaGenerator, Edge, MealyMemory, VertexId, P1, P2, V
+from .arena import (Arena, ArenaGenerator, Edge, MealyMemory, VertexId, Weight, P1, P2, V,
+                    make_edge)
 from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
-
-# the constant weights of the zoo's expansions, built once
-_SMALL = {w: Fraction(w) for w in range(-2, 3)}
-
-
-def E(src: VertexId, w, dst: VertexId) -> Edge:
-    weight = _SMALL.get(w)  # None test: Fraction(0) is falsy
-    return Edge(src, Fraction(w) if weight is None else weight, dst)
+E = make_edge  # short alias used heavily by the expansions
 
 
 @dataclass
@@ -35,7 +28,7 @@ class ZooEntry:
     params: dict = field(default_factory=dict)  # the URI parameters, set by ``make``
     strategies: dict[str, Strategy] = field(default_factory=dict)
     strategy_factories: dict[str, Callable[[int], Strategy]] = field(default_factory=dict)
-    wprime: Optional[Callable[[VertexId, Fraction], bool]] = None
+    wprime: Optional[Callable[[VertexId, Weight], bool]] = None
     extras: dict = field(default_factory=dict)
 
     def strategy(self, name: str) -> Strategy:
@@ -383,7 +376,7 @@ def _bit_expand(v: VertexId):
     raise KeyError(v)
 
 
-def bitarena_wprime(v: VertexId, r: Fraction) -> bool:
+def bitarena_wprime(v: VertexId, r: Weight) -> bool:
     """Closed-form region of (vertex, current sum) pairs the maximizer wins
     the limsup-total-payoff-at-least-0 game from."""
     (i,) = v.params
@@ -446,7 +439,7 @@ def _make_bitarena() -> ZooEntry:
                     extras={"winning_from": bitarena_winning_from})
 
 
-def bitarena_winning_from(vertex: VertexId, r: Fraction) -> Strategy:
+def bitarena_winning_from(vertex: VertexId, r: Weight) -> Strategy:
     """A strategy winning the limsup-TP>=0 game from ``vertex`` with
     current sum ``r`` (for pairs inside the region): respond with the
     opposite of the opponent's move each full round, stay level on a

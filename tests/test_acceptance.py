@@ -451,16 +451,16 @@ def test_criterion_10_property_suites(tmp_path, capsys):
     runs = [
         ["validate", "--arena", str(arena_path)],
         ["simulate", "--arena", "zoo:bitarena", "--p1", "opposite",
-         "--p2", "allzero", "--horizon", "16", "--seed", "1"],
+         "--p2", "allzero", "--horizon", "16"],
         ["defeat", "--arena", "zoo:a3", "--strategy", str(strat_path),
-         "--out", str(cert_path), "--seed", "1"],
+         "--out", str(cert_path)],
         ["verify", "--arena", "zoo:a3", "--cert", str(cert_path),
          "--p1", str(strat_path), "--p2", "p2_enter_2"],
         ["synthesize", "--arena", str(arena_path), "--objective",
-         "tp:limsup:>=:0", "--m-max", "2", "--seed", "1"],
+         "tp:limsup:>=:0", "--m-max", "2"],
         ["zoo", "list"],
         ["zoo", "export", "--arena", "zoo:a4", "--depth", "5"],
-        ["bench", "--seed", "1"],
+        ["bench"],
     ]
     for argv in runs:
         digests = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History,
-                          MealyMemory, StepCounter, VertexId, encodes_step_count,
+                          MealyMemory, StepCounter, VertexId, encodes_step_count, exact,
                           make_edge, node_cap_from_env, product, validate)
 from qgames.engine import SinkPayoff, certificate_to_json
 
@@ -186,9 +186,22 @@ def test_node_cap_env_rejects_a_value_below_one_or_not_a_number(monkeypatch, val
 
 
 def test_make_edge_coerces_weight():
-    e = make_edge(V("a"), 3, V("b"))
-    assert e.weight == F(3)
-    assert isinstance(e.weight, Fraction)
+    # an int when integral, a Fraction only when the weight has a denominator
+    for weight, want in ((3, 3), ("4/2", 2), (F(6, 3), 2), ("-5/6", F(-5, 6))):
+        e = make_edge(V("a"), weight, V("b"))
+        assert e.weight == want
+        assert type(e.weight) is type(want)
+
+
+@pytest.mark.parametrize("value, d, want", [
+    (7, 1, 7), (-3, 1, -3), (F(6, 3), 1, 2), (F(-5, 6), 1, F(-5, 6)),
+    ("-0", 1, 0), ("4/2", 1, 2), ("1.5", 1, F(3, 2)),
+    (3, 2, F(3, 2)), (4, 2, 2), (F(1, 2), 3, F(1, 6)), (F(3, 2), 3, F(1, 2)),
+])
+def test_exact_is_an_int_when_integral_and_a_fraction_otherwise(value, d, want):
+    got = exact(value, d)
+    assert got == want and type(got) is type(want)
+    assert str(got) == str(F(want))  # an integral Fraction prints as its int
 
 
 def test_explicit_arena_names_an_undeclared_endpoint_or_start():

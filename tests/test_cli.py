@@ -11,7 +11,7 @@ from qgames.adversaries import ramsey_adversary
 from qgames.arena import Edge, VertexId
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
-                           check_certificate)
+                           check_certificate, play)
 from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
                                parse_strategy, serialize_strategy)
 from qgames.zoo import make
@@ -146,6 +146,24 @@ def test_cli_simulate_matches_the_golden_csv(capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == (GOLDEN_SIMULATE / "expected.csv").read_bytes()
     assert captured.err == b""
+
+
+def test_the_golden_simulate_play_adds_fractional_weights_to_an_int_start():
+    arena = parse_arena((GOLDEN_SIMULATE / "arena.txt").read_text())
+    assert {type(e.weight) for v in arena.vertices for e in arena.edges(v)} == {Fraction}
+    p1 = parse_strategy((GOLDEN_SIMULATE / "p1.strategy").read_text())
+    p2 = parse_strategy((GOLDEN_SIMULATE / "p2.strategy").read_text())
+    p2.player = 2
+    record = play(arena, arena.start, p1, p2, 16)
+    assert record.tp_at(0) == 0 and type(record.tp_at(0)) is int
+    expected = (GOLDEN_SIMULATE / "expected.csv").read_text()
+    assert [str(tp) for tp in record.tp_trace] == [
+        line.split(",")[4] for line in expected.splitlines()[1:]]
+    # the integral totals along the way compare, hash and print as ints
+    integral = [tp for tp in record.tp_trace if tp.denominator == 1]
+    assert integral == [0, -1, -3, -7]
+    assert [hash(tp) for tp in integral] == [hash(0), hash(-1), hash(-3), hash(-7)]
+    assert record.to_csv() == expected
 
 
 @pytest.mark.parametrize("arena, name, have", [
@@ -565,12 +583,31 @@ def test_cli_refuses_an_option_its_handler_does_not_read(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--arena", "zoo:a3"],
+    ["simulate", "--arena", "zoo:a3", "--p1", "delay_twice_exit", "--p2", "p2_enter_1"],
+    ["defeat", "--arena", "zoo:a3", "--strategy", "delay_twice_exit"],
+    ["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0"],
+    ["verify", "--arena", "zoo:a3", "--cert", "cert.json"],
+    ["zoo", "export", "--arena", "zoo:a3"],
+    ["bench"],
+], ids=["validate", "simulate", "defeat", "synthesize", "verify", "export", "bench"])
+def test_cli_refuses_the_seed_option(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: qg ")
+    assert captured.err.endswith("error: unrecognized arguments: --seed 1\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_exits_1_on_a_malformed_command_line(capsys):
     assert main(["simulate", "--arena", "zoo:a4", "--p2", "p2_enter_1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "usage: qg simulate [-h] --arena ARENA [--horizon HORIZON] [--seed SEED]\n"
-        "                   [--out OUT] --p1 P1 --p2 P2\n"
+        "usage: qg simulate [-h] --arena ARENA [--horizon HORIZON] [--out OUT] --p1 P1\n"
+        "                   --p2 P2\n"
         "qg simulate: error: the following arguments are required: --p1\n")
     assert captured.out == ""
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
@@ -591,14 +628,14 @@ def test_cli_defeat_help_says_which_adversaries_read_the_horizon(capsys):
 
 # the options each subcommand takes, and nothing else
 CLI_OPTIONS = {
-    "validate": {"--arena", "--depth", "--seed"},
-    "simulate": {"--arena", "--horizon", "--out", "--p1", "--p2", "--seed"},
-    "defeat": {"--arena", "--horizon", "--out", "--strategy", "--window", "--seed"},
-    "synthesize": {"--arena", "--depth", "--out", "--objective", "--m-max", "--seed"},
-    "verify": {"--arena", "--cert", "--p1", "--p2", "--objective", "--seed"},
+    "validate": {"--arena", "--depth"},
+    "simulate": {"--arena", "--horizon", "--out", "--p1", "--p2"},
+    "defeat": {"--arena", "--horizon", "--out", "--strategy", "--window"},
+    "synthesize": {"--arena", "--depth", "--out", "--objective", "--m-max"},
+    "verify": {"--arena", "--cert", "--p1", "--p2", "--objective"},
     "zoo list": set(),
-    "zoo export": {"--arena", "--depth", "--out", "--seed"},
-    "bench": {"--horizon", "--seed"},
+    "zoo export": {"--arena", "--depth", "--out"},
+    "bench": {"--horizon"},
 }
 
 
@@ -617,7 +654,7 @@ def test_cli_subcommands_declare_exactly_the_options_their_handlers_read():
                     if flag not in ("-h", "--help")}
              for name, p in _subcommands(build_parser())}
     assert found == CLI_OPTIONS
-    assert sum(len(options) for options in found.values()) == 33
+    assert sum(len(options) for options in found.values()) == 26
 
 
 def test_readme_command_lines_parse_with_every_option_of_their_subcommand():

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qgames.arena import ArenaExplicit, ArenaGenerator, Edge, History, MealyMemory, VertexId
+from qgames.arena import (ArenaExplicit, ArenaGenerator, Edge, History, MealyMemory, VertexId,
+                          make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
                            RefutedBranch, SinkPayoff, certificate_from_json,
@@ -73,6 +75,29 @@ def test_csv_mp_column_is_the_exact_mean_payoff():
             assert row[5] == str(tp / (step + 1))
             zeros += tp == 0
     assert zeros > 0
+
+
+def test_integer_weights_give_int_totals_and_an_exact_mp_column():
+    arena = ArenaExplicit({A: 1, B: 2}, [make_edge(A, 1, B), make_edge(B, 2, A)], A)
+    record = play(arena, A, Memoryless({A: arena.edges(A)[0]}),
+                  Memoryless({B: arena.edges(B)[0]}, player=2), 5)
+    assert record.tp_trace == [1, 3, 4, 6, 7]
+    assert {type(tp) for tp in record.tp_trace + [record.final_tp, record.tp_at(0)]} == {int}
+    rows = [line.split(",") for line in record.to_csv().splitlines()[1:]]
+    assert [row[5] for row in rows] == ["1", "3/2", "4/3", "3/2", "7/5"]
+
+
+def test_a_refuted_branch_prints_its_cycle_total_as_a_fraction():
+    # int weights, but the refutation's repr, which qg verify prints, is unchanged
+    arena = ArenaExplicit({A: 1}, [make_edge(A, -2, A)], A)
+    sigma = Memoryless({A: arena.edges(A)[0]})
+    refuted = koenig_bound(arena, A, sigma, OpenSub("tp-sup", m=1), 10)
+    assert isinstance(refuted, RefutedBranch) and type(refuted.cycle_tp) is Fraction
+    check = KoenigBound(1, OpenSub("tp-sup", m=1)).check({"arena": arena, "v0": A, "sigma1": sigma})
+    assert check.diagnostics == [
+        "bound did not reproduce: RefutedBranch(prefix_len=0, cycle_len=1, "
+        "vertex=VertexId(name='a', params=()), cycle_tp=Fraction(-2, 1), "
+        "detail='unsatisfied branch pumps a cycle with total -2')"]
 
 
 def test_play_stops_at_sink():
@@ -168,6 +193,18 @@ def test_certificate_json_roundtrip_all_variants():
     for cert in certs:
         again = certificate_from_json(certificate_to_json(cert))
         assert again == cert
+
+
+def test_certificate_json_writes_int_values_as_strings_and_reads_them_back_equal():
+    cert = EarlyExitNegative(-5, 0, 9)
+    text = certificate_to_json(cert)
+    assert json.loads(text)["body"] == {"final_tp": "-5", "threshold": "0", "steps": 9}
+    assert text == certificate_to_json(EarlyExitNegative(F(-5), F(0), 9))
+    assert certificate_from_json(text) == cert
+    buchi = KoenigBound(2, OpenSub("buchi", colour=1, i=2))
+    assert json.loads(certificate_to_json(buchi))["body"]["open_sub"]["colour"] == "1"
+    again = certificate_from_json(certificate_to_json(buchi))
+    assert again == buchi and type(again.open_sub.colour) is int
 
 
 def test_sink_payoff_names_a_final_vertex_that_is_not_a_sink():

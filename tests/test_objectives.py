@@ -265,3 +265,31 @@ def test_shift_strict_tp_refuses_a_generator():
     generator = ArenaGenerator(arena.start, lambda v: (1, arena.edges(v)))
     with pytest.raises(ValueError, match="generator"):
         shift_to_zero_threshold(generator, arena.start, Objective("tp", "limsup", ">", F(0)))
+
+
+def test_quotients_of_integer_words_are_fractions_not_floats():
+    # int / int is a float, and 1.5 == F(3, 2), so check the type and the text
+    for got in (payoff("mp", [1, 2]), OpenSub("mp-sup").score([1, 2]),
+                lasso_limit("mp", "limsup", Lasso((5,), (1, 2)))):
+        assert type(got) is Fraction and str(got) == "3/2"
+    # an integral quotient, and a sum of fractions mixed with ints, are exact
+    assert payoff("mp", [1, 3]) == 2 and type(payoff("mp", [1, 3])) is int
+    assert str(payoff("tp", [1, F(1, 2), F(1, 2)])) == "2"
+    assert str(lasso_limit("tp", "limsup", Lasso((F(1, 2),), (1, F(-1, 2), F(-1, 2))))) == "3/2"
+
+
+def test_parsed_thresholds_and_shifted_weights_are_ints_when_integral():
+    assert [type(parse_ext(t)) for t in ("3", "-4/2", "1/2")] == [int, int, Fraction]
+    a = V("a")
+    arena = ArenaExplicit({a: 1}, [Edge(a, 2, a), Edge(a, -1, a)], a)
+    shifted, start, _, _ = shift_to_zero_threshold(
+        arena, a, Objective("mp", "limsup", ">=", F(1, 2)))
+    assert sorted(e.weight for e in shifted.edges(start)) == [F(-3, 2), F(3, 2)]
+    shifted, start, _, _ = shift_to_zero_threshold(
+        ArenaExplicit({a: 1}, [Edge(a, F(2), a)], a), a, Objective("mp", "limsup", ">=", F(1)))
+    (e,) = shifted.edges(start)
+    assert e.weight == 1 and type(e.weight) is int
+    # > 0 over integer weights is >= 1: a debt of -1
+    shifted, start, obj, _ = shift_to_zero_threshold(arena, a, Objective("tp", "limsup", ">", 0))
+    (debt,) = shifted.edges(start)
+    assert debt.weight == -1 and type(debt.weight) is int

@@ -17,7 +17,7 @@ import pytest
 from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
-from qgames.objectives import MP, TP, Lasso, lasso_limit, parse_ext
+from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
 from qgames.synthesis import (PROFILE_CAP, _least_cycle_means, _max_min, _mp_values, _mp_witness,
                               _tpsup_witness, _view, solve_values)
 
@@ -304,6 +304,22 @@ def test_solve_values_match_the_benchmark_pool():
             arena = parse_arena(member["arena"])
             assert solve_values(arena, family).values[arena.start] == parse_ext(
                 member["start_value"]), cell
+
+
+def test_solved_values_are_ints_or_fractions_with_a_denominator_and_floats_only_when_infinite():
+    pool = json.loads(POOL.read_text())
+    kinds = set()
+    for members in pool.values():
+        for member in members:
+            arena = parse_arena(member["arena"])
+            for family in ("mp", "tpsup"):
+                for x in solve_values(arena, family).values.values():
+                    if type(x) is float:
+                        assert x in (POS_INF, NEG_INF)
+                    else:
+                        assert type(x) is int or (type(x) is F and x.denominator > 1)
+                    kinds.add(type(x))
+    assert kinds == {int, F, float}
 
 
 def _assert_witness_is_the_product_order_one(arena):
