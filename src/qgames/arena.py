@@ -1,13 +1,10 @@
 """Game arenas: explicit graphs, lazy generators, histories, memory structures.
 
 An arena is a directed graph whose vertices are partitioned between two
-players and whose edges carry exact rational weights.  Weights, parsed
-values and solved values are canonical (``exact``): a plain ``int`` when
-integral, a ``Fraction`` only when there is a denominator.  The two mix
-exactly, and an integral ``Fraction(n)``, such as a sum of fractional
-weights may be, compares, hashes and prints as ``n``: only ``repr`` and
-``type`` tell them apart.  A true division keeps a ``Fraction`` operand,
-since ``int / int`` is a float.  Arenas are
+players and whose edges carry exact rational weights: an ``int`` when
+integral, else a ``Fraction`` (``exact``).  An integral ``Fraction``, as a
+sum of fractional weights may be, compares, hashes and prints as its
+``int``; only ``repr`` and ``type`` tell them apart.  Arenas are
 non-blocking (every vertex has at least one outgoing edge) and finitely
 branching.  Infinite arenas are represented by deterministic lazy
 generators that expand one vertex at a time.

@@ -166,6 +166,20 @@ def test_the_golden_simulate_play_adds_fractional_weights_to_an_int_start():
     assert record.to_csv() == expected
 
 
+def test_parsed_weights_are_ints_when_integral_and_fractions_otherwise():
+    arena = parse_arena("vertex a owner=1\nvertex b owner=2\nedge a b weight=-4/2\n"
+                        "edge b a weight=3\nedge b b weight=1/2\nstart a\n")
+    assert [(str(e.weight), type(e.weight)) for v in arena.vertices for e in arena.edges(v)] == [
+        ("-2", int), ("3", int), ("1/2", Fraction)]
+    sigma = parse_strategy("strategy s kind=sc+k states=2 horizon=2 player=1\n"
+                           "move a state=0 step=0 -> b weight=6/3\n"
+                           "bitupd state=0 step=1 edge=b->b weight=-2/4 -> 1\n"
+                           "bitupd state=0 step=1 edge=b->a weight=3 -> 1\n")
+    assert type(sigma.table[(V("a"), 0, 0)].weight) is int
+    assert sorted((str(e.weight), type(e.weight).__name__) for _, _, e in sigma.bit_update) == [
+        ("-1/2", "Fraction"), ("3", "int")]
+
+
 @pytest.mark.parametrize("arena, name, have", [
     ("a3", "p2_enter", "delay_twice_exit, p2_enter_<int>"),
     ("nonuniform", "exit_at", "exit_at_<int>"),

@@ -85,6 +85,9 @@ def test_integer_weights_give_int_totals_and_an_exact_mp_column():
     assert {type(tp) for tp in record.tp_trace + [record.final_tp, record.tp_at(0)]} == {int}
     rows = [line.split(",") for line in record.to_csv().splitlines()[1:]]
     assert [row[5] for row in rows] == ["1", "3/2", "4/3", "3/2", "7/5"]
+    empty = play(arena, A, Memoryless({A: arena.edges(A)[0]}),
+                 Memoryless({B: arena.edges(B)[0]}, player=2), 0)
+    assert empty.final_tp == 0 and type(empty.final_tp) is int
 
 
 def test_a_refuted_branch_prints_its_cycle_total_as_a_fraction():
