@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
@@ -50,21 +49,20 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
     Mean payoff uses exact value iteration on integer-scaled weights.  At
-    rounds k = n, 2n, 4n, ... both players' greedy positional profiles on
-    the k-round values x_k are checked by least reachable cycle means
-    (Karp); where player 1's lower bound meets player 2's upper bound at
-    every vertex, they are the values.  The guaranteed stop is Zwick &
-    Paterson's (1996): x_k(v) stays within 2nW of k times the value, a
-    fraction with denominator at most n, so once that interval holds one
-    such fraction at every vertex, those are the values.  Limsup total
-    payoff is +/-inf on the positive/negative mean-payoff regions and a
-    bounded exact fixed point on the zero region.  The witness is the
-    first memoryless strategy achieving the value against every
-    memoryless opponent, absent past ``PROFILE_CAP``.  The mean-payoff one
-    is found by a depth-first search that drops a partial profile once
-    its edges close a negative cycle on weights shifted by the values
-    (``_mp_witness``); the limsup-TP one comes with a player-2 profile
-    holding the values from above.
+    rounds k = n, 2n, 4n, ... the lasso means of both players' greedy
+    positional profiles on the k-round values x_k are the values if player
+    1's profile holds them from below and player 2's from above.  The
+    guaranteed stop is Zwick & Paterson's (1996): x_k(v) stays within 2nW
+    of k times the value, a fraction with denominator at most n, so once
+    that interval holds one such fraction at every vertex, those are the
+    values.  Limsup total payoff is +/-inf on the positive/negative
+    mean-payoff regions and a bounded exact fixed point on the zero region.
+    The witness is the first memoryless strategy achieving the value
+    against every memoryless opponent, absent past ``PROFILE_CAP``; the
+    limsup-TP one comes with a player-2 profile holding the values from
+    above.  Every such claim is checked by one search,
+    ``_first_holding``: it drops a partial profile once its edges and the
+    replies close a negative cycle on weights shifted by the values.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
@@ -169,73 +167,88 @@ def _isolated(lo: int, hi: int, k: int, n: int) -> Optional[tuple[int, int]]:
     return found
 
 
-def _least_cycle_means(out: list[tuple[tuple[int, int], ...]]) -> list[Fraction]:
-    """Per vertex, the least mean of a cycle reachable from it in the graph
-    whose vertex i has the (successor, weight) edges ``out[i]``, none
-    empty: Karp (1978) on each strongly connected component, then the
-    least over the components each vertex reaches."""
-    reach = []
-    for s in range(len(out)):
-        seen, stack = {s}, [s]
-        while stack:
-            for d, _ in out[stack.pop()]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        reach.append(seen)
-    mean: dict[int, Fraction] = {}  # the least cycle mean of the vertex's component
-    for s, seen in enumerate(reach):
-        if s in mean:
-            continue
-        comp = [u for u in seen if s in reach[u]]
-        local = {u: a for a, u in enumerate(comp)}
-        into: list[list[tuple[int, int]]] = [[] for _ in comp]  # (predecessor, weight)
-        for u in comp:
-            for d, w in out[u]:
-                if d in local:
-                    into[local[d]].append((local[u], w))
-        if not all(into):
-            continue  # one vertex without a self-loop
-        # walks[k][b]: least weight of a k-edge walk in the component ending at b
-        m = len(comp)
-        walks = [[0] * m]
-        for _ in range(m):
-            walks.append([min(walks[-1][a] + w for a, w in ins) for ins in into])
-        # means scaled by a common multiple of the walk-length differences
-        scale = math.lcm(*range(1, m + 1))
-        mean.update(dict.fromkeys(comp, Fraction(min(
-            max((walks[m][b] - walks[k][b]) * (scale // (m - k)) for k in range(m))
-            for b in range(m)), scale)))
-    return [min(mean[u] for u in seen if u in mean) for seen in reach]
-
-
 def _greedy_certificate(view: _View, x: list[int]) -> Optional[list[Fraction]]:
     """The scaled values if both players' greedy profiles on x prove them:
     each vertex takes its first edge maximising (player 1) or minimising
-    (player 2) w + x[d].  Under player 1's every play from v has mean at
-    least the least cycle mean reachable from v, under player 2's at most
-    the greatest; where the two agree they are the values."""
-    def greedy(i: int, best: Callable) -> tuple[tuple[int, int], ...]:
-        return (best(view.succ[i], key=lambda e: e[1] + x[e[0]]),)
+    (player 2) w + x[d].  The means of the lasso the two play from each
+    vertex are the values when player 1's profile holds them from below and
+    player 2's from above: an edge moving the mean against the holder
+    fails, and an in-class edge (d, w) from mean c weighs w - c, negated
+    for player 2, so that a cycle beating the holder is negative."""
+    step = [(max if p1 else min)(out, key=lambda e: e[1] + x[e[0]])
+            for p1, out in zip(view.p1, view.succ)]
+    scale = math.lcm(*range(1, len(step) + 1))
+    means = _pair_values(step, MP, scale)
 
-    low = _least_cycle_means([greedy(i, max) if p1 else out
-                              for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
-    high = _least_cycle_means([tuple((d, -w) for d, w in (out if p1 else greedy(i, min)))
-                               for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
-    return low if all(a == -b for a, b in zip(low, high)) else None
+    def holds(player: int, sign: int) -> bool:
+        def weigh(i: int, d: int, w: int):
+            if means[d] == means[i]:
+                return sign * (w * scale - means[i])
+            return None if (means[d] - means[i]) * sign > 0 else _FAIL
+
+        return _first_holding(view, player, lambda i, d, w: (d, w) == step[i], weigh) is not None
+
+    return [Fraction(mean, scale) for mean in means] if holds(1, 1) and holds(2, -1) else None
 
 
-def _profiles(view: _View, player: int, cap: int,
-              keep: Optional[Callable[[int, int, int], bool]] = None):
-    """The player's vertex indices and, per vertex, the positions of the
-    edges (successor d, scaled weight w) it is offered, those with
-    keep(i, d, w): their product, in order, is every positional strategy.
-    None if the unrestricted strategy space has more than ``cap`` profiles."""
+def _profiles(view: _View, player: int, cap: int) -> Optional[tuple[list[int], list[range]]]:
+    """The player's vertex indices and the positions of each one's edges,
+    whose product is every positional strategy; None past ``cap`` of them."""
     owned = [i for i, p1 in enumerate(view.p1) if p1 == (player == 1)]
     if math.prod(len(view.succ[i]) for i in owned) > cap:
         return None
-    return owned, [[j for j, (d, w) in enumerate(view.succ[i]) if keep is None or keep(i, d, w)]
-                   for i in owned]
+    return owned, [range(len(view.succ[i])) for i in owned]
+
+
+_FAIL = object()  # the weight of an edge along which no profile holds
+
+
+def _first_holding(view: _View, player: int, offered: Callable[[int, int, int], bool],
+                   weigh: Callable[[int, int, int], object]) -> Optional[dict[VertexId, Edge]]:
+    """The first profile of the player, in product order over the edges
+    (successor d, scaled weight w) of each owned vertex i with
+    offered(i, d, w), under which its edges and every reply edge close no
+    negative cycle; None if there is none.
+
+    weigh(i, d, w) is the edge's weight, None to leave it out, or ``_FAIL``
+    if no profile holds with it: at a reply vertex that ends the search,
+    and an offered edge never fails.  A depth-first search over the owned
+    vertices drops every completion of a partial profile whose edges
+    already close a negative cycle.
+    """
+    def kept(i: int, edges) -> list[tuple[int, object]]:
+        return [(d, x) for d, x in ((d, weigh(i, d, w)) for d, w in edges) if x is not None]
+
+    owned, choices, out = [], [], []
+    for i, (p1, edges) in enumerate(zip(view.p1, view.succ)):
+        if p1 == (player == 1):
+            owned.append(i)
+            choices.append([(j, kept(i, [e])) for j, e in enumerate(edges) if offered(i, *e)])
+            out.append(choices[-1][0][1] if len(choices[-1]) == 1 else [])
+        else:
+            out.append(kept(i, edges))
+            if any(x is _FAIL for _, x in out[-1]):
+                return None
+    # a vertex offered one edge is fixed from the start: at most log2(profiles) levels
+    branch = [k for k, js in enumerate(choices) if len(js) != 1]
+    pick = [js[0][0] if js else None for js in choices]
+
+    def search(b: int, dist: list[int]) -> bool:
+        if b == len(branch):
+            return True
+        k = branch[b]
+        for j, edge in choices[k]:
+            out[owned[k]], pick[k] = edge, j
+            trial = _potential(out, dist)
+            if trial is not None and search(b + 1, trial):
+                return True
+        out[owned[k]] = []
+        return False
+
+    dist = _potential(out, [0] * len(out))
+    if dist is None or not search(0, dist):
+        return None
+    return {view.vertices[i]: view.edges[i][j] for i, j in zip(owned, pick)}
 
 
 def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
@@ -248,43 +261,15 @@ def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
     a profile stays in one value class c = p/q.  Player 2 holds every
     vertex to its value, so a profile passes exactly when no cycle has mean
     below its class: when the graph of in-class edges, each (d, w) weighed
-    w q - p, has no negative cycle.  A depth-first search over the owned
-    vertices in product order drops every completion of a partial profile
-    whose fixed edges already close a negative cycle.
+    w q - p, has no negative cycle.
     """
+    if _profiles(view, 1, cap) is None:
+        return None
     target = [values[v] * view.denom for v in view.vertices]
-    profiles = _profiles(view, 1, cap, keep=lambda i, d, w: target[d] == target[i])
-    if profiles is None:
-        return None
-    owned, choices = profiles
-    # each in-class edge (d, w) of a vertex of value p/q weighs w q - p; the others, None
-    shifted = [[(d, w * t.denominator - t.numerator) if target[d] == t else None for d, w in out]
-               for t, out in zip(target, view.succ)]
-    out = [[e for e in es if e is not None] for es in shifted]
-    # a player-1 vertex with several offered edges is left out until the search fixes one;
-    # the others are fixed from the start, so the search recurses at most log2(cap) deep
-    branch = [k for k, js in enumerate(choices) if len(js) != 1]
-    for k in branch:
-        out[owned[k]] = []
-    pick = [js[0] if js else None for js in choices]
-
-    def search(b: int, dist: list[int]) -> bool:
-        if b == len(branch):
-            return True
-        k = branch[b]
-        for j in choices[k]:
-            out[owned[k]], pick[k] = [shifted[owned[k]][j]], j
-            trial = _potential(out, dist)
-            if trial is not None and search(b + 1, trial):
-                return True
-        out[owned[k]] = []
-        return False
-
-    dist = _potential(out, [0] * len(out))
-    if dist is None or not search(0, dist):
-        return None
-    return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, pick)},
-                      name="mp_witness")
+    table = _first_holding(view, 1, lambda i, d, w: target[d] == target[i],
+                           lambda i, d, w: (w * target[i].denominator - target[i].numerator
+                                            if target[d] == target[i] else None))
+    return None if table is None else Memoryless(table, name="mp_witness")
 
 
 def _potential(out: list[list[tuple[int, int]]], dist: list[int]) -> Optional[list[int]]:
@@ -373,39 +358,47 @@ def _pair_values(step: list[tuple[int, int]], kind: str, scale: int) -> list:
 
 def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
                    cap: int) -> Optional[Memoryless]:
-    """The first player-1 profile that no player-2 profile brings below
-    the limsup-TP values anywhere, after the first player-2 profile that no
-    player-1 profile lifts above them: together they prove max-min =
-    min-max = values, and a missing side raises.  None if either profile
-    space exceeds ``cap``.  Only edges with value(v) = w + value(d) are
-    offered: lasso values satisfy it along every move, so a profile
-    holding the values takes no other edge."""
-    target = [values[v] * view.denom for v in view.vertices]
+    """The first player-1 profile holding the limsup-TP values from below
+    against every reply, once some player-2 profile holds them from above:
+    together they prove max-min = min-max = values, and a missing side
+    raises.  None if either profile space exceeds ``cap``.
+
+    Only edges with value(i) = w + value(d), which lasso values satisfy
+    along every move, are offered.  Along them the running total is
+    value(start) - value(current), so a reply beats player 1 only by a
+    cycle of sum <= 0 among the +inf vertices or by a cycle of such edges
+    through positive values alone, and player 2 by a cycle of sum >= 0
+    among the -inf vertices or by one of such edges through a negative
+    value: the weights make exactly those cycles negative.
+    """
     if _profiles(view, 1, cap) is None or _profiles(view, 2, cap) is None:
         return None
-    step = list(view.succ)
+    target = [values[v] * view.denom for v in view.vertices]
+    n = len(target)
 
-    def holds(player: int, beats: Callable) -> tuple[list[int], tuple[int, ...]]:
-        owned, choices = _profiles(view, player, cap, lambda i, d, w: target[i] == w + target[d])
-        for combo in itertools.product(*choices):
-            for i, j in zip(owned, combo):
-                step[i] = view.succ[i][j]
-            other, replies = _profiles(view, 3 - player, cap)
-            for reply in itertools.product(*replies):
-                for i, j in zip(other, reply):
-                    step[i] = view.succ[i][j]
-                if any(map(beats, _pair_values(step, TP, 1), target)):
-                    break
-            else:
-                return owned, combo
-        shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
-        raise RuntimeError("value attainment cross-check failed: no player-%d profile holds %r"
-                           % (player, shown))  # finite values in their Fraction repr
+    def below(i: int, d: int, w: int):
+        t, u = target[i], target[d]
+        if t == POS_INF:
+            return n * w - 1 if u == POS_INF else _FAIL
+        if t == NEG_INF or w + u > t:
+            return None
+        return _FAIL if w + u < t else -1 if t > 0 and u > 0 else None
 
-    holds(2, operator.gt)
-    owned, combo = holds(1, operator.lt)
-    return Memoryless({view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)},
-                      name="tpsup_witness")
+    def above(i: int, d: int, w: int):
+        t, u = target[i], target[d]
+        if t == NEG_INF:
+            return -n * w - 1 if u == NEG_INF else _FAIL
+        if t == POS_INF or w + u < t:
+            return None
+        return _FAIL if w + u > t else -1 if t < 0 else 0
+
+    for player, weigh in ((2, above), (1, below)):
+        table = _first_holding(view, player, lambda i, d, w: target[i] == w + target[d], weigh)
+        if table is None:
+            shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
+            raise RuntimeError("value attainment cross-check failed: no player-%d profile holds "
+                               "%r" % (player, shown))  # finite values in their Fraction repr
+    return Memoryless(table, name="tpsup_witness")
 
 
 def _max_min(view: _View, kind: str, cap: int

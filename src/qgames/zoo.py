@@ -616,5 +616,11 @@ def parse_uri(uri: str) -> ZooEntry:
             key, _, val = pair.partition("=")
             if not key or not val:
                 raise ValueError("malformed zoo parameter %r" % pair)
-            params[key] = int(val)
+            if key in params:
+                raise ValueError("zoo parameter %r given twice" % key)
+            try:
+                params[key] = int(val)
+            except ValueError:
+                raise ValueError("zoo parameter %r must be an integer, got %r"
+                                 % (key, val)) from None
     return make(name, **params)

@@ -513,6 +513,19 @@ def test_cli_rejects_an_undeclared_zoo_parameter(tmp_path, capsys, uri, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("uri, message", [
+    ("zoo:a1?b=x", "zoo parameter 'b' must be an integer, got 'x'"),
+    ("zoo:a1?b=2&b=3", "zoo parameter 'b' given twice"),
+], ids=["not-an-integer", "repeated"])
+def test_cli_rejects_a_malformed_zoo_parameter(tmp_path, capsys, uri, message):
+    out = tmp_path / "arena.txt"
+    assert main(["zoo", "export", "--arena", uri, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_bench_prints_grid(capsys):
     # the widths were read before the player-1 zoo strategies kept only
     # the summary they decide from; that change moved the class column

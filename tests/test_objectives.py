@@ -293,3 +293,24 @@ def test_parsed_thresholds_and_shifted_weights_are_ints_when_integral():
     shifted, start, obj, _ = shift_to_zero_threshold(arena, a, Objective("tp", "limsup", ">", 0))
     (debt,) = shifted.edges(start)
     assert debt.weight == -1 and type(debt.weight) is int
+
+
+def test_shifted_generators_read_their_rows():
+    # a generator's TP shift expands the prepended vertex to its debt edge
+    # and passes every other row through; its MP shift subtracts the
+    # threshold from every weight of a row and keeps the owner
+    a, b = V("a"), V("b")
+    rows = {a: (1, (Edge(a, 1, b), Edge(a, F(1, 2), a))), b: (2, (Edge(b, -1, a),))}
+    generator = ArenaGenerator(a, rows.__getitem__)
+    shifted, start, obj, _ = shift_to_zero_threshold(
+        generator, a, Objective("tp", "limsup", ">=", 3))
+    assert (start, obj.threshold) == (V("pre^a"), 0)
+    assert shifted.row(start) == (2, (Edge(start, -3, a),))
+    assert shifted.row(a) == (1, (Edge(a, F(1, 2), a), Edge(a, 1, b)))
+    assert shifted.row(b) == (2, (Edge(b, -1, a),))
+    shifted, start, obj, _ = shift_to_zero_threshold(
+        generator, a, Objective("mp", "limsup", ">=", F(1, 2)))
+    assert (start, obj.threshold) == (a, 0)
+    assert shifted.row(a) == (1, (Edge(a, 0, a), Edge(a, F(1, 2), b)))
+    assert shifted.row(b) == (2, (Edge(b, F(-3, 2), a),))
+    assert type(shifted.row(a)[1][0].weight) is int

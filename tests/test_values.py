@@ -1,9 +1,10 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
 algorithms it replaces, kept here as oracles: value iteration for the full
 4n^3 W rounds, the witness search over every player-1 profile, the
-product-order witness loop with one least-cycle-mean pass per profile,
-Karp's cycle mean once per start vertex, and the max-min that walks one
-lasso per vertex and profile pair."""
+product-order witness loop with one least-cycle-mean pass per profile, the
+greedy profiles' bounds by Karp's least cycle means, Karp's cycle mean once
+per start vertex, and the max-min that walks one lasso per vertex and
+profile pair."""
 
 import itertools
 import json
@@ -18,8 +19,8 @@ from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
 from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
-from qgames.synthesis import (PROFILE_CAP, _least_cycle_means, _max_min, _mp_values, _mp_witness,
-                              _tpsup_witness, _view, solve_values)
+from qgames.synthesis import (PROFILE_CAP, _max_min, _mp_values, _mp_witness, _tpsup_witness,
+                              _view, solve_values)
 
 F = Fraction
 V = VertexId
@@ -83,6 +84,60 @@ def _min_cycle_mean(arena, vertices, moves):
                 d[k][b] = d[k - 1][a] + w
     return min(max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] is not None)
                for v in range(n) if d[n][v] is not None)
+
+
+def _least_cycle_means(out):
+    """Per vertex, the least mean of a cycle reachable from it in the graph
+    whose vertex i has the (successor, weight) edges ``out[i]``, none
+    empty: Karp (1978) on each strongly connected component, then the
+    least over the components each vertex reaches."""
+    reach = []
+    for s in range(len(out)):
+        seen, stack = {s}, [s]
+        while stack:
+            for d, _ in out[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        reach.append(seen)
+    mean = {}  # the least cycle mean of the vertex's component
+    for s, seen in enumerate(reach):
+        if s in mean:
+            continue
+        comp = [u for u in seen if s in reach[u]]
+        local = {u: a for a, u in enumerate(comp)}
+        into = [[] for _ in comp]  # (predecessor, weight)
+        for u in comp:
+            for d, w in out[u]:
+                if d in local:
+                    into[local[d]].append((local[u], w))
+        if not all(into):
+            continue  # one vertex without a self-loop
+        # walks[k][b]: least weight of a k-edge walk in the component ending at b
+        m = len(comp)
+        walks = [[0] * m]
+        for _ in range(m):
+            walks.append([min(walks[-1][a] + w for a, w in ins) for ins in into])
+        # means scaled by a common multiple of the walk-length differences
+        scale = math.lcm(*range(1, m + 1))
+        mean.update(dict.fromkeys(comp, F(min(
+            max((walks[m][b] - walks[k][b]) * (scale // (m - k)) for k in range(m))
+            for b in range(m)), scale)))
+    return [min(mean[u] for u in seen if u in mean) for seen in reach]
+
+
+def karp_greedy_certificate(view, x):
+    """The greedy profiles' bounds by Karp: under player 1's, the least
+    cycle mean reachable from each vertex; under player 2's, the greatest.
+    Their means where the two agree at every vertex, else None."""
+    def greedy(i, best):
+        return (best(view.succ[i], key=lambda e: e[1] + x[e[0]]),)
+
+    low = _least_cycle_means([greedy(i, max) if p1 else out
+                              for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
+    high = _least_cycle_means([tuple((d, -w) for d, w in (out if p1 else greedy(i, min)))
+                               for i, (p1, out) in enumerate(zip(view.p1, view.succ))])
+    return low if all(a == -b for a, b in zip(low, high)) else None
 
 
 def unfiltered_mp_witness(arena, values):
@@ -213,20 +268,73 @@ def test_tpsup_witness_matches_the_whole_arena_max_min():
 
 
 def test_tpsup_witness_cross_checks_both_sides():
-    # a value raised by 1 leaves no player-1 profile holding the values, one
-    # lowered by 1 no player-2 profile; either side missing raises
+    # a value raised by 1 or 1/2 leaves no player-1 profile holding the
+    # values, one lowered by 1 no player-2 profile; either side missing raises
     checked = 0
     for arena in random_arenas(56, count=40):
         values = solve_values(arena, "tpsup").values
         zero = [v for v, x in values.items() if not isinstance(x, float)]
         if not zero:
             continue
-        for delta in (1, -1):
+        for delta in (1, -1, F(1, 2)):
             with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
                 _tpsup_witness(_view(arena), {**values, zero[0]: values[zero[0]] + delta},
                                PROFILE_CAP)
         checked += 1
     assert checked
+
+
+def _count_potential_calls(monkeypatch):
+    calls = []
+    potential = synthesis._potential
+    monkeypatch.setattr(synthesis, "_potential", lambda *args: calls.append(1) or potential(*args))
+    return calls
+
+
+@pytest.mark.parametrize("loop, value", [(0, 1), (1, POS_INF)], ids=["zero-region", "plus-inf"])
+def test_tpsup_witness_drops_a_first_tight_edge_that_closes_a_losing_cycle(monkeypatch, loop,
+                                                                           value):
+    # n(0) is player 1's.  Its first edge, to player 2's n(1), is tight and
+    # closes n(0) n(1) n(0) of sum 0; its second, of weight 1, leads to a
+    # loop of weight ``loop`` at n(2).  With a zero loop n(0) and n(1) have
+    # value 1, which the cycle's running total never reaches; with a
+    # positive one they are +inf, and the cycle's sum is not positive.
+    # Either way one negative-cycle pass drops the first edge, and no reply
+    # profile is enumerated.
+    n = [V("n", (i,)) for i in range(3)]
+    arena = ArenaExplicit({n[0]: 1, n[1]: 2, n[2]: 2}, [
+        E(n[0], 0, n[1]), E(n[0], 1, n[2]), E(n[1], 0, n[0]), E(n[2], loop, n[2])])
+    view = _view(arena)
+    values = solve_values(arena, "tpsup").values
+    assert values[n[0]] == values[n[1]] == value
+    calls = _count_potential_calls(monkeypatch)
+    witness = _tpsup_witness(view, values, PROFILE_CAP)
+    assert witness.table == {n[0]: E(n[0], 1, n[2])} == _max_min(view, TP, PROFILE_CAP)[1]
+    # one negative-cycle pass for player 2's fixed profile, then player 1's:
+    # one for the replies and one per edge tried at n(0)
+    assert len(calls) == 4
+
+
+def test_greedy_certificate_is_the_karp_bounds_where_they_agree():
+    # at k = n, 2n, 4n and 8n rounds, on random arenas (some with one
+    # player, whose other side holds vacuously) and on the benchmark pool
+    pool = json.loads(POOL.read_text())
+    arenas = random_arenas(57) + [parse_arena(m["arena"]) for ms in pool.values() for m in ms]
+    certified = {True: 0, False: 0}
+    one_player = 0
+    for arena in arenas:
+        view = _view(arena)
+        n = len(view.vertices)
+        rows = list(zip(view.p1, view.succ))
+        x = [0] * n
+        for k in range(1, 8 * n + 1):
+            x = [(max if p1 else min)([w + x[d] for d, w in out]) for p1, out in rows]
+            if k in (n, 2 * n, 4 * n, 8 * n):
+                want = karp_greedy_certificate(view, x)
+                assert synthesis._greedy_certificate(view, x) == want
+                certified[want is not None] += 1
+                one_player += want is not None and len(set(view.p1)) == 1
+    assert certified[True] and certified[False] and one_player
 
 
 def test_mp_values_one_player_twelve_cycle():
@@ -361,17 +469,12 @@ def test_mp_witness_drops_a_first_edge_that_closes_a_cycle_below_the_value(monke
     view = _view(arena)
     values = _mp_values(view)
     assert set(values.values()) == {0}
-    calls = {"_least_cycle_means": 0, "_potential": 0}
-    for name in calls:
-        def counted(*args, name=name, fn=getattr(synthesis, name)):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(synthesis, name, counted)
+    calls = _count_potential_calls(monkeypatch)
     witness = _mp_witness(view, values, PROFILE_CAP)
     assert witness.table == {n[0]: E(n[0], 0, n[2]), n[4]: E(n[4], 0, n[2])}
-    # no cycle-mean pass; one negative-cycle pass for the player-2 edges,
-    # one per edge tried at n(0) and one for n(4)'s first edge
-    assert calls == {"_least_cycle_means": 0, "_potential": 4}
+    # one negative-cycle pass for the player-2 edges, one per edge tried at
+    # n(0) and one for n(4)'s first edge
+    assert len(calls) == 4
 
 
 def test_mp_values_after_a_heavy_transient():
