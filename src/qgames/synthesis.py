@@ -48,15 +48,13 @@ class ProfileCapExceeded(RuntimeError):
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
-    Mean payoff uses exact value iteration on integer-scaled weights.  At
-    rounds k = n, 2n, 4n, ... the lasso means of both players' greedy
-    positional profiles on the k-round values x_k are the values if player
-    1's profile holds them from below and player 2's from above.  The
-    guaranteed stop is Zwick & Paterson's (1996): x_k(v) stays within 2nW
-    of k times the value, a fraction with denominator at most n, so once
-    that interval holds one such fraction at every vertex, those are the
-    values.  Limsup total payoff is +/-inf on the positive/negative
-    mean-payoff regions and a bounded exact fixed point on the zero region.
+    Mean payoff uses strategy improvement on integer-scaled weights: player
+    2 best-responds to player 1's positional profile, player 1 switches
+    against the reply, until neither switches.  The lasso means of the
+    final pair are the values once player 1's profile holds them from below
+    and player 2's from above, and anything else raises.  Limsup total
+    payoff is +/-inf on the positive/negative mean-payoff regions and a
+    bounded exact fixed point on the zero region.
     The witness is the first memoryless strategy achieving the value
     against every memoryless opponent, absent past ``PROFILE_CAP``; the
     limsup-TP one comes with a player-2 profile holding the values from
@@ -91,7 +89,6 @@ class _View:
     succ: tuple[tuple[tuple[int, int], ...], ...]
     edges: tuple[tuple[Edge, ...], ...]
     denom: int
-    w_max: int
 
     def restrict(self, keep: list[int]) -> _View:
         """The subarena on the given ascending vertex indices."""
@@ -101,7 +98,7 @@ class _View:
                      tuple(tuple((index[self.succ[i][j][0]], self.succ[i][j][1]) for j in js)
                            for i, js in zip(keep, kept)),
                      tuple(tuple(self.edges[i][j] for j in js) for i, js in zip(keep, kept)),
-                     self.denom, self.w_max)
+                     self.denom)
 
 
 def _view(arena: ArenaExplicit) -> _View:
@@ -111,84 +108,89 @@ def _view(arena: ArenaExplicit) -> _View:
     denom = math.lcm(*(e.weight.denominator for es in edges for e in es))
     succ = tuple(tuple((index[e.dst], e.weight.numerator * (denom // e.weight.denominator))
                        for e in es) for es in edges)
-    w_max = max([1] + [abs(w) for out in succ for _, w in out])
-    return _View(vertices, tuple(arena.owner(v) == 1 for v in vertices), succ, edges,
-                 denom, w_max)
+    return _View(vertices, tuple(arena.owner(v) == 1 for v in vertices), succ, edges, denom)
 
 
 def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
-    """Mean-payoff values by value iteration with the early stops of
-    ``solve_values``."""
-    n = len(view.vertices)
-    slack = 2 * n * view.w_max
-    horizon = 4 * n * n * n * view.w_max
-    rows = list(zip(view.p1, view.succ))
-    x = [0] * n
-    for k in range(1, horizon + 1):
-        x = [max([w + x[d] for d, w in out]) if p1 else min([w + x[d] for d, w in out])
-             for p1, out in rows]
-        if k % n:
-            continue
-        # the greedy certificate at k = n 2^j (at most log2(4n^2 W) + 1
-        # times), isolation at the other multiples of n: for n > 1 it is
-        # certain once 4nW/k < 1/(n(n-1)), 4nW multiples before the
-        # horizon; one vertex certifies at k = 1
-        if not (k // n) & (k // n - 1):
-            means = _greedy_certificate(view, x)
-            if means is not None:
-                return {v: exact(mean, view.denom) for v, mean in zip(view.vertices, means)}
-            continue
-        found = []
-        for total in x:
-            nu = _isolated(total - slack, total + slack, k, n)
-            if nu is None:
-                break
-            found.append(nu)
-        else:
-            return {v: exact(p, q * view.denom) for v, (p, q) in zip(view.vertices, found)}
-    if n:
-        raise AssertionError("values not isolated at the Zwick-Paterson horizon")
-    return {}
+    """Mean-payoff values by strategy improvement (Hoffman & Karp, 1966)
+    from both players' first edges: player 2 best-responds by Howard's
+    (1960) policy iteration, then player 1 switches against the reply,
+    until neither switches.  A vertex switches to its best edge (d, w) by
+    the key (gain[d], w scale - gain[d] + bias[d]) of ``_evaluate``, least
+    for player 2, only if that beats its current edge's.  The final gains
+    are the values once player 1's profile holds them from below and player
+    2's from above: an edge moving the gain against the holder fails, and
+    an in-class edge (d, w) from gain c weighs w scale - c, negated for
+    player 2, so that a cycle beating the holder is negative."""
+    scale = math.lcm(*range(1, len(view.vertices) + 1))
+    step = [out[0] for out in view.succ]
 
+    def switch(p1: bool, gain: list[int], bias: list[int]) -> bool:
+        sign = 1 if p1 else -1
 
-def _isolated(lo: int, hi: int, k: int, n: int) -> Optional[tuple[int, int]]:
-    """The only fraction p/q with q <= n in [lo/k, hi/k], or None if the
-    interval holds none or several."""
-    found = None
-    for q in range(1, n + 1):
-        p, top = -(-lo * q // k), hi * q // k
-        if p < top:
-            return None
-        if p == top:
-            if found is None:
-                found = (p, q)
-            elif p * found[1] != found[0] * q:
-                return None
-    return found
+        def key(e: tuple[int, int]) -> tuple[int, int]:
+            return sign * gain[e[0]], sign * (e[1] * scale - gain[e[0]] + bias[e[0]])
 
+        better = [(i, max(out, key=key)) for i, out in enumerate(view.succ) if view.p1[i] == p1]
+        better = [(i, e) for i, e in better if key(e) > key(step[i])]
+        for i, e in better:
+            step[i] = e
+        return bool(better)
 
-def _greedy_certificate(view: _View, x: list[int]) -> Optional[list[Fraction]]:
-    """The scaled values if both players' greedy profiles on x prove them:
-    each vertex takes its first edge maximising (player 1) or minimising
-    (player 2) w + x[d].  The means of the lasso the two play from each
-    vertex are the values when player 1's profile holds them from below and
-    player 2's from above: an edge moving the mean against the holder
-    fails, and an in-class edge (d, w) from mean c weighs w - c, negated
-    for player 2, so that a cycle beating the holder is negative."""
-    step = [(max if p1 else min)(out, key=lambda e: e[1] + x[e[0]])
-            for p1, out in zip(view.p1, view.succ)]
-    scale = math.lcm(*range(1, len(step) + 1))
-    means = _pair_values(step, MP, scale)
+    while True:
+        gain, bias = _evaluate(step, scale)
+        while switch(False, gain, bias):
+            gain, bias = _evaluate(step, scale)
+        if not switch(True, gain, bias):
+            break
 
     def holds(player: int, sign: int) -> bool:
         def weigh(i: int, d: int, w: int):
-            if means[d] == means[i]:
-                return sign * (w * scale - means[i])
-            return None if (means[d] - means[i]) * sign > 0 else _FAIL
+            if gain[d] == gain[i]:
+                return sign * (w * scale - gain[i])
+            return None if (gain[d] - gain[i]) * sign > 0 else _FAIL
 
         return _first_holding(view, player, lambda i, d, w: (d, w) == step[i], weigh) is not None
 
-    return [Fraction(mean, scale) for mean in means] if holds(1, 1) and holds(2, -1) else None
+    if not (holds(1, 1) and holds(2, -1)):
+        raise AssertionError("strategy improvement stopped on gains its profiles do not hold")
+    return {v: exact(g, scale * view.denom) for v, g in zip(view.vertices, gain)}
+
+
+def _lassos(step: list[tuple[int, int]]):
+    """(path, cycle) pairs holding every vertex once, when vertex i always
+    moves along step[i] = (successor, weight): the cycle the path closes,
+    empty if the path runs into an earlier pair."""
+    walked = [-1] * len(step)  # the first start whose walk reached the vertex
+    for s in range(len(step)):
+        path, u = [], s
+        while walked[u] < 0:
+            walked[u] = s
+            path.append(u)
+            u = step[u][0]
+        if path:
+            cut = path.index(u) if walked[u] == s else len(path)
+            yield path[:cut], path[cut:]
+
+
+def _evaluate(step: list[tuple[int, int]], scale: int) -> tuple[list[int], list[int]]:
+    """Gain and bias of every vertex when vertex i always moves along
+    step[i] = (successor, weight): the gain is the mean of the cycle the
+    play ends in times ``scale``, a multiple of every cycle length; the
+    bias is 0 at the least index of each cycle, else w scale - gain +
+    bias(successor)."""
+    gain, bias = [0] * len(step), [0] * len(step)
+    for path, cycle in _lassos(step):
+        if cycle:
+            # the rest of the cycle leads to its least index like a path
+            at = cycle.index(min(cycle))
+            gain[cycle[at]] = sum(step[c][1] for c in cycle) * (scale // len(cycle))
+            path += cycle[at + 1:] + cycle[:at]
+        for p in reversed(path):
+            d, w = step[p]
+            gain[p] = g = gain[d]
+            bias[p] = w * scale - g + bias[d]
+    return gain, bias
 
 
 def _profiles(view: _View, player: int, cap: int) -> Optional[tuple[list[int], list[range]]]:
@@ -319,40 +321,22 @@ def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
     return out
 
 
-def _pair_values(step: list[tuple[int, int]], kind: str, scale: int) -> list:
-    """Limsup TP, or MP times ``scale``, of the play from every vertex when
-    vertex i always moves along step[i] = (successor, weight)."""
-    n = len(step)
-    val: list = [None] * n
-    mark = [0] * n  # 0 unseen, 1 on the current path, 2 valued
-    for s in range(n):
-        path = []
-        u = s
-        while not mark[u]:
-            mark[u] = 1
-            path.append(u)
-            u = step[u][0]
-        if mark[u] == 1:
-            cut = path.index(u)
-            cycle = path[cut:]
-            del path[cut:]
-            total = sum(step[c][1] for c in cycle)
-            if kind == MP:
-                tops = [total * (scale // len(cycle))] * len(cycle)
-            elif total:
-                tops = [POS_INF if total > 0 else NEG_INF] * len(cycle)
-            else:
-                # prefix sums phi along the cycle; from c the running total
-                # peaks at max(phi) - phi(c)
-                phi = list(itertools.accumulate([step[c][1] for c in cycle[:-1]], initial=0))
-                peak = max(phi)
-                tops = [peak - p for p in phi]
-            for c, top in zip(cycle, tops):
-                val[c] = top
-                mark[c] = 2
+def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
+    """Limsup TP of the play from every vertex when vertex i always moves
+    along step[i] = (successor, weight)."""
+    val: list = [None] * len(step)
+    for path, cycle in _lassos(step):
+        if cycle:
+            # prefix sums phi along the cycle; from c the running total of a
+            # zero cycle peaks at max(phi) - phi(c), so it is 0 at the first
+            # peak, and the rest of the cycle leads there like a path
+            phi = list(itertools.accumulate([step[c][1] for c in cycle[:-1]], initial=0))
+            total = phi[-1] + step[cycle[-1]][1]
+            at = phi.index(max(phi))
+            val[cycle[at]] = POS_INF if total > 0 else NEG_INF if total < 0 else 0
+            path += cycle[at + 1:] + cycle[:at]
         for p in reversed(path):
-            val[p] = val[step[p][0]] + (step[p][1] if kind == TP else 0)
-            mark[p] = 2
+            val[p] = val[step[p][0]] + step[p][1]
     return val
 
 
@@ -425,7 +409,7 @@ def _max_min(view: _View, kind: str, cap: int
         for reply in replies:
             for i, move in zip(own2, reply):
                 step[i] = move
-            vals = _pair_values(step, kind, scale)
+            vals = _evaluate(step, scale)[0] if kind == MP else _pair_values(step)
             low = vals if low is None else list(map(min, low, vals))
         worst.append(low)
     best = [max(column) for column in zip(*worst)]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .arena import (Arena, ArenaGenerator, Edge, MealyMemory, VertexId, Weight, P1, P2, V,
-                    make_edge)
+from .arena import (DEFAULT_VERTEX_CAP, Arena, ArenaGenerator, Edge, MealyMemory, VertexId,
+                    Weight, P1, P2, V, make_edge)
 from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
 E = make_edge  # short alias used heavily by the expansions
@@ -74,8 +74,9 @@ def _last_edge(last: Optional[Edge], e: Edge) -> Edge:
 
 
 def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
-    if b < 1:
-        raise ValueError("truncation must be >= 1")
+    if not 1 <= b <= DEFAULT_VERTEX_CAP:  # before any of its b edges is built
+        raise ValueError("zoo parameter 'b' must be between 1 and the vertex cap %d, got %d"
+                         % (DEFAULT_VERTEX_CAP, b))
     s, t, q = V("s"), V("t"), V("q")
     back = s if repeated else q
 
@@ -493,8 +494,9 @@ def _make_buchia(k: int) -> ZooEntry:
 
 
 def _make_buchib(b: int) -> ZooEntry:
-    if b < 1:
-        raise ValueError("truncation must be >= 1")
+    if not 1 <= b <= DEFAULT_VERTEX_CAP:  # before any of its b edges is built
+        raise ValueError("zoo parameter 'b' must be between 1 and the vertex cap %d, got %d"
+                         % (DEFAULT_VERTEX_CAP, b))
     start = V("v", ())
 
     def expand(v: VertexId):

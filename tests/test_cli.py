@@ -516,7 +516,14 @@ def test_cli_rejects_an_undeclared_zoo_parameter(tmp_path, capsys, uri, message)
 @pytest.mark.parametrize("uri, message", [
     ("zoo:a1?b=x", "zoo parameter 'b' must be an integer, got 'x'"),
     ("zoo:a1?b=2&b=3", "zoo parameter 'b' given twice"),
-], ids=["not-an-integer", "repeated"])
+    ("zoo:a1?b=99999999", "zoo parameter 'b' must be between 1 and the vertex cap 1000000, "
+                          "got 99999999"),
+    ("zoo:a1prime?b=1000001", "zoo parameter 'b' must be between 1 and the vertex cap 1000000, "
+                              "got 1000001"),
+    ("zoo:buchib?b=99999999", "zoo parameter 'b' must be between 1 and the vertex cap 1000000, "
+                              "got 99999999"),
+], ids=["not-an-integer", "repeated", "a1-past-the-cap", "a1prime-past-the-cap",
+        "buchib-past-the-cap"])
 def test_cli_rejects_a_malformed_zoo_parameter(tmp_path, capsys, uri, message):
     out = tmp_path / "arena.txt"
     assert main(["zoo", "export", "--arena", uri, "--out", str(out)]) == 1

@@ -1,10 +1,13 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
-algorithms it replaces, kept here as oracles: value iteration for the full
-4n^3 W rounds, the witness search over every player-1 profile, the
-product-order witness loop with one least-cycle-mean pass per profile, the
-greedy profiles' bounds by Karp's least cycle means, Karp's cycle mean once
-per start vertex, and the max-min that walks one lasso per vertex and
-profile pair."""
+algorithms it replaces or cross-checks, kept here as oracles: value
+iteration for the full 4n^3 W rounds, the witness search over every
+player-1 profile, the product-order witness loop with one least-cycle-mean
+pass per profile, the greedy profiles' bounds by Karp's least cycle means,
+Karp's cycle mean once per start vertex, and the max-min that walks one
+lasso per vertex and profile pair.  Mean-payoff values come from strategy
+improvement, checked from both sides at its fixed point; the tests below
+compare it with value iteration, with the Karp bounds and with the max-min
+over every profile pair, on tie-heavy arenas too."""
 
 import itertools
 import json
@@ -19,8 +22,8 @@ from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
 from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
-from qgames.synthesis import (PROFILE_CAP, _max_min, _mp_values, _mp_witness, _tpsup_witness,
-                              _view, solve_values)
+from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _mp_witness,
+                              _tpsup_witness, _view, brute_force_values, solve_values)
 
 F = Fraction
 V = VertexId
@@ -223,6 +226,22 @@ def pool_shaped_arena(rng, n, w):
     return ArenaExplicit(dict(zip(vs, owners)), edges, vs[0])
 
 
+TIE_WEIGHTS = [-1, 0, 1] * 6 + [F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)]
+
+
+def tie_heavy_arena(rng):
+    """1 to 8 vertices, a few with one owner only, out-degrees 1 to 3, a
+    quarter of the edges self-loops, weights mostly -1, 0 and 1: many
+    profiles tie, which is where a switching rule can go wrong."""
+    n = rng.randint(1, 8)
+    vs = [V("n", (i,)) for i in range(n)]
+    mode = rng.random()
+    owners = {v: 1 if mode < 0.15 else 2 if mode < 0.3 else rng.choice((1, 2)) for v in vs}
+    edges = [E(v, rng.choice(TIE_WEIGHTS), v if rng.random() < 0.25 else rng.choice(vs))
+             for v in vs for _ in range(rng.randint(1, 3))]
+    return ArenaExplicit(owners, edges, vs[0])
+
+
 def cycle(owner, weights, name="c"):
     vs = [V(name, (i,)) for i in range(len(weights))]
     return ({v: owner for v in vs},
@@ -232,6 +251,40 @@ def cycle(owner, weights, name="c"):
 def test_mp_values_match_the_fixed_horizon_loop():
     for arena in random_arenas(51):
         assert _mp_values(_view(arena)) == fixed_horizon_mp_values(arena)
+
+
+def test_mp_values_match_brute_force_on_tie_heavy_arenas():
+    rng = random.Random(58)
+    one_player = 0
+    for _ in range(1500):
+        arena = tie_heavy_arena(rng)
+        assert _mp_values(_view(arena)) == brute_force_values(arena, "mp")
+        one_player += len({arena.owner(v) for v in arena.vertices}) == 1
+    assert one_player > 100
+
+
+def test_evaluate_gives_lasso_means_and_a_bias_solving_every_step():
+    # gain: the lasso's mean times the scale; bias: 0 at the least index of
+    # each cycle, and w scale - gain + bias(successor) at every vertex
+    rng = random.Random(59)
+    for arena in random_arenas(59):
+        view = _view(arena)
+        n = len(view.vertices)
+        moves = [rng.randrange(len(out)) for out in view.succ]
+        step = [out[j] for out, j in zip(view.succ, moves)]
+        profile = {v: arena.edges(v)[j] for v, j in zip(view.vertices, moves)}
+        scale = math.lcm(*range(1, n + 1))
+        gain, bias = _evaluate(step, scale)
+        for i, v in enumerate(view.vertices):
+            lasso = _lasso(arena, v, profile, profile)
+            assert F(gain[i], scale * view.denom) == lasso_limit(MP, "limsup", lasso)
+            d, w = step[i]
+            assert bias[i] == w * scale - gain[i] + bias[d]
+            walk = [i]
+            for _ in range(n):
+                walk.append(step[walk[-1]][0])
+            if i in walk[1:] and i == min(walk):
+                assert bias[i] == 0
 
 
 def test_mp_witness_matches_the_unfiltered_search():
@@ -315,30 +368,33 @@ def test_tpsup_witness_drops_a_first_tight_edge_that_closes_a_losing_cycle(monke
     assert len(calls) == 4
 
 
-def test_greedy_certificate_is_the_karp_bounds_where_they_agree():
-    # at k = n, 2n, 4n and 8n rounds, on random arenas (some with one
-    # player, whose other side holds vacuously) and on the benchmark pool
+def test_mp_values_are_the_karp_bounds_wherever_these_agree():
+    # at k = n, 2n, 4n and 8n rounds of value iteration, on random arenas
+    # (some with one player, whose other side holds vacuously) and on the
+    # benchmark pool, wherever the greedy profiles' Karp bounds meet
     pool = json.loads(POOL.read_text())
     arenas = random_arenas(57) + [parse_arena(m["arena"]) for ms in pool.values() for m in ms]
     certified = {True: 0, False: 0}
     one_player = 0
     for arena in arenas:
         view = _view(arena)
+        values = [_mp_values(view)[v] * view.denom for v in view.vertices]
         n = len(view.vertices)
         rows = list(zip(view.p1, view.succ))
         x = [0] * n
         for k in range(1, 8 * n + 1):
             x = [(max if p1 else min)([w + x[d] for d, w in out]) for p1, out in rows]
             if k in (n, 2 * n, 4 * n, 8 * n):
-                want = karp_greedy_certificate(view, x)
-                assert synthesis._greedy_certificate(view, x) == want
-                certified[want is not None] += 1
-                one_player += want is not None and len(set(view.p1)) == 1
+                bounds = karp_greedy_certificate(view, x)
+                assert bounds is None or bounds == values
+                certified[bounds is not None] += 1
+                one_player += bounds is not None and len(set(view.p1)) == 1
     assert certified[True] and certified[False] and one_player
 
 
 def test_mp_values_one_player_twelve_cycle():
-    # the slowest value to isolate at n = 12: 1/12 sits 1/132 from 1/11
+    # the mean 1/12 needs the whole scale lcm(1..12), and player 2, who owns
+    # no vertex, holds it vacuously
     owners, edges = cycle(1, [1] + [0] * 11)
     arena = ArenaExplicit(owners, edges)
     values = _mp_values(_view(arena))
@@ -365,38 +421,54 @@ def test_mp_values_separate_farey_neighbours():
     assert vm.witness.table[x] == E(x, 0, t0)
 
 
-def test_mp_values_stop_on_the_greedy_certificate(monkeypatch):
+def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
+    # each side's final profile is offered alone; a side that does not hold
+    # the gains raises
     o3, e3 = cycle(2, [1, 0, 0], "t")
     o4, e4 = cycle(1, [1, 0, 0, 0], "f")
     x, y = V("x"), V("y")
     t0, f0 = V("t", (0,)), V("f", (0,))
     arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
                           e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
+    view = _view(arena)
+    first_holding = synthesis._first_holding
+    for failing in (1, 2, None):
+        sides = []
 
-    def isolated(*args):
-        raise AssertionError("isolation check reached")
+        def checked(view, side, offered, weigh):
+            sides.append(side)
+            assert all(sum(offered(i, *e) for e in out) == 1
+                       for i, out in enumerate(view.succ) if view.p1[i] == (side == 1))
+            return None if side == failing else first_holding(view, side, offered, weigh)
 
-    monkeypatch.setattr(synthesis, "_isolated", isolated)
-    assert _mp_values(_view(arena)) == fixed_horizon_mp_values(arena)
+        monkeypatch.setattr(synthesis, "_first_holding", checked)
+        if failing is None:
+            assert _mp_values(view) == fixed_horizon_mp_values(arena)
+        else:
+            with pytest.raises(AssertionError, match="do not hold"):
+                _mp_values(view)
+        assert sides == [1, 2][:failing]
 
 
-def test_mp_values_without_a_greedy_certificate(monkeypatch):
+def test_mp_values_without_a_greedy_certificate():
     # ties in x_k can keep a greedy profile off the optimal cycle at every
     # check (in arena 170 player 2 keeps the zero self-loop at n(0), which
-    # ties the -1/2 two-cycle through n(1) at every even k); the
-    # Zwick-Paterson isolation stop must still give the values
-    certificate = synthesis._greedy_certificate
+    # ties the -1/2 two-cycle through n(1) at every even k); strategy
+    # improvement must still give the values
     uncertified = []
-    for arena in random_arenas(60):
-        results = []
-        monkeypatch.setattr(synthesis, "_greedy_certificate",
-                            lambda view, x: results.append(certificate(view, x)) or results[-1])
-        values = _mp_values(_view(arena))
-        if not any(results):
-            uncertified.append((arena, values))
-    assert uncertified
-    for arena, values in uncertified:
-        assert values == fixed_horizon_mp_values(arena)
+    for index, arena in enumerate(random_arenas(60)):
+        view = _view(arena)
+        n = len(view.vertices)
+        rows = list(zip(view.p1, view.succ))
+        x, bounds = [0] * n, []
+        for k in range(1, 8 * n + 1):
+            x = [(max if p1 else min)([w + x[d] for d, w in out]) for p1, out in rows]
+            if k in (n, 2 * n, 4 * n, 8 * n):
+                bounds.append(karp_greedy_certificate(view, x))
+        if not any(bounds):
+            uncertified.append(index)
+            assert _mp_values(view) == fixed_horizon_mp_values(arena)
+    assert 170 in uncertified
 
 
 POOL = Path(__file__).parent.parent / "perfbench" / "pool.json"
@@ -478,9 +550,9 @@ def test_mp_witness_drops_a_first_edge_that_closes_a_cycle_below_the_value(monke
 
 
 def test_mp_values_after_a_heavy_transient():
-    # the zero loop at z is isolated after about 2n^2 W = 486 rounds, when
-    # the weight-3 path still holds x_k / k at its head nearer 3/8 than its
-    # value 1/3: every vertex must be isolated before the iteration stops
+    # a weight-3 path into a cycle of mean 1/3 and a lone zero loop at z:
+    # value iteration after 2n^2 W = 486 rounds still reads x_k / k nearer
+    # 3/8 than 1/3 at the path's head, while the path only adds to the bias
     path = [V("p", (i,)) for i in range(5)]
     z = V("z")
     owners, edges = cycle(2, [1, 0, 0], "c")
