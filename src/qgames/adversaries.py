@@ -3,7 +3,9 @@
 Each routine targets a specific zoo family and a class of maximizer
 strategies that provably cannot win there, builds the punishing opponent
 explicitly, simulates the unique resulting play, and packages the
-evidence as a certificate the engine can re-check independently.
+evidence as a certificate the engine can re-check independently.  A
+window, horizon or probe cap exhausted before a verdict raises
+``engine.Inconclusive`` naming it.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
             k = descent_length(i, sigma.step_state(state, dive))
             if k is INF or k < j:
                 return j
-        raise RuntimeError("no losing challenge within the probe cap")
+        raise Inconclusive("no losing challenge within the probe cap %d" % _PROBE_CAP)
 
     # state: the responder's memory now and on the latest arrival at a round
     # start a(i, 0) (its initial memory before the first arrival)
@@ -201,7 +203,7 @@ def _require_step_counter(sigma: Strategy, what: str) -> None:
         raise TypeError("%s needs a step-counter table, got %s" % (what, type(sigma).__name__))
 
 
-def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Union[DefeatResult, Inconclusive]:
+def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> DefeatResult:
     """On A3 every history reaching the i-th decision vertex has length
     3i+1, so a step-counter strategy's decision there is fixed.  If it
     ever exits, enter exactly there (total -1); if it never exits within
@@ -221,19 +223,18 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Uni
         p2 = entry.strategy("p2_enter_%d" % exit_index)
         record = play(arena, entry.start, sigma, p2, horizon)
         if record.termination != "sink":
-            return Inconclusive("horizon too small to absorb after entering at %d"
-                                % exit_index, depth=horizon)
+            raise Inconclusive("horizon too small to absorb after entering at %d"
+                               % exit_index, depth=horizon)
         cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
         return DefeatResult(p2, cert, record,
                             notes=["entered at index %d, the strategy's own exit step"
                                    % exit_index])
     if probe.termination == "sink":
-        return Inconclusive("play absorbed without a decision-vertex exit", depth=horizon)
+        raise Inconclusive("play absorbed without a decision-vertex exit", depth=horizon)
     starts = [step for step in range(len(probe.edges) + 1)
               if probe.vertex_at(step).name == "t"]
     if len(starts) < 2:
-        return Inconclusive("horizon too small to cover any decision vertex",
-                            depth=horizon)
+        raise Inconclusive("horizon too small to cover any decision vertex", depth=horizon)
     cert = Divergence("stagnation", starts, len(probe.edges), ceiling=-1,
                       cycle_from=0)
     return DefeatResult(entry.strategy("p2_enter_0"), cert, probe,
@@ -242,15 +243,6 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Uni
 
 # ---------------------------------------------------------------------------
 # Ramsey adversary on A4
-
-
-class NoCliqueFound(Exception):
-    def __init__(self, window: int, needed: int):
-        super().__init__("no monochromatic index clique of size %d within window %d; "
-                         "enlarge the window (existence is guaranteed only in the "
-                         "infinite limit)" % (needed, window))
-        self.window = window
-        self.needed = needed
 
 
 @dataclass
@@ -345,7 +337,9 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         if result is not None:
             return AdversaryPlan(clique[0], list(clique)), result
         failed_first[clique[0]] = failed_first.get(clique[0], 0) + 1
-    raise NoCliqueFound(window, size)
+    raise Inconclusive("no monochromatic index clique of size %d within window %d; enlarge "
+                       "the window (existence is guaranteed only in the infinite limit)"
+                       % (size, window), depth=window)
 
 
 def _cliques(lo: int, hi: int, size: int, label):
@@ -465,8 +459,7 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
 # Step counters lose the two-colour objective on BuchiB
 
 
-def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
-                    ) -> Union[DefeatResult, Inconclusive]:
+def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> DefeatResult:
     """Steer every arrival at the decision vertex into one of the
     strategy's exit steps (the loop colour starves), or past the finitely
     many exit steps (the exit colour starves)."""
@@ -514,8 +507,8 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
     loop_steps = [i for i, e in enumerate(record.edges) if e.src == v and e.dst == v]
     exit_uses = [i for i, e in enumerate(record.edges) if e.src == v and e.dst.name == "u"]
     if blocked:
-        return Inconclusive("cannot steer into an exit from step %d within padding %d"
-                            % (blocked[0], b), depth=blocked[0])
+        raise Inconclusive("cannot steer into an exit from step %d within padding %d"
+                           % (blocked[0], b), depth=blocked[0])
     if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
         after = 0 if not loop_steps else loop_steps[-1] + 1
         cert = ColourStarvation(1, after, len(record.edges))
@@ -526,11 +519,11 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600
         cert = ColourStarvation(0, last_zero + 1, len(record.edges))
         return DefeatResult(p2, cert, record,
                             notes=["exit steps exhausted; the loop colour remains"])
-    return Inconclusive("both colours keep occurring within the horizon",
-                        depth=len(record.edges))
+    raise Inconclusive("both colours keep occurring within the horizon",
+                       depth=len(record.edges))
 
 
 __all__ = [
-    "AdversaryPlan", "DefeatResult", "NoCliqueFound", "RamseyLabel",
+    "AdversaryPlan", "DefeatResult", "RamseyLabel",
     "defeat_fm_match", "defeat_sc_buchi", "defeat_sc_on_A3", "ramsey_adversary",
 ]

@@ -22,10 +22,9 @@ from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
 from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy
-from .synthesis import (ProfileCapExceeded, SynthReport, WPrimeOracle, bubble_synthesize,
-                        finite_mp_oracle, finite_wprime_oracle, sc1bit_synthesize)
-from .adversaries import (NoCliqueFound, defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3,
-                          ramsey_adversary)
+from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
+                        finite_wprime_oracle, sc1bit_synthesize)
+from .adversaries import defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary
 
 OK, FAILED, INCONCLUSIVE = 0, 1, 2
 
@@ -225,12 +224,6 @@ def cmd_defeat(args) -> int:
             return _err("no adversary routine for zoo entry %r" % entry.name)
     except TypeError as exc:
         return _err(str(exc))
-    except NoCliqueFound as exc:  # the window is a cap, not a refutation
-        print("inconclusive: %s" % exc)
-        return INCONCLUSIVE
-    if isinstance(result, Inconclusive):
-        print("inconclusive: %s" % result.reason)
-        return INCONCLUSIVE
     for note in result.notes:
         print("note: %s" % note)
     if result.certificate is None:
@@ -449,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if getattr(args, option, least) < least:
                 return _err("--%s must be at least %d" % (option.replace("_", "-"), least))
         return args.fn(args)
-    except ProfileCapExceeded as exc:
+    except Inconclusive as exc:  # a cap is not a refutation
         print("inconclusive: %s" % exc)
         return INCONCLUSIVE
     except KeyError as exc:  # str() of a KeyError is the repr of its message

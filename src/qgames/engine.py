@@ -283,11 +283,18 @@ class KoenigBound:
 
 
 @dataclass
-class Inconclusive:
+class Inconclusive(Exception):
+    """A cap exhausted before a verdict, naming the cap.  Routines that end
+    in one verdict raise it; walks whose callers go on from a partial
+    result return it."""
+
     reason: str
     depth: int = 0
     remaining: int = 0
     node_cap: Optional[int] = None  # set when the node cap was the binding cap
+
+    def __str__(self) -> str:
+        return self.reason
 
 
 @dataclass

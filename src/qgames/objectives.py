@@ -196,14 +196,16 @@ class OpenSub:
                 return True
         return False
 
-    def score(self, word: Sequence[Weight]) -> Weight:
-        """The quantity continuations of an unsatisfied word are ranked by."""
+    def rank(self, satisfied: bool, total: Weight) -> tuple:
+        """Where a prefix stands among those of its length, higher ranks
+        having more winning continuations: a satisfied prefix above all,
+        then unsatisfied ones by total (at equal lengths the mean-payoff
+        order is the total order), all alike for a Buchi colour."""
+        if satisfied:
+            return (True,)
         if self.family == "buchi":
-            raise ValueError("buchi prefixes are not ranked by a score")
-        total = sum(word)
-        if self.family == "mp-sup" and word:
-            return exact(total, len(word))
-        return total
+            return (False,)
+        return (False, total)
 
 
 def prefix_compare(open_sub: OpenSub, w1: Sequence[Weight], w2: Sequence[Weight]) -> str:
@@ -215,30 +217,10 @@ def prefix_compare(open_sub: OpenSub, w1: Sequence[Weight], w2: Sequence[Weight]
     """
     if len(w1) != len(w2):
         raise ValueError("prefix_compare needs equal-length words (%d vs %d)" % (len(w1), len(w2)))
-    sat1 = open_sub.already_satisfies(w1)
-    sat2 = open_sub.already_satisfies(w2)
-    if open_sub.family == "buchi":
-        le = sat2 or not sat1
-        ge = sat1 or not sat2
-    else:
-        if sat1 and sat2:
-            le = ge = True
-        elif sat1:
-            le, ge = False, True
-        elif sat2:
-            le, ge = True, False
-        else:
-            s1 = open_sub.score(w1) if w1 else 0
-            s2 = open_sub.score(w2) if w2 else 0
-            le = s1 <= s2
-            ge = s2 <= s1
-    if le and ge:
+    r1, r2 = (open_sub.rank(open_sub.already_satisfies(w), sum(w)) for w in (w1, w2))
+    if r1 == r2:
         return BOTH
-    if le:
-        return LE
-    if ge:
-        return GE
-    raise AssertionError("prefix order failed totality on %r / %r" % (w1, w2))
+    return LE if r1 < r2 else GE
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ class ValueMap:
 PROFILE_CAP = 1 << 14
 
 
-class ProfileCapExceeded(RuntimeError):
-    """A positional enumeration would pass ``PROFILE_CAP`` profiles."""
-
-
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     """Game values per vertex for mean payoff or limsup total payoff.
 
@@ -316,7 +312,7 @@ def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
             raise AssertionError("zero region not closed at %s" % (v,))
     solved = _max_min(sub, TP, cap)
     if solved is None:
-        raise ProfileCapExceeded("zero-region profile space exceeds the cap %d" % cap)
+        raise Inconclusive("zero-region profile space exceeds the cap %d" % cap)
     out.update(solved[0])
     return out
 
@@ -464,13 +460,14 @@ def sigma_safe(arena: ArenaExplicit
 
 def _less_minimal(arena: Arena, open_sub: Optional[OpenSub], a: Node, b: Node) -> bool:
     """Is candidate a strictly more minimal (worse continuation-wise) than
-    the kept b, or equivalent with smaller edge indices lexicographically?"""
-    if a.satisfied != b.satisfied:
-        return b.satisfied
-    if (open_sub is None or open_sub.family != "buchi") and not a.satisfied:
-        # equal lengths, so TP order coincides with MP order
-        if a.tp != b.tp:
-            return a.tp < b.tp
+    the kept b, by ``OpenSub.rank``, or equivalent with smaller edge
+    indices lexicographically?"""
+    if open_sub is None:
+        rank_a, rank_b = (a.satisfied, a.tp), (b.satisfied, b.tp)
+    else:
+        rank_a, rank_b = open_sub.rank(a.satisfied, a.tp), open_sub.rank(b.satisfied, b.tp)
+    if rank_a != rank_b:
+        return rank_a < rank_b
     # equal lengths: the topmost differing edges leave one vertex and
     # decide, and none differs above the last common node
     first = None
@@ -569,7 +566,7 @@ class WPrimeOracle:
 
 def _witness(vm: ValueMap) -> Memoryless:
     if vm.witness is None:
-        raise ProfileCapExceeded("no memoryless witness within the profile cap %d" % PROFILE_CAP)
+        raise Inconclusive("no memoryless witness within the profile cap %d" % PROFILE_CAP)
     return vm.witness
 
 
@@ -834,9 +831,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
                               run_from, mimic_from)
         if isinstance(built, Inconclusive):
-            return _failed(schedule, "bubble m=%d: %s" % (m_sched, built.reason))
-        if built is None:
-            return _failed(schedule, "bubble m=%d: no bound within the depth cap" % m_sched)
+            return _failed(schedule, "bubble m=%d: %s" % (m_sched, _why(built)))
         k_m, violation = built
         if violation is not None:
             return _failed(schedule, "left the winnable region: %s" % violation)
@@ -869,9 +864,8 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
     the given resume points (see ``Layers``).  At each level from k_prev
     on, the minimal histories fill the bit-0 moves and bit updates before
     the live walk expands the level: bit 0 mimics the minimal history,
-    bit 1 plays safe.  Returns (k_m, violation), None if the depth cap is
-    hit before every consistent branch satisfies, or the Inconclusive of
-    an exhausted node cap.
+    bit 1 plays safe.  Returns (k_m, violation), or the Inconclusive of
+    an exhausted depth or node cap.
     """
     table, bitupd = live.table, live.bit_update
     mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap, mimic_from)
@@ -881,7 +875,8 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
             if not oracle.wprime(node.vertex, node.tp):
                 return (d, "(%s, %s) at step %d" % (node.vertex, node.tp, d))
         if d == depth_cap:
-            return None
+            return Inconclusive("depth exhausted with unsatisfied branches", depth_cap,
+                                sum(not n.satisfied for n in frontier))
         if d >= max(k_prev, 1) and d >= sub.step_index and all(n.satisfied for n in frontier):
             return (max(d, k_prev + 1), None)
         if d >= k_prev:

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.adversaries import (AdversaryPlan, DefeatResult, NoCliqueFound,
-                                defeat_fm_match, defeat_sc_buchi,
-                                defeat_sc_on_A3, ramsey_adversary)
+from qgames.adversaries import (AdversaryPlan, DefeatResult, defeat_fm_match,
+                                defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary)
 from qgames.arena import Edge, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
@@ -268,10 +267,9 @@ def test_ramsey_guards_and_no_clique():
     entry = make("a4")
     with pytest.raises(TypeError):
         ramsey_adversary(entry.strategy("adaptive"), entry)
-    with pytest.raises(NoCliqueFound) as exc:
+    with pytest.raises(Inconclusive, match="of size 3 within window 1;") as exc:
         ramsey_adversary(entry.strategy("always_delay"), entry, window=1)
-    assert exc.value.window == 1
-    assert exc.value.needed == 3
+    assert exc.value.depth == 1
 
 
 def _buchib_table(entry, name, exits):

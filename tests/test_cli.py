@@ -396,6 +396,26 @@ def test_cli_defeat_reports_an_exhausted_window_as_inconclusive(capsys):
     assert captured.err == ""
 
 
+INCONCLUSIVE_CASES = Path(__file__).parent / "data" / "inconclusive"
+
+
+@pytest.mark.parametrize("uri, strategy, options, reason", [
+    # the responder descends 300 steps, past every challenge up to the cap
+    ("zoo:a2", "a2_descend_300", [], "no losing challenge within the probe cap 256"),
+    ("zoo:a3", "a3_stay", ["--horizon", "2"], "horizon too small to cover any decision vertex"),
+    # exits at steps 0 and 5 only: from step 1 no padding of length 1 lands on one
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "20"],
+     "cannot steer into an exit from step 1 within padding 1"),
+], ids=["a2-probe-cap", "a3-horizon", "buchib-padding"])
+def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strategy, options,
+                                                             reason):
+    path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
+    assert main(["defeat", "--arena", uri, "--strategy", path] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "inconclusive: %s\n" % reason
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("text, message", [
     ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 ->\n",
      "line 2: bitupd line needs a target mode after ->"),

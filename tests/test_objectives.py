@@ -115,6 +115,16 @@ def test_prefix_compare_transitivity():
             assert prefix_compare(sub, ws[0], ws[2]) in (LE, BOTH)
 
 
+def test_prefix_compare_ranks_satisfied_first_then_totals_except_for_buchi():
+    buchi = OpenSub("buchi", colour=2, i=1)
+    assert prefix_compare(buchi, (0, 0), (1, 1)) == BOTH  # unsatisfied, totals unread
+    assert prefix_compare(buchi, (0, 0), (1, 2)) == LE
+    mp = OpenSub("mp-sup", m=1, i=1)  # neither word reaches a mean of -1
+    assert prefix_compare(mp, (-3, -3), (-3, -4)) == GE
+    tp_inf = OpenSub("tp-inf", m=3, i=1)  # satisfied at step 1 beats a higher total
+    assert prefix_compare(tp_inf, (3, -3), (2, 0)) == GE
+
+
 def test_prefix_compare_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         prefix_compare(OpenSub("tp-sup", m=1), (F(0),), (F(0), F(1)))
@@ -269,8 +279,7 @@ def test_shift_strict_tp_refuses_a_generator():
 
 def test_quotients_of_integer_words_are_fractions_not_floats():
     # int / int is a float, and 1.5 == F(3, 2), so check the type and the text
-    for got in (payoff("mp", [1, 2]), OpenSub("mp-sup").score([1, 2]),
-                lasso_limit("mp", "limsup", Lasso((5,), (1, 2)))):
+    for got in (payoff("mp", [1, 2]), lasso_limit("mp", "limsup", Lasso((5,), (1, 2)))):
         assert type(got) is Fraction and str(got) == "3/2"
     # an integral quotient, and a sum of fractions mixed with ints, are exact
     assert payoff("mp", [1, 3]) == 2 and type(payoff("mp", [1, 3])) is int

@@ -267,7 +267,8 @@ def test_sc1bit_bitarena_names_the_bubble_and_depth_of_an_exhausted_node_cap(nod
 @pytest.mark.parametrize("depth_cap, m", [(3, 2), (10, 9), (30, 29)])
 def test_sc1bit_bitarena_names_the_bubble_of_an_exhausted_depth_cap(depth_cap, m):
     report = _bitarena_sc1bit(30, depth_cap=depth_cap)
-    assert report.failure == "bubble m=%d: no bound within the depth cap" % m
+    assert report.failure == "bubble m=%d: depth cap %d exhausted with 1 unsatisfied branch" % (
+        m, depth_cap)
 
 
 def test_sc1bit_work_grows_linearly_in_m_max(monkeypatch):
