@@ -33,11 +33,16 @@ from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
 
 @dataclass
 class ValueMap:
+    """Values per vertex and a memoryless player-1 strategy achieving them
+    against every opponent; the witness is None only for limsup total
+    payoff, past ``PROFILE_CAP``."""
+
     values: dict[VertexId, ExtValue]
     witness: Optional[Memoryless]
 
 
-# the largest positional profile space either player may enumerate
+# the largest positional profile space either player may enumerate for
+# limsup total payoff
 PROFILE_CAP = 1 << 14
 
 
@@ -48,26 +53,30 @@ def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
     2 best-responds to player 1's positional profile, player 1 switches
     against the reply, until neither switches.  The lasso means of the
     final pair are the values once player 1's profile holds them from below
-    and player 2's from above, and anything else raises.  Limsup total
-    payoff is +/-inf on the positive/negative mean-payoff regions and a
-    bounded exact fixed point on the zero region.
-    The witness is the first memoryless strategy achieving the value
-    against every memoryless opponent, absent past ``PROFILE_CAP``; the
-    limsup-TP one comes with a player-2 profile holding the values from
-    above.  Every such claim is checked by one search,
-    ``_first_holding``: it drops a partial profile once its edges and the
-    replies close a negative cycle on weights shifted by the values.
+    and player 2's from above, and anything else raises; player 1's final
+    profile is the witness.  Limsup total payoff is +/-inf on the
+    positive/negative mean-payoff regions and a bounded exact fixed point
+    on the zero region.  Its witness is the first player-1 profile holding
+    the values against every reply once some player-2 profile holds them
+    from above, absent past ``PROFILE_CAP``.  Every such claim is checked
+    by one search, ``_first_holding``: it drops a partial profile once its
+    edges and the replies close a negative cycle on weights shifted by the
+    values.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
     if family == "mp":
         view = _view(arena)
-        values = _mp_values(view)
-        return ValueMap(values, _mp_witness(view, values, PROFILE_CAP))
+        values, step = _mp_values(view)
+        # the first of equal (successor, weight) edges, as ``max`` picks it
+        table = {v: edges[out.index(move)]
+                 for v, p1, out, edges, move in zip(view.vertices, view.p1, view.succ,
+                                                    view.edges, step) if p1}
+        return ValueMap(values, Memoryless(table, name="mp_witness"))
     if family == "tpsup":
         view = _view(arena)
-        values = _tpsup_values(view, PROFILE_CAP)
-        return ValueMap(values, _tpsup_witness(view, values, PROFILE_CAP))
+        values = _tpsup_values(view)
+        return ValueMap(values, _tpsup_witness(view, values))
     raise ValueError("unknown value family %r" % family)
 
 
@@ -107,17 +116,18 @@ def _view(arena: ArenaExplicit) -> _View:
     return _View(vertices, tuple(arena.owner(v) == 1 for v in vertices), succ, edges, denom)
 
 
-def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
-    """Mean-payoff values by strategy improvement (Hoffman & Karp, 1966)
-    from both players' first edges: player 2 best-responds by Howard's
-    (1960) policy iteration, then player 1 switches against the reply,
-    until neither switches.  A vertex switches to its best edge (d, w) by
-    the key (gain[d], w scale - gain[d] + bias[d]) of ``_evaluate``, least
-    for player 2, only if that beats its current edge's.  The final gains
-    are the values once player 1's profile holds them from below and player
-    2's from above: an edge moving the gain against the holder fails, and
-    an in-class edge (d, w) from gain c weighs w scale - c, negated for
-    player 2, so that a cycle beating the holder is negative."""
+def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]]]:
+    """Mean-payoff values, and every vertex's final (successor, scaled
+    weight) move, by strategy improvement (Hoffman & Karp, 1966) from both
+    players' first edges: player 2 best-responds by Howard's (1960) policy
+    iteration, then player 1 switches against the reply, until neither
+    switches.  A vertex switches to its best edge (d, w) by the key
+    (gain[d], w scale - gain[d] + bias[d]) of ``_evaluate``, least for
+    player 2, only if that beats its current edge's.  The final gains are
+    the values once player 1's profile holds them from below and player 2's
+    from above: an edge moving the gain against the holder fails, and an
+    in-class edge (d, w) from gain c weighs w scale - c, negated for player
+    2, so that a cycle beating the holder is negative."""
     scale = math.lcm(*range(1, len(view.vertices) + 1))
     step = [out[0] for out in view.succ]
 
@@ -150,7 +160,7 @@ def _mp_values(view: _View) -> dict[VertexId, ExtValue]:
 
     if not (holds(1, 1) and holds(2, -1)):
         raise AssertionError("strategy improvement stopped on gains its profiles do not hold")
-    return {v: exact(g, scale * view.denom) for v, g in zip(view.vertices, gain)}
+    return {v: exact(g, scale * view.denom) for v, g in zip(view.vertices, gain)}, step
 
 
 def _lassos(step: list[tuple[int, int]]):
@@ -249,27 +259,6 @@ def _first_holding(view: _View, player: int, offered: Callable[[int, int, int], 
     return {view.vertices[i]: view.edges[i][j] for i, j in zip(owned, pick)}
 
 
-def _mp_witness(view: _View, values: dict[VertexId, ExtValue],
-                cap: int) -> Optional[Memoryless]:
-    """The first player-1 profile, in product order, under which the least
-    cycle mean reachable from every vertex is the vertex's value.
-
-    Only edges to a successor of the same value are offered.  Values never
-    drop along an offered edge nor along a player-2 edge, so every cycle of
-    a profile stays in one value class c = p/q.  Player 2 holds every
-    vertex to its value, so a profile passes exactly when no cycle has mean
-    below its class: when the graph of in-class edges, each (d, w) weighed
-    w q - p, has no negative cycle.
-    """
-    if _profiles(view, 1, cap) is None:
-        return None
-    target = [values[v] * view.denom for v in view.vertices]
-    table = _first_holding(view, 1, lambda i, d, w: target[d] == target[i],
-                           lambda i, d, w: (w * target[i].denominator - target[i].numerator
-                                            if target[d] == target[i] else None))
-    return None if table is None else Memoryless(table, name="mp_witness")
-
-
 def _potential(out: list[list[tuple[int, int]]], dist: list[int]) -> Optional[list[int]]:
     """Bellman-Ford from a virtual source, warm-started at ``dist``: a
     potential under which no edge of ``out`` is negative, or None if the
@@ -286,8 +275,8 @@ def _potential(out: list[list[tuple[int, int]]], dist: list[int]) -> Optional[li
     return None
 
 
-def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
-    mp = _mp_values(view)
+def _tpsup_values(view: _View) -> dict[VertexId, ExtValue]:
+    mp = _mp_values(view)[0]
     out: dict[VertexId, ExtValue] = {}
     zero = []
     for i, v in enumerate(view.vertices):
@@ -310,9 +299,9 @@ def _tpsup_values(view: _View, cap: int) -> dict[VertexId, ExtValue]:
     for v, out_edges in zip(sub.vertices, sub.succ):
         if not out_edges:
             raise AssertionError("zero region not closed at %s" % (v,))
-    solved = _max_min(sub, TP, cap)
+    solved = _max_min(sub, TP, PROFILE_CAP)
     if solved is None:
-        raise Inconclusive("zero-region profile space exceeds the cap %d" % cap)
+        raise Inconclusive("zero-region profile space exceeds the cap %d" % PROFILE_CAP)
     out.update(solved[0])
     return out
 
@@ -336,12 +325,11 @@ def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
     return val
 
 
-def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
-                   cap: int) -> Optional[Memoryless]:
+def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue]) -> Optional[Memoryless]:
     """The first player-1 profile holding the limsup-TP values from below
     against every reply, once some player-2 profile holds them from above:
     together they prove max-min = min-max = values, and a missing side
-    raises.  None if either profile space exceeds ``cap``.
+    raises.  None if either profile space exceeds ``PROFILE_CAP``.
 
     Only edges with value(i) = w + value(d), which lasso values satisfy
     along every move, are offered.  Along them the running total is
@@ -351,7 +339,7 @@ def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
     among the -inf vertices or by one of such edges through a negative
     value: the weights make exactly those cycles negative.
     """
-    if _profiles(view, 1, cap) is None or _profiles(view, 2, cap) is None:
+    if _profiles(view, 1, PROFILE_CAP) is None or _profiles(view, 2, PROFILE_CAP) is None:
         return None
     target = [values[v] * view.denom for v in view.vertices]
     n = len(target)
@@ -564,18 +552,11 @@ class WPrimeOracle:
     uniform_memoryless: bool = False
 
 
-def _witness(vm: ValueMap) -> Memoryless:
-    if vm.witness is None:
-        raise Inconclusive("no memoryless witness within the profile cap %d" % PROFILE_CAP)
-    return vm.witness
-
-
 def finite_mp_oracle(arena: ArenaExplicit) -> WPrimeOracle:
     """Limsup mean payoff >= 0: the vertices of nonnegative value, won by
     the mean-payoff witness."""
     vm = solve_values(arena, "mp")
-    witness = _witness(vm)
-    return WPrimeOracle(lambda v, r: vm.values[v] >= 0, witness, lambda v, r: witness,
+    return WPrimeOracle(lambda v, r: vm.values[v] >= 0, vm.witness, lambda v, r: vm.witness,
                         uniform_memoryless=True)
 
 
@@ -583,8 +564,9 @@ def finite_wprime_oracle(arena: ArenaExplicit) -> WPrimeOracle:
     """Limsup total payoff >= 0: the (vertex, sum) pairs of ``sigma_safe``,
     won by the limsup-TP witness."""
     safe, region, vm = sigma_safe(arena)
-    witness = _witness(vm)
-    return WPrimeOracle(region, safe, lambda v, r: witness)
+    if vm.witness is None:
+        raise Inconclusive("no memoryless witness within the profile cap %d" % PROFILE_CAP)
+    return WPrimeOracle(region, safe, lambda v, r: vm.witness)
 
 
 # ---------------------------------------------------------------------------

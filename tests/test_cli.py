@@ -3,8 +3,10 @@ from pathlib import Path
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 import json
+import random
 import pytest
 
 from qgames.adversaries import ramsey_adversary
@@ -28,6 +30,9 @@ edge b a weight=-1
 edge b b weight=0
 start a
 """
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def _write(tmp_path, name, text):
@@ -752,24 +757,76 @@ def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
     assert "move a " in open(out).read()
 
 
-@pytest.mark.parametrize("objective,weight,needle", [
-    ("mp:limsup:>=:0", 0, "no memoryless witness within the profile cap 16384"),
-    ("tp:limsup:>=:0", 0, "zero-region profile space exceeds the cap 16384"),
-    ("tp:limsup:>=:0", 1, "no memoryless witness within the profile cap 16384"),
-], ids=["mp", "tp-zero-region", "tp-whole-arena"])
-def test_cli_synthesize_names_an_exhausted_profile_cap(tmp_path, capsys, objective, weight,
-                                                       needle):
+def _wide_arena(tmp_path, weight):
     # nine player-1 vertices of out-degree 3 give 3^9 > 2^14 profiles
     lines = ["arena wide", "vertex y owner=2", "edge y x0 weight=%d" % weight]
     for i in range(9):
         lines += ["vertex x%d owner=1" % i, "edge x%d x%d weight=%d" % (i, (i + 1) % 9, weight),
                   "edge x%d x%d weight=%d" % (i, i, weight), "edge x%d y weight=%d" % (i, weight)]
-    path = _write(tmp_path, "wide.txt", "\n".join(lines + ["start x0"]) + "\n")
+    return _write(tmp_path, "wide.txt", "\n".join(lines + ["start x0"]) + "\n")
+
+
+@pytest.mark.parametrize("objective,weight,needle", [
+    ("tp:limsup:>=:0", 0, "zero-region profile space exceeds the cap 16384"),
+    ("tp:limsup:>=:0", 1, "no memoryless witness within the profile cap 16384"),
+], ids=["tp-zero-region", "tp-whole-arena"])
+def test_cli_synthesize_names_an_exhausted_profile_cap(tmp_path, capsys, objective, weight,
+                                                       needle):
+    path = _wide_arena(tmp_path, weight)
     assert main(["synthesize", "--arena", path, "--objective", objective,
                  "--m-max", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "inconclusive: %s\n" % needle
     assert captured.err == ""
+
+
+def _synthesize_and_verify_mp(capsys, arena_path):
+    """qg synthesize --objective mp:limsup:>=:0 --m-max 4 on an arena file
+    <stem>.txt, then, if it certified, qg verify on the written strategy
+    with its schedule as a LevelSatisfaction certificate; the synthesis's
+    exit code.  Exit 1 must be a start outside the winning region."""
+    stem = arena_path[:-len(".txt")]
+    strategy_path, cert_path = stem + ".strategy", stem + ".json"
+    objective = ["--objective", "mp:limsup:>=:0"]
+    code = main(["synthesize", "--arena", arena_path, *objective, "--m-max", "4",
+                 "--out", strategy_path])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err.endswith(" is outside the winning region\n")
+    if code == 0:
+        schedule = [tuple(int(word[2:]) for word in line.split())
+                    for line in captured.out.splitlines() if line.startswith("  m=")]
+        assert len(schedule) == 4
+        Path(cert_path).write_text(certificate_to_json(LevelSatisfaction(schedule)))
+        assert main(["verify", "--arena", arena_path, "--p1", strategy_path, *objective,
+                     "--cert", cert_path]) == 0
+        assert capsys.readouterr().out.endswith("\nverify: accepted\n")
+    return code
+
+
+def test_cli_synthesize_certifies_mp_past_the_profile_cap(tmp_path, capsys):
+    # the mean-payoff witness is strategy improvement's own profile, so the
+    # wide arena's 3^9 player-1 profiles are never enumerated
+    assert _synthesize_and_verify_mp(capsys, _wide_arena(tmp_path, 0)) == 0
+
+
+def _make_pool():
+    spec = importlib.util.spec_from_file_location("make_pool", PERFBENCH / "make_pool.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [24, 48, 100, 200])
+def test_cli_synthesize_decides_mp_on_large_pool_shaped_arenas(tmp_path, capsys, n):
+    # the benchmark pool's arena shape at W = 6: every start certifies and
+    # re-verifies, or is refused as outside the winning region
+    make_arena = _make_pool().make_arena
+    codes = []
+    for s in range(3):
+        path = _write(tmp_path, "s%d.txt" % s, make_arena(random.Random(1000 * n + s), "b", n, 6))
+        codes.append(_synthesize_and_verify_mp(capsys, path))
+    assert set(codes) <= {0, 1} and 0 in codes
 
 
 def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
@@ -848,8 +905,9 @@ def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
-# qg synthesize --m-max 4 on four benchmark pool arenas: the exit code,
-# stdout, stderr and strategy file, byte for byte
+# qg synthesize --m-max 4 on four benchmark pool arenas and on a 48-vertex
+# arena of the pool's shape, whose player 1 has more than 2^14 profiles: the
+# exit code, stdout, stderr and strategy file, byte for byte
 GOLDEN = Path(__file__).parent / "data" / "synthesize"
 
 

@@ -1,13 +1,13 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
 algorithms it replaces or cross-checks, kept here as oracles: value
-iteration for the full 4n^3 W rounds, the witness search over every
-player-1 profile, the product-order witness loop with one least-cycle-mean
-pass per profile, the greedy profiles' bounds by Karp's least cycle means,
-Karp's cycle mean once per start vertex, and the max-min that walks one
-lasso per vertex and profile pair.  Mean-payoff values come from strategy
-improvement, checked from both sides at its fixed point; the tests below
-compare it with value iteration, with the Karp bounds and with the max-min
-over every profile pair, on tie-heavy arenas too."""
+iteration for the full 4n^3 W rounds, the greedy profiles' bounds by
+Karp's least cycle means, Karp's cycle mean once per start vertex, and the
+max-min that walks one lasso per vertex and profile pair.  Mean-payoff
+values come from strategy improvement, checked from both sides at its
+fixed point; the tests below compare it with value iteration, with the
+Karp bounds and with the max-min over every profile pair, on tie-heavy
+arenas too, and check its final player-1 profile, the witness, by Karp's
+cycle mean from every vertex."""
 
 import itertools
 import json
@@ -22,8 +22,8 @@ from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
 from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
-from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _mp_witness,
-                              _tpsup_witness, _view, brute_force_values, solve_values)
+from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _tpsup_witness,
+                              _view, brute_force_values, solve_values)
 
 F = Fraction
 V = VertexId
@@ -143,32 +143,6 @@ def karp_greedy_certificate(view, x):
     return low if all(a == -b for a, b in zip(low, high)) else None
 
 
-def unfiltered_mp_witness(arena, values):
-    for moves in _all_profiles(arena, 1):
-        if all(_min_cycle_mean(arena, _reachable(arena, v, moves), moves) == values[v]
-               for v in arena.vertices):
-            return moves
-    return None
-
-
-def product_order_mp_witness(view, values, cap):
-    """Every player-1 profile of same-value edges in product order, each
-    checked by one least-cycle-mean pass over the whole arena."""
-    target = [values[v] * view.denom for v in view.vertices]
-    owned = [i for i, p1 in enumerate(view.p1) if p1]
-    if math.prod(len(view.succ[i]) for i in owned) > cap:
-        return None
-    offered = [[j for j, (d, _) in enumerate(view.succ[i]) if target[d] == target[i]]
-               for i in owned]
-    for combo in itertools.product(*offered):
-        out = list(view.succ)
-        for i, j in zip(owned, combo):
-            out[i] = (view.succ[i][j],)
-        if _least_cycle_means(out) == target:
-            return {view.vertices[i]: view.edges[i][j] for i, j in zip(owned, combo)}
-    return None
-
-
 def _lasso(arena, v, moves1, moves2):
     at = v
     seen = {v: 0}
@@ -250,7 +224,7 @@ def cycle(owner, weights, name="c"):
 
 def test_mp_values_match_the_fixed_horizon_loop():
     for arena in random_arenas(51):
-        assert _mp_values(_view(arena)) == fixed_horizon_mp_values(arena)
+        assert _mp_values(_view(arena))[0] == fixed_horizon_mp_values(arena)
 
 
 def test_mp_values_match_brute_force_on_tie_heavy_arenas():
@@ -258,7 +232,7 @@ def test_mp_values_match_brute_force_on_tie_heavy_arenas():
     one_player = 0
     for _ in range(1500):
         arena = tie_heavy_arena(rng)
-        assert _mp_values(_view(arena)) == brute_force_values(arena, "mp")
+        assert _mp_values(_view(arena))[0] == brute_force_values(arena, "mp")
         one_player += len({arena.owner(v) for v in arena.vertices}) == 1
     assert one_player > 100
 
@@ -285,14 +259,6 @@ def test_evaluate_gives_lasso_means_and_a_bias_solving_every_step():
                 walk.append(step[walk[-1]][0])
             if i in walk[1:] and i == min(walk):
                 assert bias[i] == 0
-
-
-def test_mp_witness_matches_the_unfiltered_search():
-    for arena in random_arenas(52):
-        values = _mp_values(_view(arena))
-        witness = _mp_witness(_view(arena), values, PROFILE_CAP)
-        assert witness is not None
-        assert witness.table == unfiltered_mp_witness(arena, values)
 
 
 @pytest.mark.parametrize("kind", [TP, MP])
@@ -331,8 +297,7 @@ def test_tpsup_witness_cross_checks_both_sides():
             continue
         for delta in (1, -1, F(1, 2)):
             with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
-                _tpsup_witness(_view(arena), {**values, zero[0]: values[zero[0]] + delta},
-                               PROFILE_CAP)
+                _tpsup_witness(_view(arena), {**values, zero[0]: values[zero[0]] + delta})
         checked += 1
     assert checked
 
@@ -361,7 +326,7 @@ def test_tpsup_witness_drops_a_first_tight_edge_that_closes_a_losing_cycle(monke
     values = solve_values(arena, "tpsup").values
     assert values[n[0]] == values[n[1]] == value
     calls = _count_potential_calls(monkeypatch)
-    witness = _tpsup_witness(view, values, PROFILE_CAP)
+    witness = _tpsup_witness(view, values)
     assert witness.table == {n[0]: E(n[0], 1, n[2])} == _max_min(view, TP, PROFILE_CAP)[1]
     # one negative-cycle pass for player 2's fixed profile, then player 1's:
     # one for the replies and one per edge tried at n(0)
@@ -378,7 +343,7 @@ def test_mp_values_are_the_karp_bounds_wherever_these_agree():
     one_player = 0
     for arena in arenas:
         view = _view(arena)
-        values = [_mp_values(view)[v] * view.denom for v in view.vertices]
+        values = [x * view.denom for x in _mp_values(view)[0].values()]
         n = len(view.vertices)
         rows = list(zip(view.p1, view.succ))
         x = [0] * n
@@ -397,7 +362,7 @@ def test_mp_values_one_player_twelve_cycle():
     # no vertex, holds it vacuously
     owners, edges = cycle(1, [1] + [0] * 11)
     arena = ArenaExplicit(owners, edges)
-    values = _mp_values(_view(arena))
+    values = _mp_values(_view(arena))[0]
     assert values == {v: F(1, 12) for v in owners}
     assert values == fixed_horizon_mp_values(arena)
 
@@ -414,7 +379,7 @@ def test_mp_values_separate_farey_neighbours():
     t0, f0 = V("t", (0,)), V("f", (0,))
     arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
                           e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
-    values = _mp_values(_view(arena))
+    values = _mp_values(_view(arena))[0]
     assert values[x] == F(1, 3) and values[y] == F(1, 4)
     assert values == fixed_horizon_mp_values(arena)
     vm = solve_values(arena, "mp")
@@ -443,7 +408,7 @@ def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
 
         monkeypatch.setattr(synthesis, "_first_holding", checked)
         if failing is None:
-            assert _mp_values(view) == fixed_horizon_mp_values(arena)
+            assert _mp_values(view)[0] == fixed_horizon_mp_values(arena)
         else:
             with pytest.raises(AssertionError, match="do not hold"):
                 _mp_values(view)
@@ -467,7 +432,7 @@ def test_mp_values_without_a_greedy_certificate():
                 bounds.append(karp_greedy_certificate(view, x))
         if not any(bounds):
             uncertified.append(index)
-            assert _mp_values(view) == fixed_horizon_mp_values(arena)
+            assert _mp_values(view)[0] == fixed_horizon_mp_values(arena)
     assert 170 in uncertified
 
 
@@ -502,51 +467,34 @@ def test_solved_values_are_ints_or_fractions_with_a_denominator_and_floats_only_
     assert kinds == {int, F, float}
 
 
-def _assert_witness_is_the_product_order_one(arena):
-    view = _view(arena)
-    values = _mp_values(view)
-    witness = _mp_witness(view, values, PROFILE_CAP)
-    assert witness.table == product_order_mp_witness(view, values, PROFILE_CAP)
-    # one profile short of the unfiltered product, both searches give up
-    below = math.prod(len(view.succ[i]) for i, p1 in enumerate(view.p1) if p1) - 1
-    assert _mp_witness(view, values, below) is None
-    assert product_order_mp_witness(view, values, below) is None
-
-
-def test_mp_witness_is_the_product_order_one_on_the_benchmark_pool():
+def _mp_pool_arenas():
     pool = json.loads(POOL.read_text())
-    for cell, members in pool.items():
-        if cell.startswith("mp"):
-            for member in members:
-                _assert_witness_is_the_product_order_one(parse_arena(member["arena"]))
+    return [parse_arena(m["arena"]) for cell, ms in pool.items() if cell.startswith("mp")
+            for m in ms]
 
 
-@pytest.mark.parametrize("w", [2, 6])
-def test_mp_witness_is_the_product_order_one_on_pool_shaped_arenas(w):
+def _pool_shaped_arenas(w):
+    # past n = 24 player 1 has more than 2^14 profiles
     rng = random.Random(61 + w)
-    for n in range(8, 13):
-        for _ in range(12):
-            _assert_witness_is_the_product_order_one(pool_shaped_arena(rng, n, w))
+    return [pool_shaped_arena(rng, n, w)
+            for n, count in [(n, 12) for n in range(8, 13)] + [(n, 3) for n in (24, 36, 48)]
+            for _ in range(count)]
 
 
-def test_mp_witness_drops_a_first_edge_that_closes_a_cycle_below_the_value(monkeypatch):
-    # every value is 0.  n(0)'s first edge closes n(0) n(1) n(3) of mean
-    # -1/3 through two player-2 vertices, so both profiles below it are
-    # dropped unchecked and the witness takes the second edge, to n(2);
-    # n(4) then keeps its first edge
-    n = [V("n", (i,)) for i in range(5)]
-    arena = ArenaExplicit({n[0]: 1, n[1]: 2, n[2]: 2, n[3]: 2, n[4]: 1}, [
-        E(n[0], 0, n[1]), E(n[0], 0, n[2]), E(n[1], 0, n[3]), E(n[3], -1, n[0]),
-        E(n[2], 0, n[2]), E(n[2], 1, n[4]), E(n[4], 0, n[2]), E(n[4], 0, n[4])])
-    view = _view(arena)
-    values = _mp_values(view)
-    assert set(values.values()) == {0}
-    calls = _count_potential_calls(monkeypatch)
-    witness = _mp_witness(view, values, PROFILE_CAP)
-    assert witness.table == {n[0]: E(n[0], 0, n[2]), n[4]: E(n[4], 0, n[2])}
-    # one negative-cycle pass for the player-2 edges, one per edge tried at
-    # n(0) and one for n(4)'s first edge
-    assert len(calls) == 4
+@pytest.mark.parametrize("arenas", [lambda: random_arenas(52), _mp_pool_arenas,
+                                    lambda: _pool_shaped_arenas(2),
+                                    lambda: _pool_shaped_arenas(6)],
+                         ids=["random", "pool", "pool-shaped-w2", "pool-shaped-w6"])
+def test_mp_witness_holds_every_value(arenas):
+    # under strategy improvement's final player-1 profile, the least cycle
+    # mean reachable from every vertex is the vertex's value
+    for arena in arenas():
+        vm = solve_values(arena, "mp")
+        moves = vm.witness.table
+        assert set(moves) == {v for v in arena.vertices if arena.owner(v) == 1}
+        assert all(e in arena.edges(v) for v, e in moves.items())
+        for v in arena.vertices:
+            assert _min_cycle_mean(arena, _reachable(arena, v, moves), moves) == vm.values[v]
 
 
 def test_mp_values_after_a_heavy_transient():
@@ -560,6 +508,6 @@ def test_mp_values_after_a_heavy_transient():
     edges += [E(a, 3, b) for a, b in zip(path, path[1:] + [V("c", (0,))])]
     edges.append(E(z, 0, z))
     arena = ArenaExplicit(owners, edges)
-    values = _mp_values(_view(arena))
+    values = _mp_values(_view(arena))[0]
     assert values == {v: F(0) if v == z else F(1, 3) for v in owners}
     assert values == fixed_horizon_mp_values(arena)
