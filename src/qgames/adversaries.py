@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, VertexId, Weight, V
+from .arena import Arena, Edge, VertexId, Weight, V, _tuple_new
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
@@ -419,22 +419,12 @@ def _exit_defeat(p2: Strategy, record: PlayRecord, note: str) -> Optional[Defeat
     return DefeatResult(p2, cert, record, notes=[note])
 
 
-def _descent_edges(i: int):
-    """The entry descent from s(i) to t(i) in closed form: 2i+2 edges of
-    weight -1 through d(i, 1..2i+2), then a weight-0 edge to t(i)."""
-    at = V("s", (i,))
-    for p in range(1, 2 * i + 3):
-        nxt = V("d", (i, p))
-        yield Edge(at, -1, nxt)
-        at = nxt
-    yield Edge(at, 0, V("t", (i,)))
-
-
 def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
     """Lookup of the strategy's memory on arrival at t(i) when the opponent
     enters at index i.  One walk along the s-chain, shared by every index
-    and extended on demand, gives the memory at s(i); the descent to t(i)
-    is folded from its closed form."""
+    and extended on demand, gives the memory at s(i).  The descent to t(i)
+    is folded from its closed form, each edge built as it is folded: 2i+2
+    edges of weight -1 through d(i, 1..2i+2), then a weight-0 edge to t(i)."""
     def chain():
         v, state = entry.start, sigma.initial_state()
         while True:
@@ -446,11 +436,17 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
 
     walk = chain()
     at_s: list = []  # memory on arrival at s(0), s(1), ...
+    step = sigma.step_state
 
     def lookup(i: int):
         while len(at_s) <= i:
             at_s.append(next(walk))
-        return reduce(sigma.step_state, _descent_edges(i), at_s[i])
+        state, at = at_s[i], V("s", (i,))
+        for p in range(1, 2 * i + 3):  # the named tuples, built without their __new__ frames
+            nxt = _tuple_new(VertexId, ("d", (i, p)))
+            state = step(state, _tuple_new(Edge, (at, -1, nxt)))
+            at = nxt
+        return step(state, Edge(at, 0, V("t", (i,))))
 
     return lookup
 

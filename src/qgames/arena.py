@@ -13,6 +13,19 @@ Vertices and edges are immutable named tuples, so hashing, equality and
 ordering are the tuple's own, in C; they compare equal to plain tuples
 with the same fields.  Being tuples, a lone one must be wrapped for
 ``%``-formatting: ``"%s" % (v,)``.
+
+The play path is every step of ``engine.play`` (read the row, ask the
+owner's strategy, check the edge, fold it into both memories), the
+``qg simulate`` CSV text (``PlayRecord.to_csv``) and the Ramsey
+adversary's entry fold (``adversaries._entry_states``, one memory update
+per descent edge).  On a generator a play's first visit to a vertex
+expands its row, the largest share of a ``qg simulate`` job on a4 (see
+README).  Code on that path keeps three rules.  Weights stay exact: each
+goes through ``exact``, which takes an ``int`` as it is.  ``VertexId``
+and ``Edge`` stay named tuples; a hot loop may build them with
+``tuple.__new__`` (``_tuple_new``), which skips only the Python frame of
+their ``__new__``.  Checks are kept: ``play`` refuses a non-edge and
+``MealyMemory.update`` a state outside its set, on every step.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 Weight = int | Fraction  # an int when integral, see ``exact``
@@ -28,6 +42,11 @@ P1 = 1
 P2 = 2
 
 DEFAULT_VERTEX_CAP = 10**6
+
+
+# "name", "name(a)", "name(a,b)", "name(a,b,c)": the text of a vertex with
+# few parameters, in one formatting
+_VERTEX_FORMATS = ("%s", "%s(%s)", "%s(%s,%s)", "%s(%s,%s,%s)")
 
 
 class VertexId(NamedTuple):
@@ -41,9 +60,11 @@ class VertexId(NamedTuple):
     params: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        return "%s(%s)" % (self.name, ",".join(map(str, self.params)))
+        name, params = self
+        n = len(params)
+        if n < len(_VERTEX_FORMATS):
+            return _VERTEX_FORMATS[n] % (name, *params)
+        return "%s(%s)" % (name, ",".join(map(str, params)))
 
     @staticmethod
     def parse(text: str) -> "VertexId":
@@ -72,8 +93,12 @@ class Edge(NamedTuple):
         return "%s -%s-> %s" % (self.src, self.weight, self.dst)
 
 
-def _edge_sort_key(e: Edge):
-    return (e.dst, e.weight)
+# an edge's (dst, weight), the order of every edge row; a C key, as rows
+# are sorted once per expanded generator vertex
+_edge_sort_key = itemgetter(2, 1)
+# _tuple_new(Edge, (src, weight, dst)) is Edge(src, weight, dst) without
+# the Python frame of the named tuple's __new__
+_tuple_new = tuple.__new__
 
 
 def exact(x, d: int = 1) -> Weight:
@@ -91,12 +116,11 @@ def exact(x, d: int = 1) -> Weight:
 
 
 def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
-    return Edge(src, exact(weight), dst)
-
-
-def is_sink_row(v: VertexId, es: tuple[Edge, ...]) -> bool:
-    """Whether ``es``, the edges out of ``v``, are one weight-0 self-loop."""
-    return len(es) == 1 and es[0].dst == v and es[0].weight == 0
+    """An edge with its weight made exact; an ``int`` weight, the common
+    case in generator rows, is taken as it is."""
+    if type(weight) is not int:
+        weight = exact(weight)
+    return _tuple_new(Edge, (src, weight, dst))
 
 
 class Arena:
@@ -120,7 +144,8 @@ class Arena:
 
     def is_sink(self, v: VertexId) -> bool:
         """A sink is a vertex whose only edge is a weight-0 self-loop."""
-        return is_sink_row(v, self.edges(v))
+        es = self.edges(v)
+        return len(es) == 1 and es[0].dst == v and es[0].weight == 0
 
 
 class ArenaExplicit(Arena):
@@ -194,7 +219,8 @@ class ArenaGenerator(Arena):
         if hit is not None:
             return hit
         owner, es = self.expand(v)
-        es = tuple(es)
+        if type(es) is not tuple:
+            es = tuple(es)
         if len(es) > 1:
             es = tuple(sorted(es, key=_edge_sort_key))
         elif not es:
@@ -206,7 +232,8 @@ class ArenaGenerator(Arena):
         return self.row(v)[0]
 
     def edges(self, v: VertexId) -> tuple[Edge, ...]:
-        return self.row(v)[1]
+        hit = self._cache.get(v)
+        return (hit if hit is not None else self.row(v))[1]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
-from .arena import (Arena, Edge, History, VertexId, Weight, exact, is_sink_row,
-                    node_cap_from_env)
+from .arena import Arena, Edge, History, VertexId, Weight, exact, node_cap_from_env
 from .objectives import OpenSub
 from .strategies import FiniteMemory, Memoryless, Strategy
 
@@ -68,17 +67,18 @@ class PlayRecord:
         a Fraction division: with tp = n/d in lowest terms and
         g = gcd(n, step+1), (n/g) / (d*(step+1)/g) is in lowest terms."""
         lines = ["step,from,to,weight,tp,mp,mem1,mem2"]
+        append = lines.append
         src = str(self.origin)  # each row starts where the previous one ended
-        for j, (e, tp, m1, m2) in enumerate(zip(self.edges, self.tp_trace,
-                                                self.mem1_trace, self.mem2_trace)):
+        j = 0
+        for e, tp, m1, m2 in zip(self.edges, self.tp_trace, self.mem1_trace, self.mem2_trace):
             dst = str(e.dst)
-            n = tp.numerator
-            g = gcd(n, j + 1)
-            den = tp.denominator * ((j + 1) // g)
-            mp = "%d" % (n // g) if den == 1 else "%d/%d" % (n // g, den)
-            lines.append("%d,%s,%s,%s,%s,%s,%s,%s" % (
-                j, src, dst, e.weight, tp, mp, _fmt_mem(m1), _fmt_mem(m2)))
-            src = dst
+            n, k = tp.numerator, j + 1
+            g = gcd(n, k)
+            den = tp.denominator * (k // g)
+            append("%d,%s,%s,%s,%s,%s,%s,%s" % (
+                j, src, dst, e.weight, tp, n // g if den == 1 else "%d/%d" % (n // g, den),
+                "-" if m1 is None else _fmt_mem(m1), "-" if m2 is None else _fmt_mem(m2)))
+            src, j = dst, k
         return "\n".join(lines) + "\n"
 
 
@@ -96,6 +96,10 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
     state1, state2 = sigma1.initial_state(), sigma2.initial_state()
     trace1, trace2 = sigma1.traces_state, sigma2.traces_state
+    # the loop's methods, bound once
+    row = arena.row
+    choose1, choose2 = sigma1.choose, sigma2.choose
+    step1, step2 = sigma1.step_state, sigma2.step_state
     edges: list[Edge] = []
     tp_trace: list[Weight] = []
     mem1: list[object] = []
@@ -104,19 +108,19 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     tp = 0
     termination = "horizon"
     for step in range(horizon):
-        owner, out = arena.row(at)
-        if is_sink_row(at, out):
+        owner, out = row(at)
+        if len(out) == 1 and out[0].dst == at and out[0].weight == 0:  # Arena.is_sink, inline
             termination = "sink"
             break
         if owner == 1:
-            edge = sigma1.choose(arena, at, step, state1)
+            edge = choose1(arena, at, step, state1)
         else:
-            edge = sigma2.choose(arena, at, step, state2)
+            edge = choose2(arena, at, step, state2)
         if edge.src != at or edge not in out:
             raise ValueError("strategy for player %d returned a non-edge %s at %s"
                              % (owner, edge, at))
-        state1 = sigma1.step_state(state1, edge)
-        state2 = sigma2.step_state(state2, edge)
+        state1 = step1(state1, edge)
+        state2 = step2(state2, edge)
         edges.append(edge)
         tp += edge.weight
         tp_trace.append(tp)

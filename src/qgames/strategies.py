@@ -98,12 +98,11 @@ class FiniteMemory(Strategy):
         self.table = table
         self.player = player
         self.name = name
+        # the memory's own checked update, one frame per edge
+        self.step_state = mealy.update
 
     def initial_state(self):
         return self.mealy.initial()
-
-    def step_state(self, state, edge):
-        return self.mealy.update(state, edge)
 
     def choose(self, arena, vertex, step, state):
         if callable(self.table):
@@ -196,15 +195,13 @@ class Tracking(Strategy):
                  decide: Callable[[Arena, VertexId, object], Edge], player: int = 1):
         self.name = name
         self.initial = initial
-        self.update = update
+        # the callback itself is the update, one frame per edge
+        self.step_state = update
         self.fn = decide
         self.player = player
 
     def initial_state(self):
         return self.initial
-
-    def step_state(self, state, edge):
-        return self.update(state, edge)
 
     def choose(self, arena, vertex, step, state):
         return self.fn(arena, vertex, state)

@@ -448,21 +448,28 @@ def sigma_safe(arena: ArenaExplicit
 
 def _less_minimal(arena: Arena, open_sub: Optional[OpenSub], a: Node, b: Node) -> bool:
     """Is candidate a strictly more minimal (worse continuation-wise) than
-    the kept b, by ``OpenSub.rank``, or equivalent with smaller edge
-    indices lexicographically?"""
+    the kept b, by ``OpenSub.rank``, or equivalent with the smaller edge
+    index where the two histories first part below the nearest
+    (vertex, depth) cell they share?  A walk keeps one node per cell, so
+    between its own histories that cell is their last common node and
+    the order is lexicographic over edge indices; a backed cell's
+    history (run-walk ancestors) is compared up to that cell only, not
+    to the root."""
     if open_sub is None:
         rank_a, rank_b = (a.satisfied, a.tp), (b.satisfied, b.tp)
     else:
         rank_a, rank_b = open_sub.rank(a.satisfied, a.tp), open_sub.rank(b.satisfied, b.tp)
     if rank_a != rank_b:
         return rank_a < rank_b
-    # equal lengths: the topmost differing edges leave one vertex and
-    # decide, and none differs above the last common node
+    # equal lengths at one cell: the topmost differing edges below the
+    # nearest shared cell above leave one vertex and decide
     first = None
-    while a is not b and a.edge is not None:
+    while a.edge is not None:
         if a.edge != b.edge:
             first = a.edge, b.edge
         a, b = a.parent, b.parent
+        if a.vertex == b.vertex:
+            break
     if first is None:
         return False
     edges = arena.edges(first[0].src)
@@ -475,8 +482,8 @@ def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: Optio
 
     The prefix order is a congruence, so extending only the kept minima
     preserves the property that the kept history at a cell is dominated by
-    no consistent history there; ties break lexicographically over edge
-    indices.
+    no consistent history there; ties break on edge indices
+    (``_less_minimal``).
     """
     return Layers(arena, v0, sigma, depth, open_sub=open_sub, key=lambda node: node.vertex,
                   prefer=lambda node, kept: _less_minimal(arena, open_sub, node, kept),

@@ -351,3 +351,62 @@ def test_ramsey_entry_states_match_the_per_index_walk():
             order = [7, 0, 3, 40, 1] + list(range(45))
             assert [lookup(i) for i in order] == \
                 [_entry_state_by_walk(sigma, entry, i) for i in order], (name, sigma.name)
+
+
+def test_ramsey_entry_fold_feeds_the_arenas_own_descent_edges():
+    # the descent is built as it is folded: it must be the arena's rows
+    # edge by edge, named tuples with int weights, for every entry index
+    from qgames.adversaries import _entry_states
+
+    for name in ("a4", "a4guarded"):
+        entry = make(name)
+        fed = []
+
+        def record(m, e):
+            fed.append(e)
+            return m
+
+        sigma = FiniteMemory(MealyMemory((0,), 0, record), lambda ar, v, m: ar.edges(v)[0],
+                             name="record")
+        lookup = _entry_states(sigma, entry)
+        arena = entry.arena
+        for i in range(301):
+            fed.clear()
+            lookup(i)
+            descent = [e for e in fed if e.dst.name != "s"]  # the s-chain walk is shared
+            v, want = V("s", (i,)), []
+            while v.name != "t":
+                e = next(e for e in arena.edges(v) if e.dst.name != "s")
+                want.append(e)
+                v = e.dst
+            assert descent == want, (name, i)
+            assert all(type(e) is Edge and type(e.src) is type(e.dst) is VertexId
+                       and type(e.weight) is int for e in descent), (name, i)
+
+
+def _escaping_fm(escapes):
+    """Two memory states; the update leaves them on an edge ``escapes``
+    holds for; every decision vertex exits."""
+
+    def update(m, e):
+        return 7 if escapes(e) else m
+
+    def decide(ar, v, m):
+        if v.name == "t":
+            return next(e for e in ar.edges(v) if e.dst.name == "r0")
+        return ar.edges(v)[0]
+
+    return FiniteMemory(MealyMemory((0, 1), 0, update), decide, name="escape")
+
+
+def test_a_memory_update_leaving_its_state_set_raises_through_play_and_the_entry_fold():
+    from qgames.engine import play
+
+    entry = make("a4")
+    sigma = _escaping_fm(lambda e: e.dst.name == "t")
+    with pytest.raises(ValueError, match=r"^memory update left the state set: 7$"):
+        play(entry.arena, entry.start, sigma, entry.strategy("p2_enter_1"), 100)
+    # inside a descent only, so the s-chain walk does not raise it first
+    sigma = _escaping_fm(lambda e: e.dst.name == "d" and e.dst.params[1] == 2)
+    with pytest.raises(ValueError, match=r"^memory update left the state set: 7$"):
+        ramsey_adversary(sigma, entry)

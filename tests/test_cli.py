@@ -112,12 +112,18 @@ ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
 
 # sha256 of qg simulate's CSV on zoo arenas, fixed before the play loop and
 # the CSV writer were reworked, and (the last five rows) before the
-# player-1 zoo strategies kept only the summary they decide from
+# player-1 zoo strategies kept only the summary they decide from; the a4
+# H=1000 rows were taken before the generator rows, the memory folds and
+# the CSV writer were made leaner
 @pytest.mark.parametrize("arena, p1, p2, horizon, digest", [
     ("zoo:a4", "sigma_100000", "p2_enter_1", 4000,
      "f2464833f423081252f61b9191abb8e14b3f4c78127c4cd1d121df5db3d6dbcf"),
     ("zoo:a4", "always_delay", "p2_enter_1", 4000,
      "4928835b4a09ca3dbd59ea5e2057fe875a6adc1c6808bff7be1a352edcb413cf"),
+    ("zoo:a4", "sigma_100000", "p2_enter_1", 1000,
+     "f094eb8b2a0a6f51d5be5d0da21996fa4759d8dbc6538752ec3da761ff08fad8"),
+    ("zoo:a4", "always_delay", "p2_enter_1", 1000,
+     "898c8e5b3bee3c6663cd1e4f71a10d4ac2ca72eed650438bf612740af52a0dbe"),
     ("zoo:bitarena", "opposite", "allzero", 200,
      "8269bdf86e8379742663cf6cf1ed91654e8a6a89dd952173b13e92e8b1811c97"),
     ("zoo:a1prime", "match_plus_one", str(ZOO_P2 / "a1prime_challenge_3.strategy"), 200,
@@ -130,13 +136,33 @@ ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
      "30631d1e60ec253a940f1c795e870c9196c974f71f1f94c435d2459189873a26"),
     ("zoo:nonuniform?start_index=3", "exit_at_5", str(ZOO_P2 / "idle.strategy"), 200,
      "bdafde236d203c3d244a1660b9dc1849f1069229640046af665355fd6145f383"),
-], ids=["a4-sigma", "a4-always-delay", "bitarena-opposite", "a1prime-match", "a2-match",
+], ids=["a4-sigma", "a4-always-delay", "a4-sigma-h1000", "a4-always-delay-h1000",
+        "bitarena-opposite", "a1prime-match", "a2-match",
         "buchia-round-robin", "buchib-alternating", "nonuniform-exit"])
 def test_cli_simulate_matches_the_golden_digests(tmp_path, arena, p1, p2, horizon, digest):
     out = tmp_path / "play.csv"
     assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2,
                  "--horizon", str(horizon), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of qg defeat's stdout (the --out path written as CERT) and of its
+# certificate on zoo:a4, taken before the generator rows, the memory folds
+# and the CSV writer were made leaner
+@pytest.mark.parametrize("strategy, stdout_digest, cert_digest", [
+    ("always_delay", "09248581c41715208dde972048b6076ede77090164ba3672dd7d8c5ab07a0840",
+     "50c35a0b3f66308d00014a9be0ade29276cb49edc298a647c365a0e9acdb65a9"),
+    ("delay_twice_exit", "d08c2a07e37a4acfbd463f98898bfe0b5143e1b0c298ee92209cc14faab97f33",
+     "74e052b0bcf81c6c7432c9780bec22cfc8e277b5a9705f4d99ffc44f79ea0f96"),
+])
+def test_cli_defeat_on_a4_matches_the_golden_digests(tmp_path, capsys, strategy, stdout_digest,
+                                                     cert_digest):
+    cert = tmp_path / "cert.json"
+    assert main(["defeat", "--arena", "zoo:a4", "--strategy", strategy,
+                 "--out", str(cert)]) == 0
+    out = capsys.readouterr().out.replace(str(cert), "CERT")
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_digest
 
 
 # qg simulate on an explicit arena with fractional weights, a zero total and

@@ -112,6 +112,15 @@ def test_play_stops_at_sink():
     assert len(record.edges) == 1
 
 
+def test_play_runs_on_through_a_weighted_self_loop():
+    # only a weight-0 self-loop is a sink; a lone -2 loop is played to the horizon
+    arena = ArenaExplicit({A: 1}, [make_edge(A, -2, A)], A)
+    record = play(arena, A, Memoryless({A: arena.edges(A)[0]}),
+                  Memoryless({}, player=2), 5)
+    assert record.termination == "horizon"
+    assert record.tp_trace == [-2, -4, -6, -8, -10]
+
+
 def test_play_rejects_non_edge():
     arena = branch_arena()
     bad = Memoryless({A: E(A, 7, B)})

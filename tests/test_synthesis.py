@@ -326,6 +326,48 @@ def test_sc1bit_whole_job_work_grows_linearly_in_m_max(monkeypatch):
     assert large <= 2.3 * small, (small, large)
 
 
+def test_sc1bit_tie_breaks_walk_linearly_in_m_max(monkeypatch):
+    # a tie between a child of a backed cell (run-walk ancestors) and a
+    # minimal-history node stops at the nearest cell the two histories
+    # share, not at the root: count the parent steps of every tie-break
+    import qgames.synthesis as synthesis
+
+    steps: list = []
+    proxies: dict = {}  # one proxy per node, so identical proxies mean identical nodes
+
+    class Counted:
+        """A node whose ``parent`` reads are counted."""
+
+        def __init__(self, node):
+            self._node = node
+
+        def __getattr__(self, name):
+            if name != "parent":
+                return getattr(self._node, name)
+            steps.append(1)
+            return proxy(self._node.parent)
+
+    def proxy(node):
+        if node is None:
+            return None
+        if id(node) not in proxies:
+            proxies[id(node)] = (node, Counted(node))
+        return proxies[id(node)][1]
+
+    less_minimal = synthesis._less_minimal
+    monkeypatch.setattr(synthesis, "_less_minimal",
+                        lambda arena, sub, a, b: less_minimal(arena, sub, proxy(a), proxy(b)))
+
+    def walked(m_max):
+        steps.clear()
+        proxies.clear()
+        assert _bitarena_sc1bit(m_max).certified
+        return len(steps)
+
+    small, large = walked(16), walked(32)
+    assert 0 < small and large <= 2.3 * small, (small, large)
+
+
 def _recertified_from_the_root(arena, v0, report, subs, node_cap):
     """Level certificates and failure of a koenig_bound walk from the root
     per scheduled level."""
