@@ -34,49 +34,38 @@ from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
 @dataclass
 class ValueMap:
     """Values per vertex and a memoryless player-1 strategy achieving them
-    against every opponent; the witness is None only for limsup total
-    payoff, past ``PROFILE_CAP``."""
+    against every opponent: player 1's final profile of strategy
+    improvement."""
 
     values: dict[VertexId, ExtValue]
-    witness: Optional[Memoryless]
+    witness: Memoryless
 
 
-# the largest positional profile space either player may enumerate for
-# limsup total payoff
+# the largest positional profile space either player may enumerate in the
+# max-min oracle ``brute_force_values``
 PROFILE_CAP = 1 << 14
 
 
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
-    """Game values per vertex for mean payoff or limsup total payoff.
-
-    Mean payoff uses strategy improvement on integer-scaled weights: player
-    2 best-responds to player 1's positional profile, player 1 switches
-    against the reply, until neither switches.  The lasso means of the
-    final pair are the values once player 1's profile holds them from below
-    and player 2's from above, and anything else raises; player 1's final
+    """Game values per vertex for mean payoff or limsup total payoff, by
+    strategy improvement (``_improve``), which ends on a pair of positional
+    profiles.  The pair is the proof: player 1's holds the values from
+    below and player 2's from above, each checked by one Bellman-Ford
+    (``_holds``), and a side that does not hold raises.  Player 1's final
     profile is the witness.  Limsup total payoff is +/-inf on the
-    positive/negative mean-payoff regions and a bounded exact fixed point
-    on the zero region.  Its witness is the first player-1 profile holding
-    the values against every reply once some player-2 profile holds them
-    from above, absent past ``PROFILE_CAP``.  Every such claim is checked
-    by one search, ``_first_holding``: it drops a partial profile once its
-    edges and the replies close a negative cycle on weights shifted by the
-    values.
+    positive/negative mean-payoff regions and strategy improvement from
+    mean payoff's final profile on the zero region (``_tpsup_values``).
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
     if family == "mp":
         view = _view(arena)
         values, step = _mp_values(view)
-        # the first of equal (successor, weight) edges, as ``max`` picks it
-        table = {v: edges[out.index(move)]
-                 for v, p1, out, edges, move in zip(view.vertices, view.p1, view.succ,
-                                                    view.edges, step) if p1}
-        return ValueMap(values, Memoryless(table, name="mp_witness"))
+        return ValueMap(values, _witness(view, step, "mp_witness"))
     if family == "tpsup":
         view = _view(arena)
-        values = _tpsup_values(view)
-        return ValueMap(values, _tpsup_witness(view, values))
+        values, step = _tpsup_values(view)
+        return ValueMap(values, _tpsup_witness(view, values, step))
     raise ValueError("unknown value family %r" % family)
 
 
@@ -116,39 +105,56 @@ def _view(arena: ArenaExplicit) -> _View:
     return _View(vertices, tuple(arena.owner(v) == 1 for v in vertices), succ, edges, denom)
 
 
+def _witness(view: _View, step: list[tuple[int, int]], name: str) -> Memoryless:
+    """Player 1's moves of the profile, each the first of equal
+    (successor, weight) edges, as ``max`` picks it."""
+    return Memoryless({v: edges[out.index(move)]
+                       for v, p1, out, edges, move in zip(view.vertices, view.p1, view.succ,
+                                                          view.edges, step) if p1}, name=name)
+
+
+def _improve(view: _View, step: list[tuple[int, int]], evaluate, key, escape=None):
+    """Strategy improvement (Hoffman & Karp, 1966) from the profile
+    step[i] = (successor, weight), changed in place: player 2
+    best-responds by Howard's (1960) policy iteration, then player 1
+    switches against the reply, until neither switches; the final
+    profile's evaluate(step).  key(vals, sign) orders the edges (d, w) for
+    the player maximizing sign times the value, and a vertex switches to
+    its best edge only if that beats its current one.  Where none does,
+    escape(p1, vals) may still switch some, and says whether it did."""
+    def switch(p1: bool, vals) -> bool:
+        rank = key(vals, 1 if p1 else -1)
+        better = [(i, max(out, key=rank)) for i, out in enumerate(view.succ) if view.p1[i] == p1]
+        better = [(i, e) for i, e in better if rank(e) > rank(step[i])]
+        for i, e in better:
+            step[i] = e
+        return bool(better) or (escape is not None and escape(p1, vals))
+
+    while True:
+        vals = evaluate(step)
+        while switch(False, vals):
+            vals = evaluate(step)
+        if not switch(True, vals):
+            return vals
+
+
 def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]]]:
     """Mean-payoff values, and every vertex's final (successor, scaled
-    weight) move, by strategy improvement (Hoffman & Karp, 1966) from both
-    players' first edges: player 2 best-responds by Howard's (1960) policy
-    iteration, then player 1 switches against the reply, until neither
-    switches.  A vertex switches to its best edge (d, w) by the key
-    (gain[d], w scale - gain[d] + bias[d]) of ``_evaluate``, least for
-    player 2, only if that beats its current edge's.  The final gains are
-    the values once player 1's profile holds them from below and player 2's
-    from above: an edge moving the gain against the holder fails, and an
+    weight) move, by ``_improve`` from both players' first edges.  A
+    vertex switches by the key (gain[d], w scale - gain[d] + bias[d]) of
+    ``_evaluate``, least for player 2.  The final gains are the values
+    once player 1's profile holds them from below and player 2's from
+    above: an edge moving the gain against the holder fails, and an
     in-class edge (d, w) from gain c weighs w scale - c, negated for player
     2, so that a cycle beating the holder is negative."""
     scale = math.lcm(*range(1, len(view.vertices) + 1))
     step = [out[0] for out in view.succ]
 
-    def switch(p1: bool, gain: list[int], bias: list[int]) -> bool:
-        sign = 1 if p1 else -1
+    def key(vals: tuple[list[int], list[int]], sign: int):
+        gain, bias = vals
+        return lambda e: (sign * gain[e[0]], sign * (e[1] * scale - gain[e[0]] + bias[e[0]]))
 
-        def key(e: tuple[int, int]) -> tuple[int, int]:
-            return sign * gain[e[0]], sign * (e[1] * scale - gain[e[0]] + bias[e[0]])
-
-        better = [(i, max(out, key=key)) for i, out in enumerate(view.succ) if view.p1[i] == p1]
-        better = [(i, e) for i, e in better if key(e) > key(step[i])]
-        for i, e in better:
-            step[i] = e
-        return bool(better)
-
-    while True:
-        gain, bias = _evaluate(step, scale)
-        while switch(False, gain, bias):
-            gain, bias = _evaluate(step, scale)
-        if not switch(True, gain, bias):
-            break
+    gain, bias = _improve(view, step, lambda step: _evaluate(step, scale), key)
 
     def holds(player: int, sign: int) -> bool:
         def weigh(i: int, d: int, w: int):
@@ -156,7 +162,7 @@ def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, i
                 return sign * (w * scale - gain[i])
             return None if (gain[d] - gain[i]) * sign > 0 else _FAIL
 
-        return _first_holding(view, player, lambda i, d, w: (d, w) == step[i], weigh) is not None
+        return _holds(view, player, step, weigh)
 
     if not (holds(1, 1) and holds(2, -1)):
         raise AssertionError("strategy improvement stopped on gains its profiles do not hold")
@@ -199,111 +205,104 @@ def _evaluate(step: list[tuple[int, int]], scale: int) -> tuple[list[int], list[
     return gain, bias
 
 
-def _profiles(view: _View, player: int, cap: int) -> Optional[tuple[list[int], list[range]]]:
-    """The player's vertex indices and the positions of each one's edges,
-    whose product is every positional strategy; None past ``cap`` of them."""
-    owned = [i for i, p1 in enumerate(view.p1) if p1 == (player == 1)]
-    if math.prod(len(view.succ[i]) for i in owned) > cap:
-        return None
-    return owned, [range(len(view.succ[i])) for i in owned]
+_FAIL = object()  # the weight of an edge along which a profile does not hold
 
 
-_FAIL = object()  # the weight of an edge along which no profile holds
-
-
-def _first_holding(view: _View, player: int, offered: Callable[[int, int, int], bool],
-                   weigh: Callable[[int, int, int], object]) -> Optional[dict[VertexId, Edge]]:
-    """The first profile of the player, in product order over the edges
-    (successor d, scaled weight w) of each owned vertex i with
-    offered(i, d, w), under which its edges and every reply edge close no
-    negative cycle; None if there is none.
-
-    weigh(i, d, w) is the edge's weight, None to leave it out, or ``_FAIL``
-    if no profile holds with it: at a reply vertex that ends the search,
-    and an offered edge never fails.  A depth-first search over the owned
-    vertices drops every completion of a partial profile whose edges
-    already close a negative cycle.
-    """
-    def kept(i: int, edges) -> list[tuple[int, object]]:
-        return [(d, x) for d, x in ((d, weigh(i, d, w)) for d, w in edges) if x is not None]
-
-    owned, choices, out = [], [], []
+def _reply_graph(view: _View, holder: int, step: list[tuple[int, int]],
+                 weigh: Callable[[int, int, int], object]) -> Optional[list[list[tuple]]]:
+    """The holder's moves step[i] and every reply edge, as (d, weigh(i, d,
+    w), (d, w)) at each vertex i, leaving out those weighed None; None if
+    one weighs ``_FAIL``."""
+    out = []
     for i, (p1, edges) in enumerate(zip(view.p1, view.succ)):
-        if p1 == (player == 1):
-            owned.append(i)
-            choices.append([(j, kept(i, [e])) for j, e in enumerate(edges) if offered(i, *e)])
-            out.append(choices[-1][0][1] if len(choices[-1]) == 1 else [])
-        else:
-            out.append(kept(i, edges))
-            if any(x is _FAIL for _, x in out[-1]):
+        kept = []
+        for d, w in ((step[i],) if p1 == (holder == 1) else edges):
+            x = weigh(i, d, w)
+            if x is _FAIL:
                 return None
-    # a vertex offered one edge is fixed from the start: at most log2(profiles) levels
-    branch = [k for k, js in enumerate(choices) if len(js) != 1]
-    pick = [js[0][0] if js else None for js in choices]
-
-    def search(b: int, dist: list[int]) -> bool:
-        if b == len(branch):
-            return True
-        k = branch[b]
-        for j, edge in choices[k]:
-            out[owned[k]], pick[k] = edge, j
-            trial = _potential(out, dist)
-            if trial is not None and search(b + 1, trial):
-                return True
-        out[owned[k]] = []
-        return False
-
-    dist = _potential(out, [0] * len(out))
-    if dist is None or not search(0, dist):
-        return None
-    return {view.vertices[i]: view.edges[i][j] for i, j in zip(owned, pick)}
-
-
-def _potential(out: list[list[tuple[int, int]]], dist: list[int]) -> Optional[list[int]]:
-    """Bellman-Ford from a virtual source, warm-started at ``dist``: a
-    potential under which no edge of ``out`` is negative, or None if the
-    graph has a negative cycle."""
-    dist = list(dist)
-    for _ in range(len(out) + 1):
-        changed = False
-        for u, edges in enumerate(out):
-            for d, w in edges:
-                if dist[u] + w < dist[d]:
-                    dist[d], changed = dist[u] + w, True
-        if not changed:
-            return dist
-    return None
-
-
-def _tpsup_values(view: _View) -> dict[VertexId, ExtValue]:
-    mp = _mp_values(view)[0]
-    out: dict[VertexId, ExtValue] = {}
-    zero = []
-    for i, v in enumerate(view.vertices):
-        if mp[v] > 0:
-            out[v] = POS_INF
-        elif mp[v] < 0:
-            out[v] = NEG_INF
-        else:
-            zero.append(i)
-    if not zero:
-        return out
-    # exact values on the zero-mean region.  Edges leaving the region are
-    # never taken: entering the positive region contradicts a zero mean
-    # for the maximizer, the negative region yields -inf, and dually for
-    # the minimizer, so the restricted subgame is non-blocking.  Limsup
-    # total payoff admits positional optimal strategies for both players
-    # on finite arenas, so a max-min over positional profiles evaluated
-    # on the induced lassos is exact.
-    sub = view.restrict(zero)
-    for v, out_edges in zip(sub.vertices, sub.succ):
-        if not out_edges:
-            raise AssertionError("zero region not closed at %s" % (v,))
-    solved = _max_min(sub, TP, PROFILE_CAP)
-    if solved is None:
-        raise Inconclusive("zero-region profile space exceeds the cap %d" % PROFILE_CAP)
-    out.update(solved[0])
+            if x is not None:
+                kept.append((d, x, (d, w)))
+        out.append(kept)
     return out
+
+
+def _holds(view: _View, holder: int, step: list[tuple[int, int]],
+           weigh: Callable[[int, int, int], object]) -> bool:
+    """Does the holder's profile hold against every reply: no edge fails
+    and the weighed edges close no negative cycle?"""
+    graph = _reply_graph(view, holder, step, weigh)
+    return graph is not None and _negative_cycle(graph) is None
+
+
+def _negative_cycle(out: list[list[tuple]]) -> Optional[list[tuple]]:
+    """The (vertex, move) pairs of a negative cycle in the graph whose
+    vertex u has the edges out[u] = (successor, weight, move), or None:
+    Bellman-Ford from a virtual source, then back along the lowering edges
+    from a vertex lowered in the last round."""
+    n = len(out)
+    dist, pred = [0] * n, [None] * n
+    for _ in range(n + 1):
+        last = None
+        for u, edges in enumerate(out):
+            for d, w, move in edges:
+                if dist[u] + w < dist[d]:
+                    dist[d], pred[d], last = dist[u] + w, (u, move), d
+        if last is None:
+            return None
+    # lowered in round n + 1, so n lowering edges back lead onto the cycle
+    for _ in range(n):
+        last = pred[last][0]
+    cycle = [pred[last]]
+    while cycle[-1][0] != last:
+        cycle.append(pred[cycle[-1][0]])
+    return cycle
+
+
+def _tpsup_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]]]:
+    """Limsup-TP values and every vertex's final move: +/-inf on the
+    positive/negative mean-payoff regions, with mean payoff's moves, and
+    ``_improve`` on w + val(d) of ``_pair_values`` on the zero region.
+    Edges leaving it are never taken (entering the positive region
+    contradicts a zero mean for the maximizer, the negative region yields
+    -inf, and dually), and mean payoff's final profile, which keeps to it
+    with zero cycles only, is the start.  Where no single edge improves, a
+    player switches onto a cycle beating the other's profile by
+    ``_tp_weighs``: of value-keeping edges w + val(d) = val(v), wholly on
+    positive values for player 2 and through a negative value for player
+    1, along which the running total is val(start) - val(current)."""
+    mp, step = _mp_values(view)
+    values = [POS_INF if x > 0 else NEG_INF if x < 0 else 0 for x in mp.values()]
+    zero = [i for i, x in enumerate(values) if x == 0]
+    if zero:
+        sub = view.restrict(zero)
+        index = {i: k for k, i in enumerate(zero)}
+        sub_step = [(index[step[i][0]], step[i][1]) for i in zero]
+
+        def key(val: list[ExtValue], sign: int):
+            return lambda e: sign * (e[1] + val[e[0]])
+
+        seen = set()  # the profiles at player 1's cycle switches
+
+        def escape(p1: bool, val: list[ExtValue]) -> bool:
+            # every other switch improves its player's values, but player
+            # 1's cycle switch can lower some, so a loop repeats a profile here
+            if p1:
+                if tuple(sub_step) in seen:
+                    raise AssertionError("strategy improvement revisited a profile")
+                seen.add(tuple(sub_step))
+            below, above = _tp_weighs(val)
+            graph = _reply_graph(sub, 2 if p1 else 1, sub_step, above if p1 else below)
+            cycle = graph and _negative_cycle(graph)
+            for u, move in cycle or ():
+                if sub.p1[u] == p1:
+                    sub_step[u] = move
+            return bool(cycle)
+
+        val = _improve(sub, sub_step, _pair_values, key, escape)
+        for i, x, (d, w) in zip(zero, val, sub_step):
+            values[i] = x if isinstance(x, float) else exact(x, view.denom)
+            step[i] = (zero[d], w)
+    return dict(zip(view.vertices, values)), step
 
 
 def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
@@ -325,23 +324,16 @@ def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
     return val
 
 
-def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue]) -> Optional[Memoryless]:
-    """The first player-1 profile holding the limsup-TP values from below
-    against every reply, once some player-2 profile holds them from above:
-    together they prove max-min = min-max = values, and a missing side
-    raises.  None if either profile space exceeds ``PROFILE_CAP``.
-
-    Only edges with value(i) = w + value(d), which lasso values satisfy
-    along every move, are offered.  Along them the running total is
-    value(start) - value(current), so a reply beats player 1 only by a
-    cycle of sum <= 0 among the +inf vertices or by a cycle of such edges
-    through positive values alone, and player 2 by a cycle of sum >= 0
-    among the -inf vertices or by one of such edges through a negative
-    value: the weights make exactly those cycles negative.
-    """
-    if _profiles(view, 1, PROFILE_CAP) is None or _profiles(view, 2, PROFILE_CAP) is None:
-        return None
-    target = [values[v] * view.denom for v in view.vertices]
+def _tp_weighs(target: list) -> tuple[Callable[[int, int, int], object],
+                                      Callable[[int, int, int], object]]:
+    """Weighs for ``_holds`` of player 1's profile from below and player
+    2's from above the scaled limsup-TP values ``target``.  Lasso values
+    keep target(i) = w + target(d) along every move, and along such edges
+    the running total is target(start) - target(current).  So a reply
+    beats player 1 only by a cycle of sum <= 0 among the +inf vertices or
+    by one of such edges through positive values alone, and player 2 by a
+    cycle of sum >= 0 among the -inf vertices or by one of such edges
+    through a negative value: exactly the negative cycles."""
     n = len(target)
 
     def below(i: int, d: int, w: int):
@@ -360,13 +352,22 @@ def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue]) -> Optional[Me
             return None
         return _FAIL if w + u > t else -1 if t < 0 else 0
 
+    return below, above
+
+
+def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
+                   step: list[tuple[int, int]]) -> Memoryless:
+    """Player 1's moves of the final profile, once they hold the limsup-TP
+    values from below and player 2's hold them from above: together they
+    prove max-min = min-max = values, and a side that does not hold
+    raises."""
+    below, above = _tp_weighs([values[v] * view.denom for v in view.vertices])
     for player, weigh in ((2, above), (1, below)):
-        table = _first_holding(view, player, lambda i, d, w: target[i] == w + target[d], weigh)
-        if table is None:
+        if not _holds(view, player, step, weigh):
             shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
-            raise RuntimeError("value attainment cross-check failed: no player-%d profile holds "
-                               "%r" % (player, shown))  # finite values in their Fraction repr
-    return Memoryless(table, name="tpsup_witness")
+            raise RuntimeError("value attainment cross-check failed: player %d's final profile "
+                               "does not hold %r" % (player, shown))  # finite values as Fractions
+    return _witness(view, step, "tpsup_witness")
 
 
 def _max_min(view: _View, kind: str, cap: int
@@ -374,16 +375,15 @@ def _max_min(view: _View, kind: str, cap: int
     """Per vertex, the max over player-1 positional profiles of the min
     over player-2 profiles of the limsup lasso value, and the first
     player-1 profile attaining it at every vertex (None if none does);
-    None if either profile space exceeds ``cap``."""
-    p1_profiles = _profiles(view, 1, cap)
-    p2_profiles = _profiles(view, 2, cap)
-    if p1_profiles is None or p2_profiles is None:
-        return None
-    (own1, combos1), (own2, combos2) = p1_profiles, p2_profiles
+    None if either player has more than ``cap`` profiles."""
     succ = view.succ
+    own1, own2 = ([i for i, p1 in enumerate(view.p1) if p1 == mine] for mine in (True, False))
+    if max(math.prod(len(succ[i]) for i in own) for own in (own1, own2)) > cap:
+        return None
     scale = math.lcm(*range(1, len(succ) + 1)) if kind == MP else 1
-    replies = [[succ[i][j] for i, j in zip(own2, combo)] for combo in itertools.product(*combos2)]
-    combos1 = list(itertools.product(*combos1))
+    replies = [[succ[i][j] for i, j in zip(own2, combo)]
+               for combo in itertools.product(*(range(len(succ[i])) for i in own2))]
+    combos1 = list(itertools.product(*(range(len(succ[i])) for i in own1)))
     step = list(succ)
     worst = []
     for combo in combos1:
@@ -417,19 +417,11 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
 
 def sigma_safe(arena: ArenaExplicit
                ) -> tuple[Memoryless, Callable[[VertexId, Weight], bool], ValueMap]:
-    """Memoryless strategy maximizing weight + value of the target, which
-    never leaves the winnable (vertex, sum) region; the region itself,
-    upward closed in the sum; and the solved values."""
+    """The limsup-TP witness, which never leaves the winnable (vertex, sum)
+    region: its moves keep the value, weight + value of the target =
+    value, and every reply keeps it or raises it.  Also the region itself,
+    upward closed in the sum, and the solved values."""
     vm = solve_values(arena, "tpsup")
-
-    def score(e: Edge) -> ExtValue:
-        val = vm.values[e.dst]
-        if isinstance(val, float):
-            return val
-        return e.weight + val
-
-    # the first edge of highest score
-    table = {v: max(arena.edges(v), key=score) for v in arena.vertices if arena.owner(v) == 1}
 
     def contains(v: VertexId, r: Weight) -> bool:
         val = vm.values[v]
@@ -439,7 +431,7 @@ def sigma_safe(arena: ArenaExplicit
             return False
         return r + val >= 0
 
-    return Memoryless(table, name="sigma_safe"), contains, vm
+    return vm.witness, contains, vm
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +561,10 @@ def finite_mp_oracle(arena: ArenaExplicit) -> WPrimeOracle:
 
 def finite_wprime_oracle(arena: ArenaExplicit) -> WPrimeOracle:
     """Limsup total payoff >= 0: the (vertex, sum) pairs of ``sigma_safe``,
-    won by the limsup-TP witness."""
+    whose safe strategy, the limsup-TP witness, also wins from every one
+    of them."""
     safe, region, vm = sigma_safe(arena)
-    if vm.witness is None:
-        raise Inconclusive("no memoryless witness within the profile cap %d" % PROFILE_CAP)
-    return WPrimeOracle(region, safe, lambda v, r: vm.witness)
+    return WPrimeOracle(region, safe, lambda v, r: safe)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ values come from strategy improvement, checked from both sides at its
 fixed point; the tests below compare it with value iteration, with the
 Karp bounds and with the max-min over every profile pair, on tie-heavy
 arenas too, and check its final player-1 profile, the witness, by Karp's
-cycle mean from every vertex."""
+cycle mean from every vertex.  Limsup-TP values come from the same loop
+on the zero region, with a switch onto value-keeping cycles; the tests
+compare them with the max-min, on tie-heavy arenas too, and check the
+witness by the least lasso value over every player-2 reply."""
 
 import itertools
 import json
@@ -22,8 +25,8 @@ from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
 from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
-from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _tpsup_witness,
-                              _view, brute_force_values, solve_values)
+from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _tpsup_values,
+                              _tpsup_witness, _view, brute_force_values, solve_values)
 
 F = Fraction
 V = VertexId
@@ -280,57 +283,108 @@ def test_least_cycle_means_match_karp_per_start_vertex():
             _min_cycle_mean(arena, _reachable(arena, v, moves), moves) for v in view.vertices]
 
 
-def test_tpsup_witness_matches_the_whole_arena_max_min():
-    for arena in random_arenas(55):
-        assert solve_values(arena, "tpsup").witness.table == _max_min(
-            _view(arena), TP, PROFILE_CAP)[1]
+def test_tpsup_witness_holds_every_value():
+    # under the witness, the least limsup TP over every player-2 positional
+    # reply is each vertex's value
+    arenas = random_arenas(55) + _pool_arenas("tp")
+    assert len(arenas) == 216
+    for arena in arenas:
+        vm = solve_values(arena, "tpsup")
+        replies = _all_profiles(arena, 2)
+        for v in arena.vertices:
+            assert min(lasso_limit(TP, "limsup", _lasso(arena, v, vm.witness.table, reply))
+                       for reply in replies) == vm.values[v]
+
+
+def test_tpsup_values_match_brute_force_on_tie_heavy_arenas():
+    rng = random.Random(64)
+    zero_regions = 0
+    for _ in range(3000):
+        arena = tie_heavy_arena(rng)
+        values = solve_values(arena, "tpsup").values
+        assert values == brute_force_values(arena, "tpsup")
+        zero_regions += any(not isinstance(x, float) for x in values.values())
+    assert zero_regions > 1000
+
+
+def _numbered_arena(owners, edges):
+    n = [V("n", (i,)) for i in range(len(owners))]
+    return ArenaExplicit(dict(zip(n, owners)), [E(n[a], w, n[b]) for a, w, b in edges], n[0])
+
+
+@pytest.mark.parametrize("owners, edges, values", [
+    # player 2 closes n(1) n(2) of sum 0 instead of paying 1 into n(0)
+    ((2, 2, 2), [(0, 0, 0), (1, 1, 0), (1, 0, 2), (2, 1, 0), (2, 0, 1)], [0, 0, 0]),
+    # player 1 loops at n(1) instead of paying 1 into n(0)
+    ((1, 1), [(0, 0, 0), (1, -1, 0), (1, 0, 1)], [0, 0]),
+], ids=["player-2", "player-1"])
+def test_tpsup_values_switch_onto_a_value_keeping_cycle(owners, edges, values):
+    # mean payoff's final profile keeps the first edges, from which no
+    # single edge improves: each takes the value of its successor plus its
+    # weight.  Only the cycle of such edges reaches the values, and the
+    # first edges do not hold them
+    arena = _numbered_arena(owners, edges)
+    view = _view(arena)
+    first = [out[0] for out in view.succ]
+    assert _mp_values(view)[1] == first
+    solved, step = _tpsup_values(view)
+    assert list(solved.values()) == values == list(brute_force_values(arena, "tpsup").values())
+    assert step != first
+    _tpsup_witness(view, solved, step)
+    with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
+        _tpsup_witness(view, solved, first)
+
+
+def test_tpsup_values_survive_a_cycle_switch_that_player_2_leaves():
+    # at the values, player 2's edge p -> n can close the value-keeping
+    # cycle a p n a through n's negative value, and player 1 switches a
+    # onto it.  Player 2 then leaves it by its other value-keeping edge,
+    # p -> q, closing a p q a on positive values only, which lowers a, p
+    # and q to 0 until a switches back to t.  Every edge order ends on the
+    # values
+    a, p, n, q, t = (V(x) for x in "apnqt")
+    owners = {a: 1, p: 2, n: 1, q: 1, t: 1}
+    rest = [E(n, -2, a), E(q, 0, a), E(t, 0, t)]
+    for at_a in itertools.permutations([E(a, 1, t), E(a, 0, p)]):
+        for at_p in itertools.permutations([E(p, 2, n), E(p, 0, q)]):
+            arena = ArenaExplicit(owners, [*at_a, *at_p, *rest], a)
+            values = solve_values(arena, "tpsup").values
+            assert values == {a: 1, p: 1, n: -1, q: 1, t: 0} == brute_force_values(
+                arena, "tpsup")
 
 
 def test_tpsup_witness_cross_checks_both_sides():
-    # a value raised by 1 or 1/2 leaves no player-1 profile holding the
-    # values, one lowered by 1 no player-2 profile; either side missing raises
+    # a value raised by 1 or 1/2 is not held from below by player 1's final
+    # profile, one lowered by 1 not from above by player 2's; either side
+    # missing raises
     checked = 0
     for arena in random_arenas(56, count=40):
-        values = solve_values(arena, "tpsup").values
+        view = _view(arena)
+        values, step = _tpsup_values(view)
         zero = [v for v, x in values.items() if not isinstance(x, float)]
         if not zero:
             continue
         for delta in (1, -1, F(1, 2)):
             with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
-                _tpsup_witness(_view(arena), {**values, zero[0]: values[zero[0]] + delta})
+                _tpsup_witness(view, {**values, zero[0]: values[zero[0]] + delta}, step)
         checked += 1
     assert checked
 
 
-def _count_potential_calls(monkeypatch):
-    calls = []
-    potential = synthesis._potential
-    monkeypatch.setattr(synthesis, "_potential", lambda *args: calls.append(1) or potential(*args))
-    return calls
-
-
 @pytest.mark.parametrize("loop, value", [(0, 1), (1, POS_INF)], ids=["zero-region", "plus-inf"])
-def test_tpsup_witness_drops_a_first_tight_edge_that_closes_a_losing_cycle(monkeypatch, loop,
-                                                                           value):
+def test_tpsup_witness_drops_a_first_tight_edge_that_closes_a_losing_cycle(loop, value):
     # n(0) is player 1's.  Its first edge, to player 2's n(1), is tight and
     # closes n(0) n(1) n(0) of sum 0; its second, of weight 1, leads to a
     # loop of weight ``loop`` at n(2).  With a zero loop n(0) and n(1) have
     # value 1, which the cycle's running total never reaches; with a
     # positive one they are +inf, and the cycle's sum is not positive.
-    # Either way one negative-cycle pass drops the first edge, and no reply
-    # profile is enumerated.
+    # Either way the witness takes the second edge
     n = [V("n", (i,)) for i in range(3)]
     arena = ArenaExplicit({n[0]: 1, n[1]: 2, n[2]: 2}, [
         E(n[0], 0, n[1]), E(n[0], 1, n[2]), E(n[1], 0, n[0]), E(n[2], loop, n[2])])
-    view = _view(arena)
-    values = solve_values(arena, "tpsup").values
-    assert values[n[0]] == values[n[1]] == value
-    calls = _count_potential_calls(monkeypatch)
-    witness = _tpsup_witness(view, values)
-    assert witness.table == {n[0]: E(n[0], 1, n[2])} == _max_min(view, TP, PROFILE_CAP)[1]
-    # one negative-cycle pass for player 2's fixed profile, then player 1's:
-    # one for the replies and one per edge tried at n(0)
-    assert len(calls) == 4
+    vm = solve_values(arena, "tpsup")
+    assert vm.values[n[0]] == vm.values[n[1]] == value
+    assert vm.witness.table == {n[0]: E(n[0], 1, n[2])}
 
 
 def test_mp_values_are_the_karp_bounds_wherever_these_agree():
@@ -387,8 +441,8 @@ def test_mp_values_separate_farey_neighbours():
 
 
 def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
-    # each side's final profile is offered alone; a side that does not hold
-    # the gains raises
+    # each side's final profile is checked against every reply; a side
+    # that does not hold the gains raises
     o3, e3 = cycle(2, [1, 0, 0], "t")
     o4, e4 = cycle(1, [1, 0, 0, 0], "f")
     x, y = V("x"), V("y")
@@ -396,17 +450,16 @@ def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
     arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
                           e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
     view = _view(arena)
-    first_holding = synthesis._first_holding
+    holds = synthesis._holds
     for failing in (1, 2, None):
         sides = []
 
-        def checked(view, side, offered, weigh):
+        def checked(view, side, step, weigh):
             sides.append(side)
-            assert all(sum(offered(i, *e) for e in out) == 1
-                       for i, out in enumerate(view.succ) if view.p1[i] == (side == 1))
-            return None if side == failing else first_holding(view, side, offered, weigh)
+            assert all(move in out for move, out in zip(step, view.succ))
+            return side != failing and holds(view, side, step, weigh)
 
-        monkeypatch.setattr(synthesis, "_first_holding", checked)
+        monkeypatch.setattr(synthesis, "_holds", checked)
         if failing is None:
             assert _mp_values(view)[0] == fixed_horizon_mp_values(arena)
         else:
@@ -467,9 +520,9 @@ def test_solved_values_are_ints_or_fractions_with_a_denominator_and_floats_only_
     assert kinds == {int, F, float}
 
 
-def _mp_pool_arenas():
+def _pool_arenas(kind):
     pool = json.loads(POOL.read_text())
-    return [parse_arena(m["arena"]) for cell, ms in pool.items() if cell.startswith("mp")
+    return [parse_arena(m["arena"]) for cell, ms in pool.items() if cell.startswith(kind)
             for m in ms]
 
 
@@ -481,7 +534,7 @@ def _pool_shaped_arenas(w):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("arenas", [lambda: random_arenas(52), _mp_pool_arenas,
+@pytest.mark.parametrize("arenas", [lambda: random_arenas(52), lambda: _pool_arenas("mp"),
                                     lambda: _pool_shaped_arenas(2),
                                     lambda: _pool_shaped_arenas(6)],
                          ids=["random", "pool", "pool-shaped-w2", "pool-shaped-w6"])
