@@ -162,18 +162,18 @@ def _load_arena(spec: str):
 
 
 def _load_strategy(spec: str, entry, player: int) -> Strategy:
+    """A strategy file or zoo strategy, refused in another player's role."""
     if os.path.exists(spec):
         with open(spec) as fh:
             strat = parse_strategy(fh.read())
-        strat.player = player
-        return strat
-    if entry is not None:
+    elif entry is not None:
         strat = entry.strategy(spec)
-        if strat.player != player:
-            raise ValueError("strategy %r is for player %d, requested player %d"
-                             % (spec, strat.player, player))
-        return strat
-    raise ValueError("no such strategy file and no zoo entry to look up %r" % spec)
+    else:
+        raise ValueError("no such strategy file and no zoo entry to look up %r" % spec)
+    if strat.player != player:
+        raise ValueError("strategy %r is for player %d, requested player %d"
+                         % (spec, strat.player, player))
+    return strat
 
 
 def _err(msg: str) -> int:

@@ -619,7 +619,10 @@ _READERS: dict[str, Callable] = {
 
 
 def certificate_from_json(text: str) -> Certificate:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("certificate is not JSON: %s" % exc)
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     if data.get("schema") != CERT_SCHEMA:

@@ -320,7 +320,7 @@ def parse_strategy(text: str) -> Strategy:
             if parts[0] == "strategy":
                 header = _parse_header(parts)
             elif parts[0] == "move":
-                moves.append(_parse_move(parts))
+                moves.append((lineno, *_parse_move(parts)))
             elif parts[0] == "bitupd":
                 bitupds.append(_parse_bitupd(parts))
             else:
@@ -330,30 +330,33 @@ def parse_strategy(text: str) -> Strategy:
     if header is None:
         raise ValueError("missing 'strategy' header line")
     name, kind, attrs = header
-    player = int(attrs.get("player", "1"))
+    player = _header_int(attrs, kind, "player", 1, "1")
+    if player > 2:
+        raise ValueError("%s strategy header player=%d must be 1 or 2" % (kind, player))
     fallback = {"first": FIRST_EDGE, "error": ERROR}.get(attrs.get("fallback", "first"))
     if fallback is None:
         raise ValueError("unknown fallback rule %r" % attrs.get("fallback"))
     if kind == "memoryless":
-        table = {}
-        for v, state, step, edge in moves:
-            table[v] = edge
+        table = {v: edge for _, v, _, _, edge in moves}
         return Memoryless(table, player=player, name=name)
     if kind == "sc":
-        horizon = _header_int(attrs, kind, "horizon")
+        horizon = _header_int(attrs, kind, "horizon", 0)
         table = {}
-        for v, state, step, edge in moves:
+        for lineno, v, state, step, edge in moves:
             if step is None:
-                raise ValueError("sc move without step=")
+                raise ValueError("line %d: sc move without step=" % lineno)
+            _below(lineno, "step", step, "horizon", horizon)
             table[(v, step)] = edge
         return StepCounterTable(table, horizon, fallback, player=player, name=name)
     if kind == "sc+k":
-        k = _header_int(attrs, kind, "states")
-        horizon = _header_int(attrs, kind, "horizon")
+        k = _header_int(attrs, kind, "states", 1)
+        horizon = _header_int(attrs, kind, "horizon", 0)
         table = {}
-        for v, state, step, edge in moves:
+        for lineno, v, state, step, edge in moves:
             if step is None or state is None:
-                raise ValueError("sc+k move needs state= and step=")
+                raise ValueError("line %d: sc+k move needs state= and step=" % lineno)
+            _below(lineno, "state", state, "states", k)
+            _below(lineno, "step", step, "horizon", horizon)
             table[(v, step, state)] = edge
         upd = {(s, m, e): nm for (m, s, e, nm) in bitupds}
         return StepCounterPlusK(k, table, horizon, upd, fallback, player=player, name=name)
@@ -362,10 +365,28 @@ def parse_strategy(text: str) -> Strategy:
     raise ValueError("unknown strategy kind %r" % kind)
 
 
-def _header_int(attrs: dict, kind: str, key: str) -> int:
-    if key not in attrs:
+def _header_int(attrs: dict, kind: str, key: str, least: int,
+                default: Optional[str] = None) -> int:
+    """The header's integer ``key=``, at least ``least``."""
+    text = attrs.get(key, default)
+    if text is None:
         raise ValueError("%s strategy header needs %s=" % (kind, key))
-    return int(attrs[key])
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError("%s strategy header %s=%s is not an integer" % (kind, key, text))
+    if value < least:
+        raise ValueError("%s strategy header %s=%d must be at least %d" % (kind, key, value, least))
+    return value
+
+
+def _below(lineno: int, key: str, value: int, bound_key: str, bound: int) -> None:
+    """Refuse a move row the table never reads: 0 <= value < bound."""
+    if value < 0:
+        raise ValueError("line %d: move %s=%d is negative" % (lineno, key, value))
+    if value >= bound:
+        raise ValueError("line %d: move %s=%d is not below %s=%d"
+                         % (lineno, key, value, bound_key, bound))
 
 
 def _attributes(words: list[str], readers: Optional[dict] = None, directive: str = "") -> dict:

@@ -47,26 +47,35 @@ PROFILE_CAP = 1 << 14
 
 
 def solve_values(arena: ArenaExplicit, family: str) -> ValueMap:
-    """Game values per vertex for mean payoff or limsup total payoff, by
-    strategy improvement (``_improve``), which ends on a pair of positional
-    profiles.  The pair is the proof: player 1's holds the values from
-    below and player 2's from above, each checked by one Bellman-Ford
-    (``_holds``), and a side that does not hold raises.  Player 1's final
-    profile is the witness.  Limsup total payoff is +/-inf on the
-    positive/negative mean-payoff regions and strategy improvement from
-    mean payoff's final profile on the zero region (``_tpsup_values``).
+    """Game values per vertex for mean payoff (``_mp_values``) or limsup
+    total payoff (``_tpsup_values``), by strategy improvement
+    (``_improve``), which ends on a pair of positional profiles.  The pair
+    is the proof, checked once here after the family's loop (``_proven``):
+    player 1's profile holds the values from below and player 2's from
+    above, each by one Bellman-Ford under the family's pair of weighs.
+    Player 1's final profile is the witness.
     """
     if not isinstance(arena, ArenaExplicit):
         raise TypeError("value solving needs an explicit finite arena")
-    if family == "mp":
-        view = _view(arena)
-        values, step = _mp_values(view)
-        return ValueMap(values, _witness(view, step, "mp_witness"))
-    if family == "tpsup":
-        view = _view(arena)
-        values, step = _tpsup_values(view)
-        return ValueMap(values, _tpsup_witness(view, values, step))
-    raise ValueError("unknown value family %r" % family)
+    solve = {"mp": _mp_values, "tpsup": _tpsup_values}.get(family)
+    if solve is None:
+        raise ValueError("unknown value family %r" % family)
+    view = _view(arena)
+    values, step, weighs = solve(view)
+    _proven(view, values, step, weighs)
+    return ValueMap(values, _witness(view, step, family + "_witness"))
+
+
+def _proven(view: _View, values: dict[VertexId, ExtValue], step: list[tuple[int, int]],
+            weighs: tuple[_Weigh, _Weigh]) -> None:
+    """Raise unless player 1's moves of the profile hold the values from
+    below under the first weigh and player 2's from above under the
+    second (``_holds``): together they prove max-min = min-max = values."""
+    for player, weigh in zip((1, 2), weighs):
+        if not _holds(view, player, step, weigh):
+            shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
+            raise RuntimeError("value attainment cross-check failed: player %d's final profile "
+                               "does not hold %r" % (player, shown))  # finite values as Fractions
 
 
 @dataclass(frozen=True)
@@ -138,15 +147,14 @@ def _improve(view: _View, step: list[tuple[int, int]], evaluate, key, escape=Non
             return vals
 
 
-def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]]]:
-    """Mean-payoff values, and every vertex's final (successor, scaled
-    weight) move, by ``_improve`` from both players' first edges.  A
-    vertex switches by the key (gain[d], w scale - gain[d] + bias[d]) of
-    ``_evaluate``, least for player 2.  The final gains are the values
-    once player 1's profile holds them from below and player 2's from
-    above: an edge moving the gain against the holder fails, and an
-    in-class edge (d, w) from gain c weighs w scale - c, negated for player
-    2, so that a cycle beating the holder is negative."""
+def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]], tuple]:
+    """Mean-payoff values, every vertex's final (successor, scaled weight)
+    move and the weighs proving them, by ``_improve`` from both players'
+    first edges.  A vertex switches by the key (gain[d], w scale - gain[d]
+    + bias[d]) of ``_evaluate``, least for player 2.  A weigh fails an
+    edge moving the gain against the holder and weighs an in-class edge
+    (d, w) from gain c w scale - c, negated for player 2, so that a cycle
+    beating the holder is negative."""
     scale = math.lcm(*range(1, len(view.vertices) + 1))
     step = [out[0] for out in view.succ]
 
@@ -156,17 +164,16 @@ def _mp_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, i
 
     gain, bias = _improve(view, step, lambda step: _evaluate(step, scale), key)
 
-    def holds(player: int, sign: int) -> bool:
+    def weighs(sign: int):
         def weigh(i: int, d: int, w: int):
             if gain[d] == gain[i]:
                 return sign * (w * scale - gain[i])
             return None if (gain[d] - gain[i]) * sign > 0 else _FAIL
 
-        return _holds(view, player, step, weigh)
+        return weigh
 
-    if not (holds(1, 1) and holds(2, -1)):
-        raise AssertionError("strategy improvement stopped on gains its profiles do not hold")
-    return {v: exact(g, scale * view.denom) for v, g in zip(view.vertices, gain)}, step
+    values = {v: exact(g, scale * view.denom) for v, g in zip(view.vertices, gain)}
+    return values, step, (weighs(1), weighs(-1))
 
 
 def _lassos(step: list[tuple[int, int]]):
@@ -206,10 +213,12 @@ def _evaluate(step: list[tuple[int, int]], scale: int) -> tuple[list[int], list[
 
 
 _FAIL = object()  # the weight of an edge along which a profile does not hold
+# (i, d, w) -> the weight in ``_holds`` of edge i -> d of weight w, None to leave it out
+_Weigh = Callable[[int, int, int], object]
 
 
 def _reply_graph(view: _View, holder: int, step: list[tuple[int, int]],
-                 weigh: Callable[[int, int, int], object]) -> Optional[list[list[tuple]]]:
+                 weigh: _Weigh) -> Optional[list[list[tuple]]]:
     """The holder's moves step[i] and every reply edge, as (d, weigh(i, d,
     w), (d, w)) at each vertex i, leaving out those weighed None; None if
     one weighs ``_FAIL``."""
@@ -226,8 +235,7 @@ def _reply_graph(view: _View, holder: int, step: list[tuple[int, int]],
     return out
 
 
-def _holds(view: _View, holder: int, step: list[tuple[int, int]],
-           weigh: Callable[[int, int, int], object]) -> bool:
+def _holds(view: _View, holder: int, step: list[tuple[int, int]], weigh: _Weigh) -> bool:
     """Does the holder's profile hold against every reply: no edge fails
     and the weighed edges close no negative cycle?"""
     graph = _reply_graph(view, holder, step, weigh)
@@ -258,11 +266,11 @@ def _negative_cycle(out: list[list[tuple]]) -> Optional[list[tuple]]:
     return cycle
 
 
-def _tpsup_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]]]:
-    """Limsup-TP values and every vertex's final move: +/-inf on the
-    positive/negative mean-payoff regions, with mean payoff's moves, and
-    ``_improve`` on w + val(d) of ``_pair_values`` on the zero region.
-    Edges leaving it are never taken (entering the positive region
+def _tpsup_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int, int]], tuple]:
+    """Limsup-TP values, every vertex's final move and the weighs proving
+    them (``_tp_weighs``): +/-inf on the positive/negative mean-payoff
+    regions, with mean payoff's moves, and ``_improve`` on w + val(d) of
+    ``_pair_values`` on the zero region.  Edges leaving it are never taken (entering the positive region
     contradicts a zero mean for the maximizer, the negative region yields
     -inf, and dually), and mean payoff's final profile, which keeps to it
     with zero cycles only, is the start.  Where no single edge improves, a
@@ -270,9 +278,9 @@ def _tpsup_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int
     ``_tp_weighs``: of value-keeping edges w + val(d) = val(v), wholly on
     positive values for player 2 and through a negative value for player
     1, along which the running total is val(start) - val(current)."""
-    mp, step = _mp_values(view)
-    values = [POS_INF if x > 0 else NEG_INF if x < 0 else 0 for x in mp.values()]
-    zero = [i for i, x in enumerate(values) if x == 0]
+    mp, step, _ = _mp_values(view)
+    target = [POS_INF if x > 0 else NEG_INF if x < 0 else 0 for x in mp.values()]
+    zero = [i for i, x in enumerate(target) if x == 0]
     if zero:
         sub = view.restrict(zero)
         index = {i: k for k, i in enumerate(zero)}
@@ -300,9 +308,11 @@ def _tpsup_values(view: _View) -> tuple[dict[VertexId, ExtValue], list[tuple[int
 
         val = _improve(sub, sub_step, _pair_values, key, escape)
         for i, x, (d, w) in zip(zero, val, sub_step):
-            values[i] = x if isinstance(x, float) else exact(x, view.denom)
+            target[i] = x
             step[i] = (zero[d], w)
-    return dict(zip(view.vertices, values)), step
+    values = {v: x if isinstance(x, float) else exact(x, view.denom)
+              for v, x in zip(view.vertices, target)}
+    return values, step, _tp_weighs(target)
 
 
 def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
@@ -324,8 +334,7 @@ def _pair_values(step: list[tuple[int, int]]) -> list[ExtValue]:
     return val
 
 
-def _tp_weighs(target: list) -> tuple[Callable[[int, int, int], object],
-                                      Callable[[int, int, int], object]]:
+def _tp_weighs(target: list) -> tuple[_Weigh, _Weigh]:
     """Weighs for ``_holds`` of player 1's profile from below and player
     2's from above the scaled limsup-TP values ``target``.  Lasso values
     keep target(i) = w + target(d) along every move, and along such edges
@@ -333,7 +342,8 @@ def _tp_weighs(target: list) -> tuple[Callable[[int, int, int], object],
     beats player 1 only by a cycle of sum <= 0 among the +inf vertices or
     by one of such edges through positive values alone, and player 2 by a
     cycle of sum >= 0 among the -inf vertices or by one of such edges
-    through a negative value: exactly the negative cycles."""
+    through a negative value: exactly the negative cycles.  So mean
+    payoff, which only seeds the loop, needs no proof of its own."""
     n = len(target)
 
     def below(i: int, d: int, w: int):
@@ -353,21 +363,6 @@ def _tp_weighs(target: list) -> tuple[Callable[[int, int, int], object],
         return _FAIL if w + u > t else -1 if t < 0 else 0
 
     return below, above
-
-
-def _tpsup_witness(view: _View, values: dict[VertexId, ExtValue],
-                   step: list[tuple[int, int]]) -> Memoryless:
-    """Player 1's moves of the final profile, once they hold the limsup-TP
-    values from below and player 2's hold them from above: together they
-    prove max-min = min-max = values, and a side that does not hold
-    raises."""
-    below, above = _tp_weighs([values[v] * view.denom for v in view.vertices])
-    for player, weigh in ((2, above), (1, below)):
-        if not _holds(view, player, step, weigh):
-            shown = {v: x if isinstance(x, float) else Fraction(x) for v, x in values.items()}
-            raise RuntimeError("value attainment cross-check failed: player %d's final profile "
-                               "does not hold %r" % (player, shown))  # finite values as Fractions
-    return _witness(view, step, "tpsup_witness")
 
 
 def _max_min(view: _View, kind: str, cap: int
@@ -500,7 +495,7 @@ def _sc_table(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub, de
     walk = _minimal_layers(arena, v0, sigma, open_sub, depth - 1, node_cap)
     table = {(node.vertex, node.depth): sigma.choose(arena, node.vertex, node.depth, node.state)
              for layer in walk for node in layer
-             if node.depth < depth and arena.owner(node.vertex) == sigma.player}
+             if arena.owner(node.vertex) == sigma.player}
     return walk.truncated or table
 
 
@@ -670,8 +665,6 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         new_fixed = _sc_table(arena, v0, comp, sub, k_m, node_cap)
         if isinstance(new_fixed, Inconclusive):
             return _failed(schedule, "bubble %d: %s" % (m, _why(new_fixed)))
-        if any(new_fixed[key] != fixed.get(key) for key in new_fixed if key[1] < k_prev):
-            return _failed(schedule, "bubble %d rewrote the fixed table" % m)
         fixed = new_fixed
         k_prev = k_m
         schedule.append((m, k_m))

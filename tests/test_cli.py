@@ -179,6 +179,24 @@ def test_cli_simulate_matches_the_golden_csv(capsysbinary):
     assert captured.err == b""
 
 
+A3_STAY = str(Path(__file__).parent / "data" / "inconclusive" / "a3_stay.strategy")
+
+
+@pytest.mark.parametrize("arena, p1, p2, refused, declared, requested", [
+    ("zoo:a3", "delay_twice_exit", A3_STAY, A3_STAY, 1, 2),
+    ("zoo:buchia", str(ZOO_P2 / "idle.strategy"), "round_robin", str(ZOO_P2 / "idle.strategy"),
+     2, 1),
+    ("zoo:a3", "p2_enter_0", "p2_enter_0", "p2_enter_0", 2, 1),
+], ids=["p1-file-as-p2", "p2-file-as-p1", "p2-zoo-as-p1"])
+def test_cli_holds_a_strategy_to_its_declared_player(capsys, arena, p1, p2, refused, declared,
+                                                     requested):
+    assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2, "--horizon", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: strategy %r is for player %d, requested player %d\n" % (
+        refused, declared, requested)
+    assert captured.out == ""
+
+
 def test_the_golden_simulate_play_adds_fractional_weights_to_an_int_start():
     arena = parse_arena((GOLDEN_SIMULATE / "arena.txt").read_text())
     assert {type(e.weight) for v in arena.vertices for e in arena.edges(v)} == {Fraction}
@@ -453,8 +471,26 @@ def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strate
     ("strategy x kind=sc\n", "sc strategy header needs horizon="),
     ("strategy x kind=sc+k horizon=4\n", "sc+k strategy header needs states="),
     ("strategy x kind=sc+k states=2\n", "sc+k strategy header needs horizon="),
+    ("strategy x kind=memoryless player=3\n",
+     "memoryless strategy header player=3 must be 1 or 2"),
+    ("strategy x kind=memoryless player=abc\n",
+     "memoryless strategy header player=abc is not an integer"),
+    ("strategy x kind=sc horizon=-3\n", "sc strategy header horizon=-3 must be at least 0"),
+    ("strategy x kind=sc horizon=x\n", "sc strategy header horizon=x is not an integer"),
+    ("strategy x kind=sc+k states=0 horizon=4\n",
+     "sc+k strategy header states=0 must be at least 1"),
+    ("strategy x kind=sc+k states=x horizon=4\n",
+     "sc+k strategy header states=x is not an integer"),
+    ("strategy x kind=sc+k states=2 horizon=4\nmove a state=5 step=0 -> b weight=1\n",
+     "line 2: move state=5 is not below states=2"),
+    ("strategy x kind=sc horizon=2\nmove a step=7 -> b weight=1\n",
+     "line 2: move step=7 is not below horizon=2"),
+    ("strategy x kind=sc horizon=2\nmove a step=-1 -> b weight=1\n",
+     "line 2: move step=-1 is negative"),
 ], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
-        "sc+k-without-horizon"])
+        "sc+k-without-horizon", "player-3", "player-not-an-integer", "horizon-negative",
+        "horizon-not-an-integer", "states-0", "states-not-an-integer", "move-state-past-states",
+        "move-step-past-horizon", "move-step-negative"])
 def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
     strat = _write(tmp_path, "bad.strategy", text)
     assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1
@@ -477,8 +513,9 @@ def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, 
      "KoenigBound certificate field open_sub: 'int' object is not subscriptable"),
     ('{"schema": "qg-cert/1", "variant": "LevelSatisfaction", "body": {"levels": 5}}',
      "LevelSatisfaction certificate field levels: 'int' object is not iterable"),
+    ("m=1 k=3\n", "certificate is not JSON: Expecting value: line 1 column 1 (char 0)"),
 ], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field",
-        "open-sub-not-an-object", "levels-not-a-list"])
+        "open-sub-not-an-object", "levels-not-a-list", "not-json"])
 def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, text, message):
     cert = _write(tmp_path, "bad.json", text)
     assert main(["verify", "--arena", "zoo:a3", "--cert", cert]) == 1

@@ -25,8 +25,8 @@ from qgames import synthesis
 from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import parse_arena
 from qgames.objectives import MP, NEG_INF, POS_INF, TP, Lasso, lasso_limit, parse_ext
-from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _tpsup_values,
-                              _tpsup_witness, _view, brute_force_values, solve_values)
+from qgames.synthesis import (PROFILE_CAP, _evaluate, _max_min, _mp_values, _proven,
+                              _tp_weighs, _tpsup_values, _view, brute_force_values, solve_values)
 
 F = Fraction
 V = VertexId
@@ -327,12 +327,12 @@ def test_tpsup_values_switch_onto_a_value_keeping_cycle(owners, edges, values):
     view = _view(arena)
     first = [out[0] for out in view.succ]
     assert _mp_values(view)[1] == first
-    solved, step = _tpsup_values(view)
+    solved, step, weighs = _tpsup_values(view)
     assert list(solved.values()) == values == list(brute_force_values(arena, "tpsup").values())
     assert step != first
-    _tpsup_witness(view, solved, step)
+    _proven(view, solved, step, weighs)
     with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
-        _tpsup_witness(view, solved, first)
+        _proven(view, solved, first, weighs)
 
 
 def test_tpsup_values_survive_a_cycle_switch_that_player_2_leaves():
@@ -356,17 +356,23 @@ def test_tpsup_values_survive_a_cycle_switch_that_player_2_leaves():
 def test_tpsup_witness_cross_checks_both_sides():
     # a value raised by 1 or 1/2 is not held from below by player 1's final
     # profile, one lowered by 1 not from above by player 2's; either side
-    # missing raises
+    # missing raises, with the other side checked at the solved values
     checked = 0
     for arena in random_arenas(56, count=40):
         view = _view(arena)
-        values, step = _tpsup_values(view)
+        values, step, held = _tpsup_values(view)
         zero = [v for v, x in values.items() if not isinstance(x, float)]
         if not zero:
             continue
+        _proven(view, values, step, held)
         for delta in (1, -1, F(1, 2)):
-            with pytest.raises(RuntimeError, match="value attainment cross-check failed"):
-                _tpsup_witness(view, {**values, zero[0]: values[zero[0]] + delta}, step)
+            moved = {**values, zero[0]: values[zero[0]] + delta}
+            below, above = _tp_weighs([moved[v] * view.denom for v in view.vertices])
+            side = 1 if delta > 0 else 2
+            weighs = (below, held[1]) if side == 1 else (held[0], above)
+            with pytest.raises(RuntimeError, match="value attainment cross-check failed: "
+                               "player %d's" % side):
+                _proven(view, moved, step, weighs)
         checked += 1
     assert checked
 
@@ -449,7 +455,6 @@ def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
     t0, f0 = V("t", (0,)), V("f", (0,))
     arena = ArenaExplicit({**o3, **o4, x: 1, y: 2},
                           e3 + e4 + [E(x, 0, t0), E(x, 0, f0), E(y, 0, t0), E(y, 0, f0)])
-    view = _view(arena)
     holds = synthesis._holds
     for failing in (1, 2, None):
         sides = []
@@ -461,11 +466,31 @@ def test_mp_values_check_the_fixed_point_from_both_sides(monkeypatch):
 
         monkeypatch.setattr(synthesis, "_holds", checked)
         if failing is None:
-            assert _mp_values(view)[0] == fixed_horizon_mp_values(arena)
+            assert solve_values(arena, "mp").values == fixed_horizon_mp_values(arena)
         else:
-            with pytest.raises(AssertionError, match="do not hold"):
-                _mp_values(view)
+            with pytest.raises(RuntimeError, match="player %d's final profile does not hold"
+                               % failing):
+                solve_values(arena, "mp")
         assert sides == [1, 2][:failing]
+
+
+@pytest.mark.parametrize("family", ["mp", "tpsup"])
+def test_solve_values_proves_each_solve_once(monkeypatch, family):
+    # one check from below by player 1, then one from above by player 2, per
+    # call: limsup TP does not re-prove the mean-payoff gains it starts from
+    holds = synthesis._holds
+    sides = []
+
+    def checked(view, side, step, weigh):
+        sides.append(side)
+        return holds(view, side, step, weigh)
+
+    monkeypatch.setattr(synthesis, "_holds", checked)
+    arenas = _pool_arenas("tp")[:1] + random_arenas(62, count=40)
+    for arena in arenas:
+        sides.clear()
+        solve_values(arena, family)
+        assert sides == [1, 2]
 
 
 def test_mp_values_without_a_greedy_certificate():
