@@ -370,17 +370,6 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
 
     root = register(start, memory.initial())
 
-    if isinstance(arena, ArenaExplicit) and isinstance(memory, MealyMemory):
-        owners: dict[VertexId, int] = {}
-        edges: list[Edge] = []
-        for v in arena.vertices:
-            for state in memory.states:
-                pv = register(v, state)
-                owners[pv] = arena.owner(v)
-                for e in arena.edges(v):
-                    edges.append(Edge(pv, e.weight, register(e.dst, memory.update(state, e))))
-        return ArenaExplicit(owners, edges, start=root, name=arena.name + "@mem")
-
     def expand(pv: VertexId) -> tuple[int, tuple[Edge, ...]]:
         try:
             v, state = state_of[pv]
@@ -392,7 +381,19 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
             out.append(Edge(pv, e.weight, nxt))
         return arena.owner(v), tuple(out)
 
-    return ArenaGenerator(root, expand, name=arena.name + "@mem")
+    gen = ArenaGenerator(root, expand, name=arena.name + "@mem")
+    if isinstance(arena, ArenaExplicit) and isinstance(memory, MealyMemory):
+        return explicit_rows(gen, [register(v, state) for v in arena.vertices
+                                   for state in memory.states])
+    return gen
+
+
+def explicit_rows(arena: ArenaGenerator, vertices: Iterable[VertexId]) -> ArenaExplicit:
+    """The generator's rows on the given vertices, as an explicit arena with
+    its root and name: a transform's explicit form on an explicit input."""
+    rows = {v: arena.expand(v) for v in vertices}
+    return ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
+                         [e for _, es in rows.values() for e in es], arena.root, name=arena.name)
 
 
 # ---------------------------------------------------------------------------

@@ -257,12 +257,12 @@ class ExploreResult:
         return [len(level) for level in self.levels]
 
 
-def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
-                       node_cap: Optional[int] = None) -> ExploreResult:
+def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int
+                       ) -> ExploreResult:
     """Level-indexed tree of all sigma-consistent histories from v0, with
-    no merging.  Exceeding the node cap yields the levels completed so far
-    and the truncation."""
-    walk = Layers(arena, v0, sigma, depth, node_cap=node_cap)
+    no merging.  Exceeding the node cap (``QG_NODE_CAP``) yields the
+    levels completed so far and the truncation."""
+    walk = Layers(arena, v0, sigma, depth)
     levels = list(walk)
     return ExploreResult(v0, levels, walk.created, walk.truncated)
 
@@ -280,7 +280,7 @@ class KoenigBound:
 
     def check(self, context: dict) -> CheckResult:
         again = koenig_bound(context["arena"], context["v0"], context["sigma1"], self.open_sub,
-                             self.level, node_cap=context.get("node_cap"))
+                             self.level)
         if not isinstance(again, KoenigBound):
             return CheckResult(False, ["bound did not reproduce: %r" % (again,)])
         return CheckResult(True, ["bound reproduced at level %d" % again.level])
@@ -458,7 +458,7 @@ class LevelSatisfaction:
         result = CheckResult(True)
         for m, k_m in self.levels:
             again = koenig_bound(context["arena"], context["v0"], context["sigma1"],
-                                 context["subs"](m), k_m, node_cap=context.get("node_cap"))
+                                 context["subs"](m), k_m)
             if not isinstance(again, KoenigBound):
                 return result.fail("level (m=%d, k=%d) failed: %r" % (m, k_m, again))
             result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .arena import Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight, exact
+from .arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight, exact,
+                    explicit_rows)
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -390,35 +391,26 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
 
     pre = VertexId("pre^" + start.name, start.params)
     debt = -thr
-    if isinstance(arena, ArenaExplicit):
-        owners = {v: arena.owner(v) for v in arena.vertices}
-        owners[pre] = 2
-        edges = [e for v in arena.vertices for e in arena.edges(v)]
-        out = ArenaExplicit(owners, edges + [Edge(pre, debt, start)], pre,
-                            name=arena.name + "+shift")
-    else:
-        def expand(v: VertexId):
-            if v == pre:
-                return 2, (Edge(pre, debt, start),)
-            return arena.row(v)
 
-        out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
+    def expand(v: VertexId):
+        if v == pre:
+            return 2, (Edge(pre, debt, start),)
+        return arena.row(v)
+
+    out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
+    if isinstance(arena, ArenaExplicit):
+        out = explicit_rows(out, arena.vertices + (pre,))
     note_parts.append("prepended a weight %s edge before %s" % (debt, start))
     return out, pre, Objective(TP, obj.mode, obj.relation, 0), "; ".join(note_parts)
 
 
 def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) -> Arena:
-    if isinstance(arena, ArenaExplicit):
-        return ArenaExplicit({v: arena.owner(v) for v in arena.vertices},
-                             [Edge(e.src, fn(e.weight), e.dst)
-                              for v in arena.vertices for e in arena.edges(v)],
-                             start, name=arena.name + "+mapw")
-
     def expand(v: VertexId):
         owner, es = arena.row(v)
         return owner, tuple(Edge(e.src, fn(e.weight), e.dst) for e in es)
 
-    return ArenaGenerator(start, expand, name=arena.name + "+mapw")
+    out = ArenaGenerator(start, expand, name=arena.name + "+mapw")
+    return explicit_rows(out, arena.vertices) if isinstance(arena, ArenaExplicit) else out
 
 
 def _common_denominator(arena: Arena, thr: Weight) -> int:

@@ -306,11 +306,18 @@ def serialize_strategy(strategy: Strategy) -> str:
     return "\n".join(lines) + "\n"
 
 
+# kind -> the attributes of its move rows, in the order of the table key
+_MOVE_ROWS = {"memoryless": (), "sc": ("step",), "sc+k": ("step", "state")}
+
+
 def parse_strategy(text: str) -> Strategy:
-    """Parse the strategy file format; inverse of serialize_strategy."""
+    """Parse the strategy file format; inverse of serialize_strategy.
+
+    One rule holds for every row of every kind: it names exactly the
+    attributes its kind's table reads, each in range, and fills a cell no
+    earlier row filled.  So no row is dropped or overwritten."""
     header = None
-    moves = []
-    bitupds = []
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -320,9 +327,9 @@ def parse_strategy(text: str) -> Strategy:
             if parts[0] == "strategy":
                 header = _parse_header(parts)
             elif parts[0] == "move":
-                moves.append((lineno, *_parse_move(parts)))
+                rows.append((lineno, "move", *_parse_move(parts)))
             elif parts[0] == "bitupd":
-                bitupds.append(_parse_bitupd(parts))
+                rows.append((lineno, "bitupd", *_parse_bitupd(parts)))
             else:
                 raise ValueError("unknown directive %r" % parts[0])
         except ValueError as exc:
@@ -336,33 +343,42 @@ def parse_strategy(text: str) -> Strategy:
     fallback = {"first": FIRST_EDGE, "error": ERROR}.get(attrs.get("fallback", "first"))
     if fallback is None:
         raise ValueError("unknown fallback rule %r" % attrs.get("fallback"))
-    if kind == "memoryless":
-        table = {v: edge for _, v, _, _, edge in moves}
-        return Memoryless(table, player=player, name=name)
-    if kind == "sc":
-        horizon = _header_int(attrs, kind, "horizon", 0)
-        table = {}
-        for lineno, v, state, step, edge in moves:
-            if step is None:
-                raise ValueError("line %d: sc move without step=" % lineno)
-            _below(lineno, "step", step, "horizon", horizon)
-            table[(v, step)] = edge
-        return StepCounterTable(table, horizon, fallback, player=player, name=name)
-    if kind == "sc+k":
-        k = _header_int(attrs, kind, "states", 1)
-        horizon = _header_int(attrs, kind, "horizon", 0)
-        table = {}
-        for lineno, v, state, step, edge in moves:
-            if step is None or state is None:
-                raise ValueError("line %d: sc+k move needs state= and step=" % lineno)
-            _below(lineno, "state", state, "states", k)
-            _below(lineno, "step", step, "horizon", horizon)
-            table[(v, step, state)] = edge
-        upd = {(s, m, e): nm for (m, s, e, nm) in bitupds}
-        return StepCounterPlusK(k, table, horizon, upd, fallback, player=player, name=name)
     if kind == "fm":
         raise ValueError("fm strategy files are not supported; use sc or sc+k")
-    raise ValueError("unknown strategy kind %r" % kind)
+    if kind not in _MOVE_ROWS:
+        raise ValueError("unknown strategy kind %r" % kind)
+    states = _header_int(attrs, kind, "states", 1) if kind == "sc+k" else None
+    horizon = _header_int(attrs, kind, "horizon", 0) if kind != "memoryless" else None
+    # row attribute -> the header attribute bounding it, and its value
+    bounds = {"state": ("states", states), "step": ("horizon", horizon)}
+    names = _MOVE_ROWS[kind]
+    tables: dict[str, dict] = {"move": {}, "bitupd": {}}
+    first = {}  # (directive, cell) -> the line that filled it
+    for lineno, directive, row, edge, mode in rows:
+        if directive == "bitupd" and kind != "sc+k":
+            raise ValueError("line %d: a kind=%s strategy has no bitupd rows" % (lineno, kind))
+        if directive == "move" and row.keys() != set(names):
+            raise ValueError("line %d: %s move attributes must be %s" % (
+                lineno, kind, " and ".join(sorted(key + "=" for key in names)) or "none"))
+        for key in names:
+            _below(lineno, "%s %s=%d" % (directive, key, row[key]), row[key], *bounds[key])
+        if directive == "move":
+            cell = (edge.src, *(row[key] for key in names)) if names else edge.src
+        else:
+            _below(lineno, "bitupd target mode %d" % mode, mode, *bounds["state"])
+            cell = (row["step"], row["state"], edge)
+        if (directive, cell) in first:
+            raise ValueError("line %d: %s repeats the cell of line %d"
+                             % (lineno, directive, first[directive, cell]))
+        first[directive, cell] = lineno
+        tables[directive][cell] = edge if directive == "move" else mode
+    table = tables["move"]
+    if kind == "memoryless":
+        return Memoryless(table, player=player, name=name)
+    if kind == "sc":
+        return StepCounterTable(table, horizon, fallback, player=player, name=name)
+    return StepCounterPlusK(states, table, horizon, tables["bitupd"], fallback, player=player,
+                            name=name)
 
 
 def _header_int(attrs: dict, kind: str, key: str, least: int,
@@ -380,13 +396,12 @@ def _header_int(attrs: dict, kind: str, key: str, least: int,
     return value
 
 
-def _below(lineno: int, key: str, value: int, bound_key: str, bound: int) -> None:
-    """Refuse a move row the table never reads: 0 <= value < bound."""
+def _below(lineno: int, what: str, value: int, bound_key: str, bound: int) -> None:
+    """Refuse a row the table never reads: 0 <= value < bound."""
     if value < 0:
-        raise ValueError("line %d: move %s=%d is negative" % (lineno, key, value))
+        raise ValueError("line %d: %s is negative" % (lineno, what))
     if value >= bound:
-        raise ValueError("line %d: move %s=%d is not below %s=%d"
-                         % (lineno, key, value, bound_key, bound))
+        raise ValueError("line %d: %s is not below %s=%d" % (lineno, what, bound_key, bound))
 
 
 def _attributes(words: list[str], readers: Optional[dict] = None, directive: str = "") -> dict:
@@ -429,7 +444,7 @@ def _parse_move(parts: list[str]):
     if len(rest) != 2 or not rest[1].startswith("weight="):
         raise ValueError("move line needs '-> <to> weight=<w>'")
     dst = VertexId.parse(rest[0])
-    return v, attrs.get("state"), attrs.get("step"), make_edge(v, rest[1][len("weight="):], dst)
+    return attrs, make_edge(v, rest[1][len("weight="):], dst), None
 
 
 def _edge_ends(text: str) -> tuple[VertexId, VertexId]:
@@ -449,5 +464,5 @@ def _parse_bitupd(parts: list[str]):
         raise ValueError("bitupd needs state=, step=, edge= and weight=")
     if arrow + 1 == len(parts):
         raise ValueError("bitupd line needs a target mode after ->")
-    src, dst = attrs["edge"]
-    return attrs["state"], attrs["step"], Edge(src, attrs["weight"], dst), int(parts[arrow + 1])
+    src, dst = attrs.pop("edge")
+    return attrs, Edge(src, attrs.pop("weight"), dst), int(parts[arrow + 1])

@@ -535,6 +535,9 @@ class WPrimeOracle:
     memoryless strategy that never leaves it, and a winning strategy from
     any pair in it.
 
+    ``wprime`` must be upward closed in the sum: if (v, r) is in the
+    region, so is (v, r') for every r' >= r.  The final report checks
+    only the lowest sum of each cell it walks (``_final_report``).
     ``uniform_memoryless`` marks a region that ignores the sum and one
     memoryless strategy winning from all of it, so that a continuation's
     decisions depend on the vertex and step only.
@@ -690,49 +693,35 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
     """Re-certify every scheduled level on the final strategy and check
     that no consistent history up to the last level leaves the region.
 
-    Each level's ``koenig_bound`` resumes, with its node count, from a base
-    walk of the final strategy without sub-objective, at the layer below
-    the step index: no branch fires, so none is pruned, before it.  The
-    base walk advances only as deep as the levels so far need, so a node
-    cap is named at the level a walk from the root would exhaust it.  It
-    reads only the final strategy, independently of the synthesizer.
+    One ``koenig_layers`` walk of the final strategy without sub-objective,
+    to the last level, serves both.  Each level's ``koenig_bound`` resumes,
+    with its node count, from that walk's layer below the step index: no
+    branch fires, so none is pruned, before it.  The walk keeps the lowest
+    total of each (vertex, signature) cell, and the region is upward
+    closed in the total (``WPrimeOracle``), so checking the kept nodes
+    checks every consistent history.  It reads only the final strategy,
+    independently of the synthesizer.
     """
-    depth = schedule[-1][1] if schedule else 0
-    base = koenig_layers(arena, v0, strategy, depth, node_cap=node_cap)
-    reached, layers = [], iter(base)
+    walk = koenig_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0,
+                         node_cap=node_cap)
+    resumes = [(layer, d, walk.created) for d, layer in enumerate(walk)]
     level_certs = []
     for (m, k_m) in schedule:
         sub = subs(m)
         start = max(min(sub.step_index, k_m) - 1, 0)
-        reached.extend((layer, base.created)
-                       for layer in itertools.islice(layers, max(start + 1 - len(reached), 0)))
-        if base.truncated is not None:
-            return SynthReport(schedule, strategy, level_certs, False,
-                               failure="level m=%d: %s" % (m, base.truncated.reason))
-        layer, created = reached[start]
-        again = koenig_bound(arena, v0, strategy, sub, k_m, node_cap, (layer, start, created))
+        # a node cap that ended the walk at or below the level's layer is
+        # named here, as a walk from the root would name it
+        again = (koenig_bound(arena, v0, strategy, sub, k_m, node_cap, resumes[start])
+                 if start < len(resumes) else walk.truncated)
         if isinstance(again, Inconclusive) and again.node_cap is not None:
             return SynthReport(schedule, strategy, level_certs, False,
                                failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
-    walk = _merged_layers(arena, v0, strategy, depth, node_cap)
-    region_ok = all(member(node.vertex, node.tp) for layer in walk for node in layer)
     if walk.truncated is not None:
         return SynthReport(schedule, strategy, level_certs, False,
                            failure="region check: %s" % walk.truncated.reason)
+    region_ok = all(member(node.vertex, node.tp) for layer, _, _ in resumes for node in layer)
     return SynthReport(schedule, strategy, level_certs, region_ok)
-
-
-def _merged_layers(arena: Arena, v0: VertexId, strategy: Strategy, depth: int,
-                   node_cap: int) -> Layers:
-    """Consistent layers merging histories with equal (vertex, signature,
-    running total): they take the same edges and meet the same (vertex,
-    sum) regions from there on."""
-    def key(node: Node):
-        sig = strategy.signature(node.depth, node.state)
-        return None if sig is None else (node.vertex, sig, node.tp)
-
-    return Layers(arena, v0, strategy, depth, key=key, node_cap=node_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +836,11 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
         for node in frontier:
             if not oracle.wprime(node.vertex, node.tp):
                 return (d, "(%s, %s) at step %d" % (node.vertex, node.tp, d))
+        if d >= max(k_prev, 1) and d >= sub.step_index and all(n.satisfied for n in frontier):
+            return (max(d, k_prev + 1), None)
         if d == depth_cap:
             return Inconclusive("depth exhausted with unsatisfied branches", depth_cap,
                                 sum(not n.satisfied for n in frontier))
-        if d >= max(k_prev, 1) and d >= sub.step_index and all(n.satisfied for n in frontier):
-            return (max(d, k_prev + 1), None)
         if d >= k_prev:
             # a bit reset at a bubble boundary can land on a safe-strategy
             # detour the mimic never reaches: back the cell by the run itself

@@ -487,10 +487,41 @@ def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strate
      "line 2: move step=7 is not below horizon=2"),
     ("strategy x kind=sc horizon=2\nmove a step=-1 -> b weight=1\n",
      "line 2: move step=-1 is negative"),
+    ("strategy x kind=memoryless\nmove a step=9 state=4 -> b weight=1\n",
+     "line 2: memoryless move attributes must be none"),
+    ("strategy x kind=sc horizon=4\nmove a state=0 step=0 -> b weight=1\n",
+     "line 2: sc move attributes must be step="),
+    ("strategy x kind=sc+k states=2 horizon=4\nmove a step=0 -> b weight=1\n",
+     "line 2: sc+k move attributes must be state= and step="),
+    ("strategy x kind=memoryless\nmove a -> b weight=1\nmove a -> c weight=0\n",
+     "line 3: move repeats the cell of line 2"),
+    ("strategy x kind=sc horizon=4\nmove a step=1 -> b weight=1\n\nmove a step=1 -> b weight=1\n",
+     "line 4: move repeats the cell of line 2"),
+    ("strategy x kind=sc horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> 1\n",
+     "line 2: a kind=sc strategy has no bitupd rows"),
+    ("strategy x kind=memoryless\nbitupd state=0 step=0 edge=a->b weight=1 -> 1\n",
+     "line 2: a kind=memoryless strategy has no bitupd rows"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> 2\n",
+     "line 2: bitupd target mode 2 is not below states=2"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> -1\n",
+     "line 2: bitupd target mode -1 is negative"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=2 step=0 edge=a->b weight=1 -> 0\n",
+     "line 2: bitupd state=2 is not below states=2"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=-1 step=0 edge=a->b weight=1 -> 0\n",
+     "line 2: bitupd state=-1 is negative"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=4 edge=a->b weight=1 -> 0\n",
+     "line 2: bitupd step=4 is not below horizon=4"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> 1\n"
+     "bitupd step=0 state=0 weight=1 edge=a->b -> 0\n",
+     "line 3: bitupd repeats the cell of line 2"),
 ], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
         "sc+k-without-horizon", "player-3", "player-not-an-integer", "horizon-negative",
         "horizon-not-an-integer", "states-0", "states-not-an-integer", "move-state-past-states",
-        "move-step-past-horizon", "move-step-negative"])
+        "move-step-past-horizon", "move-step-negative", "memoryless-move-with-step-and-state",
+        "sc-move-with-state", "sc+k-move-without-state", "memoryless-move-repeated",
+        "sc-move-repeated", "bitupd-in-sc", "bitupd-in-memoryless", "bitupd-mode-past-states",
+        "bitupd-mode-negative", "bitupd-state-past-states", "bitupd-state-negative",
+        "bitupd-step-past-horizon", "bitupd-repeated"])
 def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
     strat = _write(tmp_path, "bad.strategy", text)
     assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1

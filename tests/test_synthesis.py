@@ -264,11 +264,15 @@ def test_sc1bit_bitarena_names_the_bubble_and_depth_of_an_exhausted_node_cap(nod
     assert _bitarena_sc1bit(14, node_cap=node_cap).failure == failure
 
 
-@pytest.mark.parametrize("depth_cap, m", [(3, 2), (10, 9), (30, 29)])
-def test_sc1bit_bitarena_names_the_bubble_of_an_exhausted_depth_cap(depth_cap, m):
+@pytest.mark.parametrize("depth_cap, m, count", [
+    (3, 2, 1), (10, 9, 1), (30, 29, 1),
+    # a bubble that closes at the cap itself is not cut by it
+    (4, 5, 2), (8, 9, 2), (100, 101, 2),
+], ids=["3-2", "10-9", "30-29", "4-5", "8-9", "100-101"])
+def test_sc1bit_bitarena_names_the_bubble_of_an_exhausted_depth_cap(depth_cap, m, count):
     report = _bitarena_sc1bit(30, depth_cap=depth_cap)
-    assert report.failure == "bubble m=%d: depth cap %d exhausted with 1 unsatisfied branch" % (
-        m, depth_cap)
+    assert report.failure == "bubble m=%d: depth cap %d exhausted with %d unsatisfied %s" % (
+        m, depth_cap, count, "branch" if count == 1 else "branches")
 
 
 def test_sc1bit_work_grows_linearly_in_m_max(monkeypatch):

@@ -1,6 +1,6 @@
 """The integer-indexed value layer of ``synthesis`` against the direct
 algorithms it replaces or cross-checks, kept here as oracles: value
-iteration for the full 4n^3 W rounds, the greedy profiles' bounds by
+iteration until Zwick and Paterson's bounds isolate every value, the greedy profiles' bounds by
 Karp's least cycle means, Karp's cycle mean once per start vertex, and the
 max-min that walks one lasso per vertex and profile pair.  Mean-payoff
 values come from strategy improvement, checked from both sides at its
@@ -41,6 +41,9 @@ def E(src, w, dst):
 
 
 def fixed_horizon_mp_values(arena):
+    """Value iteration, stopped at the first multiple k of n at which
+    Zwick and Paterson's bound |x_k - k v| <= 2nW leaves every vertex one
+    candidate value p/q with q <= n; by k = 4n^3 W it always does."""
     vs = arena.vertices
     index = {v: i for i, v in enumerate(vs)}
     denom = 1
@@ -51,11 +54,30 @@ def fixed_horizon_mp_values(arena):
             for v in vs]
     w_max = max([1] + [abs(w) for _, out in rows for _, w in out])
     n = len(vs)
-    horizon = 4 * n * n * n * w_max
+    slack = 2 * n * w_max
     x = [0] * n
-    for _ in range(horizon):
+    for k in range(1, 4 * n * n * n * w_max + 1):
         x = [(max if p1 else min)([w + x[d] for d, w in out]) for p1, out in rows]
-    return {v: F(x[i], horizon).limit_denominator(n) / denom for i, v in enumerate(vs)}
+        if k % n == 0:
+            values = list(itertools.takewhile(lambda value: value is not None, (
+                _only_fraction(xi - slack, xi + slack, k, n) for xi in x)))
+            if len(values) == n:
+                return {v: value / denom for v, value in zip(vs, values)}
+    raise AssertionError("value iteration isolated no value set by round 4n^3 W")
+
+
+def _only_fraction(a, b, k, n):
+    """The one fraction p/q with q <= n in [a/k, b/k], or None if there are
+    none or several; every p of each q counts, each fraction once, in
+    lowest terms."""
+    found = None
+    for q in range(1, n + 1):
+        for p in range(-(-a * q // k), b * q // k + 1):
+            if math.gcd(p, q) == 1:
+                if found is not None:
+                    return None
+                found = F(p, q)
+    return found
 
 
 def _all_profiles(arena, player):
