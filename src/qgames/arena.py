@@ -44,6 +44,10 @@ P2 = 2
 DEFAULT_VERTEX_CAP = 10**6
 
 
+class VertexCapExceeded(ValueError):
+    """An arena or a walk over it has more than ``DEFAULT_VERTEX_CAP`` vertices."""
+
+
 # "name", "name(a)", "name(a,b)", "name(a,b,c)": the text of a vertex with
 # few parameters, in one formatting
 _VERTEX_FORMATS = ("%s", "%s(%s)", "%s(%s,%s)", "%s(%s,%s,%s)")
@@ -159,7 +163,7 @@ class ArenaExplicit(Arena):
         name: str = "arena",
     ):
         if len(owners) > DEFAULT_VERTEX_CAP:
-            raise ValueError("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+            raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
         self.name = name
         self._owners = dict(owners)
         self._adj: dict[VertexId, tuple[Edge, ...]] = {v: () for v in owners}
@@ -410,15 +414,40 @@ class ValidationReport:
         return not self.violations
 
 
+def reach(arena: Arena, start: VertexId, depth: int,
+          edges: Optional[Callable[[VertexId], Iterable[Edge]]] = None) -> dict[VertexId, int]:
+    """Every vertex within ``depth`` steps of ``start``, in the order first
+    reached, mapped to its distance, breadth first.  Vertices at distance
+    ``depth`` are not expanded; ``edges`` (``arena.edges`` by default)
+    lists a vertex's edges, once per expanded vertex in the walk's order.
+    Raises ``VertexCapExceeded`` as soon as the walk reaches more than
+    ``DEFAULT_VERTEX_CAP`` vertices."""
+    edges = edges or arena.edges
+    reached = {start: 0}
+    layer = [start]
+    d = 0
+    while layer and d < depth:
+        d += 1  # one int per layer, shared by its vertices
+        nxt = []
+        for v in layer:
+            for e in edges(v):
+                if e.dst not in reached:
+                    reached[e.dst] = d
+                    if len(reached) > DEFAULT_VERTEX_CAP:
+                        raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+                    nxt.append(e.dst)
+        layer = nxt
+    return reached
+
+
 def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
              ) -> ValidationReport:
     """Check non-blocking, endpoint declaration, and generator determinism.
 
-    Explicit arenas are checked in full; generators are explored breadth
-    first from the start vertex to ``depth``, probing each vertex twice to
-    catch nondeterministic expansion.
+    Explicit arenas are checked in full; a generator's vertices within
+    ``depth`` steps of the start vertex are expanded (``reach``), each
+    probed twice to catch nondeterministic expansion.
     """
-
     report = ValidationReport()
     if isinstance(arena, ArenaExplicit):
         for v in arena.vertices:
@@ -434,39 +463,31 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
         return report
 
     assert isinstance(arena, ArenaGenerator)
-    seen: set[VertexId] = {start}
-    frontier = [start]
-    for _ in range(depth + 1):
-        nxt: list[VertexId] = []
-        for v in frontier:
-            try:
-                first = arena.expand(v)
-                second = arena.expand(v)
-            except Exception as exc:  # expansion itself failed
-                report.violations.append("expansion failed at %s: %s" % (v, exc))
-                continue
-            if first != second:
-                report.violations.append("nondeterministic expansion at %s" % (v,))
-            owner, es = first
-            es = tuple(sorted(es, key=_edge_sort_key))
-            if owner not in (P1, P2):
-                report.violations.append("bad owner at %s: %r" % (v, owner))
-            if not es:
-                report.violations.append("blocking vertex %s" % (v,))
-            for e in es:
-                if e.src != v:
-                    report.violations.append("edge source mismatch at %s: %s" % (v, e))
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    if len(seen) > DEFAULT_VERTEX_CAP:
-                        report.violations.append("vertex cap exceeded during exploration")
-                        report.explored = len(seen)
-                        return report
-                    nxt.append(e.dst)
-        frontier = nxt
-        if not frontier:
-            break
-    report.explored = len(seen)
+
+    def probe(v: VertexId) -> tuple[Edge, ...]:
+        try:
+            first = arena.expand(v)
+            second = arena.expand(v)
+        except Exception as exc:  # expansion itself failed
+            report.violations.append("expansion failed at %s: %s" % (v, exc))
+            return ()
+        if first != second:
+            report.violations.append("nondeterministic expansion at %s" % (v,))
+        owner, es = first
+        es = tuple(sorted(es, key=_edge_sort_key))
+        if owner not in (P1, P2):
+            report.violations.append("bad owner at %s: %r" % (v, owner))
+        if not es:
+            report.violations.append("blocking vertex %s" % (v,))
+        report.violations.extend("edge source mismatch at %s: %s" % (v, e)
+                                 for e in es if e.src != v)
+        return es
+
+    try:
+        report.explored = len(reach(arena, start, depth + 1, probe))
+    except VertexCapExceeded:
+        report.violations.append("vertex cap exceeded during exploration")
+        report.explored = DEFAULT_VERTEX_CAP + 1
     return report
 
 
@@ -474,8 +495,8 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
 class StepCountResult:
     """Result of the step-count encoding check.
 
-    ``levels`` maps each fully explored vertex to the unique length of
-    every history from the start reaching it.  ``counterexample`` holds two
+    ``levels`` maps each reached vertex to the unique length of every
+    history from the start reaching it.  ``counterexample`` holds two
     histories with the same endpoint and different lengths when the arena
     does not encode the step count.  ``frontier`` lists vertices first seen
     at the final level, whose uniqueness could not be confirmed.
@@ -489,47 +510,38 @@ class StepCountResult:
 def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResult:
     """Decide whether every history from v0 to a vertex has a fixed length.
 
-    Explores the reachable (vertex, level) graph breadth first to
-    ``depth``.  Returns either a level map or a concrete counterexample.
+    One ``reach`` walk to ``depth`` gives each vertex its first-reach
+    distance and records the edge that first reached it.  The arena
+    encodes the step count to ``depth`` iff every edge out of a vertex at
+    distance d < ``depth`` ends at distance d + 1.  At the first edge in
+    the walk's order that does not, the counterexample is the first-reach
+    path to its target and the one to its source extended by the edge.
+    Raises ``VertexCapExceeded`` past ``DEFAULT_VERTEX_CAP`` vertices.
     """
+    first_edge: dict[VertexId, Edge] = {}
 
-    first_level: dict[VertexId, int] = {v0: 0}
-    # parent pointers over (vertex, level) pairs, for counterexample paths
-    parent: dict[tuple[VertexId, int], tuple[tuple[VertexId, int], Edge]] = {}
-    frontier: list[VertexId] = [v0]
-    seen_pairs: set[tuple[VertexId, int]] = {(v0, 0)}
+    def edges(v: VertexId) -> tuple[Edge, ...]:
+        for e in arena.edges(v):
+            first_edge.setdefault(e.dst, e)
+        return arena.edges(v)
 
-    def path_to(pair: tuple[VertexId, int]) -> History:
-        edges: list[Edge] = []
-        while pair in parent:
-            pair, e = parent[pair]
-            edges.append(e)
-        edges.reverse()
-        return History(v0, tuple(edges))
+    reached = reach(arena, v0, depth, edges)
 
-    for level in range(depth):
-        nxt: list[VertexId] = []
-        for v in frontier:
-            for e in arena.edges(v):
-                w = e.dst
-                pair = (w, level + 1)
-                if w in first_level and first_level[w] != level + 1:
-                    # two histories, same endpoint, different lengths
-                    if pair not in parent:
-                        parent[pair] = ((v, level), e)
-                    other = path_to((w, first_level[w]))
-                    this = path_to(pair)
-                    return StepCountResult(None, (other, this))
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    parent[pair] = ((v, level), e)
-                    if w not in first_level:
-                        first_level[w] = level + 1
-                        nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            return StepCountResult(dict(first_level), None)
-    return StepCountResult(dict(first_level), None, frontier=tuple(sorted(frontier)))
+    def path_to(v: VertexId) -> History:
+        path: list[Edge] = []
+        while v != v0:
+            path.append(first_edge[v])
+            v = path[-1].src
+        return History(v0, tuple(reversed(path)))
+
+    for v, d in reached.items():
+        if d >= depth:
+            break
+        for e in arena.edges(v):
+            if reached[e.dst] != d + 1:
+                return StepCountResult(None, (path_to(e.dst), path_to(v).extend(e)))
+    return StepCountResult(reached, None,
+                           tuple(sorted(v for v, d in reached.items() if d == depth)))
 
 
 def node_cap_from_env(default: int = 10**6) -> int:

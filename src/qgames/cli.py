@@ -16,7 +16,7 @@ import tempfile
 from typing import Optional
 
 from . import zoo
-from .arena import (Arena, ArenaExplicit, Edge, VertexId, make_edge, node_cap_from_env,
+from .arena import (Arena, ArenaExplicit, Edge, VertexId, make_edge, node_cap_from_env, reach,
                     validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
@@ -105,25 +105,10 @@ def truncate_generator(arena: Arena, start: VertexId, depth: int,
                        name: Optional[str] = None) -> ArenaExplicit:
     """Explicit truncation of a generator: vertices within ``depth`` steps
     keep their edges; boundary vertices become absorbing weight-0 loops."""
-    seen = {start: 0}
-    frontier = [start]
-    for d in range(depth):
-        nxt = []
-        for v in frontier:
-            for e in arena.edges(v):
-                if e.dst not in seen:
-                    seen[e.dst] = d + 1
-                    nxt.append(e.dst)
-        frontier = nxt
-    owners = {}
-    edges = []
-    for v, level in seen.items():
+    owners, edges = {}, []
+    for v, d in reach(arena, start, depth).items():
         owners[v] = arena.owner(v)
-        if level >= depth:
-            edges.append(Edge(v, 0, v))
-            continue
-        for e in arena.edges(v):
-            edges.append(e)
+        edges.extend(arena.edges(v) if d < depth else (Edge(v, 0, v),))
     return ArenaExplicit(owners, edges, start, name=name or (arena.name + "_d%d" % depth))
 
 
@@ -248,7 +233,8 @@ def _synth_report_text(report: SynthReport) -> str:
         lines.append("  m=%d k=%d" % (m, k))
     for m, k, ok in report.level_certs:
         lines.append("level m=%d k=%d recertified=%s" % (m, k, "yes" if ok else "NO"))
-    lines.append("region preserved: %s" % ("yes" if report.region_ok else "NO"))
+    lines.append("region preserved: %s" % {True: "yes", False: "NO", None: "not checked"}[
+        report.region_ok])
     lines.append("certified: %s" % ("yes" if report.certified else "NO"))
     if report.failure:
         lines.append("failure: %s" % report.failure)

@@ -574,7 +574,7 @@ class SynthReport:
     schedule: list[tuple[int, int]]  # (m, k_m)
     strategy: Optional[Strategy]
     level_certs: list[tuple[int, int, bool]]  # (m, k_m, recertified)
-    region_ok: bool
+    region_ok: Optional[bool]  # None: the synthesis stopped before the region check
     failure: Optional[str] = None
 
     @property
@@ -583,9 +583,10 @@ class SynthReport:
                 and all(ok for (_, _, ok) in self.level_certs))
 
 
-def _failed(schedule: list[tuple[int, int]], why: str) -> SynthReport:
+def _failed(schedule: list[tuple[int, int]], why: str,
+            region_ok: Optional[bool] = None) -> SynthReport:
     """A synthesis that stopped before it had a strategy."""
-    return SynthReport(schedule, None, [], False, failure=why)
+    return SynthReport(schedule, None, [], region_ok, failure=why)
 
 
 class _Composite(Strategy):
@@ -714,11 +715,11 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
         again = (koenig_bound(arena, v0, strategy, sub, k_m, node_cap, resumes[start])
                  if start < len(resumes) else walk.truncated)
         if isinstance(again, Inconclusive) and again.node_cap is not None:
-            return SynthReport(schedule, strategy, level_certs, False,
+            return SynthReport(schedule, strategy, level_certs, None,
                                failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
     if walk.truncated is not None:
-        return SynthReport(schedule, strategy, level_certs, False,
+        return SynthReport(schedule, strategy, level_certs, None,
                            failure="region check: %s" % walk.truncated.reason)
     region_ok = all(member(node.vertex, node.tp) for layer, _, _ in resumes for node in layer)
     return SynthReport(schedule, strategy, level_certs, region_ok)
@@ -796,7 +797,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, _why(built)))
         k_m, violation = built
         if violation is not None:
-            return _failed(schedule, "left the winnable region: %s" % violation)
+            return _failed(schedule, "left the winnable region: %s" % violation, False)
         schedule.append((m_sched, k_m))
         k_prev = k_m
 

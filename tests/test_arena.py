@@ -5,8 +5,9 @@ import pytest
 
 from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History,
                           MealyMemory, StepCounter, VertexId, encodes_step_count, exact,
-                          make_edge, node_cap_from_env, product, validate)
+                          make_edge, node_cap_from_env, product, reach, validate)
 from qgames.engine import SinkPayoff, certificate_to_json
+from qgames.zoo import make
 
 V = VertexId
 F = Fraction
@@ -169,6 +170,80 @@ def test_encodes_step_count_counterexample():
     h1, h2 = res.counterexample
     assert h1.to_vertex == h2.to_vertex == c
     assert len(h1) != len(h2)
+
+
+def test_reach_maps_each_vertex_to_its_distance_in_the_order_first_reached():
+    a, b, c, d = V("a"), V("b"), V("c"), V("d")
+    arena = ArenaExplicit({a: 1, b: 1, c: 1, d: 1},
+                          [E(a, 0, c), E(a, 0, b), E(b, 0, d), E(c, 0, a), E(d, 0, d)], a)
+    assert list(reach(arena, a, 2).items()) == [(a, 0), (b, 1), (c, 1), (d, 2)]
+    assert list(reach(arena, a, 1).items()) == [(a, 0), (b, 1), (c, 1)]
+    assert reach(arena, a, 0) == {a: 0}
+
+
+def _history_lengths(arena, v0, depth):
+    """Vertex -> the lengths up to ``depth`` of the histories from v0 to
+    it, by brute force over every length."""
+    lengths = {}
+    at = {v0}
+    for n in range(depth + 1):
+        for v in at:
+            lengths.setdefault(v, set()).add(n)
+        at = {e.dst for v in at for e in arena.edges(v)}
+    return lengths
+
+
+def _layered_arena(rng):
+    # most edges go to the next layer, so some arenas encode the step count
+    # up to a small depth and the others break it at varied depths
+    layers = [[V("l", (i, j)) for j in range(rng.randint(1, 3))]
+              for i in range(rng.randint(1, 5))]
+    vs = [v for layer in layers for v in layer]
+    edges = [E(v, rng.randint(-2, 2),
+               rng.choice(layers[(i + 1) % len(layers)] if rng.random() < 0.8 else vs))
+             for i, layer in enumerate(layers) for v in layer for _ in range(rng.randint(1, 3))]
+    return ArenaExplicit({v: rng.choice((1, 2)) for v in vs}, edges, layers[0][0])
+
+
+def test_encodes_step_count_matches_history_lengths_by_brute_force():
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(400):
+        base = _layered_arena(rng)
+        depth = rng.randint(0, 8)
+        for arena in (base, product(base, StepCounter())):
+            lengths = _history_lengths(arena, arena.start, depth)
+            res = encodes_step_count(arena, arena.start, depth)
+            seen.add((arena is base, res.counterexample is None))
+            if all(len(ns) == 1 for ns in lengths.values()):
+                assert res.counterexample is None
+                assert res.levels == {v: min(ns) for v, ns in lengths.items()}
+                assert res.frontier == tuple(sorted(v for v, ns in lengths.items()
+                                                    if ns == {depth}))
+                continue
+            assert res.levels is None and res.frontier == ()
+            h1, h2 = res.counterexample
+            for h in (h1, h2):
+                at = arena.start
+                for e in h.edges:
+                    assert e in arena.edges(at)
+                    at = e.dst
+                assert at == h.to_vertex
+                assert len(h) in lengths[at]
+            assert h1.to_vertex == h2.to_vertex and len(h1) != len(h2)
+    # explicit arenas both encode the step count and break it; products encode it
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_every_vertex_walk_stops_when_it_passes_the_vertex_cap(monkeypatch):
+    monkeypatch.setattr("qgames.arena.DEFAULT_VERTEX_CAP", 500)
+    entry = make("a4")
+    with pytest.raises(ValueError, match="^arena exceeds vertex cap 500$"):
+        encodes_step_count(entry.arena, entry.start, 400)
+    assert len(entry.arena._cache) <= 501
+    report = validate(make("a4").arena, depth=400)
+    assert (report.violations, report.explored) == (
+        ["vertex cap exceeded during exploration"], 501)
 
 
 def test_node_cap_env_override(monkeypatch):

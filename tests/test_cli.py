@@ -16,6 +16,7 @@ from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate
                            check_certificate, play)
 from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
                                parse_strategy, serialize_strategy)
+from qgames import zoo
 from qgames.zoo import make
 
 F = Fraction
@@ -616,6 +617,62 @@ def test_cli_zoo_list_and_export(tmp_path, capsys):
     assert serialize_arena(parse_arena(text)) == text
 
 
+# (zoo entry, depth) -> (first 16 hex digits of the sha256 of the `qg zoo
+# export` file, vertices `qg validate` explores)
+ZOO_GOLDEN = {
+    ("a1", 0): ("c1c361d1b57c2704", 2), ("a1", 5): ("34e30b4c338226d7", 3),
+    ("a1", 12): ("34e30b4c338226d7", 3),
+    ("a1prime", 0): ("2d55316e4bb0a447", 2), ("a1prime", 5): ("a584371aafa0f930", 2),
+    ("a1prime", 12): ("a584371aafa0f930", 2),
+    ("a2", 0): ("1cd772a65a0a7dfc", 3), ("a2", 5): ("dd6c5fb95c04bce9", 28),
+    ("a2", 12): ("d8847e78e2812fa5", 105),
+    ("a3", 0): ("37cafd26738751a8", 3), ("a3", 5): ("53f2dafb4cd5874b", 26),
+    ("a3", 12): ("642683263d7ce824", 84),
+    ("a4", 0): ("449e5c988676f264", 3), ("a4", 5): ("e1ef384ec782d05a", 31),
+    ("a4", 12): ("db26c41556ee87bf", 154),
+    ("a4guarded", 0): ("440d08639e2a752c", 2), ("a4guarded", 5): ("018c2bd4039bea4b", 24),
+    ("a4guarded", 12): ("d1f52f42ae373c0b", 129),
+    ("bitarena", 0): ("3bb9ce7868d2832a", 2), ("bitarena", 5): ("7f4728b58a12d2d5", 10),
+    ("bitarena", 12): ("635f39e0e46bbaf8", 20),
+    ("buchia", 0): ("37d6da209e348b3c", 2), ("buchia", 5): ("c0eaf244fa0fedb2", 12),
+    ("buchia", 12): ("7cb1eda75a5bd255", 26),
+    ("buchib", 0): ("78f946414bcc3589", 2), ("buchib", 5): ("160d26cda6337431", 17),
+    ("buchib", 12): ("7a2b61140abacb3d", 17),
+    ("nonuniform", 0): ("ab3493c26bc4bc83", 2), ("nonuniform", 5): ("873d5c38e7223d25", 8),
+    ("nonuniform", 12): ("3acc3dbf075a030e", 15),
+}
+
+
+@pytest.mark.parametrize("name, depth", sorted(ZOO_GOLDEN),
+                         ids=["%s-d%d" % key for key in sorted(ZOO_GOLDEN)])
+def test_cli_zoo_export_and_validate_print_the_pinned_bytes(tmp_path, capsys, name, depth):
+    digest, explored = ZOO_GOLDEN[name, depth]
+    path = tmp_path / "arena.txt"
+    assert main(["zoo", "export", "--arena", "zoo:" + name, "--depth", str(depth),
+                 "--out", str(path)]) == 0
+    assert main(["validate", "--arena", "zoo:" + name, "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == "validate: ok (%d vertices explored)\n" % explored
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+    assert main(["validate", "--arena", str(path)]) == 0
+
+
+def test_cli_zoo_export_stops_when_the_walk_passes_the_vertex_cap(monkeypatch, capsys):
+    monkeypatch.setattr("qgames.arena.DEFAULT_VERTEX_CAP", 500)
+    entries = []
+
+    def parse_uri(uri, parse=zoo.parse_uri):
+        entries.append(parse(uri))
+        return entries[-1]
+
+    monkeypatch.setattr(zoo, "parse_uri", parse_uri)
+    assert main(["zoo", "export", "--arena", "zoo:a4", "--depth", "400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: arena exceeds vertex cap 500\n"
+    assert captured.out == ""
+    (entry,) = entries
+    assert len(entry.arena._cache) <= 501
+
+
 @pytest.mark.parametrize("uri, message", [
     ("zoo:nonuniform?start=3", "zoo entry 'nonuniform' takes no parameter 'start' "
                                "(accepted: start_index)"),
@@ -951,7 +1008,7 @@ def test_cli_synthesize_names_an_exhausted_depth_cap(tmp_path, capsys):
     assert main(["synthesize", "--arena", path, "--objective", "mp:limsup:>=:0",
                  "--depth", "0"]) == 2
     assert capsys.readouterr().out == (
-        "schedule:\nregion preserved: NO\ncertified: NO\n"
+        "schedule:\nregion preserved: not checked\ncertified: NO\n"
         "failure: bubble 1: depth cap 0 exhausted with 1 unsatisfied branch\n")
 
 

@@ -210,6 +210,18 @@ def test_sc1bit_rejects_start_outside_region():
         sc1bit_synthesize(arena, A, 1, bad)
 
 
+def test_sc1bit_reports_a_region_violation_but_a_cap_as_not_checked():
+    arena = pos_arena()
+    oracle = finite_wprime_oracle(arena)
+    # a region without b, which every play reaches at step 1
+    only_a = WPrimeOracle(lambda v, r: v == A, oracle.safe, oracle.winning_from)
+    left = sc1bit_synthesize(arena, A, 1, only_a)
+    assert (left.failure, left.region_ok) == ("left the winnable region: (b, 1) at step 1", False)
+    capped = sc1bit_synthesize(arena, A, 1, oracle, depth_cap=0)
+    assert capped.failure.startswith("bubble m=1: depth cap 0 exhausted")
+    assert capped.region_ok is None and not capped.certified
+
+
 def test_solve_values_type_and_family_guards():
     entry = make("a3")
     with pytest.raises(TypeError):
@@ -450,6 +462,7 @@ def test_final_report_names_the_level_or_region_check_of_an_exhausted_node_cap(n
     again = _final_report(entry.arena, entry.start, report.strategy, report.schedule, _tp_sub,
                           entry.wprime, node_cap)
     assert again.failure == failure
+    assert again.region_ok is (True if failure is None else None)
 
 
 def test_sc1bit_resets_the_bit_on_every_boundary_edge():
