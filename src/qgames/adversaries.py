@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, VertexId, Weight, V, _tuple_new
+from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _tuple_new
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
@@ -257,18 +257,52 @@ class RamseyLabel:
     gadget_update: tuple  # per-state: successor state index
 
 
-def _gadget_edges(i: int, j: int) -> list[Edge]:
-    """The expanded delay path from the i-th decision vertex stretched j
-    rounds: one delay edge, j-1 climbs, then the 2j-step drop."""
-    t_i = V("t", (i,))
-    out = [Edge(t_i, 1, V("g", (i, 1)))]
-    for c in range(1, j):
-        out.append(Edge(V("g", (i, c)), 1, V("g", (i, c + 1))))
-    out.append(Edge(V("g", (i, j)), -1, V("dr", (i, j, 1))))
-    for p in range(1, 2 * j - 1):
-        out.append(Edge(V("dr", (i, j, p)), -1, V("dr", (i, j, p + 1))))
-    out.append(Edge(V("dr", (i, j, 2 * j - 1)), 0, V("t", (i + j,))))
-    return out
+# A closed-form path on A4 is its first vertex and its runs of equal
+# letters.  A run (letter, params, steps) is len(steps) edges of the
+# letter's (src name, weight, dst name); the k-th ends at the dst name with
+# parameters params + (steps[k],), and each edge starts where the last ended.
+
+def _entry_path(i: int) -> tuple:
+    """The descent from s(i) to the i-th decision vertex: one weight -1 edge
+    into d(i, 1), 2i+1 more through d(i, 2..2i+2), then a weight-0 edge to
+    t(i)."""
+    return V("s", (i,)), ((("s", -1, "d"), (i,), range(1, 2)),
+                           (("d", -1, "d"), (i,), range(2, 2 * i + 3)),
+                           (("d", 0, "t"), (), range(i, i + 1)))
+
+
+def _gadget_path(i: int, j: int) -> tuple:
+    """The delay path from the i-th decision vertex stretched j rounds: one
+    delay edge, j-1 climbs, then the 2j-step drop to t(i+j)."""
+    return V("t", (i,)), ((("t", 1, "g"), (i,), range(1, 2)),
+                           (("g", 1, "g"), (i,), range(2, j + 1)),
+                           (("g", -1, "dr"), (i, j), range(1, 2)),
+                           (("dr", -1, "dr"), (i, j), range(2, 2 * j)),
+                           (("dr", 0, "t"), (), range(i + j, i + j + 1)))
+
+
+def _path_edges(path: tuple):
+    """The path's edges in order, the named tuples built without their
+    ``__new__`` frames."""
+    at, runs = path
+    for (_, weight, name), params, steps in runs:
+        for p in steps:
+            nxt = _tuple_new(VertexId, (name, params + (p,)))
+            yield _tuple_new(Edge, (at, weight, nxt))
+            at = nxt
+
+
+def _fold(sigma: Strategy, states: list, path: tuple) -> list:
+    """``sigma``'s memory after ``path`` from each of ``states``.  A
+    ``LetterMemory`` folds each run in at most K+1 checked steps
+    (``LetterMemory.run``); any other memory folds the path edge by edge."""
+    memory = getattr(sigma, "mealy", None)
+    if isinstance(memory, LetterMemory):
+        for letter, _, steps in path[1]:
+            states = [memory.run(m, letter, len(steps)) for m in states]
+        return states
+    edges = list(_path_edges(path)) if len(states) > 1 else _path_edges(path)
+    return [reduce(sigma.step_state, edges, m) for m in states]
 
 
 # the most monochromatic cliques tried before giving up
@@ -303,8 +337,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
 
     @cache
     def gadget_update(i: int, j: int) -> tuple:
-        edges = _gadget_edges(i, j)
-        return tuple(index[reduce(sigma.step_state, edges, m)] for m in states)
+        return tuple(index[m] for m in _fold(sigma, states, _gadget_path(i, j)))
 
     def label(i: int, k: int) -> RamseyLabel:
         return RamseyLabel(exit_profile(i) + exit_profile(k), gadget_update(i, k - i))
@@ -423,8 +456,9 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
     """Lookup of the strategy's memory on arrival at t(i) when the opponent
     enters at index i.  One walk along the s-chain, shared by every index
     and extended on demand, gives the memory at s(i).  The descent to t(i)
-    is folded from its closed form, each edge built as it is folded: 2i+2
-    edges of weight -1 through d(i, 1..2i+2), then a weight-0 edge to t(i)."""
+    is folded from its closed form (``_entry_path``): in O(K) checked steps
+    for a ``LetterMemory``, else edge by edge, each edge built as it is
+    folded."""
     def chain():
         v, state = entry.start, sigma.initial_state()
         while True:
@@ -436,17 +470,12 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
 
     walk = chain()
     at_s: list = []  # memory on arrival at s(0), s(1), ...
-    step = sigma.step_state
 
     def lookup(i: int):
         while len(at_s) <= i:
             at_s.append(next(walk))
-        state, at = at_s[i], V("s", (i,))
-        for p in range(1, 2 * i + 3):  # the named tuples, built without their __new__ frames
-            nxt = _tuple_new(VertexId, ("d", (i, p)))
-            state = step(state, _tuple_new(Edge, (at, -1, nxt)))
-            at = nxt
-        return step(state, Edge(at, 0, V("t", (i,))))
+        (state,) = _fold(sigma, [at_s[i]], _entry_path(i))
+        return state
 
     return lookup
 

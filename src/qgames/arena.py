@@ -14,18 +14,25 @@ ordering are the tuple's own, in C; they compare equal to plain tuples
 with the same fields.  Being tuples, a lone one must be wrapped for
 ``%``-formatting: ``"%s" % (v,)``.
 
+A finite memory is a ``MealyMemory``, whose update reads whole edges, or
+a ``LetterMemory``, whose update reads only an edge's letter
+``(src.name, weight, dst.name)``.  A letter memory folds a run of n equal
+letters in at most K+1 transitions (``LetterMemory.run``).
+
 The play path is every step of ``engine.play`` (read the row, ask the
 owner's strategy, check the edge, fold it into both memories), the
 ``qg simulate`` CSV text (``PlayRecord.to_csv``) and the Ramsey
-adversary's entry fold (``adversaries._entry_states``, one memory update
-per descent edge).  On a generator a play's first visit to a vertex
-expands its row, the largest share of a ``qg simulate`` job on a4 (see
-README).  Code on that path keeps three rules.  Weights stay exact: each
-goes through ``exact``, which takes an ``int`` as it is.  ``VertexId``
-and ``Edge`` stay named tuples; a hot loop may build them with
-``tuple.__new__`` (``_tuple_new``), which skips only the Python frame of
-their ``__new__``.  Checks are kept: ``play`` refuses a non-edge and
-``MealyMemory.update`` a state outside its set, on every step.
+adversary's folds of its closed-form paths (``adversaries._fold``: a
+letter memory by runs, any other memory one update per edge).  On a
+generator a play's first visit to a vertex expands its row, the largest
+share of a ``qg simulate`` job on a4 (see README).  Code on that path
+keeps three rules.  Weights stay exact: each goes through ``exact``,
+which takes an ``int`` as it is.  ``VertexId`` and ``Edge`` stay named
+tuples; a hot loop may build them with ``tuple.__new__`` (``_tuple_new``),
+which skips only the Python frame of their ``__new__``.  Checks are kept:
+``play`` refuses a non-edge, and a memory refuses a state outside its
+set on every transition it computes, the steps inside
+``LetterMemory.run`` included.
 """
 
 from __future__ import annotations
@@ -328,6 +335,34 @@ class MealyMemory(MemoryStructure):
         return nxt
 
 
+class LetterMemory(MealyMemory):
+    """Finite memory whose update reads only an edge's letter
+    ``(src.name, weight, dst.name)``, never the vertex parameters (a
+    chromatic memory).  The update function takes ``(state, letter)``:
+    ``step`` applies it to a letter, ``update`` to an edge's letter, and
+    every transition either computes is checked against the state set."""
+
+    step = MealyMemory.update  # the checked update, applied to a letter
+
+    def update(self, state, edge: Edge):
+        return self.step(state, (edge.src.name, edge.weight, edge.dst.name))
+
+    def run(self, state, letter: tuple, n: int):
+        """The state after ``n`` equal letters: the transitions are followed
+        until a state repeats, at most K+1 checked steps, and the n-th state
+        is read off the path and the cycle it closes."""
+        path = [state]
+        at = {state: 0}
+        while len(path) <= n:
+            nxt = self.step(path[-1], letter)
+            if nxt in at:
+                start = at[nxt]
+                return path[start + (n - start) % (len(path) - start)]
+            at[nxt] = len(path)
+            path.append(nxt)
+        return path[n]
+
+
 class StepCounter(MemoryStructure):
     """Counts elapsed steps; the update ignores the edge."""
 
@@ -415,15 +450,20 @@ class ValidationReport:
 
 
 def reach(arena: Arena, start: VertexId, depth: int,
-          edges: Optional[Callable[[VertexId], Iterable[Edge]]] = None) -> dict[VertexId, int]:
+          edges: Optional[Callable[[VertexId], Iterable[Edge]]] = None,
+          reached: Optional[dict[VertexId, int]] = None) -> dict[VertexId, int]:
     """Every vertex within ``depth`` steps of ``start``, in the order first
     reached, mapped to its distance, breadth first.  Vertices at distance
     ``depth`` are not expanded; ``edges`` (``arena.edges`` by default)
     lists a vertex's edges, once per expanded vertex in the walk's order.
-    Raises ``VertexCapExceeded`` as soon as the walk reaches more than
-    ``DEFAULT_VERTEX_CAP`` vertices."""
+    The map is filled into ``reached`` when given, so ``edges`` may read
+    it: the vertex it expands, and every vertex the map holds, have their
+    final distance.  Raises ``VertexCapExceeded`` as soon as the walk
+    reaches more than ``DEFAULT_VERTEX_CAP`` vertices."""
     edges = edges or arena.edges
-    reached = {start: 0}
+    if reached is None:
+        reached = {}
+    reached[start] = 0
     layer = [start]
     d = 0
     while layer and d < depth:
@@ -507,25 +547,35 @@ class StepCountResult:
     frontier: tuple[VertexId, ...] = ()
 
 
+class _StepConflict(Exception):
+    """The first edge of a step-count walk that does not end one step
+    further from the start than its source."""
+
+
 def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResult:
     """Decide whether every history from v0 to a vertex has a fixed length.
 
     One ``reach`` walk to ``depth`` gives each vertex its first-reach
     distance and records the edge that first reached it.  The arena
     encodes the step count to ``depth`` iff every edge out of a vertex at
-    distance d < ``depth`` ends at distance d + 1.  At the first edge in
-    the walk's order that does not, the counterexample is the first-reach
-    path to its target and the one to its source extended by the edge.
-    Raises ``VertexCapExceeded`` past ``DEFAULT_VERTEX_CAP`` vertices.
+    distance d < ``depth`` ends at distance d + 1.  Each edge is checked
+    when the walk expands its source, as the target's distance is final
+    then; the walk stops at the first edge that fails, and the
+    counterexample is the first-reach path to its target and the one to
+    its source extended by the edge.  Raises ``VertexCapExceeded`` past
+    ``DEFAULT_VERTEX_CAP`` vertices, unless a conflict comes first.
     """
+    reached: dict[VertexId, int] = {}
     first_edge: dict[VertexId, Edge] = {}
 
     def edges(v: VertexId) -> tuple[Edge, ...]:
-        for e in arena.edges(v):
+        out = arena.edges(v)
+        d = reached[v] + 1
+        for e in out:
+            if reached.get(e.dst, d) != d:
+                raise _StepConflict(e)
             first_edge.setdefault(e.dst, e)
-        return arena.edges(v)
-
-    reached = reach(arena, v0, depth, edges)
+        return out
 
     def path_to(v: VertexId) -> History:
         path: list[Edge] = []
@@ -534,12 +584,11 @@ def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResul
             v = path[-1].src
         return History(v0, tuple(reversed(path)))
 
-    for v, d in reached.items():
-        if d >= depth:
-            break
-        for e in arena.edges(v):
-            if reached[e.dst] != d + 1:
-                return StepCountResult(None, (path_to(e.dst), path_to(v).extend(e)))
+    try:
+        reach(arena, v0, depth, edges, reached)
+    except _StepConflict as conflict:
+        (e,) = conflict.args
+        return StepCountResult(None, (path_to(e.dst), path_to(e.src).extend(e)))
     return StepCountResult(reached, None,
                            tuple(sorted(v for v, d in reached.items() if d == depth)))
 

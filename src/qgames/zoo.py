@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .arena import (DEFAULT_VERTEX_CAP, Arena, ArenaGenerator, Edge, MealyMemory, VertexId,
-                    Weight, P1, P2, V, make_edge)
+from .arena import (DEFAULT_VERTEX_CAP, Arena, ArenaGenerator, Edge, LetterMemory, MealyMemory,
+                    VertexId, Weight, P1, P2, V, make_edge)
 from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
 E = make_edge  # short alias used heavily by the expansions
@@ -197,10 +197,12 @@ def _make_a3() -> ZooEntry:
 
 def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
     """Three-state strategy: delay at the first two decision vertices seen,
-    exit at the third.  The state counts taken delays, capped at 2."""
+    exit at the third.  The state counts taken delays, capped at 2; its
+    update reads only an edge's letter, so the memory is a ``LetterMemory``."""
 
-    def update(m, e: Edge):
-        if e.src.name == "t" and e.dst.name == delay_dst_name:
+    def update(m, letter):
+        src, _, dst = letter
+        if src == "t" and dst == delay_dst_name:
             return min(m + 1, 2)
         return m
 
@@ -211,7 +213,7 @@ def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
             return _edge_to(ar, v, "r0")
         return _edge_to(ar, v, delay_dst_name)
 
-    return FiniteMemory(MealyMemory((0, 1, 2), 0, update), decide,
+    return FiniteMemory(LetterMemory((0, 1, 2), 0, update), decide,
                         name="delay_twice_exit")
 
 

@@ -1,10 +1,11 @@
+import zlib
 from fractions import Fraction
 
 import pytest
 
 from qgames.adversaries import (AdversaryPlan, DefeatResult, defeat_fm_match,
                                 defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary)
-from qgames.arena import Edge, MealyMemory, VertexId
+from qgames.arena import Edge, LetterMemory, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
 from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Tracking
@@ -384,6 +385,12 @@ def test_ramsey_entry_fold_feeds_the_arenas_own_descent_edges():
                        and type(e.weight) is int for e in descent), (name, i)
 
 
+def _exit_everywhere(ar, v, m):
+    if v.name == "t":
+        return next(e for e in ar.edges(v) if e.dst.name == "r0")
+    return ar.edges(v)[0]
+
+
 def _escaping_fm(escapes):
     """Two memory states; the update leaves them on an edge ``escapes``
     holds for; every decision vertex exits."""
@@ -391,12 +398,7 @@ def _escaping_fm(escapes):
     def update(m, e):
         return 7 if escapes(e) else m
 
-    def decide(ar, v, m):
-        if v.name == "t":
-            return next(e for e in ar.edges(v) if e.dst.name == "r0")
-        return ar.edges(v)[0]
-
-    return FiniteMemory(MealyMemory((0, 1), 0, update), decide, name="escape")
+    return FiniteMemory(MealyMemory((0, 1), 0, update), _exit_everywhere, name="escape")
 
 
 def test_a_memory_update_leaving_its_state_set_raises_through_play_and_the_entry_fold():
@@ -410,3 +412,103 @@ def test_a_memory_update_leaving_its_state_set_raises_through_play_and_the_entry
     sigma = _escaping_fm(lambda e: e.dst.name == "d" and e.dst.params[1] == 2)
     with pytest.raises(ValueError, match=r"^memory update left the state set: 7$"):
         ramsey_adversary(sigma, entry)
+
+
+def _escaping_letter_fm(escape_letter):
+    """A two-state letter memory that leaves its state set on one letter;
+    every decision vertex exits."""
+    memory = LetterMemory((0, 1), 0, lambda m, a: 7 if a == escape_letter else m)
+    return FiniteMemory(memory, _exit_everywhere, name="escape")
+
+
+def test_a_letter_memory_leaving_its_state_set_inside_a_descent_run_raises():
+    from qgames.engine import play
+
+    entry = make("a4")
+    # the run of weight -1 descent edges, which the entry fold takes in one
+    # LetterMemory.run and play takes edge by edge
+    sigma = _escaping_letter_fm(("d", -1, "d"))
+    with pytest.raises(ValueError, match=r"^memory update left the state set: 7$"):
+        play(entry.arena, entry.start, sigma, entry.strategy("p2_enter_1"), 100)
+    with pytest.raises(ValueError, match=r"^memory update left the state set: 7$"):
+        ramsey_adversary(sigma, entry)
+
+
+def _arena_path(arena, v, step, stop):
+    """The edges from v along the arena's own rows, ``step`` picking each
+    edge, up to the first edge into a vertex that ``stop`` holds for."""
+    out = []
+    while True:
+        e = step(v)
+        assert e in arena.edges(v)
+        out.append(e)
+        v = e.dst
+        if stop(v):
+            return out
+
+
+def _gadget_walk(arena, i, j):
+    # the delay edge, j-1 climbs, then the drop to t(i+j)
+    def step(v):
+        want = {"t": "g", "g": "g" if v.params[-1] < j else "dr", "dr": "dr"}[v.name]
+        return next((e for e in arena.edges(v) if e.dst.name == want), arena.edges(v)[0])
+
+    return _arena_path(arena, V("t", (i,)), step, lambda v: v.name == "t")
+
+
+def _descent_walk(arena, i):
+    return _arena_path(arena, V("s", (i,)),
+                       lambda v: next(e for e in arena.edges(v) if e.dst.name != "s"),
+                       lambda v: v.name == "t")
+
+
+@pytest.mark.parametrize("name", ["a4", "a4guarded"])
+def test_a4_paths_are_the_arenas_own_rows_in_runs_of_their_letters(name):
+    from qgames.adversaries import _entry_path, _gadget_path, _path_edges
+
+    arena = make(name).arena
+    cases = [(_entry_path(i), _descent_walk(arena, i)) for i in list(range(0, 301, 7)) + [256, 300]]
+    cases += [(_gadget_path(i, j), _gadget_walk(arena, i, j))
+              for i in (0, 1, 2, 7, 40, 255, 256, 300) for j in range(1, 41)]
+    for path, want in cases:
+        assert list(_path_edges(path)) == want
+        assert all(type(e) is Edge and type(e.src) is type(e.dst) is VertexId
+                   and type(e.weight) is int for e in want)
+        # the runs' letters, repeated, are the letters of the arena's edges
+        assert [letter for letter, _, steps in path[1] for _ in steps] == \
+            [(e.src.name, e.weight, e.dst.name) for e in want]
+
+
+def _letter_fm(seed, k):
+    """A k-state letter memory whose update is a CRC of the state and the
+    letter; every decision vertex delays."""
+    def update(m, letter):
+        return zlib.crc32(repr((m, letter, seed)).encode()) % k
+
+    def decide(ar, v, m):
+        return next((e for e in ar.edges(v) if e.dst.name == "g"), ar.edges(v)[0])
+
+    return FiniteMemory(LetterMemory(range(k), 0, update), decide, name="letters")
+
+
+@pytest.mark.parametrize("name", ["a4", "a4guarded"])
+def test_letter_runs_fold_as_the_per_edge_walk_over_the_arenas_rows(name):
+    from qgames.adversaries import _entry_states, _fold, _gadget_path
+
+    entry = make(name)
+    for seed, k in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 4)):
+        sigma = _letter_fm(seed, k)
+        states = list(sigma.mealy.states)
+        lookup = _entry_states(sigma, entry)
+        indices = list(range(0, 301, 7)) + [256, 257, 299, 300]
+        assert [lookup(i) for i in indices] == \
+            [_entry_state_by_walk(sigma, entry, i) for i in indices], (seed, k)
+        for i in (0, 1, 5, 256, 300):
+            for j in range(1, 41):
+                walk = _gadget_walk(entry.arena, i, j)
+                want = []
+                for m in states:
+                    for e in walk:
+                        m = sigma.step_state(m, e)
+                    want.append(m)
+                assert _fold(sigma, states, _gadget_path(i, j)) == want, (seed, k, i, j)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History,
+from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History, LetterMemory,
                           MealyMemory, StepCounter, VertexId, encodes_step_count, exact,
                           make_edge, node_cap_from_env, product, reach, validate)
 from qgames.engine import SinkPayoff, certificate_to_json
@@ -238,12 +238,53 @@ def test_encodes_step_count_matches_history_lengths_by_brute_force():
 def test_every_vertex_walk_stops_when_it_passes_the_vertex_cap(monkeypatch):
     monkeypatch.setattr("qgames.arena.DEFAULT_VERTEX_CAP", 500)
     entry = make("a4")
+    # the step counter's product encodes the step count, so no conflict
+    # stops its walk before the cap does
+    counted = product(entry.arena, StepCounter())
     with pytest.raises(ValueError, match="^arena exceeds vertex cap 500$"):
-        encodes_step_count(entry.arena, entry.start, 400)
-    assert len(entry.arena._cache) <= 501
+        encodes_step_count(counted, counted.start, 400)
+    assert len(counted._cache) <= 501
+    # a4 itself answers at its first conflict, the depth-5 pair into r0,
+    # long before the cap
+    entry = make("a4")
+    res = encodes_step_count(entry.arena, entry.start, 400)
+    assert res.levels is None
+    assert [(len(h), str(h.to_vertex)) for h in res.counterexample] == [(4, "r0"), (5, "r0")]
+    assert len(entry.arena._cache) < 50
     report = validate(make("a4").arena, depth=400)
     assert (report.violations, report.explored) == (
         ["vertex cap exceeded during exploration"], 501)
+
+
+def test_letter_memory_runs_equal_single_checked_steps():
+    rng = random.Random(27)
+    letters = [("a", w, "b") for w in (-1, 0, 1)] + [("b", 0, "a")]
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        table = {(m, a): rng.randrange(k) for m in range(k) for a in letters}
+        calls = []
+
+        def update(m, a):
+            calls.append(m)
+            return table[(m, a)]
+
+        memory = LetterMemory(range(k), 0, update)
+        for _ in range(5):
+            state, letter, n = rng.randrange(k), rng.choice(letters), rng.randint(0, 60)
+            want = state
+            for _ in range(n):
+                want = memory.step(want, letter)
+            calls.clear()
+            assert memory.run(state, letter, n) == want
+            assert len(calls) <= min(n, k + 1)
+        # update reads the edge's letter only
+        src, w, dst = letter
+        assert memory.update(state, Edge(V(src, (n,)), w, V(dst, (k, n)))) == \
+            memory.step(state, letter)
+    memory = LetterMemory((0, 1), 0, lambda m, a: m + 1)
+    assert memory.run(0, ("a", 0, "b"), 1) == 1
+    with pytest.raises(ValueError, match=r"^memory update left the state set: 2$"):
+        memory.run(0, ("a", 0, "b"), 2)
 
 
 def test_node_cap_env_override(monkeypatch):

@@ -166,6 +166,24 @@ def test_cli_defeat_on_a4_matches_the_golden_digests(tmp_path, capsys, strategy,
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_digest
 
 
+# the same digests on zoo:a4guarded, taken before the Ramsey adversary
+# folded letter memories by runs
+@pytest.mark.parametrize("strategy, stdout_digest, cert_digest", [
+    ("always_delay", "09248581c41715208dde972048b6076ede77090164ba3672dd7d8c5ab07a0840",
+     "d3efa8269a08d697614d59d54d3b500b1895ea9a6de7f6f847a079ff7b866f97"),
+    ("delay_twice_exit", "d08c2a07e37a4acfbd463f98898bfe0b5143e1b0c298ee92209cc14faab97f33",
+     "139b7957ab4c30c9bbe37bb680555066f6d7c4efb9f131f3dbeec0520c011900"),
+])
+def test_cli_defeat_on_a4guarded_matches_the_golden_digests(tmp_path, capsys, strategy,
+                                                            stdout_digest, cert_digest):
+    cert = tmp_path / "cert.json"
+    assert main(["defeat", "--arena", "zoo:a4guarded", "--strategy", strategy,
+                 "--out", str(cert)]) == 0
+    out = capsys.readouterr().out.replace(str(cert), "CERT")
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_digest
+
+
 # qg simulate on an explicit arena with fractional weights, a zero total and
 # negative totals, against a traced sc+k player 1, byte for byte
 GOLDEN_SIMULATE = Path(__file__).parent / "data" / "simulate"
