@@ -19,7 +19,7 @@ from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _tuple_new
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
-from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight, _first_edge
+from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
 @dataclass
@@ -82,21 +82,15 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     arena = entry.arena
     b = entry.params["b"]
     s, t = V("s"), V("t")
-    capped = []
 
-    def reply_weight(state_after_challenge) -> Weight:
-        return sigma.choose(arena, t, 0, state_after_challenge).weight
+    def owed(state) -> Weight:
+        """One more than the most the responder answers from ``state`` at s."""
+        return 1 + max(sigma.choose(arena, t, 0, sigma.step_state(state, e)).weight
+                       for e in arena.edges(s))
 
     # the opponent carries the responder's memory state along the play
     def decide(ar: Arena, v: VertexId, state) -> Edge:
-        if v != s:
-            return _first_edge(ar, v)
-        f = max(reply_weight(sigma.step_state(state, e)) for e in ar.edges(s))
-        want = f + 1
-        if want > b:
-            capped.append(v)
-            want = b
-        return _edge_to_weight(ar, s, -want)
+        return _edge_to_weight(ar, s, -min(owed(state), b))
 
     p2 = Tracking("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
                   player=2)
@@ -104,7 +98,11 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = [step for step in range(0, len(record.edges) + 1)
               if record.vertex_at(step) == s]
-    return _finish_decrease(p2, record, starts, partial=bool(capped),
+    # the cap bound the response wherever the play owed more than b, the
+    # challenge chosen or, at b = 1, forced
+    capped = any(owed(sigma.initial_state() if step == 0 else record.mem1_trace[step - 1]) > b
+                 for step in starts if step < len(record.edges))
+    return _finish_decrease(p2, record, starts, partial=capped,
                             notes=(["truncation cap bound the response"] if capped else []))
 
 
@@ -154,8 +152,6 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         return m, (m if e.dst.name == "a" and e.dst.params[1] == 0 else state[1])
 
     def decide(ar: Arena, v: VertexId, state) -> Edge:
-        if v.name != "a":
-            return _first_edge(ar, v)
         i, jj = v.params
         return _edge_to(ar, v, "a" if jj < probe(i, state[1]) else "b")
 
@@ -465,7 +461,7 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
             (j,) = v.params
             if j >= 0:
                 yield state
-            e = _first_edge(entry.arena, v) if j < 0 else _edge_to(entry.arena, v, "s")
+            e = _edge_to(entry.arena, v, "s")  # the guard s(-1) has only this edge
             v, state = e.dst, sigma.step_state(state, e)
 
     walk = chain()
@@ -505,21 +501,18 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
             exit_steps.add(s)
         state = sigma.step_state(state, loop)
 
-    blocked: list[int] = []
-
-    def pad_length(step_at_u: int) -> int:
+    def pad_length(step_at_u: int) -> Optional[int]:
+        """The padding landing on an exit step, 1 once the exits are
+        exhausted, or None when exits remain but none is in reach."""
         for n in range(1, b + 1):
             if step_at_u + n in exit_steps:
                 return n
         if not any(s > step_at_u for s in exit_steps):
             return 1  # exits exhausted: any padding works
-        blocked.append(step_at_u)
-        return 1
+        return None
 
     def decide(ar: Arena, w: VertexId, step: int) -> Edge:
-        if w.name != "u":
-            return _first_edge(ar, w)
-        n = pad_length(step)
+        n = pad_length(step) or 1
         for e in ar.edges(w):
             if n == 1 and e.dst.name == "v":
                 return e
@@ -531,9 +524,12 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     record = play(arena, entry.start, sigma, p2, horizon)
     loop_steps = [i for i, e in enumerate(record.edges) if e.src == v and e.dst == v]
     exit_uses = [i for i, e in enumerate(record.edges) if e.src == v and e.dst.name == "u"]
-    if blocked:
+    # every arrival at u that the play leaves, the padding chosen or forced
+    blocked = next((i + 1 for i in exit_uses if i + 1 < len(record.edges)
+                    and pad_length(i + 1) is None), None)
+    if blocked is not None:
         raise Inconclusive("cannot steer into an exit from step %d within padding %d"
-                           % (blocked[0], b), depth=blocked[0])
+                           % (blocked, b), depth=blocked)
     if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
         after = 0 if not loop_steps else loop_steps[-1] + 1
         cert = ColourStarvation(1, after, len(record.edges))

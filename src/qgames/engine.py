@@ -91,7 +91,9 @@ def _fmt_mem(state) -> str:
 def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
          horizon: int) -> PlayRecord:
     """The unique play consistent with both strategies, up to the horizon
-    or until an absorbing weight-0 self-loop is reached."""
+    or until an absorbing weight-0 self-loop is reached.  A vertex with one
+    edge is a forced move, taken without asking either strategy
+    (``strategies.move``); both states still fold every edge."""
     if sigma1.player != 1 or sigma2.player != 2:
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
     state1, state2 = sigma1.initial_state(), sigma2.initial_state()
@@ -109,16 +111,19 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     termination = "horizon"
     for step in range(horizon):
         owner, out = row(at)
-        if len(out) == 1 and out[0].dst == at and out[0].weight == 0:  # Arena.is_sink, inline
-            termination = "sink"
-            break
-        if owner == 1:
-            edge = choose1(arena, at, step, state1)
+        if len(out) == 1:  # a forced move, asked of neither strategy
+            edge = out[0]
+            if edge.dst == at and edge.weight == 0:  # Arena.is_sink, inline
+                termination = "sink"
+                break
         else:
-            edge = choose2(arena, at, step, state2)
-        if edge.src != at or edge not in out:
-            raise ValueError("strategy for player %d returned a non-edge %s at %s"
-                             % (owner, edge, at))
+            if owner == 1:
+                edge = choose1(arena, at, step, state1)
+            else:
+                edge = choose2(arena, at, step, state2)
+            if edge.src != at or edge not in out:
+                raise ValueError("strategy for player %d returned a non-edge %s at %s"
+                                 % (owner, edge, at))
         state1 = step1(state1, edge)
         state2 = step2(state2, edge)
         edges.append(edge)
@@ -168,9 +173,9 @@ class Layers:
     a depth.
 
     Opponent vertices branch over all edges; owned vertices follow the
-    strategy.  Each layer (a list of Nodes) is yielded before it is
-    expanded, so the caller may read it, append nodes to it to have them
-    expanded too, or stop.  Children for which ``prune`` holds are
+    strategy where it has a choice (``moves``).  Each layer (a list of
+    Nodes) is yielded before it is expanded, so the caller may read it,
+    append nodes to it to have them expanded too, or stop.  Children for which ``prune`` holds are
     dropped.  Children with equal ``key`` (``None`` never merges) are
     merged, keeping the first unless ``prefer(child, kept)`` holds.  With
     an ``open_sub``, ``satisfied`` records whether it fired along the
@@ -200,10 +205,12 @@ class Layers:
         self.truncated: Optional[Inconclusive] = None
 
     def moves(self, node: Node) -> tuple[Edge, ...]:
-        """The edges the walk takes from a node."""
-        if self.arena.owner(node.vertex) == self.sigma.player:
+        """The edges the walk takes from a node: the strategy's choice
+        where its player has one (``strategies.move``), else every edge."""
+        owner, out = self.arena.row(node.vertex)
+        if owner == self.sigma.player and len(out) > 1:
             return (self.sigma.choose(self.arena, node.vertex, node.depth, node.state),)
-        return self.arena.edges(node.vertex)
+        return out
 
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub = self.sigma, self.open_sub

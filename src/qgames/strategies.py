@@ -4,7 +4,9 @@ A strategy for one player is a pure function from histories ending in
 that player's vertices to outgoing edges.  Every representation is
 incremental: ``initial_state`` and ``step_state`` fold the history into
 a state one edge at a time, and ``choose`` decides from (vertex, step,
-state), so a play folds each edge into each state once.  Five
+state), so a play folds each edge into each state once.  A vertex with
+one edge carries no decision: ``move`` takes it, and ``choose`` is asked
+only at the strategy's player's vertices with more than one edge.  Five
 representations are supported: memoryless tables, finite-memory (Mealy)
 tables, step-counter tables, step-counter-plus-K-states tables, and
 tracked callbacks over an unbounded running summary (a counter, the last
@@ -30,7 +32,9 @@ class HorizonExceeded(Exception):
 
 class Strategy:
     """Base class.  Subclasses implement the incremental state API; plays,
-    explorations and ``decide`` all go through it."""
+    explorations and ``decide`` all go through it.  ``step_state`` folds
+    every edge, forced or not; ``choose`` is asked only where its player
+    has a choice (``move``)."""
 
     player: int = 1
     name: str = "strategy"
@@ -60,7 +64,7 @@ class Strategy:
         state = self.initial_state()
         for e in history.edges:
             state = self.step_state(state, e)
-        return self.choose(arena, history.to_vertex, len(history), state)
+        return move(arena, self, history.to_vertex, len(history), state)
 
     def _fallback_edge(self, arena: Arena, vertex: VertexId, step: int, rule: str) -> Edge:
         if rule == FIRST_EDGE:
@@ -207,6 +211,15 @@ class Tracking(Strategy):
         return self.fn(arena, vertex, state)
 
 
+def move(arena: Arena, strategy: Strategy, vertex: VertexId, step: int, state) -> Edge:
+    """The edge taken at ``vertex``: the strategy's choice at a vertex of
+    its player with more than one edge, the first edge anywhere else."""
+    owner, out = arena.row(vertex)
+    if owner == strategy.player and len(out) > 1:
+        return strategy.choose(arena, vertex, step, state)
+    return out[0]
+
+
 # ---------------------------------------------------------------------------
 # Consistency and collapse
 
@@ -216,7 +229,7 @@ def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
     state = strategy.initial_state()
     at = history.origin
     for idx, e in enumerate(history.edges):
-        if arena.owner(at) == strategy.player and strategy.choose(arena, at, idx, state) != e:
+        if arena.owner(at) == strategy.player and move(arena, strategy, at, idx, state) != e:
             return False
         state = strategy.step_state(state, e)
         at = e.dst
@@ -245,7 +258,7 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
         for v, n in n_map.items():
             if arena.owner(v) != strategy.player:
                 continue
-            table[v] = strategy.choose(arena, v, n, None)
+            table[v] = move(arena, strategy, v, n, None)
         return Memoryless(table, player=strategy.player, name=strategy.name + "+collapsed")
 
     if isinstance(strategy, StepCounterPlusK):
@@ -260,7 +273,7 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
             if arena.owner(v) != strategy.player:
                 continue
             for mode in modes:
-                table[(v, mode)] = strategy.choose(arena, v, n, (n, mode))
+                table[(v, mode)] = move(arena, strategy, v, n, (n, mode))
         return FiniteMemory(mealy, table, player=strategy.player,
                             name=strategy.name + "+collapsed")
 

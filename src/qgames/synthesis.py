@@ -18,14 +18,12 @@ from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import (Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact,
-                    node_cap_from_env)
-from .engine import (Inconclusive, KoenigBound, Layers, Node, RefutedBranch, koenig_bound,
-                     koenig_layers)
+from .arena import Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact
+from .engine import Inconclusive, KoenigBound, Layers, Node, koenig_bound, koenig_layers
 from .objectives import (Decomposition, ExtValue, OpenSub, prefix_compare, LE, BOTH, POS_INF,
                          NEG_INF, TP, MP)
 from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
-                         StepCounterTable, Strategy)
+                         StepCounterTable, Strategy, move)
 
 # ---------------------------------------------------------------------------
 # Value solving on finite arenas
@@ -493,7 +491,7 @@ def _sc_table(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub, de
     """(v, s) -> the move sigma makes after the minimal consistent
     length-s history ending at v, for s below the depth."""
     walk = _minimal_layers(arena, v0, sigma, open_sub, depth - 1, node_cap)
-    table = {(node.vertex, node.depth): sigma.choose(arena, node.vertex, node.depth, node.state)
+    table = {(node.vertex, node.depth): walk.moves(node)[0]
              for layer in walk for node in layer
              if arena.owner(node.vertex) == sigma.player}
     return walk.truncated or table
@@ -651,8 +649,6 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     table and check the winning region is never left."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if node_cap is None:
-        node_cap = node_cap_from_env()
     if not oracle.wprime(v0, 0):
         raise ValueError("start vertex %s is outside the winning region" % (v0,))
     fixed: dict[tuple[VertexId, int], Edge] = {}
@@ -678,10 +674,8 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
                          node_cap)
 
 
-def _why(result: Union[Inconclusive, RefutedBranch]) -> str:
+def _why(result: Inconclusive) -> str:
     """Why a bubble found no bound, as a sentence."""
-    if isinstance(result, RefutedBranch):
-        return result.detail
     if result.node_cap is None:
         return "depth cap %d exhausted with %d unsatisfied branch%s" % (
             result.depth, result.remaining, "" if result.remaining == 1 else "es")
@@ -690,7 +684,8 @@ def _why(result: Union[Inconclusive, RefutedBranch]) -> str:
 
 def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
                   schedule: list[tuple[int, int]], subs: Callable[[int], OpenSub],
-                  member: Callable[[VertexId, Weight], bool], node_cap: int) -> SynthReport:
+                  member: Callable[[VertexId, Weight], bool], node_cap: Optional[int]
+                  ) -> SynthReport:
     """Re-certify every scheduled level on the final strategy and check
     that no consistent history up to the last level leaves the region.
 
@@ -750,8 +745,6 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if node_cap is None:
-        node_cap = node_cap_from_env()
     if not oracle.wprime(v0, 0):
         raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
 
@@ -807,7 +800,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 
 
 def _run_layers(arena: Arena, v0: VertexId, live: StepCounterPlusK, sub: Optional[OpenSub],
-                depth: int, node_cap: int, resume=None) -> Layers:
+                depth: int, node_cap: Optional[int], resume=None) -> Layers:
     """Consistent layers of the live table merging on (vertex, bit,
     running total, satisfied).  A later duplicate replaces the kept node:
     its history backs the minimal-history cell when the mimic never
@@ -819,7 +812,7 @@ def _run_layers(arena: Arena, v0: VertexId, live: StepCounterPlusK, sub: Optiona
 
 def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterPlusK,
                   sub: OpenSub, k_prev: int, oracle: WPrimeOracle, depth_cap: int,
-                  node_cap: int, run_from=None, mimic_from=None):
+                  node_cap: Optional[int], run_from=None, mimic_from=None):
     """Extend the live table over one bubble.
 
     Walks the minimal consistent histories of the composite and the
@@ -862,7 +855,7 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
         for node in frontier:
             key = (node.vertex, d, 1)
             if arena.owner(node.vertex) == 1 and node.state[1] == 1 and key not in table:
-                table[key] = oracle.safe.choose(arena, node.vertex, d, None)
+                table[key] = move(arena, oracle.safe, node.vertex, d, None)
     return mimics.truncated or runs.truncated
 
 

@@ -46,10 +46,6 @@ class ZooEntry:
         raise KeyError("entry %s has no strategy %r (have: %s)" % (self.name, name, ", ".join(have)))
 
 
-def _first_edge(arena: Arena, v: VertexId) -> Edge:
-    return arena.edges(v)[0]
-
-
 def _edge_to(arena: Arena, v: VertexId, dst_name: str) -> Edge:
     for e in arena.edges(v):
         if e.dst.name == dst_name:
@@ -93,8 +89,6 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
     arena = ArenaGenerator(s, expand, name=name)
 
     def match_plus_one(ar: Arena, v: VertexId, last: Edge) -> Edge:
-        if v != t:
-            return _first_edge(ar, v)
         challenge = -last.weight  # P2 just played -i
         return _edge_to_weight(ar, t, min(challenge + 1, b))
 
@@ -128,8 +122,6 @@ def _make_a2() -> ZooEntry:
         return e.src.params[1] if e.src.name == "a" and e.dst.name == "b" else j
 
     def match_plus_one(ar: Arena, v: VertexId, challenge: Optional[int]) -> Edge:
-        if v.name != "b":
-            return _first_edge(ar, v)
         k = v.params[1]
         if challenge is None:
             challenge = k - 1  # suffix start inside the chain: exit now
@@ -147,8 +139,6 @@ def _make_a2() -> ZooEntry:
 
 def _a2_p2_pick(j: int) -> Strategy:
     def choose(ar: Arena, v: VertexId) -> Edge:
-        if v.name != "a":
-            return _first_edge(ar, v)
         return _edge_to(ar, v, "a" if v.params[1] < j else "b")
 
     return Memoryless(choose, player=2, name="p2_pick_%d" % j)
@@ -207,11 +197,7 @@ def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
         return m
 
     def decide(ar: Arena, v: VertexId, m):
-        if v.name != "t":
-            return _first_edge(ar, v)
-        if m == 2:
-            return _edge_to(ar, v, "r0")
-        return _edge_to(ar, v, delay_dst_name)
+        return _edge_to(ar, v, "r0" if m == 2 else delay_dst_name)
 
     return FiniteMemory(LetterMemory((0, 1, 2), 0, update), decide,
                         name="delay_twice_exit")
@@ -219,8 +205,6 @@ def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
 
 def _a3_p2_enter(i: int) -> Strategy:
     def choose(ar: Arena, v: VertexId) -> Edge:
-        if v.name != "s":
-            return _first_edge(ar, v)
         advance = _edge_to(ar, v, "s")
         if v.params[0] < i:
             return advance
@@ -273,8 +257,6 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
 
     def sigma_k_factory(k: int) -> Strategy:
         def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
-            if v.name != "t":
-                return _first_edge(ar, v)
             return _edge_to(ar, v, "g" if delays < k else "r0")
 
         return Tracking("sigma_%d" % k, 0, _count_delay, decide)
@@ -287,20 +269,13 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
         return entry, _count_delay(delays, e)
 
     def adaptive_decide(ar: Arena, v: VertexId, state) -> Edge:
-        if v.name != "t":
-            return _first_edge(ar, v)
         entry, delays = state
         if entry is None:
             entry = v.params[0]
         return _edge_to(ar, v, "g" if delays < entry + 1 else "r0")
 
-    def always_delay_decide(ar: Arena, v: VertexId, m):
-        if v.name == "t":
-            return _edge_to(ar, v, "g")
-        return _first_edge(ar, v)
-
     always_delay = FiniteMemory(MealyMemory((0,), 0, lambda m, e: 0),
-                                always_delay_decide, name="always_delay")
+                                lambda ar, v, m: _edge_to(ar, v, "g"), name="always_delay")
 
     note = ("delay-gadget arena: entering at the i-th decision vertex costs "
             "-2(i+1); the opponent can stretch each delay j extra rounds for "
@@ -337,15 +312,9 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
 
     def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
         if v.name == "s":
-            (j,) = v.params
-            if j < entry:
-                return _edge_to(ar, v, "s")
-            return _edge_to(ar, v, "d")
-        if v.name == "g":
-            i, j = v.params
-            target = gap_at(delays - 1)  # current stretch began at the latest delay
-            return _edge_to(ar, v, "g" if j < target else "dr")
-        return _first_edge(ar, v)
+            return _edge_to(ar, v, "s" if v.params[0] < entry else "d")
+        # at g(i, j): the current stretch began at the latest delay
+        return _edge_to(ar, v, "g" if v.params[1] < gap_at(delays - 1) else "dr")
 
     return Tracking("router_%d_%s" % (entry, "-".join(map(str, gaps))), 0, _count_delay,
                     decide, player=2)
@@ -404,25 +373,13 @@ def _make_bitarena() -> ZooEntry:
         return m
 
     def opp_decide(ar: Arena, v: VertexId, m):
-        if v.name != "u":
-            return _first_edge(ar, v)
         return _edge_to(ar, v, "uz" if m == 1 else "uc")
 
     opposite = FiniteMemory(MealyMemory((0, 1), 0, opp_update), opp_decide,
                             name="opposite")
 
     def p2_const(dst_name: str, label: str) -> Strategy:
-        def choose(ar: Arena, v: VertexId) -> Edge:
-            if v.name == "v" and len(ar.edges(v)) > 1:
-                return _edge_to(ar, v, dst_name)
-            return _first_edge(ar, v)
-
-        return Memoryless(choose, player=2, name=label)
-
-    def safe_choose(ar: Arena, v: VertexId) -> Edge:
-        if v.name == "u":
-            return _edge_to(ar, v, "uz")
-        return _first_edge(ar, v)
+        return Memoryless(lambda ar, v: _edge_to(ar, v, dst_name), player=2, name=label)
 
     note = ("alternating climb-or-stay rounds: in round i either side may "
             "swing +i then -i-1 or keep level over two steps, so all "
@@ -436,7 +393,7 @@ def _make_bitarena() -> ZooEntry:
                         "opposite": opposite,
                         "allzero": p2_const("vz", "allzero"),
                         "allclimb": p2_const("vc", "allclimb"),
-                        "safe": Memoryless(safe_choose, name="safe"),
+                        "safe": Memoryless(lambda ar, v: _edge_to(ar, v, "uz"), name="safe"),
                     },
                     wprime=bitarena_wprime,
                     extras={"winning_from": bitarena_winning_from})
@@ -449,8 +406,6 @@ def bitarena_winning_from(vertex: VertexId, r: Weight) -> Strategy:
     partial first round."""
 
     def decide(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
-        if v.name != "u":
-            return _first_edge(ar, v)
         if last is not None and last.src.name == "vz":
             return _edge_to(ar, v, "uc")
         return _edge_to(ar, v, "uz")
@@ -482,17 +437,13 @@ def _make_buchia(k: int) -> ZooEntry:
 
     arena = ArenaGenerator(start, expand, name="buchia")
 
-    def round_robin(ar: Arena, v: VertexId) -> Edge:
-        if v.name == "x" and len(ar.edges(v)) > 1:
-            return _edge_to(ar, v, "y")
-        return _first_edge(ar, v)
-
     note = ("infinite line with cyclically coloured detours; sweeping every "
             "detour sees all %d colour codes infinitely often. With an "
             "unbounded colour supply no finite-memory walker can keep "
             "reaching new colours; this entry truncates the palette." % k)
     return ZooEntry("buchia", arena, start, note,
-                    strategies={"round_robin": Memoryless(round_robin, name="round_robin")})
+                    strategies={"round_robin": Memoryless(lambda ar, v: _edge_to(ar, v, "y"),
+                                                          name="round_robin")})
 
 
 def _make_buchib(b: int) -> ZooEntry:
@@ -516,8 +467,6 @@ def _make_buchib(b: int) -> ZooEntry:
     arena = ArenaGenerator(start, expand, name="buchib")
 
     def alternating(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
-        if v.name != "v":
-            return _first_edge(ar, v)
         if last is not None and last.src == v and last.dst == v:
             return _edge_to(ar, v, "u")  # colour 0 after the colour-1 loop
         return _edge_to(ar, v, "v")
@@ -553,11 +502,7 @@ def _make_nonuniform(start_index: int) -> ZooEntry:
 
     def exit_at_factory(j: int) -> Strategy:
         def choose(ar: Arena, v: VertexId) -> Edge:
-            if v.name != "ray":
-                return _first_edge(ar, v)
-            if v.params[0] >= j:
-                return _edge_to(ar, v, "r0")
-            return _edge_to(ar, v, "ray")
+            return _edge_to(ar, v, "r0" if v.params[0] >= j else "ray")
 
         return Memoryless(choose, name="exit_at_%d" % j)
 

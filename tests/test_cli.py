@@ -14,7 +14,7 @@ from qgames.arena import Edge, VertexId
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
-from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable,
+from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy)
 from qgames import zoo
 from qgames.zoo import make
@@ -482,6 +482,112 @@ def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strate
     captured = capsys.readouterr()
     assert captured.out == "inconclusive: %s\n" % reason
     assert captured.err == ""
+
+
+def test_cli_defeat_notes_a_truncation_cap_that_binds_at_a_forced_challenge(capsys):
+    # at b = 1 the challenge is forced, so the opponent is never asked for
+    # it; the memoryless reply +1 still outgrows the cap
+    path = str(INCONCLUSIVE_CASES / "a1prime_reply_1.strategy")
+    assert main(["defeat", "--arena", "zoo:a1prime?b=1", "--strategy", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ("note: truncation cap bound the response\n"
+                            "note: a round failed to lose at least 1; no certificate\n"
+                            "defeat: no certificate (partial)\n")
+    assert captured.err == ""
+
+
+ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
+
+
+def _winnable_pool_arenas() -> list[tuple[str, str]]:
+    """The first member of each perfbench pool cell whose start value is
+    at least 0, as (cell, arena text)."""
+    pool = json.loads((PERFBENCH / "pool.json").read_text())
+    return [(cell, next(m["arena"] for m in members
+                        if m["start_value"] == "+inf" or not m["start_value"].startswith("-")))
+            for cell, members in sorted(pool.items())]
+
+
+_CHOICE_RUNS = {
+    "simulate-a1prime": (["simulate", "--arena", "zoo:a1prime", "--p1", "match_plus_one",
+                          "--p2", str(ZOO_P2 / "a1prime_challenge_3.strategy")], 0),
+    "simulate-a2": (["simulate", "--arena", "zoo:a2", "--p1", "match_plus_one",
+                     "--p2", "p2_pick_3"], 0),
+    "simulate-a3": (["simulate", "--arena", "zoo:a3", "--p1", "delay_twice_exit",
+                     "--p2", "p2_enter_1"], 0),
+    "simulate-a4": (["simulate", "--arena", "zoo:a4", "--p1", "adaptive", "--p2", "p2_enter_2"],
+                    0),
+    "simulate-a4guarded": (["simulate", "--arena", "zoo:a4guarded", "--p1", "sigma_3",
+                            "--p2", "p2_enter_1"], 0),
+    "simulate-bitarena-opposite": (["simulate", "--arena", "zoo:bitarena", "--p1", "opposite",
+                                    "--p2", "allzero"], 0),
+    "simulate-bitarena-safe": (["simulate", "--arena", "zoo:bitarena", "--p1", "safe",
+                                "--p2", "allclimb"], 0),
+    "simulate-buchia": (["simulate", "--arena", "zoo:buchia", "--p1", "round_robin",
+                         "--p2", str(ZOO_P2 / "idle.strategy")], 0),
+    "simulate-buchib": (["simulate", "--arena", "zoo:buchib", "--p1", "alternating",
+                         "--p2", str(ZOO_P2 / "buchib_pad_4.strategy")], 0),
+    "simulate-nonuniform": (["simulate", "--arena", "zoo:nonuniform?start_index=3",
+                             "--p1", "exit_at_5", "--p2", str(ZOO_P2 / "idle.strategy")], 0),
+    "defeat-a1prime-b1": (["defeat", "--arena", "zoo:a1prime?b=1", "--strategy",
+                           str(INCONCLUSIVE_CASES / "a1prime_reply_1.strategy")], 2),
+    "defeat-a1prime": (["defeat", "--arena", "zoo:a1prime", "--strategy",
+                        str(INCONCLUSIVE_CASES / "a1prime_reply_1.strategy")], 0),
+    "defeat-a2": (["defeat", "--arena", "zoo:a2", "--strategy",
+                   str(INCONCLUSIVE_CASES / "a2_descend_300.strategy")], 2),
+    "defeat-a3": (["defeat", "--arena", "zoo:a3", "--strategy",
+                   str(INCONCLUSIVE_CASES / "a3_stay.strategy")], 0),
+    "defeat-a4": (["defeat", "--arena", "zoo:a4", "--strategy", "delay_twice_exit"], 0),
+    "defeat-a4guarded": (["defeat", "--arena", "zoo:a4guarded", "--strategy",
+                          "delay_twice_exit"], 0),
+    "defeat-buchib-b1": (["defeat", "--arena", "zoo:buchib?b=1", "--strategy",
+                          str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy"),
+                          "--horizon", "20"], 2),
+    "defeat-buchib": (["defeat", "--arena", "zoo:buchib", "--strategy",
+                       str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy")], 2),
+    "bench": (["bench"], 0),
+    "synthesize-bitarena": (["synthesize", "--arena", "zoo:bitarena",
+                             "--objective", "tp:limsup:>=:0", "--m-max", "6"], 0),
+    **{"synthesize-" + cell: (["synthesize", "--arena", text, "--objective",
+                               cell[:2] + ":limsup:>=:0", "--m-max", "4"], 0)
+       for cell, text in _winnable_pool_arenas()},
+}
+
+
+@pytest.mark.parametrize("run", sorted(_CHOICE_RUNS))
+def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatch, capsys, run):
+    """Every strategy class's ``choose`` is wrapped: the zoo's, the file
+    kinds, the adversaries' opponents and the synthesizers' composites.
+    Forced moves and the other player's vertices are the arena's."""
+    argv, code = _CHOICE_RUNS[run]
+    asked, misplaced = [], []
+
+    def wrapped(cls, inner):
+        def choose(self, arena, vertex, step, state):
+            owner, out = arena.row(vertex)
+            asked.append(vertex)
+            if owner != self.player or len(out) < 2:
+                misplaced.append("%s %s asked at %s, owner %d, %d edge(s)"
+                                 % (cls.__name__, self.name, vertex, owner, len(out)))
+            return inner(self, arena, vertex, step, state)
+        return choose
+
+    classes, todo = [], [Strategy]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "choose" in cls.__dict__:
+            classes.append(cls)
+    assert {"Memoryless", "FiniteMemory", "StepCounterTable", "StepCounterPlusK", "Tracking",
+            "_Composite"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        monkeypatch.setattr(cls, "choose", wrapped(cls, cls.__dict__["choose"]))
+    if argv[0] == "synthesize" and not argv[2].startswith("zoo:"):
+        argv = argv[:2] + [_write(tmp_path, "arena.txt", argv[2])] + argv[3:]
+    assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] != "bench" else [])) == code
+    capsys.readouterr()
+    assert asked
+    assert misplaced[:3] == []
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1005,7 +1111,9 @@ def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
     assert main(["simulate", "--arena", "zoo:bitarena", "--p1", out, "--p2", "allzero",
                  "--horizon", "50"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: no table entry for uc(1) at step 4 and fallback is 'error'\n"
+    # the forced cell uc(1) at step 4 is taken without reading the table:
+    # the error names the first cell with a choice that the table lacks
+    assert captured.err == "error: no table entry for u(2) at step 7 and fallback is 'error'\n"
     assert captured.out == ""
 
 
