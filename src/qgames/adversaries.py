@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _tuple_new
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
-from .strategies import FiniteMemory, Memoryless, StepCounterTable, Strategy, Tracking
+from .strategies import StepCounterTable, Strategy, Tracking
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
@@ -32,7 +32,7 @@ class DefeatResult:
 
 
 def _require_incremental_fm(sigma: Strategy, entry: ZooEntry, note: str = "") -> None:
-    if not isinstance(sigma, (FiniteMemory, Memoryless)):
+    if sigma.mealy is None:
         raise TypeError("only finite-memory strategies can be defeated on zoo entry %r, got %s%s"
                         % (entry.name, type(sigma).__name__, note))
 
@@ -292,7 +292,7 @@ def _fold(sigma: Strategy, states: list, path: tuple) -> list:
     """``sigma``'s memory after ``path`` from each of ``states``.  A
     ``LetterMemory`` folds each run in at most K+1 checked steps
     (``LetterMemory.run``); any other memory folds the path edge by edge."""
-    memory = getattr(sigma, "mealy", None)
+    memory = sigma.mealy
     if isinstance(memory, LetterMemory):
         for letter, _, steps in path[1]:
             states = [memory.run(m, letter, len(steps)) for m in states]
@@ -321,7 +321,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     if entry.name not in ("a4", "a4guarded"):
         raise ValueError("ramsey_adversary targets a4 or a4guarded, not %r" % entry.name)
     arena = entry.arena
-    states = list(sigma.mealy.states) if isinstance(sigma, FiniteMemory) else [None]
+    states = list(sigma.mealy.states)
     index = {m: n for n, m in enumerate(states)}
     K = len(states)
     size = K + 2

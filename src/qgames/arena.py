@@ -6,8 +6,9 @@ integral, else a ``Fraction`` (``exact``).  An integral ``Fraction``, as a
 sum of fractional weights may be, compares, hashes and prints as its
 ``int``; only ``repr`` and ``type`` tell them apart.  Arenas are
 non-blocking (every vertex has at least one outgoing edge) and finitely
-branching.  Infinite arenas are represented by deterministic lazy
-generators that expand one vertex at a time.
+branching.  Both kinds keep their rows in one store, ``Arena``'s: an
+explicit arena fills it when built, and an infinite arena is a
+deterministic lazy generator that fills it one vertex at a time.
 
 Vertices and edges are immutable named tuples, so hashing, equality and
 ordering are the tuple's own, in C; they compare equal to plain tuples
@@ -135,100 +136,24 @@ def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
 
 
 class Arena:
-    """Common interface for explicit arenas and lazy generators."""
+    """The row store: ``_cache`` maps a vertex to its row ``(owner,
+    edges)``, the edges sorted by (dst, weight).  On a miss ``row`` stores
+    the row of ``expand``, a pure function kept uncached; with no
+    ``expand`` a vertex outside the store is a ``KeyError``."""
 
-    name: str
-
-    def owner(self, v: VertexId) -> int:
-        raise NotImplementedError
-
-    def edges(self, v: VertexId) -> tuple[Edge, ...]:
-        raise NotImplementedError
-
-    def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
-        """The owner of ``v`` and its edges, from one lookup."""
-        return self.owner(v), self.edges(v)
-
-    @property
-    def start(self) -> Optional[VertexId]:
-        raise NotImplementedError
-
-    def is_sink(self, v: VertexId) -> bool:
-        """A sink is a vertex whose only edge is a weight-0 self-loop."""
-        es = self.edges(v)
-        return len(es) == 1 and es[0].dst == v and es[0].weight == 0
-
-
-class ArenaExplicit(Arena):
-    """Finite arena given by explicit vertex and edge maps."""
-
-    def __init__(
-        self,
-        owners: dict[VertexId, int],
-        edges: Iterable[Edge],
-        start: Optional[VertexId] = None,
-        name: str = "arena",
-    ):
-        if len(owners) > DEFAULT_VERTEX_CAP:
-            raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+    def __init__(self, name: str, start: Optional[VertexId], expand: Optional[Callable] = None):
         self.name = name
-        self._owners = dict(owners)
-        self._adj: dict[VertexId, tuple[Edge, ...]] = {v: () for v in owners}
-        buckets: dict[VertexId, list[Edge]] = {v: [] for v in owners}
-        for e in edges:
-            if e.src not in owners:
-                raise ValueError("edge from undeclared vertex %s" % (e.src,))
-            if e.dst not in owners:
-                raise ValueError("edge to undeclared vertex %s" % (e.dst,))
-            buckets[e.src].append(e)
-        for v, bucket in buckets.items():
-            self._adj[v] = tuple(sorted(bucket, key=_edge_sort_key))
-        if start is not None and start not in owners:
-            raise ValueError("start vertex %s not declared" % (start,))
-        self._start = start
-
-    @property
-    def start(self) -> Optional[VertexId]:
-        return self._start
-
-    @property
-    def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self._owners))
-
-    def owner(self, v: VertexId) -> int:
-        return self._owners[v]
-
-    def edges(self, v: VertexId) -> tuple[Edge, ...]:
-        return self._adj[v]
-
-
-class ArenaGenerator(Arena):
-    """Lazily expanded arena.
-
-    ``expand`` maps a vertex to its owner and outgoing edge list; it must
-    be pure; the ``expand`` attribute is that uncached function.  ``row``
-    memoizes it, and ``owner`` and ``edges`` read the memoized row.
-    """
-
-    def __init__(
-        self,
-        root: VertexId,
-        expand: Callable[[VertexId], tuple[int, tuple[Edge, ...]]],
-        name: str = "generator",
-    ):
-        self.name = name
-        self.root = root
+        self.start = start
         self.expand = expand
         self._cache: dict[VertexId, tuple[int, tuple[Edge, ...]]] = {}
 
-    @property
-    def start(self) -> Optional[VertexId]:
-        return self.root
-
     def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
+        """The owner of ``v`` and its edges, from one lookup."""
         hit = self._cache.get(v)
         if hit is not None:
             return hit
+        if self.expand is None:
+            raise KeyError(v)
         owner, es = self.expand(v)
         if type(es) is not tuple:
             es = tuple(es)
@@ -245,6 +170,42 @@ class ArenaGenerator(Arena):
     def edges(self, v: VertexId) -> tuple[Edge, ...]:
         hit = self._cache.get(v)
         return (hit if hit is not None else self.row(v))[1]
+
+    def is_sink(self, v: VertexId) -> bool:
+        """A sink is a vertex whose only edge is a weight-0 self-loop."""
+        es = self.edges(v)
+        return len(es) == 1 and es[0].dst == v and es[0].weight == 0
+
+
+class ArenaExplicit(Arena):
+    """Finite arena given by explicit vertex and edge maps, every row
+    stored when built; a vertex without edges is kept for ``validate``."""
+
+    def __init__(self, owners: dict[VertexId, int], edges: Iterable[Edge],
+                 start: Optional[VertexId] = None, name: str = "arena"):
+        if len(owners) > DEFAULT_VERTEX_CAP:
+            raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+        super().__init__(name, start)
+        buckets: dict[VertexId, list[Edge]] = {v: [] for v in owners}
+        for e in edges:
+            if e.src not in owners:
+                raise ValueError("edge from undeclared vertex %s" % (e.src,))
+            if e.dst not in owners:
+                raise ValueError("edge to undeclared vertex %s" % (e.dst,))
+            buckets[e.src].append(e)
+        if start is not None and start not in owners:
+            raise ValueError("start vertex %s not declared" % (start,))
+        self._cache = {v: (owners[v], tuple(sorted(bucket, key=_edge_sort_key)))
+                       for v, bucket in buckets.items()}
+        self.vertices: tuple[VertexId, ...] = tuple(sorted(owners))
+
+
+class ArenaGenerator(Arena):
+    """Lazily expanded arena: ``row`` expands a vertex on its first visit."""
+
+    def __init__(self, root: VertexId, expand: Callable[[VertexId], tuple[int, Iterable[Edge]]],
+                 name: str = "generator"):
+        super().__init__(name, root, expand)
 
 
 @dataclass(frozen=True)
@@ -308,13 +269,8 @@ class History:
 
 
 class MemoryStructure:
-    """Base class: an initial state plus a total update function."""
-
-    def initial(self):
-        raise NotImplementedError
-
-    def update(self, state, edge: Edge):
-        raise NotImplementedError
+    """Base class: an initial state, ``initial()``, plus a total update
+    function, ``update(state, edge)``."""
 
 
 class MealyMemory(MemoryStructure):
@@ -429,10 +385,10 @@ def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = N
 
 def explicit_rows(arena: ArenaGenerator, vertices: Iterable[VertexId]) -> ArenaExplicit:
     """The generator's rows on the given vertices, as an explicit arena with
-    its root and name: a transform's explicit form on an explicit input."""
+    its start and name: a transform's explicit form on an explicit input."""
     rows = {v: arena.expand(v) for v in vertices}
     return ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
-                         [e for _, es in rows.values() for e in es], arena.root, name=arena.name)
+                         [e for _, es in rows.values() for e in es], arena.start, name=arena.name)
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +444,15 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
     ``depth`` steps of the start vertex are expanded (``reach``), each
     probed twice to catch nondeterministic expansion.
     """
-    report = ValidationReport()
     if isinstance(arena, ArenaExplicit):
-        for v in arena.vertices:
-            if not arena.edges(v):
-                report.violations.append("blocking vertex %s" % (v,))
-        report.explored = len(arena.vertices)
-        return report
-
+        return ValidationReport(["blocking vertex %s" % (v,) for v in arena.vertices
+                                 if not arena.edges(v)], len(arena.vertices))
+    report = ValidationReport()
     if start is None:
         start = arena.start
     if start is None:
         report.violations.append("generator without a start vertex")
         return report
-
-    assert isinstance(arena, ArenaGenerator)
 
     def probe(v: VertexId) -> tuple[Edge, ...]:
         try:

@@ -21,7 +21,8 @@ from .arena import (Arena, ArenaExplicit, Edge, VertexId, make_edge, node_cap_fr
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
-from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy
+from .strategies import (HorizonExceeded, Strategy, map_edges, parse_strategy, serialize_strategy,
+                         table_edges)
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
                         finite_wprime_oracle, sc1bit_synthesize)
 from .adversaries import defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary
@@ -137,27 +138,37 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _load_arena(spec: str):
-    """Returns (arena, start, zoo entry or None)."""
+    """Returns (arena, zoo entry or None)."""
     if spec.startswith("zoo:"):
         entry = zoo.parse_uri(spec)
-        return entry.arena, entry.start, entry
+        return entry.arena, entry
     with open(spec) as fh:
-        arena = parse_arena(fh.read(), name_hint=os.path.splitext(os.path.basename(spec))[0])
-    return arena, arena.start, None
+        return parse_arena(fh.read(), name_hint=os.path.splitext(os.path.basename(spec))[0]), None
 
 
-def _load_strategy(spec: str, entry, player: int) -> Strategy:
-    """A strategy file or zoo strategy, refused in another player's role."""
+def _load_strategy(spec: str, arena: Arena, entry, player: int) -> Strategy:
+    """A strategy file or zoo strategy, refused in another player's role; a
+    file is refused unless every edge its rows name is an edge of the arena."""
     if os.path.exists(spec):
         with open(spec) as fh:
             strat = parse_strategy(fh.read())
+        edges = table_edges(strat)
     elif entry is not None:
-        strat = entry.strategy(spec)
+        strat, edges = entry.strategy(spec), ()
     else:
         raise ValueError("no such strategy file and no zoo entry to look up %r" % spec)
     if strat.player != player:
         raise ValueError("strategy %r is for player %d, requested player %d"
                          % (spec, strat.player, player))
+    for e in edges:
+        try:
+            out = arena.edges(e.src)
+        except (KeyError, ValueError):  # a generator's expand refuses the vertex
+            raise ValueError("strategy %r names vertex %s, which is not in arena %s"
+                             % (spec, e.src, arena.name))
+        if e not in out:
+            raise ValueError("strategy %r names %s, which is not an edge of arena %s"
+                             % (spec, e, arena.name))
     return strat
 
 
@@ -171,8 +182,8 @@ def _err(msg: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    arena, start, _ = _load_arena(args.arena)
-    report = validate(arena, start, depth=args.depth)
+    arena, _ = _load_arena(args.arena)
+    report = validate(arena, arena.start, depth=args.depth)
     for line in report.violations:
         print("violation: %s" % line)
     print("validate: %s (%d vertices explored)" % ("ok" if report.ok else "failed",
@@ -181,19 +192,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    arena, start, entry = _load_arena(args.arena)
-    p1 = _load_strategy(args.p1, entry, 1)
-    p2 = _load_strategy(args.p2, entry, 2)
-    record = play(arena, start, p1, p2, args.horizon)
+    arena, entry = _load_arena(args.arena)
+    p1 = _load_strategy(args.p1, arena, entry, 1)
+    p2 = _load_strategy(args.p2, arena, entry, 2)
+    record = play(arena, arena.start, p1, p2, args.horizon)
     _emit(record.to_csv(), args.out)
     return OK
 
 
 def cmd_defeat(args) -> int:
-    arena, start, entry = _load_arena(args.arena)
+    arena, entry = _load_arena(args.arena)
     if entry is None:
         return _err("defeat targets zoo entries; pass a zoo: URI")
-    sigma = _load_strategy(args.strategy, entry, 1)
+    sigma = _load_strategy(args.strategy, arena, entry, 1)
     try:
         if entry.name in ("a1prime", "a2"):
             result = defeat_fm_match(sigma, entry)
@@ -215,7 +226,7 @@ def cmd_defeat(args) -> int:
         print("defeat: no certificate (partial)")
         return INCONCLUSIVE
     check = check_certificate(result.certificate,
-                              {"arena": arena, "v0": start,
+                              {"arena": arena, "v0": arena.start,
                                "sigma1": sigma, "sigma2": result.p2})
     _emit(certificate_to_json(result.certificate), args.out)
     if args.out:
@@ -253,15 +264,17 @@ _FINITE_ORACLES = {
 
 
 def cmd_synthesize(args) -> int:
-    arena, start, entry = _load_arena(args.arena)
+    arena, entry = _load_arena(args.arena)
     objective = parse_objective(args.objective)
+    shift = 0  # a mean-payoff threshold subtracted from every weight
     if objective.kind in ("tp", "mp") and not isinstance(objective.threshold, float):
         if objective.kind == "tp" and objective.relation == ">":
             return _err("rewrite a strict total-payoff threshold as >= first")
         if objective.threshold != 0:
             if not isinstance(arena, ArenaExplicit):
                 return _err("threshold shifting on generators is a library operation")
-            arena, start, objective, _ = shift_to_zero_threshold(arena, start, objective)
+            shift = objective.threshold if objective.kind == "mp" else 0
+            arena, _, objective, _ = shift_to_zero_threshold(arena, arena.start, objective)
             print("note: threshold shifted to 0 on a transformed arena")
     deco = decompose(objective)
     if not hasattr(deco, "sub"):
@@ -277,10 +290,13 @@ def cmd_synthesize(args) -> int:
                               entry.extras["winning_from"])
     else:
         return _err("zoo entry %r has no winning-region oracle for %s" % (entry.name, objective))
-    report = synthesize(arena, start, deco, args.m_max, oracle, args.depth)
+    report = synthesize(arena, arena.start, deco, args.m_max, oracle, args.depth)
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
-        _atomic_write(args.out, serialize_strategy(report.strategy))
+        strategy = report.strategy
+        if shift:  # one-to-one on edges: each edge's input weight is its weight + shift
+            strategy = map_edges(strategy, lambda e: make_edge(e.src, e.weight + shift, e.dst))
+        _atomic_write(args.out, serialize_strategy(strategy))
         print("strategy written to %s" % args.out)
     if report.certified:
         return OK
@@ -290,12 +306,12 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert) as fh:
         cert = certificate_from_json(fh.read())
-    arena, start, entry = _load_arena(args.arena)
-    context = {"arena": arena, "v0": start}
+    arena, entry = _load_arena(args.arena)
+    context = {"arena": arena, "v0": arena.start}
     if args.p1:
-        context["sigma1"] = _load_strategy(args.p1, entry, 1)
+        context["sigma1"] = _load_strategy(args.p1, arena, entry, 1)
     if args.p2:
-        context["sigma2"] = _load_strategy(args.p2, entry, 2)
+        context["sigma2"] = _load_strategy(args.p2, arena, entry, 2)
     if args.objective:
         deco = decompose(parse_objective(args.objective))
         if not hasattr(deco, "sub"):
@@ -323,10 +339,10 @@ def cmd_zoo_list(args) -> int:
 
 
 def cmd_zoo_export(args) -> int:
-    arena, start, entry = _load_arena(args.arena)
+    arena, entry = _load_arena(args.arena)
     if entry is None:
         return _err("zoo export takes a zoo: URI")
-    explicit = truncate_generator(arena, start, args.depth, name=entry.name)
+    explicit = truncate_generator(arena, arena.start, args.depth, name=entry.name)
     _emit(serialize_arena(explicit), args.out)
     return OK
 

@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
 from .arena import Arena, Edge, History, VertexId, Weight, exact, node_cap_from_env
 from .objectives import OpenSub
-from .strategies import FiniteMemory, Memoryless, Strategy
+from .strategies import Strategy
 
 CERT_SCHEMA = "qg-cert/1"
 
@@ -364,8 +364,8 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
     if open_sub.family not in ("tp-sup", "tp-inf"):
         return None
     # pumping a cycle is only consistent with strategies whose choices are
-    # independent of the elapsed step count
-    if not isinstance(sigma, (Memoryless, FiniteMemory)):
+    # independent of the elapsed step count: those of a finite memory
+    if sigma.mealy is None:
         return None
     bar = exact(-1, open_sub.m) if open_sub.family == "tp-sup" else open_sub.m
     for node in frontier:

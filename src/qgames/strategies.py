@@ -15,9 +15,10 @@ edge, an opponent's memory).
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, History, MealyMemory, VertexId, exact, make_edge
+from .arena import Arena, Edge, History, LetterMemory, MealyMemory, VertexId, exact, make_edge
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -41,6 +42,8 @@ class Strategy:
     # whether plays record the state in their memory traces; False for
     # states that grow with the history
     traces_state: bool = True
+    # the strategy's finite memory, or None (a step count, an unbounded summary)
+    mealy: Optional[MealyMemory] = None
 
     # -- incremental API -------------------------------------------------
     def initial_state(self):
@@ -73,6 +76,8 @@ class Strategy:
 
 
 class Memoryless(Strategy):
+    mealy = LetterMemory((None,), None, lambda state, letter: None)  # one state
+
     def __init__(self, table: Union[dict[VertexId, Edge], Callable[[Arena, VertexId], Edge]],
                  player: int = 1, name: str = "memoryless"):
         self.table = table
@@ -285,6 +290,24 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
 # File format
 
 
+def table_edges(strategy: Strategy) -> list[Edge]:
+    """Every edge a table strategy's rows name: its moves, then the edges
+    of its mode updates."""
+    edges = list(strategy.table.values())
+    if isinstance(strategy, StepCounterPlusK):
+        edges += [e for _, _, e in strategy.bit_update]
+    return edges
+
+
+def map_edges(strategy: Strategy, fn: Callable[[Edge], Edge]) -> Strategy:
+    """A copy of a table strategy with ``fn`` applied to every edge its rows name."""
+    out = copy.copy(strategy)
+    out.table = {key: fn(e) for key, e in strategy.table.items()}
+    if isinstance(strategy, StepCounterPlusK):
+        out.bit_update = {(s, m, fn(e)): mode for (s, m, e), mode in strategy.bit_update.items()}
+    return out
+
+
 def serialize_strategy(strategy: Strategy) -> str:
     """Strategy file text for table-based strategies."""
     lines = []
@@ -321,6 +344,9 @@ def serialize_strategy(strategy: Strategy) -> str:
 
 # kind -> the attributes of its move rows, in the order of the table key
 _MOVE_ROWS = {"memoryless": (), "sc": ("step",), "sc+k": ("step", "state")}
+# kind -> the attributes its header line may name besides kind=
+_HEADER_KEYS = {"memoryless": ("player",), "sc": ("horizon", "fallback", "player"),
+                "sc+k": ("states", "horizon", "fallback", "player")}
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -328,7 +354,8 @@ def parse_strategy(text: str) -> Strategy:
 
     One rule holds for every row of every kind: it names exactly the
     attributes its kind's table reads, each in range, and fills a cell no
-    earlier row filled.  So no row is dropped or overwritten."""
+    earlier row filled.  So no row is dropped or overwritten.  The header
+    too names only attributes its kind reads."""
     header = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -360,6 +387,9 @@ def parse_strategy(text: str) -> Strategy:
         raise ValueError("fm strategy files are not supported; use sc or sc+k")
     if kind not in _MOVE_ROWS:
         raise ValueError("unknown strategy kind %r" % kind)
+    unread = [key for key in attrs if key not in _HEADER_KEYS[kind]]
+    if unread:
+        raise ValueError("%s strategy header takes no %s=" % (kind, unread[0]))
     states = _header_int(attrs, kind, "states", 1) if kind == "sc+k" else None
     horizon = _header_int(attrs, kind, "horizon", 0) if kind != "memoryless" else None
     # row attribute -> the header attribute bounding it, and its value

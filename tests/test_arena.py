@@ -351,3 +351,60 @@ def test_product_refuses_a_vertex_or_edge_memory_state_by_its_whole_value(state)
     with pytest.raises(TypeError) as exc:
         product(chain_arena(), mealy)
     assert str(exc.value) == "cannot encode memory state %r into a product vertex" % (state,)
+
+
+def _rows():
+    """Rows of a small arena, each edge list out of (dst, weight) order."""
+    a, b, c = V("a"), V("b", (1,)), V("c", (2, 3))
+    return a, {a: (1, (E(a, 2, c), E(a, 0, b), E(a, -1, b))),
+               b: (2, (E(b, 1, a), E(b, 0, c))),
+               c: (1, (E(c, 0, c),))}
+
+
+def test_explicit_and_generated_arenas_of_the_same_rows_read_alike():
+    a, rows = _rows()
+    explicit = ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
+                             [e for _, es in rows.values() for e in es], a)
+    generated = ArenaGenerator(a, rows.__getitem__)
+    assert explicit.start == generated.start == a
+    for v, (owner, es) in rows.items():
+        want = (owner, tuple(sorted(es, key=lambda e: (e.dst, e.weight))))
+        assert explicit.row(v) == generated.row(v) == want
+        assert explicit.owner(v) == generated.owner(v) == owner
+        assert explicit.edges(v) == generated.edges(v) == want[1]
+        assert explicit.is_sink(v) == generated.is_sink(v) == (v == V("c", (2, 3)))
+    assert explicit._cache == generated._cache
+    # one row store: neither kind reads a row, an owner, edges or a start its own way
+    for cls in (ArenaExplicit, ArenaGenerator):
+        assert not {"row", "owner", "edges", "is_sink", "start"} & set(vars(cls))
+
+
+@pytest.mark.parametrize("read", ["row", "owner", "edges"])
+def test_both_kinds_raise_a_key_error_naming_an_undeclared_vertex(read):
+    a, rows = _rows()
+    explicit = ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
+                             [e for _, es in rows.values() for e in es], a)
+    generated = ArenaGenerator(a, rows.__getitem__)
+    for arena in (explicit, generated):
+        with pytest.raises(KeyError) as exc:
+            getattr(arena, read)(V("z", (9,)))
+        assert exc.value.args == (V("z", (9,)),)
+
+
+def test_an_explicit_arena_keeps_a_blocking_vertex_that_a_generator_refuses():
+    a, b = V("a"), V("b", (7,))
+    explicit = ArenaExplicit({a: 1, b: 2}, [E(a, 0, b)], a)
+    assert explicit.row(b) == (2, ()) and explicit.edges(b) == ()
+    assert validate(explicit).violations == ["blocking vertex b(7)"]
+    generated = ArenaGenerator(a, {a: (1, (E(a, 0, b),)), b: (2, ())}.__getitem__)
+    with pytest.raises(ValueError, match=r"^generator produced blocking vertex b\(7\)$"):
+        generated.row(b)
+    assert b not in generated._cache
+
+
+def test_explicit_vertices_are_one_sorted_tuple_on_every_read():
+    vs = [V("n", (i,)) for i in (5, 0, 12, 3)] + [V("m")]
+    arena = ArenaExplicit({v: 1 for v in vs}, [E(v, 0, v) for v in vs], vs[0])
+    first = arena.vertices
+    assert first == tuple(sorted(vs))
+    assert arena.vertices is first

@@ -368,6 +368,15 @@ def test_cli_defeat_names_the_entry_of_a_scripted_strategy(capsys, entry):
     assert captured.out == ""
 
 
+def test_cli_defeat_on_a4_names_a_step_counter_table(tmp_path, capsys):
+    strat = _write(tmp_path, "sc.strategy", "strategy sc kind=sc horizon=1\n")
+    assert main(["defeat", "--arena", "zoo:a4", "--strategy", strat]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: only finite-memory strategies can be defeated on zoo entry "
+                            "'a4', got StepCounterTable\n")
+    assert captured.out == ""
+
+
 def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
     cert = str(tmp_path / "cert.json")
     assert main(["defeat", "--arena", "zoo:a4", "--strategy", "always_delay",
@@ -639,6 +648,10 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
     ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> 1\n"
      "bitupd step=0 state=0 weight=1 edge=a->b -> 0\n",
      "line 3: bitupd repeats the cell of line 2"),
+    ("strategy x kind=memoryless horizon=5 fallback=error states=9 foo=bar\n",
+     "memoryless strategy header takes no horizon="),
+    ("strategy x kind=sc states=3 horizon=4\n", "sc strategy header takes no states="),
+    ("strategy x kind=sc+k states=2 horizon=4 step=1\n", "sc+k strategy header takes no step="),
 ], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
         "sc+k-without-horizon", "player-3", "player-not-an-integer", "horizon-negative",
         "horizon-not-an-integer", "states-0", "states-not-an-integer", "move-state-past-states",
@@ -646,7 +659,8 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         "sc-move-with-state", "sc+k-move-without-state", "memoryless-move-repeated",
         "sc-move-repeated", "bitupd-in-sc", "bitupd-in-memoryless", "bitupd-mode-past-states",
         "bitupd-mode-negative", "bitupd-state-past-states", "bitupd-state-negative",
-        "bitupd-step-past-horizon", "bitupd-repeated"])
+        "bitupd-step-past-horizon", "bitupd-repeated", "memoryless-header-with-horizon",
+        "sc-header-with-states", "sc+k-header-with-step"])
 def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
     strat = _write(tmp_path, "bad.strategy", text)
     assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1
@@ -1030,6 +1044,64 @@ def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
     assert text.startswith("note: threshold shifted to 0 on a transformed arena\n")
     assert "certified: yes" in text
     assert "move a " in open(out).read()
+
+
+def test_cli_synthesize_writes_a_shifted_tp_file_for_the_transformed_arena(tmp_path, capsys):
+    path = _write(tmp_path, "shift.txt",
+                  "arena shift\nvertex a owner=1\nvertex b owner=2\n"
+                  "edge a b weight=1\nedge a a weight=0\nedge b a weight=0\n"
+                  "edge b b weight=1\nstart a\n")
+    out = str(tmp_path / "shift.strategy")
+    assert main(["synthesize", "--arena", path, "--objective", "tp:limsup:>=:1",
+                 "--m-max", "2", "--out", out]) == 0
+    assert "edge=pre^a->a " in open(out).read()
+    capsys.readouterr()
+    idle = _write(tmp_path, "idle.strategy", "strategy idle kind=memoryless player=2\n")
+    assert main(["simulate", "--arena", path, "--p1", out, "--p2", idle]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: strategy %r names vertex pre^a, which is not in arena shift\n"
+                            % out)
+    assert captured.out == ""
+
+
+def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_path, capsys):
+    arena_path = str(GOLDEN / "mp-n12-w6-win" / "arena.txt")
+    out = str(tmp_path / "mp.strategy")
+    assert main(["synthesize", "--arena", arena_path, "--objective", "mp:limsup:>=:-1/2",
+                 "--m-max", "4", "--out", out]) == 0
+    text = open(out).read()
+    # the edge of weight 2, which the solver read as 2 + 1/2
+    assert "move n(0) step=0 -> n(1) weight=2\n" in text
+    arena = parse_arena(Path(arena_path).read_text())
+    lines = ["strategy first kind=memoryless player=2"]
+    lines += ["move %s -> %s weight=%s" % (v, arena.edges(v)[0].dst, arena.edges(v)[0].weight)
+              for v in arena.vertices if arena.owner(v) == 2]
+    p2 = _write(tmp_path, "p2.strategy", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", "--arena", arena_path, "--p1", out, "--p2", p2,
+                 "--horizon", "40"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("arena, p1, p2, text, message", [
+    ("zoo:a1prime?b=1", "match_plus_one", "P", "strategy challenge_3 kind=memoryless player=2\n"
+     "move s -> t weight=-3\n", "names s --3-> t, which is not an edge of arena a1prime"),
+    ("zoo:a1?b=1", "match_plus_one", "P", "strategy challenge_3 kind=memoryless player=2\n"
+     "move s -> t weight=-3\n", "names s --3-> t, which is not an edge of arena a1"),
+    ("zoo:a3", "P", "p2_enter_1", "strategy x kind=sc horizon=3\n"
+     "move nowhere step=0 -> t weight=5\n", "names vertex nowhere, which is not in arena a3"),
+    ("zoo:bitarena", "P", "allzero", "strategy x kind=sc+k states=2 horizon=2\n"
+     "bitupd state=0 step=0 edge=v(0)->u(9) weight=0 -> 1\n",
+     "names v(0) -0-> u(9), which is not an edge of arena bitarena"),
+], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd"])
+def test_cli_refuses_a_strategy_file_naming_a_non_edge_of_its_arena(tmp_path, capsys, arena, p1,
+                                                                   p2, text, message):
+    path = _write(tmp_path, "bad.strategy", text)
+    p1, p2 = (path if p == "P" else p for p in (p1, p2))
+    assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: strategy %r %s\n" % (path, message)
+    assert captured.out == ""
 
 
 def _wide_arena(tmp_path, weight):

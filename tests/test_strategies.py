@@ -7,7 +7,7 @@ from qgames.arena import (ArenaExplicit, Edge, History, MealyMemory, StepCounter
 from qgames.engine import play
 from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded,
                                Memoryless, StepCounterPlusK,
-                               StepCounterTable, collapse_sc_fm, consistent,
+                               StepCounterTable, Tracking, collapse_sc_fm, consistent,
                                parse_strategy, serialize_strategy)
 
 F = Fraction
@@ -37,6 +37,16 @@ def test_memoryless_table_and_fallback():
         sigma.choose(arena, C, 0, None)
     assert exc.value.args == ("memoryless table has no entry for c",)
     assert sigma.signature(0, None) == ()
+
+
+def test_a_strategy_names_its_finite_memory():
+    mealy = MealyMemory((0, 1), 0, lambda m, e: 1 - m)
+    assert FiniteMemory(mealy, {}).mealy is mealy
+    one = Memoryless({}).mealy
+    assert (one.states, one.initial(), one.update(None, E(A, 1, B))) == ((None,), None, None)
+    for sigma in (StepCounterTable({}, 3), StepCounterPlusK(2, {}, 3, {}),
+                  Tracking("t", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[0])):
+        assert sigma.mealy is None
 
 
 def test_collapse_names_a_vertex_missing_from_the_step_count_map():
