@@ -96,8 +96,7 @@ def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
                   player=2)
     horizon = 2 * _ROUNDS
     record = play(arena, entry.start, sigma, p2, horizon)
-    starts = [step for step in range(0, len(record.edges) + 1)
-              if record.vertex_at(step) == s]
+    starts = record.steps_at(lambda v: v == s)
     # the cap bound the response wherever the play owed more than b, the
     # challenge chosen or, at b = 1, forced
     capped = any(owed(sigma.initial_state() if step == 0 else record.mem1_trace[step - 1]) > b
@@ -159,8 +158,7 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     p2 = Tracking("owe_one_more_a2", (initial, initial), update, decide, player=2)
     horizon = max(64, _ROUNDS * 16)
     record = play(arena, entry.start, sigma, p2, horizon)
-    starts = [step for step in range(0, len(record.edges) + 1)
-              if record.vertex_at(step).name == "a" and record.vertex_at(step).params[1] == 0]
+    starts = record.steps_at(lambda v: v.name == "a" and v.params[1] == 0)
     if len(starts) >= 3 and starts[-1] - starts[-2] > 0:
         result = _finish_decrease(p2, record, starts, False, [])
         if result.certificate is not None:
@@ -170,8 +168,7 @@ def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
 
 
 def _certify_endless_descent(p2: Strategy, record: PlayRecord) -> DefeatResult:
-    tail = [step for step in range(len(record.edges) + 1)
-            if record.vertex_at(step).name == "b"]
+    tail = record.steps_at(lambda v: v.name == "b")
     runs = [step for step in tail if step + 8 <= len(record.edges)
             and all(record.vertex_at(x).name == "b" for x in range(step, step + 8))]
     if len(runs) < 3:
@@ -180,8 +177,7 @@ def _certify_endless_descent(p2: Strategy, record: PlayRecord) -> DefeatResult:
     # pick boundaries sharing the responder's memory state
     by_state: dict[object, list[int]] = {}
     for step in runs:
-        m1 = None if step == 0 else record.mem1_trace[step - 1]
-        by_state.setdefault(m1, []).append(step)
+        by_state.setdefault(record.mem_at(1, step), []).append(step)
     best = max(by_state.values(), key=len)
     if len(best) < 2:
         return DefeatResult(p2, None, record, True,
@@ -227,8 +223,7 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
                                    % exit_index])
     if probe.termination == "sink":
         raise Inconclusive("play absorbed without a decision-vertex exit", depth=horizon)
-    starts = [step for step in range(len(probe.edges) + 1)
-              if probe.vertex_at(step).name == "t"]
+    starts = probe.steps_at(lambda v: v.name == "t")
     if len(starts) < 2:
         raise Inconclusive("horizon too small to cover any decision vertex", depth=horizon)
     cert = Divergence("stagnation", starts, len(probe.edges), ceiling=-1,
@@ -423,8 +418,7 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
         # the strategy exited once the cycled gaps left the clique; a
         # negative total still defeats it, otherwise try another clique
         return _exit_defeat(p2, record, "late exit beyond the clique from entry %d" % clique[0])
-    starts = [step for step in range(len(record.edges) + 1)
-              if record.vertex_at(step).name == "t"]
+    starts = record.steps_at(lambda v: v.name == "t")
     if len(starts) < 3:
         return None
     cert = _decrease_certificate(record, starts)
@@ -433,8 +427,7 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
     # monochromatic-cycle soundness: the predicted round map must match
     # the simulated memory trace at every certified boundary
     for n, step in enumerate(starts[:len(traj)]):
-        simulated = None if step == 0 else record.mem1_trace[step - 1]
-        if simulated != states[traj[n]]:
+        if record.mem_at(1, step) != states[traj[n]]:
             return None
     return DefeatResult(p2, cert, record,
                         notes=["all-delay memory cycle from round %d" % cycle_from])

@@ -268,12 +268,7 @@ class History:
 # Memory structures
 
 
-class MemoryStructure:
-    """Base class: an initial state, ``initial()``, plus a total update
-    function, ``update(state, edge)``."""
-
-
-class MealyMemory(MemoryStructure):
+class MealyMemory:
     """Finite memory: explicit state set with an edge-driven update."""
 
     def __init__(self, states: Iterable, initial, update: Callable[[object, Edge], object]):
@@ -319,7 +314,7 @@ class LetterMemory(MealyMemory):
         return path[n]
 
 
-class StepCounter(MemoryStructure):
+class StepCounter:
     """Counts elapsed steps; the update ignores the edge."""
 
     def initial(self) -> int:
@@ -342,7 +337,8 @@ def _encode_mem_state(state) -> tuple[int, ...]:
     raise TypeError("cannot encode memory state %r into a product vertex" % (state,))
 
 
-def product(arena: Arena, memory: MemoryStructure, start: Optional[VertexId] = None) -> Arena:
+def product(arena: Arena, memory: MealyMemory | StepCounter,
+            start: Optional[VertexId] = None) -> Arena:
     """Product arena: vertices (v, m), updates threaded through the memory.
 
     Product vertices are encoded as VertexIds whose name is the base name

@@ -35,7 +35,8 @@ OK, FAILED, INCONCLUSIVE = 0, 1, 2
 
 
 def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
-    """Parse the line-based arena format into an explicit arena."""
+    """Parse the line-based arena format into an explicit arena, which
+    checks the edges' endpoints and the start (``ArenaExplicit``)."""
     name = name_hint
     owners: dict[VertexId, int] = {}
     edges: list[Edge] = []
@@ -76,18 +77,11 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             raise ValueError("line %d: %s" % (lineno, exc))
     if start is None:
         raise ValueError("no start vertex")
-    for e in edges:
-        if e.src not in owners:
-            raise ValueError("edge from undeclared vertex %s" % (e.src,))
-        if e.dst not in owners:
-            raise ValueError("dangling edge target %s" % (e.dst,))
-    out = {v: [] for v in owners}
-    for e in edges:
-        out[e.src].append(e)
-    for v, es in out.items():
-        if not es:
+    arena = ArenaExplicit(owners, edges, start, name=name)
+    for v in owners:  # in the file's order
+        if not arena.edges(v):
             raise ValueError("blocking vertex %s has no outgoing edge" % (v,))
-    return ArenaExplicit(owners, edges, start, name=name)
+    return arena
 
 
 def serialize_arena(arena: ArenaExplicit) -> str:

@@ -62,6 +62,14 @@ class PlayRecord:
             return 0
         return self.tp_trace[step - 1]
 
+    def steps_at(self, where: Callable[[VertexId], bool]) -> list[int]:
+        """Every step, 0 to the last, at which the play is at a vertex ``where`` holds for."""
+        return [step for step in range(len(self.edges) + 1) if where(self.vertex_at(step))]
+
+    def mem_at(self, player: int, step: int):
+        """The player's traced memory at ``step``: ``None`` before the first step."""
+        return None if step == 0 else (self.mem1_trace, self.mem2_trace)[player - 1][step - 1]
+
     def to_csv(self) -> str:
         """One row per step.  ``mp`` is the exact tp/(step+1), found without
         a Fraction division: with tp = n/d in lowest terms and
@@ -700,8 +708,5 @@ def _round_signature(record: PlayRecord, step: int):
     compares the vertex name and the repeating memory states; the
     quantitative round bounds carry the payoff claim.
     """
-    vertex = record.vertex_at(step)
-    mems = []
-    for trace in (record.mem1_trace, record.mem2_trace):
-        mems.append(None if step == 0 else trace[step - 1])
-    return (vertex.name, _fmt_mem(mems[0]), _fmt_mem(mems[1]))
+    return (record.vertex_at(step).name, _fmt_mem(record.mem_at(1, step)),
+            _fmt_mem(record.mem_at(2, step)))

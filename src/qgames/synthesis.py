@@ -588,38 +588,40 @@ def _failed(schedule: list[tuple[int, int]], why: str,
 
 
 class _Composite(Strategy):
-    """A fixed table up to the boundary step, then a winning continuation
-    from the reached (vertex, running total) pair.
+    """A fixed table up to the boundary step, then the oracle's winning
+    strategy from the reached (vertex, running total) pair.
 
-    The state is the fixed table's state and the running total up to the
-    boundary, then the boundary pair and the continuation's own state.
+    The state is ``pre_state`` up to the boundary, then the boundary pair
+    and the continuation's own state.  Decisions depend on (vertex, step)
+    only, the signature ``()``, when the oracle is ``uniform_memoryless``.
     """
 
-    def __init__(self, v0: VertexId, fixed: Strategy, boundary: int,
-                 continuation: Callable[[VertexId, Weight], Strategy],
-                 step_determined: bool):
+    def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
         self.name = "composite@%d" % boundary
         self._v0 = v0
         self._fixed = fixed
         self._boundary = boundary
-        self._continuation = continuation
+        self._oracle = oracle
         self._cache: dict[tuple[VertexId, Weight], Strategy] = {}
-        # True when decisions depend on (vertex, step) only
-        self._step_determined = step_determined
 
     def _cont(self, at: tuple[VertexId, Weight]) -> Strategy:
         strat = self._cache.get(at)
         if strat is None:
-            strat = self._cache[at] = self._continuation(*at)
+            strat = self._cache[at] = self._oracle.winning_from(*at)
         return strat
 
     def _enter(self, at: tuple[VertexId, Weight]):
         return (at, self._cont(at).initial_state())
 
+    @staticmethod
+    def pre_state(steps: int, fixed_state, tp: Weight):
+        """The state after ``steps`` < boundary steps: the fixed table's and the total."""
+        return (None, (steps, fixed_state, tp))
+
     def initial_state(self):
         if self._boundary == 0:
             return self._enter((self._v0, 0))
-        return (None, (0, self._fixed.initial_state(), 0))
+        return self.pre_state(0, self._fixed.initial_state(), 0)
 
     def step_state(self, state, edge):
         at, inner = state
@@ -629,7 +631,7 @@ class _Composite(Strategy):
         steps, tp = steps + 1, tp + edge.weight
         if steps == self._boundary:
             return self._enter((edge.dst, tp))
-        return (None, (steps, self._fixed.step_state(fixed_state, edge), tp))
+        return self.pre_state(steps, self._fixed.step_state(fixed_state, edge), tp)
 
     def choose(self, arena, vertex, step, state):
         at, inner = state
@@ -638,7 +640,7 @@ class _Composite(Strategy):
         return self._fixed.choose(arena, vertex, step, inner[1])
 
     def signature(self, step, state):
-        return () if self._step_determined else None
+        return () if self._oracle.uniform_memoryless else None
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
@@ -656,8 +658,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     k_prev = 0
     for m in range(1, m_max + 1):
         sub = decomposition.sub(m)
-        comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev,
-                          oracle.winning_from, step_determined=oracle.uniform_memoryless)
+        comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev, oracle)
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
             return _failed(schedule, "bubble %d: %s" % (m, _why(kb)))
@@ -760,6 +761,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = OpenSub("tp-sup", m=m_sched)
+        comp = _Composite(v0, StepCounterPlusK(2, table, k_prev, bitupd, ERROR), k_prev, oracle)
         run_from = mimic_from = None
         if k_prev > 0:
             # the run walk, then the minimal-history walk, to the layer
@@ -779,10 +781,8 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
                     bitupd[(k_prev - 1, 1, e)] = 0
             run_from = (run_layer, k_prev - 1, runs.created)
             # the minimal histories in the composite's state before its boundary
-            mimic_from = ([replace(node, state=(None, (k_prev - 1, node.state, node.tp)))
+            mimic_from = ([replace(node, state=comp.pre_state(k_prev - 1, node.state, node.tp))
                            for node in mimic_layer], k_prev - 1, mimics.created)
-        comp = _Composite(v0, StepCounterPlusK(2, table, k_prev, bitupd, ERROR), k_prev,
-                          oracle.winning_from, step_determined=False)
 
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
                               run_from, mimic_from)
@@ -859,12 +859,12 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterP
     return mimics.truncated or runs.truncated
 
 
-def _backing_state(comp: Strategy, node: Node, k_prev: int):
+def _backing_state(comp: _Composite, node: Node, k_prev: int):
     """The composite's state after a run node's history, folded from its
     ancestor before the boundary, lifted as the minimal histories are."""
     edges = []
     while node.depth > max(k_prev - 1, 0):
         edges.append(node.edge)
         node = node.parent
-    start = comp.initial_state() if k_prev == 0 else (None, (k_prev - 1, node.state, node.tp))
+    start = comp.initial_state() if k_prev == 0 else comp.pre_state(k_prev - 1, node.state, node.tp)
     return reduce(comp.step_state, reversed(edges), start)

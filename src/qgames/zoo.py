@@ -21,15 +21,23 @@ E = make_edge  # short alias used heavily by the expansions
 
 @dataclass
 class ZooEntry:
-    name: str
+    """An arena with its analysis's strategies; the entry's name and start are the arena's."""
+
     arena: Arena
-    start: VertexId
     note: str
     params: dict = field(default_factory=dict)  # the URI parameters, set by ``make``
     strategies: dict[str, Strategy] = field(default_factory=dict)
     strategy_factories: dict[str, Callable[[int], Strategy]] = field(default_factory=dict)
     wprime: Optional[Callable[[VertexId, Weight], bool]] = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return self.arena.name
+
+    @property
+    def start(self) -> VertexId:
+        return self.arena.start
 
     def strategy(self, name: str) -> Strategy:
         if name in self.strategies:
@@ -96,7 +104,7 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
             "owes -i, the responder answers +j; every finite-memory responder "
             "tops out at some bound and loses to -bound-1. Truncated to "
             "challenges 1..%d." % b)
-    return ZooEntry(name, arena, s, note,
+    return ZooEntry(arena, note,
                     strategies={"match_plus_one": Tracking("match_plus_one", None, _last_edge,
                                                            match_plus_one)})
 
@@ -114,8 +122,7 @@ def _make_a2() -> ZooEntry:
             return P1, (E(v, -1, V("b", (i, j + 1))), E(v, 2 * j, V("a", (i + 1, 0))))
         raise KeyError(v)
 
-    start = V("a", (0, 0))
-    arena = ArenaGenerator(start, expand, name="a2")
+    arena = ArenaGenerator(V("a", (0, 0)), expand, name="a2")
 
     def latest_challenge(j: Optional[int], e: Edge) -> Optional[int]:
         # P2 descends from a(i, j) to b(i, 0)
@@ -131,7 +138,7 @@ def _make_a2() -> ZooEntry:
             "unit steps then drops 2j, the responder descends k unit steps "
             "then regains 2k; answering k = j+1 nets +1 per round, so the "
             "running mean is positive at every round boundary.")
-    return ZooEntry("a2", arena, start, note,
+    return ZooEntry(arena, note,
                     strategies={"match_plus_one": Tracking("match_plus_one", None,
                                                            latest_challenge, match_plus_one)},
                     strategy_factories={"p2_pick_": _a2_p2_pick})
@@ -170,8 +177,7 @@ def _a3_expand(v: VertexId):
 
 
 def _make_a3() -> ZooEntry:
-    start = V("s", (0,))
-    arena = ArenaGenerator(start, _a3_expand, name="a3")
+    arena = ArenaGenerator(V("s", (0,)), _a3_expand, name="a3")
 
     note = ("top row of +1 steps with -1 descents of length 2i+1, so every "
             "entry lands at the i-th decision vertex with total exactly "
@@ -179,10 +185,9 @@ def _make_a3() -> ZooEntry:
             "exit from the j-th one regains +j. Delaying twice then exiting "
             "always banks at least +1, but a pure step-counter's decision at "
             "each vertex is pinned to one step and can be entered against.")
-    entry = ZooEntry("a3", arena, start, note,
-                     strategies={"delay_twice_exit": delay_twice_exit_fm("e")},
-                     strategy_factories={"p2_enter_": _a3_p2_enter})
-    return entry
+    return ZooEntry(arena, note,
+                    strategies={"delay_twice_exit": delay_twice_exit_fm("e")},
+                    strategy_factories={"p2_enter_": _a3_p2_enter})
 
 
 def delay_twice_exit_fm(delay_dst_name: str) -> FiniteMemory:
@@ -221,7 +226,9 @@ def _a3_p2_enter(i: int) -> Strategy:
 def _a4_expand(v: VertexId):
     if v.name == "s":
         (i,) = v.params
-        if i < 0:  # guard vertex of the liminf variant
+        if i < 0:  # s(-1) is a4guarded's guard vertex, the only negative index
+            if i < -1:
+                raise KeyError(v)
             return P2, (E(v, 1, V("s", (0,))),)
         return P2, (E(v, -1, V("d", (i, 1))), E(v, 0, V("s", (i + 1,))))
     if v.name == "d":  # entry descent: 2i+3 edges, total -2(i+1)
@@ -251,9 +258,8 @@ def _count_delay(delays: int, e: Edge) -> int:
 
 
 def _make_a4(guarded: bool = False) -> ZooEntry:
-    start = V("s", (-1,)) if guarded else V("s", (0,))
-    name = "a4guarded" if guarded else "a4"
-    arena = ArenaGenerator(start, _a4_expand, name=name)
+    arena = ArenaGenerator(V("s", (-1 if guarded else 0,)), _a4_expand,
+                           name="a4guarded" if guarded else "a4")
 
     def sigma_k_factory(k: int) -> Strategy:
         def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
@@ -283,7 +289,7 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
             "exiting the k-th vertex regains k+1. Adapting the number of "
             "delays to the observed entry wins exactly 0, while any finite "
             "bank of delay counts can be routed into ever-longer stretches.")
-    return ZooEntry(name, arena, start, note,
+    return ZooEntry(arena, note,
                     strategies={
                         "adaptive": Tracking("adaptive", (None, 0), adaptive_update,
                                              adaptive_decide),
@@ -364,8 +370,7 @@ def bitarena_wprime(v: VertexId, r: Weight) -> bool:
 
 
 def _make_bitarena() -> ZooEntry:
-    start = V("v", (0,))
-    arena = ArenaGenerator(start, _bit_expand, name="bitarena")
+    arena = ArenaGenerator(V("v", (0,)), _bit_expand, name="bitarena")
 
     def opp_update(m, e: Edge):
         if e.src.name == "v":
@@ -388,7 +393,7 @@ def _make_bitarena() -> ZooEntry:
             "touching 0 once each round, which wins the limsup total-payoff "
             "condition; with only a step counter the touching rounds can be "
             "dodged.")
-    return ZooEntry("bitarena", arena, start, note,
+    return ZooEntry(arena, note,
                     strategies={
                         "opposite": opposite,
                         "allzero": p2_const("vz", "allzero"),
@@ -420,8 +425,6 @@ def bitarena_winning_from(vertex: VertexId, r: Weight) -> Strategy:
 def _make_buchia(k: int) -> ZooEntry:
     if k < 2:
         raise ValueError("need at least 2 colours")
-    start = V("x", (0,))
-
     def expand(v: VertexId):
         if v.name == "x":
             (i,) = v.params
@@ -435,13 +438,13 @@ def _make_buchia(k: int) -> ZooEntry:
             return P1, (E(v, 0, V("x", (i + 1,))),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(start, expand, name="buchia")
+    arena = ArenaGenerator(V("x", (0,)), expand, name="buchia")
 
     note = ("infinite line with cyclically coloured detours; sweeping every "
             "detour sees all %d colour codes infinitely often. With an "
             "unbounded colour supply no finite-memory walker can keep "
             "reaching new colours; this entry truncates the palette." % k)
-    return ZooEntry("buchia", arena, start, note,
+    return ZooEntry(arena, note,
                     strategies={"round_robin": Memoryless(lambda ar, v: _edge_to(ar, v, "y"),
                                                           name="round_robin")})
 
@@ -450,8 +453,6 @@ def _make_buchib(b: int) -> ZooEntry:
     if not 1 <= b <= DEFAULT_VERTEX_CAP:  # before any of its b edges is built
         raise ValueError("zoo parameter 'b' must be between 1 and the vertex cap %d, got %d"
                          % (DEFAULT_VERTEX_CAP, b))
-    start = V("v", ())
-
     def expand(v: VertexId):
         if v.name == "v":
             return P1, (E(v, 1, v), E(v, 0, V("u", ())))
@@ -464,7 +465,7 @@ def _make_buchib(b: int) -> ZooEntry:
             return P2, (E(v, 0, nxt),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(start, expand, name="buchib")
+    arena = ArenaGenerator(V("v", ()), expand, name="buchib")
 
     def alternating(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
         if last is not None and last.src == v and last.dst == v:
@@ -475,7 +476,7 @@ def _make_buchib(b: int) -> ZooEntry:
             "colour-0 exit into opponent-chosen colour-0 padding of length "
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
-    return ZooEntry("buchib", arena, start, note,
+    return ZooEntry(arena, note,
                     strategies={"alternating": Tracking("alternating", None, _last_edge,
                                                         alternating)})
 
@@ -485,8 +486,6 @@ def _make_buchib(b: int) -> ZooEntry:
 
 
 def _make_nonuniform(start_index: int) -> ZooEntry:
-    start = V("st", (start_index,))
-
     def expand(v: VertexId):
         if v.name == "st":
             (i,) = v.params
@@ -498,7 +497,7 @@ def _make_nonuniform(start_index: int) -> ZooEntry:
             return P1, (E(v, 0, v),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(start, expand, name="nonuniform")
+    arena = ArenaGenerator(V("st", (start_index,)), expand, name="nonuniform")
 
     def exit_at_factory(j: int) -> Strategy:
         def choose(ar: Arena, v: VertexId) -> Edge:
@@ -511,7 +510,7 @@ def _make_nonuniform(start_index: int) -> ZooEntry:
             "enough, but no single strategy with a step counter and one bit "
             "serves all starts, because the required exit point grows with "
             "the debt while the shared ray looks identical.")
-    return ZooEntry("nonuniform", arena, start, note,
+    return ZooEntry(arena, note,
                     strategy_factories={"exit_at_": exit_at_factory})
 
 

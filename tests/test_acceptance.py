@@ -367,11 +367,9 @@ def test_criterion_09_lasso_oracle_equivalence():
         cycle = tuple(F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 6)))
         lasso = Lasso(prefix, cycle)
         word = lasso.unroll(10 ** 4)
-        sums = []
-        tp = F(0)
-        for w in word:
-            tp += w
-            sums.append(tp)
+        # every weight is integral, so the partial sums are exact as ints
+        assert all(w.denominator == 1 for w in word)
+        sums = list(itertools.accumulate(w.numerator for w in word))
         c = len(cycle)
         csum = sum(cycle)
         window = sums[-2 * c:]

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from qgames.adversaries import ramsey_adversary
-from qgames.arena import Edge, VertexId
+from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
@@ -57,20 +57,33 @@ def test_parse_arena_roundtrip():
     ("vertex a owner=3\nstart a\n", "owner must be 1 or 2"),
     ("vertex a owner=1\nvertex a owner=2\nstart a\n", "declared twice"),
     ("vertex a owner=1\nedge a a weight=0\n", "no start vertex"),
-    ("vertex a owner=1\nedge a b weight=0\nstart a\n", "dangling"),
+    ("vertex a owner=1\nedge a b weight=0\nstart a\n", "edge to undeclared vertex"),
     ("vertex a owner=1\nvertex b owner=2\nedge a b weight=0\nstart a\n",
      "blocking vertex b"),
     # the whole message, naming a vertex with parameters
     ("vertex a(1) owner=1\nvertex a(1) owner=2\nstart a(1)\n",
      r"^line 2: vertex a\(1\) declared twice$"),
     ("vertex a owner=1\nedge b(2) a weight=0\nstart a\n", r"^edge from undeclared vertex b\(2\)$"),
-    ("vertex a owner=1\nedge a b(2,5) weight=0\nstart a\n", r"^dangling edge target b\(2,5\)$"),
+    ("vertex a owner=1\nedge a b(2,5) weight=0\nstart a\n", r"^edge to undeclared vertex b\(2,5\)$"),
     ("vertex a owner=1\nvertex b(4) owner=2\nedge a b(4) weight=0\nstart a\n",
      r"^blocking vertex b\(4\) has no outgoing edge$"),
+    # the arena checks the start before the file's blocking vertices
+    ("vertex a owner=1\nvertex b owner=2\nedge a b weight=0\nstart c\n",
+     r"^start vertex c not declared$"),
 ])
 def test_parse_arena_errors(text, needle):
     with pytest.raises(ValueError, match=needle):
         parse_arena(text)
+
+
+@pytest.mark.parametrize("src, dst", [("b(2)", "a"), ("a", "b(2,5)")], ids=["source", "target"])
+def test_parse_arena_names_an_undeclared_endpoint_as_the_explicit_arena_does(src, dst):
+    with pytest.raises(ValueError) as from_file:
+        parse_arena("vertex a owner=1\nedge %s %s weight=0\nstart a\n" % (src, dst))
+    with pytest.raises(ValueError) as from_maps:
+        ArenaExplicit({V("a"): 1}, [Edge(V.parse(src), 0, V.parse(dst))], V("a"))
+    assert str(from_file.value) == str(from_maps.value)
+    assert "undeclared vertex" in str(from_file.value)
 
 
 def test_truncate_generator_seals_the_boundary():
@@ -1093,7 +1106,10 @@ def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_p
     ("zoo:bitarena", "P", "allzero", "strategy x kind=sc+k states=2 horizon=2\n"
      "bitupd state=0 step=0 edge=v(0)->u(9) weight=0 -> 1\n",
      "names v(0) -0-> u(9), which is not an edge of arena bitarena"),
-], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd"])
+    # s(-1), a4guarded's guard, is the only negative index
+    ("zoo:a4", "always_delay", "P", "strategy below kind=memoryless player=2\n"
+     "move s(-5) -> s(0) weight=1\n", "names vertex s(-5), which is not in arena a4"),
+], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd", "a4-below-the-guard"])
 def test_cli_refuses_a_strategy_file_naming_a_non_edge_of_its_arena(tmp_path, capsys, arena, p1,
                                                                    p2, text, message):
     path = _write(tmp_path, "bad.strategy", text)

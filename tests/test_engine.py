@@ -121,6 +121,24 @@ def test_play_runs_on_through_a_weighted_self_loop():
     assert record.tp_trace == [-2, -4, -6, -8, -10]
 
 
+def test_a_play_record_answers_where_the_play_is_and_what_each_player_remembers():
+    entry = make("a4")
+    # the opponent enters at once and drops at once (the first edge), counting steps mod 7
+    counter = FiniteMemory(MealyMemory(range(7), 0, lambda m, e: (m + 1) % 7),
+                           lambda ar, v, m: ar.edges(v)[0], player=2)
+    record = play(entry.arena, entry.start, entry.strategy("delay_twice_exit"), counter, 60)
+    steps = range(len(record.edges) + 1)
+    for name in ("s", "t", "g", "r0"):
+        at = record.steps_at(lambda v: v.name == name)
+        assert at == [step for step in steps if record.vertex_at(step).name == name]
+        assert at
+    assert record.steps_at(lambda v: v == entry.start) == [0]
+    assert record.mem1_trace != record.mem2_trace
+    for player, trace in ((1, record.mem1_trace), (2, record.mem2_trace)):
+        assert record.mem_at(player, 0) is None
+        assert [record.mem_at(player, step) for step in steps[1:]] == trace
+
+
 def test_play_rejects_non_edge():
     arena = branch_arena()
     bad = Memoryless({A: E(A, 7, B)})

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from qgames.arena import Edge, VertexId
 from qgames.engine import play
 from qgames.strategies import Memoryless, Tracking, parse_strategy
-from qgames.zoo import a4_router, bitarena_wprime, make, names, parse_uri
+from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
 
 from history_scans import scanning
 
@@ -21,6 +22,23 @@ P1_FIRST = Memoryless(lambda ar, v: ar.edges(v)[0])
 def test_registry_names():
     assert names() == ["a1", "a1prime", "a2", "a3", "a4", "a4guarded",
                        "bitarena", "buchia", "buchib", "nonuniform"]
+
+
+def test_a_zoo_entry_reads_its_name_and_start_from_its_arena():
+    assert not {"name", "start"} & {f.name for f in dataclasses.fields(ZooEntry)}
+    for name in names():
+        entry = make(name)
+        assert entry.name == entry.arena.name == name
+        assert entry.start == entry.arena.start
+
+
+@pytest.mark.parametrize("name", ["a4", "a4guarded"])
+def test_a4_has_no_negative_index_below_the_guard(name):
+    arena = make(name).arena
+    assert arena.edges(V("s", (-1,))) == (Edge(V("s", (-1,)), 1, V("s", (0,))),)
+    for i in (-2, -5):
+        with pytest.raises(KeyError):
+            arena.row(V("s", (i,)))
 
 
 def test_parse_uri_with_params():
