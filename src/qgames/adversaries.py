@@ -193,6 +193,9 @@ def _certify_endless_descent(p2: Strategy, record: PlayRecord) -> DefeatResult:
 def _require_step_counter(sigma: Strategy, what: str) -> None:
     if not isinstance(sigma, StepCounterTable):
         raise TypeError("%s needs a step-counter table, got %s" % (what, type(sigma).__name__))
+    if sigma.k != 1:
+        raise TypeError("%s needs a step-counter table with one mode, got %d modes"
+                        % (what, sigma.k))
 
 
 def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> DefeatResult:

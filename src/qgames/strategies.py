@@ -6,11 +6,12 @@ incremental: ``initial_state`` and ``step_state`` fold the history into
 a state one edge at a time, and ``choose`` decides from (vertex, step,
 state), so a play folds each edge into each state once.  A vertex with
 one edge carries no decision: ``move`` takes it, and ``choose`` is asked
-only at the strategy's player's vertices with more than one edge.  Five
+only at the strategy's player's vertices with more than one edge.  Four
 representations are supported: memoryless tables, finite-memory (Mealy)
-tables, step-counter tables, step-counter-plus-K-states tables, and
-tracked callbacks over an unbounded running summary (a counter, the last
-edge, an opponent's memory).
+tables, step-counter tables with k modes (k = 1 is a pure step counter,
+``kind=sc``; k > 1 is ``kind=sc+k``), and tracked callbacks over an
+unbounded running summary (a counter, the last edge, an opponent's
+memory).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Strategy:
     player: int = 1
     name: str = "strategy"
     # whether plays record the state in their memory traces; False for
-    # states that grow with the history
+    # states that grow with the history or that the step alone makes up
     traces_state: bool = True
     # the strategy's finite memory, or None (a step count, an unbounded summary)
     mealy: Optional[MealyMemory] = None
@@ -68,11 +69,6 @@ class Strategy:
         for e in history.edges:
             state = self.step_state(state, e)
         return move(arena, self, history.to_vertex, len(history), state)
-
-    def _fallback_edge(self, arena: Arena, vertex: VertexId, step: int, rule: str) -> Edge:
-        if rule == FIRST_EDGE:
-            return arena.edges(vertex)[0]
-        raise HorizonExceeded(vertex, step)
 
 
 class Memoryless(Strategy):
@@ -126,55 +122,36 @@ class FiniteMemory(Strategy):
 
 
 class StepCounterTable(Strategy):
-    """Decisions from (vertex, elapsed steps), fixed up to a horizon."""
+    """Decisions from (vertex, step, mode) with ``k`` modes, fixed up to a
+    horizon; ``k = 1`` is a pure step counter (``kind=sc``).
 
-    def __init__(self, table: dict[tuple[VertexId, int], Edge], horizon: int,
-                 fallback: str = FIRST_EDGE, player: int = 1, name: str = "sc"):
-        self.table = dict(table)
-        self.horizon = horizon
-        self.fallback = fallback
-        self.player = player
-        self.name = name
-
-    def choose(self, arena, vertex, step, state):
-        if step < self.horizon:
-            hit = self.table.get((vertex, step))
-            if hit is not None:
-                return hit
-        return self._fallback_edge(arena, vertex, step, self.fallback)
-
-    def signature(self, step, state):
-        return ()
-
-
-class StepCounterPlusK(Strategy):
-    """Decisions from (vertex, step, mode) with a finite mode update.
-
-    ``bit_update`` maps (step, mode, edge) to the next mode; missing
-    entries keep the mode unchanged so partial tables degrade gracefully
-    past the horizon.
+    The state is (step, mode).  ``bit_update`` maps (step, mode, edge) to
+    the next mode; missing entries keep the mode unchanged so partial
+    tables degrade gracefully past the horizon.  A cell the table lacks,
+    or a step past the horizon, goes to the fallback rule.
     """
 
-    def __init__(self, k: int, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
-                 bit_update: dict[tuple[int, int, Edge], int],
-                 fallback: str = FIRST_EDGE, player: int = 1, name: str = "sc+k"):
+    def __init__(self, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
+                 fallback: str = FIRST_EDGE, *, k: int = 1,
+                 bit_update: Optional[dict[tuple[int, int, Edge], int]] = None,
+                 player: int = 1, name: str = "sc"):
         self.k = k
         self.table = dict(table)
         self.horizon = horizon
-        self.bit_update = bit_update
+        self.bit_update = {} if bit_update is None else bit_update
         self.fallback = fallback
         self.player = player
         self.name = name
-
-    def _update_mode(self, sm: tuple[int, int], edge: Edge) -> int:
-        return self.bit_update.get((sm[0], sm[1], edge), sm[1])
+        # one mode leaves only the step, which a play's CSV prints anyway;
+        # tracing it would keep a Divergence's rounds from ever closing
+        self.traces_state = k > 1
 
     def initial_state(self):
         return (0, 0)
 
     def step_state(self, state, edge):
         s, m = state
-        return (s + 1, self._update_mode((s, m), edge))
+        return (s + 1, self.bit_update.get((s, m, edge), m))
 
     def choose(self, arena, vertex, step, state):
         mode = state[1] if state is not None else 0
@@ -182,7 +159,9 @@ class StepCounterPlusK(Strategy):
             hit = self.table.get((vertex, step, mode))
             if hit is not None:
                 return hit
-        return self._fallback_edge(arena, vertex, step, self.fallback)
+        if self.fallback == FIRST_EDGE:
+            return arena.edges(vertex)[0]
+        raise HorizonExceeded(vertex, step)
 
     def signature(self, step, state):
         return (state[1],)
@@ -243,14 +222,17 @@ def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
 
 def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
                    ) -> Strategy:
-    """Collapse a step-counter(-plus-K) strategy on a step-count-encoding
-    arena into a K-state finite-memory strategy (memoryless for K = 1).
+    """Collapse a k-mode step-counter table on a step-count-encoding arena
+    into a k-state finite-memory strategy (memoryless for k = 1).
 
     The new decision at (v, m) is the old decision at (v, n_v, m) and the
     new memory update on edge e is the old mode update at step
     n_{from(e)}.  Faithful whenever every history from the start to v has
     length exactly n_v.
     """
+    if not isinstance(strategy, StepCounterTable):
+        raise TypeError("collapse applies to step-counter strategies, got %s"
+                        % type(strategy).__name__)
 
     def level(v: VertexId) -> int:
         try:
@@ -258,32 +240,17 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
         except KeyError:
             raise KeyError("vertex %s missing from the step-count map" % (v,))
 
-    if isinstance(strategy, StepCounterTable):
-        table = {}
-        for v, n in n_map.items():
-            if arena.owner(v) != strategy.player:
-                continue
-            table[v] = move(arena, strategy, v, n, None)
-        return Memoryless(table, player=strategy.player, name=strategy.name + "+collapsed")
+    modes = tuple(range(strategy.k))
+    table = {(v, mode): move(arena, strategy, v, n, (n, mode))
+             for v, n in n_map.items() if arena.owner(v) == strategy.player for mode in modes}
+    name = strategy.name + "+collapsed"
+    if strategy.k == 1:
+        return Memoryless({v: e for (v, _), e in table.items()}, player=strategy.player, name=name)
 
-    if isinstance(strategy, StepCounterPlusK):
-        modes = tuple(range(strategy.k))
+    def update(mode, edge: Edge):
+        return strategy.bit_update.get((level(edge.src), mode, edge), mode)
 
-        def update(mode, edge: Edge):
-            return strategy._update_mode((level(edge.src), mode), edge)
-
-        mealy = MealyMemory(modes, 0, update)
-        table = {}
-        for v, n in n_map.items():
-            if arena.owner(v) != strategy.player:
-                continue
-            for mode in modes:
-                table[(v, mode)] = move(arena, strategy, v, n, (n, mode))
-        return FiniteMemory(mealy, table, player=strategy.player,
-                            name=strategy.name + "+collapsed")
-
-    raise TypeError("collapse applies to step-counter strategies, got %s"
-                    % type(strategy).__name__)
+    return FiniteMemory(MealyMemory(modes, 0, update), table, player=strategy.player, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +260,14 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
 def table_edges(strategy: Strategy) -> list[Edge]:
     """Every edge a table strategy's rows name: its moves, then the edges
     of its mode updates."""
-    edges = list(strategy.table.values())
-    if isinstance(strategy, StepCounterPlusK):
-        edges += [e for _, _, e in strategy.bit_update]
-    return edges
+    return list(strategy.table.values()) + [e for _, _, e in getattr(strategy, "bit_update", ())]
 
 
 def map_edges(strategy: Strategy, fn: Callable[[Edge], Edge]) -> Strategy:
     """A copy of a table strategy with ``fn`` applied to every edge its rows name."""
     out = copy.copy(strategy)
     out.table = {key: fn(e) for key, e in strategy.table.items()}
-    if isinstance(strategy, StepCounterPlusK):
+    if hasattr(strategy, "bit_update"):
         out.bit_update = {(s, m, fn(e)): mode for (s, m, e), mode in strategy.bit_update.items()}
     return out
 
@@ -319,22 +283,19 @@ def serialize_strategy(strategy: Strategy) -> str:
             e = strategy.table[v]
             lines.append("move %s -> %s weight=%s" % (v, e.dst, e.weight))
     elif isinstance(strategy, StepCounterTable):
-        lines.append("strategy %s kind=sc horizon=%d fallback=%s player=%d"
-                     % (strategy.name, strategy.horizon, strategy.fallback, strategy.player))
-        for (v, s) in sorted(strategy.table, key=lambda key: (key[1], key[0])):
-            e = strategy.table[(v, s)]
-            lines.append("move %s step=%d -> %s weight=%s" % (v, s, e.dst, e.weight))
-    elif isinstance(strategy, StepCounterPlusK):
-        lines.append("strategy %s kind=sc+k states=%d horizon=%d fallback=%s player=%d"
-                     % (strategy.name, strategy.k, strategy.horizon, strategy.fallback,
-                        strategy.player))
+        one = strategy.k == 1
+        lines.append("strategy %s kind=%s horizon=%d fallback=%s player=%d"
+                     % (strategy.name, "sc" if one else "sc+k states=%d" % strategy.k,
+                        strategy.horizon, strategy.fallback, strategy.player))
         for (v, s, m) in sorted(strategy.table, key=lambda key: (key[1], key[2], key[0])):
             e = strategy.table[(v, s, m)]
-            lines.append("move %s state=%d step=%d -> %s weight=%s"
-                         % (v, m, s, e.dst, e.weight))
-        for (s, m, e) in sorted(strategy.bit_update,
-                                key=lambda key: (key[0], key[1], key[2].src, key[2].dst, key[2].weight)):
-            nm = strategy.bit_update[(s, m, e)]
+            lines.append("move %s %sstep=%d -> %s weight=%s"
+                         % (v, "" if one else "state=%d " % m, s, e.dst, e.weight))
+        # one mode has no update to write: every entry keeps mode 0
+        updates = {} if one else strategy.bit_update
+        for (s, m, e) in sorted(updates, key=lambda key: (key[0], key[1], key[2].src,
+                                                          key[2].dst, key[2].weight)):
+            nm = updates[(s, m, e)]
             lines.append("bitupd state=%d step=%d edge=%s->%s weight=%s -> %d"
                          % (m, s, e.src, e.dst, e.weight, nm))
     else:
@@ -342,7 +303,7 @@ def serialize_strategy(strategy: Strategy) -> str:
     return "\n".join(lines) + "\n"
 
 
-# kind -> the attributes of its move rows, in the order of the table key
+# kind -> the attributes of its move rows
 _MOVE_ROWS = {"memoryless": (), "sc": ("step",), "sc+k": ("step", "state")}
 # kind -> the attributes its header line may name besides kind=
 _HEADER_KEYS = {"memoryless": ("player",), "sc": ("horizon", "fallback", "player"),
@@ -390,7 +351,7 @@ def parse_strategy(text: str) -> Strategy:
     unread = [key for key in attrs if key not in _HEADER_KEYS[kind]]
     if unread:
         raise ValueError("%s strategy header takes no %s=" % (kind, unread[0]))
-    states = _header_int(attrs, kind, "states", 1) if kind == "sc+k" else None
+    states = _header_int(attrs, kind, "states", 1) if kind == "sc+k" else 1
     horizon = _header_int(attrs, kind, "horizon", 0) if kind != "memoryless" else None
     # row attribute -> the header attribute bounding it, and its value
     bounds = {"state": ("states", states), "step": ("horizon", horizon)}
@@ -406,7 +367,8 @@ def parse_strategy(text: str) -> Strategy:
         for key in names:
             _below(lineno, "%s %s=%d" % (directive, key, row[key]), row[key], *bounds[key])
         if directive == "move":
-            cell = (edge.src, *(row[key] for key in names)) if names else edge.src
+            # a kind=sc row plays in mode 0, the one mode
+            cell = (edge.src, row["step"], row.get("state", 0)) if names else edge.src
         else:
             _below(lineno, "bitupd target mode %d" % mode, mode, *bounds["state"])
             cell = (row["step"], row["state"], edge)
@@ -418,10 +380,8 @@ def parse_strategy(text: str) -> Strategy:
     table = tables["move"]
     if kind == "memoryless":
         return Memoryless(table, player=player, name=name)
-    if kind == "sc":
-        return StepCounterTable(table, horizon, fallback, player=player, name=name)
-    return StepCounterPlusK(states, table, horizon, tables["bitupd"], fallback, player=player,
-                            name=name)
+    return StepCounterTable(table, horizon, fallback, k=states, bit_update=tables["bitupd"],
+                            player=player, name=name)
 
 
 def _header_int(attrs: dict, kind: str, key: str, least: int,

@@ -22,8 +22,7 @@ from .arena import Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact
 from .engine import Inconclusive, KoenigBound, Layers, Node, koenig_bound, koenig_layers
 from .objectives import (Decomposition, ExtValue, OpenSub, prefix_compare, LE, BOTH, POS_INF,
                          NEG_INF, TP, MP)
-from .strategies import (ERROR, FIRST_EDGE, Memoryless, StepCounterPlusK,
-                         StepCounterTable, Strategy, move)
+from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
 
 # ---------------------------------------------------------------------------
 # Value solving on finite arenas
@@ -487,11 +486,12 @@ def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
 
 def _sc_table(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub, depth: int,
               node_cap: Optional[int] = None
-              ) -> Union[dict[tuple[VertexId, int], Edge], Inconclusive]:
-    """(v, s) -> the move sigma makes after the minimal consistent
-    length-s history ending at v, for s below the depth."""
+              ) -> Union[dict[tuple[VertexId, int, int], Edge], Inconclusive]:
+    """(v, s, 0) -> the move sigma makes after the minimal consistent
+    length-s history ending at v, for s below the depth: the rows of a
+    one-mode step-counter table."""
     walk = _minimal_layers(arena, v0, sigma, open_sub, depth - 1, node_cap)
-    table = {(node.vertex, node.depth): walk.moves(node)[0]
+    table = {(node.vertex, node.depth, 0): walk.moves(node)[0]
              for layer in walk for node in layer
              if arena.owner(node.vertex) == sigma.player}
     return walk.truncated or table
@@ -653,7 +653,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         raise ValueError("m_max must be at least 1")
     if not oracle.wprime(v0, 0):
         raise ValueError("start vertex %s is outside the winning region" % (v0,))
-    fixed: dict[tuple[VertexId, int], Edge] = {}
+    fixed: dict[tuple[VertexId, int, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
     k_prev = 0
     for m in range(1, m_max + 1):
@@ -750,7 +750,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
 
     # the table under construction; each bubble fills the levels it adds
-    live = StepCounterPlusK(2, {}, depth_cap, {}, ERROR, name="sc1bit_partial")
+    live = StepCounterTable({}, depth_cap, ERROR, k=2, name="sc1bit_partial")
     table, bitupd = live.table, live.bit_update
     runs = _run_layers(arena, v0, live, None, depth_cap, node_cap)
     mimics = _minimal_layers(arena, v0, live, None, depth_cap, node_cap)
@@ -761,7 +761,8 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = OpenSub("tp-sup", m=m_sched)
-        comp = _Composite(v0, StepCounterPlusK(2, table, k_prev, bitupd, ERROR), k_prev, oracle)
+        comp = _Composite(v0, StepCounterTable(table, k_prev, ERROR, k=2, bit_update=bitupd),
+                          k_prev, oracle)
         run_from = mimic_from = None
         if k_prev > 0:
             # the run walk, then the minimal-history walk, to the layer
@@ -794,12 +795,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         schedule.append((m_sched, k_m))
         k_prev = k_m
 
-    strategy = StepCounterPlusK(2, table, k_prev, bitupd, FIRST_EDGE, name="sc1bit")
+    strategy = StepCounterTable(table, k_prev, FIRST_EDGE, k=2, bit_update=bitupd, name="sc1bit")
     return _final_report(arena, v0, strategy, schedule, lambda m: OpenSub("tp-sup", m=m),
                          oracle.wprime, node_cap)
 
 
-def _run_layers(arena: Arena, v0: VertexId, live: StepCounterPlusK, sub: Optional[OpenSub],
+def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optional[OpenSub],
                 depth: int, node_cap: Optional[int], resume=None) -> Layers:
     """Consistent layers of the live table merging on (vertex, bit,
     running total, satisfied).  A later duplicate replaces the kept node:
@@ -810,7 +811,7 @@ def _run_layers(arena: Arena, v0: VertexId, live: StepCounterPlusK, sub: Optiona
                   prefer=lambda node, kept: True, node_cap=node_cap, resume=resume)
 
 
-def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterPlusK,
+def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterTable,
                   sub: OpenSub, k_prev: int, oracle: WPrimeOracle, depth_cap: int,
                   node_cap: Optional[int], run_from=None, mimic_from=None):
     """Extend the live table over one bubble.

@@ -155,20 +155,31 @@ def _a2_p2_pick(j: int) -> Strategy:
 # A3: the step-counter defeater
 
 
+def _member(v: VertexId, inside: bool) -> None:
+    """Refuse a vertex whose parameters lie outside its family's domain:
+    a generator's rows are the arena's only there."""
+    if not inside:
+        raise KeyError(v)
+
+
 def _a3_expand(v: VertexId):
     if v.name == "s":
         (i,) = v.params
+        _member(v, i >= 0)
         descent_to = V("t", (0,)) if i == 0 else V("d", (i, 1))
         return P2, (E(v, 1, V("s", (i + 1,))), E(v, -1, descent_to))
     if v.name == "d":  # descent intermediates, 2i+1 weight -1 edges total
         i, p = v.params
+        _member(v, 1 <= p <= 2 * i)
         nxt = V("t", (i,)) if p == 2 * i else V("d", (i, p + 1))
         return P2, (E(v, -1, nxt),)
     if v.name == "t":
         (i,) = v.params
+        _member(v, i >= 0)
         return P1, (E(v, 0, V("e", (i, 1))), E(v, i, V("r0", ())))
     if v.name == "e":  # delay intermediates, 3 weight-0 edges per delay
         i, p = v.params
+        _member(v, i >= 0 and p in (1, 2))
         nxt = V("t", (i + 1,)) if p == 2 else V("e", (i, p + 1))
         return P1, (E(v, 0, nxt),)
     if v.name == "r0":
@@ -226,24 +237,28 @@ def _a3_p2_enter(i: int) -> Strategy:
 def _a4_expand(v: VertexId):
     if v.name == "s":
         (i,) = v.params
-        if i < 0:  # s(-1) is a4guarded's guard vertex, the only negative index
-            if i < -1:
-                raise KeyError(v)
+        # s(-1) is a4guarded's guard vertex, the only negative index
+        _member(v, i >= -1)
+        if i < 0:
             return P2, (E(v, 1, V("s", (0,))),)
         return P2, (E(v, -1, V("d", (i, 1))), E(v, 0, V("s", (i + 1,))))
     if v.name == "d":  # entry descent: 2i+3 edges, total -2(i+1)
         i, p = v.params
+        _member(v, i >= 0 and 1 <= p <= 2 * i + 2)
         if p == 2 * i + 2:
             return P2, (E(v, 0, V("t", (i,))),)
         return P2, (E(v, -1, V("d", (i, p + 1))),)
     if v.name == "t":
         (i,) = v.params
+        _member(v, i >= 0)
         return P1, (E(v, 1, V("g", (i, 1))), E(v, i + 1, V("r0", ())))
     if v.name == "g":  # gadget chain: climb +1 or drop towards t(i+j)
         i, j = v.params
+        _member(v, i >= 0 and j >= 1)
         return P2, (E(v, -1, V("dr", (i, j, 1))), E(v, 1, V("g", (i, j + 1))))
     if v.name == "dr":  # drop path: 2j edges in total, summing to -2j+1
         i, j, p = v.params
+        _member(v, i >= 0 and 1 <= p <= 2 * j - 1)
         if p == 2 * j - 1:
             return P2, (E(v, 0, V("t", (i + j,))),)
         return P2, (E(v, -1, V("dr", (i, j, p + 1))),)

@@ -221,7 +221,7 @@ def test_criterion_05_a3_claims():
         table = {}
         for i in range(13):
             if rng.random() < 0.5:
-                table[(V("t", (i,)), 3 * i + 1)] = t_edges[(i, "r0")]
+                table[(V("t", (i,)), 3 * i + 1, 0)] = t_edges[(i, "r0")]
         sc = StepCounterTable(table, 40, FIRST_EDGE, name="sampled%d" % n)
         result = defeat_sc_on_A3(sc, entry)
         cert = result.certificate
@@ -325,7 +325,7 @@ def test_criterion_08_sc1bit_and_step_counter_defeats():
     for bits in itertools.product("zc", repeat=5):
         table = {}
         for i, b in enumerate(bits, start=1):
-            table[(V("u", (i,)), 4 * i - 1)] = u_edges[(i, "u" + b)]
+            table[(V("u", (i,)), 4 * i - 1, 0)] = u_edges[(i, "u" + b)]
         sc = StepCounterTable(table, 20, FIRST_EDGE, name="rounds5")
 
         def choice(i):
@@ -439,7 +439,7 @@ def test_criterion_10_property_suites(tmp_path, capsys):
         "arena pos\nvertex a owner=1\nvertex b owner=2\n"
         "edge a b weight=1\nedge b a weight=-1\nedge b b weight=0\nstart a\n")
     t2, r0 = V("t", (2,)), V("r0")
-    sc = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE,
+    sc = StepCounterTable({(t2, 7, 0): Edge(t2, F(2), r0)}, 8, FIRST_EDGE,
                           name="exit2")
     from qgames.strategies import serialize_strategy
     strat_path = tmp_path / "exit2.strategy"

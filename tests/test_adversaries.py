@@ -127,7 +127,7 @@ def _exit_every_third_step(horizon=1000):
     """A step-counter table on buchib exiting the decision vertex at steps
     1, 4, 7, ... and looping there at every other step."""
     v, u = V("v", ()), V("u", ())
-    table = {(v, s): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v)
+    table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v)
              for s in range(horizon)}
     return StepCounterTable(table, horizon, name="exit_every_third_step")
 
@@ -159,7 +159,7 @@ def _a3_table(name, exits):
     table = {}
     for i in range(133):
         t = V("t", (i,))
-        table[(t, 3 * i + 1)] = next(e for e in arena.edges(t)
+        table[(t, 3 * i + 1, 0)] = next(e for e in arena.edges(t)
                                      if (e.dst.name == "r0") == exits(i))
     return StepCounterTable(table, 400, FIRST_EDGE, name=name)
 
@@ -278,7 +278,7 @@ def _buchib_table(entry, name, exits):
     # every step the adversary probes: its horizon 600 plus the longest
     # padding and one
     v = V("v", ())
-    table = {(v, step): next(e for e in entry.arena.edges(v)
+    table = {(v, step, 0): next(e for e in entry.arena.edges(v)
                              if (e.dst.name == "u") == exits(step))
              for step in range(607)}
     return StepCounterTable(table, 607, FIRST_EDGE, name=name)

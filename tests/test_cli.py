@@ -14,7 +14,7 @@ from qgames.arena import ArenaExplicit, Edge, VertexId
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
-from qgames.strategies import (FIRST_EDGE, StepCounterPlusK, StepCounterTable, Strategy,
+from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy)
 from qgames import zoo
 from qgames.zoo import make
@@ -289,7 +289,7 @@ def test_cli_defeat_verify_cycle(tmp_path, capsys):
     # a step-counter table on a3 that exits at its own pinned step loses
     # to the opponent entering exactly there
     t2, r0 = V("t", (2,)), V("r0")
-    sc = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE,
+    sc = StepCounterTable({(t2, 7, 0): Edge(t2, F(2), r0)}, 8, FIRST_EDGE,
                           name="exit2")
     strat = _write(tmp_path, "exit2.strategy", serialize_strategy(sc))
     cert = str(tmp_path / "cert.json")
@@ -311,7 +311,7 @@ def test_cli_defeat_verify_cycle(tmp_path, capsys):
 
 def test_cli_defeat_without_out_writes_the_certificate_to_stdout(tmp_path, capsys):
     t2, r0 = V("t", (2,)), V("r0")
-    sc = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
+    sc = StepCounterTable({(t2, 7, 0): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
     strat = _write(tmp_path, "exit2.strategy", serialize_strategy(sc))
     cert = tmp_path / "cert.json"
     assert main(["defeat", "--arena", "zoo:a3", "--strategy", strat, "--out", str(cert)]) == 0
@@ -329,7 +329,7 @@ def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsy
     # the table exits the decision vertex at steps 1, 4, 7, ... and loops
     # there at every other step
     v, u = V("v", ()), V("u", ())
-    table = {(v, s): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(100)}
+    table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(100)}
     strat = _write(tmp_path, "third.strategy",
                    serialize_strategy(StepCounterTable(table, 100, name="third")))
     assert main(["defeat", "--arena", "zoo:buchib", "--strategy", strat,
@@ -390,6 +390,38 @@ def test_cli_defeat_on_a4_names_a_step_counter_table(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _one_mode_stay(tmp_path, states=1):
+    """``a3_stay.strategy`` as a ``kind=sc+k`` file with ``states`` modes."""
+    text = Path(A3_STAY).read_text().replace("kind=sc ", "kind=sc+k states=%d " % states)
+    return _write(tmp_path, "stay%d.strategy" % states, text)
+
+
+@pytest.mark.parametrize("command", ["defeat", "simulate"])
+def test_cli_a_one_mode_sc_k_file_plays_as_its_kind_sc_file(tmp_path, capsysbinary, command):
+    out = str(tmp_path / "out")
+    runs = []
+    for path in (A3_STAY, _one_mode_stay(tmp_path)):
+        argv = (["defeat", "--arena", "zoo:a3", "--strategy", path, "--out", out]
+                if command == "defeat" else
+                ["simulate", "--arena", "zoo:a3", "--p1", path, "--p2", "p2_enter_1",
+                 "--horizon", "30", "--out", out])
+        code = main(argv)
+        captured = capsysbinary.readouterr()
+        runs.append((code, captured.out, captured.err, Path(out).read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize("uri, routine", [("zoo:a3", "defeat_sc_on_A3"),
+                                          ("zoo:buchib", "defeat_sc_buchi")])
+def test_cli_defeat_needs_a_step_counter_table_with_one_mode(tmp_path, capsys, uri, routine):
+    assert main(["defeat", "--arena", uri, "--strategy", _one_mode_stay(tmp_path, 2)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: %s needs a step-counter table with one mode, got 2 modes\n"
+                            % routine)
+    assert captured.out == ""
+
+
 def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
     cert = str(tmp_path / "cert.json")
     assert main(["defeat", "--arena", "zoo:a4", "--strategy", "always_delay",
@@ -411,7 +443,7 @@ def defeat_certificates(tmp_path_factory):
     checks it."""
     tmp = tmp_path_factory.mktemp("defeat")
     t2, r0 = V("t", (2,)), V("r0")
-    exit2 = StepCounterTable({(t2, 7): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
+    exit2 = StepCounterTable({(t2, 7, 0): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
     stay = StepCounterTable({}, 0, FIRST_EDGE, name="stay")  # t(i)'s first edge delays
     a3, a4 = make("a3"), make("a4")
     always_delay = a4.strategy("always_delay")
@@ -600,7 +632,7 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         todo.extend(cls.__subclasses__())
         if "choose" in cls.__dict__:
             classes.append(cls)
-    assert {"Memoryless", "FiniteMemory", "StepCounterTable", "StepCounterPlusK", "Tracking",
+    assert {"Memoryless", "FiniteMemory", "StepCounterTable", "Tracking",
             "_Composite"} <= {cls.__name__ for cls in classes}
     for cls in classes:
         monkeypatch.setattr(cls, "choose", wrapped(cls, cls.__dict__["choose"]))
@@ -736,7 +768,7 @@ def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
                  "tp:limsup:>=:0", "--m-max", "2", "--out", out]) == 0
     assert "certified: yes" in capsys.readouterr().out
     sigma = parse_strategy(open(out).read())
-    assert isinstance(sigma, StepCounterPlusK)
+    assert isinstance(sigma, StepCounterTable) and sigma.k == 2
 
 
 def test_cli_synthesize_is_deterministic(tmp_path):
@@ -1109,7 +1141,13 @@ def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_p
     # s(-1), a4guarded's guard, is the only negative index
     ("zoo:a4", "always_delay", "P", "strategy below kind=memoryless player=2\n"
      "move s(-5) -> s(0) weight=1\n", "names vertex s(-5), which is not in arena a4"),
-], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd", "a4-below-the-guard"])
+    # a vertex of a4's and a3's families with parameters outside its domain
+    ("zoo:a4", "P", "p2_enter_1", "strategy outside kind=memoryless\n"
+     "move t(-4) -> g(-4,1) weight=1\n", "names vertex t(-4), which is not in arena a4"),
+    ("zoo:a3", "delay_twice_exit", "P", "strategy outside kind=memoryless player=2\n"
+     "move d(0,1) -> t(0) weight=-1\n", "names vertex d(0,1), which is not in arena a3"),
+], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd", "a4-below-the-guard",
+        "a4-outside-t", "a3-outside-d"])
 def test_cli_refuses_a_strategy_file_naming_a_non_edge_of_its_arena(tmp_path, capsys, arena, p1,
                                                                    p2, text, message):
     path = _write(tmp_path, "bad.strategy", text)

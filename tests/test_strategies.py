@@ -6,9 +6,8 @@ from qgames.arena import (ArenaExplicit, Edge, History, MealyMemory, StepCounter
                           VertexId, encodes_step_count, product)
 from qgames.engine import play
 from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded,
-                               Memoryless, StepCounterPlusK,
-                               StepCounterTable, Tracking, collapse_sc_fm, consistent,
-                               parse_strategy, serialize_strategy)
+                               Memoryless, StepCounterTable, Tracking, collapse_sc_fm,
+                               consistent, parse_strategy, serialize_strategy)
 
 F = Fraction
 V = VertexId
@@ -44,7 +43,7 @@ def test_a_strategy_names_its_finite_memory():
     assert FiniteMemory(mealy, {}).mealy is mealy
     one = Memoryless({}).mealy
     assert (one.states, one.initial(), one.update(None, E(A, 1, B))) == ((None,), None, None)
-    for sigma in (StepCounterTable({}, 3), StepCounterPlusK(2, {}, 3, {}),
+    for sigma in (StepCounterTable({}, 3), StepCounterTable({}, 3, k=2),
                   Tracking("t", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[0])):
         assert sigma.mealy is None
 
@@ -52,7 +51,7 @@ def test_a_strategy_names_its_finite_memory():
 def test_collapse_names_a_vertex_missing_from_the_step_count_map():
     d = V("d", (2,))
     arena = ArenaExplicit({A: 1, d: 2}, [E(A, 0, d), E(d, 1, A)], A)
-    sigma = StepCounterPlusK(1, {(A, 0, 0): E(A, 0, d)}, 4, {}, FIRST_EDGE)
+    sigma = StepCounterTable({(A, 0, 0): E(A, 0, d)}, 4, FIRST_EDGE, k=2)
     collapsed = collapse_sc_fm(arena, sigma, {A: 0})
     with pytest.raises(KeyError) as exc:
         collapsed.step_state(collapsed.initial_state(), E(d, 1, A))
@@ -72,7 +71,7 @@ def test_finite_memory_threads_state():
 
 def test_step_counter_table_horizon_behaviour():
     arena = two_choice_arena()
-    table = {(A, 0): E(A, 0, C), (A, 2): E(A, 1, B)}
+    table = {(A, 0, 0): E(A, 0, C), (A, 2, 0): E(A, 1, B)}
     sigma = StepCounterTable(table, horizon=3, fallback=FIRST_EDGE)
     assert sigma.choose(arena, A, 0, None).dst == C
     assert sigma.choose(arena, A, 2, None).dst == B
@@ -88,7 +87,7 @@ def test_step_counter_plus_k_bit_update():
     flip = E(A, 1, B)
     table = {(A, 0, 0): E(A, 0, C), (A, 0, 1): flip}
     bitupd = {(0, 0, E(A, 0, C)): 1}
-    sigma = StepCounterPlusK(2, table, 4, bitupd, FIRST_EDGE)
+    sigma = StepCounterTable(table, 4, FIRST_EDGE, k=2, bit_update=bitupd)
     state = sigma.initial_state()
     assert state == (0, 0)
     move = sigma.choose(arena, A, 0, state)
@@ -127,7 +126,7 @@ def test_collapse_sc_to_memoryless_is_faithful():
     table = {}
     for v, n in levels.items():
         if arena.owner(v) == 1:
-            table[(v, n)] = arena.edges(v)[n % len(arena.edges(v))]
+            table[(v, n, 0)] = arena.edges(v)[n % len(arena.edges(v))]
     sigma = StepCounterTable(table, 12, FIRST_EDGE)
     collapsed = collapse_sc_fm(arena, sigma, levels)
     assert isinstance(collapsed, Memoryless)
@@ -152,7 +151,7 @@ def test_collapse_sc_plus_k_is_faithful():
         for e in es:
             bitupd[(n, 0, e)] = 1 if e.weight < 0 else 0
             bitupd[(n, 1, e)] = 1
-    sigma = StepCounterPlusK(2, table, 12, bitupd, FIRST_EDGE)
+    sigma = StepCounterTable(table, 12, FIRST_EDGE, k=2, bit_update=bitupd)
     collapsed = collapse_sc_fm(arena, sigma, levels)
     assert isinstance(collapsed, FiniteMemory)
     p2 = Memoryless(lambda ar, v: ar.edges(v)[0], player=2)
@@ -177,7 +176,7 @@ def test_serialize_parse_memoryless_roundtrip():
 
 
 def test_serialize_parse_sc_roundtrip():
-    table = {(A, 0): E(A, 0, C), (A, 2): E(A, 1, B)}
+    table = {(A, 0, 0): E(A, 0, C), (A, 2, 0): E(A, 1, B)}
     sigma = StepCounterTable(table, 5, FIRST_EDGE, name="sched")
     back = parse_strategy(serialize_strategy(sigma))
     assert isinstance(back, StepCounterTable)
@@ -187,13 +186,28 @@ def test_serialize_parse_sc_roundtrip():
 def test_serialize_parse_sc_plus_k_roundtrip():
     table = {(A, 0, 0): E(A, 0, C), (A, 1, 1): E(A, 1, B)}
     bitupd = {(0, 0, E(A, 0, C)): 1, (1, 1, E(A, 1, B)): 0}
-    sigma = StepCounterPlusK(2, table, 4, bitupd, FIRST_EDGE, name="bit")
+    sigma = StepCounterTable(table, 4, FIRST_EDGE, k=2, bit_update=bitupd, name="bit")
     text = serialize_strategy(sigma)
     back = parse_strategy(text)
-    assert isinstance(back, StepCounterPlusK)
+    assert isinstance(back, StepCounterTable) and back.k == 2
     assert back.table == table
     assert back.bit_update == bitupd
     assert serialize_strategy(back) == text
+
+
+def test_a_one_mode_sc_k_file_is_a_kind_sc_table():
+    rows = "move a step=0 -> c weight=0\nmove a step=2 -> b weight=1\n"
+    sc = parse_strategy("strategy s kind=sc horizon=3 fallback=error\n" + rows)
+    one = parse_strategy("strategy s kind=sc+k states=1 horizon=3 fallback=error\n"
+                         + rows.replace("step=", "state=0 step=")
+                         + "bitupd state=0 step=0 edge=a->c weight=0 -> 0\n")
+    for sigma in (sc, one):
+        assert isinstance(sigma, StepCounterTable) and sigma.k == 1
+        assert sigma.table == {(A, 0, 0): E(A, 0, C), (A, 2, 0): E(A, 1, B)}
+        assert (sigma.horizon, sigma.fallback, sigma.traces_state) == (3, ERROR, False)
+    assert serialize_strategy(one) == serialize_strategy(sc) == (
+        "strategy s kind=sc horizon=3 fallback=error player=1\n" + rows)
+    assert parse_strategy(serialize_strategy(StepCounterTable({}, 1, k=2))).traces_state
 
 
 def test_fm_files_are_rejected():

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qgames.arena import Edge, VertexId
+from qgames.arena import Edge, VertexId, reach
 from qgames.engine import play
 from qgames.strategies import Memoryless, Tracking, parse_strategy
 from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
@@ -39,6 +40,38 @@ def test_a4_has_no_negative_index_below_the_guard(name):
     for i in (-2, -5):
         with pytest.raises(KeyError):
             arena.row(V("s", (i,)))
+
+
+@pytest.mark.parametrize("name, vertex", [
+    ("a4", "t(-4)"), ("a4", "d(-3,1)"), ("a4", "d(1,9)"), ("a4", "d(0,0)"), ("a4", "g(2,-1)"),
+    ("a4", "g(-1,1)"), ("a4", "dr(0,0,5)"), ("a4", "dr(0,1,2)"), ("a4", "dr(-1,2,1)"),
+    ("a3", "s(-5)"), ("a3", "t(-2)"), ("a3", "d(0,1)"), ("a3", "d(1,3)"), ("a3", "d(2,0)"),
+    ("a3", "e(1,7)"), ("a3", "e(1,0)"), ("a3", "e(-1,1)"),
+])
+def test_a3_and_a4_refuse_a_vertex_outside_its_family(name, vertex):
+    with pytest.raises(KeyError):
+        make(name).arena.row(V.parse(vertex))
+
+
+# every family of a3 and a4, with the number of its parameters
+_FAMILIES = {"a3": {"s": 1, "d": 2, "t": 1, "e": 2}, "a4guarded": {"s": 1, "d": 2, "t": 1,
+                                                                    "g": 2, "dr": 3}}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_a3_and_a4_have_rows_exactly_at_their_reachable_vertices(name):
+    """Within a box of parameters, a vertex has a row iff a play from the
+    start reaches it (a4guarded's start s(-1) leads into a4's s(0))."""
+    arena = make(name).arena
+    reached = reach(arena, arena.start, 40)
+    for family, arity in _FAMILIES[name].items():
+        for params in itertools.product(range(-2, 6), repeat=arity):
+            v = V(family, params)
+            if v in reached:
+                assert arena.edges(v)
+            else:
+                with pytest.raises(KeyError):
+                    arena.row(v)
 
 
 def test_parse_uri_with_params():
