@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _tuple_new
+from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
 from .strategies import StepCounterTable, Strategy, Tracking
@@ -281,8 +281,8 @@ def _path_edges(path: tuple):
     at, runs = path
     for (_, weight, name), params, steps in runs:
         for p in steps:
-            nxt = _tuple_new(VertexId, (name, params + (p,)))
-            yield _tuple_new(Edge, (at, weight, nxt))
+            nxt = _new_vertex((name, params + (p,)))
+            yield _new_edge((at, weight, nxt))
             at = nxt
 
 

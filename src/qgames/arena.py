@@ -25,12 +25,17 @@ owner's strategy, check the edge, fold it into both memories), the
 ``qg simulate`` CSV text (``PlayRecord.to_csv``) and the Ramsey
 adversary's folds of its closed-form paths (``adversaries._fold``: a
 letter memory by runs, any other memory one update per edge).  On a
-generator a play's first visit to a vertex expands its row, the largest
-share of a ``qg simulate`` job on a4 (see README).  Code on that path
-keeps three rules.  Weights stay exact: each goes through ``exact``,
-which takes an ``int`` as it is.  ``VertexId`` and ``Edge`` stay named
-tuples; a hot loop may build them with ``tuple.__new__`` (``_tuple_new``),
-which skips only the Python frame of their ``__new__``.  Checks are kept:
+generator a play's first visit to a vertex expands its row and orders
+it, a two-edge row by one comparison (``Arena.row``): the largest share
+of a ``qg simulate`` job on a4 (see README).  Code on that path
+keeps three rules.  Weights stay exact: each goes through ``exact``
+(which takes an ``int`` as it is) unless it is an ``int`` by construction.
+``VertexId`` and ``Edge`` stay named tuples; a hot loop may build them
+frame-free, from one field tuple, with ``_new_vertex`` and ``_new_edge``
+(``tuple.__new__`` bound to the class, which skips only the Python frame
+of their ``__new__``), and ``_new_edge`` only with an ``int`` weight or
+one already exact; ``validate`` reports a generator edge whose weight is
+not.  Checks are kept:
 ``play`` refuses a non-edge, and a memory refuses a state outside its
 set on every transition it computes, the steps inside
 ``LetterMemory.run`` included.
@@ -41,6 +46,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -108,9 +114,12 @@ class Edge(NamedTuple):
 # an edge's (dst, weight), the order of every edge row; a C key, as rows
 # are sorted once per expanded generator vertex
 _edge_sort_key = itemgetter(2, 1)
-# _tuple_new(Edge, (src, weight, dst)) is Edge(src, weight, dst) without
-# the Python frame of the named tuple's __new__
-_tuple_new = tuple.__new__
+# _new_vertex((name, params)) is VertexId(name, params) and _new_edge((src,
+# weight, dst)) is Edge(src, weight, dst), without the Python frame of the
+# named tuple's __new__; _new_edge takes the weight as it is, so it must be
+# an int or already exact (``make_edge`` makes it so)
+_new_vertex = partial(tuple.__new__, VertexId)
+_new_edge = partial(tuple.__new__, Edge)
 
 
 def exact(x, d: int = 1) -> Weight:
@@ -127,19 +136,26 @@ def exact(x, d: int = 1) -> Weight:
     return x.numerator if x.denominator == 1 else x
 
 
+def _canonical(weight) -> bool:
+    """Whether ``weight`` is as ``exact`` leaves it: an ``int``, or a
+    ``Fraction`` that is not integral."""
+    return type(weight) is int or (type(weight) is Fraction and weight.denominator != 1)
+
+
 def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
     """An edge with its weight made exact; an ``int`` weight, the common
     case in generator rows, is taken as it is."""
     if type(weight) is not int:
         weight = exact(weight)
-    return _tuple_new(Edge, (src, weight, dst))
+    return _new_edge((src, weight, dst))
 
 
 class Arena:
     """The row store: ``_cache`` maps a vertex to its row ``(owner,
-    edges)``, the edges sorted by (dst, weight).  On a miss ``row`` stores
-    the row of ``expand``, a pure function kept uncached; with no
-    ``expand`` a vertex outside the store is a ``KeyError``."""
+    edges)``, the edges sorted by (dst, weight), ties kept in the order
+    given.  On a miss ``row`` stores the row of ``expand``, a pure function
+    kept uncached; with no ``expand`` a vertex outside the store is a
+    ``KeyError``."""
 
     def __init__(self, name: str, start: Optional[VertexId], expand: Optional[Callable] = None):
         self.name = name
@@ -148,7 +164,10 @@ class Arena:
         self._cache: dict[VertexId, tuple[int, tuple[Edge, ...]]] = {}
 
     def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
-        """The owner of ``v`` and its edges, from one lookup."""
+        """The owner of ``v`` and its edges, from one lookup.  A row expanded
+        on a miss is put in (dst, weight) order as a stable sort would: a
+        two-edge row, the common case, by one comparison, swapped iff its
+        second edge's key is the smaller; a longer row by ``sorted``."""
         hit = self._cache.get(v)
         if hit is not None:
             return hit
@@ -157,9 +176,14 @@ class Arena:
         owner, es = self.expand(v)
         if type(es) is not tuple:
             es = tuple(es)
-        if len(es) > 1:
+        n = len(es)
+        if n == 2:
+            a, b = es
+            if (b[2], b[1]) < (a[2], a[1]):
+                es = (b, a)
+        elif n > 2:
             es = tuple(sorted(es, key=_edge_sort_key))
-        elif not es:
+        elif not n:
             raise ValueError("generator produced blocking vertex %s" % (v,))
         result = self._cache[v] = (owner, es)
         return result
@@ -438,7 +462,9 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
 
     Explicit arenas are checked in full; a generator's vertices within
     ``depth`` steps of the start vertex are expanded (``reach``), each
-    probed twice to catch nondeterministic expansion.
+    probed twice to catch nondeterministic expansion, and each edge's
+    weight must be canonical exact (``exact``): a generator may build its
+    edges with ``_new_edge``, which does not make them so.
     """
     if isinstance(arena, ArenaExplicit):
         return ValidationReport(["blocking vertex %s" % (v,) for v in arena.vertices
@@ -467,6 +493,8 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
             report.violations.append("blocking vertex %s" % (v,))
         report.violations.extend("edge source mismatch at %s: %s" % (v, e)
                                  for e in es if e.src != v)
+        report.violations.extend("weight not canonical exact at %s: %r" % (v, e.weight)
+                                 for e in es if not _canonical(e.weight))
         return es
 
     try:

@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
-from .arena import Arena, Edge, History, VertexId, Weight, exact, node_cap_from_env
+from .arena import (_VERTEX_FORMATS, Arena, Edge, History, VertexId, Weight, exact,
+                    node_cap_from_env)
 from .objectives import OpenSub
 from .strategies import Strategy
 
@@ -73,19 +74,32 @@ class PlayRecord:
     def to_csv(self) -> str:
         """One row per step.  ``mp`` is the exact tp/(step+1), found without
         a Fraction division: with tp = n/d in lowest terms and
-        g = gcd(n, step+1), (n/g) / (d*(step+1)/g) is in lowest terms."""
+        g = gcd(n, step+1), (n/g) / (d*(step+1)/g) is in lowest terms.
+        A vertex with at most three parameters is formatted inline
+        (``VertexId.__str__`` without its frame), and a memory state is
+        formatted once per run of steps that trace the same object: the
+        same object prints the same text, and neither hashing nor equality
+        is asked of a state."""
         lines = ["step,from,to,weight,tp,mp,mem1,mem2"]
         append = lines.append
+        formats, short = _VERTEX_FORMATS, len(_VERTEX_FORMATS)
         src = str(self.origin)  # each row starts where the previous one ended
+        last1 = last2 = None  # the states formatted last, as text1 and text2
+        text1 = text2 = "-"
         j = 0
         for e, tp, m1, m2 in zip(self.edges, self.tp_trace, self.mem1_trace, self.mem2_trace):
-            dst = str(e.dst)
+            name, params = v = e.dst
+            dst = formats[len(params)] % (name, *params) if len(params) < short else str(v)
+            if m1 is not last1:
+                last1, text1 = m1, _fmt_mem(m1)
+            if m2 is not last2:
+                last2, text2 = m2, _fmt_mem(m2)
             n, k = tp.numerator, j + 1
             g = gcd(n, k)
             den = tp.denominator * (k // g)
             append("%d,%s,%s,%s,%s,%s,%s,%s" % (
                 j, src, dst, e.weight, tp, n // g if den == 1 else "%d/%d" % (n // g, den),
-                "-" if m1 is None else _fmt_mem(m1), "-" if m2 is None else _fmt_mem(m2)))
+                text1, text2))
             src, j = dst, k
         return "\n".join(lines) + "\n"
 

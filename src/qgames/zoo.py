@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .arena import (DEFAULT_VERTEX_CAP, Arena, ArenaGenerator, Edge, LetterMemory, MealyMemory,
-                    VertexId, Weight, P1, P2, V, make_edge)
+                    VertexId, Weight, P1, P2, V, _new_edge, _new_vertex, make_edge)
 from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
 E = make_edge  # short alias used heavily by the expansions
@@ -235,35 +235,41 @@ def _a3_p2_enter(i: int) -> Strategy:
 
 
 def _a4_expand(v: VertexId):
-    if v.name == "s":
-        (i,) = v.params
-        # s(-1) is a4guarded's guard vertex, the only negative index
-        _member(v, i >= -1)
-        if i < 0:
-            return P2, (E(v, 1, V("s", (0,))),)
-        return P2, (E(v, -1, V("d", (i, 1))), E(v, 0, V("s", (i + 1,))))
-    if v.name == "d":  # entry descent: 2i+3 edges, total -2(i+1)
-        i, p = v.params
-        _member(v, i >= 0 and 1 <= p <= 2 * i + 2)
-        if p == 2 * i + 2:
-            return P2, (E(v, 0, V("t", (i,))),)
-        return P2, (E(v, -1, V("d", (i, p + 1))),)
-    if v.name == "t":
-        (i,) = v.params
-        _member(v, i >= 0)
-        return P1, (E(v, 1, V("g", (i, 1))), E(v, i + 1, V("r0", ())))
-    if v.name == "g":  # gadget chain: climb +1 or drop towards t(i+j)
-        i, j = v.params
-        _member(v, i >= 0 and j >= 1)
-        return P2, (E(v, -1, V("dr", (i, j, 1))), E(v, 1, V("g", (i, j + 1))))
-    if v.name == "dr":  # drop path: 2j edges in total, summing to -2j+1
-        i, j, p = v.params
-        _member(v, i >= 0 and 1 <= p <= 2 * j - 1)
-        if p == 2 * j - 1:
-            return P2, (E(v, 0, V("t", (i + j,))),)
-        return P2, (E(v, -1, V("dr", (i, j, p + 1))),)
-    if v.name == "r0":
-        return P1, (E(v, 0, v),)
+    """A4's rows, built frame-free (``_new_vertex``, ``_new_edge``): every
+    weight is an int affine in the int parameters, so exact as built.  A
+    vertex outside its family's domain falls through to ``KeyError(v)``."""
+    name, params = v
+    if name == "s":
+        (i,) = params
+        if i >= 0:
+            return P2, (_new_edge((v, -1, _new_vertex(("d", (i, 1))))),
+                        _new_edge((v, 0, _new_vertex(("s", (i + 1,))))))
+        if i == -1:  # a4guarded's guard vertex, the only negative index
+            return P2, (_new_edge((v, 1, _new_vertex(("s", (0,))))),)
+    elif name == "d":  # entry descent: 2i+3 edges, total -2(i+1)
+        i, p = params
+        if i >= 0 and 1 <= p <= 2 * i + 2:
+            if p == 2 * i + 2:
+                return P2, (_new_edge((v, 0, _new_vertex(("t", (i,))))),)
+            return P2, (_new_edge((v, -1, _new_vertex(("d", (i, p + 1))))),)
+    elif name == "t":
+        (i,) = params
+        if i >= 0:
+            return P1, (_new_edge((v, 1, _new_vertex(("g", (i, 1))))),
+                        _new_edge((v, i + 1, _new_vertex(("r0", ())))))
+    elif name == "g":  # gadget chain: climb +1 or drop towards t(i+j)
+        i, j = params
+        if i >= 0 and j >= 1:
+            return P2, (_new_edge((v, -1, _new_vertex(("dr", (i, j, 1))))),
+                        _new_edge((v, 1, _new_vertex(("g", (i, j + 1))))))
+    elif name == "dr":  # drop path: 2j edges in total, summing to -2j+1
+        i, j, p = params
+        if i >= 0 and 1 <= p <= 2 * j - 1:
+            if p == 2 * j - 1:
+                return P2, (_new_edge((v, 0, _new_vertex(("t", (i + j,))))),)
+            return P2, (_new_edge((v, -1, _new_vertex(("dr", (i, j, p + 1))))),)
+    elif name == "r0":
+        return P1, (_new_edge((v, 0, v)),)
     raise KeyError(v)
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History, LetterMemory,
-                          MealyMemory, StepCounter, VertexId, encodes_step_count, exact,
-                          make_edge, node_cap_from_env, product, reach, validate)
+                          MealyMemory, StepCounter, VertexId, _new_edge, _new_vertex,
+                          encodes_step_count, exact, make_edge, node_cap_from_env, product,
+                          reach, validate)
 from qgames.engine import SinkPayoff, certificate_to_json
 from qgames.zoo import make
 
@@ -408,3 +409,56 @@ def test_explicit_vertices_are_one_sorted_tuple_on_every_read():
     first = arena.vertices
     assert first == tuple(sorted(vs))
     assert arena.vertices is first
+
+
+def test_the_frame_free_constructors_build_the_named_tuples():
+    v = _new_vertex(("g", (2, 1)))
+    e = _new_edge((v, -1, V("dr", (2, 1, 1))))
+    assert type(v) is VertexId and v == V("g", (2, 1)) and str(v) == "g(2,1)"
+    assert type(e) is Edge and e == make_edge(V("g", (2, 1)), -1, V("dr", (2, 1, 1)))
+    assert (e.src, e.weight, e.dst) == (v, -1, V("dr", (2, 1, 1)))
+
+
+def _rows_of(rows):
+    """A generator from a map of vertex -> edge list, each row's edges in
+    the order given."""
+    return ArenaGenerator(next(iter(rows)), lambda v: (1, tuple(rows[v])))
+
+
+_a, _b, _c = V("a"), V("b", (1,)), V("b", (2,))
+
+
+@pytest.mark.parametrize("edges", [
+    [make_edge(_a, 0, _b), make_edge(_a, 5, _a)],  # reversed
+    [make_edge(_a, 5, _a), make_edge(_a, 0, _b)],  # in order
+    [make_edge(_a, 1, _b), make_edge(_a, -1, _b)],  # equal targets
+    [make_edge(_a, -1, _b), make_edge(_a, 1, _b)],
+    [make_edge(_a, 1, _c), make_edge(_a, 1, _b)],  # equal weights
+    [make_edge(_a, 2, _b), _new_edge((_a, F(2), _b))],  # equal keys keep their order
+    [_new_edge((_a, F(2), _b)), make_edge(_a, 2, _b)],
+    [make_edge(_a, 3, _c), make_edge(_a, 1, _b), make_edge(_a, -1, _b)],  # three edges
+    [make_edge(_a, F(1, 2), _a), make_edge(_a, 0, _c), make_edge(_a, F(-1, 2), _a),
+     make_edge(_a, 0, _b)],
+], ids=["reversed", "ordered", "targets-1+1", "targets+1-1", "weights", "ties-int-first",
+        "ties-fraction-first", "three", "four"])
+def test_a_generator_row_is_its_edges_in_stable_dst_weight_order(edges):
+    rows = {_a: edges, _b: [make_edge(_b, 0, _b)], _c: [make_edge(_c, 0, _c)]}
+    owner, row = _rows_of(rows).row(_a)
+    want = tuple(sorted(edges, key=lambda e: (e.dst, e.weight)))
+    assert owner == 1 and row == want
+    # equal keys keep the order given, which == cannot see
+    assert [type(e.weight) for e in row] == [type(e.weight) for e in want]
+    assert all(got is e for got, e in zip(row, want))
+
+
+def test_validate_names_a_generator_edge_whose_weight_is_not_canonical_exact():
+    # built past make_edge, as a frame-free expansion may build them
+    a, b = V("a"), V("b", (3,))
+    rows = {a: [_new_edge((a, F(4, 2), b)), _new_edge((a, 3, a))],
+            b: [_new_edge((b, 0.5, a)), _new_edge((b, F(1, 2), b))]}
+    report = validate(_rows_of(rows), depth=3)
+    assert report.violations == ["weight not canonical exact at a: Fraction(2, 1)",
+                                 "weight not canonical exact at b(3): 0.5"]
+    # the same rows through make_edge are canonical
+    fixed = {v: [make_edge(*e) for e in es] for v, es in rows.items()}
+    assert validate(_rows_of(fixed), depth=3).ok

@@ -128,7 +128,9 @@ ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
 # the CSV writer were reworked, and (the last five rows) before the
 # player-1 zoo strategies kept only the summary they decide from; the a4
 # H=1000 rows were taken before the generator rows, the memory folds and
-# the CSV writer were made leaner
+# the CSV writer were made leaner, and the last two rows (a4guarded's
+# s(-1) guard; three traced memory states) before a4's rows were built
+# frame-free and the CSV writer formatted each memory state once
 @pytest.mark.parametrize("arena, p1, p2, horizon, digest", [
     ("zoo:a4", "sigma_100000", "p2_enter_1", 4000,
      "f2464833f423081252f61b9191abb8e14b3f4c78127c4cd1d121df5db3d6dbcf"),
@@ -150,9 +152,14 @@ ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
      "30631d1e60ec253a940f1c795e870c9196c974f71f1f94c435d2459189873a26"),
     ("zoo:nonuniform?start_index=3", "exit_at_5", str(ZOO_P2 / "idle.strategy"), 200,
      "bdafde236d203c3d244a1660b9dc1849f1069229640046af665355fd6145f383"),
+    ("zoo:a4guarded", "sigma_3", "p2_enter_1", 1000,
+     "5577732f92d8e70538005d8d8607a02ef346cc043505bd71726698a3ee18ad3a"),
+    ("zoo:a4", "delay_twice_exit", "p2_enter_2", 1000,
+     "23f4f7518f4fe5b497b05691fe84edd719e467286385f0d0fc19e391110faa3e"),
 ], ids=["a4-sigma", "a4-always-delay", "a4-sigma-h1000", "a4-always-delay-h1000",
         "bitarena-opposite", "a1prime-match", "a2-match",
-        "buchia-round-robin", "buchib-alternating", "nonuniform-exit"])
+        "buchia-round-robin", "buchib-alternating", "nonuniform-exit",
+        "a4guarded-sigma3-h1000", "a4-delay-twice-exit-h1000"])
 def test_cli_simulate_matches_the_golden_digests(tmp_path, arena, p1, p2, horizon, digest):
     out = tmp_path / "play.csv"
     assert main(["simulate", "--arena", arena, "--p1", p1, "--p2", p2,

@@ -77,6 +77,23 @@ def test_csv_mp_column_is_the_exact_mean_payoff():
     assert zeros > 0
 
 
+def test_csv_memory_columns_print_each_state_as_its_own_text():
+    # equal states that print differently, unhashable states, one object
+    # traced at steps apart, and vertices of 0 to 4 parameters
+    loop = [V("n", (1, 2, 3, 4)), V("n"), V("n", (1,)), V("n", (1, 2)), V("n", (1, 2, 3))]
+    edges = [make_edge(u, 1, w) for u, w in zip(loop, loop[1:] + loop[:1])] * 2
+    shared = [1, (2, 3)]
+    mem1 = [1, 1, True, True, 1, 1.0, (1, 2), (1, True), None, 1]
+    mem2 = [shared, shared, [1, (2, 3)], None, "a b,c", "a b,c", shared, 0, 0, shared]
+    text1 = ["1", "1", "True", "True", "1", "1.0", "(1;2)", "(1;True)", "-", "1"]
+    text2 = ["[1;(2;3)]"] * 3 + ["-", "ab;c", "ab;c", "[1;(2;3)]", "0", "0", "[1;(2;3)]"]
+    record = PlayRecord(loop[0], edges, list(range(1, 11)), mem1, mem2, "horizon")
+    assert record.to_csv().splitlines()[1:] == [
+        "%d,%s,%s,1,%d,1,%s,%s" % (j, e.src, e.dst, j + 1, t1, t2)
+        for j, (e, t1, t2) in enumerate(zip(edges, text1, text2))]
+    assert str(loop[0]) == "n(1,2,3,4)" and str(loop[1]) == "n"
+
+
 def test_integer_weights_give_int_totals_and_an_exact_mp_column():
     arena = ArenaExplicit({A: 1, B: 2}, [make_edge(A, 1, B), make_edge(B, 2, A)], A)
     record = play(arena, A, Memoryless({A: arena.edges(A)[0]}),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qgames.arena import Edge, VertexId, reach
+from qgames.arena import Edge, VertexId, make_edge, reach, validate
 from qgames.engine import play
 from qgames.strategies import Memoryless, Tracking, parse_strategy
 from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
@@ -72,6 +72,29 @@ def test_a3_and_a4_have_rows_exactly_at_their_reachable_vertices(name):
             else:
                 with pytest.raises(KeyError):
                     arena.row(v)
+
+
+@pytest.mark.parametrize("name", names())
+def test_every_zoo_generator_validates_to_depth_30(name):
+    # validate also names a weight that is not canonical exact, which the
+    # frame-free a4 rows do not pass through make_edge to become
+    arena = make(name).arena
+    report = validate(arena, depth=30)
+    assert report.violations == []
+    assert report.explored > 1
+
+
+@pytest.mark.parametrize("name", names())
+def test_every_zoo_row_is_edges_of_vertex_ids_as_make_edge_builds_them(name):
+    arena = make(name).arena
+    for v in reach(arena, arena.start, 12):
+        for e in arena.edges(v):
+            rebuilt = make_edge(V(*e.src), e.weight, V(*e.dst))
+            assert type(e) is Edge and e == rebuilt
+            assert type(e.weight) is type(rebuilt.weight)
+            for end in (e.src, e.dst):
+                assert type(end) is VertexId and type(end.params) is tuple
+                assert all(type(p) is int for p in end.params)
 
 
 def test_parse_uri_with_params():
