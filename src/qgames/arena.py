@@ -7,8 +7,9 @@ sum of fractional weights may be, compares, hashes and prints as its
 ``int``; only ``repr`` and ``type`` tell them apart.  Arenas are
 non-blocking (every vertex has at least one outgoing edge) and finitely
 branching.  Both kinds keep their rows in one store, ``Arena``'s: an
-explicit arena fills it when built, and an infinite arena is a
-deterministic lazy generator that fills it one vertex at a time.
+explicit arena fills it when built, from rows (``explicit_rows``) when
+derived from another; a generator is an ``Arena`` with a deterministic
+``expand``, which fills it one vertex at a time.
 
 Vertices and edges are immutable named tuples, so hashing, equality and
 ordering are the tuple's own, in C; they compare equal to plain tuples
@@ -224,14 +225,6 @@ class ArenaExplicit(Arena):
         self.vertices: tuple[VertexId, ...] = tuple(sorted(owners))
 
 
-class ArenaGenerator(Arena):
-    """Lazily expanded arena: ``row`` expands a vertex on its first visit."""
-
-    def __init__(self, root: VertexId, expand: Callable[[VertexId], tuple[int, Iterable[Edge]]],
-                 name: str = "generator"):
-        super().__init__(name, root, expand)
-
-
 @dataclass(frozen=True)
 class History:
     """A finite contiguous edge sequence from an origin vertex.
@@ -361,29 +354,29 @@ def _encode_mem_state(state) -> tuple[int, ...]:
     raise TypeError("cannot encode memory state %r into a product vertex" % (state,))
 
 
-def product(arena: Arena, memory: MealyMemory | StepCounter,
-            start: Optional[VertexId] = None) -> Arena:
-    """Product arena: vertices (v, m), updates threaded through the memory.
+def product(arena: Arena, memory: MealyMemory | StepCounter) -> Arena:
+    """Product arena: vertices (v, m) from the start, updates through the memory.
 
     Product vertices are encoded as VertexIds whose name is the base name
     suffixed with ``*`` and whose parameters append the encoded memory
-    state.  Explicit x Mealy stays explicit; anything involving a step
-    counter (or a generator input) becomes a generator.
+    state; two (v, m) that encode alike are refused.  Explicit x Mealy
+    stays explicit; anything involving a step counter (or a generator
+    input) becomes a generator.
     """
-
-    if start is None:
-        start = arena.start
-    if start is None:
+    if arena.start is None:
         raise ValueError("product needs a start vertex")
 
     state_of: dict[VertexId, tuple[VertexId, object]] = {}
 
     def register(v: VertexId, state) -> VertexId:
         pv = VertexId(v.name + "*", v.params + _encode_mem_state(state))
-        state_of[pv] = (v, state)
+        seen = state_of.setdefault(pv, (v, state))
+        if seen != (v, state):
+            raise ValueError("memory states %r at %s and %r at %s share the product vertex %s"
+                             % (seen[1], seen[0], state, v, pv))
         return pv
 
-    root = register(start, memory.initial())
+    root = register(arena.start, memory.initial())
 
     def expand(pv: VertexId) -> tuple[int, tuple[Edge, ...]]:
         try:
@@ -396,16 +389,17 @@ def product(arena: Arena, memory: MealyMemory | StepCounter,
             out.append(Edge(pv, e.weight, nxt))
         return arena.owner(v), tuple(out)
 
-    gen = ArenaGenerator(root, expand, name=arena.name + "@mem")
+    gen = Arena(arena.name + "@mem", root, expand)
     if isinstance(arena, ArenaExplicit) and isinstance(memory, MealyMemory):
         return explicit_rows(gen, [register(v, state) for v in arena.vertices
                                    for state in memory.states])
     return gen
 
 
-def explicit_rows(arena: ArenaGenerator, vertices: Iterable[VertexId]) -> ArenaExplicit:
-    """The generator's rows on the given vertices, as an explicit arena with
-    its start and name: a transform's explicit form on an explicit input."""
+def explicit_rows(arena: Arena, vertices: Iterable[VertexId]) -> ArenaExplicit:
+    """The rows of ``arena.expand`` on the given vertices, as an explicit
+    arena with its start and name: every derived explicit arena is built
+    here, a transform's on an explicit input and ``truncate_generator``'s."""
     rows = {v: arena.expand(v) for v in vertices}
     return ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
                          [e for _, es in rows.values() for e in es], arena.start, name=arena.name)
@@ -456,12 +450,11 @@ def reach(arena: Arena, start: VertexId, depth: int,
     return reached
 
 
-def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
-             ) -> ValidationReport:
+def validate(arena: Arena, depth: int = 50) -> ValidationReport:
     """Check non-blocking, endpoint declaration, and generator determinism.
 
     Explicit arenas are checked in full; a generator's vertices within
-    ``depth`` steps of the start vertex are expanded (``reach``), each
+    ``depth`` steps of its start are expanded (``reach``), each
     probed twice to catch nondeterministic expansion, and each edge's
     weight must be canonical exact (``exact``): a generator may build its
     edges with ``_new_edge``, which does not make them so.
@@ -470,9 +463,7 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
         return ValidationReport(["blocking vertex %s" % (v,) for v in arena.vertices
                                  if not arena.edges(v)], len(arena.vertices))
     report = ValidationReport()
-    if start is None:
-        start = arena.start
-    if start is None:
+    if arena.start is None:
         report.violations.append("generator without a start vertex")
         return report
 
@@ -498,7 +489,7 @@ def validate(arena: Arena, start: Optional[VertexId] = None, depth: int = 50
         return es
 
     try:
-        report.explored = len(reach(arena, start, depth + 1, probe))
+        report.explored = len(reach(arena, arena.start, depth + 1, probe))
     except VertexCapExceeded:
         report.violations.append("vertex cap exceeded during exploration")
         report.explored = DEFAULT_VERTEX_CAP + 1

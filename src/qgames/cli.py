@@ -16,8 +16,8 @@ import tempfile
 from typing import Optional
 
 from . import zoo
-from .arena import (Arena, ArenaExplicit, Edge, VertexId, make_edge, node_cap_from_env, reach,
-                    validate)
+from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_edge,
+                    node_cap_from_env, reach, validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
 from .objectives import decompose, parse_objective, shift_to_zero_threshold
@@ -96,15 +96,16 @@ def serialize_arena(arena: ArenaExplicit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def truncate_generator(arena: Arena, start: VertexId, depth: int,
-                       name: Optional[str] = None) -> ArenaExplicit:
-    """Explicit truncation of a generator: vertices within ``depth`` steps
-    keep their edges; boundary vertices become absorbing weight-0 loops."""
-    owners, edges = {}, []
-    for v, d in reach(arena, start, depth).items():
-        owners[v] = arena.owner(v)
-        edges.extend(arena.edges(v) if d < depth else (Edge(v, 0, v),))
-    return ArenaExplicit(owners, edges, start, name=name or (arena.name + "_d%d" % depth))
+def truncate_generator(arena: Arena, depth: int) -> ArenaExplicit:
+    """A generator's rows within ``depth`` steps of its start, as an explicit
+    arena (``explicit_rows``); a boundary vertex's row is a weight-0 self-loop."""
+    dist = reach(arena, arena.start, depth)
+
+    def expand(v: VertexId):
+        owner, es = arena.row(v)
+        return owner, es if dist[v] < depth else (Edge(v, 0, v),)
+
+    return explicit_rows(Arena(arena.name, arena.start, expand), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def _err(msg: str) -> int:
 
 def cmd_validate(args) -> int:
     arena, _ = _load_arena(args.arena)
-    report = validate(arena, arena.start, depth=args.depth)
+    report = validate(arena, depth=args.depth)
     for line in report.violations:
         print("violation: %s" % line)
     print("validate: %s (%d vertices explored)" % ("ok" if report.ok else "failed",
@@ -336,7 +337,7 @@ def cmd_zoo_export(args) -> int:
     arena, entry = _load_arena(args.arena)
     if entry is None:
         return _err("zoo export takes a zoo: URI")
-    explicit = truncate_generator(arena, arena.start, args.depth, name=entry.name)
+    explicit = truncate_generator(arena, args.depth)
     _emit(serialize_arena(explicit), args.out)
     return OK
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, VertexId, Weight, exact,
-                    explicit_rows)
+from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact, explicit_rows
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -157,13 +156,6 @@ class OpenSub:
             raise ValueError("step index must be >= 1")
         if self.family == "buchi" and self.colour is None:
             raise ValueError("buchi sub-objective needs a colour")
-
-    def __str__(self) -> str:
-        if self.family == "buchi":
-            return "buchi(c=%s,i=%d)" % (self.colour, self.i)
-        if self.family == "tp-sup":
-            return "tp-sup(m=%d)" % self.m
-        return "%s(m=%d,i=%d)" % (self.family, self.m, self.i)
 
     @property
     def step_index(self) -> int:
@@ -397,7 +389,7 @@ def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
             return 2, (Edge(pre, debt, start),)
         return arena.row(v)
 
-    out = ArenaGenerator(pre, expand, name=arena.name + "+shift")
+    out = Arena(arena.name + "+shift", pre, expand)
     if isinstance(arena, ArenaExplicit):
         out = explicit_rows(out, arena.vertices + (pre,))
     note_parts.append("prepended a weight %s edge before %s" % (debt, start))
@@ -409,7 +401,7 @@ def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) 
         owner, es = arena.row(v)
         return owner, tuple(Edge(e.src, fn(e.weight), e.dst) for e in es)
 
-    out = ArenaGenerator(start, expand, name=arena.name + "+mapw")
+    out = Arena(arena.name + "+mapw", start, expand)
     return explicit_rows(out, arena.vertices) if isinstance(arena, ArenaExplicit) else out
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .arena import (DEFAULT_VERTEX_CAP, Arena, ArenaGenerator, Edge, LetterMemory, MealyMemory,
-                    VertexId, Weight, P1, P2, V, _new_edge, _new_vertex, make_edge)
+from .arena import (DEFAULT_VERTEX_CAP, Arena, Edge, LetterMemory, MealyMemory, VertexId, Weight,
+                    P1, P2, V, _new_edge, _new_vertex, make_edge)
 from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 
 E = make_edge  # short alias used heavily by the expansions
@@ -94,7 +94,7 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
         raise KeyError(v)
 
     name = "a1prime" if repeated else "a1"
-    arena = ArenaGenerator(s, expand, name=name)
+    arena = Arena(name, s, expand)
 
     def match_plus_one(ar: Arena, v: VertexId, last: Edge) -> Edge:
         challenge = -last.weight  # P2 just played -i
@@ -122,7 +122,7 @@ def _make_a2() -> ZooEntry:
             return P1, (E(v, -1, V("b", (i, j + 1))), E(v, 2 * j, V("a", (i + 1, 0))))
         raise KeyError(v)
 
-    arena = ArenaGenerator(V("a", (0, 0)), expand, name="a2")
+    arena = Arena("a2", V("a", (0, 0)), expand)
 
     def latest_challenge(j: Optional[int], e: Edge) -> Optional[int]:
         # P2 descends from a(i, j) to b(i, 0)
@@ -155,40 +155,35 @@ def _a2_p2_pick(j: int) -> Strategy:
 # A3: the step-counter defeater
 
 
-def _member(v: VertexId, inside: bool) -> None:
-    """Refuse a vertex whose parameters lie outside its family's domain:
-    a generator's rows are the arena's only there."""
-    if not inside:
-        raise KeyError(v)
-
-
 def _a3_expand(v: VertexId):
-    if v.name == "s":
-        (i,) = v.params
-        _member(v, i >= 0)
-        descent_to = V("t", (0,)) if i == 0 else V("d", (i, 1))
-        return P2, (E(v, 1, V("s", (i + 1,))), E(v, -1, descent_to))
-    if v.name == "d":  # descent intermediates, 2i+1 weight -1 edges total
-        i, p = v.params
-        _member(v, 1 <= p <= 2 * i)
-        nxt = V("t", (i,)) if p == 2 * i else V("d", (i, p + 1))
-        return P2, (E(v, -1, nxt),)
-    if v.name == "t":
-        (i,) = v.params
-        _member(v, i >= 0)
-        return P1, (E(v, 0, V("e", (i, 1))), E(v, i, V("r0", ())))
-    if v.name == "e":  # delay intermediates, 3 weight-0 edges per delay
-        i, p = v.params
-        _member(v, i >= 0 and p in (1, 2))
-        nxt = V("t", (i + 1,)) if p == 2 else V("e", (i, p + 1))
-        return P1, (E(v, 0, nxt),)
-    if v.name == "r0":
+    """A3's rows; a vertex outside its family's domain falls through to ``KeyError(v)``."""
+    name, params = v
+    if name == "s":
+        (i,) = params
+        if i >= 0:
+            descent_to = V("t", (0,)) if i == 0 else V("d", (i, 1))
+            return P2, (E(v, 1, V("s", (i + 1,))), E(v, -1, descent_to))
+    elif name == "d":  # descent intermediates, 2i+1 weight -1 edges total
+        i, p = params
+        if 1 <= p <= 2 * i:
+            nxt = V("t", (i,)) if p == 2 * i else V("d", (i, p + 1))
+            return P2, (E(v, -1, nxt),)
+    elif name == "t":
+        (i,) = params
+        if i >= 0:
+            return P1, (E(v, 0, V("e", (i, 1))), E(v, i, V("r0", ())))
+    elif name == "e":  # delay intermediates, 3 weight-0 edges per delay
+        i, p = params
+        if i >= 0 and p in (1, 2):
+            nxt = V("t", (i + 1,)) if p == 2 else V("e", (i, p + 1))
+            return P1, (E(v, 0, nxt),)
+    elif name == "r0":
         return P1, (E(v, 0, v),)
     raise KeyError(v)
 
 
 def _make_a3() -> ZooEntry:
-    arena = ArenaGenerator(V("s", (0,)), _a3_expand, name="a3")
+    arena = Arena("a3", V("s", (0,)), _a3_expand)
 
     note = ("top row of +1 steps with -1 descents of length 2i+1, so every "
             "entry lands at the i-th decision vertex with total exactly "
@@ -279,8 +274,7 @@ def _count_delay(delays: int, e: Edge) -> int:
 
 
 def _make_a4(guarded: bool = False) -> ZooEntry:
-    arena = ArenaGenerator(V("s", (-1 if guarded else 0,)), _a4_expand,
-                           name="a4guarded" if guarded else "a4")
+    arena = Arena("a4guarded" if guarded else "a4", V("s", (-1 if guarded else 0,)), _a4_expand)
 
     def sigma_k_factory(k: int) -> Strategy:
         def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
@@ -391,7 +385,7 @@ def bitarena_wprime(v: VertexId, r: Weight) -> bool:
 
 
 def _make_bitarena() -> ZooEntry:
-    arena = ArenaGenerator(V("v", (0,)), _bit_expand, name="bitarena")
+    arena = Arena("bitarena", V("v", (0,)), _bit_expand)
 
     def opp_update(m, e: Edge):
         if e.src.name == "v":
@@ -459,7 +453,7 @@ def _make_buchia(k: int) -> ZooEntry:
             return P1, (E(v, 0, V("x", (i + 1,))),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(V("x", (0,)), expand, name="buchia")
+    arena = Arena("buchia", V("x", (0,)), expand)
 
     note = ("infinite line with cyclically coloured detours; sweeping every "
             "detour sees all %d colour codes infinitely often. With an "
@@ -486,7 +480,7 @@ def _make_buchib(b: int) -> ZooEntry:
             return P2, (E(v, 0, nxt),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(V("v", ()), expand, name="buchib")
+    arena = Arena("buchib", V("v", ()), expand)
 
     def alternating(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
         if last is not None and last.src == v and last.dst == v:
@@ -518,7 +512,7 @@ def _make_nonuniform(start_index: int) -> ZooEntry:
             return P1, (E(v, 0, v),)
         raise KeyError(v)
 
-    arena = ArenaGenerator(V("st", (start_index,)), expand, name="nonuniform")
+    arena = Arena("nonuniform", V("st", (start_index,)), expand)
 
     def exit_at_factory(j: int) -> Strategy:
         def choose(ar: Arena, v: VertexId) -> Edge:

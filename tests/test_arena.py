@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (Arena, ArenaExplicit, ArenaGenerator, Edge, History, LetterMemory,
+from qgames.arena import (Arena, ArenaExplicit, Edge, History, LetterMemory,
                           MealyMemory, StepCounter, VertexId, _new_edge, _new_vertex,
                           encodes_step_count, exact, make_edge, node_cap_from_env, product,
                           reach, validate)
@@ -113,8 +113,8 @@ def test_validate_generator_nondeterminism():
         w = F(rng.randint(0, 5))
         return 1, (Edge(v, w, a),)
 
-    gen = ArenaGenerator(a, expand, name="flaky")
-    report = validate(gen, a, depth=4)
+    gen = Arena("flaky", a, expand)
+    report = validate(gen, depth=4)
     assert not report.ok
     assert "nondeterministic expansion at a" in report.violations
 
@@ -127,7 +127,7 @@ def test_generator_blocks_on_empty_expansion():
             return 1, (E(a, 0, b),)
         return 2, ()
 
-    gen = ArenaGenerator(a, expand)
+    gen = Arena("generator", a, expand)
     gen.edges(a)
     with pytest.raises(ValueError, match=r"^generator produced blocking vertex b$"):
         gen.edges(b)
@@ -342,7 +342,7 @@ def test_product_names_an_unreachable_vertex():
 
 
 def test_validate_names_a_blocking_generator_vertex():
-    stuck = ArenaGenerator(V("b", (7,)), lambda v: (2, ()))
+    stuck = Arena("generator", V("b", (7,)), lambda v: (2, ()))
     assert validate(stuck, depth=0).violations == ["blocking vertex b(7)"]
 
 
@@ -352,6 +352,43 @@ def test_product_refuses_a_vertex_or_edge_memory_state_by_its_whole_value(state)
     with pytest.raises(TypeError) as exc:
         product(chain_arena(), mealy)
     assert str(exc.value) == "cannot encode memory state %r into a product vertex" % (state,)
+
+
+def test_product_appends_a_flat_tuple_state_to_the_vertex_parameters():
+    # a (min(step, h), mode) memory: the step saturates at h = 2, the mode
+    # flips on a negative edge
+    states = tuple((step, mode) for step in range(3) for mode in (0, 1))
+    mealy = MealyMemory(states, (0, 0), lambda m, e: (min(m[0] + 1, 2), m[1] ^ (e.weight < 0)))
+    prod = product(chain_arena(), mealy)
+    assert isinstance(prod, ArenaExplicit) and len(prod.vertices) == 3 * len(states)
+    assert prod.start == V("a*", (0, 0))
+    assert prod.edges(V("b*", (1, 0))) == (E(V("b*", (1, 0)), -1, V("c*", (2, 1))),)
+    assert prod.edges(V("c*", (2, 1))) == (E(V("c*", (2, 1)), 0, V("c*", (2, 1))),)
+
+
+def test_product_encodes_a_bool_state_as_an_int():
+    mealy = MealyMemory((False, True), False, lambda m, e: m or e.weight < 0)
+    prod = product(chain_arena(), mealy)
+    assert len(prod.vertices) == 6
+    assert prod.edges(V("b*", (0,))) == (E(V("b*", (0,)), -1, V("c*", (1,))),)
+    assert prod.edges(V("a*", (1,))) == (E(V("a*", (1,)), 1, V("b*", (1,))),)
+
+
+def test_product_refuses_two_memory_states_that_encode_alike():
+    # both states flatten to the parameters (1, 2)
+    a, b = V("a"), V("b")
+    arena = ArenaExplicit({a: 1, b: 2}, [E(a, 0, b), E(b, 0, a)], a)
+    mealy = MealyMemory((((1,), 2), (1, (2,))), ((1,), 2), lambda m, e: m)
+    with pytest.raises(ValueError) as exc:
+        product(arena, mealy)
+    assert str(exc.value) == ("memory states ((1,), 2) at a and (1, (2,)) at a share "
+                              "the product vertex a*(1,2)")
+    # so do a state at a(1) and another at a(1,2)
+    a1, a12 = V("a", (1,)), V("a", (1, 2))
+    arena = ArenaExplicit({a1: 1, a12: 2}, [E(a1, 0, a12), E(a12, 0, a1)], a1)
+    with pytest.raises(ValueError) as exc:
+        product(arena, MealyMemory((2, ()), 2, lambda m, e: m))
+    assert str(exc.value) == "memory states 2 at a(1) and () at a(1,2) share the product vertex a*(1,2)"
 
 
 def _rows():
@@ -366,7 +403,7 @@ def test_explicit_and_generated_arenas_of_the_same_rows_read_alike():
     a, rows = _rows()
     explicit = ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
                              [e for _, es in rows.values() for e in es], a)
-    generated = ArenaGenerator(a, rows.__getitem__)
+    generated = Arena("generator", a, rows.__getitem__)
     assert explicit.start == generated.start == a
     for v, (owner, es) in rows.items():
         want = (owner, tuple(sorted(es, key=lambda e: (e.dst, e.weight))))
@@ -376,8 +413,7 @@ def test_explicit_and_generated_arenas_of_the_same_rows_read_alike():
         assert explicit.is_sink(v) == generated.is_sink(v) == (v == V("c", (2, 3)))
     assert explicit._cache == generated._cache
     # one row store: neither kind reads a row, an owner, edges or a start its own way
-    for cls in (ArenaExplicit, ArenaGenerator):
-        assert not {"row", "owner", "edges", "is_sink", "start"} & set(vars(cls))
+    assert not {"row", "owner", "edges", "is_sink", "start"} & set(vars(ArenaExplicit))
 
 
 @pytest.mark.parametrize("read", ["row", "owner", "edges"])
@@ -385,7 +421,7 @@ def test_both_kinds_raise_a_key_error_naming_an_undeclared_vertex(read):
     a, rows = _rows()
     explicit = ArenaExplicit({v: owner for v, (owner, _) in rows.items()},
                              [e for _, es in rows.values() for e in es], a)
-    generated = ArenaGenerator(a, rows.__getitem__)
+    generated = Arena("generator", a, rows.__getitem__)
     for arena in (explicit, generated):
         with pytest.raises(KeyError) as exc:
             getattr(arena, read)(V("z", (9,)))
@@ -397,7 +433,7 @@ def test_an_explicit_arena_keeps_a_blocking_vertex_that_a_generator_refuses():
     explicit = ArenaExplicit({a: 1, b: 2}, [E(a, 0, b)], a)
     assert explicit.row(b) == (2, ()) and explicit.edges(b) == ()
     assert validate(explicit).violations == ["blocking vertex b(7)"]
-    generated = ArenaGenerator(a, {a: (1, (E(a, 0, b),)), b: (2, ())}.__getitem__)
+    generated = Arena("generator", a, {a: (1, (E(a, 0, b),)), b: (2, ())}.__getitem__)
     with pytest.raises(ValueError, match=r"^generator produced blocking vertex b\(7\)$"):
         generated.row(b)
     assert b not in generated._cache
@@ -422,7 +458,7 @@ def test_the_frame_free_constructors_build_the_named_tuples():
 def _rows_of(rows):
     """A generator from a map of vertex -> edge list, each row's edges in
     the order given."""
-    return ArenaGenerator(next(iter(rows)), lambda v: (1, tuple(rows[v])))
+    return Arena("generator", next(iter(rows)), lambda v: (1, tuple(rows[v])))
 
 
 _a, _b, _c = V("a"), V("b", (1,)), V("b", (2,))

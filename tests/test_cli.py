@@ -88,7 +88,7 @@ def test_parse_arena_names_an_undeclared_endpoint_as_the_explicit_arena_does(src
 
 def test_truncate_generator_seals_the_boundary():
     entry = make("a3")
-    explicit = truncate_generator(entry.arena, entry.start, 5)
+    explicit = truncate_generator(entry.arena, 5)
     boundary = [v for v in explicit.vertices
                 if explicit.edges(v) == (Edge(v, F(0), v),)
                 and not entry.arena.is_sink(v)]
@@ -115,8 +115,8 @@ def test_cli_simulate_deterministic_csv(tmp_path):
             "--p2", "allzero", "--horizon", "20"]
     assert main(argv + ["--out", out1]) == 0
     assert main(argv + ["--out", out2]) == 0
-    data = open(out1).read()
-    assert data == open(out2).read()
+    data = Path(out1).read_text()
+    assert data == Path(out2).read_text()
     assert data.splitlines()[0] == "step,from,to,weight,tp,mp,mem1,mem2"
     assert len(data.splitlines()) == 21
 
@@ -308,7 +308,7 @@ def test_cli_defeat_verify_cycle(tmp_path, capsys):
                  "--p1", strat, "--p2", "p2_enter_2"]) == 0
     assert "accepted" in capsys.readouterr().out
 
-    tampered = json.loads(open(cert).read())
+    tampered = json.loads(Path(cert).read_text())
     tampered["body"]["final_tp"] = "-5"
     bad = _write(tmp_path, "bad.json", json.dumps(tampered))
     assert main(["verify", "--arena", "zoo:a3", "--cert", bad,
@@ -774,7 +774,7 @@ def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
     assert main(["synthesize", "--arena", path, "--objective",
                  "tp:limsup:>=:0", "--m-max", "2", "--out", out]) == 0
     assert "certified: yes" in capsys.readouterr().out
-    sigma = parse_strategy(open(out).read())
+    sigma = parse_strategy(Path(out).read_text())
     assert isinstance(sigma, StepCounterTable) and sigma.k == 2
 
 
@@ -785,7 +785,7 @@ def test_cli_synthesize_is_deterministic(tmp_path):
         out = str(tmp_path / name)
         assert main(["synthesize", "--arena", path, "--objective",
                      "mp:limsup:>=:0", "--m-max", "2", "--out", out]) == 0
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]
 
 
@@ -803,7 +803,7 @@ def test_cli_zoo_list_and_export(tmp_path, capsys):
     path = str(tmp_path / "a4.txt")
     assert main(["zoo", "export", "--arena", "zoo:a4", "--depth", "6",
                  "--out", path]) == 0
-    text = open(path).read()
+    text = Path(path).read_text()
     assert serialize_arena(parse_arena(text)) == text
 
 
@@ -1095,7 +1095,7 @@ def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
     text = capsys.readouterr().out
     assert text.startswith("note: threshold shifted to 0 on a transformed arena\n")
     assert "certified: yes" in text
-    assert "move a " in open(out).read()
+    assert "move a " in Path(out).read_text()
 
 
 def test_cli_synthesize_writes_a_shifted_tp_file_for_the_transformed_arena(tmp_path, capsys):
@@ -1106,7 +1106,7 @@ def test_cli_synthesize_writes_a_shifted_tp_file_for_the_transformed_arena(tmp_p
     out = str(tmp_path / "shift.strategy")
     assert main(["synthesize", "--arena", path, "--objective", "tp:limsup:>=:1",
                  "--m-max", "2", "--out", out]) == 0
-    assert "edge=pre^a->a " in open(out).read()
+    assert "edge=pre^a->a " in Path(out).read_text()
     capsys.readouterr()
     idle = _write(tmp_path, "idle.strategy", "strategy idle kind=memoryless player=2\n")
     assert main(["simulate", "--arena", path, "--p1", out, "--p2", idle]) == 1
@@ -1121,7 +1121,7 @@ def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_p
     out = str(tmp_path / "mp.strategy")
     assert main(["synthesize", "--arena", arena_path, "--objective", "mp:limsup:>=:-1/2",
                  "--m-max", "4", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     # the edge of weight 2, which the solver read as 2 + 1/2
     assert "move n(0) step=0 -> n(1) weight=2\n" in text
     arena = parse_arena(Path(arena_path).read_text())
@@ -1237,7 +1237,7 @@ def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
     out = str(tmp_path / "bit.strategy")
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
                  "--m-max", "2", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "fallback=first" in text
     _write(tmp_path, "bit.strategy", text.replace("fallback=first", "fallback=error"))
     capsys.readouterr()

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (ArenaExplicit, ArenaGenerator, Edge, History, MealyMemory, VertexId,
+from qgames.arena import (Arena, ArenaExplicit, Edge, History, MealyMemory, VertexId,
                           make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
                            RefutedBranch, SinkPayoff, certificate_from_json,
                            certificate_to_json, check_certificate,
-                           explore_consistent, koenig_bound, missing_context, play)
+                           explore_consistent, koenig_bound, koenig_layers, missing_context,
+                           play)
 from qgames.objectives import OpenSub
 from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
 from qgames.zoo import make
@@ -225,6 +226,55 @@ def test_refuted_branch_requires_real_pumping():
     assert isinstance(res2, KoenigBound)
 
 
+def _lap_arena():
+    # the opponent at a goes to d through b (weight 0) or c (weight -1);
+    # player 1 at d goes back to a (a choice, as d also reaches the sink e)
+    d, e = V("d"), V("e")
+    arena = ArenaExplicit({A: 2, B: 2, C: 2, d: 1, e: 1},
+                          [E(A, 0, B), E(A, -1, C), E(B, 0, d), E(C, 0, d),
+                           E(d, 0, A), E(d, 0, e), E(e, 0, e)], A)
+    return arena, d
+
+
+def _back_to_a(arena, d, states, update):
+    """A finite-memory player 1 whose table sends d back to a in every state."""
+    return FiniteMemory(MealyMemory(states, 0, update),
+                        {(d, m): arena.edges(d)[0] for m in states})
+
+
+def test_a_koenig_walk_over_a_finite_memory_strategy_merges_on_vertex_and_memory_state():
+    arena, d = _lap_arena()
+    never = OpenSub("tp-inf", m=1, i=1)  # no total here reaches 1
+    one = _back_to_a(arena, d, (0,), lambda m, e: 0)
+    # which branch was taken last: the two histories at d differ in memory
+    branch = _back_to_a(arena, d, (0, 1),
+                        lambda m, e: int(e.dst == C) if e.src == A else m)
+    def widths(sigma):
+        return [len(layer) for layer in koenig_layers(arena, A, sigma, 6, never)]
+
+    assert widths(one) == [1, 2, 1, 1, 2, 1, 1]
+    # the histories at d stay apart; at b or c the branch just taken sets the state
+    assert widths(branch) == [1, 2, 2, 2, 2, 2, 2]
+    # the merged history at d keeps the lower total, through c
+    layers = list(koenig_layers(arena, A, one, 2, never))
+    assert [(node.vertex, node.tp) for node in layers[2]] == [(d, -1)]
+
+
+def test_a_cycle_is_pumped_for_a_finite_memory_strategy_only_where_its_memory_state_repeats():
+    arena, d = _lap_arena()
+    never = OpenSub("tp-inf", m=1, i=1)
+    one = _back_to_a(arena, d, (0,), lambda m, e: 0)
+    refuted = koenig_bound(arena, A, one, never, 10)
+    assert isinstance(refuted, RefutedBranch)
+    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex, refuted.cycle_tp) == (0, 3, A, -1)
+    # a memory that flips on every lap is back in its state only after two laps
+    laps = _back_to_a(arena, d, (0, 1), lambda m, e: 1 - m if e.src == d else m)
+    assert isinstance(koenig_bound(arena, A, laps, never, 5), Inconclusive)
+    refuted = koenig_bound(arena, A, laps, never, 10)
+    assert isinstance(refuted, RefutedBranch)
+    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex, refuted.cycle_tp) == (0, 6, A, -2)
+
+
 def test_certificate_json_roundtrip_all_variants():
     certs = [
         SinkPayoff(F(-2), S, 1),
@@ -389,7 +439,7 @@ def test_plays_validate_linearly_many_history_edges(monkeypatch):
     # of arena rows per step
     validated = [0]
     rows = [0]
-    post_init, extend, row = History.__post_init__, History.extend, ArenaGenerator.row
+    post_init, extend, row = History.__post_init__, History.extend, Arena.row
 
     def counting_post_init(self):
         validated[0] += len(self.edges)
@@ -405,7 +455,7 @@ def test_plays_validate_linearly_many_history_edges(monkeypatch):
         return row(self, v)
 
     monkeypatch.setattr(History, "extend", counting_extend)
-    monkeypatch.setattr(ArenaGenerator, "row", counting_row)
+    monkeypatch.setattr(Arena, "row", counting_row)
     entry = make("a4")
     first = scanning("first_edge", lambda ar, h: ar.edges(h.to_vertex)[0])
     for horizon in (1000, 2000):

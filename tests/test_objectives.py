@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import ArenaExplicit, ArenaGenerator, Edge, VertexId
+from qgames.arena import Arena, ArenaExplicit, Edge, VertexId
 from qgames.objectives import (BOTH, GE, LE, NEG_INF, POS_INF, Lasso, Objective,
                                OpenSub, Unsupported, _diagonal_pair, classify,
                                decompose, eval_on_lasso, format_ext, lasso_limit,
@@ -250,10 +250,10 @@ def test_shift_keeps_an_explicit_arena_explicit():
     assert isinstance(shifted, ArenaExplicit)
     assert shifted.vertices == tuple(sorted(arena.vertices + (start,)))
     assert shifted.owner(start) == 2 and shifted.edges(arena.start) == arena.edges(arena.start)
-    generator = ArenaGenerator(arena.start, lambda v: (1, arena.edges(v)))
+    generator = Arena("generator", arena.start, lambda v: (1, arena.edges(v)))
     shifted, _, _, _ = shift_to_zero_threshold(
         generator, arena.start, Objective("tp", "limsup", ">=", F(3)))
-    assert isinstance(shifted, ArenaGenerator)
+    assert not isinstance(shifted, ArenaExplicit)
 
 
 def test_shift_strict_tp_reads_a_denominator_far_from_the_start():
@@ -272,7 +272,7 @@ def test_shift_strict_tp_reads_a_denominator_far_from_the_start():
 
 def test_shift_strict_tp_refuses_a_generator():
     arena = _loop_arena()
-    generator = ArenaGenerator(arena.start, lambda v: (1, arena.edges(v)))
+    generator = Arena("generator", arena.start, lambda v: (1, arena.edges(v)))
     with pytest.raises(ValueError, match="generator"):
         shift_to_zero_threshold(generator, arena.start, Objective("tp", "limsup", ">", F(0)))
 
@@ -310,7 +310,7 @@ def test_shifted_generators_read_their_rows():
     # threshold from every weight of a row and keeps the owner
     a, b = V("a"), V("b")
     rows = {a: (1, (Edge(a, 1, b), Edge(a, F(1, 2), a))), b: (2, (Edge(b, -1, a),))}
-    generator = ArenaGenerator(a, rows.__getitem__)
+    generator = Arena("generator", a, rows.__getitem__)
     shifted, start, obj, _ = shift_to_zero_threshold(
         generator, a, Objective("tp", "limsup", ">=", 3))
     assert (start, obj.threshold) == (V("pre^a"), 0)

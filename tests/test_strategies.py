@@ -160,6 +160,33 @@ def test_collapse_sc_plus_k_is_faithful():
     assert r1.edges == r2.edges
 
 
+def test_a_collapsed_two_mode_table_chooses_from_its_fm_table_as_the_table_does():
+    # player 1 chooses at a between weights 0 and 1; the mode is the
+    # opponent's last move at b, so both modes pick at a
+    base = ArenaExplicit({A: 1, B: 2}, [E(A, 0, B), E(A, 1, B), E(B, -1, A), E(B, 0, A)], A)
+    arena = product(base, StepCounter())
+    levels = encodes_step_count(arena, arena.start, 12).levels
+    table, bitupd = {}, {}
+    for v, n in levels.items():
+        es = arena.edges(v)
+        if arena.owner(v) == 1:
+            table[(v, n, 0)], table[(v, n, 1)] = es[-1], es[0]
+        else:
+            for mode in (0, 1):
+                bitupd[(n, mode, es[0])], bitupd[(n, mode, es[1])] = 1, 0
+    sigma = StepCounterTable(table, 12, FIRST_EDGE, k=2, bit_update=bitupd)
+    collapsed = collapse_sc_fm(arena, sigma, levels)
+    assert isinstance(collapsed, FiniteMemory) and isinstance(collapsed.table, dict)
+    p2 = Memoryless(lambda ar, v: ar.edges(v)[v.params[-1] // 2 % 2], player=2)
+    r1 = play(arena, arena.start, sigma, p2, 10)
+    r2 = play(arena, arena.start, collapsed, p2, 10)
+    assert r1.edges == r2.edges
+    assert {e.weight for e in r2.edges if e.src.name == "a*"} == {0, 1}
+    with pytest.raises(KeyError) as exc:
+        collapsed.choose(arena, V("a*", (20,)), 20, 0)
+    assert exc.value.args == ("fm table has no entry for (a*(20), 0)",)
+
+
 def test_collapse_rejects_other_kinds():
     arena = two_choice_arena()
     with pytest.raises(TypeError):
