@@ -20,9 +20,8 @@ from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_ed
                     node_cap_from_env, reach, validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, explore_consistent, missing_context, play)
-from .objectives import decompose, parse_objective, shift_to_zero_threshold
-from .strategies import (HorizonExceeded, Strategy, map_edges, parse_strategy, serialize_strategy,
-                         table_edges)
+from .objectives import decompose, parse_objective
+from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy, table_edges
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
                         finite_wprime_oracle, sc1bit_synthesize)
 from .adversaries import defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary
@@ -247,13 +246,14 @@ def _synth_report_text(report: SynthReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# decomposition label -> (the winning-region oracle of an explicit arena, the
-# synthesizer, called by its module-level name); a generator takes the zoo
-# entry's W' fields, which serve tp-limsup>=0
+# decomposition label -> (the winning-region oracle of an explicit arena at a
+# threshold, the synthesizer, called by its module-level name); a generator
+# takes the zoo entry's W' fields, which serve tp-limsup>=r at r = 0
 _FINITE_ORACLES = {
-    "tp-limsup>=0": (finite_wprime_oracle, lambda arena, start, deco, m_max, oracle, depth:
-                     sc1bit_synthesize(arena, start, m_max, oracle, depth_cap=depth)),
-    "mp-limsup>=0": (finite_mp_oracle, lambda arena, start, deco, m_max, oracle, depth:
+    "tp-limsup>=r": (finite_wprime_oracle, lambda arena, start, deco, m_max, oracle, depth:
+                     sc1bit_synthesize(arena, start, m_max, oracle, depth_cap=depth,
+                                       threshold=deco.objective.threshold)),
+    "mp-limsup>=r": (finite_mp_oracle, lambda arena, start, deco, m_max, oracle, depth:
                      bubble_synthesize(arena, start, deco, m_max, oracle, depth_cap=depth)),
 }
 
@@ -261,16 +261,9 @@ _FINITE_ORACLES = {
 def cmd_synthesize(args) -> int:
     arena, entry = _load_arena(args.arena)
     objective = parse_objective(args.objective)
-    shift = 0  # a mean-payoff threshold subtracted from every weight
-    if objective.kind in ("tp", "mp") and not isinstance(objective.threshold, float):
-        if objective.kind == "tp" and objective.relation == ">":
-            return _err("rewrite a strict total-payoff threshold as >= first")
-        if objective.threshold != 0:
-            if not isinstance(arena, ArenaExplicit):
-                return _err("threshold shifting on generators is a library operation")
-            shift = objective.threshold if objective.kind == "mp" else 0
-            arena, _, objective, _ = shift_to_zero_threshold(arena, arena.start, objective)
-            print("note: threshold shifted to 0 on a transformed arena")
+    if objective.kind == "tp" and objective.relation == ">" \
+            and not isinstance(objective.threshold, float):
+        return _err("rewrite a strict total-payoff threshold as >= first")
     deco = decompose(objective)
     if not hasattr(deco, "sub"):
         return _err("objective %s: %s" % (objective, deco.reason))
@@ -279,8 +272,8 @@ def cmd_synthesize(args) -> int:
                     "mp:limsup:>=:<finite> objectives")
     finite_oracle, synthesize = _FINITE_ORACLES[deco.label]
     if isinstance(arena, ArenaExplicit):
-        oracle = finite_oracle(arena)
-    elif deco.label == "tp-limsup>=0" and entry.wprime is not None:
+        oracle = finite_oracle(arena, objective.threshold)
+    elif deco.label == "tp-limsup>=r" and objective.threshold == 0 and entry.wprime is not None:
         oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"],
                               entry.extras["winning_from"])
     else:
@@ -288,10 +281,7 @@ def cmd_synthesize(args) -> int:
     report = synthesize(arena, arena.start, deco, args.m_max, oracle, args.depth)
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
-        strategy = report.strategy
-        if shift:  # one-to-one on edges: each edge's input weight is its weight + shift
-            strategy = map_edges(strategy, lambda e: make_edge(e.src, e.weight + shift, e.dst))
-        _atomic_write(args.out, serialize_strategy(strategy))
+        _atomic_write(args.out, serialize_strategy(report.strategy))
         print("strategy written to %s" % args.out)
     if report.certified:
         return OK

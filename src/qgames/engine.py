@@ -389,11 +389,10 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
     # independent of the elapsed step count: those of a finite memory
     if sigma.mealy is None:
         return None
-    bar = exact(-1, open_sub.m) if open_sub.family == "tp-sup" else open_sub.m
+    bar = (open_sub.threshold - exact(1, open_sub.m) if open_sub.family == "tp-sup"
+           else open_sub.m)
     for node in frontier:
         sig = sigma.signature(node.depth, node.state)
-        if sig is None:
-            continue
         anc = node.parent
         while anc is not None:
             if anc.vertex == node.vertex and sigma.signature(anc.depth, anc.state) == sig:
@@ -620,8 +619,10 @@ def _optional(fn: Callable) -> Callable:
 
 
 def _read_open_sub(sub) -> OpenSub:
+    """An open sub-objective; one written without a threshold has r = 0."""
     return OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]),
-                   colour=_optional(exact)(sub["colour"]))
+                   colour=_optional(exact)(sub["colour"]),
+                   threshold=exact(sub.get("threshold", 0)))
 
 
 # field annotation -> how certificate_to_json writes the field, if not as it

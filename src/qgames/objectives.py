@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact, explicit_rows
+from .arena import Arena, ArenaExplicit, Weight, exact
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -135,10 +135,10 @@ def classify(obj: Objective) -> str:
 class OpenSub:
     """An open sub-objective with an ``already satisfies`` prefix witness.
 
-    Families:
-      - ``mp-sup``:   some j >= i with MP(w<=j) >= -1/m
+    Families, r the ``threshold`` (which ``tp-inf`` and ``buchi`` ignore):
+      - ``mp-sup``:   some j >= i with MP(w<=j) >= r - 1/m
       - ``tp-inf``:   some j >= i with TP(w<=j) >= m
-      - ``tp-sup``:   some j >= m with TP(w<=j) >= -1/m
+      - ``tp-sup``:   some j >= m with TP(w<=j) >= r - 1/m
       - ``buchi``:    some j >= i with c_j = colour
     """
 
@@ -146,6 +146,7 @@ class OpenSub:
     m: int = 1
     i: int = 1
     colour: Optional[Weight] = None
+    threshold: Weight = 0
 
     def __post_init__(self):
         if self.family not in ("mp-sup", "tp-inf", "tp-sup", "buchi"):
@@ -170,11 +171,11 @@ class OpenSub:
         if j < self.step_index:
             return False
         if self.family == "mp-sup":
-            return tp * self.m >= -j  # MP >= -1/m without division
+            return (tp - self.threshold * j) * self.m >= -j  # MP >= r - 1/m without division
         if self.family == "tp-inf":
             return tp >= self.m
         if self.family == "tp-sup":
-            return tp * self.m >= -1  # TP >= -1/m without division
+            return (tp - self.threshold) * self.m >= -1  # TP >= r - 1/m without division
         return colour == self.colour
 
     def already_satisfies(self, word: Sequence[Weight]) -> bool:
@@ -193,7 +194,8 @@ class OpenSub:
         """Where a prefix stands among those of its length, higher ranks
         having more winning continuations: a satisfied prefix above all,
         then unsatisfied ones by total (at equal lengths the mean-payoff
-        order is the total order), all alike for a Buchi colour."""
+        order is the total order, and the threshold moves every total
+        alike), all alike for a Buchi colour."""
         if satisfied:
             return (True,)
         if self.family == "buchi":
@@ -309,7 +311,9 @@ def _diagonal_pair(n: int) -> tuple[int, int]:
 
 
 def decompose(objective: Objective) -> Union[Decomposition, Unsupported]:
-    """Open decomposition of the objectives the synthesizers support."""
+    """Open decomposition of the objectives the synthesizers support.  A
+    finite threshold r of ``mp:limsup:>=`` and ``tp:limsup:>=`` rides in
+    every sub-objective (``OpenSub.threshold``); labels do not name it."""
     if objective.kind == BUCHI_ALL:
         k = objective.colour_count
 
@@ -319,97 +323,44 @@ def decompose(objective: Objective) -> Union[Decomposition, Unsupported]:
 
         return Decomposition(objective, "buchi-all(%d)" % k, buchi_gen)
 
-    if objective.kind == MP and (objective.mode, objective.relation) == ("limsup", ">=") \
-            and objective.threshold == 0:
+    thr = objective.threshold
+    if objective.kind == MP and (objective.mode, objective.relation) == ("limsup", ">="):
         def mp_gen(n: int) -> OpenSub:
             m, i = _diagonal_pair(n)
-            return OpenSub("mp-sup", m=m, i=i)
+            return OpenSub("mp-sup", m=m, i=i, threshold=thr)
 
-        return Decomposition(objective, "mp-limsup>=0", mp_gen)
+        return Decomposition(objective, "mp-limsup>=r", mp_gen)
 
     if objective.kind == TP and (objective.mode, objective.relation) == ("limsup", ">="):
-        if objective.threshold == POS_INF:
+        if thr == POS_INF:
             def tpinf_gen(n: int) -> OpenSub:
                 m, i = _diagonal_pair(n)
                 return OpenSub("tp-inf", m=m, i=i)
 
             return Decomposition(objective, "tp-limsup=+inf", tpinf_gen)
-        if objective.threshold == 0:
+        if thr != NEG_INF:
             def tpsup_gen(n: int) -> OpenSub:
-                return OpenSub("tp-sup", m=n)
+                return OpenSub("tp-sup", m=n, threshold=thr)
 
-            return Decomposition(objective, "tp-limsup>=0", tpsup_gen)
+            return Decomposition(objective, "tp-limsup>=r", tpsup_gen)
 
-    if objective.threshold not in (POS_INF, NEG_INF) and objective.threshold != 0:
-        return Unsupported("shift the threshold to 0 first (see shift_to_zero_threshold)")
     return Unsupported(classify(objective))
 
 
 # ---------------------------------------------------------------------------
-# Threshold normalization
+# Strict total-payoff thresholds
 
 
-def shift_to_zero_threshold(arena: Arena, start: VertexId, objective: Objective
-                            ) -> tuple[Arena, VertexId, Objective, str]:
-    """Rewrite a finite nonzero threshold to 0 by transforming the arena.
-
-    MP thresholds subtract r from every weight; TP thresholds prepend a
-    single weight ``-r`` edge before the start vertex.  A strict TP
-    relation becomes ``>= r + 1/D`` first, D the common denominator of r
-    and every edge weight; on a generator, whose weights cannot all be
-    read, it raises ``ValueError``.  An explicit arena stays explicit.
-    Returns (arena, start, objective, note).
-    """
-    if objective.kind == BUCHI_ALL:
-        return arena, start, objective, "unchanged"
-    thr = objective.threshold
-    if isinstance(thr, float):
-        return arena, start, objective, "unchanged"
-
-    obj = objective
-    note_parts = []
-    if obj.kind == TP and obj.relation == ">":
-        d = _common_denominator(arena, thr)
-        thr = exact(thr * d + 1, d)
-        obj = Objective(TP, obj.mode, ">=", thr)
-        note_parts.append("strict TP relation rewritten as >= %s" % thr)
-    if thr == 0:
-        return arena, start, obj, "; ".join(note_parts) or "unchanged"
-
-    if obj.kind == MP:
-        shifted = _map_weights(arena, start, lambda w: exact(w - thr))
-        note_parts.append("subtracted %s from every weight" % thr)
-        return shifted, start, Objective(MP, obj.mode, obj.relation, 0), "; ".join(note_parts)
-
-    pre = VertexId("pre^" + start.name, start.params)
-    debt = -thr
-
-    def expand(v: VertexId):
-        if v == pre:
-            return 2, (Edge(pre, debt, start),)
-        return arena.row(v)
-
-    out = Arena(arena.name + "+shift", pre, expand)
-    if isinstance(arena, ArenaExplicit):
-        out = explicit_rows(out, arena.vertices + (pre,))
-    note_parts.append("prepended a weight %s edge before %s" % (debt, start))
-    return out, pre, Objective(TP, obj.mode, obj.relation, 0), "; ".join(note_parts)
-
-
-def _map_weights(arena: Arena, start: VertexId, fn: Callable[[Weight], Weight]) -> Arena:
-    def expand(v: VertexId):
-        owner, es = arena.row(v)
-        return owner, tuple(Edge(e.src, fn(e.weight), e.dst) for e in es)
-
-    out = Arena(arena.name + "+mapw", start, expand)
-    return explicit_rows(out, arena.vertices) if isinstance(arena, ArenaExplicit) else out
-
-
-def _common_denominator(arena: Arena, thr: Weight) -> int:
-    """The lcm of the threshold's and every edge weight's denominator."""
+def rewrite_strict_tp(arena: Arena, objective: Objective) -> Objective:
+    """A strict total-payoff objective ``> r`` as ``>= r + 1/D``, D the lcm
+    of r's and every edge weight's denominator: r and every running total
+    are multiples of 1/D.  On a generator, whose weights cannot all be
+    read, it raises ``ValueError``.  Only the objective is rewritten."""
     if not isinstance(arena, ArenaExplicit):
         raise ValueError("a strict total-payoff threshold is rewritten over the common "
                          "denominator of every weight, which a generator cannot list; "
                          "rewrite it as >= first")
-    return math.lcm(thr.denominator,
-                    *(e.weight.denominator for v in arena.vertices for e in arena.edges(v)))
+    thr = objective.threshold
+    d = math.lcm(thr.denominator,
+                 *(e.weight.denominator for v in arena.vertices for e in arena.edges(v)))
+    return Objective(TP, objective.mode, ">=", exact(thr * d + 1, d))

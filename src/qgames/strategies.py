@@ -16,7 +16,6 @@ memory).
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Optional, Union
 
 from .arena import Arena, Edge, History, LetterMemory, MealyMemory, VertexId, exact, make_edge
@@ -261,15 +260,6 @@ def table_edges(strategy: Strategy) -> list[Edge]:
     """Every edge a table strategy's rows name: its moves, then the edges
     of its mode updates."""
     return list(strategy.table.values()) + [e for _, _, e in getattr(strategy, "bit_update", ())]
-
-
-def map_edges(strategy: Strategy, fn: Callable[[Edge], Edge]) -> Strategy:
-    """A copy of a table strategy with ``fn`` applied to every edge its rows name."""
-    out = copy.copy(strategy)
-    out.table = {key: fn(e) for key, e in strategy.table.items()}
-    if hasattr(strategy, "bit_update"):
-        out.bit_update = {(s, m, fn(e)): mode for (s, m, e), mode in strategy.bit_update.items()}
-    return out
 
 
 def serialize_strategy(strategy: Strategy) -> str:

@@ -3,10 +3,10 @@
 The synthesizers realize the two constructive upper bounds: a pure
 step-counter strategy for prefix-independent objectives that decompose
 into open, step-monotonic sub-objectives (bubble construction), and a
-step-counter-plus-one-bit strategy for the limsup-total-payoff-at-least-0
-objective.  Both work bubble by bubble: certify one open sub-objective up
-to a bound level, freeze the table up to that level, continue with a
-fresh winning continuation.
+step-counter-plus-one-bit strategy for the limsup-total-payoff-at-least-r
+objective, r finite.  Both work bubble by bubble: certify one open
+sub-objective up to a bound level, freeze the table up to that level,
+continue with a fresh winning continuation.
 """
 
 from __future__ import annotations
@@ -407,21 +407,22 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
 # sigma_safe and the W' region
 
 
-def sigma_safe(arena: ArenaExplicit
+def sigma_safe(arena: ArenaExplicit, threshold: Weight = 0
                ) -> tuple[Memoryless, Callable[[VertexId, Weight], bool], ValueMap]:
     """The limsup-TP witness, which never leaves the winnable (vertex, sum)
     region: its moves keep the value, weight + value of the target =
     value, and every reply keeps it or raises it.  Also the region itself,
-    upward closed in the sum, and the solved values."""
+    the pairs with sum + value >= threshold, upward closed in the sum, and
+    the solved values."""
     vm = solve_values(arena, "tpsup")
 
-    def contains(v: VertexId, r: Weight) -> bool:
+    def contains(v: VertexId, total: Weight) -> bool:
         val = vm.values[v]
         if val == POS_INF:
             return True
         if val == NEG_INF:
             return False
-        return r + val >= 0
+        return total + val >= threshold
 
     return vm.witness, contains, vm
 
@@ -547,19 +548,19 @@ class WPrimeOracle:
     uniform_memoryless: bool = False
 
 
-def finite_mp_oracle(arena: ArenaExplicit) -> WPrimeOracle:
-    """Limsup mean payoff >= 0: the vertices of nonnegative value, won by
-    the mean-payoff witness."""
+def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
+    """Limsup mean payoff >= threshold: the vertices of value at least the
+    threshold, won by the mean-payoff witness."""
     vm = solve_values(arena, "mp")
-    return WPrimeOracle(lambda v, r: vm.values[v] >= 0, vm.witness, lambda v, r: vm.witness,
-                        uniform_memoryless=True)
+    return WPrimeOracle(lambda v, r: vm.values[v] >= threshold, vm.witness,
+                        lambda v, r: vm.witness, uniform_memoryless=True)
 
 
-def finite_wprime_oracle(arena: ArenaExplicit) -> WPrimeOracle:
-    """Limsup total payoff >= 0: the (vertex, sum) pairs of ``sigma_safe``,
-    whose safe strategy, the limsup-TP witness, also wins from every one
-    of them."""
-    safe, region, vm = sigma_safe(arena)
+def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
+    """Limsup total payoff >= threshold: the (vertex, sum) pairs of
+    ``sigma_safe``, whose safe strategy, the limsup-TP witness, also wins
+    from every one of them."""
+    safe, region, vm = sigma_safe(arena, threshold)
     return WPrimeOracle(region, safe, lambda v, r: safe)
 
 
@@ -722,16 +723,18 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
 
 
 # ---------------------------------------------------------------------------
-# Step-counter + 1 bit synthesis for limsup total payoff >= 0
+# Step-counter + 1 bit synthesis for limsup total payoff >= r
 
 
 def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOracle,
-                      depth_cap: int = 400, node_cap: Optional[int] = None) -> SynthReport:
+                      depth_cap: int = 400, node_cap: Optional[int] = None,
+                      threshold: Weight = 0) -> SynthReport:
     """Synthesize a step-counter-plus-one-bit strategy for the objective
-    that the running total payoff is at least 0 in the limit superior.
+    that the running total payoff is at least ``threshold`` (r) in the
+    limit superior; the oracle's region is read at the same r.
 
     Per bubble, with boundary k: the scheduled sub-objective asks for a
-    running total at least -1/(k+1) at some position past k+1.  Bit 0
+    running total at least r - 1/(k+1) at some position past k+1.  Bit 0
     mimics the strategy induced by minimal consistent histories; the bit
     flips to 1 as soon as the mimicked history's one-step extension
     already satisfies the sub-objective, after which a safe memoryless
@@ -760,7 +763,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 
     for _ in range(m_max):
         m_sched = k_prev + 1
-        sub = OpenSub("tp-sup", m=m_sched)
+        sub = OpenSub("tp-sup", m=m_sched, threshold=threshold)
         comp = _Composite(v0, StepCounterTable(table, k_prev, ERROR, k=2, bit_update=bitupd),
                           k_prev, oracle)
         run_from = mimic_from = None
@@ -796,8 +799,9 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         k_prev = k_m
 
     strategy = StepCounterTable(table, k_prev, FIRST_EDGE, k=2, bit_update=bitupd, name="sc1bit")
-    return _final_report(arena, v0, strategy, schedule, lambda m: OpenSub("tp-sup", m=m),
-                         oracle.wprime, node_cap)
+    return _final_report(arena, v0, strategy, schedule,
+                         lambda m: OpenSub("tp-sup", m=m, threshold=threshold), oracle.wprime,
+                         node_cap)
 
 
 def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optional[OpenSub],

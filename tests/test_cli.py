@@ -6,16 +6,20 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import pytest
 
 from qgames.adversaries import ramsey_adversary
-from qgames.arena import ArenaExplicit, Edge, VertexId
+from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
 from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
-                               parse_strategy, serialize_strategy)
+                               parse_strategy, serialize_strategy, table_edges)
+from qgames.synthesis import brute_force_values
 from qgames import zoo
 from qgames.zoo import make
 
@@ -354,8 +358,7 @@ def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, caps
     strat = str(tmp_path / "bit.strategy")
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
                  "--m-max", "3", "--out", strat]) == 0
-    schedule = [tuple(int(word[2:]) for word in line.split())
-                for line in capsys.readouterr().out.splitlines() if line.startswith("  m=")]
+    schedule = _schedule(capsys.readouterr().out)
     assert schedule == [(1, 1), (2, 4), (5, 8)]
     good = _write(tmp_path, "good.json", certificate_to_json(LevelSatisfaction(schedule)))
     argv = ["verify", "--arena", "zoo:bitarena", "--p1", strat, "--objective", "tp:limsup:>=:0"]
@@ -1093,7 +1096,8 @@ def test_cli_synthesize_shifts_a_nonzero_threshold(tmp_path, capsys, objective):
     assert main(["synthesize", "--arena", path, "--objective", objective,
                  "--m-max", "2", "--out", out]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("note: threshold shifted to 0 on a transformed arena\n")
+    # the threshold rides in the sub-objectives: no arena is rewritten
+    assert text.startswith("schedule:\n")
     assert "certified: yes" in text
     assert "move a " in Path(out).read_text()
 
@@ -1106,14 +1110,16 @@ def test_cli_synthesize_writes_a_shifted_tp_file_for_the_transformed_arena(tmp_p
     out = str(tmp_path / "shift.strategy")
     assert main(["synthesize", "--arena", path, "--objective", "tp:limsup:>=:1",
                  "--m-max", "2", "--out", out]) == 0
-    assert "edge=pre^a->a " in Path(out).read_text()
+    # the file names only edges of the input arena, and plays on it
+    arena = parse_arena(Path(path).read_text())
+    strategy = parse_strategy(Path(out).read_text())
+    assert all(e in arena.edges(e.src) for e in table_edges(strategy))
     capsys.readouterr()
-    idle = _write(tmp_path, "idle.strategy", "strategy idle kind=memoryless player=2\n")
-    assert main(["simulate", "--arena", path, "--p1", out, "--p2", idle]) == 1
+    p2 = _first_edge_p2(tmp_path, path)
+    assert main(["simulate", "--arena", path, "--p1", out, "--p2", p2]) == 0
     captured = capsys.readouterr()
-    assert captured.err == ("error: strategy %r names vertex pre^a, which is not in arena shift\n"
-                            % out)
-    assert captured.out == ""
+    assert captured.err == ""
+    assert captured.out.startswith("step,")
 
 
 def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_path, capsys):
@@ -1122,17 +1128,85 @@ def test_cli_synthesize_writes_a_shifted_mp_file_in_the_input_arenas_edges(tmp_p
     assert main(["synthesize", "--arena", arena_path, "--objective", "mp:limsup:>=:-1/2",
                  "--m-max", "4", "--out", out]) == 0
     text = Path(out).read_text()
-    # the edge of weight 2, which the solver read as 2 + 1/2
+    # the edge of weight 2, as the input arena names it
     assert "move n(0) step=0 -> n(1) weight=2\n" in text
-    arena = parse_arena(Path(arena_path).read_text())
-    lines = ["strategy first kind=memoryless player=2"]
-    lines += ["move %s -> %s weight=%s" % (v, arena.edges(v)[0].dst, arena.edges(v)[0].weight)
-              for v in arena.vertices if arena.owner(v) == 2]
-    p2 = _write(tmp_path, "p2.strategy", "\n".join(lines) + "\n")
+    p2 = _first_edge_p2(tmp_path, arena_path)
     capsys.readouterr()
     assert main(["simulate", "--arena", arena_path, "--p1", out, "--p2", p2,
                  "--horizon", "40"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _first_edge_p2(tmp_path, arena_path: str) -> str:
+    """A player-2 strategy file taking each vertex's first edge."""
+    arena = parse_arena(Path(arena_path).read_text())
+    lines = ["strategy first kind=memoryless player=2"]
+    lines += ["move %s -> %s weight=%s" % (v, arena.edges(v)[0].dst, arena.edges(v)[0].weight)
+              for v in arena.vertices if arena.owner(v) == 2]
+    return _write(tmp_path, "p2.strategy", "\n".join(lines) + "\n")
+
+
+def _schedule(out: str) -> list[tuple[int, int]]:
+    """The (m, k) pairs of qg synthesize's schedule lines."""
+    return [tuple(int(word[2:]) for word in line.split())
+            for line in out.splitlines() if line.startswith("  m=")]
+
+
+@pytest.mark.parametrize("case, objective", [("mp-n12-w6-win", "mp:limsup:>=:-1/2"),
+                                             ("tp-n10-w2-win", "tp:limsup:>=:1")])
+def test_a_nonzero_threshold_round_trips_through_synthesize_verify_and_simulate(
+        tmp_path, case, objective):
+    """In fresh processes: the file synthesized at a nonzero threshold
+    passes qg verify with its own objective and schedule, and plays on its
+    input arena."""
+    arena = str(GOLDEN / case / "arena.txt")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+    def qg(*argv):
+        done = subprocess.run([sys.executable, "-m", "qgames.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in done.stderr
+        return done
+
+    p1, cert = str(tmp_path / "p1.strategy"), str(tmp_path / "levels.json")
+    synth = qg("synthesize", "--arena", arena, "--objective", objective, "--m-max", "4",
+               "--out", p1)
+    assert synth.returncode == 0 and "certified: yes\n" in synth.stdout
+    Path(cert).write_text(certificate_to_json(LevelSatisfaction(_schedule(synth.stdout))))
+    verify = qg("verify", "--arena", arena, "--p1", p1, "--objective", objective, "--cert", cert)
+    assert (verify.returncode, verify.stderr) == (0, "")
+    assert verify.stdout.endswith("\nverify: accepted\n")
+    simulate = qg("simulate", "--arena", arena, "--p1", p1,
+                  "--p2", _first_edge_p2(tmp_path, arena))
+    assert (simulate.returncode, simulate.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("cell", ["mp-n6-w2", "mp-n6-w6", "tp-n5-w6", "tp-n10-w2"])
+def test_cli_synthesize_certifies_a_threshold_exactly_where_the_start_value_reaches_it(
+        tmp_path, capsys, cell):
+    # every member of the pool cell at six nonzero thresholds: exit 0 when
+    # the brute-force start value is at least r, else 1, and every certified
+    # file passes qg verify with its own objective and schedule
+    family = "mp" if cell.startswith("mp") else "tpsup"
+    for k, member in enumerate(json.loads((PERFBENCH / "pool.json").read_text())[cell]):
+        path = _write(tmp_path, "%s-%d.txt" % (cell, k), member["arena"])
+        arena = parse_arena(member["arena"])
+        value = brute_force_values(arena, family)[arena.start]
+        for r in ("-3/2", "-1", "-1/2", "1/2", "1", "2"):
+            objective = "%s:limsup:>=:%s" % (cell[:2], r)
+            code = main(["synthesize", "--arena", path, "--objective", objective,
+                         "--m-max", "4", "--out", path + ".strategy"])
+            captured = capsys.readouterr()
+            assert code == (0 if value >= exact(r) else 1), (k, r)
+            if code == 1:
+                assert captured.err.startswith("error: start ")
+                assert " is outside the " in captured.err
+                continue
+            cert = _write(tmp_path, "levels.json",
+                          certificate_to_json(LevelSatisfaction(_schedule(captured.out))))
+            assert main(["verify", "--arena", path, "--p1", path + ".strategy",
+                         "--objective", objective, "--cert", cert]) == 0, (k, r)
+            assert capsys.readouterr().out.endswith("\nverify: accepted\n")
 
 
 @pytest.mark.parametrize("arena, p1, p2, text, message", [
@@ -1188,8 +1262,7 @@ def _synthesize_and_verify(capsys, arena_path, objective="mp:limsup:>=:0"):
     if code == 1:
         assert captured.err.endswith(" is outside the winning region\n")
     if code == 0:
-        schedule = [tuple(int(word[2:]) for word in line.split())
-                    for line in captured.out.splitlines() if line.startswith("  m=")]
+        schedule = _schedule(captured.out)
         assert len(schedule) == 4
         Path(cert_path).write_text(certificate_to_json(LevelSatisfaction(schedule)))
         assert main(["verify", "--arena", arena_path, "--p1", strategy_path, *objective,
@@ -1291,16 +1364,21 @@ SINK_CERT = ('{"schema": "qg-cert/1", "variant": "SinkPayoff", '
     (["defeat", "--arena", "zoo:bitarena", "--strategy", "opposite"],
      "no adversary routine for zoo entry 'bitarena'"),
     (["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:1"],
-     "threshold shifting on generators is a library operation"),
+     "zoo entry 'bitarena' has no winning-region oracle for tp:limsup:>=:1"),
     (["synthesize", "--arena", "{arena}", "--objective", "mp:liminf:>=:0"],
      "objective mp:liminf:>=:0: Sigma03; sufficiency open"),
+    (["synthesize", "--arena", "{arena}", "--objective", "mp:liminf:>=:1"],
+     "objective mp:liminf:>=:1: Sigma03; sufficiency open"),
+    (["synthesize", "--arena", "{arena}", "--objective", "mp:limsup:>:1/2"],
+     "objective mp:limsup:>:1/2: Sigma03; sufficiency open"),
     (["synthesize", "--arena", "{arena}", "--objective", "tp:limsup:>=:+inf"],
      "synthesis supports tp:limsup:>=:<finite> and mp:limsup:>=:<finite> objectives"),
     (["verify", "--arena", "{arena}", "--cert", "{cert}", "--objective", "mp:liminf:>=:0"],
      "objective mp:liminf:>=:0: Sigma03; sufficiency open"),
     (["zoo", "export", "--arena", "{arena}"], "zoo export takes a zoo: URI"),
 ], ids=["defeat-arena-file", "defeat-no-routine", "synthesize-shift-generator",
-        "synthesize-open-objective", "synthesize-unsupported-objective",
+        "synthesize-open-objective", "synthesize-open-objective-at-1",
+        "synthesize-open-strict-objective", "synthesize-unsupported-objective",
         "verify-open-objective", "export-arena-file"])
 def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
     files = {"arena": _write(tmp_path, "pos.txt", POS_ARENA),

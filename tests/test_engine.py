@@ -8,7 +8,7 @@ from qgames.arena import (Arena, ArenaExplicit, Edge, History, MealyMemory, Vert
                           make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
-                           RefutedBranch, SinkPayoff, certificate_from_json,
+                           RefutedBranch, SinkPayoff, _detect_refuted, certificate_from_json,
                            certificate_to_json, check_certificate,
                            explore_consistent, koenig_bound, koenig_layers, missing_context,
                            play)
@@ -273,6 +273,46 @@ def test_a_cycle_is_pumped_for_a_finite_memory_strategy_only_where_its_memory_st
     refuted = koenig_bound(arena, A, laps, never, 10)
     assert isinstance(refuted, RefutedBranch)
     assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex, refuted.cycle_tp) == (0, 6, A, -2)
+
+
+def _debt_then_loop():
+    """The opponent's one edge of weight -1/2 from b to a, then a one-state
+    finite-memory player 1 looping at a with weight 0 (a also reaches the
+    sink s): every running total is -1/2."""
+    arena = ArenaExplicit({B: 2, A: 1, S: 1},
+                          [E(B, F(-1, 2), A), E(A, 0, A), E(A, -1, S), E(S, 0, S)], B)
+    return arena, FiniteMemory(MealyMemory((0,), 0, lambda m, e: 0), {(A, 0): E(A, 0, A)})
+
+
+def test_a_pumped_cycle_is_refuted_below_the_threshold_bar_only():
+    # the totals -1/2 stay in [-1/m, r - 1/m) at m = 2 and r = 1: refuted at
+    # r = 1, while at r = 0 the bar -1/2 is reached, so the bound is the step index
+    arena, sigma = _debt_then_loop()
+    frontier = list(koenig_layers(arena, B, sigma, 2))[2]
+    assert _detect_refuted(sigma, frontier, OpenSub("tp-sup", m=2)) is None
+    refuted = _detect_refuted(sigma, frontier, OpenSub("tp-sup", m=2, threshold=1))
+    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex) == (1, 1, A)
+    assert refuted.cycle_tp == 0
+    assert koenig_bound(arena, B, sigma, OpenSub("tp-sup", m=2), 10) \
+        == KoenigBound(2, OpenSub("tp-sup", m=2))
+    assert isinstance(koenig_bound(arena, B, sigma, OpenSub("tp-sup", m=2, threshold=1), 10),
+                      RefutedBranch)
+
+
+def test_a_koenig_bound_written_without_a_threshold_reads_as_threshold_0_and_rechecks():
+    text = ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 2, '
+            '"open_sub": {"colour": null, "family": "tp-sup", "i": 1, "m": 2}}}')
+    cert = certificate_from_json(text)
+    assert cert == KoenigBound(2, OpenSub("tp-sup", m=2)) and cert.open_sub.threshold == 0
+    arena, sigma = _debt_then_loop()
+    assert check_certificate(cert, {"arena": arena, "v0": B, "sigma1": sigma}).ok
+
+
+def test_a_nonzero_threshold_round_trips_through_a_certificate():
+    cert = KoenigBound(3, OpenSub("tp-sup", m=2, threshold=F(-3, 2)))
+    text = certificate_to_json(cert)
+    assert json.loads(text)["body"]["open_sub"]["threshold"] == "-3/2"
+    assert certificate_from_json(text) == cert
 
 
 def test_certificate_json_roundtrip_all_variants():

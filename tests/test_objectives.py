@@ -8,7 +8,7 @@ from qgames.objectives import (BOTH, GE, LE, NEG_INF, POS_INF, Lasso, Objective,
                                OpenSub, Unsupported, _diagonal_pair, classify,
                                decompose, eval_on_lasso, format_ext, lasso_limit,
                                parse_ext, parse_objective, payoff, prefix_compare,
-                               shift_to_zero_threshold)
+                               rewrite_strict_tp)
 
 F = Fraction
 V = VertexId
@@ -76,6 +76,21 @@ def test_already_satisfies_is_monotone_under_extension():
         for sub in subs:
             if sub.already_satisfies(word):
                 assert sub.already_satisfies(ext)
+
+
+def test_a_threshold_is_a_shift_of_the_word_for_mp_and_its_definition_for_tp():
+    # mp-sup at r is mp-sup at 0 on the word minus r at every step; tp-sup at
+    # r is some j >= m with TP(w<=j) >= r - 1/m
+    rng = random.Random(29)
+    for _ in range(400):
+        word = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(rng.randint(0, 9))]
+        r = F(rng.randint(-6, 6), rng.choice((1, 2, 4)))
+        m, i = rng.randint(1, 5), rng.randint(1, 5)
+        assert OpenSub("mp-sup", m, i, threshold=r).already_satisfies(word) \
+            == OpenSub("mp-sup", m, i).already_satisfies([x - r for x in word])
+        totals = [sum(word[:j]) for j in range(1, len(word) + 1)]
+        assert OpenSub("tp-sup", m, threshold=r).already_satisfies(word) \
+            == any(t >= r - F(1, m) for t in totals[m - 1:])
 
 
 def _random_word(rng, n):
@@ -201,7 +216,12 @@ def test_decompose_families():
     assert [buchi.sub(n).colour for n in (1, 2, 3)] == [F(0), F(1), F(0)]
     assert buchi.sub(3).i == 2
     assert isinstance(decompose(Objective("tp", "liminf", ">=", F(0))), Unsupported)
-    assert isinstance(decompose(Objective("mp", "limsup", ">=", F(1))), Unsupported)
+    # a finite threshold rides in every sub-objective; the label does not name it
+    mp1 = decompose(Objective("mp", "limsup", ">=", F(1)))
+    assert (mp1.label, mp1.sub(3)) == ("mp-limsup>=r", OpenSub("mp-sup", m=2, i=1, threshold=1))
+    tp1 = decompose(Objective("tp", "limsup", ">=", F(-3, 2)))
+    assert (tp1.label, tp1.sub(2)) == ("tp-limsup>=r", OpenSub("tp-sup", m=2, threshold=F(-3, 2)))
+    assert isinstance(decompose(Objective("tp", "limsup", ">=", NEG_INF)), Unsupported)
 
 
 def _loop_arena():
@@ -209,51 +229,10 @@ def _loop_arena():
     return ArenaExplicit({a: 1}, [Edge(a, F(1), a), Edge(a, F(1, 2), a)], a)
 
 
-def test_shift_mp_threshold_subtracts_weights():
-    arena = _loop_arena()
-    shifted, start, obj, note = shift_to_zero_threshold(
-        arena, arena.start, Objective("mp", "limsup", ">=", F(1, 2)))
-    assert obj.threshold == 0
-    assert sorted(e.weight for e in shifted.edges(start)) == [F(0), F(1, 2)]
-    assert "subtracted" in note
-
-
-def test_shift_tp_threshold_prepends_debt_edge():
-    arena = _loop_arena()
-    shifted, start, obj, note = shift_to_zero_threshold(
-        arena, arena.start, Objective("tp", "limsup", ">=", F(3)))
-    assert start.name.startswith("pre^")
-    (debt,) = shifted.edges(start)
-    assert debt.weight == F(-3)
-    assert debt.dst == arena.start
-    assert obj.threshold == 0
-
-
 def test_shift_strict_tp_uses_common_denominator():
-    arena = _loop_arena()
-    shifted, start, obj, note = shift_to_zero_threshold(
-        arena, arena.start, Objective("tp", "limsup", ">", F(0)))
-    # weights have denominator 2, so > 0 becomes >= 1/2, i.e. a -1/2 debt
-    (debt,) = shifted.edges(start)
-    assert debt.weight == F(-1, 2)
-    assert obj.relation == ">="
-
-
-def test_shift_keeps_an_explicit_arena_explicit():
-    arena = _loop_arena()
-    shifted, start, _, _ = shift_to_zero_threshold(
-        arena, arena.start, Objective("mp", "limsup", ">=", F(1, 2)))
-    assert isinstance(shifted, ArenaExplicit)
-    assert shifted.vertices == arena.vertices and start == arena.start
-    shifted, start, _, _ = shift_to_zero_threshold(
-        arena, arena.start, Objective("tp", "limsup", ">=", F(3)))
-    assert isinstance(shifted, ArenaExplicit)
-    assert shifted.vertices == tuple(sorted(arena.vertices + (start,)))
-    assert shifted.owner(start) == 2 and shifted.edges(arena.start) == arena.edges(arena.start)
-    generator = Arena("generator", arena.start, lambda v: (1, arena.edges(v)))
-    shifted, _, _, _ = shift_to_zero_threshold(
-        generator, arena.start, Objective("tp", "limsup", ">=", F(3)))
-    assert not isinstance(shifted, ArenaExplicit)
+    # weights have denominator 2, so > 0 becomes >= 1/2
+    obj = rewrite_strict_tp(_loop_arena(), Objective("tp", "limsup", ">", F(0)))
+    assert (obj.kind, obj.mode, obj.relation, obj.threshold) == ("tp", "limsup", ">=", F(1, 2))
 
 
 def test_shift_strict_tp_reads_a_denominator_far_from_the_start():
@@ -263,18 +242,15 @@ def test_shift_strict_tp_reads_a_denominator_far_from_the_start():
     edges = [Edge(a, F(0), b) for a, b in zip(path[:44], path[1:45])]
     edges += [Edge(path[44], F(1, 3), path[45]), Edge(path[45], F(0), path[45])]
     arena = ArenaExplicit({v: 1 for v in path}, edges, path[0])
-    shifted, start, obj, _ = shift_to_zero_threshold(
-        arena, arena.start, Objective("tp", "limsup", ">", F(0)))
-    (debt,) = shifted.edges(start)
-    assert debt.weight == F(-1, 3)
-    assert (obj.relation, obj.threshold) == (">=", 0)
+    obj = rewrite_strict_tp(arena, Objective("tp", "limsup", ">", F(0)))
+    assert (obj.relation, obj.threshold) == (">=", F(1, 3))
 
 
 def test_shift_strict_tp_refuses_a_generator():
     arena = _loop_arena()
     generator = Arena("generator", arena.start, lambda v: (1, arena.edges(v)))
     with pytest.raises(ValueError, match="generator"):
-        shift_to_zero_threshold(generator, arena.start, Objective("tp", "limsup", ">", F(0)))
+        rewrite_strict_tp(generator, Objective("tp", "limsup", ">", F(0)))
 
 
 def test_quotients_of_integer_words_are_fractions_not_floats():
@@ -291,35 +267,6 @@ def test_parsed_thresholds_and_shifted_weights_are_ints_when_integral():
     assert [type(parse_ext(t)) for t in ("3", "-4/2", "1/2")] == [int, int, Fraction]
     a = V("a")
     arena = ArenaExplicit({a: 1}, [Edge(a, 2, a), Edge(a, -1, a)], a)
-    shifted, start, _, _ = shift_to_zero_threshold(
-        arena, a, Objective("mp", "limsup", ">=", F(1, 2)))
-    assert sorted(e.weight for e in shifted.edges(start)) == [F(-3, 2), F(3, 2)]
-    shifted, start, _, _ = shift_to_zero_threshold(
-        ArenaExplicit({a: 1}, [Edge(a, F(2), a)], a), a, Objective("mp", "limsup", ">=", F(1)))
-    (e,) = shifted.edges(start)
-    assert e.weight == 1 and type(e.weight) is int
-    # > 0 over integer weights is >= 1: a debt of -1
-    shifted, start, obj, _ = shift_to_zero_threshold(arena, a, Objective("tp", "limsup", ">", 0))
-    (debt,) = shifted.edges(start)
-    assert debt.weight == -1 and type(debt.weight) is int
-
-
-def test_shifted_generators_read_their_rows():
-    # a generator's TP shift expands the prepended vertex to its debt edge
-    # and passes every other row through; its MP shift subtracts the
-    # threshold from every weight of a row and keeps the owner
-    a, b = V("a"), V("b")
-    rows = {a: (1, (Edge(a, 1, b), Edge(a, F(1, 2), a))), b: (2, (Edge(b, -1, a),))}
-    generator = Arena("generator", a, rows.__getitem__)
-    shifted, start, obj, _ = shift_to_zero_threshold(
-        generator, a, Objective("tp", "limsup", ">=", 3))
-    assert (start, obj.threshold) == (V("pre^a"), 0)
-    assert shifted.row(start) == (2, (Edge(start, -3, a),))
-    assert shifted.row(a) == (1, (Edge(a, F(1, 2), a), Edge(a, 1, b)))
-    assert shifted.row(b) == (2, (Edge(b, -1, a),))
-    shifted, start, obj, _ = shift_to_zero_threshold(
-        generator, a, Objective("mp", "limsup", ">=", F(1, 2)))
-    assert (start, obj.threshold) == (a, 0)
-    assert shifted.row(a) == (1, (Edge(a, 0, a), Edge(a, F(1, 2), b)))
-    assert shifted.row(b) == (2, (Edge(b, F(-3, 2), a),))
-    assert type(shifted.row(a)[1][0].weight) is int
+    # > 0 over integer weights is >= 1
+    obj = rewrite_strict_tp(arena, Objective("tp", "limsup", ">", 0))
+    assert obj.threshold == 1 and type(obj.threshold) is int
