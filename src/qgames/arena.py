@@ -59,8 +59,20 @@ P2 = 2
 DEFAULT_VERTEX_CAP = 10**6
 
 
-class VertexCapExceeded(ValueError):
-    """An arena or a walk over it has more than ``DEFAULT_VERTEX_CAP`` vertices."""
+@dataclass
+class Inconclusive(Exception):
+    """A cap exhausted before a verdict, naming the cap: the vertex cap
+    (``DEFAULT_VERTEX_CAP``), a node cap, a depth cap or a window.
+    Routines that end in one verdict raise it; walks whose callers go on
+    from a partial result return it."""
+
+    reason: str
+    depth: int = 0
+    remaining: int = 0
+    node_cap: Optional[int] = None  # set when the node cap was the binding cap
+
+    def __str__(self) -> str:
+        return self.reason
 
 
 # "name", "name(a)", "name(a,b)", "name(a,b,c)": the text of a vertex with
@@ -209,7 +221,8 @@ class ArenaExplicit(Arena):
     def __init__(self, owners: dict[VertexId, int], edges: Iterable[Edge],
                  start: Optional[VertexId] = None, name: str = "arena"):
         if len(owners) > DEFAULT_VERTEX_CAP:
-            raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+            raise Inconclusive("vertex cap %d exceeded by an arena of %d vertices"
+                               % (DEFAULT_VERTEX_CAP, len(owners)))
         super().__init__(name, start)
         buckets: dict[VertexId, list[Edge]] = {v: [] for v in owners}
         for e in edges:
@@ -428,8 +441,8 @@ def reach(arena: Arena, start: VertexId, depth: int,
     lists a vertex's edges, once per expanded vertex in the walk's order.
     The map is filled into ``reached`` when given, so ``edges`` may read
     it: the vertex it expands, and every vertex the map holds, have their
-    final distance.  Raises ``VertexCapExceeded`` as soon as the walk
-    reaches more than ``DEFAULT_VERTEX_CAP`` vertices."""
+    final distance.  Raises ``Inconclusive``, naming the distance, as soon
+    as the walk reaches more than ``DEFAULT_VERTEX_CAP`` vertices."""
     edges = edges or arena.edges
     if reached is None:
         reached = {}
@@ -444,7 +457,8 @@ def reach(arena: Arena, start: VertexId, depth: int,
                 if e.dst not in reached:
                     reached[e.dst] = d
                     if len(reached) > DEFAULT_VERTEX_CAP:
-                        raise VertexCapExceeded("arena exceeds vertex cap %d" % DEFAULT_VERTEX_CAP)
+                        raise Inconclusive("vertex cap %d exceeded at distance %d"
+                                           % (DEFAULT_VERTEX_CAP, d), d)
                     nxt.append(e.dst)
         layer = nxt
     return reached
@@ -457,7 +471,8 @@ def validate(arena: Arena, depth: int = 50) -> ValidationReport:
     ``depth`` steps of its start are expanded (``reach``), each
     probed twice to catch nondeterministic expansion, and each edge's
     weight must be canonical exact (``exact``): a generator may build its
-    edges with ``_new_edge``, which does not make them so.
+    edges with ``_new_edge``, which does not make them so.  A walk past
+    the vertex cap raises ``Inconclusive`` (``reach``): no verdict.
     """
     if isinstance(arena, ArenaExplicit):
         return ValidationReport(["blocking vertex %s" % (v,) for v in arena.vertices
@@ -488,11 +503,7 @@ def validate(arena: Arena, depth: int = 50) -> ValidationReport:
                                  for e in es if not _canonical(e.weight))
         return es
 
-    try:
-        report.explored = len(reach(arena, arena.start, depth + 1, probe))
-    except VertexCapExceeded:
-        report.violations.append("vertex cap exceeded during exploration")
-        report.explored = DEFAULT_VERTEX_CAP + 1
+    report.explored = len(reach(arena, arena.start, depth + 1, probe))
     return report
 
 
@@ -527,7 +538,7 @@ def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResul
     when the walk expands its source, as the target's distance is final
     then; the walk stops at the first edge that fails, and the
     counterexample is the first-reach path to its target and the one to
-    its source extended by the edge.  Raises ``VertexCapExceeded`` past
+    its source extended by the edge.  Raises ``Inconclusive`` past
     ``DEFAULT_VERTEX_CAP`` vertices, unless a conflict comes first.
     """
     reached: dict[VertexId, int] = {}

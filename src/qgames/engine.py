@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Hashable, Iterator, Optional, Union, get_args
 
-from .arena import (_VERTEX_FORMATS, Arena, Edge, History, VertexId, Weight, exact,
-                    node_cap_from_env)
+from .arena import (_VERTEX_FORMATS, Arena, Edge, History, Inconclusive, VertexId, Weight,
+                    exact, node_cap_from_env)
 from .objectives import OpenSub
 from .strategies import Strategy
 
@@ -199,8 +198,9 @@ class Layers:
     Nodes) is yielded before it is expanded, so the caller may read it,
     append nodes to it to have them expanded too, or stop.  Children for which ``prune`` holds are
     dropped.  Children with equal ``key`` (``None`` never merges) are
-    merged, keeping the first unless ``prefer(child, kept)`` holds.  With
-    an ``open_sub``, ``satisfied`` records whether it fired along the
+    merged into the one of least ``order``, the first of several that
+    tie, or the first of all without an ``order``.  With an
+    ``open_sub``, ``satisfied`` records whether it fired along the
     history.  Every child kept past pruning counts against the node cap;
     exhausting it ends the walk with ``truncated`` set to an Inconclusive
     naming the cap and the depth.
@@ -216,11 +216,11 @@ class Layers:
                  open_sub: Optional[OpenSub] = None,
                  prune: Optional[Callable[[Node], bool]] = None,
                  key: Optional[Callable[[Node], Hashable]] = None,
-                 prefer: Optional[Callable[[Node, Node], bool]] = None,
+                 order: Optional[Callable[[Node], object]] = None,
                  node_cap: Optional[int] = None,
                  resume: Optional[tuple[list[Node], int, int]] = None):
         self.arena, self.v0, self.sigma, self.depth = arena, v0, sigma, depth
-        self.open_sub, self.prune, self.key, self.prefer = open_sub, prune, key, prefer
+        self.open_sub, self.prune, self.key, self.order = open_sub, prune, key, order
         self.node_cap = node_cap_from_env() if node_cap is None else node_cap
         self.resume = resume
         self.created = 0
@@ -235,7 +235,7 @@ class Layers:
         return out
 
     def __iter__(self) -> Iterator[list[Node]]:
-        sigma, sub = self.sigma, self.open_sub
+        sigma, sub, order = self.sigma, self.open_sub, self.order
         if self.resume is None:
             root = Node(self.v0, 0, 0, None, None, sigma.initial_state())
             layer, first, self.created = [root], 0, 1
@@ -258,7 +258,7 @@ class Layers:
                         unmerged.append(child)
                     else:
                         kept = merged.get(k)
-                        if kept is None or (self.prefer is not None and self.prefer(child, kept)):
+                        if kept is None or (order is not None and order(child) < order(kept)):
                             merged[k] = child
                     self.created += 1
                     if self.created > self.node_cap:
@@ -311,23 +311,14 @@ class KoenigBound:
         again = koenig_bound(context["arena"], context["v0"], context["sigma1"], self.open_sub,
                              self.level)
         if not isinstance(again, KoenigBound):
-            return CheckResult(False, ["bound did not reproduce: %r" % (again,)])
+            return CheckResult(False, ["bound did not reproduce: %s" % (again,)])
         return CheckResult(True, ["bound reproduced at level %d" % again.level])
 
 
-@dataclass
-class Inconclusive(Exception):
-    """A cap exhausted before a verdict, naming the cap.  Routines that end
-    in one verdict raise it; walks whose callers go on from a partial
-    result return it."""
-
-    reason: str
-    depth: int = 0
-    remaining: int = 0
-    node_cap: Optional[int] = None  # set when the node cap was the binding cap
-
-    def __str__(self) -> str:
-        return self.reason
+def depth_cap_exhausted(depth: int, remaining: int) -> Inconclusive:
+    """A walk that reached its depth cap with branches left unsatisfied."""
+    return Inconclusive("depth cap %d exhausted with %d unsatisfied branch%s"
+                        % (depth, remaining, "" if remaining == 1 else "es"), depth, remaining)
 
 
 @dataclass
@@ -337,8 +328,11 @@ class RefutedBranch:
     prefix_len: int
     cycle_len: int
     vertex: VertexId
-    cycle_tp: Fraction  # a Fraction even when integral: the refutation's repr is printed
+    cycle_tp: Weight
     detail: str
+
+    def __str__(self) -> str:
+        return "%s, at %s from step %d" % (self.detail, self.vertex, self.prefix_len)
 
 
 def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
@@ -352,7 +346,7 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
 
     return Layers(arena, v0, sigma, depth, open_sub=open_sub,
                   prune=lambda node: node.satisfied, key=key,
-                  prefer=lambda node, kept: node.tp < kept.tp, node_cap=node_cap, resume=resume)
+                  order=lambda node: node.tp, node_cap=node_cap, resume=resume)
 
 
 def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
@@ -378,7 +372,7 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
             return refuted
     if walk.truncated is not None:
         return walk.truncated
-    return Inconclusive("depth exhausted with unsatisfied branches", max_depth, len(frontier))
+    return depth_cap_exhausted(max_depth, len(frontier))
 
 
 def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
@@ -409,7 +403,7 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
                         prefix_len=anc.depth,
                         cycle_len=node.depth - anc.depth,
                         vertex=node.vertex,
-                        cycle_tp=Fraction(delta),
+                        cycle_tp=delta,
                         detail="unsatisfied branch pumps a cycle with total %s" % delta)
             anc = anc.parent
     return None
@@ -488,7 +482,7 @@ class LevelSatisfaction:
             again = koenig_bound(context["arena"], context["v0"], context["sigma1"],
                                  context["subs"](m), k_m)
             if not isinstance(again, KoenigBound):
-                return result.fail("level (m=%d, k=%d) failed: %r" % (m, k_m, again))
+                return result.fail("level (m=%d, k=%d) failed: %s" % (m, k_m, again))
             result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))
         return result
 

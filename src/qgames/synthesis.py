@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact
-from .engine import Inconclusive, KoenigBound, Layers, Node, koenig_bound, koenig_layers
+from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
+                     koenig_layers)
 from .objectives import (Decomposition, ExtValue, OpenSub, prefix_compare, LE, BOTH, POS_INF,
                          NEG_INF, TP, MP)
 from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
@@ -431,48 +432,21 @@ def sigma_safe(arena: ArenaExplicit, threshold: Weight = 0
 # Minimal consistent histories and the step-counter conversion
 
 
-def _less_minimal(arena: Arena, open_sub: Optional[OpenSub], a: Node, b: Node) -> bool:
-    """Is candidate a strictly more minimal (worse continuation-wise) than
-    the kept b, by ``OpenSub.rank``, or equivalent with the smaller edge
-    index where the two histories first part below the nearest
-    (vertex, depth) cell they share?  A walk keeps one node per cell, so
-    between its own histories that cell is their last common node and
-    the order is lexicographic over edge indices; a backed cell's
-    history (run-walk ancestors) is compared up to that cell only, not
-    to the root."""
-    if open_sub is None:
-        rank_a, rank_b = (a.satisfied, a.tp), (b.satisfied, b.tp)
-    else:
-        rank_a, rank_b = open_sub.rank(a.satisfied, a.tp), open_sub.rank(b.satisfied, b.tp)
-    if rank_a != rank_b:
-        return rank_a < rank_b
-    # equal lengths at one cell: the topmost differing edges below the
-    # nearest shared cell above leave one vertex and decide
-    first = None
-    while a.edge is not None:
-        if a.edge != b.edge:
-            first = a.edge, b.edge
-        a, b = a.parent, b.parent
-        if a.vertex == b.vertex:
-            break
-    if first is None:
-        return False
-    edges = arena.edges(first[0].src)
-    return edges.index(first[0]) < edges.index(first[1])
-
-
 def _minimal_layers(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: Optional[OpenSub],
                     depth: int, node_cap: Optional[int] = None, resume=None) -> Layers:
-    """Layers keeping one minimal consistent history per vertex.
+    """Layers keeping one minimal consistent history per vertex: the first
+    of least ``OpenSub.rank``, or of least (satisfied, total) without a
+    sub-objective.
 
     The prefix order is a congruence, so extending only the kept minima
     preserves the property that the kept history at a cell is dominated by
-    no consistent history there; ties break on edge indices
-    (``_less_minimal``).
+    no consistent history there.  Any history of least rank is minimal, so
+    the construction may read its cell off any of several.
     """
+    rank = (lambda satisfied, tp: (satisfied, tp)) if open_sub is None else open_sub.rank
     return Layers(arena, v0, sigma, depth, open_sub=open_sub, key=lambda node: node.vertex,
-                  prefer=lambda node, kept: _less_minimal(arena, open_sub, node, kept),
-                  node_cap=node_cap, resume=resume)
+                  order=lambda node: rank(node.satisfied, node.tp), node_cap=node_cap,
+                  resume=resume)
 
 
 def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
@@ -485,28 +459,18 @@ def minimal_history_levels(arena: Arena, v0: VertexId, sigma_prime: Strategy,
     return walk.truncated or levels
 
 
-def _sc_table(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub, depth: int,
-              node_cap: Optional[int] = None
-              ) -> Union[dict[tuple[VertexId, int, int], Edge], Inconclusive]:
-    """(v, s, 0) -> the move sigma makes after the minimal consistent
-    length-s history ending at v, for s below the depth: the rows of a
-    one-mode step-counter table."""
-    walk = _minimal_layers(arena, v0, sigma, open_sub, depth - 1, node_cap)
+def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub: OpenSub,
+                     depth: int, node_cap: Optional[int] = None
+                     ) -> Union[StepCounterTable, Inconclusive]:
+    """Step-counter table playing, at (v, s) for s below the depth, the
+    move the given strategy makes after the minimal consistent length-s
+    history ending at v, or the Inconclusive of an exhausted node cap."""
+    walk = _minimal_layers(arena, v0, sigma_prime, open_sub, depth - 1, node_cap)
     table = {(node.vertex, node.depth, 0): walk.moves(node)[0]
              for layer in walk for node in layer
-             if arena.owner(node.vertex) == sigma.player}
-    return walk.truncated or table
-
-
-def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy,
-                     open_sub: OpenSub, depth: int) -> Union[StepCounterTable, Inconclusive]:
-    """Step-counter table playing, at (v, s), the move the given strategy
-    makes after the minimal consistent length-s history ending at v."""
-    table = _sc_table(arena, v0, sigma_prime, open_sub, depth)
-    if isinstance(table, Inconclusive):
-        return table
-    return StepCounterTable(table, depth, FIRST_EDGE, player=sigma_prime.player,
-                            name=sigma_prime.name + "+sc")
+             if arena.owner(node.vertex) == sigma_prime.player}
+    return walk.truncated or StepCounterTable(table, depth, FIRST_EDGE, player=sigma_prime.player,
+                                              name=sigma_prime.name + "+sc")
 
 
 def domination_holds(arena: Arena, v0: VertexId, open_sub: OpenSub,
@@ -662,26 +626,18 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev, oracle)
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
-            return _failed(schedule, "bubble %d: %s" % (m, _why(kb)))
+            return _failed(schedule, "bubble %d: %s" % (m, kb))
         k_m = max(kb.level, k_prev + 1)
-        new_fixed = _sc_table(arena, v0, comp, sub, k_m, node_cap)
-        if isinstance(new_fixed, Inconclusive):
-            return _failed(schedule, "bubble %d: %s" % (m, _why(new_fixed)))
-        fixed = new_fixed
+        sc = sc_from_strategy(arena, v0, comp, sub, k_m, node_cap)
+        if isinstance(sc, Inconclusive):
+            return _failed(schedule, "bubble %d: %s" % (m, sc))
+        fixed = sc.table
         k_prev = k_m
         schedule.append((m, k_m))
 
     strategy = StepCounterTable(fixed, k_prev, FIRST_EDGE, name="bubble_sc")
     return _final_report(arena, v0, strategy, schedule, decomposition.sub, oracle.wprime,
                          node_cap)
-
-
-def _why(result: Inconclusive) -> str:
-    """Why a bubble found no bound, as a sentence."""
-    if result.node_cap is None:
-        return "depth cap %d exhausted with %d unsatisfied branch%s" % (
-            result.depth, result.remaining, "" if result.remaining == 1 else "es")
-    return result.reason
 
 
 def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
@@ -791,7 +747,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
                               run_from, mimic_from)
         if isinstance(built, Inconclusive):
-            return _failed(schedule, "bubble m=%d: %s" % (m_sched, _why(built)))
+            return _failed(schedule, "bubble m=%d: %s" % (m_sched, built))
         k_m, violation = built
         if violation is not None:
             return _failed(schedule, "left the winnable region: %s" % violation, False)
@@ -807,12 +763,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optional[OpenSub],
                 depth: int, node_cap: Optional[int], resume=None) -> Layers:
     """Consistent layers of the live table merging on (vertex, bit,
-    running total, satisfied).  A later duplicate replaces the kept node:
-    its history backs the minimal-history cell when the mimic never
-    reaches its vertex."""
+    running total, satisfied), keeping the first duplicate: its history
+    backs the minimal-history cell when the mimic never reaches its
+    vertex."""
     return Layers(arena, v0, live, depth, open_sub=sub,
                   key=lambda node: (node.vertex, node.state[1], node.tp, node.satisfied),
-                  prefer=lambda node, kept: True, node_cap=node_cap, resume=resume)
+                  node_cap=node_cap, resume=resume)
 
 
 def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterTable,
@@ -838,8 +794,7 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterT
         if d >= max(k_prev, 1) and d >= sub.step_index and all(n.satisfied for n in frontier):
             return (max(d, k_prev + 1), None)
         if d == depth_cap:
-            return Inconclusive("depth exhausted with unsatisfied branches", depth_cap,
-                                sum(not n.satisfied for n in frontier))
+            return depth_cap_exhausted(depth_cap, sum(not n.satisfied for n in frontier))
         if d >= k_prev:
             # a bit reset at a bubble boundary can land on a safe-strategy
             # detour the mimic never reaches: back the cell by the run itself

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (Arena, ArenaExplicit, Edge, History, LetterMemory,
+from qgames.arena import (Arena, ArenaExplicit, Edge, History, Inconclusive, LetterMemory,
                           MealyMemory, StepCounter, VertexId, _new_edge, _new_vertex,
                           encodes_step_count, exact, make_edge, node_cap_from_env, product,
                           reach, validate)
@@ -242,7 +242,7 @@ def test_every_vertex_walk_stops_when_it_passes_the_vertex_cap(monkeypatch):
     # the step counter's product encodes the step count, so no conflict
     # stops its walk before the cap does
     counted = product(entry.arena, StepCounter())
-    with pytest.raises(ValueError, match="^arena exceeds vertex cap 500$"):
+    with pytest.raises(Inconclusive, match="^vertex cap 500 exceeded at distance 21$"):
         encodes_step_count(counted, counted.start, 400)
     assert len(counted._cache) <= 501
     # a4 itself answers at its first conflict, the depth-5 pair into r0,
@@ -252,9 +252,14 @@ def test_every_vertex_walk_stops_when_it_passes_the_vertex_cap(monkeypatch):
     assert res.levels is None
     assert [(len(h), str(h.to_vertex)) for h in res.counterexample] == [(4, "r0"), (5, "r0")]
     assert len(entry.arena._cache) < 50
-    report = validate(make("a4").arena, depth=400)
-    assert (report.violations, report.explored) == (
-        ["vertex cap exceeded during exploration"], 501)
+    # a cap is no verdict, so validate names it instead of a violation
+    arena = make("a4").arena
+    with pytest.raises(Inconclusive, match="^vertex cap 500 exceeded at distance 21$"):
+        validate(arena, depth=400)
+    assert len(arena._cache) <= 501
+    owners = {V("v", (i,)): 1 for i in range(501)}
+    with pytest.raises(Inconclusive, match="^vertex cap 500 exceeded by an arena of 501 vertices$"):
+        ArenaExplicit(owners, [E(v, 0, v) for v in owners], V("v", (0,)))
 
 
 def test_letter_memory_runs_equal_single_checked_steps():

@@ -369,9 +369,10 @@ def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, caps
     tampered = _write(tmp_path, "bad.json",
                       certificate_to_json(LevelSatisfaction([(1, 1), (2, 3), (5, 8)])))
     assert main(argv + ["--cert", tampered]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("m=1 certified at level 1 <= 1\nlevel (m=2, k=3) failed: ")
-    assert out.endswith("\nverify: refuted\n")
+    assert capsys.readouterr().out == (
+        "m=1 certified at level 1 <= 1\n"
+        "level (m=2, k=3) failed: depth cap 3 exhausted with 1 unsatisfied branch\n"
+        "verify: refuted\n")
 
 
 def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys):
@@ -858,12 +859,14 @@ def test_cli_zoo_export_stops_when_the_walk_passes_the_vertex_cap(monkeypatch, c
         return entries[-1]
 
     monkeypatch.setattr(zoo, "parse_uri", parse_uri)
-    assert main(["zoo", "export", "--arena", "zoo:a4", "--depth", "400"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: arena exceeds vertex cap 500\n"
-    assert captured.out == ""
-    (entry,) = entries
-    assert len(entry.arena._cache) <= 501
+    # a cap is no verdict: both commands name it and exit 2
+    for command in (["zoo", "export"], ["validate"]):
+        assert main(command + ["--arena", "zoo:a4", "--depth", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "inconclusive: vertex cap 500 exceeded at distance 21\n"
+        assert captured.err == ""
+        assert len(entries[-1].arena._cache) <= 501
+    assert len(entries) == 2
 
 
 @pytest.mark.parametrize("uri, message", [

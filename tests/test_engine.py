@@ -108,17 +108,15 @@ def test_integer_weights_give_int_totals_and_an_exact_mp_column():
     assert empty.final_tp == 0 and type(empty.final_tp) is int
 
 
-def test_a_refuted_branch_prints_its_cycle_total_as_a_fraction():
-    # int weights, but the refutation's repr, which qg verify prints, is unchanged
+def test_a_refuted_branch_prints_its_detail_vertex_and_step():
     arena = ArenaExplicit({A: 1}, [make_edge(A, -2, A)], A)
     sigma = Memoryless({A: arena.edges(A)[0]})
     refuted = koenig_bound(arena, A, sigma, OpenSub("tp-sup", m=1), 10)
-    assert isinstance(refuted, RefutedBranch) and type(refuted.cycle_tp) is Fraction
+    assert isinstance(refuted, RefutedBranch) and refuted.cycle_tp == -2
     check = KoenigBound(1, OpenSub("tp-sup", m=1)).check({"arena": arena, "v0": A, "sigma1": sigma})
     assert check.diagnostics == [
-        "bound did not reproduce: RefutedBranch(prefix_len=0, cycle_len=1, "
-        "vertex=VertexId(name='a', params=()), cycle_tp=Fraction(-2, 1), "
-        "detail='unsatisfied branch pumps a cycle with total -2')"]
+        "bound did not reproduce: unsatisfied branch pumps a cycle with total -2, "
+        "at a from step 0"]
 
 
 def test_play_stops_at_sink():

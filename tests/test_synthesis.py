@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qgames.arena import ArenaExplicit, Edge, History, VertexId
-from qgames.cli import parse_arena
+from qgames.cli import main, parse_arena
 from qgames.engine import Inconclusive, KoenigBound, koenig_bound, play
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
@@ -342,46 +343,61 @@ def test_sc1bit_whole_job_work_grows_linearly_in_m_max(monkeypatch):
     assert large <= 2.3 * small, (small, large)
 
 
-def test_sc1bit_tie_breaks_walk_linearly_in_m_max(monkeypatch):
-    # a tie between a child of a backed cell (run-walk ancestors) and a
-    # minimal-history node stops at the nearest cell the two histories
-    # share, not at the root: count the parent steps of every tie-break
+def test_synthesis_does_not_depend_on_which_equal_history_a_walk_keeps(tmp_path, capsys,
+                                                                       monkeypatch):
+    # any history of least rank is minimal, so the minimal-history and run
+    # walks may keep the last of several equal children instead of the
+    # first: every report and file stays the same.  The cases are the pool
+    # cells and bitarena job where equal children meet.
     import qgames.synthesis as synthesis
+    pool = json.loads(POOL.read_text())
+    jobs = []
+    for cell in ("tp-n10-w2", "tp-n5-w6", "mp-n6-w6", "mp-n8-w2"):
+        for k, member in enumerate(pool[cell]):
+            path = tmp_path / ("%s-%d.txt" % (cell, k))
+            path.write_text(member["arena"])
+            jobs.append((str(path), cell[:2], "4"))
+    jobs.append(("zoo:bitarena", "tp", "16"))
+    out = tmp_path / "out.strategy"
 
-    steps: list = []
-    proxies: dict = {}  # one proxy per node, so identical proxies mean identical nodes
+    def synthesized():
+        results = []
+        for arena, kind, m_max in jobs:
+            code = main(["synthesize", "--arena", arena, "--objective", kind + ":limsup:>=:0",
+                         "--m-max", m_max, "--out", str(out)])
+            results.append((code, capsys.readouterr(), out.exists() and out.read_text()))
+            out.unlink(missing_ok=True)
+        return results
 
-    class Counted:
-        """A node whose ``parent`` reads are counted."""
+    first = synthesized()
+    replaced = []
 
-        def __init__(self, node):
-            self._node = node
+    def last_first(layers):
+        """``layers`` with merges keeping the last of equal children: the
+        walk asks each child's key once, as it creates the child."""
+        def walk(*args, **kwargs):
+            walk = layers(*args, **kwargs)
+            key, rank = walk.key, walk.order or (lambda node: ())
+            count, least = itertools.count(), {}
 
-        def __getattr__(self, name):
-            if name != "parent":
-                return getattr(self._node, name)
-            steps.append(1)
-            return proxy(self._node.parent)
+            def numbered(node):
+                node.number = next(count)
+                k, r = key(node), rank(node)
+                if (node.depth, k) in least and r == least[node.depth, k]:
+                    replaced.append(k)  # this child replaces the kept one
+                least[node.depth, k] = min(least.get((node.depth, k), r), r)
+                return k
 
-    def proxy(node):
-        if node is None:
-            return None
-        if id(node) not in proxies:
-            proxies[id(node)] = (node, Counted(node))
-        return proxies[id(node)][1]
+            walk.key, walk.order = numbered, lambda node: (rank(node), -node.number)
+            return walk
 
-    less_minimal = synthesis._less_minimal
-    monkeypatch.setattr(synthesis, "_less_minimal",
-                        lambda arena, sub, a, b: less_minimal(arena, sub, proxy(a), proxy(b)))
+        return walk
 
-    def walked(m_max):
-        steps.clear()
-        proxies.clear()
-        assert _bitarena_sc1bit(m_max).certified
-        return len(steps)
-
-    small, large = walked(16), walked(32)
-    assert 0 < small and large <= 2.3 * small, (small, large)
+    monkeypatch.setattr(synthesis, "_minimal_layers", last_first(synthesis._minimal_layers))
+    monkeypatch.setattr(synthesis, "_run_layers", last_first(synthesis._run_layers))
+    assert synthesized() == first
+    assert replaced
+    assert sum(code == 0 for code, _, _ in first) > len(jobs) // 2
 
 
 def _recertified_from_the_root(arena, v0, report, subs, node_cap):
