@@ -8,8 +8,10 @@ sum of fractional weights may be, compares, hashes and prints as its
 non-blocking (every vertex has at least one outgoing edge) and finitely
 branching.  Both kinds keep their rows in one store, ``Arena``'s: an
 explicit arena fills it when built, from rows (``explicit_rows``) when
-derived from another; a generator is an ``Arena`` with a deterministic
-``expand``, which fills it one vertex at a time.
+derived from another, and keeps every row; a generator is an ``Arena``
+with a deterministic ``expand``, which fills it one vertex at a time and
+empties it when it holds ``ROW_STORE_BOUND`` rows, so a generator's
+store stays bounded however long a play or walk runs.
 
 Vertices and edges are immutable named tuples, so hashing, equality and
 ordering are the tuple's own, in C; they compare equal to plain tuples
@@ -21,15 +23,15 @@ a ``LetterMemory``, whose update reads only an edge's letter
 ``(src.name, weight, dst.name)``.  A letter memory folds a run of n equal
 letters in at most K+1 transitions (``LetterMemory.run``).
 
-The play path is every step of ``engine.play`` (read the row, ask the
+The play path is every step of ``engine.steps`` (read the row, ask the
 owner's strategy, check the edge, fold it into both memories), the
-``qg simulate`` CSV text (``PlayRecord.to_csv``) and the Ramsey
+``qg simulate`` CSV lines (``engine.csv_lines``) and the Ramsey
 adversary's folds of its closed-form paths (``adversaries._fold``: a
 letter memory by runs, any other memory one update per edge).  On a
-generator a play's first visit to a vertex expands its row and orders
-it, a two-edge row by one comparison (``Arena.row``): the largest share
-of a ``qg simulate`` job on a4 (see README).  Code on that path
-keeps three rules.  Weights stay exact: each goes through ``exact``
+generator a play's visit to a vertex outside the store expands its row
+and orders it, a two-edge row by one comparison (``Arena.row``): the
+largest share of a ``qg simulate`` job on a4 (see README).  Code on that
+path keeps three rules.  Weights stay exact: each goes through ``exact``
 (which takes an ``int`` as it is) unless it is an ``int`` by construction.
 ``VertexId`` and ``Edge`` stay named tuples; a hot loop may build them
 frame-free, from one field tuple, with ``_new_vertex`` and ``_new_edge``
@@ -37,7 +39,7 @@ frame-free, from one field tuple, with ``_new_vertex`` and ``_new_edge``
 of their ``__new__``), and ``_new_edge`` only with an ``int`` weight or
 one already exact; ``validate`` reports a generator edge whose weight is
 not.  Checks are kept:
-``play`` refuses a non-edge, and a memory refuses a state outside its
+``steps`` refuses a non-edge, and a memory refuses a state outside its
 set on every transition it computes, the steps inside
 ``LetterMemory.run`` included.
 """
@@ -57,6 +59,9 @@ P1 = 1
 P2 = 2
 
 DEFAULT_VERTEX_CAP = 10**6
+# rows a generator's store holds at most: a full store is emptied before
+# the next row goes in (``Arena.row``)
+ROW_STORE_BOUND = 1024
 
 
 @dataclass
@@ -68,7 +73,6 @@ class Inconclusive(Exception):
 
     reason: str
     depth: int = 0
-    remaining: int = 0
     node_cap: Optional[int] = None  # set when the node cap was the binding cap
 
     def __str__(self) -> str:
@@ -167,8 +171,8 @@ class Arena:
     """The row store: ``_cache`` maps a vertex to its row ``(owner,
     edges)``, the edges sorted by (dst, weight), ties kept in the order
     given.  On a miss ``row`` stores the row of ``expand``, a pure function
-    kept uncached; with no ``expand`` a vertex outside the store is a
-    ``KeyError``."""
+    kept uncached, in a store bounded by ``ROW_STORE_BOUND`` rows; with no
+    ``expand`` a vertex outside the store is a ``KeyError``."""
 
     def __init__(self, name: str, start: Optional[VertexId], expand: Optional[Callable] = None):
         self.name = name
@@ -180,7 +184,11 @@ class Arena:
         """The owner of ``v`` and its edges, from one lookup.  A row expanded
         on a miss is put in (dst, weight) order as a stable sort would: a
         two-edge row, the common case, by one comparison, swapped iff its
-        second edge's key is the smaller; a longer row by ``sorted``."""
+        second edge's key is the smaller; a longer row by ``sorted``.  A
+        store holding ``ROW_STORE_BOUND`` rows is emptied before the row
+        goes in: ``expand`` is pure, so an evicted row is built equal on
+        its next read, and an explicit arena, which never misses, keeps
+        every row."""
         hit = self._cache.get(v)
         if hit is not None:
             return hit
@@ -198,7 +206,10 @@ class Arena:
             es = tuple(sorted(es, key=_edge_sort_key))
         elif not n:
             raise ValueError("generator produced blocking vertex %s" % (v,))
-        result = self._cache[v] = (owner, es)
+        cache = self._cache
+        if len(cache) >= ROW_STORE_BOUND:
+            cache.clear()
+        result = cache[v] = (owner, es)
         return result
 
     def owner(self, v: VertexId) -> int:

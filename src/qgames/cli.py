@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import zoo
 from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_edge,
                     node_cap_from_env, reach, validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
-                     check_certificate, explore_consistent, missing_context, play)
+                     check_certificate, csv_lines, explore_consistent, missing_context, steps)
 from .objectives import decompose, parse_objective
 from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy, table_edges
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
@@ -111,12 +112,14 @@ def truncate_generator(arena: Arena, depth: int) -> ArenaExplicit:
 # Helpers
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
+    """Writes the lines to a temporary file beside ``path``, renamed onto
+    it after the last line: a failure part-way leaves ``path`` as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qg-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -124,11 +127,17 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(lines: Iterable[str], out: Optional[str]) -> None:
+    """Writes the lines to ``out`` (``_atomic_write``), or to stdout after
+    the last one, spooled meanwhile to an anonymous temporary file: either
+    way a failure part-way writes nothing, and the text is never held whole."""
     if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
+        _atomic_write(out, lines)
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        spool.writelines(lines)
+        spool.seek(0)
+        shutil.copyfileobj(spool, sys.stdout)
 
 
 def _load_arena(spec: str):
@@ -189,8 +198,7 @@ def cmd_simulate(args) -> int:
     arena, entry = _load_arena(args.arena)
     p1 = _load_strategy(args.p1, arena, entry, 1)
     p2 = _load_strategy(args.p2, arena, entry, 2)
-    record = play(arena, arena.start, p1, p2, args.horizon)
-    _emit(record.to_csv(), args.out)
+    _emit(csv_lines(arena.start, steps(arena, arena.start, p1, p2, args.horizon)), args.out)
     return OK
 
 
@@ -222,7 +230,7 @@ def cmd_defeat(args) -> int:
     check = check_certificate(result.certificate,
                               {"arena": arena, "v0": arena.start,
                                "sigma1": sigma, "sigma2": result.p2})
-    _emit(certificate_to_json(result.certificate), args.out)
+    _emit([certificate_to_json(result.certificate)], args.out)
     if args.out:
         print("certificate written to %s" % args.out)
     if not check.ok:
@@ -281,7 +289,7 @@ def cmd_synthesize(args) -> int:
     report = synthesize(arena, arena.start, deco, args.m_max, oracle, args.depth)
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
-        _atomic_write(args.out, serialize_strategy(report.strategy))
+        _atomic_write(args.out, [serialize_strategy(report.strategy)])
         print("strategy written to %s" % args.out)
     if report.certified:
         return OK
@@ -328,7 +336,7 @@ def cmd_zoo_export(args) -> int:
     if entry is None:
         return _err("zoo export takes a zoo: URI")
     explicit = truncate_generator(arena, args.depth)
-    _emit(serialize_arena(explicit), args.out)
+    _emit([serialize_arena(explicit)], args.out)
     return OK
 
 

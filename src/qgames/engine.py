@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from math import gcd
-from typing import Callable, Hashable, Iterator, Optional, Union, get_args
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Union, get_args
 
 from .arena import (_VERTEX_FORMATS, Arena, Edge, History, Inconclusive, VertexId, Weight,
                     exact, node_cap_from_env)
@@ -71,36 +71,9 @@ class PlayRecord:
         return None if step == 0 else (self.mem1_trace, self.mem2_trace)[player - 1][step - 1]
 
     def to_csv(self) -> str:
-        """One row per step.  ``mp`` is the exact tp/(step+1), found without
-        a Fraction division: with tp = n/d in lowest terms and
-        g = gcd(n, step+1), (n/g) / (d*(step+1)/g) is in lowest terms.
-        A vertex with at most three parameters is formatted inline
-        (``VertexId.__str__`` without its frame), and a memory state is
-        formatted once per run of steps that trace the same object: the
-        same object prints the same text, and neither hashing nor equality
-        is asked of a state."""
-        lines = ["step,from,to,weight,tp,mp,mem1,mem2"]
-        append = lines.append
-        formats, short = _VERTEX_FORMATS, len(_VERTEX_FORMATS)
-        src = str(self.origin)  # each row starts where the previous one ended
-        last1 = last2 = None  # the states formatted last, as text1 and text2
-        text1 = text2 = "-"
-        j = 0
-        for e, tp, m1, m2 in zip(self.edges, self.tp_trace, self.mem1_trace, self.mem2_trace):
-            name, params = v = e.dst
-            dst = formats[len(params)] % (name, *params) if len(params) < short else str(v)
-            if m1 is not last1:
-                last1, text1 = m1, _fmt_mem(m1)
-            if m2 is not last2:
-                last2, text2 = m2, _fmt_mem(m2)
-            n, k = tp.numerator, j + 1
-            g = gcd(n, k)
-            den = tp.denominator * (k // g)
-            append("%d,%s,%s,%s,%s,%s,%s,%s" % (
-                j, src, dst, e.weight, tp, n // g if den == 1 else "%d/%d" % (n // g, den),
-                text1, text2))
-            src, j = dst, k
-        return "\n".join(lines) + "\n"
+        """The ``qg simulate`` CSV of the recorded play (``csv_lines``)."""
+        return "".join(csv_lines(self.origin, zip(self.edges, self.tp_trace,
+                                                  self.mem1_trace, self.mem2_trace)))
 
 
 def _fmt_mem(state) -> str:
@@ -109,12 +82,49 @@ def _fmt_mem(state) -> str:
     return str(state).replace(",", ";").replace(" ", "")
 
 
-def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
-         horizon: int) -> PlayRecord:
-    """The unique play consistent with both strategies, up to the horizon
-    or until an absorbing weight-0 self-loop is reached.  A vertex with one
-    edge is a forced move, taken without asking either strategy
-    (``strategies.move``); both states still fold every edge."""
+def csv_lines(origin: VertexId, steps: Iterable[tuple[Edge, Weight, object, object]]
+              ) -> Iterator[str]:
+    """The header, then one line per step of a play from ``origin``, each
+    ending in a newline, as the steps ``(edge, tp, mem1, mem2)`` come.
+    ``mp`` is the exact tp/(step+1), found without a Fraction division:
+    with tp = n/d in lowest terms and g = gcd(n, step+1), (n/g) /
+    (d*(step+1)/g) is in lowest terms.  A vertex with at most three
+    parameters is formatted inline (``VertexId.__str__`` without its
+    frame), and a memory state is formatted once per run of steps that
+    trace the same object: the same object prints the same text, and
+    neither hashing nor equality is asked of a state."""
+    yield "step,from,to,weight,tp,mp,mem1,mem2\n"
+    formats, short = _VERTEX_FORMATS, len(_VERTEX_FORMATS)
+    src = str(origin)  # each row starts where the previous one ended
+    last1 = last2 = None  # the states formatted last, as text1 and text2
+    text1 = text2 = "-"
+    j = 0
+    for e, tp, m1, m2 in steps:
+        name, params = v = e.dst
+        dst = formats[len(params)] % (name, *params) if len(params) < short else str(v)
+        if m1 is not last1:
+            last1, text1 = m1, _fmt_mem(m1)
+        if m2 is not last2:
+            last2, text2 = m2, _fmt_mem(m2)
+        n, k = tp.numerator, j + 1
+        g = gcd(n, k)
+        den = tp.denominator * (k // g)
+        yield "%d,%s,%s,%s,%s,%s,%s,%s\n" % (
+            j, src, dst, e.weight, tp, n // g if den == 1 else "%d/%d" % (n // g, den),
+            text1, text2)
+        src, j = dst, k
+
+
+def steps(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
+          horizon: int) -> Iterator[tuple[Edge, Weight, object, object]]:
+    """The unique play consistent with both strategies, one step at a time,
+    up to the horizon or until an absorbing weight-0 self-loop is reached:
+    each step is ``(edge, tp, mem1, mem2)``, the edge taken, the running
+    total after it and each strategy's state after it where the strategy
+    traces its state (``None`` where not).  A vertex with one edge is a
+    forced move, taken without asking either strategy
+    (``strategies.move``); both states still fold every edge.  Nothing of
+    a step is kept once it is yielded."""
     if sigma1.player != 1 or sigma2.player != 2:
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
     state1, state2 = sigma1.initial_state(), sigma2.initial_state()
@@ -123,20 +133,14 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     row = arena.row
     choose1, choose2 = sigma1.choose, sigma2.choose
     step1, step2 = sigma1.step_state, sigma2.step_state
-    edges: list[Edge] = []
-    tp_trace: list[Weight] = []
-    mem1: list[object] = []
-    mem2: list[object] = []
     at = v0
     tp = 0
-    termination = "horizon"
     for step in range(horizon):
         owner, out = row(at)
         if len(out) == 1:  # a forced move, asked of neither strategy
             edge = out[0]
             if edge.dst == at and edge.weight == 0:  # Arena.is_sink, inline
-                termination = "sink"
-                break
+                return
         else:
             if owner == 1:
                 edge = choose1(arena, at, step, state1)
@@ -147,15 +151,21 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
                                  % (owner, edge, at))
         state1 = step1(state1, edge)
         state2 = step2(state2, edge)
-        edges.append(edge)
         tp += edge.weight
-        tp_trace.append(tp)
-        mem1.append(state1 if trace1 else None)
-        mem2.append(state2 if trace2 else None)
+        yield edge, tp, state1 if trace1 else None, state2 if trace2 else None
         at = edge.dst
-    if termination != "sink" and arena.is_sink(at):
-        termination = "sink"
-    return PlayRecord(v0, edges, tp_trace, mem1, mem2, termination)
+
+
+def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
+         horizon: int) -> PlayRecord:
+    """The play of ``steps``, recorded; it ends at a ``sink`` when its last
+    vertex is one, else at the ``horizon``."""
+    edges, tp_trace, mem1, mem2 = ([list(column) for column in
+                                    zip(*steps(arena, v0, sigma1, sigma2, horizon))]
+                                   or ([], [], [], []))
+    at = edges[-1].dst if edges else v0
+    return PlayRecord(v0, edges, tp_trace, mem1, mem2,
+                      "sink" if arena.is_sink(at) else "horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +274,7 @@ class Layers:
                     if self.created > self.node_cap:
                         self.truncated = Inconclusive(
                             "node cap %d exceeded at depth %d" % (self.node_cap, d + 1),
-                            d + 1, len(unmerged) + len(merged), self.node_cap)
+                            d + 1, node_cap=self.node_cap)
                         return
             layer = unmerged + list(merged.values())
         yield layer
@@ -318,7 +328,7 @@ class KoenigBound:
 def depth_cap_exhausted(depth: int, remaining: int) -> Inconclusive:
     """A walk that reached its depth cap with branches left unsatisfied."""
     return Inconclusive("depth cap %d exhausted with %d unsatisfied branch%s"
-                        % (depth, remaining, "" if remaining == 1 else "es"), depth, remaining)
+                        % (depth, remaining, "" if remaining == 1 else "es"), depth)
 
 
 @dataclass

@@ -127,7 +127,8 @@ class StepCounterTable(Strategy):
     The state is (step, mode).  ``bit_update`` maps (step, mode, edge) to
     the next mode; missing entries keep the mode unchanged so partial
     tables degrade gracefully past the horizon.  A cell the table lacks,
-    or a step past the horizon, goes to the fallback rule.
+    or a step past the horizon, goes to the fallback rule.  Both dicts are
+    kept as given, not copied.
     """
 
     def __init__(self, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
@@ -135,7 +136,7 @@ class StepCounterTable(Strategy):
                  bit_update: Optional[dict[tuple[int, int, Edge], int]] = None,
                  player: int = 1, name: str = "sc"):
         self.k = k
-        self.table = dict(table)
+        self.table = table
         self.horizon = horizon
         self.bit_update = {} if bit_update is None else bit_update
         self.fallback = fallback

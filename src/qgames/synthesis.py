@@ -720,8 +720,9 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = OpenSub("tp-sup", m=m_sched, threshold=threshold)
-        comp = _Composite(v0, StepCounterTable(table, k_prev, ERROR, k=2, bit_update=bitupd),
-                          k_prev, oracle)
+        # the table as it stands at the boundary; the bubble goes on filling it
+        comp = _Composite(v0, StepCounterTable(dict(table), k_prev, ERROR, k=2,
+                                               bit_update=bitupd), k_prev, oracle)
         run_from = mimic_from = None
         if k_prev > 0:
             # the run walk, then the minimal-history walk, to the layer

@@ -1324,6 +1324,17 @@ def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
     # the error names the first cell with a choice that the table lacks
     assert captured.err == "error: no table entry for u(2) at step 7 and fallback is 'error'\n"
     assert captured.out == ""
+    # with --out the play also fails part-way: no file is left, an old one
+    # keeps its bytes, and no temporary file stays behind
+    csv = tmp_path / "play.csv"
+    for before in (None, b"an earlier play\n"):
+        if before is not None:
+            csv.write_bytes(before)
+        assert main(["simulate", "--arena", "zoo:bitarena", "--p1", out, "--p2", "allzero",
+                     "--horizon", "50", "--out", str(csv)]) == 1
+        assert capsys.readouterr() == ("", captured.err)
+        assert (csv.read_bytes() if csv.exists() else None) == before
+        assert not list(tmp_path.glob(".qg-*"))
 
 
 @pytest.mark.parametrize("m_max", ["0", "-1"])

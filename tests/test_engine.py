@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (Arena, ArenaExplicit, Edge, History, MealyMemory, VertexId,
-                          make_edge)
+from qgames.arena import (ROW_STORE_BOUND, Arena, ArenaExplicit, Edge, History, MealyMemory,
+                          VertexId, make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
                            RefutedBranch, SinkPayoff, _detect_refuted, certificate_from_json,
@@ -161,6 +161,30 @@ def test_play_rejects_non_edge():
     p2 = Memoryless({B: E(B, 0, A)}, player=2)
     with pytest.raises(ValueError):
         play(arena, A, bad, p2, 3)
+
+
+def test_a_long_generator_play_keeps_a_bounded_row_store(monkeypatch):
+    def a4_play():
+        entry = make("a4")
+        return entry.arena, play(entry.arena, entry.start, entry.strategy("always_delay"),
+                                 entry.strategy("p2_enter_1"), 5000)
+
+    arena, record = a4_play()
+    assert len(record.edges) == 5000 and record.termination == "horizon"
+    assert len(arena._cache) <= ROW_STORE_BOUND
+    # the reference: every row of the play, stored once and never evicted
+    monkeypatch.setattr("qgames.arena.ROW_STORE_BOUND", 10**6)
+    whole, _ = a4_play()
+    assert len(whole._cache) == 5001
+    # at a bound of 2 the store is emptied every other row: the play writes
+    # the same CSV, and every row, read again after its eviction, is built
+    # equal to the reference
+    monkeypatch.setattr("qgames.arena.ROW_STORE_BOUND", 2)
+    small, again = a4_play()
+    assert again.to_csv() == record.to_csv()
+    for v, row in whole._cache.items():
+        assert small.row(v) == row
+    assert len(small._cache) <= 2
 
 
 def test_explore_consistent_widths():
