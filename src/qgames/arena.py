@@ -355,16 +355,6 @@ class LetterMemory(MealyMemory):
         return path[n]
 
 
-class StepCounter:
-    """Counts elapsed steps; the update ignores the edge."""
-
-    def initial(self) -> int:
-        return 0
-
-    def update(self, state: int, edge: Edge) -> int:
-        return state + 1
-
-
 def _encode_mem_state(state) -> tuple[int, ...]:
     if isinstance(state, bool):
         return (int(state),)
@@ -378,14 +368,16 @@ def _encode_mem_state(state) -> tuple[int, ...]:
     raise TypeError("cannot encode memory state %r into a product vertex" % (state,))
 
 
-def product(arena: Arena, memory: MealyMemory | StepCounter) -> Arena:
+def product(arena: Arena, memory) -> Arena:
     """Product arena: vertices (v, m) from the start, updates through the memory.
 
-    Product vertices are encoded as VertexIds whose name is the base name
-    suffixed with ``*`` and whose parameters append the encoded memory
-    state; two (v, m) that encode alike are refused.  Explicit x Mealy
-    stays explicit; anything involving a step counter (or a generator
-    input) becomes a generator.
+    ``memory`` is a ``MealyMemory`` or any object with its ``initial()``
+    and ``update(state, edge)``, such as a step counter.  Product vertices
+    are encoded as VertexIds whose name is the base name suffixed with
+    ``*`` and whose parameters append the encoded memory state; two (v, m)
+    that encode alike are refused.  Explicit x Mealy stays explicit;
+    anything else (a memory without a state set, or a generator input)
+    becomes a generator.
     """
     if arena.start is None:
         raise ValueError("product needs a start vertex")
@@ -444,20 +436,15 @@ class ValidationReport:
 
 
 def reach(arena: Arena, start: VertexId, depth: int,
-          edges: Optional[Callable[[VertexId], Iterable[Edge]]] = None,
-          reached: Optional[dict[VertexId, int]] = None) -> dict[VertexId, int]:
+          edges: Optional[Callable[[VertexId], Iterable[Edge]]] = None) -> dict[VertexId, int]:
     """Every vertex within ``depth`` steps of ``start``, in the order first
     reached, mapped to its distance, breadth first.  Vertices at distance
     ``depth`` are not expanded; ``edges`` (``arena.edges`` by default)
     lists a vertex's edges, once per expanded vertex in the walk's order.
-    The map is filled into ``reached`` when given, so ``edges`` may read
-    it: the vertex it expands, and every vertex the map holds, have their
-    final distance.  Raises ``Inconclusive``, naming the distance, as soon
-    as the walk reaches more than ``DEFAULT_VERTEX_CAP`` vertices."""
+    Raises ``Inconclusive``, naming the distance, as soon as the walk
+    reaches more than ``DEFAULT_VERTEX_CAP`` vertices."""
     edges = edges or arena.edges
-    if reached is None:
-        reached = {}
-    reached[start] = 0
+    reached = {start: 0}
     layer = [start]
     d = 0
     while layer and d < depth:
@@ -516,68 +503,6 @@ def validate(arena: Arena, depth: int = 50) -> ValidationReport:
 
     report.explored = len(reach(arena, arena.start, depth + 1, probe))
     return report
-
-
-@dataclass
-class StepCountResult:
-    """Result of the step-count encoding check.
-
-    ``levels`` maps each reached vertex to the unique length of every
-    history from the start reaching it.  ``counterexample`` holds two
-    histories with the same endpoint and different lengths when the arena
-    does not encode the step count.  ``frontier`` lists vertices first seen
-    at the final level, whose uniqueness could not be confirmed.
-    """
-
-    levels: Optional[dict[VertexId, int]]
-    counterexample: Optional[tuple[History, History]]
-    frontier: tuple[VertexId, ...] = ()
-
-
-class _StepConflict(Exception):
-    """The first edge of a step-count walk that does not end one step
-    further from the start than its source."""
-
-
-def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResult:
-    """Decide whether every history from v0 to a vertex has a fixed length.
-
-    One ``reach`` walk to ``depth`` gives each vertex its first-reach
-    distance and records the edge that first reached it.  The arena
-    encodes the step count to ``depth`` iff every edge out of a vertex at
-    distance d < ``depth`` ends at distance d + 1.  Each edge is checked
-    when the walk expands its source, as the target's distance is final
-    then; the walk stops at the first edge that fails, and the
-    counterexample is the first-reach path to its target and the one to
-    its source extended by the edge.  Raises ``Inconclusive`` past
-    ``DEFAULT_VERTEX_CAP`` vertices, unless a conflict comes first.
-    """
-    reached: dict[VertexId, int] = {}
-    first_edge: dict[VertexId, Edge] = {}
-
-    def edges(v: VertexId) -> tuple[Edge, ...]:
-        out = arena.edges(v)
-        d = reached[v] + 1
-        for e in out:
-            if reached.get(e.dst, d) != d:
-                raise _StepConflict(e)
-            first_edge.setdefault(e.dst, e)
-        return out
-
-    def path_to(v: VertexId) -> History:
-        path: list[Edge] = []
-        while v != v0:
-            path.append(first_edge[v])
-            v = path[-1].src
-        return History(v0, tuple(reversed(path)))
-
-    try:
-        reach(arena, v0, depth, edges, reached)
-    except _StepConflict as conflict:
-        (e,) = conflict.args
-        return StepCountResult(None, (path_to(e.dst), path_to(e.src).extend(e)))
-    return StepCountResult(reached, None,
-                           tuple(sorted(v for v, d in reached.items() if d == depth)))
 
 
 def node_cap_from_env(default: int = 10**6) -> int:

@@ -21,7 +21,7 @@ from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_ed
                     node_cap_from_env, reach, validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, csv_lines, explore_consistent, missing_context, steps)
-from .objectives import decompose, parse_objective
+from .objectives import Decomposition, Unsupported, decompose, parse_objective, rewrite_strict_tp
 from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy, table_edges
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
                         finite_wprime_oracle, sc1bit_synthesize)
@@ -175,6 +175,17 @@ def _load_strategy(spec: str, arena: Arena, entry, player: int) -> Strategy:
     return strat
 
 
+def _read_objective(text: str, arena: Arena) -> Decomposition:
+    """The decomposition of an ``--objective``.  A strict finite
+    total-payoff threshold is rewritten as ``>=`` first
+    (``rewrite_strict_tp``, which refuses a generator); an objective with
+    no decomposition is refused, named as typed."""
+    deco = decompose(rewrite_strict_tp(arena, parse_objective(text)))
+    if isinstance(deco, Unsupported):
+        raise ValueError("objective %s: %s" % (text, deco.reason))
+    return deco
+
+
 def _err(msg: str) -> int:
     print("error: %s" % msg, file=sys.stderr)
     return FAILED
@@ -268,13 +279,8 @@ _FINITE_ORACLES = {
 
 def cmd_synthesize(args) -> int:
     arena, entry = _load_arena(args.arena)
-    objective = parse_objective(args.objective)
-    if objective.kind == "tp" and objective.relation == ">" \
-            and not isinstance(objective.threshold, float):
-        return _err("rewrite a strict total-payoff threshold as >= first")
-    deco = decompose(objective)
-    if not hasattr(deco, "sub"):
-        return _err("objective %s: %s" % (objective, deco.reason))
+    deco = _read_objective(args.objective, arena)
+    objective = deco.objective
     if deco.label not in _FINITE_ORACLES:
         return _err("synthesis supports tp:limsup:>=:<finite> and "
                     "mp:limsup:>=:<finite> objectives")
@@ -306,10 +312,7 @@ def cmd_verify(args) -> int:
     if args.p2:
         context["sigma2"] = _load_strategy(args.p2, arena, entry, 2)
     if args.objective:
-        deco = decompose(parse_objective(args.objective))
-        if not hasattr(deco, "sub"):
-            return _err("objective %s: %s" % (args.objective, deco.reason))
-        context["subs"] = deco.sub
+        context["subs"] = _read_objective(args.objective, arena).sub
     missing = missing_context(cert, context,
                               {"sigma1": "--p1", "sigma2": "--p2", "subs": "--objective"})
     if missing:

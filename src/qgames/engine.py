@@ -195,9 +195,6 @@ class Node:
         out.reverse()
         return tuple(out)
 
-    def word(self) -> tuple[Weight, ...]:
-        return tuple(e.weight for e in self.edges())
-
 
 class Layers:
     """Breadth-first layers of the sigma-consistent histories from v0, to

@@ -3,16 +3,16 @@
 Objectives are sets of infinite weight words defined by a limit of total
 payoff (TP) or mean payoff (MP).  The synthesizers work with countable
 intersections of *open* sub-objectives: each open sub-objective is
-witnessed by a finite prefix, has a monotone ``already_satisfies``
-predicate, and carries a total preorder on equal-length prefixes that
-ranks how good their continuations are.
+witnessed by a finite prefix (``OpenSub.step_satisfies`` at one of its
+positions), and ``OpenSub.rank`` orders equal-length prefixes by how good
+their continuations are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Weight, exact
 
@@ -24,21 +24,6 @@ ExtValue = Union[Weight, float]  # floats only ever hold +-infinity
 TP = "tp"
 MP = "mp"
 BUCHI_ALL = "buchi-all"
-
-LE = "LE"
-GE = "GE"
-BOTH = "BOTH"
-
-
-def payoff(kind: str, word: Sequence[Weight]) -> Weight:
-    """Total or mean payoff of a finite weight word."""
-    if kind == TP:
-        return sum(word)
-    if kind == MP:
-        if not word:
-            raise ValueError("mean payoff of the empty word is undefined")
-        return exact(sum(word), len(word))
-    raise ValueError("unknown payoff kind %r" % kind)
 
 
 @dataclass(frozen=True)
@@ -178,18 +163,6 @@ class OpenSub:
             return (tp - self.threshold) * self.m >= -1  # TP >= r - 1/m without division
         return colour == self.colour
 
-    def already_satisfies(self, word: Sequence[Weight]) -> bool:
-        """True iff some prefix position within the word is a witness.
-
-        Monotone: once true, true for every extension.
-        """
-        tp = 0
-        for j, c in enumerate(word, start=1):
-            tp += c
-            if self.step_satisfies(j, tp, c):
-                return True
-        return False
-
     def rank(self, satisfied: bool, total: Weight) -> tuple:
         """Where a prefix stands among those of its length, higher ranks
         having more winning continuations: a satisfied prefix above all,
@@ -201,21 +174,6 @@ class OpenSub:
         if self.family == "buchi":
             return (False,)
         return (False, total)
-
-
-def prefix_compare(open_sub: OpenSub, w1: Sequence[Weight], w2: Sequence[Weight]) -> str:
-    """Total comparison of equal-length prefixes by continuation quality.
-
-    ``LE`` means every continuation winning after w1 wins after w2 as
-    well, ``GE`` the converse, ``BOTH`` both.  A word that already
-    satisfies the sub-objective dominates everything of its length.
-    """
-    if len(w1) != len(w2):
-        raise ValueError("prefix_compare needs equal-length words (%d vs %d)" % (len(w1), len(w2)))
-    r1, r2 = (open_sub.rank(open_sub.already_satisfies(w), sum(w)) for w in (w1, w2))
-    if r1 == r2:
-        return BOTH
-    return LE if r1 < r2 else GE
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +216,6 @@ def lasso_limit(kind: str, mode: str, lasso: Lasso) -> ExtValue:
         run += c
         partials.append(run)
     return max(partials) if mode == "limsup" else min(partials)
-
-
-def eval_on_lasso(objective: Objective, lasso: Lasso) -> bool:
-    """Exact membership of prefix . cycle^omega in the objective."""
-    if objective.kind == BUCHI_ALL:
-        seen = set(lasso.cycle)
-        return all(c in seen for c in range(objective.colour_count))
-    value = lasso_limit(objective.kind, objective.mode, lasso)
-    if objective.relation == ">":
-        return value > objective.threshold
-    return value >= objective.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +299,18 @@ def decompose(objective: Objective) -> Union[Decomposition, Unsupported]:
 
 
 def rewrite_strict_tp(arena: Arena, objective: Objective) -> Objective:
-    """A strict total-payoff objective ``> r`` as ``>= r + 1/D``, D the lcm
-    of r's and every edge weight's denominator: r and every running total
-    are multiples of 1/D.  On a generator, whose weights cannot all be
-    read, it raises ``ValueError``.  Only the objective is rewritten."""
+    """A strict total-payoff objective ``> r``, r finite, as ``>= r + 1/D``,
+    D the lcm of r's and every edge weight's denominator: r and every
+    running total are multiples of 1/D.  Any other objective is returned
+    as it is.  On a generator, whose weights cannot all be read, a strict
+    finite one raises ``ValueError``.  Only the objective is rewritten."""
+    thr = objective.threshold
+    if objective.kind != TP or objective.relation != ">" or isinstance(thr, float):
+        return objective
     if not isinstance(arena, ArenaExplicit):
         raise ValueError("a strict total-payoff threshold is rewritten over the common "
                          "denominator of every weight, which a generator cannot list; "
                          "rewrite it as >= first")
-    thr = objective.threshold
     d = math.lcm(thr.denominator,
                  *(e.weight.denominator for v in arena.vertices for e in arena.edges(v)))
     return Objective(TP, objective.mode, ">=", exact(thr * d + 1, d))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, History, LetterMemory, MealyMemory, VertexId, exact, make_edge
+from .arena import Arena, Edge, LetterMemory, MealyMemory, VertexId, exact, make_edge
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -32,10 +32,10 @@ class HorizonExceeded(Exception):
 
 
 class Strategy:
-    """Base class.  Subclasses implement the incremental state API; plays,
-    explorations and ``decide`` all go through it.  ``step_state`` folds
-    every edge, forced or not; ``choose`` is asked only where its player
-    has a choice (``move``)."""
+    """Base class.  Subclasses implement the incremental state API; plays
+    and explorations go through it.  ``step_state`` folds every edge,
+    forced or not; ``choose`` is asked only where its player has a choice
+    (``move``)."""
 
     player: int = 1
     name: str = "strategy"
@@ -61,13 +61,6 @@ class Strategy:
         forever.  ``None`` disables merging (history-dependent
         strategies)."""
         return None
-
-    # -- history API -----------------------------------------------------
-    def decide(self, arena: Arena, history: History) -> Edge:
-        state = self.initial_state()
-        for e in history.edges:
-            state = self.step_state(state, e)
-        return move(arena, self, history.to_vertex, len(history), state)
 
 
 class Memoryless(Strategy):
@@ -202,55 +195,6 @@ def move(arena: Arena, strategy: Strategy, vertex: VertexId, step: int, state) -
     if owner == strategy.player and len(out) > 1:
         return strategy.choose(arena, vertex, step, state)
     return out[0]
-
-
-# ---------------------------------------------------------------------------
-# Consistency and collapse
-
-
-def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
-    """True iff the history follows the strategy at every owned vertex."""
-    state = strategy.initial_state()
-    at = history.origin
-    for idx, e in enumerate(history.edges):
-        if arena.owner(at) == strategy.player and move(arena, strategy, at, idx, state) != e:
-            return False
-        state = strategy.step_state(state, e)
-        at = e.dst
-    return True
-
-
-def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
-                   ) -> Strategy:
-    """Collapse a k-mode step-counter table on a step-count-encoding arena
-    into a k-state finite-memory strategy (memoryless for k = 1).
-
-    The new decision at (v, m) is the old decision at (v, n_v, m) and the
-    new memory update on edge e is the old mode update at step
-    n_{from(e)}.  Faithful whenever every history from the start to v has
-    length exactly n_v.
-    """
-    if not isinstance(strategy, StepCounterTable):
-        raise TypeError("collapse applies to step-counter strategies, got %s"
-                        % type(strategy).__name__)
-
-    def level(v: VertexId) -> int:
-        try:
-            return n_map[v]
-        except KeyError:
-            raise KeyError("vertex %s missing from the step-count map" % (v,))
-
-    modes = tuple(range(strategy.k))
-    table = {(v, mode): move(arena, strategy, v, n, (n, mode))
-             for v, n in n_map.items() if arena.owner(v) == strategy.player for mode in modes}
-    name = strategy.name + "+collapsed"
-    if strategy.k == 1:
-        return Memoryless({v: e for (v, _), e in table.items()}, player=strategy.player, name=name)
-
-    def update(mode, edge: Edge):
-        return strategy.bit_update.get((level(edge.src), mode, edge), mode)
-
-    return FiniteMemory(MealyMemory(modes, 0, update), table, player=strategy.player, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ from functools import reduce
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .arena import Arena, ArenaExplicit, Edge, History, VertexId, Weight, exact
+from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact
 from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
                      koenig_layers)
-from .objectives import (Decomposition, ExtValue, OpenSub, prefix_compare, LE, BOTH, POS_INF,
-                         NEG_INF, TP, MP)
+from .objectives import Decomposition, ExtValue, OpenSub, POS_INF, NEG_INF, TP, MP
 from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
 
 # ---------------------------------------------------------------------------
@@ -471,21 +470,6 @@ def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub
              if arena.owner(node.vertex) == sigma_prime.player}
     return walk.truncated or StepCounterTable(table, depth, FIRST_EDGE, player=sigma_prime.player,
                                               name=sigma_prime.name + "+sc")
-
-
-def domination_holds(arena: Arena, v0: VertexId, open_sub: OpenSub,
-                     levels: list[dict[VertexId, Node]],
-                     histories_by_level: list[list[History]]) -> bool:
-    """Every given history must dominate the kept minimal history at its
-    (endpoint, length) cell."""
-    for d, hs in enumerate(histories_by_level):
-        for h in hs:
-            node = levels[d].get(h.to_vertex)
-            if node is None:
-                return False
-            if prefix_compare(open_sub, node.word(), h.word) not in (BOTH, LE):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

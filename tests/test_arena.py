@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from qgames.arena import (Arena, ArenaExplicit, Edge, History, Inconclusive, LetterMemory,
-                          MealyMemory, StepCounter, VertexId, _new_edge, _new_vertex,
-                          encodes_step_count, exact, make_edge, node_cap_from_env, product,
-                          reach, validate)
+                          MealyMemory, VertexId, _new_edge, _new_vertex, exact, make_edge,
+                          node_cap_from_env, product, reach, validate)
 from qgames.engine import SinkPayoff, certificate_to_json
 from qgames.zoo import make
+
+from oracles import StepCounter, encodes_step_count
 
 V = VertexId
 F = Fraction

@@ -23,6 +23,8 @@ from qgames.synthesis import brute_force_values
 from qgames import zoo
 from qgames.zoo import make
 
+from test_values import random_arenas
+
 F = Fraction
 V = VertexId
 
@@ -793,11 +795,13 @@ def test_cli_synthesize_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_synthesize_rejects_strict_tp(tmp_path, capsys):
-    path = _write(tmp_path, "pos.txt", POS_ARENA)
-    assert main(["synthesize", "--arena", path, "--objective",
+def test_cli_synthesize_rejects_strict_tp(capsys):
+    # a generator's weights cannot all be read, so no common denominator
+    # rewrites the strict threshold
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective",
                  "tp:limsup:>:0"]) == 1
-    assert "rewrite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rewrite" in err and "which a generator cannot list" in err
 
 
 def test_cli_zoo_list_and_export(tmp_path, capsys):
@@ -1212,6 +1216,39 @@ def test_cli_synthesize_certifies_a_threshold_exactly_where_the_start_value_reac
             assert capsys.readouterr().out.endswith("\nverify: accepted\n")
 
 
+def test_cli_certifies_a_strict_tp_threshold_exactly_where_the_start_value_exceeds_it(
+        tmp_path, capsys):
+    # on an explicit arena tp:limsup:>:r is rewritten as >= r + 1/D
+    # (rewrite_strict_tp): exit 0 when the brute-force start value exceeds
+    # r, else 1, and every certified file passes qg verify with the strict
+    # objective and its own schedule; eight of these arenas have a start
+    # value of exactly -1, 0 or 2, where >= r certifies and > r must not
+    pool = json.loads((PERFBENCH / "pool.json").read_text())
+    texts = [serialize_arena(arena) for arena in random_arenas(71, count=40)]
+    texts += [m["arena"] for cell, ms in sorted(pool.items()) if cell.startswith("tp") for m in ms]
+    codes = set()
+    for k, text in enumerate(texts):
+        path = _write(tmp_path, "arena-%d.txt" % k, text)
+        arena = parse_arena(text)
+        value = brute_force_values(arena, "tpsup")[arena.start]
+        for r in ("-1", "0", "1/2", "2"):
+            objective = "tp:limsup:>:" + r
+            code = main(["synthesize", "--arena", path, "--objective", objective,
+                         "--m-max", "4", "--out", path + ".strategy"])
+            captured = capsys.readouterr()
+            assert code == (0 if value > exact(r) else 1), (k, r)
+            codes.add(code)
+            if code == 1:
+                assert captured.err.endswith(" is outside the winnable region\n"), (k, r)
+                continue
+            cert = _write(tmp_path, "levels.json",
+                          certificate_to_json(LevelSatisfaction(_schedule(captured.out))))
+            assert main(["verify", "--arena", path, "--p1", path + ".strategy",
+                         "--objective", objective, "--cert", cert]) == 0, (k, r)
+            assert capsys.readouterr().out.endswith("\nverify: accepted\n")
+    assert codes == {0, 1}
+
+
 @pytest.mark.parametrize("arena, p1, p2, text, message", [
     ("zoo:a1prime?b=1", "match_plus_one", "P", "strategy challenge_3 kind=memoryless player=2\n"
      "move s -> t weight=-3\n", "names s --3-> t, which is not an edge of arena a1prime"),
@@ -1389,11 +1426,17 @@ SINK_CERT = ('{"schema": "qg-cert/1", "variant": "SinkPayoff", '
      "synthesis supports tp:limsup:>=:<finite> and mp:limsup:>=:<finite> objectives"),
     (["verify", "--arena", "{arena}", "--cert", "{cert}", "--objective", "mp:liminf:>=:0"],
      "objective mp:liminf:>=:0: Sigma03; sufficiency open"),
+    # an objective is named as typed, not in its canonical spelling +inf
+    (["synthesize", "--arena", "{arena}", "--objective", "tp:liminf:>=:inf"],
+     "objective tp:liminf:>=:inf: Sigma03; sufficiency open"),
+    (["verify", "--arena", "{arena}", "--cert", "{cert}", "--objective", "tp:liminf:>=:inf"],
+     "objective tp:liminf:>=:inf: Sigma03; sufficiency open"),
     (["zoo", "export", "--arena", "{arena}"], "zoo export takes a zoo: URI"),
 ], ids=["defeat-arena-file", "defeat-no-routine", "synthesize-shift-generator",
         "synthesize-open-objective", "synthesize-open-objective-at-1",
         "synthesize-open-strict-objective", "synthesize-unsupported-objective",
-        "verify-open-objective", "export-arena-file"])
+        "verify-open-objective", "synthesize-objective-as-typed",
+        "verify-objective-as-typed", "export-arena-file"])
 def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
     files = {"arena": _write(tmp_path, "pos.txt", POS_ARENA),
              "cert": _write(tmp_path, "sink.json", SINK_CERT)}

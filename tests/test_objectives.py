@@ -4,22 +4,14 @@ from fractions import Fraction
 import pytest
 
 from qgames.arena import Arena, ArenaExplicit, Edge, VertexId
-from qgames.objectives import (BOTH, GE, LE, NEG_INF, POS_INF, Lasso, Objective,
-                               OpenSub, Unsupported, _diagonal_pair, classify,
-                               decompose, eval_on_lasso, format_ext, lasso_limit,
-                               parse_ext, parse_objective, payoff, prefix_compare,
-                               rewrite_strict_tp)
+from qgames.objectives import (NEG_INF, POS_INF, Lasso, Objective, OpenSub, Unsupported,
+                               _diagonal_pair, classify, decompose, format_ext, lasso_limit,
+                               parse_ext, parse_objective, rewrite_strict_tp)
+
+from oracles import BOTH, GE, LE, already_satisfies, eval_on_lasso, prefix_compare
 
 F = Fraction
 V = VertexId
-
-
-def test_payoff_tp_mp():
-    word = (F(1), F(-3), F(2))
-    assert payoff("tp", word) == F(0)
-    assert payoff("mp", word) == F(0)
-    with pytest.raises(ValueError):
-        payoff("mp", ())
 
 
 def test_objective_parse_format_roundtrip():
@@ -74,8 +66,8 @@ def test_already_satisfies_is_monotone_under_extension():
         word = tuple(F(rng.randint(-3, 3)) for _ in range(rng.randint(0, 8)))
         ext = word + tuple(F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4)))
         for sub in subs:
-            if sub.already_satisfies(word):
-                assert sub.already_satisfies(ext)
+            if already_satisfies(sub, word):
+                assert already_satisfies(sub, ext)
 
 
 def test_a_threshold_is_a_shift_of_the_word_for_mp_and_its_definition_for_tp():
@@ -86,10 +78,10 @@ def test_a_threshold_is_a_shift_of_the_word_for_mp_and_its_definition_for_tp():
         word = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(rng.randint(0, 9))]
         r = F(rng.randint(-6, 6), rng.choice((1, 2, 4)))
         m, i = rng.randint(1, 5), rng.randint(1, 5)
-        assert OpenSub("mp-sup", m, i, threshold=r).already_satisfies(word) \
-            == OpenSub("mp-sup", m, i).already_satisfies([x - r for x in word])
+        assert already_satisfies(OpenSub("mp-sup", m, i, threshold=r), word) \
+            == already_satisfies(OpenSub("mp-sup", m, i), [x - r for x in word])
         totals = [sum(word[:j]) for j in range(1, len(word) + 1)]
-        assert OpenSub("tp-sup", m, threshold=r).already_satisfies(word) \
+        assert already_satisfies(OpenSub("tp-sup", m, threshold=r), word) \
             == any(t >= r - F(1, m) for t in totals[m - 1:])
 
 
@@ -114,7 +106,7 @@ def test_prefix_compare_totality_and_congruence():
                 assert rr == GE
             # congruence: a common extension preserves LE
             tail = _random_word(rng, rng.randint(1, 3))
-            if r in (LE, BOTH) and not sub.already_satisfies(w1 + tail):
+            if r in (LE, BOTH) and not already_satisfies(sub, w1 + tail):
                 ext = prefix_compare(sub, w1 + tail, w2 + tail)
                 assert ext in (LE, BOTH)
 
@@ -251,15 +243,17 @@ def test_shift_strict_tp_refuses_a_generator():
     generator = Arena("generator", arena.start, lambda v: (1, arena.edges(v)))
     with pytest.raises(ValueError, match="generator"):
         rewrite_strict_tp(generator, Objective("tp", "limsup", ">", F(0)))
+    # any objective but a strict finite tp threshold is returned as it is
+    for obj in (Objective("tp", "limsup", ">=", F(0)), Objective("tp", "limsup", ">", POS_INF),
+                Objective("mp", "limsup", ">", F(1, 2)), Objective("buchi-all", colour_count=2)):
+        assert rewrite_strict_tp(generator, obj) is obj
 
 
 def test_quotients_of_integer_words_are_fractions_not_floats():
     # int / int is a float, and 1.5 == F(3, 2), so check the type and the text
-    for got in (payoff("mp", [1, 2]), lasso_limit("mp", "limsup", Lasso((5,), (1, 2)))):
-        assert type(got) is Fraction and str(got) == "3/2"
-    # an integral quotient, and a sum of fractions mixed with ints, are exact
-    assert payoff("mp", [1, 3]) == 2 and type(payoff("mp", [1, 3])) is int
-    assert str(payoff("tp", [1, F(1, 2), F(1, 2)])) == "2"
+    got = lasso_limit("mp", "limsup", Lasso((5,), (1, 2)))
+    assert type(got) is Fraction and str(got) == "3/2"
+    # a sum of fractions mixed with ints is exact
     assert str(lasso_limit("tp", "limsup", Lasso((F(1, 2),), (1, F(-1, 2), F(-1, 2))))) == "3/2"
 
 

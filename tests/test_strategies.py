@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qgames.arena import (ArenaExplicit, Edge, History, MealyMemory, StepCounter,
-                          VertexId, encodes_step_count, product)
+from qgames.arena import ArenaExplicit, Edge, History, MealyMemory, VertexId, product
 from qgames.engine import play
 from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded,
-                               Memoryless, StepCounterTable, Tracking, collapse_sc_fm,
-                               consistent, parse_strategy, serialize_strategy)
+                               Memoryless, StepCounterTable, Tracking, parse_strategy,
+                               serialize_strategy)
+
+from oracles import StepCounter, collapse_sc_fm, consistent, encodes_step_count
 
 F = Fraction
 V = VertexId

@@ -12,13 +12,13 @@ from qgames.engine import Inconclusive, KoenigBound, koenig_bound, play
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
 from qgames.strategies import serialize_strategy
-from qgames.synthesis import (WPrimeOracle, brute_force_values,
-                              bubble_synthesize, domination_holds,
-                              finite_mp_oracle, finite_wprime_oracle,
-                              minimal_history_levels, sc1bit_synthesize,
-                              sc_from_strategy, sigma_safe, solve_values)
+from qgames.synthesis import (WPrimeOracle, brute_force_values, bubble_synthesize,
+                              finite_mp_oracle, finite_wprime_oracle, minimal_history_levels,
+                              sc1bit_synthesize, sc_from_strategy, sigma_safe, solve_values)
 from qgames.synthesis import _final_report
 from qgames.zoo import make
+
+from oracles import decide, domination_holds
 
 F = Fraction
 V = VertexId
@@ -127,7 +127,7 @@ def _consistent_histories(arena, v0, sigma, depth):
         for h in levels[d]:
             v = h.to_vertex
             if arena.owner(v) == sigma.player:
-                moves = [sigma.decide(arena, h)]
+                moves = [decide(arena, sigma, h)]
             else:
                 moves = list(arena.edges(v))
             for e in moves:

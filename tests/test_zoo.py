@@ -12,6 +12,7 @@ from qgames.strategies import Memoryless, Tracking, parse_strategy
 from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
 
 from history_scans import scanning
+from oracles import decide
 
 F = Fraction
 V = VertexId
@@ -362,8 +363,8 @@ def test_a4_counting_strategies_match_history_scans(zoo_name, entry_index, gaps,
             tail = history.suffix_from(start)
             for n in range(len(tail) + 1):
                 h = tail.prefix(n)
-                assert sigma.decide(entry.arena, h) == scan.decide(entry.arena, h)
-                assert router.decide(entry.arena, h) == scan_router.decide(entry.arena, h)
+                assert decide(entry.arena, sigma, h) == decide(entry.arena, scan, h)
+                assert decide(entry.arena, router, h) == decide(entry.arena, scan_router, h)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +507,7 @@ def test_rewritten_zoo_strategies_match_history_scans(zoo_name, params, p1_name,
             tail = history.suffix_from(start)
             for n in range(len(tail) + 1):
                 h = tail.prefix(n)
-                assert sigma.decide(entry.arena, h) == reference(entry.arena, h)
+                assert decide(entry.arena, sigma, h) == reference(entry.arena, h)
 
 
 def test_a2_match_plus_one_exits_at_once_inside_a_descending_chain():
