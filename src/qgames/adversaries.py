@@ -11,9 +11,8 @@ window, horizon or probe cap exhausted before a verdict raises
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, reduce
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
@@ -22,13 +21,18 @@ from .strategies import StepCounterTable, Strategy, Tracking
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
-@dataclass
-class DefeatResult:
+class _DefeatResult(NamedTuple):
     p2: Strategy
     certificate: Optional[Certificate]
     record: PlayRecord
     partial: bool = False
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = None  # None: a fresh [] (``DefeatResult``)
+
+
+class DefeatResult(_DefeatResult):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.notes is not None else self._replace(notes=[])
 
 
 def _require_incremental_fm(sigma: Strategy, entry: ZooEntry, note: str = "") -> None:
@@ -239,14 +243,12 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
 # Ramsey adversary on A4
 
 
-@dataclass
-class AdversaryPlan:
+class AdversaryPlan(NamedTuple):
     entry: int
     routing: list[int]
 
 
-@dataclass(frozen=True)
-class RamseyLabel:
+class RamseyLabel(NamedTuple):
     exit_profile: tuple  # per-state: True iff the strategy exits
     gadget_update: tuple  # per-state: successor state index
 

@@ -47,7 +47,6 @@ set on every transition it computes, the steps inside
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -64,16 +63,14 @@ DEFAULT_VERTEX_CAP = 10**6
 ROW_STORE_BOUND = 1024
 
 
-@dataclass
 class Inconclusive(Exception):
     """A cap exhausted before a verdict, naming the cap: the vertex cap
     (``DEFAULT_VERTEX_CAP``), a node cap, a depth cap or a window.
     Routines that end in one verdict raise it; walks whose callers go on
-    from a partial result return it."""
+    from a partial result return it.  ``node_cap`` is set if it bound."""
 
-    reason: str
-    depth: int = 0
-    node_cap: Optional[int] = None  # set when the node cap was the binding cap
+    def __init__(self, reason: str, depth: int = 0, node_cap: Optional[int] = None):
+        self.reason, self.depth, self.node_cap = reason, depth, node_cap
 
     def __str__(self) -> str:
         return self.reason
@@ -249,15 +246,18 @@ class ArenaExplicit(Arena):
         self.vertices: tuple[VertexId, ...] = tuple(sorted(owners))
 
 
-@dataclass(frozen=True)
-class History:
+class History(NamedTuple("History", [("origin", VertexId), ("edges", tuple)])):
     """A finite contiguous edge sequence from an origin vertex.
 
-    Length 0 is allowed (the empty history at ``origin``).
+    Length 0 is allowed (the empty history at ``origin``).  Its fields'
+    named tuple is unbound: the traced pass wraps any ``edges`` that a
+    class of this module defines.
     """
 
-    origin: VertexId
-    edges: tuple[Edge, ...] = ()
+    def __new__(cls, origin: VertexId, edges: tuple[Edge, ...] = ()):
+        self = tuple.__new__(cls, (origin, edges))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         at = self.origin
@@ -299,10 +299,7 @@ class History:
     def _checked(origin: VertexId, edges: tuple[Edge, ...]) -> "History":
         """A history from edges already known to be contiguous from origin,
         built without re-validating them."""
-        h = object.__new__(History)
-        object.__setattr__(h, "origin", origin)
-        object.__setattr__(h, "edges", edges)
-        return h
+        return tuple.__new__(History, (origin, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +422,9 @@ def explicit_rows(arena: Arena, vertices: Iterable[VertexId]) -> ArenaExplicit:
 # Validation and structural checks
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    explored: int = 0
+class ValidationReport(NamedTuple("ValidationReport", [("violations", list), ("explored", int)])):
+    def __new__(cls, violations: Optional[list[str]] = None, explored: int = 0):
+        return tuple.__new__(cls, ([] if violations is None else violations, explored))
 
     @property
     def ok(self) -> bool:
@@ -501,8 +497,7 @@ def validate(arena: Arena, depth: int = 50) -> ValidationReport:
                                  for e in es if not _canonical(e.weight))
         return es
 
-    report.explored = len(reach(arena, arena.start, depth + 1, probe))
-    return report
+    return report._replace(explored=len(reach(arena, arena.start, depth + 1, probe)))
 
 
 def node_cap_from_env(default: int = 10**6) -> int:

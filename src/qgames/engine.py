@@ -6,19 +6,18 @@ every consistent branch, or divergence witnesses (a repeating memory
 cycle whose rounds strictly decrease the total payoff).  Certificate
 checkers re-derive every claimed quantity from scratch.
 
-Each certificate variant is one dataclass, listed once in ``Certificate``:
+Each certificate variant is one named tuple, listed once in ``Certificate``:
 ``needs`` names the context keys its check reads, ``check`` re-derives the
-claim (the play-based variants from one replay, ``_PlayClaim``), and
+claim (the play-based variants from one replay, ``_check_play``), and
 ``certificate_to_json`` and ``certificate_from_json`` write and read each
-field by its annotation (``_WRITERS``, ``_READERS``).
+field by its annotation (``_annotations``, ``_WRITERS``, ``_READERS``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from math import gcd
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Union, get_args
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union, get_args
 
 from .arena import (_VERTEX_FORMATS, Arena, Edge, History, Inconclusive, VertexId, Weight,
                     exact, node_cap_from_env)
@@ -32,8 +31,7 @@ CERT_SCHEMA = "qg-cert/1"
 # Play simulation
 
 
-@dataclass
-class PlayRecord:
+class PlayRecord(NamedTuple):
     origin: VertexId
     edges: list[Edge]
     tp_trace: list[Weight]
@@ -172,19 +170,22 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
 # Consistent-history exploration
 
 
-@dataclass
 class Node:
     """One consistent history in a layered walk: where it ends, its length
     and running total, whether the walk's open sub-objective fired along
     it, the strategy's state after it, and the node and edge it extends."""
 
-    vertex: VertexId
-    depth: int
-    tp: Weight
-    parent: Optional["Node"]
-    edge: Optional[Edge]
-    state: object = None
-    satisfied: bool = False
+    __slots__ = ("vertex", "depth", "tp", "parent", "edge", "state", "satisfied")
+
+    def __init__(self, vertex: VertexId, depth: int, tp: Weight, parent: Optional[Node],
+                 edge: Optional[Edge], state: object = None, satisfied: bool = False):
+        self.vertex = vertex
+        self.depth = depth
+        self.tp = tp
+        self.parent = parent
+        self.edge = edge
+        self.state = state
+        self.satisfied = satisfied
 
     def edges(self) -> tuple[Edge, ...]:
         out = []
@@ -277,8 +278,7 @@ class Layers:
         yield layer
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(NamedTuple):
     origin: VertexId
     levels: list[list[Node]]
     nodes: int
@@ -307,8 +307,7 @@ def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int
 # Koenig bound
 
 
-@dataclass
-class KoenigBound:
+class KoenigBound(NamedTuple):
     level: int
     open_sub: OpenSub
 
@@ -328,8 +327,7 @@ def depth_cap_exhausted(depth: int, remaining: int) -> Inconclusive:
                         % (depth, remaining, "" if remaining == 1 else "es"), depth)
 
 
-@dataclass
-class RefutedBranch:
+class RefutedBranch(NamedTuple):
     """A lasso along which the open predicate provably never fires."""
 
     prefix_len: int
@@ -420,24 +418,23 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
 # Certificates
 
 
-class _PlayClaim:
-    """A claim about the unique play of both strategies, checked on one
-    replay of ``horizon`` + 1 steps."""
-
-    needs = ("sigma1", "sigma2")
-
-    def check(self, context: dict) -> CheckResult:
-        record = play(context["arena"], context["v0"], context["sigma1"], context["sigma2"],
-                      self.horizon + 1)
-        return self.check_record(context["arena"], record, CheckResult(True))
+# a claim about the one play of both strategies: its needs, and its check on
+# one replay of ``horizon`` + 1 steps (the variant's ``check_record``)
+_PLAY_NEEDS = ("sigma1", "sigma2")
 
 
-@dataclass
-class SinkPayoff(_PlayClaim):
+def _check_play(claim, context: dict) -> CheckResult:
+    record = play(context["arena"], context["v0"], context["sigma1"], context["sigma2"],
+                  claim.horizon + 1)
+    return claim.check_record(context["arena"], record, CheckResult(True))
+
+
+class SinkPayoff(NamedTuple):
     final_tp: Weight
     sink: VertexId
     steps: int
 
+    needs, check = _PLAY_NEEDS, _check_play
     horizon = property(lambda self: self.steps)
 
     def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
@@ -455,12 +452,12 @@ class SinkPayoff(_PlayClaim):
         return result
 
 
-@dataclass
-class EarlyExitNegative(_PlayClaim):
+class EarlyExitNegative(NamedTuple):
     final_tp: Weight
     threshold: Weight
     steps: int
 
+    needs, check = _PLAY_NEEDS, _check_play
     horizon = property(lambda self: self.steps)
 
     def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
@@ -476,8 +473,7 @@ class EarlyExitNegative(_PlayClaim):
         return result
 
 
-@dataclass
-class LevelSatisfaction:
+class LevelSatisfaction(NamedTuple):
     levels: list[tuple[int, int]]  # (m, k_m)
 
     needs = ("sigma1", "subs")
@@ -494,8 +490,18 @@ class LevelSatisfaction:
         return result
 
 
-@dataclass
-class Divergence(_PlayClaim):
+class _Divergence(NamedTuple):
+    mode: str
+    round_starts: list[int]
+    horizon: int
+    decrease: Optional[Weight] = None
+    elevation: Optional[Weight] = None
+    ceiling: Optional[Weight] = None
+    cycle_from: int = 0  # index into round_starts where the cycle closes
+    round_states: list[str] = None  # None: a fresh [] (``Divergence``)
+
+
+class Divergence(_Divergence):
     """Finite evidence that the total payoff tends to minus infinity, or
     stays pinned below a negative ceiling, along the unique play.
 
@@ -507,14 +513,11 @@ class Divergence(_PlayClaim):
     above ``ceiling`` < 0 after the first boundary).
     """
 
-    mode: str
-    round_starts: list[int]
-    horizon: int
-    decrease: Optional[Weight] = None
-    elevation: Optional[Weight] = None
-    ceiling: Optional[Weight] = None
-    cycle_from: int = 0  # index into round_starts where the cycle closes
-    round_states: list[str] = field(default_factory=list)
+    needs, check = _PLAY_NEEDS, _check_play
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.round_states is not None else self._replace(round_states=[])
 
     def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
         if record.termination == "sink":
@@ -570,14 +573,15 @@ class Divergence(_PlayClaim):
         return result
 
 
-@dataclass
-class ColourStarvation(_PlayClaim):
+class ColourStarvation(NamedTuple):
     """Beyond ``after_step``, the named colour never occurs in the play
     within the simulated horizon."""
 
     colour: Weight
     after_step: int
     horizon: int
+
+    needs, check = _PLAY_NEEDS, _check_play
 
     def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
         tail = record.colours[self.after_step:]
@@ -599,9 +603,17 @@ def certificate_to_json(cert: Certificate) -> str:
                        "body": _write(cert)}, indent=2, sort_keys=True) + "\n"
 
 
+def _annotations(cls) -> dict[str, str]:
+    """A record's fields and their annotations as written, read from the
+    named tuple that declares them (the first class with ``_fields``)."""
+    types = next(c for c in cls.__mro__ if "_fields" in vars(c)).__annotations__
+    return {name: getattr(t, "__forward_arg__", t) for name, t in types.items()}
+
+
 def _write(obj) -> dict:
-    """A dataclass's fields, each written by its annotation (``_WRITERS``)."""
-    return {f.name: _WRITERS.get(f.type, _same)(getattr(obj, f.name)) for f in fields(obj)}
+    """A record's fields, each written by its annotation (``_WRITERS``)."""
+    return {name: _WRITERS.get(t, _same)(value)
+            for (name, t), value in zip(_annotations(type(obj)).items(), obj)}
 
 
 def _same(value):
@@ -667,25 +679,24 @@ def certificate_from_json(text: str) -> Certificate:
         raise ValueError("unknown certificate variant %r" % variant)
     values = {}
     try:
-        for f in fields(cls):  # a field with a default (neither is MISSING) may be absent
-            if f.name in body or f.default is f.default_factory is MISSING:
-                values[f.name] = _READERS[f.type](body[f.name])
+        for name, t in _annotations(cls).items():  # a field with a default may be absent
+            if name in body or name not in cls._field_defaults:
+                values[name] = _READERS[t](body[name])
     except KeyError as exc:
         raise ValueError("%s certificate body lacks %s" % (variant, exc))
     except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON shape
-        raise ValueError("%s certificate field %s: %s" % (variant, f.name, exc))
+        raise ValueError("%s certificate field %s: %s" % (variant, name, exc))
     return cls(**values)
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    diagnostics: list[str] = field(default_factory=list)
+class CheckResult(NamedTuple("CheckResult", [("ok", bool), ("diagnostics", list)])):
+    def __new__(cls, ok: bool, diagnostics: Optional[list[str]] = None):
+        return tuple.__new__(cls, (ok, [] if diagnostics is None else diagnostics))
 
-    def fail(self, msg: str) -> "CheckResult":
-        self.ok = False
+    def fail(self, msg: str) -> CheckResult:
+        """This result failed, with ``msg`` added to its diagnostics."""
         self.diagnostics.append(msg)
-        return self
+        return self._replace(ok=False)
 
 
 _CONTEXT_ROLES = {"sigma1": "the player-1 strategy", "sigma2": "the opponent strategy",

@@ -11,8 +11,7 @@ their continuations are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Weight, exact
 
@@ -26,8 +25,15 @@ MP = "mp"
 BUCHI_ALL = "buchi-all"
 
 
-@dataclass(frozen=True)
-class Objective:
+class _Objective(NamedTuple):
+    kind: str
+    mode: str = "limsup"  # limsup | liminf
+    relation: str = ">="  # > | >=
+    threshold: ExtValue = 0
+    colour_count: int = 0
+
+
+class Objective(_Objective):
     """A limit objective: kind, limit mode, relation, threshold.
 
     ``kind`` is ``tp``, ``mp``, or ``buchi-all``; for the latter
@@ -35,11 +41,10 @@ class Objective:
     are ignored.
     """
 
-    kind: str
-    mode: str = "limsup"  # limsup | liminf
-    relation: str = ">="  # > | >=
-    threshold: ExtValue = 0
-    colour_count: int = 0
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.kind not in (TP, MP, BUCHI_ALL):
@@ -116,8 +121,15 @@ def classify(obj: Objective) -> str:
 # Open sub-objectives
 
 
-@dataclass(frozen=True)
-class OpenSub:
+class _OpenSub(NamedTuple):
+    family: str
+    m: int = 1
+    i: int = 1
+    colour: Optional[Weight] = None
+    threshold: Weight = 0
+
+
+class OpenSub(_OpenSub):
     """An open sub-objective with an ``already satisfies`` prefix witness.
 
     Families, r the ``threshold`` (which ``tp-inf`` and ``buchi`` ignore):
@@ -127,11 +139,10 @@ class OpenSub:
       - ``buchi``:    some j >= i with c_j = colour
     """
 
-    family: str
-    m: int = 1
-    i: int = 1
-    colour: Optional[Weight] = None
-    threshold: Weight = 0
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.family not in ("mp-sup", "tp-inf", "tp-sup", "buchi"):
@@ -180,16 +191,13 @@ class OpenSub:
 # Lassos
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(NamedTuple("Lasso", [("prefix", tuple), ("cycle", tuple)])):
     """An ultimately periodic weight word: prefix followed by a repeated cycle."""
 
-    prefix: tuple[Weight, ...]
-    cycle: tuple[Weight, ...]
-
-    def __post_init__(self):
-        if not self.cycle:
+    def __new__(cls, prefix: tuple[Weight, ...], cycle: tuple[Weight, ...]):
+        if not cycle:
             raise ValueError("lasso cycle must be non-empty")
+        return tuple.__new__(cls, (prefix, cycle))
 
     def unroll(self, steps: int) -> list[Weight]:
         out = list(self.prefix)
@@ -222,8 +230,7 @@ def lasso_limit(kind: str, mode: str, lasso: Lasso) -> ExtValue:
 # Decompositions into open sub-objectives
 
 
-@dataclass(frozen=True)
-class Unsupported:
+class Unsupported(NamedTuple):
     reason: str
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact
 from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
@@ -28,8 +27,7 @@ from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strateg
 # Value solving on finite arenas
 
 
-@dataclass
-class ValueMap:
+class ValueMap(NamedTuple):
     """Values per vertex and a memoryless player-1 strategy achieving them
     against every opponent: player 1's final profile of strategy
     improvement."""
@@ -75,8 +73,7 @@ def _proven(view: _View, values: dict[VertexId, ExtValue], step: list[tuple[int,
                                "does not hold %r" % (player, shown))  # finite values as Fractions
 
 
-@dataclass(frozen=True)
-class _View:
+class _View(NamedTuple):
     """An explicit arena indexed by position in its sorted vertex order.
 
     ``succ[i]`` lists the edges of vertex i, in the arena's edge order, as
@@ -476,8 +473,7 @@ def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub
 # The winning-region oracle
 
 
-@dataclass
-class WPrimeOracle:
+class WPrimeOracle(NamedTuple):
     """Winning-region oracle: a region over (vertex, sum) pairs, a safe
     memoryless strategy that never leaves it, and a winning strategy from
     any pair in it.
@@ -516,8 +512,7 @@ def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeO
 # Bubble synthesis (step counter, prefix-independent objectives)
 
 
-@dataclass
-class SynthReport:
+class SynthReport(NamedTuple):
     schedule: list[tuple[int, int]]  # (m, k_m)
     strategy: Optional[Strategy]
     level_certs: list[tuple[int, int, bool]]  # (m, k_m, recertified)
@@ -726,7 +721,8 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
                     bitupd[(k_prev - 1, 1, e)] = 0
             run_from = (run_layer, k_prev - 1, runs.created)
             # the minimal histories in the composite's state before its boundary
-            mimic_from = ([replace(node, state=comp.pre_state(k_prev - 1, node.state, node.tp))
+            mimic_from = ([Node(node.vertex, node.depth, node.tp, node.parent, node.edge,
+                                comp.pre_state(k_prev - 1, node.state, node.tp), node.satisfied)
                            for node in mimic_layer], k_prev - 1, mimics.created)
 
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,

@@ -9,8 +9,7 @@ URIs on the command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arena import (DEFAULT_VERTEX_CAP, Arena, Edge, LetterMemory, MealyMemory, VertexId, Weight,
                     P1, P2, V, _new_edge, _new_vertex, make_edge)
@@ -19,17 +18,25 @@ from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
 E = make_edge  # short alias used heavily by the expansions
 
 
-@dataclass
-class ZooEntry:
-    """An arena with its analysis's strategies; the entry's name and start are the arena's."""
-
+class _ZooEntry(NamedTuple):
     arena: Arena
     note: str
-    params: dict = field(default_factory=dict)  # the URI parameters, set by ``make``
-    strategies: dict[str, Strategy] = field(default_factory=dict)
-    strategy_factories: dict[str, Callable[[int], Strategy]] = field(default_factory=dict)
+    params: dict = None  # the URI parameters, set by ``make``
+    strategies: dict[str, Strategy] = None
+    strategy_factories: dict[str, Callable[[int], Strategy]] = None
     wprime: Optional[Callable[[VertexId, Weight], bool]] = None
-    extras: dict = field(default_factory=dict)
+    extras: dict = None
+
+
+class ZooEntry(_ZooEntry):
+    """An arena with its analysis's strategies; the entry's name and start
+    are the arena's.  Each dict left out (None) is a fresh empty one."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(**{name: {} for name in ("params", "strategies",
+                                                      "strategy_factories", "extras")
+                                if getattr(self, name) is None})
 
     @property
     def name(self) -> str:
@@ -562,9 +569,7 @@ def make(name: str, **params) -> ZooEntry:
             raise ValueError("zoo entry %r takes no parameter %r (accepted: %s)"
                              % (name, key, ", ".join(declared) or "none"))
     params = {**declared, **params}
-    entry = factory(**params)
-    entry.params = params
-    return entry
+    return factory(**params)._replace(params=params)
 
 
 def parse_uri(uri: str) -> ZooEntry:

@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qgames.adversaries import DefeatResult
 from qgames.arena import (ROW_STORE_BOUND, Arena, ArenaExplicit, Edge, History, MealyMemory,
-                          VertexId, make_edge)
+                          ValidationReport, VertexId, make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
                            RefutedBranch, SinkPayoff, _detect_refuted, certificate_from_json,
@@ -14,7 +16,7 @@ from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitN
                            play)
 from qgames.objectives import OpenSub
 from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
-from qgames.zoo import make
+from qgames.zoo import ZooEntry, make
 
 from history_scans import scanning
 
@@ -352,6 +354,44 @@ def test_certificate_json_roundtrip_all_variants():
     for cert in certs:
         again = certificate_from_json(certificate_to_json(cert))
         assert again == cert
+
+
+CERTIFICATES = Path(__file__).parent / "data" / "certificates"
+
+
+@pytest.mark.parametrize("name,cert", [
+    ("sink_payoff", SinkPayoff(F(-2), S, 1)),
+    ("early_exit_negative", EarlyExitNegative(F(-1), F(0), 9)),
+    ("koenig_bound_tp_sup", KoenigBound(3, OpenSub("tp-sup", m=2))),
+    ("koenig_bound_buchi", KoenigBound(2, OpenSub("buchi", colour=F(1), i=2))),
+    ("level_satisfaction", LevelSatisfaction([(1, 1), (2, 4)])),
+    ("divergence_decrease", Divergence("decrease", [0, 2, 4], 6, decrease=F(1), elevation=F(1),
+                                       ceiling=F(0), cycle_from=0, round_states=["x", "x", "x"])),
+    ("divergence_stagnation", Divergence("stagnation", [0, 3], 6, ceiling=F(-1))),
+    ("colour_starvation", ColourStarvation(F(1), 4, 60)),
+])
+def test_every_certificate_variant_writes_its_pinned_json_text(name, cert):
+    """The text pins each variant's field names, value types and defaults
+    as written; it reads back as an equal certificate of the same variant."""
+    text = (CERTIFICATES / (name + ".json")).read_text()
+    assert certificate_to_json(cert) == text
+    again = certificate_from_json(text)
+    assert type(again) is type(cert) and again == cert
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: ValidationReport(), "violations"),
+    (lambda: CheckResult(True), "diagnostics"),
+    (lambda: Divergence("stagnation", [0, 3], 6, ceiling=F(-1)), "round_states"),
+    (lambda: DefeatResult(None, None, None), "notes"),
+    (lambda: ZooEntry(None, ""), "params"),
+    (lambda: ZooEntry(None, ""), "strategies"),
+    (lambda: ZooEntry(None, ""), "strategy_factories"),
+    (lambda: ZooEntry(None, ""), "extras"),
+])
+def test_a_record_field_left_out_is_a_fresh_empty_list_or_dict(build, field):
+    first, second = getattr(build(), field), getattr(build(), field)
+    assert first == second and not first and first is not second
 
 
 def test_certificate_json_writes_int_values_as_strings_and_reads_them_back_equal():

@@ -378,17 +378,17 @@ def test_synthesis_does_not_depend_on_which_equal_history_a_walk_keeps(tmp_path,
         def walk(*args, **kwargs):
             walk = layers(*args, **kwargs)
             key, rank = walk.key, walk.order or (lambda node: ())
-            count, least = itertools.count(), {}
+            count, least, number = itertools.count(), {}, {}
 
             def numbered(node):
-                node.number = next(count)
+                number[node] = next(count)
                 k, r = key(node), rank(node)
                 if (node.depth, k) in least and r == least[node.depth, k]:
                     replaced.append(k)  # this child replaces the kept one
                 least[node.depth, k] = min(least.get((node.depth, k), r), r)
                 return k
 
-            walk.key, walk.order = numbered, lambda node: (rank(node), -node.number)
+            walk.key, walk.order = numbered, lambda node: (rank(node), -number[node])
             return walk
 
         return walk
