@@ -3,9 +3,11 @@
 Each routine targets a specific zoo family and a class of maximizer
 strategies that provably cannot win there, builds the punishing opponent
 explicitly, simulates the unique resulting play, and packages the
-evidence as a certificate the engine can re-check independently.  A
-window, horizon or probe cap exhausted before a verdict raises
-``engine.Inconclusive`` naming it.
+evidence as a certificate the engine can re-check independently.  The
+caller picks the routine for the entry (``cli.cmd_defeat``); a routine
+refuses a strategy outside its class with a ``ValueError`` naming the
+class, and a window, horizon or probe cap exhausted before a verdict
+raises ``engine.Inconclusive`` naming it.
 """
 
 from __future__ import annotations
@@ -21,24 +23,18 @@ from .strategies import StepCounterTable, Strategy, Tracking
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
-class _DefeatResult(NamedTuple):
+class DefeatResult(NamedTuple):
     p2: Strategy
     certificate: Optional[Certificate]
     record: PlayRecord
-    partial: bool = False
-    notes: list[str] = None  # None: a fresh [] (``DefeatResult``)
-
-
-class DefeatResult(_DefeatResult):
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.notes is not None else self._replace(notes=[])
+    partial: bool
+    notes: list[str]
 
 
 def _require_incremental_fm(sigma: Strategy, entry: ZooEntry, note: str = "") -> None:
     if sigma.mealy is None:
-        raise TypeError("only finite-memory strategies can be defeated on zoo entry %r, got %s%s"
-                        % (entry.name, type(sigma).__name__, note))
+        raise ValueError("only finite-memory strategies can be defeated on zoo entry %r, got %s%s"
+                         % (entry.name, type(sigma).__name__, note))
 
 
 def _decrease_certificate(record: PlayRecord, starts: list[int]) -> Union[Divergence, str]:
@@ -60,6 +56,14 @@ def _decrease_certificate(record: PlayRecord, starts: list[int]) -> Union[Diverg
                       elevation=elevation, cycle_from=cf)
 
 
+def _exit_defeat(p2: Strategy, record: PlayRecord, note: str) -> Optional[DefeatResult]:
+    """The early-exit defeat of a play absorbed below 0, or None."""
+    if record.termination != "sink" or not record.final_tp < 0:
+        return None
+    cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
+    return DefeatResult(p2, cert, record, False, [note])
+
+
 # ---------------------------------------------------------------------------
 # Finite memory loses the repeated match game (A1' and A2)
 
@@ -68,21 +72,14 @@ _ROUNDS = 24
 # the highest challenge probed on a2, and the longest descent followed
 _PROBE_CAP = 256
 _DESCENT_CAP = 4096
+_WINS_THERE = "; match_plus_one is player 1's winning strategy there"
 
 
-def defeat_fm_match(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
-    """Opponent beating any finite-memory responder on the repeated match
-    families: track the responder's memory, precompute the largest number
-    it can answer from that state, and owe one more."""
-    _require_incremental_fm(sigma, entry, "; match_plus_one is player 1's winning strategy there")
-    if entry.name == "a1prime":
-        return _defeat_a1prime(sigma, entry)
-    if entry.name == "a2":
-        return _defeat_a2(sigma, entry)
-    raise ValueError("defeat_fm_match targets a1prime or a2, not %r" % entry.name)
-
-
-def _defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
+def defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
+    """Opponent beating any finite-memory responder on a1prime: track the
+    responder's memory, precompute the largest number it can answer from
+    that state, and owe one more."""
+    _require_incremental_fm(sigma, entry, _WINS_THERE)
     arena = entry.arena
     b = entry.params["b"]
     s, t = V("s"), V("t")
@@ -117,7 +114,11 @@ def _finish_decrease(p2: Strategy, record: PlayRecord, starts: list[int], partia
     return DefeatResult(p2, cert, record, partial, notes)
 
 
-def _defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
+def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
+    """Opponent beating any finite-memory responder on a2: challenge each
+    round just high enough that the responder, from its memory at the
+    round start, answers too low or descends past the cap."""
+    _require_incremental_fm(sigma, entry, _WINS_THERE)
     arena = entry.arena
     INF = None  # descent never exits within the cap
 
@@ -196,10 +197,10 @@ def _certify_endless_descent(p2: Strategy, record: PlayRecord) -> DefeatResult:
 
 def _require_step_counter(sigma: Strategy, what: str) -> None:
     if not isinstance(sigma, StepCounterTable):
-        raise TypeError("%s needs a step-counter table, got %s" % (what, type(sigma).__name__))
+        raise ValueError("%s needs a step-counter table, got %s" % (what, type(sigma).__name__))
     if sigma.k != 1:
-        raise TypeError("%s needs a step-counter table with one mode, got %d modes"
-                        % (what, sigma.k))
+        raise ValueError("%s needs a step-counter table with one mode, got %d modes"
+                         % (what, sigma.k))
 
 
 def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> DefeatResult:
@@ -209,8 +210,6 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
     the horizon, enter at the first vertex and let it delay forever below
     0."""
     _require_step_counter(sigma, "defeat_sc_on_A3")
-    if entry.name != "a3":
-        raise ValueError("defeat_sc_on_A3 targets a3, not %r" % entry.name)
     arena = entry.arena
     probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon)
     exit_index = None
@@ -220,23 +219,20 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
             break
     if exit_index is not None:
         p2 = entry.strategy("p2_enter_%d" % exit_index)
-        record = play(arena, entry.start, sigma, p2, horizon)
-        if record.termination != "sink":
-            raise Inconclusive("horizon too small to absorb after entering at %d"
-                               % exit_index, depth=horizon)
-        cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
-        return DefeatResult(p2, cert, record,
-                            notes=["entered at index %d, the strategy's own exit step"
-                                   % exit_index])
+        result = _exit_defeat(p2, play(arena, entry.start, sigma, p2, horizon),
+                              "entered at index %d, the strategy's own exit step" % exit_index)
+        if result is None:
+            raise Inconclusive("horizon too small to absorb after entering at %d" % exit_index)
+        return result
     if probe.termination == "sink":
-        raise Inconclusive("play absorbed without a decision-vertex exit", depth=horizon)
+        raise Inconclusive("play absorbed without a decision-vertex exit")
     starts = probe.steps_at(lambda v: v.name == "t")
     if len(starts) < 2:
-        raise Inconclusive("horizon too small to cover any decision vertex", depth=horizon)
+        raise Inconclusive("horizon too small to cover any decision vertex")
     cert = Divergence("stagnation", starts, len(probe.edges), ceiling=-1,
                       cycle_from=0)
-    return DefeatResult(entry.strategy("p2_enter_0"), cert, probe,
-                        notes=["no exit within the horizon; the play stays at -1"])
+    return DefeatResult(entry.strategy("p2_enter_0"), cert, probe, False,
+                        ["no exit within the horizon; the play stays at -1"])
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +242,6 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
 class AdversaryPlan(NamedTuple):
     entry: int
     routing: list[int]
-
-
-class RamseyLabel(NamedTuple):
-    exit_profile: tuple  # per-state: True iff the strategy exits
-    gadget_update: tuple  # per-state: successor state index
 
 
 # A closed-form path on A4 is its first vertex and its runs of equal
@@ -318,8 +309,6 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     loses at least 1.
     """
     _require_incremental_fm(sigma, entry)
-    if entry.name not in ("a4", "a4guarded"):
-        raise ValueError("ramsey_adversary targets a4 or a4guarded, not %r" % entry.name)
     arena = entry.arena
     states = list(sigma.mealy.states)
     index = {m: n for n, m in enumerate(states)}
@@ -335,8 +324,11 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     def gadget_update(i: int, j: int) -> tuple:
         return tuple(index[m] for m in _fold(sigma, states, _gadget_path(i, j)))
 
-    def label(i: int, k: int) -> RamseyLabel:
-        return RamseyLabel(exit_profile(i) + exit_profile(k), gadget_update(i, k - i))
+    def label(i: int, k: int) -> tuple:
+        """The pair's colour: both exit profiles (per state, whether the
+        strategy exits) and the update along the delay (per state, the
+        successor state's index)."""
+        return exit_profile(i) + exit_profile(k), gadget_update(i, k - i)
 
     lo, hi = K, K + window
     entry_state = _entry_states(sigma, entry)
@@ -368,7 +360,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
         failed_first[clique[0]] = failed_first.get(clique[0], 0) + 1
     raise Inconclusive("no monochromatic index clique of size %d within window %d; enlarge "
                        "the window (existence is guaranteed only in the infinite limit)"
-                       % (size, window), depth=window)
+                       % (size, window))
 
 
 def _cliques(lo: int, hi: int, size: int, label):
@@ -434,16 +426,8 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
     for n, step in enumerate(starts[:len(traj)]):
         if record.mem_at(1, step) != states[traj[n]]:
             return None
-    return DefeatResult(p2, cert, record,
-                        notes=["all-delay memory cycle from round %d" % cycle_from])
-
-
-def _exit_defeat(p2: Strategy, record: PlayRecord, note: str) -> Optional[DefeatResult]:
-    """The early-exit defeat of a play absorbed below 0, or None."""
-    if record.termination != "sink" or not record.final_tp < 0:
-        return None
-    cert = EarlyExitNegative(record.final_tp, 0, len(record.edges))
-    return DefeatResult(p2, cert, record, notes=[note])
+    return DefeatResult(p2, cert, record, False,
+                        ["all-delay memory cycle from round %d" % cycle_from])
 
 
 def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
@@ -483,8 +467,6 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     strategy's exit steps (the loop colour starves), or past the finitely
     many exit steps (the exit colour starves)."""
     _require_step_counter(sigma, "defeat_sc_buchi")
-    if entry.name != "buchib":
-        raise ValueError("defeat_sc_buchi targets buchib, not %r" % entry.name)
     arena = entry.arena
     b = entry.params["b"]
     v = V("v", ())
@@ -527,22 +509,20 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
                     and pad_length(i + 1) is None), None)
     if blocked is not None:
         raise Inconclusive("cannot steer into an exit from step %d within padding %d"
-                           % (blocked, b), depth=blocked)
+                           % (blocked, b))
     if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
         after = 0 if not loop_steps else loop_steps[-1] + 1
         cert = ColourStarvation(1, after, len(record.edges))
-        return DefeatResult(p2, cert, record,
-                            notes=["every arrival hits an exit step"])
+        return DefeatResult(p2, cert, record, False, ["every arrival hits an exit step"])
     if exit_uses and loop_steps and exit_uses[-1] < loop_steps[-1]:
         last_zero = max(i for i, e in enumerate(record.edges) if e.weight == 0)
         cert = ColourStarvation(0, last_zero + 1, len(record.edges))
-        return DefeatResult(p2, cert, record,
-                            notes=["exit steps exhausted; the loop colour remains"])
-    raise Inconclusive("both colours keep occurring within the horizon",
-                       depth=len(record.edges))
+        return DefeatResult(p2, cert, record, False,
+                            ["exit steps exhausted; the loop colour remains"])
+    raise Inconclusive("both colours keep occurring within the horizon")
 
 
 __all__ = [
-    "AdversaryPlan", "DefeatResult", "RamseyLabel",
-    "defeat_fm_match", "defeat_sc_buchi", "defeat_sc_on_A3", "ramsey_adversary",
+    "AdversaryPlan", "DefeatResult",
+    "defeat_a1prime", "defeat_a2", "defeat_sc_buchi", "defeat_sc_on_A3", "ramsey_adversary",
 ]

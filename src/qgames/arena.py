@@ -69,8 +69,8 @@ class Inconclusive(Exception):
     Routines that end in one verdict raise it; walks whose callers go on
     from a partial result return it.  ``node_cap`` is set if it bound."""
 
-    def __init__(self, reason: str, depth: int = 0, node_cap: Optional[int] = None):
-        self.reason, self.depth, self.node_cap = reason, depth, node_cap
+    def __init__(self, reason: str, node_cap: Optional[int] = None):
+        self.reason, self.node_cap = reason, node_cap
 
     def __str__(self) -> str:
         return self.reason
@@ -452,7 +452,7 @@ def reach(arena: Arena, start: VertexId, depth: int,
                     reached[e.dst] = d
                     if len(reached) > DEFAULT_VERTEX_CAP:
                         raise Inconclusive("vertex cap %d exceeded at distance %d"
-                                           % (DEFAULT_VERTEX_CAP, d), d)
+                                           % (DEFAULT_VERTEX_CAP, d))
                     nxt.append(e.dst)
         layer = nxt
     return reached

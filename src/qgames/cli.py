@@ -25,7 +25,8 @@ from .objectives import Decomposition, Unsupported, decompose, parse_objective, 
 from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy, table_edges
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
                         finite_wprime_oracle, sc1bit_synthesize)
-from .adversaries import defeat_fm_match, defeat_sc_buchi, defeat_sc_on_A3, ramsey_adversary
+from .adversaries import (defeat_a1prime, defeat_a2, defeat_sc_buchi, defeat_sc_on_A3,
+                          ramsey_adversary)
 
 OK, FAILED, INCONCLUSIVE = 0, 1, 2
 
@@ -218,21 +219,21 @@ def cmd_defeat(args) -> int:
     if entry is None:
         return _err("defeat targets zoo entries; pass a zoo: URI")
     sigma = _load_strategy(args.strategy, arena, entry, 1)
-    try:
-        if entry.name in ("a1prime", "a2"):
-            result = defeat_fm_match(sigma, entry)
-        elif entry.name == "a3":
-            result = defeat_sc_on_A3(sigma, entry, horizon=args.horizon)
-        elif entry.name in ("a4", "a4guarded"):
-            plan, result = ramsey_adversary(sigma, entry, window=args.window,
-                                            horizon=max(args.horizon, 2000))
-            print("plan: enter %d, route %s" % (plan.entry, plan.routing))
-        elif entry.name == "buchib":
-            result = defeat_sc_buchi(sigma, entry, horizon=args.horizon)
-        else:
-            return _err("no adversary routine for zoo entry %r" % entry.name)
-    except TypeError as exc:
-        return _err(str(exc))
+    # the one map from a zoo entry to its adversary
+    if entry.name == "a1prime":
+        result = defeat_a1prime(sigma, entry)
+    elif entry.name == "a2":
+        result = defeat_a2(sigma, entry)
+    elif entry.name == "a3":
+        result = defeat_sc_on_A3(sigma, entry, horizon=args.horizon)
+    elif entry.name in ("a4", "a4guarded"):
+        plan, result = ramsey_adversary(sigma, entry, window=args.window,
+                                        horizon=max(args.horizon, 2000))
+        print("plan: enter %d, route %s" % (plan.entry, plan.routing))
+    elif entry.name == "buchib":
+        result = defeat_sc_buchi(sigma, entry, horizon=args.horizon)
+    else:
+        return _err("no adversary routine for zoo entry %r" % entry.name)
     for note in result.notes:
         print("note: %s" % note)
     if result.certificate is None:

@@ -272,7 +272,7 @@ class Layers:
                     if self.created > self.node_cap:
                         self.truncated = Inconclusive(
                             "node cap %d exceeded at depth %d" % (self.node_cap, d + 1),
-                            d + 1, node_cap=self.node_cap)
+                            node_cap=self.node_cap)
                         return
             layer = unmerged + list(merged.values())
         yield layer
@@ -324,7 +324,7 @@ class KoenigBound(NamedTuple):
 def depth_cap_exhausted(depth: int, remaining: int) -> Inconclusive:
     """A walk that reached its depth cap with branches left unsatisfied."""
     return Inconclusive("depth cap %d exhausted with %d unsatisfied branch%s"
-                        % (depth, remaining, "" if remaining == 1 else "es"), depth)
+                        % (depth, remaining, "" if remaining == 1 else "es"))
 
 
 class RefutedBranch(NamedTuple):

@@ -401,30 +401,6 @@ def brute_force_values(arena: ArenaExplicit, family: str, cap: int = PROFILE_CAP
 
 
 # ---------------------------------------------------------------------------
-# sigma_safe and the W' region
-
-
-def sigma_safe(arena: ArenaExplicit, threshold: Weight = 0
-               ) -> tuple[Memoryless, Callable[[VertexId, Weight], bool], ValueMap]:
-    """The limsup-TP witness, which never leaves the winnable (vertex, sum)
-    region: its moves keep the value, weight + value of the target =
-    value, and every reply keeps it or raises it.  Also the region itself,
-    the pairs with sum + value >= threshold, upward closed in the sum, and
-    the solved values."""
-    vm = solve_values(arena, "tpsup")
-
-    def contains(v: VertexId, total: Weight) -> bool:
-        val = vm.values[v]
-        if val == POS_INF:
-            return True
-        if val == NEG_INF:
-            return False
-        return total + val >= threshold
-
-    return vm.witness, contains, vm
-
-
-# ---------------------------------------------------------------------------
 # Minimal consistent histories and the step-counter conversion
 
 
@@ -501,11 +477,22 @@ def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracl
 
 
 def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
-    """Limsup total payoff >= threshold: the (vertex, sum) pairs of
-    ``sigma_safe``, whose safe strategy, the limsup-TP witness, also wins
-    from every one of them."""
-    safe, region, vm = sigma_safe(arena, threshold)
-    return WPrimeOracle(region, safe, lambda v, r: safe)
+    """Limsup total payoff >= threshold: the (vertex, sum) pairs with sum +
+    value >= threshold, upward closed in the sum, and the limsup-TP
+    witness as the safe strategy and from every pair.  The witness never
+    leaves the region: its moves keep the value, weight + value of the
+    target = value, and every reply keeps it or raises it."""
+    vm = solve_values(arena, "tpsup")
+
+    def region(v: VertexId, total: Weight) -> bool:
+        val = vm.values[v]
+        if val == POS_INF:
+            return True
+        if val == NEG_INF:
+            return False
+        return total + val >= threshold
+
+    return WPrimeOracle(region, vm.witness, lambda v, r: vm.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
-from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
+from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy, Tracking,
                                parse_strategy, serialize_strategy, table_edges)
 from qgames.synthesis import brute_force_values
 from qgames import zoo
@@ -377,21 +377,75 @@ def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, caps
         "verify: refuted\n")
 
 
-def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys):
-    strat = _write(tmp_path, "ml.strategy",
-                   "strategy ml kind=memoryless\nmove t(0) -> e(0,1) weight=0\n")
-    assert main(["defeat", "--arena", "zoo:a3", "--strategy", strat]) == 1
-    assert "step-counter" in capsys.readouterr().err
+def _a3_with_a_tracked_strategy():
+    """The a3 entry, also naming ``free``: a tracked strategy, which no
+    strategy file or a3 zoo strategy is."""
+    factory, declared = zoo._REGISTRY["a3"]
+
+    def build():
+        entry = factory()
+        free = Tracking("free", None, lambda last, e: e, lambda ar, v, last: ar.edges(v)[0])
+        return entry._replace(strategies={**entry.strategies, "free": free})
+
+    return build, declared
 
 
-@pytest.mark.parametrize("entry", ["a1prime", "a2"])
-def test_cli_defeat_names_the_entry_of_a_scripted_strategy(capsys, entry):
-    assert main(["defeat", "--arena", "zoo:" + entry, "--strategy", "match_plus_one"]) == 1
+@pytest.mark.parametrize("uri, strategy, err", [
+    pytest.param("zoo:a3", "strategy ml kind=memoryless\nmove t(0) -> e(0,1) weight=0\n",
+                 "defeat_sc_on_A3 needs a step-counter table, got Memoryless",
+                 id="a3-memoryless-file"),
+    pytest.param("zoo:a3", "delay_twice_exit",
+                 "defeat_sc_on_A3 needs a step-counter table, got FiniteMemory",
+                 id="a3-delay_twice_exit"),
+    pytest.param("zoo:a3", "free", "defeat_sc_on_A3 needs a step-counter table, got Tracking",
+                 id="a3-tracked"),
+    pytest.param("zoo:buchib", "alternating",
+                 "defeat_sc_buchi needs a step-counter table, got Tracking",
+                 id="buchib-alternating"),
+])
+def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys, monkeypatch, uri, strategy,
+                                                 err):
+    if strategy.startswith("strategy "):
+        strategy = _write(tmp_path, "ml.strategy", strategy)
+    if strategy == "free":
+        monkeypatch.setitem(zoo._REGISTRY, "a3", _a3_with_a_tracked_strategy())
+    assert main(["defeat", "--arena", uri, "--strategy", strategy]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: only finite-memory strategies can be defeated on zoo entry %r, got Tracking; "
-        "match_plus_one is player 1's winning strategy there\n" % entry)
+    assert captured.err == "error: %s\n" % err
     assert captured.out == ""
+
+
+_WINS_THERE = "; match_plus_one is player 1's winning strategy there"
+
+
+@pytest.mark.parametrize("uri, strategy, got", [
+    pytest.param("zoo:a1prime", "match_plus_one", "'a1prime', got Tracking" + _WINS_THERE,
+                 id="a1prime"),
+    pytest.param("zoo:a2", "match_plus_one", "'a2', got Tracking" + _WINS_THERE, id="a2"),
+    pytest.param("zoo:a1prime", "strategy sc kind=sc horizon=1\n",
+                 "'a1prime', got StepCounterTable" + _WINS_THERE, id="a1prime-sc-file"),
+    pytest.param("zoo:a4", "adaptive", "'a4', got Tracking", id="a4-adaptive"),
+])
+def test_cli_defeat_names_the_entry_of_a_scripted_strategy(tmp_path, capsys, uri, strategy, got):
+    if strategy.startswith("strategy "):
+        strategy = _write(tmp_path, "sc.strategy", strategy)
+    assert main(["defeat", "--arena", uri, "--strategy", strategy]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: only finite-memory strategies can be defeated on zoo entry "
+                            "%s\n" % got)
+    assert captured.out == ""
+
+
+def test_cli_defeat_lets_an_error_inside_an_adversary_propagate(monkeypatch):
+    """A refusal is a ValueError, printed as ``error:``; any other
+    exception an adversary raises is a fault of the program, not a
+    refusal, and ``main`` does not turn it into exit 1."""
+    def boom(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr("qgames.cli.defeat_sc_on_A3", boom)
+    with pytest.raises(TypeError, match="^boom$"):
+        main(["defeat", "--arena", "zoo:a3", "--strategy", A3_STAY])
 
 
 def test_cli_defeat_on_a4_names_a_step_counter_table(tmp_path, capsys):

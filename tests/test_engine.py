@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from qgames.adversaries import DefeatResult
 from qgames.arena import (ROW_STORE_BOUND, Arena, ArenaExplicit, Edge, History, MealyMemory,
                           ValidationReport, VertexId, make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
@@ -383,7 +382,6 @@ def test_every_certificate_variant_writes_its_pinned_json_text(name, cert):
     (lambda: ValidationReport(), "violations"),
     (lambda: CheckResult(True), "diagnostics"),
     (lambda: Divergence("stagnation", [0, 3], 6, ceiling=F(-1)), "round_states"),
-    (lambda: DefeatResult(None, None, None), "notes"),
     (lambda: ZooEntry(None, ""), "params"),
     (lambda: ZooEntry(None, ""), "strategies"),
     (lambda: ZooEntry(None, ""), "strategy_factories"),

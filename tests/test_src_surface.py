@@ -144,3 +144,21 @@ def test_the_traced_pass_finds_each_method_it_patches_on_its_class():
     assert edges == [(Edge(a, 1, b),), ()]
     assert tracer.calls["arena.history"] == 2
     assert tracer.counts["arena.history.edges_validated"] == 1
+
+
+def test_no_adversary_compares_its_entry_s_name():
+    """``cli.cmd_defeat`` is the one map from a zoo entry to its adversary:
+    no function in ``adversaries.py`` compares the name of a ``ZooEntry``
+    it takes."""
+    compared = []
+    for fn in ast.walk(ast.parse((SRC / "adversaries.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        entries = {a.arg for a in fn.args.args
+                   if isinstance(a.annotation, ast.Name) and a.annotation.id == "ZooEntry"}
+        compared += ["%s:%d" % (fn.name, n.lineno) for n in ast.walk(fn)
+                     if isinstance(n, ast.Compare)
+                     and any(isinstance(side, ast.Attribute) and side.attr == "name"
+                             and isinstance(side.value, ast.Name) and side.value.id in entries
+                             for side in [n.left, *n.comparators])]
+    assert compared == []

@@ -14,7 +14,7 @@ from qgames.strategies import Memoryless, StepCounterTable
 from qgames.strategies import serialize_strategy
 from qgames.synthesis import (WPrimeOracle, brute_force_values, bubble_synthesize,
                               finite_mp_oracle, finite_wprime_oracle, minimal_history_levels,
-                              sc1bit_synthesize, sc_from_strategy, sigma_safe, solve_values)
+                              sc1bit_synthesize, sc_from_strategy, solve_values)
 from qgames.synthesis import _final_report
 from qgames.zoo import make
 
@@ -109,7 +109,8 @@ def test_solve_values_matches_brute_force(family):
 
 
 def test_sigma_safe_region_is_value_shifted():
-    safe, region, vm = sigma_safe(pos_arena())
+    oracle = finite_wprime_oracle(pos_arena())
+    region, safe = oracle.wprime, oracle.safe
     assert region(A, F(0))
     assert region(A, F(-1))
     assert not region(A, F(-2))
