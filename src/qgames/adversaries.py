@@ -208,10 +208,13 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
     3i+1, so a step-counter strategy's decision there is fixed.  If it
     ever exits, enter exactly there (total -1); if it never exits within
     the horizon, enter at the first vertex and let it delay forever below
-    0."""
+    0.  The probe plays one step past the horizon, as far as a
+    certificate's self-check replays (``engine._check_play``), so an exit
+    at the horizon's last vertex is seen; the stagnation certificate
+    covers the first ``horizon`` steps."""
     _require_step_counter(sigma, "defeat_sc_on_A3")
     arena = entry.arena
-    probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon)
+    probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon + 1)
     exit_index = None
     for e in probe.edges:
         if e.src.name == "t" and e.dst.name == "r0":
@@ -226,11 +229,10 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
         return result
     if probe.termination == "sink":
         raise Inconclusive("play absorbed without a decision-vertex exit")
-    starts = probe.steps_at(lambda v: v.name == "t")
+    starts = [s for s in probe.steps_at(lambda v: v.name == "t") if s <= horizon]
     if len(starts) < 2:
         raise Inconclusive("horizon too small to cover any decision vertex")
-    cert = Divergence("stagnation", starts, len(probe.edges), ceiling=-1,
-                      cycle_from=0)
+    cert = Divergence("stagnation", starts, horizon, ceiling=-1, cycle_from=0)
     return DefeatResult(entry.strategy("p2_enter_0"), cert, probe, False,
                         ["no exit within the horizon; the play stays at -1"])
 

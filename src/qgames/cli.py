@@ -395,44 +395,54 @@ _OPTIONS = {
 _BOUNDS = {"horizon": 0, "depth": 0, "window": 0, "m_max": 1}
 
 
-def _command(sub, name: str, fn, options: str, **parser_kw) -> argparse.ArgumentParser:
+def _command(sub, name: str, fn, options: str, argv: list[str],
+             **parser_kw) -> argparse.ArgumentParser:
     """Add subcommand ``name``, run by ``fn``, taking exactly the listed
-    ``_OPTIONS`` (a trailing ``!`` makes one required)."""
+    ``_OPTIONS`` (a trailing ``!`` makes one required).  The options are
+    declared only when ``name`` is a word of ``argv``: a command line that
+    does not name the subcommand never reaches them."""
     p = sub.add_parser(name, **parser_kw)
-    for option in options.split():
-        flag = option.rstrip("!")
-        p.add_argument(flag, required=option.endswith("!"), **_OPTIONS[flag])
+    if name in argv:
+        for option in options.split():
+            flag = option.rstrip("!")
+            p.add_argument(flag, required=option.endswith("!"), **_OPTIONS[flag])
     p.set_defaults(fn=fn)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Every subcommand's parser is built, so the
+    root help, the list of choices and each ``-h`` read as ever, but only
+    the subcommands ``argv`` names get their options (``_command``): a
+    ``synthesize`` line declares 5 of the 26."""
     parser = argparse.ArgumentParser(prog="qg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "validate", cmd_validate, "--arena! --depth",
+    _command(sub, "validate", cmd_validate, "--arena! --depth", argv,
              help="check arena well-formedness")
-    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --out --p1! --p2!",
+    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --out --p1! --p2!", argv,
              help="play two strategies, emit the play CSV")
-    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --out --strategy! --window",
+    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --out --strategy! --window", argv,
              help="construct an opponent defeating the strategy",
              epilog="--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
                     "horizon is max(--horizon, 2000); a1prime and a2 do not read it")
     _command(sub, "synthesize", cmd_synthesize,
-             "--arena! --depth --out --objective! --m-max",
+             "--arena! --depth --out --objective! --m-max", argv,
              help="synthesize a certified strategy").set_defaults(depth=200)
-    _command(sub, "verify", cmd_verify, "--arena! --cert! --p1 --p2 --objective",
+    _command(sub, "verify", cmd_verify, "--arena! --cert! --p1 --p2 --objective", argv,
              help="re-check a certificate file")
     zoo_sub = sub.add_parser("zoo", help="inspect or export zoo arenas").add_subparsers(
         required=True)
-    _command(zoo_sub, "list", cmd_zoo_list, "")
-    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out")
-    _command(sub, "bench", cmd_bench, "--horizon", help="tournament grid over zoo arenas")
+    _command(zoo_sub, "list", cmd_zoo_list, "", argv)
+    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out", argv)
+    _command(sub, "bench", cmd_bench, "--horizon", argv, help="tournament grid over zoo arenas")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a malformed command line, 0 after --help
         return FAILED if exc.code else OK
     try:

@@ -592,10 +592,13 @@ INCONCLUSIVE_CASES = Path(__file__).parent / "data" / "inconclusive"
     # the responder descends 300 steps, past every challenge up to the cap
     ("zoo:a2", "a2_descend_300", [], "no losing challenge within the probe cap 256"),
     ("zoo:a3", "a3_stay", ["--horizon", "2"], "horizon too small to cover any decision vertex"),
+    # exits at t(1), step 4: the horizon's last vertex, so the play never absorbs
+    ("zoo:a3", "a3_exit_at_step_4", ["--horizon", "4"],
+     "horizon too small to absorb after entering at 1"),
     # exits at steps 0 and 5 only: from step 1 no padding of length 1 lands on one
     ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "20"],
      "cannot steer into an exit from step 1 within padding 1"),
-], ids=["a2-probe-cap", "a3-horizon", "buchib-padding"])
+], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon", "buchib-padding"])
 def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strategy, options,
                                                              reason):
     path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
@@ -603,6 +606,16 @@ def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strate
     captured = capsys.readouterr()
     assert captured.out == "inconclusive: %s\n" % reason
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("strategy", ["a3_stay", "a3_exit_at_step_4"])
+def test_cli_defeat_on_a3_never_writes_a_certificate_its_self_check_refutes(capsys, strategy):
+    path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
+    for horizon in range(41):
+        rc = main(["defeat", "--arena", "zoo:a3", "--strategy", path, "--horizon", str(horizon)])
+        out = capsys.readouterr().out
+        assert "self-check failed" not in out, (horizon, out)
+        assert rc in (0, 2), (horizon, out)
 
 
 def test_cli_defeat_notes_a_truncation_cap_that_binds_at_a_forced_challenge(capsys):
@@ -1113,27 +1126,62 @@ def _subcommands(parser, prefix=""):
     yield prefix.strip(), parser
 
 
+# every subcommand name, as the words of one command line
+ALL_NAMES = " ".join(CLI_OPTIONS).split()
+
+
+def _readme_command_lines():
+    """(subcommand name, argv) for each line of README's command-line
+    block, with ``N`` read as ``1``, and the line's own words."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    for line in block.strip().splitlines():
+        words = [w.strip("[]") for w in line.split()]
+        assert words[0] == "qg", line
+        name = " ".join(itertools.takewhile(lambda w: not w.startswith("--"), words[1:]))
+        yield name, ["1" if w == "N" else w for w in words[1:]], words
+
+
 def test_cli_subcommands_declare_exactly_the_options_their_handlers_read():
     found = {name: {flag for action in p._actions for flag in action.option_strings
                     if flag not in ("-h", "--help")}
-             for name, p in _subcommands(build_parser())}
+             for name, p in _subcommands(build_parser(ALL_NAMES))}
     assert found == CLI_OPTIONS
     assert sum(len(options) for options in found.values()) == 26
 
 
 def test_readme_command_lines_parse_with_every_option_of_their_subcommand():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```")[1]
-    parser = build_parser()
     named = set()
-    for line in block.strip().splitlines():
-        words = [w.strip("[]") for w in line.split()]
-        assert words[0] == "qg", line
-        name = " ".join(itertools.takewhile(lambda w: not w.startswith("--"), words[1:]))
-        parser.parse_args(["1" if w == "N" else w for w in words[1:]])
-        assert {w for w in words if w.startswith("--")} == CLI_OPTIONS[name], line
+    for name, argv, words in _readme_command_lines():
+        build_parser(argv).parse_args(argv)
+        assert {w for w in words if w.startswith("--")} == CLI_OPTIONS[name], words
         named.add(name)
     assert named == set(CLI_OPTIONS)
+
+
+def test_cli_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+                 "--m-max", "1"]) == 0
+    # one -h for each of the ten parsers, and synthesize's five options
+    assert len(calls) == 15
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_naming_other_subcommands_changes_no_subcommand(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, argv, _ in _readme_command_lines():
+        alone, among_all = build_parser(name.split()), build_parser(ALL_NAMES)
+        assert (dict(_subcommands(alone))[name].format_help()
+                == dict(_subcommands(among_all))[name].format_help()), name
+        assert alone.parse_args(argv) == among_all.parse_args(argv), name
 
 
 def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
