@@ -86,7 +86,7 @@ def defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
 
     def owed(state) -> Weight:
         """One more than the most the responder answers from ``state`` at s."""
-        return 1 + max(sigma.choose(arena, t, 0, sigma.step_state(state, e)).weight
+        return 1 + max(sigma.choose(arena, t, sigma.step_state(state, e)).weight
                        for e in arena.edges(s))
 
     # the opponent carries the responder's memory state along the play
@@ -127,7 +127,7 @@ def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         k = 0
         while k < _DESCENT_CAP:
             v = V("b", (i, k))
-            move = sigma.choose(arena, v, 0, state)
+            move = sigma.choose(arena, v, state)
             if move.dst.name == "a":
                 return k
             state = sigma.step_state(state, move)
@@ -215,11 +215,8 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
     _require_step_counter(sigma, "defeat_sc_on_A3")
     arena = entry.arena
     probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon + 1)
-    exit_index = None
-    for e in probe.edges:
-        if e.src.name == "t" and e.dst.name == "r0":
-            exit_index = e.src.params[0]
-            break
+    exit_index = next((e.src.params[0] for e in probe.edges
+                       if e.src.name == "t" and e.dst.name == "r0"), None)
     if exit_index is not None:
         p2 = entry.strategy("p2_enter_%d" % exit_index)
         result = _exit_defeat(p2, play(arena, entry.start, sigma, p2, horizon),
@@ -320,7 +317,7 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
     @cache
     def exit_profile(i: int) -> tuple:
         t_i = V("t", (i,))
-        return tuple(sigma.choose(arena, t_i, 3 * (i + 1), m).dst.name == "r0" for m in states)
+        return tuple(sigma.choose(arena, t_i, m).dst.name == "r0" for m in states)
 
     @cache
     def gadget_update(i: int, j: int) -> tuple:
@@ -392,17 +389,12 @@ def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,
     arena = entry.arena
     gaps = [b - a for a, b in zip(clique, clique[1:])]
     # predicted memory trajectory at successive decision vertices
-    m = index[entry_state(clique[0])]
-    exits_at = None
-    traj = [m]
+    traj = [index[entry_state(clique[0])]]
     f = exit_profile(clique[0])
     delta = gadget_update(clique[0], clique[1] - clique[0])
-    for n in range(len(clique)):
-        if f[traj[n]]:
-            exits_at = n
-            break
-        if n + 1 < len(clique):
-            traj.append(delta[traj[n]])
+    while len(traj) < len(clique) and not f[traj[-1]]:
+        traj.append(delta[traj[-1]])
+    exits_at = len(traj) - 1 if f[traj[-1]] else None
 
     if exits_at is not None:
         p2 = a4_router(clique[0], gaps[:max(exits_at, 1)])
@@ -476,12 +468,10 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     # any same-length history gives the same move; probe along the loop
     loop = next(e for e in arena.edges(v) if e.dst == v)
     # past the horizon too, so the last arrival is padded into an exit
-    exit_steps = set()
-    state = sigma.initial_state()
-    for s in range(horizon + b + 1):
-        if sigma.choose(arena, v, s, state).dst.name == "u":
-            exit_steps.add(s)
-        state = sigma.step_state(state, loop)
+    states = itertools.accumulate(itertools.repeat(loop, horizon + b), sigma.step_state,
+                                  initial=sigma.initial_state())
+    exit_steps = {s for s, state in enumerate(states)
+                  if sigma.choose(arena, v, state).dst.name == "u"}
 
     def pad_length(step_at_u: int) -> Optional[int]:
         """The padding landing on an exit step, 1 once the exits are

@@ -146,7 +146,10 @@ def exact(x, d: int = 1) -> Weight:
     elif type(x) is int:
         return x
     elif type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:  # a text such as "1/0"
+            raise ValueError("zero denominator in %r" % (x,)) from None
     return x.numerator if x.denominator == 1 else x
 
 

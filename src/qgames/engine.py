@@ -133,7 +133,7 @@ def steps(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     step1, step2 = sigma1.step_state, sigma2.step_state
     at = v0
     tp = 0
-    for step in range(horizon):
+    for _ in range(horizon):
         owner, out = row(at)
         if len(out) == 1:  # a forced move, asked of neither strategy
             edge = out[0]
@@ -141,9 +141,9 @@ def steps(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
                 return
         else:
             if owner == 1:
-                edge = choose1(arena, at, step, state1)
+                edge = choose1(arena, at, state1)
             else:
-                edge = choose2(arena, at, step, state2)
+                edge = choose2(arena, at, state2)
             if edge.src != at or edge not in out:
                 raise ValueError("strategy for player %d returned a non-edge %s at %s"
                                  % (owner, edge, at))
@@ -239,7 +239,7 @@ class Layers:
         where its player has one (``strategies.move``), else every edge."""
         owner, out = self.arena.row(node.vertex)
         if owner == self.sigma.player and len(out) > 1:
-            return (self.sigma.choose(self.arena, node.vertex, node.depth, node.state),)
+            return (self.sigma.choose(self.arena, node.vertex, node.state),)
         return out
 
     def __iter__(self) -> Iterator[list[Node]]:
@@ -346,7 +346,7 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
     """Layers pruning satisfied branches and merging histories with equal
     (vertex, strategy signature), keeping the lowest running total."""
     def key(node: Node):
-        sig = sigma.signature(node.depth, node.state)
+        sig = sigma.signature(node.state)
         return None if sig is None else (node.vertex, sig)
 
     return Layers(arena, v0, sigma, depth, open_sub=open_sub,
@@ -391,10 +391,10 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
     bar = (open_sub.threshold - exact(1, open_sub.m) if open_sub.family == "tp-sup"
            else open_sub.m)
     for node in frontier:
-        sig = sigma.signature(node.depth, node.state)
+        sig = sigma.signature(node.state)
         anc = node.parent
         while anc is not None:
-            if anc.vertex == node.vertex and sigma.signature(anc.depth, anc.state) == sig:
+            if anc.vertex == node.vertex and sigma.signature(anc.state) == sig:
                 delta = node.tp - anc.tp
                 high = node.tp
                 cur = node
@@ -525,7 +525,9 @@ class Divergence(_Divergence):
         starts = self.round_starts
         if len(starts) < 2 or any(b <= a for a, b in zip(starts, starts[1:])):
             return result.fail("round boundaries must be strictly increasing, >= 2 of them")
-        if starts[-1] > len(record.edges):
+        if starts[0] < 0:
+            return result.fail("round boundary %d is before step 0" % starts[0])
+        if starts[-1] > self.horizon:
             return result.fail("round boundaries exceed the simulated horizon")
 
         if self.mode == "decrease":
@@ -584,6 +586,9 @@ class ColourStarvation(NamedTuple):
     needs, check = _PLAY_NEEDS, _check_play
 
     def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+        if not 0 <= self.after_step <= self.horizon:
+            return result.fail("after_step %d is outside steps 0 to %d"
+                               % (self.after_step, self.horizon))
         tail = record.colours[self.after_step:]
         if self.colour in tail:
             return result.fail("colour %s occurs again at step %d"

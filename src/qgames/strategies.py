@@ -3,15 +3,15 @@
 A strategy for one player is a pure function from histories ending in
 that player's vertices to outgoing edges.  Every representation is
 incremental: ``initial_state`` and ``step_state`` fold the history into
-a state one edge at a time, and ``choose`` decides from (vertex, step,
-state), so a play folds each edge into each state once.  A vertex with
-one edge carries no decision: ``move`` takes it, and ``choose`` is asked
-only at the strategy's player's vertices with more than one edge.  Four
-representations are supported: memoryless tables, finite-memory (Mealy)
-tables, step-counter tables with k modes (k = 1 is a pure step counter,
-``kind=sc``; k > 1 is ``kind=sc+k``), and tracked callbacks over an
-unbounded running summary (a counter, the last edge, an opponent's
-memory).
+a state one edge at a time (a step counter's step too), and ``choose``
+decides from (vertex, state), so a play folds each edge into each state
+once.  A vertex with one edge carries no decision: ``move`` takes it,
+and ``choose`` is asked only at the strategy's player's vertices with
+more than one edge.  Four representations are supported: memoryless
+tables, finite-memory (Mealy) tables, step-counter tables with k modes
+(k = 1 is a pure step counter, ``kind=sc``; k > 1 is ``kind=sc+k``),
+and tracked callbacks over an unbounded running summary (a counter, the
+last edge, an opponent's memory).
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ class Strategy:
     def step_state(self, state, edge: Edge):
         return None
 
-    def choose(self, arena: Arena, vertex: VertexId, step: int, state) -> Edge:
+    def choose(self, arena: Arena, vertex: VertexId, state) -> Edge:
         raise NotImplementedError
 
-    def signature(self, step: int, state) -> Optional[tuple]:
+    def signature(self, state) -> Optional[tuple]:
         """Dedupe key for exploration: histories of equal length ending at
         the same vertex with equal signatures get identical decisions
         forever.  ``None`` disables merging (history-dependent
@@ -72,7 +72,7 @@ class Memoryless(Strategy):
         self.player = player
         self.name = name
 
-    def choose(self, arena, vertex, step, state):
+    def choose(self, arena, vertex, state):
         if callable(self.table):
             return self.table(arena, vertex)
         try:
@@ -80,7 +80,7 @@ class Memoryless(Strategy):
         except KeyError:
             raise KeyError("memoryless table has no entry for %s" % (vertex,))
 
-    def signature(self, step, state):
+    def signature(self, state):
         return ()
 
 
@@ -101,7 +101,7 @@ class FiniteMemory(Strategy):
     def initial_state(self):
         return self.mealy.initial()
 
-    def choose(self, arena, vertex, step, state):
+    def choose(self, arena, vertex, state):
         if callable(self.table):
             return self.table(arena, vertex, state)
         try:
@@ -109,7 +109,7 @@ class FiniteMemory(Strategy):
         except KeyError:
             raise KeyError("fm table has no entry for (%s, %r)" % (vertex, state))
 
-    def signature(self, step, state):
+    def signature(self, state):
         return (state,)
 
 
@@ -117,11 +117,12 @@ class StepCounterTable(Strategy):
     """Decisions from (vertex, step, mode) with ``k`` modes, fixed up to a
     horizon; ``k = 1`` is a pure step counter (``kind=sc``).
 
-    The state is (step, mode).  ``bit_update`` maps (step, mode, edge) to
-    the next mode; missing entries keep the mode unchanged so partial
-    tables degrade gracefully past the horizon.  A cell the table lacks,
-    or a step past the horizon, goes to the fallback rule.  Both dicts are
-    kept as given, not copied.
+    The state is (step, mode): the step is the counter's memory, folded
+    one edge at a time like any other.  ``bit_update`` maps (step, mode,
+    edge) to the next mode; missing entries keep the mode unchanged so
+    partial tables degrade gracefully past the horizon.  A cell the table
+    lacks, or a step past the horizon, goes to the fallback rule.  Both
+    dicts are kept as given, not copied.
     """
 
     def __init__(self, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
@@ -146,17 +147,16 @@ class StepCounterTable(Strategy):
         s, m = state
         return (s + 1, self.bit_update.get((s, m, edge), m))
 
-    def choose(self, arena, vertex, step, state):
-        mode = state[1] if state is not None else 0
-        if step < self.horizon:
-            hit = self.table.get((vertex, step, mode))
-            if hit is not None:
-                return hit
+    def choose(self, arena, vertex, state):
+        step, mode = state
+        hit = self.table.get((vertex, step, mode)) if step < self.horizon else None
+        if hit is not None:
+            return hit
         if self.fallback == FIRST_EDGE:
             return arena.edges(vertex)[0]
         raise HorizonExceeded(vertex, step)
 
-    def signature(self, step, state):
+    def signature(self, state):
         return (state[1],)
 
 
@@ -184,16 +184,16 @@ class Tracking(Strategy):
     def initial_state(self):
         return self.initial
 
-    def choose(self, arena, vertex, step, state):
+    def choose(self, arena, vertex, state):
         return self.fn(arena, vertex, state)
 
 
-def move(arena: Arena, strategy: Strategy, vertex: VertexId, step: int, state) -> Edge:
+def move(arena: Arena, strategy: Strategy, vertex: VertexId, state) -> Edge:
     """The edge taken at ``vertex``: the strategy's choice at a vertex of
     its player with more than one edge, the first edge anywhere else."""
     owner, out = arena.row(vertex)
     if owner == strategy.player and len(out) > 1:
-        return strategy.choose(arena, vertex, step, state)
+        return strategy.choose(arena, vertex, state)
     return out[0]
 
 

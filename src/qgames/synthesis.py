@@ -523,8 +523,9 @@ class _Composite(Strategy):
     strategy from the reached (vertex, running total) pair.
 
     The state is ``pre_state`` up to the boundary, then the boundary pair
-    and the continuation's own state.  Decisions depend on (vertex, step)
-    only, the signature ``()``, when the oracle is ``uniform_memoryless``.
+    and the continuation's own state.  The fixed table, a step counter,
+    holds the one step count.  Decisions depend on (vertex, step) only,
+    the signature ``()``, when the oracle is ``uniform_memoryless``.
     """
 
     def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
@@ -545,32 +546,32 @@ class _Composite(Strategy):
         return (at, self._cont(at).initial_state())
 
     @staticmethod
-    def pre_state(steps: int, fixed_state, tp: Weight):
-        """The state after ``steps`` < boundary steps: the fixed table's and the total."""
-        return (None, (steps, fixed_state, tp))
+    def pre_state(fixed_state, tp: Weight):
+        """The state before the boundary: the fixed table's and the total."""
+        return (None, (fixed_state, tp))
 
     def initial_state(self):
         if self._boundary == 0:
             return self._enter((self._v0, 0))
-        return self.pre_state(0, self._fixed.initial_state(), 0)
+        return self.pre_state(self._fixed.initial_state(), 0)
 
     def step_state(self, state, edge):
         at, inner = state
         if at is not None:
             return (at, self._cont(at).step_state(inner, edge))
-        steps, fixed_state, tp = inner
-        steps, tp = steps + 1, tp + edge.weight
-        if steps == self._boundary:
+        fixed_state, tp = inner
+        fixed_state, tp = self._fixed.step_state(fixed_state, edge), tp + edge.weight
+        if fixed_state[0] == self._boundary:
             return self._enter((edge.dst, tp))
-        return self.pre_state(steps, self._fixed.step_state(fixed_state, edge), tp)
+        return self.pre_state(fixed_state, tp)
 
-    def choose(self, arena, vertex, step, state):
+    def choose(self, arena, vertex, state):
         at, inner = state
         if at is not None:
-            return self._cont(at).choose(arena, vertex, step - self._boundary, inner)
-        return self._fixed.choose(arena, vertex, step, inner[1])
+            return self._cont(at).choose(arena, vertex, inner)
+        return self._fixed.choose(arena, vertex, inner[0])
 
-    def signature(self, step, state):
+    def signature(self, state):
         return () if self._oracle.uniform_memoryless else None
 
 
@@ -709,7 +710,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
             run_from = (run_layer, k_prev - 1, runs.created)
             # the minimal histories in the composite's state before its boundary
             mimic_from = ([Node(node.vertex, node.depth, node.tp, node.parent, node.edge,
-                                comp.pre_state(k_prev - 1, node.state, node.tp), node.satisfied)
+                                comp.pre_state(node.state, node.tp), node.satisfied)
                            for node in mimic_layer], k_prev - 1, mimics.created)
 
         built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
@@ -783,7 +784,7 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterT
         for node in frontier:
             key = (node.vertex, d, 1)
             if arena.owner(node.vertex) == 1 and node.state[1] == 1 and key not in table:
-                table[key] = move(arena, oracle.safe, node.vertex, d, None)
+                table[key] = move(arena, oracle.safe, node.vertex, None)
     return mimics.truncated or runs.truncated
 
 
@@ -794,5 +795,5 @@ def _backing_state(comp: _Composite, node: Node, k_prev: int):
     while node.depth > max(k_prev - 1, 0):
         edges.append(node.edge)
         node = node.parent
-    start = comp.initial_state() if k_prev == 0 else comp.pre_state(k_prev - 1, node.state, node.tp)
+    start = comp.initial_state() if k_prev == 0 else comp.pre_state(node.state, node.tp)
     return reduce(comp.step_state, reversed(edges), start)

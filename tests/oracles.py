@@ -111,15 +111,15 @@ def decide(arena: Arena, sigma: Strategy, history: History) -> Edge:
     state = sigma.initial_state()
     for e in history.edges:
         state = sigma.step_state(state, e)
-    return move(arena, sigma, history.to_vertex, len(history), state)
+    return move(arena, sigma, history.to_vertex, state)
 
 
 def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
     """True iff the history follows the strategy at every owned vertex."""
     state = strategy.initial_state()
     at = history.origin
-    for idx, e in enumerate(history.edges):
-        if arena.owner(at) == strategy.player and move(arena, strategy, at, idx, state) != e:
+    for e in history.edges:
+        if arena.owner(at) == strategy.player and move(arena, strategy, at, state) != e:
             return False
         state = strategy.step_state(state, e)
         at = e.dst
@@ -147,7 +147,7 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
             raise KeyError("vertex %s missing from the step-count map" % (v,))
 
     modes = tuple(range(strategy.k))
-    table = {(v, mode): move(arena, strategy, v, n, (n, mode))
+    table = {(v, mode): move(arena, strategy, v, (n, mode))
              for v, n in n_map.items() if arena.owner(v) == strategy.player for mode in modes}
     name = strategy.name + "+collapsed"
     if strategy.k == 1:

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import pytest
 
-from qgames.adversaries import ramsey_adversary
+from qgames.adversaries import defeat_sc_buchi, ramsey_adversary
 from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
@@ -503,19 +503,115 @@ def test_cli_verify_names_the_missing_strategy(tmp_path, capsys):
     assert "player-1 strategy (--p1) and the opponent strategy (--p2)" in err
 
 
+def test_cli_verify_refuses_a_colour_starvation_from_before_step_0(tmp_path, capsys):
+    """Colour 1 occurs at steps 0, 3 and 6 of this play; an after_step of
+    -2 would have checked only its last two steps."""
+    cert = _write(tmp_path, "cert.json", json.dumps({
+        "schema": "qg-cert/1", "variant": "ColourStarvation",
+        "body": {"colour": "1", "after_step": -2, "horizon": 8}}))
+    pad1 = str(ZOO_P2 / "buchib_pad_1.strategy")
+    assert main(["simulate", "--arena", "zoo:buchib?b=1", "--p1", "alternating", "--p2", pad1,
+                 "--horizon", "9"]) == 0
+    colours = [int(line.split(",")[3]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [step for step, c in enumerate(colours) if c == 1] == [0, 3, 6]
+    assert main(["verify", "--arena", "zoo:buchib?b=1", "--p1", "alternating", "--p2", pad1,
+                 "--cert", cert]) == 1
+    assert capsys.readouterr() == ("after_step -2 is outside steps 0 to 8\nverify: refuted\n", "")
+
+
+IDLE = str(ZOO_P2 / "idle.strategy")
+
+
+# a loops with weight w or leaves for b at -1, and b returns at once; the
+# player-1 file loops at a
+def _loop_arena(tmp_path, w):
+    arena = _write(tmp_path, "loop.txt", "vertex a owner=1\nvertex b owner=2\nedge a b weight=-1\n"
+                   "edge a a weight=%s\nedge b a weight=0\nstart a\n" % w)
+    return arena, _write(tmp_path, "loop.strategy",
+                         "strategy loop kind=memoryless\nmove a -> a weight=%s\n" % w)
+
+
+CERTIFICATES = Path(__file__).parent / "data" / "certificates"
+_PUMPS = "unsatisfied branch pumps a cycle with total %s, at a from step 0"
+
+
+@pytest.mark.parametrize("w, cert, objective, code, out", [
+    # a tp-sup m=2 bound claimed at level 5
+    ("0", "koenig_bound_tp_sup", None, 0, ["bound reproduced at level 2"]),
+    ("-1", "koenig_bound_tp_sup", None, 1, ["bound did not reproduce: " + _PUMPS % -1]),
+    ("0", "level_satisfaction", "tp:limsup:>=:0", 0,
+     ["m=1 certified at level 1 <= 1", "m=2 certified at level 2 <= 4"]),
+    ("-1", "level_satisfaction", "tp:limsup:>=:0", 1,
+     ["m=1 certified at level 1 <= 1", "level (m=2, k=4) failed: " + _PUMPS % -1]),
+    ("0", "level_satisfaction", "tp:limsup:>=:+inf", 1,
+     ["level (m=1, k=1) failed: " + _PUMPS % 0]),
+    ("0", "level_satisfaction", "buchi-all:1", 0,
+     ["m=1 certified at level 1 <= 1", "m=2 certified at level 2 <= 4"]),
+    ("0", "level_satisfaction", "buchi-all:2", 1,
+     ["m=1 certified at level 1 <= 1",
+      "level (m=2, k=4) failed: depth cap 4 exhausted with 1 unsatisfied branch"]),
+    ("0", "sink_payoff", None, 1, ["play does not reach a sink within 1 steps"]),
+], ids=["koenig-accepted", "koenig-pumped", "levels-accepted", "levels-pumped", "levels-tp-inf",
+        "levels-buchi-accepted", "levels-buchi-capped", "sink-never-reached"])
+def test_cli_verify_rederives_bounds_levels_and_sinks_on_a_loop(tmp_path, capsys, w, cert,
+                                                                 objective, code, out):
+    arena, loop = _loop_arena(tmp_path, w)
+    data = json.loads((CERTIFICATES / (cert + ".json")).read_text())
+    if cert == "koenig_bound_tp_sup":
+        data["body"]["level"] = 5
+    path = _write(tmp_path, "cert.json", json.dumps(data))
+    argv = ["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert", path]
+    assert main(argv + (["--objective", objective] if objective else [])) == code
+    verdict = "verify: %s" % ("accepted" if code == 0 else "refuted")
+    assert capsys.readouterr() == ("\n".join(out + [verdict]) + "\n", "")
+
+
+def test_cli_verify_accepts_a_sink_payoff_it_replays(tmp_path, capsys):
+    arena = _write(tmp_path, "sink.txt", "vertex a owner=1\nvertex s owner=2\n"
+                   "edge a s weight=-2\nedge s s weight=0\nstart a\n")
+    none = _write(tmp_path, "none.strategy", "strategy none kind=memoryless\n")
+    assert main(["verify", "--arena", arena, "--p1", none, "--p2", IDLE,
+                 "--cert", str(CERTIFICATES / "sink_payoff.json")]) == 0
+    assert capsys.readouterr() == ("sink s reached with TP -2\nverify: accepted\n", "")
+
+
+@pytest.mark.parametrize("reader", ["arena", "strategy", "objective", "certificate"])
+def test_cli_refuses_a_zero_denominator_with_one_error_line(tmp_path, capsys, reader):
+    arena, loop = _loop_arena(tmp_path, "0")
+    argv, message = {
+        "arena": (["validate", "--arena", _write(tmp_path, "zero.txt", "vertex a owner=1\n"
+                                                 "edge a a weight=1/0\nstart a\n")],
+                  "line 2: zero denominator in '1/0'"),
+        "strategy": (["simulate", "--arena", arena, "--p2", IDLE, "--p1", _write(
+            tmp_path, "zero.strategy", "strategy zero kind=memoryless\nmove a -> a weight=1/0\n")],
+                     "line 2: zero denominator in '1/0'"),
+        "objective": (["synthesize", "--arena", arena, "--objective", "tp:limsup:>=:1/0"],
+                      "zero denominator in '1/0'"),
+        "certificate": (["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert",
+                         _write(tmp_path, "zero.json", json.dumps({
+                             "schema": "qg-cert/1", "variant": "SinkPayoff",
+                             "body": {"final_tp": "1/0", "sink": "a", "steps": 1}}))],
+                        "SinkPayoff certificate field final_tp: zero denominator in '1/0'"),
+    }[reader]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 @pytest.fixture(scope="module")
 def defeat_certificates(tmp_path_factory):
     """The certificate JSON that qg defeat writes for an early exit and a
-    stagnation on a3 and a decrease on a4, each with the context that
-    checks it."""
+    stagnation on a3, a decrease on a4 and a colour starvation on buchib,
+    each with the context that checks it."""
     tmp = tmp_path_factory.mktemp("defeat")
     t2, r0 = V("t", (2,)), V("r0")
     exit2 = StepCounterTable({(t2, 7, 0): Edge(t2, F(2), r0)}, 8, FIRST_EDGE, name="exit2")
     stay = StepCounterTable({}, 0, FIRST_EDGE, name="stay")  # t(i)'s first edge delays
-    a3, a4 = make("a3"), make("a4")
+    a3, a4, buchib = make("a3"), make("a4"), make("buchib")
     always_delay = a4.strategy("always_delay")
     runs = {"a3-exit": (a3, exit2, a3.strategy("p2_enter_2")),
             "a3-stay": (a3, stay, a3.strategy("p2_enter_0")),
+            # v's first edge exits, so colour 1 starves from step 0
+            "buchib-exit": (buchib, stay, defeat_sc_buchi(stay, buchib, horizon=200).p2),
             # qg defeat runs the Ramsey adversary at these window and horizon
             "a4-delay": (a4, always_delay,
                          ramsey_adversary(always_delay, a4, window=2000, horizon=2000)[1].p2)}
@@ -559,11 +655,18 @@ def defeat_certificates(tmp_path_factory):
                  "horizon": 30}, "play reaches a sink; no divergence"),
     ("a3-stay", {"variant": "SinkPayoff", "final_tp": "0", "sink": "r0", "steps": 30},
      "play does not reach a sink within 30 steps"),
+    # steps outside 0 to the horizon: the replay has no such position to check
+    ("a3-stay", {"round_starts": [-2, 1, 4]}, "round boundary -2 is before step 0"),
+    ("a3-stay", {"round_starts": [1, 4, 201]}, "round boundaries exceed the simulated horizon"),
+    ("buchib-exit", {"after_step": -2}, "after_step -2 is outside steps 0 to 200"),
+    ("buchib-exit", {"after_step": 201}, "after_step 201 is outside steps 0 to 200"),
 ], ids=["wrong-sink", "exit-not-below", "no-sink", "boundaries-out-of-order",
         "boundary-past-horizon", "cycle-from-out-of-range", "round-states-differ",
         "stagnation-round-gains", "round-loses-too-little", "spike-above-elevation",
         "above-ceiling", "unknown-mode", "decrease-below-one", "negative-elevation",
-        "round-states-claimed-wrong", "divergence-reaches-a-sink", "sink-never-reached"])
+        "round-states-claimed-wrong", "divergence-reaches-a-sink", "sink-never-reached",
+        "boundary-before-step-0", "boundary-one-past-horizon", "colour-after-step-before-0",
+        "colour-after-step-past-horizon"])
 def test_tampered_defeat_certificates_are_refuted_with_their_diagnostic(
         defeat_certificates, source, changes, diagnostic):
     data, context = defeat_certificates[source]
@@ -697,13 +800,13 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
     asked, misplaced = [], []
 
     def wrapped(cls, inner):
-        def choose(self, arena, vertex, step, state):
+        def choose(self, arena, vertex, state):
             owner, out = arena.row(vertex)
             asked.append(vertex)
             if owner != self.player or len(out) < 2:
                 misplaced.append("%s %s asked at %s, owner %d, %d edge(s)"
                                  % (cls.__name__, self.name, vertex, owner, len(out)))
-            return inner(self, arena, vertex, step, state)
+            return inner(self, arena, vertex, state)
         return choose
 
     classes, todo = [], [Strategy]

@@ -31,12 +31,12 @@ def two_choice_arena():
 def test_memoryless_table_and_fallback():
     arena = two_choice_arena()
     sigma = Memoryless({A: E(A, 0, C)})
-    assert sigma.choose(arena, A, 5, None).dst == C
+    assert sigma.choose(arena, A, None).dst == C
     # vertices missing from the table are an error, not a silent fallback
     with pytest.raises(KeyError) as exc:
-        sigma.choose(arena, C, 0, None)
+        sigma.choose(arena, C, None)
     assert exc.value.args == ("memoryless table has no entry for c",)
-    assert sigma.signature(0, None) == ()
+    assert sigma.signature(None) == ()
 
 
 def test_a_strategy_names_its_finite_memory():
@@ -64,23 +64,23 @@ def test_finite_memory_threads_state():
     mealy = MealyMemory((0, 1), 0, lambda m, e: 1 - m)
     sigma = FiniteMemory(mealy, lambda ar, v, m: ar.edges(v)[m % len(ar.edges(v))])
     state = sigma.initial_state()
-    first = sigma.choose(arena, A, 0, state)
+    first = sigma.choose(arena, A, state)
     state = sigma.step_state(state, first)
     assert state == 1
-    assert sigma.choose(arena, A, 1, state) != first
+    assert sigma.choose(arena, A, state) != first
 
 
 def test_step_counter_table_horizon_behaviour():
     arena = two_choice_arena()
     table = {(A, 0, 0): E(A, 0, C), (A, 2, 0): E(A, 1, B)}
     sigma = StepCounterTable(table, horizon=3, fallback=FIRST_EDGE)
-    assert sigma.choose(arena, A, 0, None).dst == C
-    assert sigma.choose(arena, A, 2, None).dst == B
+    assert sigma.choose(arena, A, (0, 0)).dst == C
+    assert sigma.choose(arena, A, (2, 0)).dst == B
     # past the horizon the fallback takes over
-    assert sigma.choose(arena, A, 9, None) == arena.edges(A)[0]
+    assert sigma.choose(arena, A, (9, 0)) == arena.edges(A)[0]
     strict = StepCounterTable(table, horizon=3, fallback=ERROR)
     with pytest.raises(HorizonExceeded):
-        strict.choose(arena, A, 9, None)
+        strict.choose(arena, A, (9, 0))
 
 
 def test_step_counter_plus_k_bit_update():
@@ -91,7 +91,7 @@ def test_step_counter_plus_k_bit_update():
     sigma = StepCounterTable(table, 4, FIRST_EDGE, k=2, bit_update=bitupd)
     state = sigma.initial_state()
     assert state == (0, 0)
-    move = sigma.choose(arena, A, 0, state)
+    move = sigma.choose(arena, A, state)
     state = sigma.step_state(state, move)
     assert state == (1, 1)
     # missing bit-update entries keep the mode
@@ -184,7 +184,7 @@ def test_a_collapsed_two_mode_table_chooses_from_its_fm_table_as_the_table_does(
     assert r1.edges == r2.edges
     assert {e.weight for e in r2.edges if e.src.name == "a*"} == {0, 1}
     with pytest.raises(KeyError) as exc:
-        collapsed.choose(arena, V("a*", (20,)), 20, 0)
+        collapsed.choose(arena, V("a*", (20,)), 0)
     assert exc.value.args == ("fm table has no entry for (a*(20), 0)",)
 
 
