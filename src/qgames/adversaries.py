@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
-from .strategies import StepCounterTable, Strategy, Tracking
+from .strategies import StepCounterTable, Strategy
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
@@ -93,7 +93,7 @@ def defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     def decide(ar: Arena, v: VertexId, state) -> Edge:
         return _edge_to_weight(ar, s, -min(owed(state), b))
 
-    p2 = Tracking("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
+    p2 = Strategy("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
                   player=2)
     horizon = 2 * _ROUNDS
     record = play(arena, entry.start, sigma, p2, horizon)
@@ -160,7 +160,7 @@ def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         return _edge_to(ar, v, "a" if jj < probe(i, state[1]) else "b")
 
     initial = sigma.initial_state()
-    p2 = Tracking("owe_one_more_a2", (initial, initial), update, decide, player=2)
+    p2 = Strategy("owe_one_more_a2", (initial, initial), update, decide, player=2)
     horizon = max(64, _ROUNDS * 16)
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = record.steps_at(lambda v: v.name == "a" and v.params[1] == 0)
@@ -492,7 +492,7 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
                 return e
         raise AssertionError("no padding of length %d" % n)
 
-    p2 = Tracking("pad_into_exits", 0, lambda step, e: step + 1, decide, player=2)
+    p2 = Strategy("pad_into_exits", 0, lambda step, e: step + 1, decide, player=2)
     record = play(arena, entry.start, sigma, p2, horizon)
     loop_steps = [i for i, e in enumerate(record.edges) if e.src == v and e.dst == v]
     exit_uses = [i for i, e in enumerate(record.edges) if e.src == v and e.dst.name == "u"]

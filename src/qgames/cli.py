@@ -22,7 +22,7 @@ from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_ed
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, csv_lines, explore_consistent, missing_context, steps)
 from .objectives import Decomposition, Unsupported, decompose, parse_objective, rewrite_strict_tp
-from .strategies import HorizonExceeded, Strategy, parse_strategy, serialize_strategy, table_edges
+from .strategies import Strategy, parse_strategy, serialize_strategy, table_edges
 from .synthesis import (SynthReport, WPrimeOracle, bubble_synthesize, finite_mp_oracle,
                         finite_wprime_oracle, sc1bit_synthesize)
 from .adversaries import (defeat_a1prime, defeat_a2, defeat_sc_buchi, defeat_sc_on_A3,
@@ -37,8 +37,10 @@ OK, FAILED, INCONCLUSIVE = 0, 1, 2
 
 def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
     """Parse the line-based arena format into an explicit arena, which
-    checks the edges' endpoints and the start (``ArenaExplicit``)."""
-    name = name_hint
+    checks the edges' endpoints and the start (``ArenaExplicit``).  A
+    second ``arena`` or ``start`` line, or a vertex declared twice, is
+    refused."""
+    name: Optional[str] = None
     owners: dict[VertexId, int] = {}
     edges: list[Edge] = []
     start: Optional[VertexId] = None
@@ -51,6 +53,8 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             if parts[0] == "arena":
                 if len(parts) != 2:
                     raise ValueError("arena line takes exactly one name")
+                if name is not None:
+                    raise ValueError("arena declared twice")
                 name = parts[1]
             elif parts[0] == "vertex":
                 if len(parts) != 3 or not parts[2].startswith("owner="):
@@ -71,6 +75,8 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             elif parts[0] == "start":
                 if len(parts) != 2:
                     raise ValueError("start line takes exactly one vertex")
+                if start is not None:
+                    raise ValueError("start declared twice")
                 start = VertexId.parse(parts[1])
             else:
                 raise ValueError("unknown directive %r" % parts[0])
@@ -78,7 +84,7 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             raise ValueError("line %d: %s" % (lineno, exc))
     if start is None:
         raise ValueError("no start vertex")
-    arena = ArenaExplicit(owners, edges, start, name=name)
+    arena = ArenaExplicit(owners, edges, start, name=name or name_hint)
     for v in owners:  # in the file's order
         if not arena.edges(v):
             raise ValueError("blocking vertex %s has no outgoing edge" % (v,))
@@ -242,12 +248,12 @@ def cmd_defeat(args) -> int:
     check = check_certificate(result.certificate,
                               {"arena": arena, "v0": arena.start,
                                "sigma1": sigma, "sigma2": result.p2})
+    if not check.ok:  # a refuted certificate is never emitted
+        print("self-check failed: %s" % "; ".join(check.diagnostics))
+        return FAILED
     _emit([certificate_to_json(result.certificate)], args.out)
     if args.out:
         print("certificate written to %s" % args.out)
-    if not check.ok:
-        print("self-check failed: %s" % "; ".join(check.diagnostics))
-        return FAILED
     print("defeat: certificate accepted%s" % (" (partial)" if result.partial else ""))
     return OK
 
@@ -456,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return INCONCLUSIVE
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         return _err(str(exc.args[0]) if exc.args else str(exc))
-    except (OSError, ValueError, HorizonExceeded) as exc:
+    except (OSError, ValueError) as exc:
         return _err(str(exc))
 
 

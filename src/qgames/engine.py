@@ -205,9 +205,9 @@ class Layers:
     strategy where it has a choice (``moves``).  Each layer (a list of
     Nodes) is yielded before it is expanded, so the caller may read it,
     append nodes to it to have them expanded too, or stop.  Children for which ``prune`` holds are
-    dropped.  Children with equal ``key`` (``None`` never merges) are
-    merged into the one of least ``order``, the first of several that
-    tie, or the first of all without an ``order``.  With an
+    dropped.  With a ``key``, children with equal keys are merged into
+    the one of least ``order``, the first of several that tie, or the
+    first of all without an ``order``; without one, none merge.  With an
     ``open_sub``, ``satisfied`` records whether it fired along the
     history.  Every child kept past pruning counts against the node cap;
     exhausting it ends the walk with ``truncated`` set to an Inconclusive
@@ -261,10 +261,10 @@ class Layers:
                     child = Node(e.dst, d + 1, tp, node, e, sigma.step_state(node.state, e), sat)
                     if self.prune is not None and self.prune(child):
                         continue
-                    k = None if self.key is None else self.key(child)
-                    if k is None:
+                    if self.key is None:
                         unmerged.append(child)
                     else:
+                        k = self.key(child)
                         kept = merged.get(k)
                         if kept is None or (order is not None and order(child) < order(kept)):
                             merged[k] = child
@@ -345,12 +345,9 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
                   resume: Optional[tuple[list[Node], int, int]] = None) -> Layers:
     """Layers pruning satisfied branches and merging histories with equal
     (vertex, strategy signature), keeping the lowest running total."""
-    def key(node: Node):
-        sig = sigma.signature(node.state)
-        return None if sig is None else (node.vertex, sig)
-
     return Layers(arena, v0, sigma, depth, open_sub=open_sub,
-                  prune=lambda node: node.satisfied, key=key,
+                  prune=lambda node: node.satisfied,
+                  key=lambda node: (node.vertex, sigma.signature(node.state)),
                   order=lambda node: node.tp, node_cap=node_cap, resume=resume)
 
 

@@ -1,17 +1,19 @@
 """Strategy representations and evaluation.
 
 A strategy for one player is a pure function from histories ending in
-that player's vertices to outgoing edges.  Every representation is
-incremental: ``initial_state`` and ``step_state`` fold the history into
+that player's vertices to outgoing edges.  Every strategy is a
+``Strategy``: ``initial_state`` and ``step_state`` fold the history into
 a state one edge at a time (a step counter's step too), and ``choose``
 decides from (vertex, state), so a play folds each edge into each state
 once.  A vertex with one edge carries no decision: ``move`` takes it,
 and ``choose`` is asked only at the strategy's player's vertices with
-more than one edge.  Four representations are supported: memoryless
-tables, finite-memory (Mealy) tables, step-counter tables with k modes
-(k = 1 is a pure step counter, ``kind=sc``; k > 1 is ``kind=sc+k``),
-and tracked callbacks over an unbounded running summary (a counter, the
-last edge, an opponent's memory).
+more than one edge.  Since decisions read (vertex, state) alone, the
+state is the strategy's merge key (``signature``).  The classes nest as in the
+paper: a general ``Strategy`` folds any summary (a counter, the last
+edge, an opponent's memory); a ``FiniteMemory`` strategy declares a
+checked finite memory (``mealy``); a ``Memoryless`` table has one memory
+state; and a ``StepCounterTable`` with k modes (k = 1 is a pure step
+counter, ``kind=sc``; k > 1 is ``kind=sc+k``) keeps (step, mode).
 """
 
 from __future__ import annotations
@@ -24,43 +26,48 @@ FIRST_EDGE = "first"
 ERROR = "error"
 
 
-class HorizonExceeded(Exception):
-    def __init__(self, vertex: VertexId, step: int):
-        super().__init__("no table entry for %s at step %d and fallback is 'error'" % (vertex, step))
-        self.vertex = vertex
-        self.step = step
+class HorizonExceeded(ValueError):
+    """A ``fallback=error`` table asked for a cell it lacks."""
 
 
 class Strategy:
-    """Base class.  Subclasses implement the incremental state API; plays
-    and explorations go through it.  ``step_state`` folds every edge,
-    forced or not; ``choose`` is asked only where its player has a choice
-    (``move``)."""
+    """The general strategy: ``update`` folds the state forward one edge
+    at a time from ``initial``, forced or not, and ``decide(arena, vertex,
+    state)`` picks the move where its player has a choice (``move``).
+    Subclasses keep this interface and name what bounds their state."""
 
     player: int = 1
-    name: str = "strategy"
-    # whether plays record the state in their memory traces; False for
-    # states that grow with the history or that the step alone makes up
-    traces_state: bool = True
+    initial = None
     # the strategy's finite memory, or None (a step count, an unbounded summary)
     mealy: Optional[MealyMemory] = None
 
-    # -- incremental API -------------------------------------------------
-    def initial_state(self):
-        return None
+    def __init__(self, name: str, initial, update: Callable[[object, Edge], object],
+                 decide: Callable[[Arena, VertexId, object], Edge], player: int = 1):
+        self.name = name
+        self.initial = initial
+        # the callback itself is the update, one frame per edge
+        self.step_state = update
+        self.decide = decide
+        self.player = player
 
-    def step_state(self, state, edge: Edge):
-        return None
+    @property
+    def traces_state(self) -> bool:
+        """Whether plays record the state in their memory traces: only a
+        finite memory's, since a state that grows with the history would
+        keep a Divergence's rounds from ever closing."""
+        return self.mealy is not None
+
+    def initial_state(self):
+        return self.initial
 
     def choose(self, arena: Arena, vertex: VertexId, state) -> Edge:
-        raise NotImplementedError
+        return self.decide(arena, vertex, state)
 
-    def signature(self, state) -> Optional[tuple]:
-        """Dedupe key for exploration: histories of equal length ending at
+    def signature(self, state):
+        """Merge key for exploration: histories of equal length ending at
         the same vertex with equal signatures get identical decisions
-        forever.  ``None`` disables merging (history-dependent
-        strategies)."""
-        return None
+        forever, since decisions read (vertex, state) only."""
+        return state
 
 
 class Memoryless(Strategy):
@@ -72,6 +79,9 @@ class Memoryless(Strategy):
         self.player = player
         self.name = name
 
+    def step_state(self, state, edge: Edge):
+        return None
+
     def choose(self, arena, vertex, state):
         if callable(self.table):
             return self.table(arena, vertex)
@@ -80,37 +90,26 @@ class Memoryless(Strategy):
         except KeyError:
             raise KeyError("memoryless table has no entry for %s" % (vertex,))
 
-    def signature(self, state):
-        return ()
-
 
 class FiniteMemory(Strategy):
-    """A Mealy memory structure plus a (vertex, state) decision table."""
+    """A Mealy memory structure plus a (vertex, state) decision table, a
+    dict or a callable; a dict is turned into its lookup once, here."""
 
     def __init__(self, mealy: MealyMemory,
                  table: Union[dict[tuple[VertexId, object], Edge],
                               Callable[[Arena, VertexId, object], Edge]],
                  player: int = 1, name: str = "fm"):
+        decide = table
+        if not callable(table):
+            def decide(arena, vertex, state):
+                try:
+                    return table[(vertex, state)]
+                except KeyError:
+                    raise KeyError("fm table has no entry for (%s, %r)" % (vertex, state))
+        # the memory's own checked update, one frame per edge
+        super().__init__(name, mealy.initial(), mealy.update, decide, player)
         self.mealy = mealy
         self.table = table
-        self.player = player
-        self.name = name
-        # the memory's own checked update, one frame per edge
-        self.step_state = mealy.update
-
-    def initial_state(self):
-        return self.mealy.initial()
-
-    def choose(self, arena, vertex, state):
-        if callable(self.table):
-            return self.table(arena, vertex, state)
-        try:
-            return self.table[(vertex, state)]
-        except KeyError:
-            raise KeyError("fm table has no entry for (%s, %r)" % (vertex, state))
-
-    def signature(self, state):
-        return (state,)
 
 
 class StepCounterTable(Strategy):
@@ -136,9 +135,12 @@ class StepCounterTable(Strategy):
         self.fallback = fallback
         self.player = player
         self.name = name
+
+    @property
+    def traces_state(self) -> bool:
         # one mode leaves only the step, which a play's CSV prints anyway;
         # tracing it would keep a Divergence's rounds from ever closing
-        self.traces_state = k > 1
+        return self.k > 1
 
     def initial_state(self):
         return (0, 0)
@@ -154,38 +156,8 @@ class StepCounterTable(Strategy):
             return hit
         if self.fallback == FIRST_EDGE:
             return arena.edges(vertex)[0]
-        raise HorizonExceeded(vertex, step)
-
-    def signature(self, state):
-        return (state[1],)
-
-
-class Tracking(Strategy):
-    """Named callback deciding from a running summary of the history.
-
-    ``update`` folds the summary forward one edge at a time from
-    ``initial``; ``decide(arena, vertex, summary)`` picks the move.  The
-    summary may grow without bound (a delay counter, the last edge, an
-    opponent's memory state), so plays do not trace it and exploration
-    never merges on it.
-    """
-
-    traces_state = False
-
-    def __init__(self, name: str, initial, update: Callable[[object, Edge], object],
-                 decide: Callable[[Arena, VertexId, object], Edge], player: int = 1):
-        self.name = name
-        self.initial = initial
-        # the callback itself is the update, one frame per edge
-        self.step_state = update
-        self.fn = decide
-        self.player = player
-
-    def initial_state(self):
-        return self.initial
-
-    def choose(self, arena, vertex, state):
-        return self.fn(arena, vertex, state)
+        raise HorizonExceeded("no table entry for %s at step %d and fallback is 'error'"
+                              % (vertex, step))
 
 
 def move(arena: Arena, strategy: Strategy, vertex: VertexId, state) -> Edge:

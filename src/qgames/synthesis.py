@@ -525,7 +525,8 @@ class _Composite(Strategy):
     The state is ``pre_state`` up to the boundary, then the boundary pair
     and the continuation's own state.  The fixed table, a step counter,
     holds the one step count.  Decisions depend on (vertex, step) only,
-    the signature ``()``, when the oracle is ``uniform_memoryless``.
+    so walks merge on the signature ``()`` instead of the state, when the
+    oracle is ``uniform_memoryless``.
     """
 
     def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
@@ -572,7 +573,7 @@ class _Composite(Strategy):
         return self._fixed.choose(arena, vertex, inner[0])
 
     def signature(self, state):
-        return () if self._oracle.uniform_memoryless else None
+        return () if self._oracle.uniform_memoryless else state
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .arena import (DEFAULT_VERTEX_CAP, Arena, Edge, LetterMemory, MealyMemory, VertexId, Weight,
                     P1, P2, V, _new_edge, _new_vertex, make_edge)
-from .strategies import FiniteMemory, Memoryless, Strategy, Tracking
+from .strategies import FiniteMemory, Memoryless, Strategy
 
 E = make_edge  # short alias used heavily by the expansions
 
@@ -112,7 +112,7 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
             "tops out at some bound and loses to -bound-1. Truncated to "
             "challenges 1..%d." % b)
     return ZooEntry(arena, note,
-                    strategies={"match_plus_one": Tracking("match_plus_one", None, _last_edge,
+                    strategies={"match_plus_one": Strategy("match_plus_one", None, _last_edge,
                                                            match_plus_one)})
 
 
@@ -146,7 +146,7 @@ def _make_a2() -> ZooEntry:
             "then regains 2k; answering k = j+1 nets +1 per round, so the "
             "running mean is positive at every round boundary.")
     return ZooEntry(arena, note,
-                    strategies={"match_plus_one": Tracking("match_plus_one", None,
+                    strategies={"match_plus_one": Strategy("match_plus_one", None,
                                                            latest_challenge, match_plus_one)},
                     strategy_factories={"p2_pick_": _a2_p2_pick})
 
@@ -287,7 +287,7 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
         def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
             return _edge_to(ar, v, "g" if delays < k else "r0")
 
-        return Tracking("sigma_%d" % k, 0, _count_delay, decide)
+        return Strategy("sigma_%d" % k, 0, _count_delay, decide)
 
     # state: (index of the first decision vertex reached, delays taken)
     def adaptive_update(state, e: Edge):
@@ -313,7 +313,7 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
             "bank of delay counts can be routed into ever-longer stretches.")
     return ZooEntry(arena, note,
                     strategies={
-                        "adaptive": Tracking("adaptive", (None, 0), adaptive_update,
+                        "adaptive": Strategy("adaptive", (None, 0), adaptive_update,
                                              adaptive_decide),
                         "delay_twice_exit": delay_twice_exit_fm("g"),
                         "always_delay": always_delay,
@@ -344,7 +344,7 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
         # at g(i, j): the current stretch began at the latest delay
         return _edge_to(ar, v, "g" if v.params[1] < gap_at(delays - 1) else "dr")
 
-    return Tracking("router_%d_%s" % (entry, "-".join(map(str, gaps))), 0, _count_delay,
+    return Strategy("router_%d_%s" % (entry, "-".join(map(str, gaps))), 0, _count_delay,
                     decide, player=2)
 
 
@@ -437,7 +437,7 @@ def bitarena_winning_from(vertex: VertexId, r: Weight) -> Strategy:
             return _edge_to(ar, v, "uc")
         return _edge_to(ar, v, "uz")
 
-    return Tracking("opposite_from_%s" % (vertex,), None, _last_edge, decide)
+    return Strategy("opposite_from_%s" % (vertex,), None, _last_edge, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ def _make_buchib(b: int) -> ZooEntry:
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
     return ZooEntry(arena, note,
-                    strategies={"alternating": Tracking("alternating", None, _last_edge,
+                    strategies={"alternating": Strategy("alternating", None, _last_edge,
                                                         alternating)})
 
 

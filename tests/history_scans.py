@@ -1,7 +1,7 @@
 """Full-history reference strategies for the equivalence tests."""
 
 from qgames.arena import History
-from qgames.strategies import Tracking
+from qgames.strategies import Strategy
 
 
 def scanning(name, fn, player=1):
@@ -14,4 +14,4 @@ def scanning(name, fn, player=1):
     def decide(ar, v, history):
         return fn(ar, History(v) if history is None else history)
 
-    return Tracking(name, None, update, decide, player=player)
+    return Strategy(name, None, update, decide, player=player)

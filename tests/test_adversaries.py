@@ -8,7 +8,7 @@ from qgames.adversaries import (AdversaryPlan, DefeatResult, defeat_a1prime, def
 from qgames.arena import Edge, LetterMemory, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
-from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Tracking
+from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Strategy
 from qgames.zoo import make
 
 F = Fraction
@@ -196,7 +196,7 @@ def test_defeat_sc_on_a3_rejects_history_dependent_strategies():
     with pytest.raises(ValueError):
         defeat_sc_on_A3(entry.strategy("delay_twice_exit"), entry)
     with pytest.raises(ValueError):
-        defeat_sc_on_A3(Tracking("free", None, lambda last, e: e,
+        defeat_sc_on_A3(Strategy("free", None, lambda last, e: e,
                                  lambda ar, v, last: ar.edges(v)[0]), entry)
 
 

@@ -17,7 +17,7 @@ from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
                            check_certificate, play)
-from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy, Tracking,
+from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy, table_edges)
 from qgames.synthesis import brute_force_values
 from qgames import zoo
@@ -76,6 +76,10 @@ def test_parse_arena_roundtrip():
     # the arena checks the start before the file's blocking vertices
     ("vertex a owner=1\nvertex b owner=2\nedge a b weight=0\nstart c\n",
      r"^start vertex c not declared$"),
+    # a repeated start or arena line is refused, not overwritten
+    ("vertex a owner=1\nedge a a weight=0\nstart a\nstart a\n", r"^line 4: start declared twice$"),
+    ("arena x\nvertex a owner=1\narena y\nedge a a weight=0\nstart a\n",
+     r"^line 3: arena declared twice$"),
 ])
 def test_parse_arena_errors(text, needle):
     with pytest.raises(ValueError, match=needle):
@@ -377,14 +381,14 @@ def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, caps
         "verify: refuted\n")
 
 
-def _a3_with_a_tracked_strategy():
-    """The a3 entry, also naming ``free``: a tracked strategy, which no
-    strategy file or a3 zoo strategy is."""
+def _a3_with_a_general_strategy():
+    """The a3 entry, also naming ``free``: a general ``Strategy``, which
+    no strategy file or a3 zoo strategy is."""
     factory, declared = zoo._REGISTRY["a3"]
 
     def build():
         entry = factory()
-        free = Tracking("free", None, lambda last, e: e, lambda ar, v, last: ar.edges(v)[0])
+        free = Strategy("free", None, lambda last, e: e, lambda ar, v, last: ar.edges(v)[0])
         return entry._replace(strategies={**entry.strategies, "free": free})
 
     return build, declared
@@ -397,10 +401,10 @@ def _a3_with_a_tracked_strategy():
     pytest.param("zoo:a3", "delay_twice_exit",
                  "defeat_sc_on_A3 needs a step-counter table, got FiniteMemory",
                  id="a3-delay_twice_exit"),
-    pytest.param("zoo:a3", "free", "defeat_sc_on_A3 needs a step-counter table, got Tracking",
+    pytest.param("zoo:a3", "free", "defeat_sc_on_A3 needs a step-counter table, got Strategy",
                  id="a3-tracked"),
     pytest.param("zoo:buchib", "alternating",
-                 "defeat_sc_buchi needs a step-counter table, got Tracking",
+                 "defeat_sc_buchi needs a step-counter table, got Strategy",
                  id="buchib-alternating"),
 ])
 def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys, monkeypatch, uri, strategy,
@@ -408,7 +412,7 @@ def test_cli_defeat_rejects_wrong_strategy_class(tmp_path, capsys, monkeypatch, 
     if strategy.startswith("strategy "):
         strategy = _write(tmp_path, "ml.strategy", strategy)
     if strategy == "free":
-        monkeypatch.setitem(zoo._REGISTRY, "a3", _a3_with_a_tracked_strategy())
+        monkeypatch.setitem(zoo._REGISTRY, "a3", _a3_with_a_general_strategy())
     assert main(["defeat", "--arena", uri, "--strategy", strategy]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % err
@@ -419,12 +423,12 @@ _WINS_THERE = "; match_plus_one is player 1's winning strategy there"
 
 
 @pytest.mark.parametrize("uri, strategy, got", [
-    pytest.param("zoo:a1prime", "match_plus_one", "'a1prime', got Tracking" + _WINS_THERE,
+    pytest.param("zoo:a1prime", "match_plus_one", "'a1prime', got Strategy" + _WINS_THERE,
                  id="a1prime"),
-    pytest.param("zoo:a2", "match_plus_one", "'a2', got Tracking" + _WINS_THERE, id="a2"),
+    pytest.param("zoo:a2", "match_plus_one", "'a2', got Strategy" + _WINS_THERE, id="a2"),
     pytest.param("zoo:a1prime", "strategy sc kind=sc horizon=1\n",
                  "'a1prime', got StepCounterTable" + _WINS_THERE, id="a1prime-sc-file"),
-    pytest.param("zoo:a4", "adaptive", "'a4', got Tracking", id="a4-adaptive"),
+    pytest.param("zoo:a4", "adaptive", "'a4', got Strategy", id="a4-adaptive"),
 ])
 def test_cli_defeat_names_the_entry_of_a_scripted_strategy(tmp_path, capsys, uri, strategy, got):
     if strategy.startswith("strategy "):
@@ -721,6 +725,21 @@ def test_cli_defeat_on_a3_never_writes_a_certificate_its_self_check_refutes(caps
         assert rc in (0, 2), (horizon, out)
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys, to_file):
+    # the buchib adversary's certificate fails its own replay here (the
+    # adversary's defect stands); the refuted certificate is not emitted
+    out = tmp_path / "cert.json"
+    path = str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy")
+    argv = ["defeat", "--arena", "zoo:buchib?b=1", "--strategy", path, "--horizon", "2"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("note: every arrival hits an exit step\n"
+                            "self-check failed: colour 1 occurs again at step 2\n")
+    assert captured.err == ""
+    assert not out.exists()
+
+
 def test_cli_defeat_notes_a_truncation_cap_that_binds_at_a_forced_challenge(capsys):
     # at b = 1 the challenge is forced, so the opponent is never asked for
     # it; the memoryless reply +1 still outgrows the cap
@@ -815,7 +834,7 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         todo.extend(cls.__subclasses__())
         if "choose" in cls.__dict__:
             classes.append(cls)
-    assert {"Memoryless", "FiniteMemory", "StepCounterTable", "Tracking",
+    assert {"Strategy", "Memoryless", "StepCounterTable",
             "_Composite"} <= {cls.__name__ for cls in classes}
     for cls in classes:
         monkeypatch.setattr(cls, "choose", wrapped(cls, cls.__dict__["choose"]))
@@ -1085,19 +1104,19 @@ def test_cli_bench_prints_grid(capsys):
     assert main(["bench"]) == 0
     assert capsys.readouterr().out == (
         "arena            strategy          class             width  demonstrates\n"
-        "zoo:a1prime?b=8  match_plus_one    Tracking          262144  "
+        "zoo:a1prime?b=8  match_plus_one    Strategy          262144  "
         "unbounded replies win the repeated match game\n"
-        "zoo:a2           match_plus_one    Tracking             64  "
+        "zoo:a2           match_plus_one    Strategy             64  "
         "answering one more wins the finitely branching rounds\n"
         "zoo:a3           delay_twice_exit  FiniteMemory         13  "
         "two delays then exit bank at least 1\n"
-        "zoo:a4           adaptive          Tracking             30  "
+        "zoo:a4           adaptive          Strategy             30  "
         "adapting delays to the entry reaches exactly 0\n"
         "zoo:bitarena     opposite          FiniteMemory          8  "
         "one bit of memory tracks the opponent's round move\n"
         "zoo:buchia?k=3   round_robin       Memoryless            1  "
         "sweeping detours sees every colour\n"
-        "zoo:buchib?b=6   alternating       Tracking             91  "
+        "zoo:buchib?b=6   alternating       Strategy             91  "
         "loop-then-exit alternates both colours\n")
 
 

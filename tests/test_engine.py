@@ -14,7 +14,7 @@ from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitN
                            explore_consistent, koenig_bound, koenig_layers, missing_context,
                            play)
 from qgames.objectives import OpenSub
-from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable
+from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Strategy
 from qgames.zoo import ZooEntry, make
 
 from history_scans import scanning
@@ -278,6 +278,9 @@ def test_a_koenig_walk_over_a_finite_memory_strategy_merges_on_vertex_and_memory
     assert widths(one) == [1, 2, 1, 1, 2, 1, 1]
     # the histories at d stay apart; at b or c the branch just taken sets the state
     assert widths(branch) == [1, 2, 2, 2, 2, 2, 2]
+    # a general strategy folding the same update merges on its state alike
+    general = Strategy("branch", 0, branch.mealy.update, branch.choose)
+    assert widths(general) == [1, 2, 2, 2, 2, 2, 2]
     # the merged history at d keeps the lower total, through c
     layers = list(koenig_layers(arena, A, one, 2, never))
     assert [(node.vertex, node.tp) for node in layers[2]] == [(d, -1)]

@@ -5,7 +5,7 @@ import pytest
 from qgames.arena import ArenaExplicit, Edge, History, MealyMemory, VertexId, product
 from qgames.engine import play
 from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded,
-                               Memoryless, StepCounterTable, Tracking, parse_strategy,
+                               Memoryless, StepCounterTable, Strategy, parse_strategy,
                                serialize_strategy)
 
 from oracles import StepCounter, collapse_sc_fm, consistent, encodes_step_count
@@ -36,7 +36,7 @@ def test_memoryless_table_and_fallback():
     with pytest.raises(KeyError) as exc:
         sigma.choose(arena, C, None)
     assert exc.value.args == ("memoryless table has no entry for c",)
-    assert sigma.signature(None) == ()
+    assert sigma.signature(None) is None
 
 
 def test_a_strategy_names_its_finite_memory():
@@ -45,7 +45,7 @@ def test_a_strategy_names_its_finite_memory():
     one = Memoryless({}).mealy
     assert (one.states, one.initial(), one.update(None, E(A, 1, B))) == ((None,), None, None)
     for sigma in (StepCounterTable({}, 3), StepCounterTable({}, 3, k=2),
-                  Tracking("t", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[0])):
+                  Strategy("t", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[0])):
         assert sigma.mealy is None
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qgames.arena import Edge, VertexId, make_edge, reach, validate
 from qgames.engine import play
-from qgames.strategies import Memoryless, Tracking, parse_strategy
+from qgames.strategies import Memoryless, Strategy, parse_strategy
 from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
 
 from history_scans import scanning
@@ -439,7 +439,7 @@ def _seeded(seed, draws, pick):
     """Player 2 moving by pick(arena, vertex, draw), one seeded draw per step."""
     rng = random.Random(seed)
     by_step = [rng.choice(draws) for _ in range(HORIZON)]
-    return Tracking("seeded_%d" % seed, 0, lambda n, e: n + 1,
+    return Strategy("seeded_%d" % seed, 0, lambda n, e: n + 1,
                     lambda ar, v, n: pick(ar, v, by_step[n]), player=2)
 
 
