@@ -93,14 +93,13 @@ def defeat_a1prime(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     def decide(ar: Arena, v: VertexId, state) -> Edge:
         return _edge_to_weight(ar, s, -min(owed(state), b))
 
-    p2 = Strategy("owe_one_more", sigma.initial_state(), sigma.step_state, decide,
-                  player=2)
+    p2 = Strategy("owe_one_more", sigma.initial, sigma.step_state, decide, player=2)
     horizon = 2 * _ROUNDS
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = record.steps_at(lambda v: v == s)
     # the cap bound the response wherever the play owed more than b, the
     # challenge chosen or, at b = 1, forced
-    capped = any(owed(sigma.initial_state() if step == 0 else record.mem1_trace[step - 1]) > b
+    capped = any(owed(sigma.initial if step == 0 else record.mem1_trace[step - 1]) > b
                  for step in starts if step < len(record.edges))
     return _finish_decrease(p2, record, starts, partial=capped,
                             notes=(["truncation cap bound the response"] if capped else []))
@@ -159,8 +158,7 @@ def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         i, jj = v.params
         return _edge_to(ar, v, "a" if jj < probe(i, state[1]) else "b")
 
-    initial = sigma.initial_state()
-    p2 = Strategy("owe_one_more_a2", (initial, initial), update, decide, player=2)
+    p2 = Strategy("owe_one_more_a2", (sigma.initial,) * 2, update, decide, player=2)
     horizon = max(64, _ROUNDS * 16)
     record = play(arena, entry.start, sigma, p2, horizon)
     starts = record.steps_at(lambda v: v.name == "a" and v.params[1] == 0)
@@ -432,7 +430,7 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
     for a ``LetterMemory``, else edge by edge, each edge built as it is
     folded."""
     def chain():
-        v, state = entry.start, sigma.initial_state()
+        v, state = entry.start, sigma.initial
         while True:
             (j,) = v.params
             if j >= 0:
@@ -469,7 +467,7 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     loop = next(e for e in arena.edges(v) if e.dst == v)
     # past the horizon too, so the last arrival is padded into an exit
     states = itertools.accumulate(itertools.repeat(loop, horizon + b), sigma.step_state,
-                                  initial=sigma.initial_state())
+                                  initial=sigma.initial)
     exit_steps = {s for s, state in enumerate(states)
                   if sigma.choose(arena, v, state).dst.name == "u"}
 

@@ -314,11 +314,8 @@ class MealyMemory:
 
     def __init__(self, states: Iterable, initial, update: Callable[[object, Edge], object]):
         self.states = tuple(states)
-        self._initial = initial
+        self.initial = initial
         self._update = update
-
-    def initial(self):
-        return self._initial
 
     def update(self, state, edge: Edge):
         nxt = self._update(state, edge)
@@ -371,7 +368,7 @@ def _encode_mem_state(state) -> tuple[int, ...]:
 def product(arena: Arena, memory) -> Arena:
     """Product arena: vertices (v, m) from the start, updates through the memory.
 
-    ``memory`` is a ``MealyMemory`` or any object with its ``initial()``
+    ``memory`` is a ``MealyMemory`` or any object with its ``initial``
     and ``update(state, edge)``, such as a step counter.  Product vertices
     are encoded as VertexIds whose name is the base name suffixed with
     ``*`` and whose parameters append the encoded memory state; two (v, m)
@@ -392,7 +389,7 @@ def product(arena: Arena, memory) -> Arena:
                              % (seen[1], seen[0], state, v, pv))
         return pv
 
-    root = register(arena.start, memory.initial())
+    root = register(arena.start, memory.initial)
 
     def expand(pv: VertexId) -> tuple[int, tuple[Edge, ...]]:
         try:

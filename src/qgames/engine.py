@@ -125,7 +125,7 @@ def steps(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     a step is kept once it is yielded."""
     if sigma1.player != 1 or sigma2.player != 2:
         raise ValueError("play expects a player-1 and a player-2 strategy in order")
-    state1, state2 = sigma1.initial_state(), sigma2.initial_state()
+    state1, state2 = sigma1.initial, sigma2.initial
     trace1, trace2 = sigma1.traces_state, sigma2.traces_state
     # the loop's methods, bound once
     row = arena.row
@@ -245,7 +245,7 @@ class Layers:
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub, order = self.sigma, self.open_sub, self.order
         if self.resume is None:
-            root = Node(self.v0, 0, 0, None, None, sigma.initial_state())
+            root = Node(self.v0, 0, 0, None, None, sigma.initial)
             layer, first, self.created = [root], 0, 1
         else:
             layer, first, self.created = self.resume
@@ -344,10 +344,10 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
                   open_sub: Optional[OpenSub] = None, node_cap: Optional[int] = None,
                   resume: Optional[tuple[list[Node], int, int]] = None) -> Layers:
     """Layers pruning satisfied branches and merging histories with equal
-    (vertex, strategy signature), keeping the lowest running total."""
+    (vertex, strategy state), keeping the lowest running total."""
     return Layers(arena, v0, sigma, depth, open_sub=open_sub,
                   prune=lambda node: node.satisfied,
-                  key=lambda node: (node.vertex, sigma.signature(node.state)),
+                  key=lambda node: (node.vertex, node.state),
                   order=lambda node: node.tp, node_cap=node_cap, resume=resume)
 
 
@@ -359,9 +359,9 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     open sub-objective.
 
     Satisfied branches are pruned (the predicate is monotone).  Branches
-    whose decisions depend only on (vertex, strategy signature) are
+    in equal (vertex, strategy state), whose decisions agree forever, are
     merged, keeping the lowest running total, which is the hardest to
-    satisfy.  A repeated (vertex, signature) along a branch with a
+    satisfy.  A repeated (vertex, state) along a branch with a
     non-positive cycle total refutes the bound for TP-style families.
     With ``resume`` (see ``Layers``) levels count from the resumed depth.
     """
@@ -388,10 +388,9 @@ def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
     bar = (open_sub.threshold - exact(1, open_sub.m) if open_sub.family == "tp-sup"
            else open_sub.m)
     for node in frontier:
-        sig = sigma.signature(node.state)
         anc = node.parent
         while anc is not None:
-            if anc.vertex == node.vertex and sigma.signature(anc.state) == sig:
+            if anc.vertex == node.vertex and anc.state == node.state:
                 delta = node.tp - anc.tp
                 high = node.tp
                 cur = node
@@ -477,6 +476,8 @@ class LevelSatisfaction(NamedTuple):
 
     def check(self, context: dict) -> CheckResult:
         """``context["subs"]`` maps m to the open sub-objective bounded at k_m."""
+        if not self.levels:
+            return CheckResult(False, ["no level claimed"])
         result = CheckResult(True)
         for m, k_m in self.levels:
             again = koenig_bound(context["arena"], context["v0"], context["sigma1"],
@@ -635,9 +636,18 @@ def _optional(fn: Callable) -> Callable:
 
 def _read_open_sub(sub) -> OpenSub:
     """An open sub-objective; one written without a threshold has r = 0."""
-    return OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]),
-                   colour=_optional(exact)(sub["colour"]),
-                   threshold=exact(sub.get("threshold", 0)))
+    read = OpenSub(sub["family"], m=_int(sub["m"]), i=_int(sub["i"]),
+                  colour=_optional(exact)(sub["colour"]),
+                  threshold=exact(sub.get("threshold", 0)))
+    _no_other_keys(sub, read._fields, "open sub-objective")
+    return read
+
+
+def _no_other_keys(data: dict, fields, what: str) -> None:
+    """Refuse a key of ``data`` that no field reads, naming it."""
+    other = next((key for key in data if key not in fields), None)
+    if other is not None:
+        raise ValueError("%s has no field %r" % (what, other))
 
 
 # field annotation -> how certificate_to_json writes the field, if not as it
@@ -672,6 +682,7 @@ def certificate_from_json(text: str) -> Certificate:
         raise ValueError("certificate must be a JSON object")
     if data.get("schema") != CERT_SCHEMA:
         raise ValueError("unknown certificate schema %r" % data.get("schema"))
+    _no_other_keys(data, ("schema", "variant", "body"), "certificate")
     variant = data.get("variant")
     body = data.get("body", {})
     if not isinstance(body, dict):
@@ -688,6 +699,7 @@ def certificate_from_json(text: str) -> Certificate:
         raise ValueError("%s certificate body lacks %s" % (variant, exc))
     except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON shape
         raise ValueError("%s certificate field %s: %s" % (variant, name, exc))
+    _no_other_keys(body, cls._fields, "%s certificate body" % variant)
     return cls(**values)
 
 

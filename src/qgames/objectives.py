@@ -88,11 +88,24 @@ def parse_objective(text: str) -> Objective:
     if parts[0] == BUCHI_ALL:
         if len(parts) != 2:
             raise ValueError("buchi-all syntax: buchi-all:<k>")
-        return Objective(BUCHI_ALL, colour_count=int(parts[1]))
+        count = _read(int, parts[1], "buchi-all colour count must be an integer")
+        return Objective(BUCHI_ALL, colour_count=count)
     if len(parts) != 4:
         raise ValueError("objective syntax: kind:mode:relation:threshold")
     kind, mode, rel, thr = parts
-    return Objective(kind, mode, rel, parse_ext(thr))
+    return Objective(kind, mode, rel,
+                     _read(parse_ext, thr, "objective threshold must be a number, +inf or -inf"))
+
+
+def _read(reader: Callable[[str], object], text: str, rule: str):
+    """``reader(text)``, or a ValueError stating the rule the text breaks
+    (a zero denominator, as ``exact`` names it)."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        if isinstance(exc.__context__, ZeroDivisionError):
+            raise
+        raise ValueError("%s, got %r" % (rule, text)) from None
 
 
 def classify(obj: Objective) -> str:

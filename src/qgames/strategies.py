@@ -2,18 +2,18 @@
 
 A strategy for one player is a pure function from histories ending in
 that player's vertices to outgoing edges.  Every strategy is a
-``Strategy``: ``initial_state`` and ``step_state`` fold the history into
-a state one edge at a time (a step counter's step too), and ``choose``
-decides from (vertex, state), so a play folds each edge into each state
-once.  A vertex with one edge carries no decision: ``move`` takes it,
-and ``choose`` is asked only at the strategy's player's vertices with
-more than one edge.  Since decisions read (vertex, state) alone, the
-state is the strategy's merge key (``signature``).  The classes nest as in the
-paper: a general ``Strategy`` folds any summary (a counter, the last
-edge, an opponent's memory); a ``FiniteMemory`` strategy declares a
-checked finite memory (``mealy``); a ``Memoryless`` table has one memory
-state; and a ``StepCounterTable`` with k modes (k = 1 is a pure step
-counter, ``kind=sc``; k > 1 is ``kind=sc+k``) keeps (step, mode).
+``Strategy``: a state starts at ``initial``, ``step_state`` folds each
+edge into it (a step counter's step too), and ``choose`` decides from
+(vertex, state) alone, so a play folds each edge into each state once
+and walks merge histories on the state.  A vertex with one edge carries
+no decision: ``move`` takes it, and ``choose`` is asked only at the
+strategy's player's vertices with more than one edge.  The classes nest
+as in the paper: a general ``Strategy`` folds any summary (a counter,
+the last edge, an opponent's memory); a ``FiniteMemory`` strategy
+declares a checked finite memory (``mealy``); a ``Memoryless`` table has
+one memory state; and a ``StepCounterTable`` with k modes (k = 1 is a
+pure step counter, ``kind=sc``; k > 1 is ``kind=sc+k``) keeps (step,
+mode).
 """
 
 from __future__ import annotations
@@ -57,17 +57,8 @@ class Strategy:
         keep a Divergence's rounds from ever closing."""
         return self.mealy is not None
 
-    def initial_state(self):
-        return self.initial
-
     def choose(self, arena: Arena, vertex: VertexId, state) -> Edge:
         return self.decide(arena, vertex, state)
-
-    def signature(self, state):
-        """Merge key for exploration: histories of equal length ending at
-        the same vertex with equal signatures get identical decisions
-        forever, since decisions read (vertex, state) only."""
-        return state
 
 
 class Memoryless(Strategy):
@@ -75,9 +66,7 @@ class Memoryless(Strategy):
 
     def __init__(self, table: Union[dict[VertexId, Edge], Callable[[Arena, VertexId], Edge]],
                  player: int = 1, name: str = "memoryless"):
-        self.table = table
-        self.player = player
-        self.name = name
+        self.table, self.player, self.name = table, player, name
 
     def step_state(self, state, edge: Edge):
         return None
@@ -107,7 +96,7 @@ class FiniteMemory(Strategy):
                 except KeyError:
                     raise KeyError("fm table has no entry for (%s, %r)" % (vertex, state))
         # the memory's own checked update, one frame per edge
-        super().__init__(name, mealy.initial(), mealy.update, decide, player)
+        super().__init__(name, mealy.initial, mealy.update, decide, player)
         self.mealy = mealy
         self.table = table
 
@@ -124,6 +113,8 @@ class StepCounterTable(Strategy):
     dicts are kept as given, not copied.
     """
 
+    initial = (0, 0)
+
     def __init__(self, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
                  fallback: str = FIRST_EDGE, *, k: int = 1,
                  bit_update: Optional[dict[tuple[int, int, Edge], int]] = None,
@@ -136,14 +127,9 @@ class StepCounterTable(Strategy):
         self.player = player
         self.name = name
 
-    @property
-    def traces_state(self) -> bool:
-        # one mode leaves only the step, which a play's CSV prints anyway;
-        # tracing it would keep a Divergence's rounds from ever closing
-        return self.k > 1
-
-    def initial_state(self):
-        return (0, 0)
+    # one mode leaves only the step, which a play's CSV prints anyway;
+    # tracing it would keep a Divergence's rounds from ever closing
+    traces_state = property(lambda self: self.k > 1)
 
     def step_state(self, state, edge):
         s, m = state
@@ -315,13 +301,15 @@ def _below(lineno: int, what: str, value: int, bound_key: str, bound: int) -> No
 
 
 def _attributes(words: list[str], readers: Optional[dict] = None, directive: str = "") -> dict:
-    """The ``key=value`` words of a line, left to right.  With ``readers``
-    only their keys are allowed and each value goes through its reader;
-    without, any key is kept as text but every word needs an ``=``.  A
-    repeated key keeps its last value."""
+    """The ``key=value`` words of a line, left to right, each key once.
+    With ``readers`` only their keys are allowed and each value goes
+    through its reader; without, any key is kept as text but every word
+    needs an ``=``."""
     attrs = {}
     for word in words:
         key, eq, val = word.partition("=")
+        if key in attrs:
+            raise ValueError("%s repeats %s=" % (directive, key))
         if readers is None:
             if not eq:
                 raise ValueError("malformed attribute %r" % word)
@@ -336,7 +324,7 @@ def _attributes(words: list[str], readers: Optional[dict] = None, directive: str
 def _parse_header(parts: list[str]):
     if len(parts) < 3:
         raise ValueError("strategy header needs a name and kind=")
-    attrs = _attributes(parts[2:])
+    attrs = _attributes(parts[2:], directive="strategy header")
     if "kind" not in attrs:
         raise ValueError("strategy header needs kind=")
     return parts[1], attrs.pop("kind"), attrs

@@ -522,58 +522,49 @@ class _Composite(Strategy):
     """A fixed table up to the boundary step, then the oracle's winning
     strategy from the reached (vertex, running total) pair.
 
-    The state is ``pre_state`` up to the boundary, then the boundary pair
-    and the continuation's own state.  The fixed table, a step counter,
-    holds the one step count.  Decisions depend on (vertex, step) only,
-    so walks merge on the signature ``()`` instead of the state, when the
-    oracle is ``uniform_memoryless``.
+    The state is what the composite decides from: ``pre_state`` up to the
+    boundary, then the continuation, one per boundary pair, and its own
+    state.  The fixed table, a step counter, holds the one step count.
+    Under a ``uniform_memoryless`` oracle all pairs share one continuation
+    and the state keeps no running total: one state per (vertex, step).
     """
 
     def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
         self.name = "composite@%d" % boundary
-        self._v0 = v0
-        self._fixed = fixed
-        self._boundary = boundary
-        self._oracle = oracle
-        self._cache: dict[tuple[VertexId, Weight], Strategy] = {}
+        self._fixed, self._boundary, self._oracle = fixed, boundary, oracle
+        self._cache: dict[tuple, Strategy] = {}
+        self.initial = self._enter(v0, 0) if boundary == 0 else self.pre_state(fixed.initial, 0)
 
-    def _cont(self, at: tuple[VertexId, Weight]) -> Strategy:
-        strat = self._cache.get(at)
-        if strat is None:
-            strat = self._cache[at] = self._oracle.winning_from(*at)
-        return strat
-
-    def _enter(self, at: tuple[VertexId, Weight]):
-        return (at, self._cont(at).initial_state())
+    def _enter(self, vertex: VertexId, tp: Weight):
+        """The state from a boundary pair: its continuation, and that one's initial state."""
+        at = () if self._oracle.uniform_memoryless else (vertex, tp)
+        cont = self._cache.get(at)
+        if cont is None:
+            cont = self._cache[at] = self._oracle.winning_from(vertex, tp)
+        return (cont, cont.initial)
 
     @staticmethod
     def pre_state(fixed_state, tp: Weight):
         """The state before the boundary: the fixed table's and the total."""
         return (None, (fixed_state, tp))
 
-    def initial_state(self):
-        if self._boundary == 0:
-            return self._enter((self._v0, 0))
-        return self.pre_state(self._fixed.initial_state(), 0)
-
     def step_state(self, state, edge):
-        at, inner = state
-        if at is not None:
-            return (at, self._cont(at).step_state(inner, edge))
+        cont, inner = state
+        if cont is not None:
+            return (cont, cont.step_state(inner, edge))
         fixed_state, tp = inner
-        fixed_state, tp = self._fixed.step_state(fixed_state, edge), tp + edge.weight
+        fixed_state = self._fixed.step_state(fixed_state, edge)
+        if not self._oracle.uniform_memoryless:  # a uniform oracle never reads the total
+            tp += edge.weight
         if fixed_state[0] == self._boundary:
-            return self._enter((edge.dst, tp))
+            return self._enter(edge.dst, tp)
         return self.pre_state(fixed_state, tp)
 
     def choose(self, arena, vertex, state):
-        at, inner = state
-        if at is not None:
-            return self._cont(at).choose(arena, vertex, inner)
+        cont, inner = state
+        if cont is not None:
+            return cont.choose(arena, vertex, inner)
         return self._fixed.choose(arena, vertex, inner[0])
-
-    def signature(self, state):
-        return () if self._oracle.uniform_memoryless else state
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
@@ -619,7 +610,7 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
     to the last level, serves both.  Each level's ``koenig_bound`` resumes,
     with its node count, from that walk's layer below the step index: no
     branch fires, so none is pruned, before it.  The walk keeps the lowest
-    total of each (vertex, signature) cell, and the region is upward
+    total of each (vertex, state) cell, and the region is upward
     closed in the total (``WPrimeOracle``), so checking the kept nodes
     checks every consistent history.  It reads only the final strategy,
     independently of the synthesizer.
@@ -796,5 +787,5 @@ def _backing_state(comp: _Composite, node: Node, k_prev: int):
     while node.depth > max(k_prev - 1, 0):
         edges.append(node.edge)
         node = node.parent
-    start = comp.initial_state() if k_prev == 0 else comp.pre_state(node.state, node.tp)
+    start = comp.initial if k_prev == 0 else comp.pre_state(node.state, node.tp)
     return reduce(comp.step_state, reversed(edges), start)

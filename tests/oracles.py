@@ -31,8 +31,7 @@ class StepCounter:
     takes it as a memory, which makes a generator whose every history to
     a vertex has one length."""
 
-    def initial(self) -> int:
-        return 0
+    initial = 0
 
     def update(self, state: int, edge: Edge) -> int:
         return state + 1
@@ -108,7 +107,7 @@ def encodes_step_count(arena: Arena, v0: VertexId, depth: int) -> StepCountResul
 def decide(arena: Arena, sigma: Strategy, history: History) -> Edge:
     """The strategy's move after the whole history, its state folded from
     the first edge (``strategies.move``)."""
-    state = sigma.initial_state()
+    state = sigma.initial
     for e in history.edges:
         state = sigma.step_state(state, e)
     return move(arena, sigma, history.to_vertex, state)
@@ -116,7 +115,7 @@ def decide(arena: Arena, sigma: Strategy, history: History) -> Edge:
 
 def consistent(arena: Arena, strategy: Strategy, history: History) -> bool:
     """True iff the history follows the strategy at every owned vertex."""
-    state = strategy.initial_state()
+    state = strategy.initial
     at = history.origin
     for e in history.edges:
         if arena.owner(at) == strategy.player and move(arena, strategy, at, state) != e:

@@ -316,7 +316,7 @@ def test_defeat_sc_buchi_guards():
 def _entry_state_by_walk(sigma, entry, ell0):
     # reference: walk the generator from the start, entering at ell0
     arena = entry.arena
-    state = sigma.initial_state()
+    state = sigma.initial
     v = entry.start
     while v.name != "t":
         if v.name == "s" and v.params[0] >= 0:

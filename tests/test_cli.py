@@ -20,7 +20,7 @@ from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate
 from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy, table_edges)
 from qgames.synthesis import brute_force_values
-from qgames import zoo
+from qgames import engine, zoo
 from qgames.zoo import make
 
 from test_values import random_arenas
@@ -601,6 +601,26 @@ def test_cli_refuses_a_zero_denominator_with_one_error_line(tmp_path, capsys, re
     assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
+def test_cli_verify_refutes_a_level_satisfaction_that_claims_no_level(tmp_path, capsys):
+    arena, loop = _loop_arena(tmp_path, "0")
+    cert = _write(tmp_path, "empty.json", json.dumps({
+        "schema": "qg-cert/1", "variant": "LevelSatisfaction", "body": {"levels": []}}))
+    assert main(["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert", cert,
+                 "--objective", "tp:limsup:>=:0"]) == 1
+    assert capsys.readouterr() == ("no level claimed\nverify: refuted\n", "")
+
+
+@pytest.mark.parametrize("objective, message", [
+    ("buchi-all:x", "buchi-all colour count must be an integer, got 'x'"),
+    ("tp:limsup:>=:abc", "objective threshold must be a number, +inf or -inf, got 'abc'"),
+    ("mp:limsup:>=:", "objective threshold must be a number, +inf or -inf, got ''"),
+], ids=["colour-count", "threshold", "empty-threshold"])
+def test_cli_names_an_objective_number_it_cannot_read(tmp_path, capsys, objective, message):
+    arena, _ = _loop_arena(tmp_path, "0")
+    assert main(["synthesize", "--arena", arena, "--objective", objective]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 @pytest.fixture(scope="module")
 def defeat_certificates(tmp_path_factory):
     """The certificate JSON that qg defeat writes for an early exit and a
@@ -677,6 +697,9 @@ def test_tampered_defeat_certificates_are_refuted_with_their_diagnostic(
     tampered = json.loads(json.dumps(data))
     tampered["variant"] = changes.get("variant", data["variant"])
     tampered["body"].update((k, v) for k, v in changes.items() if k != "variant")
+    # another variant keeps only the fields it declares, since the reader refuses the rest
+    declared = getattr(engine, tampered["variant"])._fields
+    tampered["body"] = {k: v for k, v in tampered["body"].items() if k in declared}
     check = check_certificate(certificate_from_json(json.dumps(tampered)), context)
     assert not check.ok
     assert check.diagnostics == [diagnostic]
@@ -899,6 +922,9 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
      "memoryless strategy header takes no horizon="),
     ("strategy x kind=sc states=3 horizon=4\n", "sc strategy header takes no states="),
     ("strategy x kind=sc+k states=2 horizon=4 step=1\n", "sc+k strategy header takes no step="),
+    ("strategy s kind=sc horizon=4 horizon=9\n", "line 1: strategy header repeats horizon="),
+    ("strategy s kind=sc horizon=4\nmove t(0) step=1 step=3 -> e(0,1) weight=0\n",
+     "line 2: move repeats step="),
 ], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
         "sc+k-without-horizon", "player-3", "player-not-an-integer", "horizon-negative",
         "horizon-not-an-integer", "states-0", "states-not-an-integer", "move-state-past-states",
@@ -907,7 +933,8 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         "sc-move-repeated", "bitupd-in-sc", "bitupd-in-memoryless", "bitupd-mode-past-states",
         "bitupd-mode-negative", "bitupd-state-past-states", "bitupd-state-negative",
         "bitupd-step-past-horizon", "bitupd-repeated", "memoryless-header-with-horizon",
-        "sc-header-with-states", "sc+k-header-with-step"])
+        "sc-header-with-states", "sc+k-header-with-step", "header-repeats-horizon",
+        "move-repeats-step"])
 def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
     strat = _write(tmp_path, "bad.strategy", text)
     assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1
@@ -931,8 +958,18 @@ def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, 
     ('{"schema": "qg-cert/1", "variant": "LevelSatisfaction", "body": {"levels": 5}}',
      "LevelSatisfaction certificate field levels: 'int' object is not iterable"),
     ("m=1 k=3\n", "certificate is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"schema": "qg-cert/1", "variant": "EarlyExitNegative", "extra": 1, '
+     '"body": {"final_tp": "-1", "steps": 5, "threshold": "0"}}',
+     "certificate has no field 'extra'"),
+    ('{"schema": "qg-cert/1", "variant": "EarlyExitNegative", '
+     '"body": {"final_tp": "-1", "steps": 5, "threshold": "0", "treshold": "-5"}}',
+     "EarlyExitNegative certificate body has no field 'treshold'"),
+    ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, '
+     '"open_sub": {"family": "tp-sup", "m": 1, "i": 1, "colour": null, "treshold": "1"}}}',
+     "KoenigBound certificate field open_sub: open sub-objective has no field 'treshold'"),
 ], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field",
-        "open-sub-not-an-object", "levels-not-a-list", "not-json"])
+        "open-sub-not-an-object", "levels-not-a-list", "not-json", "unknown-top-level-key",
+        "unknown-body-key", "unknown-open-sub-key"])
 def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, text, message):
     cert = _write(tmp_path, "bad.json", text)
     assert main(["verify", "--arena", "zoo:a3", "--cert", cert]) == 1

@@ -534,6 +534,8 @@ def test_check_level_satisfaction():
     assert check_certificate(good, ctx).ok
     bad = LevelSatisfaction([(2, 2)])
     assert not check_certificate(bad, ctx).ok
+    # a schedule claiming nothing certifies nothing
+    assert check_certificate(LevelSatisfaction([]), ctx) == (False, ["no level claimed"])
 
 
 def test_plays_validate_linearly_many_history_edges(monkeypatch):

@@ -36,14 +36,13 @@ def test_memoryless_table_and_fallback():
     with pytest.raises(KeyError) as exc:
         sigma.choose(arena, C, None)
     assert exc.value.args == ("memoryless table has no entry for c",)
-    assert sigma.signature(None) is None
 
 
 def test_a_strategy_names_its_finite_memory():
     mealy = MealyMemory((0, 1), 0, lambda m, e: 1 - m)
     assert FiniteMemory(mealy, {}).mealy is mealy
     one = Memoryless({}).mealy
-    assert (one.states, one.initial(), one.update(None, E(A, 1, B))) == ((None,), None, None)
+    assert (one.states, one.initial, one.update(None, E(A, 1, B))) == ((None,), None, None)
     for sigma in (StepCounterTable({}, 3), StepCounterTable({}, 3, k=2),
                   Strategy("t", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[0])):
         assert sigma.mealy is None
@@ -55,7 +54,7 @@ def test_collapse_names_a_vertex_missing_from_the_step_count_map():
     sigma = StepCounterTable({(A, 0, 0): E(A, 0, d)}, 4, FIRST_EDGE, k=2)
     collapsed = collapse_sc_fm(arena, sigma, {A: 0})
     with pytest.raises(KeyError) as exc:
-        collapsed.step_state(collapsed.initial_state(), E(d, 1, A))
+        collapsed.step_state(collapsed.initial, E(d, 1, A))
     assert exc.value.args == ("vertex d(2) missing from the step-count map",)
 
 
@@ -63,7 +62,7 @@ def test_finite_memory_threads_state():
     arena = two_choice_arena()
     mealy = MealyMemory((0, 1), 0, lambda m, e: 1 - m)
     sigma = FiniteMemory(mealy, lambda ar, v, m: ar.edges(v)[m % len(ar.edges(v))])
-    state = sigma.initial_state()
+    state = sigma.initial
     first = sigma.choose(arena, A, state)
     state = sigma.step_state(state, first)
     assert state == 1
@@ -89,7 +88,7 @@ def test_step_counter_plus_k_bit_update():
     table = {(A, 0, 0): E(A, 0, C), (A, 0, 1): flip}
     bitupd = {(0, 0, E(A, 0, C)): 1}
     sigma = StepCounterTable(table, 4, FIRST_EDGE, k=2, bit_update=bitupd)
-    state = sigma.initial_state()
+    state = sigma.initial
     assert state == (0, 0)
     move = sigma.choose(arena, A, state)
     state = sigma.step_state(state, move)

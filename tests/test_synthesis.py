@@ -8,14 +8,15 @@ import pytest
 
 from qgames.arena import ArenaExplicit, Edge, History, VertexId
 from qgames.cli import main, parse_arena
-from qgames.engine import Inconclusive, KoenigBound, koenig_bound, play
+from qgames.engine import (Inconclusive, KoenigBound, Layers, explore_consistent, koenig_bound,
+                           koenig_layers, play)
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
 from qgames.strategies import serialize_strategy
 from qgames.synthesis import (WPrimeOracle, brute_force_values, bubble_synthesize,
                               finite_mp_oracle, finite_wprime_oracle, minimal_history_levels,
                               sc1bit_synthesize, sc_from_strategy, solve_values)
-from qgames.synthesis import _final_report
+from qgames.synthesis import _Composite, _final_report
 from qgames.zoo import make
 
 from oracles import decide, domination_holds
@@ -540,13 +541,14 @@ def test_bubble_synthesize_names_an_exhausted_depth_cap():
     assert report.failure == "bubble 2: depth cap 1 exhausted with 1 unsatisfied branch"
 
 
-@pytest.mark.parametrize("arena", [
-    pos_arena(),
-    # the maximizer must leave a's losing loop for the b-c cycle of mean 1/2
-    ArenaExplicit({A: 1, B: 1, C: 2},
-                  [E(A, -1, A), E(A, 0, B), E(B, 2, C), E(B, -1, B), E(C, -1, B), E(C, 1, A)],
-                  A),
-], ids=["pos", "leave_a_loop"])
+# the maximizer must leave a's losing loop for the b-c cycle of mean 1/2;
+# the opponent at c pays -1 or +1, so histories reach a vertex with several totals
+LEAVE_A_LOOP = ArenaExplicit({A: 1, B: 1, C: 2},
+                             [E(A, -1, A), E(A, 0, B), E(B, 2, C), E(B, -1, B), E(C, -1, B),
+                              E(C, 1, A)], A)
+
+
+@pytest.mark.parametrize("arena", [pos_arena(), LEAVE_A_LOOP], ids=["pos", "leave_a_loop"])
 def test_bubble_synthesize_reads_a_hand_built_uniform_oracle(arena):
     vm = solve_values(arena, "mp")
     oracle = WPrimeOracle(lambda v, r: vm.values[v] >= 0, vm.witness,
@@ -557,3 +559,23 @@ def test_bubble_synthesize_reads_a_hand_built_uniform_oracle(arena):
     assert report.certified and built.certified
     assert report.schedule == built.schedule
     assert serialize_strategy(report.strategy) == serialize_strategy(built.strategy)
+
+
+def test_a_strategy_starts_in_its_initial_state():
+    assert StepCounterTable({}, 3).initial == (0, 0)
+    oracle = finite_mp_oracle(LEAVE_A_LOOP)
+    for boundary in (0, 2):
+        comp = _Composite(A, StepCounterTable({}, boundary), boundary, oracle)
+        root, = next(iter(Layers(LEAVE_A_LOOP, A, comp, 1)))
+        assert comp.initial is not None and root.state == comp.initial
+
+
+@pytest.mark.parametrize("boundary", [0, 3])
+def test_a_koenig_walk_over_a_composite_under_a_uniform_oracle_holds_one_node_per_vertex(boundary):
+    comp = _Composite(A, StepCounterTable({}, boundary), boundary,
+                      finite_mp_oracle(LEAVE_A_LOOP))
+    layers = list(koenig_layers(LEAVE_A_LOOP, A, comp, 12))
+    assert all(len(layer) == len({node.vertex for node in layer}) for layer in layers)
+    # unmerged, some layer holds two histories to one vertex
+    tree = explore_consistent(LEAVE_A_LOOP, A, comp, 12).levels
+    assert any(len(level) > len({node.vertex for node in level}) for level in tree)
