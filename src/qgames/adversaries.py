@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Union
 from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
                      Inconclusive, PlayRecord, play, _round_signature)
-from .strategies import StepCounterTable, Strategy
+from .strategies import FIRST_EDGE, StepCounterTable, Strategy
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
@@ -202,19 +202,19 @@ def _require_step_counter(sigma: Strategy, what: str) -> None:
 
 
 def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> DefeatResult:
-    """On A3 every history reaching the i-th decision vertex has length
-    3i+1, so a step-counter strategy's decision there is fixed.  If it
-    ever exits, enter exactly there (total -1); if it never exits within
-    the horizon, enter at the first vertex and let it delay forever below
-    0.  The probe plays one step past the horizon, as far as a
-    certificate's self-check replays (``engine._check_play``), so an exit
-    at the horizon's last vertex is seen; the stagnation certificate
-    covers the first ``horizon`` steps."""
+    """On A3 every history reaching the i-th decision vertex t(i) has
+    length 3i+1, so a step-counter table decides there by its cell
+    (t(i), 3i+1); a missing cell never exits (it delays or is refused).  If a
+    row exits at some t(i), enter at the least such i (total -1).  With no
+    exit row the strategy delays forever: enter at the first vertex, and
+    certify the stagnation below 0 by a probe play one step past the
+    horizon, as far as a certificate's self-check replays
+    (``engine._check_play``)."""
     _require_step_counter(sigma, "defeat_sc_on_A3")
     arena = entry.arena
-    probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon + 1)
-    exit_index = next((e.src.params[0] for e in probe.edges
-                       if e.src.name == "t" and e.dst.name == "r0"), None)
+    exit_index = min((v.params[0] for (v, step, _), e in sigma.table.items()
+                      if v.name == "t" and step == 3 * v.params[0] + 1 < sigma.horizon
+                      and e.dst.name == "r0"), default=None)
     if exit_index is not None:
         p2 = entry.strategy("p2_enter_%d" % exit_index)
         result = _exit_defeat(p2, play(arena, entry.start, sigma, p2, horizon),
@@ -222,8 +222,7 @@ def defeat_sc_on_A3(sigma: Strategy, entry: ZooEntry, horizon: int = 400) -> Def
         if result is None:
             raise Inconclusive("horizon too small to absorb after entering at %d" % exit_index)
         return result
-    if probe.termination == "sink":
-        raise Inconclusive("play absorbed without a decision-vertex exit")
+    probe = play(arena, entry.start, sigma, entry.strategy("p2_enter_0"), horizon + 1)
     starts = [s for s in probe.steps_at(lambda v: v.name == "t") if s <= horizon]
     if len(starts) < 2:
         raise Inconclusive("horizon too small to cover any decision vertex")
@@ -455,31 +454,33 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
 
 
 def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> DefeatResult:
-    """Steer every arrival at the decision vertex into one of the
-    strategy's exit steps (the loop colour starves), or past the finitely
-    many exit steps (the exit colour starves)."""
+    """Steer every arrival at the decision vertex into one of the table's
+    exit steps (the loop colour starves), or past the finitely many exit
+    steps (the exit colour starves), reading the exit steps off the table."""
     _require_step_counter(sigma, "defeat_sc_buchi")
     arena = entry.arena
     b = entry.params["b"]
     v = V("v", ())
 
-    # any same-length history gives the same move; probe along the loop
-    loop = next(e for e in arena.edges(v) if e.dst == v)
-    # past the horizon too, so the last arrival is padded into an exit
-    states = itertools.accumulate(itertools.repeat(loop, horizon + b), sigma.step_state,
-                                  initial=sigma.initial)
-    exit_steps = {s for s, state in enumerate(states)
-                  if sigma.choose(arena, v, state).dst.name == "u"}
+    # a history reaching v at step s meets the table's cell (v, s) whatever
+    # its path: the exit steps are the rows moving to u and, under
+    # fallback=first, the missing cells and every step from the horizon on,
+    # since v's first edge is the exit
+    first = sigma.fallback == FIRST_EDGE
+    cells = [sigma.table.get((v, s, 0)) for s in range(sigma.horizon)]
+    exit_steps = {s for s, e in enumerate(cells) if (e.dst.name == "u" if e else first)}
+    last_exit = float("inf") if first else max(exit_steps, default=-1)
+
+    def exits(step: int) -> bool:
+        return step in exit_steps or (first and step >= sigma.horizon)
 
     def pad_length(step_at_u: int) -> Optional[int]:
-        """The padding landing on an exit step, 1 once the exits are
-        exhausted, or None when exits remain but none is in reach."""
+        """The padding landing on an exit step, 1 once no exit lies beyond
+        (any padding works), or None when exits remain but none is in reach."""
         for n in range(1, b + 1):
-            if step_at_u + n in exit_steps:
+            if exits(step_at_u + n):
                 return n
-        if not any(s > step_at_u for s in exit_steps):
-            return 1  # exits exhausted: any padding works
-        return None
+        return 1 if last_exit <= step_at_u else None
 
     def decide(ar: Arena, w: VertexId, step: int) -> Edge:
         n = pad_length(step) or 1
@@ -501,6 +502,10 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
         raise Inconclusive("cannot steer into an exit from step %d within padding %d"
                            % (blocked, b))
     if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
+        # the self-check replays one step more: the move at the last vertex
+        if record.vertex_at(len(record.edges)) == v and not exits(len(record.edges)):
+            raise Inconclusive("horizon too small: the loop colour occurs at step %d"
+                               % len(record.edges))
         after = 0 if not loop_steps else loop_steps[-1] + 1
         cert = ColourStarvation(1, after, len(record.edges))
         return DefeatResult(p2, cert, record, False, ["every arrival hits an exit step"])

@@ -106,7 +106,8 @@ class VertexId(NamedTuple):
             body = rest[:-1]
             if not name:
                 raise ValueError("vertex id with empty name: %r" % text)
-            params = tuple(int(p) for p in body.split(",")) if body else ()
+            params = tuple(read_number(int, p, "vertex %s parameter must be an integer" % text)
+                           for p in body.split(",")) if body else ()
             return VertexId(name, params)
         if "(" in text or ")" in text:
             raise ValueError("malformed vertex id: %r" % text)
@@ -153,6 +154,17 @@ def exact(x, d: int = 1) -> Weight:
     return x.numerator if x.denominator == 1 else x
 
 
+def read_number(reader: Callable[[str], object], text: str, rule: str):
+    """``reader(text)``, or a ValueError stating the rule the text breaks
+    (a zero denominator, as ``exact`` names it)."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        if isinstance(exc.__context__, ZeroDivisionError):
+            raise
+        raise ValueError("%s, got %r" % (rule, text)) from None
+
+
 def _canonical(weight) -> bool:
     """Whether ``weight`` is as ``exact`` leaves it: an ``int``, or a
     ``Fraction`` that is not integral."""
@@ -160,10 +172,10 @@ def _canonical(weight) -> bool:
 
 
 def make_edge(src: VertexId, weight, dst: VertexId) -> Edge:
-    """An edge with its weight made exact; an ``int`` weight, the common
-    case in generator rows, is taken as it is."""
+    """An edge with its weight made exact, a file's text too; an ``int``
+    weight, the common case in generator rows, is taken as it is."""
     if type(weight) is not int:
-        weight = exact(weight)
+        weight = read_number(exact, weight, "weight= must be a number")
     return _new_edge((src, weight, dst))
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import zoo
 from .arena import (Arena, ArenaExplicit, Edge, VertexId, explicit_rows, make_edge,
-                    node_cap_from_env, reach, validate)
+                    node_cap_from_env, reach, read_number, validate)
 from .engine import (Inconclusive, certificate_from_json, certificate_to_json,
                      check_certificate, csv_lines, explore_consistent, missing_context, steps)
 from .objectives import Decomposition, Unsupported, decompose, parse_objective, rewrite_strict_tp
@@ -60,7 +60,7 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
                 if len(parts) != 3 or not parts[2].startswith("owner="):
                     raise ValueError("vertex syntax: vertex <id> owner=<1|2>")
                 v = VertexId.parse(parts[1])
-                owner = int(parts[2][len("owner="):])
+                owner = read_number(int, parts[2][len("owner="):], "owner= must be an integer")
                 if owner not in (1, 2):
                     raise ValueError("owner must be 1 or 2")
                 if v in owners:

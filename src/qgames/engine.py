@@ -673,9 +673,22 @@ _READERS: dict[str, Callable] = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key it repeats (``json`` keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError("certificate repeats key %r" % key)
+        data[key] = value
+    return data
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate a ``certificate_to_json`` text holds.  A key that no
+    field reads, or that an object repeats at any level, is refused and
+    named."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError("certificate is not JSON: %s" % exc)
     if not isinstance(data, dict):

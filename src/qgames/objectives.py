@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arena import Arena, ArenaExplicit, Weight, exact
+from .arena import Arena, ArenaExplicit, Weight, exact, read_number
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -88,24 +88,13 @@ def parse_objective(text: str) -> Objective:
     if parts[0] == BUCHI_ALL:
         if len(parts) != 2:
             raise ValueError("buchi-all syntax: buchi-all:<k>")
-        count = _read(int, parts[1], "buchi-all colour count must be an integer")
+        count = read_number(int, parts[1], "buchi-all colour count must be an integer")
         return Objective(BUCHI_ALL, colour_count=count)
     if len(parts) != 4:
         raise ValueError("objective syntax: kind:mode:relation:threshold")
     kind, mode, rel, thr = parts
-    return Objective(kind, mode, rel,
-                     _read(parse_ext, thr, "objective threshold must be a number, +inf or -inf"))
-
-
-def _read(reader: Callable[[str], object], text: str, rule: str):
-    """``reader(text)``, or a ValueError stating the rule the text breaks
-    (a zero denominator, as ``exact`` names it)."""
-    try:
-        return reader(text)
-    except ValueError as exc:
-        if isinstance(exc.__context__, ZeroDivisionError):
-            raise
-        raise ValueError("%s, got %r" % (rule, text)) from None
+    return Objective(kind, mode, rel, read_number(
+        parse_ext, thr, "objective threshold must be a number, +inf or -inf"))
 
 
 def classify(obj: Objective) -> str:

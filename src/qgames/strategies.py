@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .arena import Arena, Edge, LetterMemory, MealyMemory, VertexId, exact, make_edge
+from .arena import Arena, Edge, LetterMemory, MealyMemory, VertexId, make_edge, read_number
 
 FIRST_EDGE = "first"
 ERROR = "error"
@@ -330,6 +330,11 @@ def _parse_header(parts: list[str]):
     return parts[1], attrs.pop("kind"), attrs
 
 
+def _integer(what: str) -> Callable[[str], int]:
+    """The reader of an integer, naming ``what`` when the text is none."""
+    return lambda text: read_number(int, text, "%s must be an integer" % what)
+
+
 def _parse_move(parts: list[str]):
     # move <vertex> [state=<m>] [step=<s>] -> <to> weight=<w>
     try:
@@ -337,7 +342,8 @@ def _parse_move(parts: list[str]):
     except ValueError:
         raise ValueError("move line without ->")
     v = VertexId.parse(parts[1])
-    attrs = _attributes(parts[2:arrow], {"state": int, "step": int}, "move")
+    attrs = _attributes(parts[2:arrow], {"state": _integer("state="), "step": _integer("step=")},
+                        "move")
     rest = parts[arrow + 1:]
     if len(rest) != 2 or not rest[1].startswith("weight="):
         raise ValueError("move line needs '-> <to> weight=<w>'")
@@ -356,11 +362,12 @@ def _parse_bitupd(parts: list[str]):
         arrow = len(parts) - 1 - parts[::-1].index("->")
     except ValueError:
         raise ValueError("bitupd line without ->")
-    attrs = _attributes(parts[1:arrow], {"state": int, "step": int, "edge": _edge_ends,
-                                         "weight": exact}, "bitupd")
+    attrs = _attributes(parts[1:arrow], {"state": _integer("state="), "step": _integer("step="),
+                                         "edge": _edge_ends, "weight": str}, "bitupd")
     if len(attrs) < 4:
         raise ValueError("bitupd needs state=, step=, edge= and weight=")
     if arrow + 1 == len(parts):
         raise ValueError("bitupd line needs a target mode after ->")
     src, dst = attrs.pop("edge")
-    return attrs, Edge(src, attrs.pop("weight"), dst), int(parts[arrow + 1])
+    target = _integer("bitupd target mode")(parts[arrow + 1])
+    return attrs, make_edge(src, attrs.pop("weight"), dst), target

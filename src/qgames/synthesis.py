@@ -451,21 +451,19 @@ def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub
 
 class WPrimeOracle(NamedTuple):
     """Winning-region oracle: a region over (vertex, sum) pairs, a safe
-    memoryless strategy that never leaves it, and a winning strategy from
-    any pair in it.
+    memoryless strategy that never leaves it, and ``winning_from(v, r)``,
+    a strategy winning from every pair of the region.  A composite asks
+    for it once, at the start pair (v0, 0), and hands over to it at every
+    boundary pair.
 
     ``wprime`` must be upward closed in the sum: if (v, r) is in the
     region, so is (v, r') for every r' >= r.  The final report checks
     only the lowest sum of each cell it walks (``_final_report``).
-    ``uniform_memoryless`` marks a region that ignores the sum and one
-    memoryless strategy winning from all of it, so that a continuation's
-    decisions depend on the vertex and step only.
     """
 
     wprime: Callable[[VertexId, Weight], bool]
     safe: Strategy
     winning_from: Callable[[VertexId, Weight], Strategy]
-    uniform_memoryless: bool = False
 
 
 def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
@@ -473,7 +471,7 @@ def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracl
     threshold, won by the mean-payoff witness."""
     vm = solve_values(arena, "mp")
     return WPrimeOracle(lambda v, r: vm.values[v] >= threshold, vm.witness,
-                        lambda v, r: vm.witness, uniform_memoryless=True)
+                        lambda v, r: vm.witness)
 
 
 def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
@@ -520,51 +518,30 @@ def _failed(schedule: list[tuple[int, int]], why: str,
 
 class _Composite(Strategy):
     """A fixed table up to the boundary step, then the oracle's winning
-    strategy from the reached (vertex, running total) pair.
+    strategy, asked once at the start pair (v0, 0), which wins from every
+    pair of the region (``WPrimeOracle``).
 
-    The state is what the composite decides from: ``pre_state`` up to the
-    boundary, then the continuation, one per boundary pair, and its own
-    state.  The fixed table, a step counter, holds the one step count.
-    Under a ``uniform_memoryless`` oracle all pairs share one continuation
-    and the state keeps no running total: one state per (vertex, step).
+    The state is what the composite decides from: the fixed table's own
+    (step, mode) before the boundary, then (continuation, its state).
     """
 
     def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
         self.name = "composite@%d" % boundary
-        self._fixed, self._boundary, self._oracle = fixed, boundary, oracle
-        self._cache: dict[tuple, Strategy] = {}
-        self.initial = self._enter(v0, 0) if boundary == 0 else self.pre_state(fixed.initial, 0)
-
-    def _enter(self, vertex: VertexId, tp: Weight):
-        """The state from a boundary pair: its continuation, and that one's initial state."""
-        at = () if self._oracle.uniform_memoryless else (vertex, tp)
-        cont = self._cache.get(at)
-        if cont is None:
-            cont = self._cache[at] = self._oracle.winning_from(vertex, tp)
-        return (cont, cont.initial)
-
-    @staticmethod
-    def pre_state(fixed_state, tp: Weight):
-        """The state before the boundary: the fixed table's and the total."""
-        return (None, (fixed_state, tp))
+        self._fixed, self._boundary = fixed, boundary
+        self._cont = cont = oracle.winning_from(v0, 0)
+        self.initial = (cont, cont.initial) if boundary == 0 else fixed.initial
 
     def step_state(self, state, edge):
-        cont, inner = state
-        if cont is not None:
-            return (cont, cont.step_state(inner, edge))
-        fixed_state, tp = inner
-        fixed_state = self._fixed.step_state(fixed_state, edge)
-        if not self._oracle.uniform_memoryless:  # a uniform oracle never reads the total
-            tp += edge.weight
-        if fixed_state[0] == self._boundary:
-            return self._enter(edge.dst, tp)
-        return self.pre_state(fixed_state, tp)
+        cont = self._cont
+        if state[0] is cont:
+            return (cont, cont.step_state(state[1], edge))
+        state = self._fixed.step_state(state, edge)
+        return (cont, cont.initial) if state[0] == self._boundary else state
 
     def choose(self, arena, vertex, state):
-        cont, inner = state
-        if cont is not None:
-            return cont.choose(arena, vertex, inner)
-        return self._fixed.choose(arena, vertex, inner[0])
+        if state[0] is self._cont:
+            return self._cont.choose(arena, vertex, state[1])
+        return self._fixed.choose(arena, vertex, state)
 
 
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
@@ -656,11 +633,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     strategy keeps the (vertex, sum) pair winnable; the bit resets at
     every bubble boundary.
 
-    Each bubble's walks start from the layer before its boundary, which
-    two walks of the live table kept across bubbles reach: no scheduled
-    sub-objective fires by the boundary, and the table and bit updates at
-    a depth are final before they expand it, so those layers are the ones
-    the bubble's walks would build from the root.
+    Each bubble's walks resume from the layer before its boundary, kept
+    as it stands by two walks of the live table, whose state the bubble's
+    composite shares up to its boundary: no scheduled sub-objective fires
+    by the boundary, and the table and bit updates at a depth are final
+    before they expand it, so those layers are the ones the bubble's walks
+    would build from the root.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -679,34 +657,25 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = OpenSub("tp-sup", m=m_sched, threshold=threshold)
-        # the table as it stands at the boundary; the bubble goes on filling it
-        comp = _Composite(v0, StepCounterTable(dict(table), k_prev, ERROR, k=2,
-                                               bit_update=bitupd), k_prev, oracle)
-        run_from = mimic_from = None
+        resumes = [None, None]
         if k_prev > 0:
-            # the run walk, then the minimal-history walk, to the layer
-            # before the boundary
-            reached = []
+            # the run walk, then the minimal-history walk, resumed from the
+            # layer before the boundary as it stands
+            resumes = []
             for walk, layers in kept:
-                reached.append(next((layer for layer in layers
-                                     if layer[0].depth == k_prev - 1), None))
+                layer = next((layer for layer in layers if layer[0].depth == k_prev - 1), None)
                 if walk.truncated is not None:
                     return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
-            run_layer, mimic_layer = reached
+                resumes.append((layer, k_prev - 1, walk.created))
             # reset the bit entering this bubble: the update on every edge
-            # crossing the boundary yields mode 0
-            for node in run_layer:
+            # crossing the boundary, from the run walk's layer, yields mode 0
+            for node in resumes[0][0]:
                 for e in runs.moves(node):
                     bitupd[(k_prev - 1, 0, e)] = 0
                     bitupd[(k_prev - 1, 1, e)] = 0
-            run_from = (run_layer, k_prev - 1, runs.created)
-            # the minimal histories in the composite's state before its boundary
-            mimic_from = ([Node(node.vertex, node.depth, node.tp, node.parent, node.edge,
-                                comp.pre_state(node.state, node.tp), node.satisfied)
-                           for node in mimic_layer], k_prev - 1, mimics.created)
 
-        built = _build_bubble(arena, v0, comp, live, sub, k_prev, oracle, depth_cap, node_cap,
-                              run_from, mimic_from)
+        built = _build_bubble(arena, v0, live, sub, k_prev, oracle, depth_cap, node_cap,
+                              *resumes)
         if isinstance(built, Inconclusive):
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, built))
         k_m, violation = built
@@ -732,20 +701,22 @@ def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optiona
                   node_cap=node_cap, resume=resume)
 
 
-def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterTable,
-                  sub: OpenSub, k_prev: int, oracle: WPrimeOracle, depth_cap: int,
-                  node_cap: Optional[int], run_from=None, mimic_from=None):
+def _build_bubble(arena: Arena, v0: VertexId, live: StepCounterTable, sub: OpenSub,
+                  k_prev: int, oracle: WPrimeOracle, depth_cap: int, node_cap: Optional[int],
+                  run_from=None, mimic_from=None):
     """Extend the live table over one bubble.
 
-    Walks the minimal consistent histories of the composite and the
-    consistent tree of the live table in lockstep, from the root or from
-    the given resume points (see ``Layers``).  At each level from k_prev
-    on, the minimal histories fill the bit-0 moves and bit updates before
-    the live walk expands the level: bit 0 mimics the minimal history,
-    bit 1 plays safe.  Returns (k_m, violation), or the Inconclusive of
+    Walks the minimal consistent histories of the composite (the live
+    table up to k_prev, whose cells there are final, then the oracle's
+    continuation) and the consistent tree of the live table in lockstep,
+    from the root or from the given resume points (see ``Layers``).  At
+    each level from k_prev on, the minimal histories fill the bit-0 moves
+    and bit updates before the live walk expands the level: bit 0 mimics
+    the minimal history, bit 1 plays safe.  Returns (k_m, violation), or the Inconclusive of
     an exhausted depth or node cap.
     """
     table, bitupd = live.table, live.bit_update
+    comp = _Composite(v0, live, k_prev, oracle)
     mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap, mimic_from)
     runs = _run_layers(arena, v0, live, sub, depth_cap, node_cap, run_from)
     for d, (cells, frontier) in enumerate(zip(mimics, runs), max(k_prev - 1, 0)):
@@ -782,10 +753,11 @@ def _build_bubble(arena: Arena, v0: VertexId, comp: Strategy, live: StepCounterT
 
 def _backing_state(comp: _Composite, node: Node, k_prev: int):
     """The composite's state after a run node's history, folded from its
-    ancestor before the boundary, lifted as the minimal histories are."""
+    ancestor before the boundary, whose live-table state the composite
+    shares."""
     edges = []
     while node.depth > max(k_prev - 1, 0):
         edges.append(node.edge)
         node = node.parent
-    start = comp.initial if k_prev == 0 else comp.pre_state(node.state, node.tp)
+    start = node.state if k_prev > 0 else comp.initial
     return reduce(comp.step_state, reversed(edges), start)

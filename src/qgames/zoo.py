@@ -427,10 +427,10 @@ def _make_bitarena() -> ZooEntry:
 
 
 def bitarena_winning_from(vertex: VertexId, r: Weight) -> Strategy:
-    """A strategy winning the limsup-TP>=0 game from ``vertex`` with
-    current sum ``r`` (for pairs inside the region): respond with the
-    opposite of the opponent's move each full round, stay level on a
-    partial first round."""
+    """A strategy winning the limsup-TP>=0 game from every pair of the
+    region, whichever pair it is asked at (a composite asks once, at the
+    start pair): respond with the opposite of the opponent's move each
+    full round, stay level on a partial first round."""
 
     def decide(ar: Arena, v: VertexId, last: Optional[Edge]) -> Edge:
         if last is not None and last.src.name == "vz":

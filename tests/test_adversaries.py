@@ -8,7 +8,8 @@ from qgames.adversaries import (AdversaryPlan, DefeatResult, defeat_a1prime, def
 from qgames.arena import Edge, LetterMemory, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
-from qgames.strategies import FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable, Strategy
+from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable,
+                               Strategy)
 from qgames.zoo import make
 
 F = Fraction
@@ -271,14 +272,15 @@ def test_ramsey_guards_and_no_clique():
 
 
 def _buchib_table(entry, name, exits):
-    # exits at the steps where exits(step) holds and loops elsewhere, at
-    # every step the adversary probes: its horizon 600 plus the longest
-    # padding and one
+    # exits at the steps where exits(step) holds and loops elsewhere, past
+    # the adversary's horizon 600 plus the longest padding and one; with no
+    # fallback tail, since under fallback=first every step from the horizon
+    # on would play v's first edge, the exit
     v = V("v", ())
     table = {(v, step, 0): next(e for e in entry.arena.edges(v)
                              if (e.dst.name == "u") == exits(step))
              for step in range(607)}
-    return StepCounterTable(table, 607, FIRST_EDGE, name=name)
+    return StepCounterTable(table, 607, ERROR, name=name)
 
 
 def test_defeat_sc_buchi_starves_the_loop_colour():

@@ -15,14 +15,15 @@ import pytest
 from qgames.adversaries import defeat_sc_buchi, ramsey_adversary
 from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
-from qgames.engine import (LevelSatisfaction, certificate_from_json, certificate_to_json,
-                           check_certificate, play)
+from qgames.engine import (EarlyExitNegative, LevelSatisfaction, certificate_from_json,
+                           certificate_to_json, check_certificate, play)
 from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy, table_edges)
 from qgames.synthesis import brute_force_values
-from qgames import engine, zoo
+from qgames import cli, engine, zoo
 from qgames.zoo import make
 
+import sweeps
 from test_values import random_arenas
 
 F = Fraction
@@ -80,6 +81,12 @@ def test_parse_arena_roundtrip():
     ("vertex a owner=1\nedge a a weight=0\nstart a\nstart a\n", r"^line 4: start declared twice$"),
     ("arena x\nvertex a owner=1\narena y\nedge a a weight=0\nstart a\n",
      r"^line 3: arena declared twice$"),
+    # a number the file cannot hold is named with its field
+    ("arena x\nvertex n(0) owner=x\nstart n(0)\n", r"^line 2: owner= must be an integer, got 'x'$"),
+    ("vertex n(x) owner=1\nstart n(x)\n",
+     r"^line 1: vertex n\(x\) parameter must be an integer, got 'x'$"),
+    ("vertex n(0) owner=1\nvertex n(1) owner=2\nedge n(0) n(1) weight=abc\n",
+     r"^line 3: weight= must be a number, got 'abc'$"),
 ])
 def test_parse_arena_errors(text, needle):
     with pytest.raises(ValueError, match=needle):
@@ -728,7 +735,11 @@ INCONCLUSIVE_CASES = Path(__file__).parent / "data" / "inconclusive"
     # exits at steps 0 and 5 only: from step 1 no padding of length 1 lands on one
     ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "20"],
      "cannot steer into an exit from step 1 within padding 1"),
-], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon", "buchib-padding"])
+    # the same within two steps: the table's exit at step 5 lies past them
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "2"],
+     "cannot steer into an exit from step 1 within padding 1"),
+], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon", "buchib-padding",
+        "buchib-padding-within-two-steps"])
 def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strategy, options,
                                                              reason):
     path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
@@ -749,9 +760,15 @@ def test_cli_defeat_on_a3_never_writes_a_certificate_its_self_check_refutes(caps
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys, to_file):
-    # the buchib adversary's certificate fails its own replay here (the
-    # adversary's defect stands); the refuted certificate is not emitted
+def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys, to_file,
+                                                                monkeypatch):
+    # an adversary whose certificate claims two steps where its play holds
+    # none fails its own replay; the refuted certificate is not emitted
+    def overclaiming(sigma, entry, horizon):
+        result = defeat_sc_buchi(sigma, entry, horizon=0)
+        return result._replace(certificate=result.certificate._replace(horizon=horizon))
+
+    monkeypatch.setattr(cli, "defeat_sc_buchi", overclaiming)
     out = tmp_path / "cert.json"
     path = str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy")
     argv = ["defeat", "--arena", "zoo:buchib?b=1", "--strategy", path, "--horizon", "2"]
@@ -761,6 +778,29 @@ def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys
                             "self-check failed: colour 1 occurs again at step 2\n")
     assert captured.err == ""
     assert not out.exists()
+
+
+def test_cli_defeat_reads_a_step_counter_table_and_never_writes_a_false_certificate():
+    # every horizon-7 loop-or-exit table on buchib at b = 1 and 3, and 200
+    # seeded a3 tables with 0-2 exit rows, many of them past the horizon
+    runs = sweeps.buchib_runs([1, 3], [0, 2, 7]) + sweeps.a3_runs([4, 10, 20])
+    assert len(runs) == 768 + 600
+    assert sweeps.sweep(runs) == []
+
+
+@pytest.mark.parametrize("horizon, rc, first", [
+    (10, 2, "inconclusive: horizon too small to absorb after entering at 5"),
+    (20, 0, "note: entered at index 5, the strategy's own exit step")])
+def test_cli_defeat_on_a3_reads_a_late_exit_row_off_the_table(tmp_path, capsys, horizon, rc,
+                                                               first):
+    late = _write(tmp_path, "late.strategy", "strategy late kind=sc horizon=40 fallback=first\n"
+                  "move t(5) step=16 -> r0 weight=5\n")
+    cert = tmp_path / "cert.json"
+    assert main(["defeat", "--arena", "zoo:a3", "--strategy", late, "--horizon", str(horizon),
+                 "--out", str(cert)]) == rc
+    assert capsys.readouterr().out.splitlines()[0] == first
+    if rc == 0:
+        assert certificate_from_json(cert.read_text()) == EarlyExitNegative(-1, 0, 17)
 
 
 def test_cli_defeat_notes_a_truncation_cap_that_binds_at_a_forced_challenge(capsys):
@@ -925,6 +965,18 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
     ("strategy s kind=sc horizon=4 horizon=9\n", "line 1: strategy header repeats horizon="),
     ("strategy s kind=sc horizon=4\nmove t(0) step=1 step=3 -> e(0,1) weight=0\n",
      "line 2: move repeats step="),
+    ("strategy x kind=sc horizon=4\nmove n(0) step=y -> n(1) weight=0\n",
+     "line 2: step= must be an integer, got 'y'"),
+    ("strategy x kind=sc+k states=2 horizon=4\nmove n(0) state=z step=0 -> n(1) weight=0\n",
+     "line 2: state= must be an integer, got 'z'"),
+    ("strategy x kind=sc horizon=4\nmove n(0) step=0 -> n(1) weight=zz\n",
+     "line 2: weight= must be a number, got 'zz'"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=w -> 1\n",
+     "line 2: weight= must be a number, got 'w'"),
+    ("strategy x kind=sc+k states=2 horizon=4\nbitupd state=0 step=0 edge=a->b weight=1 -> q\n",
+     "line 2: bitupd target mode must be an integer, got 'q'"),
+    ("strategy x kind=memoryless\nmove n(x) -> n(1) weight=0\n",
+     "line 2: vertex n(x) parameter must be an integer, got 'x'"),
 ], ids=["bitupd-without-target", "sc-without-horizon", "sc+k-without-states",
         "sc+k-without-horizon", "player-3", "player-not-an-integer", "horizon-negative",
         "horizon-not-an-integer", "states-0", "states-not-an-integer", "move-state-past-states",
@@ -934,7 +986,9 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         "bitupd-mode-negative", "bitupd-state-past-states", "bitupd-state-negative",
         "bitupd-step-past-horizon", "bitupd-repeated", "memoryless-header-with-horizon",
         "sc-header-with-states", "sc+k-header-with-step", "header-repeats-horizon",
-        "move-repeats-step"])
+        "move-repeats-step", "step-not-an-integer", "state-not-an-integer",
+        "move-weight-not-a-number", "bitupd-weight-not-a-number", "bitupd-target-not-an-integer",
+        "vertex-parameter-not-an-integer"])
 def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, message):
     strat = _write(tmp_path, "bad.strategy", text)
     assert main(["simulate", "--arena", "zoo:a3", "--p1", strat, "--p2", "p2_enter_0"]) == 1
@@ -967,9 +1021,19 @@ def test_cli_names_what_a_malformed_strategy_file_lacks(tmp_path, capsys, text, 
     ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, '
      '"open_sub": {"family": "tp-sup", "m": 1, "i": 1, "colour": null, "treshold": "1"}}}',
      "KoenigBound certificate field open_sub: open sub-objective has no field 'treshold'"),
+    ('{"schema": "qg-cert/1", "variant": "EarlyExitNegative", '
+     '"body": {"final_tp": "-1", "steps": 5, "threshold": "-5", "threshold": "0"}}',
+     "certificate repeats key 'threshold'"),
+    ('{"schema": "qg-cert/1", "schema": "qg-cert/1", "variant": "EarlyExitNegative", '
+     '"body": {"final_tp": "-1", "steps": 5, "threshold": "0"}}',
+     "certificate repeats key 'schema'"),
+    ('{"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 3, '
+     '"open_sub": {"family": "tp-sup", "m": 1, "m": 2, "i": 1, "colour": null}}}',
+     "certificate repeats key 'm'"),
 ], ids=["not-an-object", "body-not-an-object", "missing-field", "missing-open-sub-field",
         "open-sub-not-an-object", "levels-not-a-list", "not-json", "unknown-top-level-key",
-        "unknown-body-key", "unknown-open-sub-key"])
+        "unknown-body-key", "unknown-open-sub-key", "body-repeats-key", "top-level-repeats-key",
+        "open-sub-repeats-key"])
 def test_cli_verify_names_what_a_malformed_certificate_lacks(tmp_path, capsys, text, message):
     cert = _write(tmp_path, "bad.json", text)
     assert main(["verify", "--arena", "zoo:a3", "--cert", cert]) == 1

@@ -552,7 +552,7 @@ LEAVE_A_LOOP = ArenaExplicit({A: 1, B: 1, C: 2},
 def test_bubble_synthesize_reads_a_hand_built_uniform_oracle(arena):
     vm = solve_values(arena, "mp")
     oracle = WPrimeOracle(lambda v, r: vm.values[v] >= 0, vm.witness,
-                          lambda v, r: vm.witness, uniform_memoryless=True)
+                          lambda v, r: vm.witness)
     decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
     built = bubble_synthesize(arena, arena.start, decomp, 4, finite_mp_oracle(arena))
     report = bubble_synthesize(arena, arena.start, decomp, 4, oracle)
@@ -568,6 +568,37 @@ def test_a_strategy_starts_in_its_initial_state():
         comp = _Composite(A, StepCounterTable({}, boundary), boundary, oracle)
         root, = next(iter(Layers(LEAVE_A_LOOP, A, comp, 1)))
         assert comp.initial is not None and root.state == comp.initial
+    # before its boundary a composite's state is its table's own
+    assert comp.initial == (0, 0)
+
+
+S, X = V("s"), V("x")
+# the opponent at s reaches x with a total of 0 or 1; player 1 keeps x or leaves it
+TWO_TOTALS = ArenaExplicit({S: 2, X: 1}, [E(S, 0, X), E(S, 1, X), E(X, 0, X), E(X, 1, S)], S)
+
+
+@pytest.mark.parametrize("oracle", [finite_wprime_oracle, finite_mp_oracle], ids=["tp", "mp"])
+def test_a_koenig_walk_over_a_composite_holds_one_node_per_vertex_under_either_oracle(oracle):
+    # the continuation wins from every pair of the region, so the state
+    # past the boundary keeps no running total for histories to differ on
+    comp = _Composite(S, StepCounterTable({}, 3), 3, oracle(TWO_TOTALS))
+    widths = [len(layer) for layer in koenig_layers(TWO_TOTALS, S, comp, 8)]
+    assert widths == [1] * 9
+
+
+def test_each_composite_asks_the_oracle_once_at_the_start_pair():
+    entry = make("bitarena")
+    asked = []
+
+    def winning_from(vertex, total):
+        asked.append((vertex, total))
+        return entry.extras["winning_from"](vertex, total)
+
+    oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"], winning_from)
+    report = sc1bit_synthesize(entry.arena, entry.start, 6, oracle)
+    assert report.certified
+    # one composite per bubble
+    assert asked == [(entry.start, 0)] * 6
 
 
 @pytest.mark.parametrize("boundary", [0, 3])
