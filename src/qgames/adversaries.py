@@ -467,12 +467,13 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     # fallback=first, the missing cells and every step from the horizon on,
     # since v's first edge is the exit
     first = sigma.fallback == FIRST_EDGE
-    cells = [sigma.table.get((v, s, 0)) for s in range(sigma.horizon)]
-    exit_steps = {s for s, e in enumerate(cells) if (e.dst.name == "u" if e else first)}
-    last_exit = float("inf") if first else max(exit_steps, default=-1)
+    row_exits = {s for (w, s, _), e in sigma.table.items()
+                 if w == v and s < sigma.horizon and e.dst.name == "u"}
+    last_exit = float("inf") if first else max(row_exits, default=-1)
 
     def exits(step: int) -> bool:
-        return step in exit_steps or (first and step >= sigma.horizon)
+        return step in row_exits or (first and (step >= sigma.horizon
+                                                or (v, step, 0) not in sigma.table))
 
     def pad_length(step_at_u: int) -> Optional[int]:
         """The padding landing on an exit step, 1 once no exit lies beyond

@@ -7,9 +7,9 @@ runs one table through ``cli.cmd_defeat``, the handler of ``qg defeat``
 (an ``Inconclusive`` is its exit 2, as in ``cli.main``), and re-checks
 the certificate it writes.
 
-Run as a script for the larger sweep, for example
-``PYTHONPATH=src python tests/sweeps.py --b 1,2,3,6 --horizons 0-40``;
-it prints each failing run and exits 1 if there is one.
+Run as a script, ``PYTHONPATH=src python tests/sweeps.py``, for the
+larger buchib sweep (b 1, 2, 3 and 6, ``--horizon`` 0 to 40); it prints
+each failing run and exits 1 if there is one.
 """
 
 import argparse
@@ -103,21 +103,8 @@ def a3_runs(horizons):
     return [("zoo:a3", text, h) for h in horizons for text in a3_tables()]
 
 
-def _ints(text):
-    """``1,2,3`` or the range ``0-40``."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--b", type=_ints, default=[1, 2, 3, 6], help="buchib paddings, 1,2,3")
-    parser.add_argument("--horizons", type=_ints, default=list(range(41)),
-                        help="--horizon values, 0-40 or 2,4")
-    args = parser.parse_args()
-    runs = buchib_runs(args.b, args.horizons)
+    runs = buchib_runs([1, 2, 3, 6], range(41))
     problems = sweep(runs)
     for uri, horizon, text, problem in problems:
         print("%s --horizon %d: %s\n%s" % (uri, horizon, problem, text))

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import pytest
 
 from qgames.adversaries import defeat_sc_buchi, ramsey_adversary
@@ -365,6 +366,22 @@ def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsy
         '  "schema": "qg-cert/1",\n  "variant": "ColourStarvation"\n}\n'
         "defeat: certificate accepted\n")
     assert captured.err == ""
+
+
+def test_cli_defeat_on_buchib_reads_the_rows_not_every_step_of_a_huge_table_horizon(
+        tmp_path, capsys):
+    # the file's horizon= is unbounded: the adversary's work follows the
+    # table's rows and --horizon, not the file's horizon
+    strat = _write(tmp_path, "huge.strategy",
+                   "strategy huge kind=sc horizon=1000000000 fallback=first\n"
+                   "move v step=1 -> v weight=1\n")
+    start = time.perf_counter()
+    assert main(["defeat", "--arena", "zoo:buchib?b=1", "--strategy", strat,
+                 "--horizon", "30"]) == 0
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert out.startswith("note: every arrival hits an exit step\n")
+    assert out.endswith("defeat: certificate accepted\n")
 
 
 def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, capsys):
