@@ -121,16 +121,14 @@ def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
     arena = entry.arena
     INF = None  # descent never exits within the cap
 
-    def descent_length(i: int, m_b) -> Optional[int]:
-        state = m_b
-        k = 0
-        while k < _DESCENT_CAP:
-            v = V("b", (i, k))
+    def descent_length(v: VertexId, state) -> Optional[int]:
+        """The steps the responder descends from b(i, 0) before it climbs."""
+        for k in range(_DESCENT_CAP):
             move = sigma.choose(arena, v, state)
             if move.dst.name == "a":
                 return k
             state = sigma.step_state(state, move)
-            k += 1
+            v = move.dst
         return INF
 
     # memoized per (i, memory state) so the opponent is pure
@@ -139,11 +137,13 @@ def defeat_a2(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
         """Challenge height j making this round lose: the responder either
         answers k < j or descends past the cap."""
         state = m0
+        v = V("a", (i, 0))
         for j in range(1, _PROBE_CAP + 1):
-            climb = Edge(V("a", (i, j - 1)), 1, V("a", (i, j)))
+            climb = _edge_to(arena, v, "a")
             state = sigma.step_state(state, climb)
-            dive = Edge(V("a", (i, j)), -2 * j, V("b", (i, 0)))
-            k = descent_length(i, sigma.step_state(state, dive))
+            v = climb.dst
+            dive = _edge_to(arena, v, "b")
+            k = descent_length(dive.dst, sigma.step_state(state, dive))
             if k is INF or k < j:
                 return j
         raise Inconclusive("no losing challenge within the probe cap %d" % _PROBE_CAP)
@@ -467,9 +467,12 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
     # fallback=first, the missing cells and every step from the horizon on,
     # since v's first edge is the exit
     first = sigma.fallback == FIRST_EDGE
-    row_exits = {s for (w, s, _), e in sigma.table.items()
-                 if w == v and s < sigma.horizon and e.dst.name == "u"}
+    rows = [(s, e.dst.name == "u") for (w, s, _), e in sigma.table.items()
+            if w == v and s < sigma.horizon]
+    row_exits = {s for s, exit_row in rows if exit_row}
     last_exit = float("inf") if first else max(row_exits, default=-1)
+    # colour 1 can recur until the play has passed the last row that loops
+    last_loop = max((s for s, exit_row in rows if not exit_row), default=-1)
 
     def exits(step: int) -> bool:
         return step in row_exits or (first and (step >= sigma.horizon
@@ -507,6 +510,8 @@ def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> Def
         if record.vertex_at(len(record.edges)) == v and not exits(len(record.edges)):
             raise Inconclusive("horizon too small: the loop colour occurs at step %d"
                                % len(record.edges))
+        if len(record.edges) <= last_loop:
+            raise Inconclusive("horizon too small: the table loops at step %d" % last_loop)
         after = 0 if not loop_steps else loop_steps[-1] + 1
         cert = ColourStarvation(1, after, len(record.edges))
         return DefeatResult(p2, cert, record, False, ["every arrival hits an exit step"])

@@ -109,8 +109,11 @@ class StepCounterTable(Strategy):
     one edge at a time like any other.  ``bit_update`` maps (step, mode,
     edge) to the next mode; missing entries keep the mode unchanged so
     partial tables degrade gracefully past the horizon.  A cell the table
-    lacks, or a step past the horizon, goes to the fallback rule.  Both
-    dicts are kept as given, not copied.
+    lacks goes to the fallback rule, and so does a step past the horizon
+    unless the table has a ``tail``: that strategy plays from the horizon
+    on, from ``tail.initial``, in the state (tail, the tail's state), as
+    in a synthesizer's composite.  Both dicts are kept as given, not
+    copied.
     """
 
     initial = (0, 0)
@@ -118,7 +121,7 @@ class StepCounterTable(Strategy):
     def __init__(self, table: dict[tuple[VertexId, int, int], Edge], horizon: int,
                  fallback: str = FIRST_EDGE, *, k: int = 1,
                  bit_update: Optional[dict[tuple[int, int, Edge], int]] = None,
-                 player: int = 1, name: str = "sc"):
+                 player: int = 1, name: str = "sc", tail: Optional[Strategy] = None):
         self.k = k
         self.table = table
         self.horizon = horizon
@@ -126,17 +129,28 @@ class StepCounterTable(Strategy):
         self.fallback = fallback
         self.player = player
         self.name = name
+        self.tail = tail
+        if tail is not None and horizon == 0:
+            self.initial = (tail, tail.initial)
 
-    # one mode leaves only the step, which a play's CSV prints anyway;
-    # tracing it would keep a Divergence's rounds from ever closing
-    traces_state = property(lambda self: self.k > 1)
+    # one mode's state is the step, which a play's CSV prints anyway, and a
+    # tail's may grow with the history: tracing either keeps Divergences open
+    traces_state = property(lambda self: self.k > 1 and self.tail is None)
 
     def step_state(self, state, edge):
         s, m = state
+        tail = self.tail
+        if tail is not None:
+            if s is tail:
+                return (tail, tail.step_state(m, edge))
+            if s + 1 == self.horizon:
+                return (tail, tail.initial)
         return (s + 1, self.bit_update.get((s, m, edge), m))
 
     def choose(self, arena, vertex, state):
         step, mode = state
+        if step is self.tail:
+            return step.choose(arena, vertex, mode)
         hit = self.table.get((vertex, step, mode)) if step < self.horizon else None
         if hit is not None:
             return hit
@@ -176,6 +190,8 @@ def serialize_strategy(strategy: Strategy) -> str:
             e = strategy.table[v]
             lines.append("move %s -> %s weight=%s" % (v, e.dst, e.weight))
     elif isinstance(strategy, StepCounterTable):
+        if strategy.tail is not None:  # the file would play fallback= in its place
+            raise ValueError("strategy %s has a tail, which has no file form" % strategy.name)
         one = strategy.k == 1
         lines.append("strategy %s kind=%s horizon=%d fallback=%s player=%d"
                      % (strategy.name, "sc" if one else "sc+k states=%d" % strategy.k,

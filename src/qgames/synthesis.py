@@ -452,9 +452,9 @@ def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub
 class WPrimeOracle(NamedTuple):
     """Winning-region oracle: a region over (vertex, sum) pairs, a safe
     memoryless strategy that never leaves it, and ``winning_from(v, r)``,
-    a strategy winning from every pair of the region.  A composite asks
-    for it once, at the start pair (v0, 0), and hands over to it at every
-    boundary pair.
+    a strategy winning from every pair of the region.  A synthesis asks
+    for it once, at the start pair (v0, 0), and each bubble's composite
+    plays it as its tail from the boundary pair on.
 
     ``wprime`` must be upward closed in the sum: if (v, r) is in the
     region, so is (v, r') for every r' >= r.  The final report checks
@@ -516,34 +516,6 @@ def _failed(schedule: list[tuple[int, int]], why: str,
     return SynthReport(schedule, None, [], region_ok, failure=why)
 
 
-class _Composite(Strategy):
-    """A fixed table up to the boundary step, then the oracle's winning
-    strategy, asked once at the start pair (v0, 0), which wins from every
-    pair of the region (``WPrimeOracle``).
-
-    The state is what the composite decides from: the fixed table's own
-    (step, mode) before the boundary, then (continuation, its state).
-    """
-
-    def __init__(self, v0: VertexId, fixed: Strategy, boundary: int, oracle: WPrimeOracle):
-        self.name = "composite@%d" % boundary
-        self._fixed, self._boundary = fixed, boundary
-        self._cont = cont = oracle.winning_from(v0, 0)
-        self.initial = (cont, cont.initial) if boundary == 0 else fixed.initial
-
-    def step_state(self, state, edge):
-        cont = self._cont
-        if state[0] is cont:
-            return (cont, cont.step_state(state[1], edge))
-        state = self._fixed.step_state(state, edge)
-        return (cont, cont.initial) if state[0] == self._boundary else state
-
-    def choose(self, arena, vertex, state):
-        if state[0] is self._cont:
-            return self._cont.choose(arena, vertex, state[1])
-        return self._fixed.choose(arena, vertex, state)
-
-
 def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
                       m_max: int, oracle: WPrimeOracle, depth_cap: int = 400,
                       node_cap: Optional[int] = None) -> SynthReport:
@@ -554,12 +526,13 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
         raise ValueError("m_max must be at least 1")
     if not oracle.wprime(v0, 0):
         raise ValueError("start vertex %s is outside the winning region" % (v0,))
+    cont = oracle.winning_from(v0, 0)
     fixed: dict[tuple[VertexId, int, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
     k_prev = 0
     for m in range(1, m_max + 1):
         sub = decomposition.sub(m)
-        comp = _Composite(v0, StepCounterTable(fixed, k_prev, ERROR), k_prev, oracle)
+        comp = StepCounterTable(fixed, k_prev, ERROR, tail=cont)
         kb = koenig_bound(arena, v0, comp, sub, depth_cap, node_cap)
         if not isinstance(kb, KoenigBound):
             return _failed(schedule, "bubble %d: %s" % (m, kb))
@@ -644,6 +617,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         raise ValueError("m_max must be at least 1")
     if not oracle.wprime(v0, 0):
         raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
+    cont = oracle.winning_from(v0, 0)
 
     # the table under construction; each bubble fills the levels it adds
     live = StepCounterTable({}, depth_cap, ERROR, k=2, name="sc1bit_partial")
@@ -674,7 +648,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
                     bitupd[(k_prev - 1, 0, e)] = 0
                     bitupd[(k_prev - 1, 1, e)] = 0
 
-        built = _build_bubble(arena, v0, live, sub, k_prev, oracle, depth_cap, node_cap,
+        built = _build_bubble(arena, v0, live, sub, k_prev, oracle, cont, depth_cap, node_cap,
                               *resumes)
         if isinstance(built, Inconclusive):
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, built))
@@ -702,21 +676,21 @@ def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optiona
 
 
 def _build_bubble(arena: Arena, v0: VertexId, live: StepCounterTable, sub: OpenSub,
-                  k_prev: int, oracle: WPrimeOracle, depth_cap: int, node_cap: Optional[int],
-                  run_from=None, mimic_from=None):
+                  k_prev: int, oracle: WPrimeOracle, cont: Strategy, depth_cap: int,
+                  node_cap: Optional[int], run_from=None, mimic_from=None):
     """Extend the live table over one bubble.
 
     Walks the minimal consistent histories of the composite (the live
-    table up to k_prev, whose cells there are final, then the oracle's
-    continuation) and the consistent tree of the live table in lockstep,
-    from the root or from the given resume points (see ``Layers``).  At
-    each level from k_prev on, the minimal histories fill the bit-0 moves
-    and bit updates before the live walk expands the level: bit 0 mimics
-    the minimal history, bit 1 plays safe.  Returns (k_m, violation), or the Inconclusive of
-    an exhausted depth or node cap.
+    table up to k_prev, whose cells there are final, with the tail
+    ``cont``) and the consistent tree of the live table in lockstep, from
+    the root or from the given resume points (see ``Layers``).  At each
+    level from k_prev on, the minimal histories fill the bit-0 moves and
+    bit updates before the live walk expands the level: bit 0 mimics the
+    minimal history, bit 1 plays safe.  Returns (k_m, violation), or the
+    Inconclusive of an exhausted depth or node cap.
     """
     table, bitupd = live.table, live.bit_update
-    comp = _Composite(v0, live, k_prev, oracle)
+    comp = StepCounterTable(table, k_prev, ERROR, k=2, bit_update=bitupd, tail=cont)
     mimics = _minimal_layers(arena, v0, comp, sub, depth_cap, node_cap, mimic_from)
     runs = _run_layers(arena, v0, live, sub, depth_cap, node_cap, run_from)
     for d, (cells, frontier) in enumerate(zip(mimics, runs), max(k_prev - 1, 0)):
@@ -751,10 +725,10 @@ def _build_bubble(arena: Arena, v0: VertexId, live: StepCounterTable, sub: OpenS
     return mimics.truncated or runs.truncated
 
 
-def _backing_state(comp: _Composite, node: Node, k_prev: int):
+def _backing_state(comp: StepCounterTable, node: Node, k_prev: int):
     """The composite's state after a run node's history, folded from its
-    ancestor before the boundary, whose live-table state the composite
-    shares."""
+    ancestor before the boundary, whose live-table (step, mode) the
+    composite shares."""
     edges = []
     while node.depth > max(k_prev - 1, 0):
         edges.append(node.edge)

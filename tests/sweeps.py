@@ -22,8 +22,8 @@ import tempfile
 
 from qgames import cli, zoo
 from qgames.adversaries import defeat_sc_buchi, defeat_sc_on_A3
-from qgames.engine import (EarlyExitNegative, Inconclusive, check_certificate,
-                           certificate_from_json)
+from qgames.engine import (ColourStarvation, EarlyExitNegative, Inconclusive,
+                           check_certificate, certificate_from_json)
 from qgames.strategies import parse_strategy
 
 
@@ -53,7 +53,9 @@ def defeat(uri, text, horizon, workdir):
     """One ``qg defeat`` run of the table: (exit code, stdout + stderr,
     problem or None).  A problem is a printed self-check failure, a
     raise, or a written certificate that ``check_certificate`` refutes
-    against the adversary's opponent."""
+    against the adversary's opponent.  A ``ColourStarvation`` is checked
+    again with its horizon raised b + 1 steps past the table's last row,
+    so a claim that holds only within the horizon it was run at fails."""
     path, cert = os.path.join(workdir, "t.strategy"), os.path.join(workdir, "cert.json")
     with open(path, "w") as fh:
         fh.write(text)
@@ -78,10 +80,17 @@ def defeat(uri, text, horizon, workdir):
         with open(cert) as fh:
             written = certificate_from_json(fh.read())
         p2 = adversary(sigma, entry, horizon=horizon).p2
-        check = check_certificate(written, {"arena": entry.arena, "v0": entry.start,
-                                            "sigma1": sigma, "sigma2": p2})
-        if not check.ok:
-            return code, text_out, "certificate refuted: %s" % "; ".join(check.diagnostics)
+        claims = [("", written)]
+        if isinstance(written, ColourStarvation):
+            last_row = max((s for _, s, _ in sigma.table), default=0)
+            raised = max(written.horizon, last_row + entry.params["b"] + 1)
+            claims.append((" at horizon %d" % raised, written._replace(horizon=raised)))
+        for where, claim in claims:
+            check = check_certificate(claim, {"arena": entry.arena, "v0": entry.start,
+                                              "sigma1": sigma, "sigma2": p2})
+            if not check.ok:
+                return code, text_out, "certificate refuted%s: %s" % (
+                    where, "; ".join(check.diagnostics))
         if entry.name == "a3" and not isinstance(written, EarlyExitNegative) and "-> r0" in text:
             return code, text_out, "stagnation certified for a table with an exit row"
     return code, text_out, None

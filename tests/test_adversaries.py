@@ -122,9 +122,10 @@ def test_defeat_fm_match_certifies_an_endless_descent_on_a2(states):
     assert check_certificate(cert, ctx).ok
 
 
-def _exit_every_third_step(horizon=1000):
+def _exit_every_third_step(horizon):
     """A step-counter table on buchib exiting the decision vertex at steps
-    1, 4, 7, ... and looping there at every other step."""
+    1, 4, 7, ... below its horizon and looping there at every other step;
+    from the horizon on, ``fallback=first`` exits at every step."""
     v, u = V("v", ()), V("u", ())
     table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v)
              for s in range(horizon)}
@@ -134,9 +135,10 @@ def _exit_every_third_step(horizon=1000):
 @pytest.mark.parametrize("horizon", [60, 200, 600])
 def test_defeat_sc_buchi_pads_two_steps_into_every_third_step_exit(horizon):
     # at 60 and 600 the last arrival before the horizon must be padded
-    # into an exit step past it, or the certificate's replay sees the loop
+    # into an exit step past it, or the certificate's replay sees the loop;
+    # the table ends at the horizon, so colour 1 starves beyond it too
     entry = make("buchib", b=6)
-    sigma = _exit_every_third_step()
+    sigma = _exit_every_third_step(horizon)
     result = defeat_sc_buchi(sigma, entry, horizon=horizon)
     assert isinstance(result, DefeatResult)
     assert result.notes == ["every arrival hits an exit step"]

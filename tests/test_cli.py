@@ -13,17 +13,18 @@ import sys
 import time
 import pytest
 
-from qgames.adversaries import defeat_sc_buchi, ramsey_adversary
+from qgames.adversaries import DefeatResult, defeat_sc_buchi, ramsey_adversary
 from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
-from qgames.engine import (EarlyExitNegative, LevelSatisfaction, certificate_from_json,
-                           certificate_to_json, check_certificate, play)
+from qgames.engine import (ColourStarvation, EarlyExitNegative, LevelSatisfaction,
+                           certificate_from_json, certificate_to_json, check_certificate, play)
 from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy, table_edges)
-from qgames.synthesis import brute_force_values
+from qgames.synthesis import WPrimeOracle, brute_force_values
 from qgames import cli, engine, zoo
 from qgames.zoo import make
 
+import small_scope
 import sweeps
 from test_values import random_arenas
 
@@ -352,11 +353,12 @@ def test_cli_defeat_without_out_writes_the_certificate_to_stdout(tmp_path, capsy
 
 def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsys):
     # the table exits the decision vertex at steps 1, 4, 7, ... and loops
-    # there at every other step
+    # there at every other step below its horizon, the adversary's; from
+    # there fallback=first exits at every step
     v, u = V("v", ()), V("u", ())
-    table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(100)}
+    table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(60)}
     strat = _write(tmp_path, "third.strategy",
-                   serialize_strategy(StepCounterTable(table, 100, name="third")))
+                   serialize_strategy(StepCounterTable(table, 60, name="third")))
     assert main(["defeat", "--arena", "zoo:buchib", "--strategy", strat,
                  "--horizon", "60"]) == 0
     captured = capsys.readouterr()
@@ -755,8 +757,12 @@ INCONCLUSIVE_CASES = Path(__file__).parent / "data" / "inconclusive"
     # the same within two steps: the table's exit at step 5 lies past them
     ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "2"],
      "cannot steer into an exit from step 1 within padding 1"),
+    # every arrival within two steps exits, but from step 3 no padding of
+    # length 1 lands on an exit: colour 1 recurs at step 4
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_2", ["--horizon", "2"],
+     "horizon too small: the table loops at step 6"),
 ], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon", "buchib-padding",
-        "buchib-padding-within-two-steps"])
+        "buchib-padding-within-two-steps", "buchib-table-loops-past-the-horizon"])
 def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strategy, options,
                                                              reason):
     path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
@@ -779,11 +785,14 @@ def test_cli_defeat_on_a3_never_writes_a_certificate_its_self_check_refutes(caps
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys, to_file,
                                                                 monkeypatch):
-    # an adversary whose certificate claims two steps where its play holds
-    # none fails its own replay; the refuted certificate is not emitted
+    # an adversary claiming colour-1 starvation over two steps, where the
+    # table loops at step 2, fails its own replay; the refuted certificate
+    # is not emitted
     def overclaiming(sigma, entry, horizon):
-        result = defeat_sc_buchi(sigma, entry, horizon=0)
-        return result._replace(certificate=result.certificate._replace(horizon=horizon))
+        p2 = Strategy("pad_one", 0, lambda step, e: step + 1, lambda ar, w, step: ar.edges(w)[0],
+                      player=2)
+        return DefeatResult(p2, ColourStarvation(1, 0, horizon), None, False,
+                            ["every arrival hits an exit step"])
 
     monkeypatch.setattr(cli, "defeat_sc_buchi", overclaiming)
     out = tmp_path / "cert.json"
@@ -803,6 +812,15 @@ def test_cli_defeat_reads_a_step_counter_table_and_never_writes_a_false_certific
     runs = sweeps.buchib_runs([1, 3], [0, 2, 7]) + sweeps.a3_runs([4, 10, 20])
     assert len(runs) == 768 + 600
     assert sweeps.sweep(runs) == []
+
+
+def test_cli_synthesize_decides_a_seeded_sample_of_the_small_scope():
+    # 300 of the 46 656 three-vertex arenas, each with 1-2 distinct
+    # successors per vertex and weights -1 or +1: mp and tpsup values match
+    # brute force, and qg synthesize --m-max 4 exits 0 exactly where the
+    # start value is at least r, for r = -1, 0 and 1
+    assert len(set(small_scope.ROWS)) == 36 and small_scope.SIZE == 46656
+    assert small_scope.sweep(random.Random(19).sample(range(small_scope.SIZE), 300)) == []
 
 
 @pytest.mark.parametrize("horizon, rc, first", [
@@ -893,8 +911,9 @@ _CHOICE_RUNS = {
 @pytest.mark.parametrize("run", sorted(_CHOICE_RUNS))
 def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatch, capsys, run):
     """Every strategy class's ``choose`` is wrapped: the zoo's, the file
-    kinds, the adversaries' opponents and the synthesizers' composites.
-    Forced moves and the other player's vertices are the arena's."""
+    kinds, the adversaries' opponents and the synthesizers' composites,
+    step-counter tables with a tail.  Forced moves and the other player's
+    vertices are the arena's."""
     argv, code = _CHOICE_RUNS[run]
     asked, misplaced = [], []
 
@@ -914,8 +933,7 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
         todo.extend(cls.__subclasses__())
         if "choose" in cls.__dict__:
             classes.append(cls)
-    assert {"Strategy", "Memoryless", "StepCounterTable",
-            "_Composite"} <= {cls.__name__ for cls in classes}
+    assert {"Strategy", "Memoryless", "StepCounterTable"} <= {cls.__name__ for cls in classes}
     for cls in classes:
         monkeypatch.setattr(cls, "choose", wrapped(cls, cls.__dict__["choose"]))
     if argv[0] == "synthesize" and not argv[2].startswith("zoo:"):
@@ -924,6 +942,31 @@ def test_choose_is_asked_only_where_its_player_has_a_choice(tmp_path, monkeypatc
     capsys.readouterr()
     assert asked
     assert misplaced[:3] == []
+
+
+@pytest.mark.parametrize("cell", ["mp-n6-w2", "tp-n5-w6", "bitarena"])
+def test_cli_synthesize_asks_the_oracle_once_at_the_start_pair(tmp_path, monkeypatch, capsys,
+                                                               cell):
+    # every bubble's composite plays the one continuation asked at (v0, 0)
+    asked = []
+
+    def counting(synthesize):
+        def run(*args, **kw):
+            args = [a._replace(winning_from=lambda v, r, ask=a.winning_from:
+                               asked.append((v, r)) or ask(v, r))
+                    if isinstance(a, WPrimeOracle) else a for a in args]
+            return synthesize(*args, **kw)
+        return run
+
+    for name in ("bubble_synthesize", "sc1bit_synthesize"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    arena = ("zoo:bitarena" if cell == "bitarena"
+             else _write(tmp_path, "arena.txt", dict(_winnable_pool_arenas())[cell]))
+    family = "mp" if cell.startswith("mp") else "tp"
+    assert main(["synthesize", "--arena", arena, "--objective", family + ":limsup:>=:0",
+                 "--m-max", "4"]) == 0
+    assert "certified: yes\n" in capsys.readouterr().out
+    assert asked == [(make("bitarena").start if cell == "bitarena" else V("n", (0,)), 0)]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -98,6 +98,31 @@ def test_step_counter_plus_k_bit_update():
     assert state == (2, 1)
 
 
+@pytest.mark.parametrize("horizon", [0, 2])
+def test_a_table_with_a_tail_plays_its_rows_then_the_tail_from_its_initial_state(horizon):
+    arena = two_choice_arena()
+    # the tail counts the edges it has folded and switches its move every
+    # second choice, so a tail that shared the table's steps would differ
+    tail = Strategy("switch", 0, lambda n, e: n + 1, lambda ar, v, n: ar.edges(v)[n // 2 % 2])
+    p2 = Memoryless({B: E(B, -1, A)}, player=2)
+    sigma = StepCounterTable({(A, 0, 0): E(A, 0, C)}, horizon, ERROR, tail=tail)
+    edges = play(arena, A, sigma, p2, 12).edges
+    assert edges[:horizon] == [E(A, 0, C), E(C, 0, A)][:horizon]
+    assert edges[horizon:] == play(arena, A, tail, p2, 12 - horizon).edges
+    assert sigma.initial == ((tail, 0) if horizon == 0 else (0, 0))
+
+
+def test_a_table_with_a_tail_traces_no_state_and_has_no_file_form():
+    tail = Memoryless({}, name="witness")
+    assert StepCounterTable({}, 3, k=2).traces_state
+    sigma = StepCounterTable({}, 3, k=2, name="composite", tail=tail)
+    assert not sigma.traces_state
+    # written without its tail, the file would play fallback=first from step 3
+    with pytest.raises(ValueError) as exc:
+        serialize_strategy(sigma)
+    assert exc.value.args == ("strategy composite has a tail, which has no file form",)
+
+
 def test_consistent_accepts_own_play_and_rejects_deviation():
     arena = two_choice_arena()
     sigma = Memoryless({A: E(A, 1, B)})

@@ -16,7 +16,7 @@ from qgames.strategies import serialize_strategy
 from qgames.synthesis import (WPrimeOracle, brute_force_values, bubble_synthesize,
                               finite_mp_oracle, finite_wprime_oracle, minimal_history_levels,
                               sc1bit_synthesize, sc_from_strategy, solve_values)
-from qgames.synthesis import _Composite, _final_report
+from qgames.synthesis import _final_report
 from qgames.zoo import make
 
 from oracles import decide, domination_holds
@@ -565,7 +565,7 @@ def test_a_strategy_starts_in_its_initial_state():
     assert StepCounterTable({}, 3).initial == (0, 0)
     oracle = finite_mp_oracle(LEAVE_A_LOOP)
     for boundary in (0, 2):
-        comp = _Composite(A, StepCounterTable({}, boundary), boundary, oracle)
+        comp = StepCounterTable({}, boundary, tail=oracle.winning_from(A, 0))
         root, = next(iter(Layers(LEAVE_A_LOOP, A, comp, 1)))
         assert comp.initial is not None and root.state == comp.initial
     # before its boundary a composite's state is its table's own
@@ -581,12 +581,12 @@ TWO_TOTALS = ArenaExplicit({S: 2, X: 1}, [E(S, 0, X), E(S, 1, X), E(X, 0, X), E(
 def test_a_koenig_walk_over_a_composite_holds_one_node_per_vertex_under_either_oracle(oracle):
     # the continuation wins from every pair of the region, so the state
     # past the boundary keeps no running total for histories to differ on
-    comp = _Composite(S, StepCounterTable({}, 3), 3, oracle(TWO_TOTALS))
+    comp = StepCounterTable({}, 3, tail=oracle(TWO_TOTALS).winning_from(S, 0))
     widths = [len(layer) for layer in koenig_layers(TWO_TOTALS, S, comp, 8)]
     assert widths == [1] * 9
 
 
-def test_each_composite_asks_the_oracle_once_at_the_start_pair():
+def test_a_synthesis_asks_the_oracle_once_at_the_start_pair():
     entry = make("bitarena")
     asked = []
 
@@ -597,14 +597,13 @@ def test_each_composite_asks_the_oracle_once_at_the_start_pair():
     oracle = WPrimeOracle(entry.wprime, entry.strategies["safe"], winning_from)
     report = sc1bit_synthesize(entry.arena, entry.start, 6, oracle)
     assert report.certified
-    # one composite per bubble
-    assert asked == [(entry.start, 0)] * 6
+    # one continuation for all six bubbles' composites
+    assert asked == [(entry.start, 0)]
 
 
 @pytest.mark.parametrize("boundary", [0, 3])
 def test_a_koenig_walk_over_a_composite_under_a_uniform_oracle_holds_one_node_per_vertex(boundary):
-    comp = _Composite(A, StepCounterTable({}, boundary), boundary,
-                      finite_mp_oracle(LEAVE_A_LOOP))
+    comp = StepCounterTable({}, boundary, tail=finite_mp_oracle(LEAVE_A_LOOP).winning_from(A, 0))
     layers = list(koenig_layers(LEAVE_A_LOOP, A, comp, 12))
     assert all(len(layer) == len({node.vertex for node in layer}) for layer in layers)
     # unmerged, some layer holds two histories to one vertex
