@@ -140,12 +140,18 @@ _new_edge = partial(tuple.__new__, Edge)
 def exact(x, d: int = 1) -> Weight:
     """``x / d`` as a canonical exact rational: an ``int`` when integral,
     else a ``Fraction``.  ``x`` is an int or a Fraction, or, with no ``d``,
-    anything ``Fraction()`` takes, such as ``"-5/6"``.  Every division of
+    a text ``Fraction()`` takes (an integer text is read by ``int``), such
+    as ``"-5/6"``, but no float and no text with an exponent, whose integer
+    (``"1e99999999"``) could take minutes to build.  Every division of
     exact values goes through here: ``int / int`` would be a float."""
     if d != 1:
         x = Fraction(x, d)
     elif type(x) is int:
         return x
+    elif type(x) is str and x.removeprefix("-").isdecimal():
+        return int(x)
+    elif type(x) is float or type(x) is str and ("e" in x or "E" in x):
+        raise ValueError("not an exact number: %r" % (x,))
     elif type(x) is not Fraction:
         try:
             x = Fraction(x)

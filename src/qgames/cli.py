@@ -35,11 +35,20 @@ OK, FAILED, INCONCLUSIVE = 0, 1, 2
 # Arena text format
 
 
+class _VertexTexts(dict):
+    """Vertex text -> its ``VertexId``, each distinct text parsed once."""
+
+    def __missing__(self, text: str) -> VertexId:
+        v = self[text] = VertexId.parse(text)
+        return v
+
+
 def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
     """Parse the line-based arena format into an explicit arena, which
     checks the edges' endpoints and the start (``ArenaExplicit``).  A
     second ``arena`` or ``start`` line, or a vertex declared twice, is
     refused."""
+    vertex = _VertexTexts()
     name: Optional[str] = None
     owners: dict[VertexId, int] = {}
     edges: list[Edge] = []
@@ -59,7 +68,7 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             elif parts[0] == "vertex":
                 if len(parts) != 3 or not parts[2].startswith("owner="):
                     raise ValueError("vertex syntax: vertex <id> owner=<1|2>")
-                v = VertexId.parse(parts[1])
+                v = vertex[parts[1]]
                 owner = read_number(int, parts[2][len("owner="):], "owner= must be an integer")
                 if owner not in (1, 2):
                     raise ValueError("owner must be 1 or 2")
@@ -69,15 +78,14 @@ def parse_arena(text: str, name_hint: str = "arena") -> ArenaExplicit:
             elif parts[0] == "edge":
                 if len(parts) != 4 or not parts[3].startswith("weight="):
                     raise ValueError("edge syntax: edge <from> <to> weight=<w>")
-                src = VertexId.parse(parts[1])
-                dst = VertexId.parse(parts[2])
-                edges.append(make_edge(src, parts[3][len("weight="):], dst))
+                edges.append(make_edge(vertex[parts[1]], parts[3][len("weight="):],
+                                       vertex[parts[2]]))
             elif parts[0] == "start":
                 if len(parts) != 2:
                     raise ValueError("start line takes exactly one vertex")
                 if start is not None:
                     raise ValueError("start declared twice")
-                start = VertexId.parse(parts[1])
+                start = vertex[parts[1]]
             else:
                 raise ValueError("unknown directive %r" % parts[0])
         except ValueError as exc:
@@ -404,10 +412,10 @@ _BOUNDS = {"horizon": 0, "depth": 0, "window": 0, "m_max": 1}
 def _command(sub, name: str, fn, options: str, argv: list[str],
              **parser_kw) -> argparse.ArgumentParser:
     """Add subcommand ``name``, run by ``fn``, taking exactly the listed
-    ``_OPTIONS`` (a trailing ``!`` makes one required).  The options are
-    declared only when ``name`` is a word of ``argv``: a command line that
-    does not name the subcommand never reaches them."""
-    p = sub.add_parser(name, **parser_kw)
+    ``_OPTIONS`` (a trailing ``!`` makes one required).  Its ``-h`` and
+    options are declared only when ``name`` is a word of ``argv``: a
+    command line that does not name the subcommand never reaches them."""
+    p = sub.add_parser(name, add_help=name in argv, **parser_kw)
     if name in argv:
         for option in options.split():
             flag = option.rstrip("!")
@@ -417,10 +425,12 @@ def _command(sub, name: str, fn, options: str, argv: list[str],
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``.  Every subcommand's parser is built, so the
-    root help, the list of choices and each ``-h`` read as ever, but only
-    the subcommands ``argv`` names get their options (``_command``): a
-    ``synthesize`` line declares 5 of the 26."""
+    """The parser of ``argv``, built afresh on every call.  Every
+    subcommand is added, so the root help and the list of choices read as
+    ever, but only the subcommands ``argv`` names are completed with their
+    ``-h`` and options (``_command``), and ``zoo``'s own subcommands are
+    added only when ``argv`` names ``zoo``: a ``synthesize`` line builds 8
+    of the 10 parsers and declares 5 of the 26 options."""
     parser = argparse.ArgumentParser(prog="qg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, "validate", cmd_validate, "--arena! --depth", argv,
@@ -436,10 +446,12 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
              help="synthesize a certified strategy").set_defaults(depth=200)
     _command(sub, "verify", cmd_verify, "--arena! --cert! --p1 --p2 --objective", argv,
              help="re-check a certificate file")
-    zoo_sub = sub.add_parser("zoo", help="inspect or export zoo arenas").add_subparsers(
-        required=True)
-    _command(zoo_sub, "list", cmd_zoo_list, "", argv)
-    _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out", argv)
+    zoo_parser = sub.add_parser("zoo", add_help="zoo" in argv,
+                                help="inspect or export zoo arenas")
+    if "zoo" in argv:
+        zoo_sub = zoo_parser.add_subparsers(required=True)
+        _command(zoo_sub, "list", cmd_zoo_list, "", argv)
+        _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out", argv)
     _command(sub, "bench", cmd_bench, "--horizon", argv, help="tournament grid over zoo arenas")
     return parser
 

@@ -501,6 +501,9 @@ def test_validate_names_a_generator_edge_whose_weight_is_not_canonical_exact():
     report = validate(_rows_of(rows), depth=3)
     assert report.violations == ["weight not canonical exact at a: Fraction(2, 1)",
                                  "weight not canonical exact at b(3): 0.5"]
-    # the same rows through make_edge are canonical
+    # make_edge refuses the float, which is not exact, and makes the rest canonical
+    with pytest.raises(ValueError, match=r"^weight= must be a number, got 0\.5$"):
+        make_edge(*rows[b][0])
+    rows[b][0] = _new_edge((b, F(1, 2), a))
     fixed = {v: [make_edge(*e) for e in es] for v, es in rows.items()}
     assert validate(_rows_of(fixed), depth=3).ok

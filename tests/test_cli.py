@@ -89,10 +89,67 @@ def test_parse_arena_roundtrip():
      r"^line 1: vertex n\(x\) parameter must be an integer, got 'x'$"),
     ("vertex n(0) owner=1\nvertex n(1) owner=2\nedge n(0) n(1) weight=abc\n",
      r"^line 3: weight= must be a number, got 'abc'$"),
+    # texts of one vertex are one vertex; a text is parsed again after it failed
+    ("vertex n(01) owner=1\nedge n(1) n(+1) weight=0\nstart n(\u0663)\n",
+     r"^start vertex n\(3\) not declared$"),
+    ("vertex n(1) owner=1\nedge n(1) n(x) weight=0\nedge n(x) n(1) weight=0\nstart n(1)\n",
+     r"^line 2: vertex n\(x\) parameter must be an integer, got 'x'$"),
 ])
 def test_parse_arena_errors(text, needle):
     with pytest.raises(ValueError, match=needle):
         parse_arena(text)
+
+
+def _arena_digest(text: str) -> str:
+    """The digest of an arena file's parse: its canonical text, its start
+    and its edges with their weights' types."""
+    arena = parse_arena(text)
+    rows = [(e.src, e.weight, e.dst) for v in arena.vertices for e in arena.edges(v)]
+    return hashlib.sha256((serialize_arena(arena) + repr(arena.start)
+                           + repr(rows)).encode()).hexdigest()[:16]
+
+
+def test_parse_arena_reads_every_file_as_before():
+    # the digests were taken before parse_arena read each vertex text once
+    # and each integer weight text without a Fraction
+    data = Path(__file__).parent / "data"
+    want = json.loads((data / "arena_identity.json").read_text())
+    pool = json.loads((PERFBENCH / "pool.json").read_text())
+    assert {"%s[%d]" % (cell, i): _arena_digest(m["arena"]) for cell, ms in sorted(pool.items())
+            for i, m in enumerate(ms)} == want["pool"]
+    assert {str(p.relative_to(data)): _arena_digest(p.read_text())
+            for p in sorted(data.glob("**/arena.txt"))} == want["data"]
+    assert [_arena_digest(serialize_arena(a)) for a in random_arenas(46)] == want["random"]
+    assert (len(want["pool"]), len(want["data"]), len(want["random"])) == (80, 6, 200)
+
+
+_NOT_A_NUMBER = "line 3: weight= must be a number, got %r"
+
+
+@pytest.mark.parametrize("weight, want", [
+    ("+5", 5), ("05", 5), ("-0", 0), ("2/4", F(1, 2)), ("1.5", F(3, 2)), (".5", F(1, 2)),
+    ("-2/3", F(-2, 3)), ("1.", 1), ("-7", -7),
+    # Fraction reads underscores from Python 3.11 on
+    ("1_000", 1000 if sys.version_info >= (3, 11) else _NOT_A_NUMBER % "1_000"),
+    ("\u0663", 3),  # a decimal digit that is not ASCII
+    ("", _NOT_A_NUMBER % ""), ("abc", _NOT_A_NUMBER % "abc"),
+    ("1/0", "line 3: zero denominator in '1/0'"), ("nan", _NOT_A_NUMBER % "nan"),
+    ("inf", _NOT_A_NUMBER % "inf"), ("n(x)", _NOT_A_NUMBER % "n(x)"),
+    ("--5", _NOT_A_NUMBER % "--5"), ("\u00b2", _NOT_A_NUMBER % "\u00b2"),
+    ("1/-2", _NOT_A_NUMBER % "1/-2"),
+    # a number with an exponent is refused, however small its value
+    ("1e3", _NOT_A_NUMBER % "1e3"), ("1.5E-3", _NOT_A_NUMBER % "1.5E-3"),
+    ("-1e999999999", _NOT_A_NUMBER % "-1e999999999"),
+])
+def test_parse_arena_reads_each_weight_text_as_before(weight, want):
+    text = "arena t\nvertex a owner=1\nedge a a weight=%s\nstart a\n" % weight
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as refused:
+            parse_arena(text)
+        assert str(refused.value) == want
+        return
+    (edge,) = parse_arena(text).edges(V("a"))
+    assert edge.weight == want and type(edge.weight) is type(want)
 
 
 @pytest.mark.parametrize("src, dst", [("b(2)", "a"), ("a", "b(2,5)")], ids=["source", "target"])
@@ -622,6 +679,37 @@ def test_cli_refuses_a_zero_denominator_with_one_error_line(tmp_path, capsys, re
                              "schema": "qg-cert/1", "variant": "SinkPayoff",
                              "body": {"final_tp": "1/0", "sink": "a", "steps": 1}}))],
                         "SinkPayoff certificate field final_tp: zero denominator in '1/0'"),
+    }[reader]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("reader, number, message", [
+    ("arena", "1e999999999", "line 2: weight= must be a number, got '1e999999999'"),
+    ("strategy", "1e9", "line 2: weight= must be a number, got '1e9'"),
+    ("objective", "1e100000",
+     "objective threshold must be a number, +inf or -inf, got '1e100000'"),
+    ("certificate", '"1e99999999"',
+     "SinkPayoff certificate field final_tp: not an exact number: '1e99999999'"),
+    ("certificate", "1e999", "SinkPayoff certificate field final_tp: not an exact number: inf"),
+    ("certificate", "-0.1", "SinkPayoff certificate field final_tp: not an exact number: -0.1"),
+], ids=["arena", "strategy", "objective", "certificate-text", "certificate-float-overflow",
+        "certificate-float"])
+def test_cli_refuses_an_exponent_or_a_float_with_one_error_line(tmp_path, capsys, reader,
+                                                                number, message):
+    # an exponent's integer could take minutes to build, and a float is not exact
+    arena, loop = _loop_arena(tmp_path, "0")
+    argv = {
+        "arena": ["validate", "--arena", _write(tmp_path, "exp.txt", "vertex a owner=1\n"
+                                                "edge a a weight=%s\nstart a\n" % number)],
+        "strategy": ["simulate", "--arena", arena, "--p2", IDLE, "--p1", _write(
+            tmp_path, "exp.strategy", "strategy exp kind=memoryless\nmove a -> a weight=%s\n"
+            % number)],
+        "objective": ["synthesize", "--arena", arena, "--objective", "tp:limsup:>=:" + number],
+        "certificate": ["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert",
+                        _write(tmp_path, "exp.json", '{"schema": "qg-cert/1", "variant": '
+                               '"SinkPayoff", "body": {"final_tp": %s, "sink": "a", '
+                               '"steps": 1}}' % number)],
     }[reader]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)
@@ -1443,19 +1531,43 @@ def test_readme_command_lines_parse_with_every_option_of_their_subcommand():
 
 
 def test_cli_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, capsys):
-    calls = []
+    calls, parsers = [], []
     add_argument = argparse.ArgumentParser.add_argument
+    construct = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return add_argument(self, *args, **kwargs)
 
+    def constructed(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        return construct(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
     assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
                  "--m-max", "1"]) == 0
-    # one -h for each of the ten parsers, and synthesize's five options
-    assert len(calls) == 15
+    # the root and its seven subcommands, but not zoo's list and export
+    assert len(parsers) == 8
+    # the root's -h, synthesize's -h and its five options; no other -h
+    assert calls == [("-h", "--help"), ("-h", "--help"), ("--arena",), ("--depth",),
+                     ("--out",), ("--objective",), ("--m-max",)]
     assert capsys.readouterr().err == ""
+
+
+PARSER_TEXT = json.loads((Path(__file__).parent / "data" / "parser_text.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_TEXT["cases"],
+                         ids=[" ".join(case["argv"]) or "-" for case in PARSER_TEXT["cases"]])
+def test_cli_help_usage_and_errors_match_the_goldens(monkeypatch, capsys, case):
+    # taken when every subcommand's parser was completed on every call;
+    # argparse's own wording differs between Python versions
+    if "%d.%d" % sys.version_info[:2] != PARSER_TEXT["python"]:
+        pytest.skip("the goldens hold Python %s's argparse text" % PARSER_TEXT["python"])
+    monkeypatch.setenv("COLUMNS", str(PARSER_TEXT["columns"]))
+    assert main(list(case["argv"])) == case["exit_code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
 def test_cli_naming_other_subcommands_changes_no_subcommand(monkeypatch):
