@@ -100,7 +100,10 @@ class VertexId(NamedTuple):
 
     @staticmethod
     def parse(text: str) -> "VertexId":
-        text = text.strip()
+        """The vertex that prints as ``text``.  Another text that reads as
+        a vertex, such as ``n(01)``, ``n(+1)``, ``n()`` or one with spaces
+        around it, is refused and named: no two texts read as one vertex."""
+        raw, text = text, text.strip()
         if text.endswith(")") and "(" in text:
             name, _, rest = text.partition("(")
             body = rest[:-1]
@@ -108,10 +111,14 @@ class VertexId(NamedTuple):
                 raise ValueError("vertex id with empty name: %r" % text)
             params = tuple(read_number(int, p, "vertex %s parameter must be an integer" % text)
                            for p in body.split(",")) if body else ()
-            return VertexId(name, params)
-        if "(" in text or ")" in text:
+            v = VertexId(name, params)
+        elif "(" in text or ")" in text:
             raise ValueError("malformed vertex id: %r" % text)
-        return VertexId(text)
+        else:
+            v = VertexId(text)
+        if str(v) != raw:
+            raise ValueError("vertex id %r must be written %s" % (raw, v))
+        return v
 
 
 V = VertexId  # short alias used heavily by the zoo
@@ -141,16 +148,17 @@ def exact(x, d: int = 1) -> Weight:
     """``x / d`` as a canonical exact rational: an ``int`` when integral,
     else a ``Fraction``.  ``x`` is an int or a Fraction, or, with no ``d``,
     a text ``Fraction()`` takes (an integer text is read by ``int``), such
-    as ``"-5/6"``, but no float and no text with an exponent, whose integer
-    (``"1e99999999"``) could take minutes to build.  Every division of
-    exact values goes through here: ``int / int`` would be a float."""
+    as ``"-5/6"``, but no float, no bool and no text with an exponent,
+    whose integer (``"1e99999999"``) could take minutes to build.  Every
+    division of exact values goes through here: ``int / int`` would be a
+    float."""
     if d != 1:
         x = Fraction(x, d)
     elif type(x) is int:
         return x
     elif type(x) is str and x.removeprefix("-").isdecimal():
         return int(x)
-    elif type(x) is float or type(x) is str and ("e" in x or "E" in x):
+    elif type(x) in (float, bool) or type(x) is str and ("e" in x or "E" in x):
         raise ValueError("not an exact number: %r" % (x,))
     elif type(x) is not Fraction:
         try:

@@ -408,61 +408,89 @@ _OPTIONS = {
 # option dest -> its least value, checked before any handler runs
 _BOUNDS = {"horizon": 0, "depth": 0, "window": 0, "m_max": 1}
 
+# subcommand -> its handler, its options (a trailing ``!`` makes one
+# required), the option defaults it overrides and its parser's keywords;
+# a two-word name is a subcommand of the first word's parser (_GROUPS)
+_COMMANDS = {
+    "validate": (cmd_validate, "--arena! --depth", {}, {"help": "check arena well-formedness"}),
+    "simulate": (cmd_simulate, "--arena! --horizon --out --p1! --p2!", {},
+                 {"help": "play two strategies, emit the play CSV"}),
+    "defeat": (cmd_defeat, "--arena! --horizon --out --strategy! --window", {}, {
+        "help": "construct an opponent defeating the strategy",
+        "epilog": "--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
+                  "horizon is max(--horizon, 2000); a1prime and a2 do not read it"}),
+    "synthesize": (cmd_synthesize, "--arena! --depth --out --objective! --m-max", {"depth": 200},
+                   {"help": "synthesize a certified strategy"}),
+    "verify": (cmd_verify, "--arena! --cert! --p1 --p2 --objective", {},
+               {"help": "re-check a certificate file"}),
+    "zoo list": (cmd_zoo_list, "", {}, {}),
+    "zoo export": (cmd_zoo_export, "--arena! --depth --out", {}, {}),
+    "bench": (cmd_bench, "--horizon", {}, {"help": "tournament grid over zoo arenas"}),
+}
+_GROUPS = {"zoo": {"help": "inspect or export zoo arenas"}}
 
-def _command(sub, name: str, fn, options: str, argv: list[str],
-             **parser_kw) -> argparse.ArgumentParser:
-    """Add subcommand ``name``, run by ``fn``, taking exactly the listed
-    ``_OPTIONS`` (a trailing ``!`` makes one required).  Its ``-h`` and
-    options are declared only when ``name`` is a word of ``argv``: a
-    command line that does not name the subcommand never reaches them."""
-    p = sub.add_parser(name, add_help=name in argv, **parser_kw)
-    if name in argv:
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser of ``_COMMANDS``, built afresh on every call.
+    ``main`` builds it only for a line that is not canonical
+    (``_canonical_args``): it reads every such line, and words every help,
+    usage and error text."""
+    parser = argparse.ArgumentParser(prog="qg", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (fn, options, defaults, parser_kw) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, **_GROUPS[group]).add_subparsers(required=True)
+        p = (groups[group] if group else sub).add_parser(leaf, **parser_kw)
         for option in options.split():
             flag = option.rstrip("!")
             p.add_argument(flag, required=option.endswith("!"), **_OPTIONS[flag])
-    p.set_defaults(fn=fn)
-    return p
-
-
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``, built afresh on every call.  Every
-    subcommand is added, so the root help and the list of choices read as
-    ever, but only the subcommands ``argv`` names are completed with their
-    ``-h`` and options (``_command``), and ``zoo``'s own subcommands are
-    added only when ``argv`` names ``zoo``: a ``synthesize`` line builds 8
-    of the 10 parsers and declares 5 of the 26 options."""
-    parser = argparse.ArgumentParser(prog="qg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "validate", cmd_validate, "--arena! --depth", argv,
-             help="check arena well-formedness")
-    _command(sub, "simulate", cmd_simulate, "--arena! --horizon --out --p1! --p2!", argv,
-             help="play two strategies, emit the play CSV")
-    _command(sub, "defeat", cmd_defeat, "--arena! --horizon --out --strategy! --window", argv,
-             help="construct an opponent defeating the strategy",
-             epilog="--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
-                    "horizon is max(--horizon, 2000); a1prime and a2 do not read it")
-    _command(sub, "synthesize", cmd_synthesize,
-             "--arena! --depth --out --objective! --m-max", argv,
-             help="synthesize a certified strategy").set_defaults(depth=200)
-    _command(sub, "verify", cmd_verify, "--arena! --cert! --p1 --p2 --objective", argv,
-             help="re-check a certificate file")
-    zoo_parser = sub.add_parser("zoo", add_help="zoo" in argv,
-                                help="inspect or export zoo arenas")
-    if "zoo" in argv:
-        zoo_sub = zoo_parser.add_subparsers(required=True)
-        _command(zoo_sub, "list", cmd_zoo_list, "", argv)
-        _command(zoo_sub, "export", cmd_zoo_export, "--arena! --depth --out", argv)
-    _command(sub, "bench", cmd_bench, "--horizon", argv, help="tournament grid over zoo arenas")
+        p.set_defaults(fn=fn, **defaults)
     return parser
+
+
+def _canonical_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser`` reads from a canonical ``argv``, read
+    from ``_COMMANDS`` alone; None for any other line.  A line is canonical
+    when its subcommand's every required flag is present and every word
+    after the subcommand is a flag the subcommand declares, spelled
+    exactly and given once, followed by a value that does not start with
+    ``-`` (an ``int`` option's value read by ``int``)."""
+    words = 2 if argv[:1] == ["zoo"] else 1
+    command = _COMMANDS.get(" ".join(argv[:words]))
+    if command is None:
+        return None
+    fn, options, defaults, _ = command
+    flags, values = argv[words::2], argv[words + 1::2]
+    given = dict(zip(flags, values))
+    declared = {option.rstrip("!"): option for option in options.split()}
+    required = {flag for flag, option in declared.items() if option[-1] == "!"}
+    if (len(flags) != len(values) or len(given) != len(flags)
+            or not required <= given.keys() <= declared.keys()
+            or any(value.startswith("-") for value in values)):
+        return None
+    args = {"command": argv[0]}
+    for flag in declared:
+        dest = flag[2:].replace("-", "_")
+        args[dest] = defaults.get(dest, _OPTIONS[flag].get("default"))
+        if flag in given:
+            try:
+                args[dest] = _OPTIONS[flag].get("type", str)(given[flag])
+            except ValueError:
+                return None
+    return argparse.Namespace(**args, fn=fn)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a malformed command line, 0 after --help
-        return FAILED if exc.code else OK
+    args = _canonical_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on a malformed command line, 0 after --help
+            return FAILED if exc.code else OK
     try:
         node_cap_from_env()
         for option, least in _BOUNDS.items():

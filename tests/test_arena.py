@@ -36,6 +36,17 @@ def test_vertex_id_parse_and_order():
     assert V("t", (1,)) < V("t", (2,))
 
 
+@pytest.mark.parametrize("text, prints", [
+    ("n(01)", "n(1)"), ("n(+1)", "n(1)"), ("n(1_0)", "n(10)"), ("n(\u0663)", "n(3)"),
+    ("n(-0)", "n(0)"), ("n(1, 2)", "n(1,2)"), ("n()", "n"), (" n", "n"), ("n(1) ", "n(1)"),
+])
+def test_vertex_id_parse_refuses_a_text_its_vertex_does_not_print(text, prints):
+    # two texts never read as one vertex
+    with pytest.raises(ValueError) as exc:
+        VertexId.parse(text)
+    assert str(exc.value) == "vertex id %r must be written %s" % (text, prints)
+
+
 def test_vertex_and_edge_are_immutable_values_hashed_as_their_field_tuples():
     v, w = V("r", (3,)), V("s")
     e = E(v, -1, w)

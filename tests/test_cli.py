@@ -89,9 +89,9 @@ def test_parse_arena_roundtrip():
      r"^line 1: vertex n\(x\) parameter must be an integer, got 'x'$"),
     ("vertex n(0) owner=1\nvertex n(1) owner=2\nedge n(0) n(1) weight=abc\n",
      r"^line 3: weight= must be a number, got 'abc'$"),
-    # texts of one vertex are one vertex; a text is parsed again after it failed
+    # a vertex is read only from the text it prints; a text is parsed again after it failed
     ("vertex n(01) owner=1\nedge n(1) n(+1) weight=0\nstart n(\u0663)\n",
-     r"^start vertex n\(3\) not declared$"),
+     r"^line 1: vertex id 'n\(01\)' must be written n\(1\)$"),
     ("vertex n(1) owner=1\nedge n(1) n(x) weight=0\nedge n(x) n(1) weight=0\nstart n(1)\n",
      r"^line 2: vertex n\(x\) parameter must be an integer, got 'x'$"),
 ])
@@ -1212,6 +1212,20 @@ def test_cli_verify_refuses_a_certificate_integer_that_is_not_a_json_integer(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_cli_verify_refuses_a_bool_certificate_threshold(tmp_path, capsys, flag):
+    # a JSON true once read as threshold 1, which this bound reproduces
+    arena = _write(tmp_path, "loop.txt", "vertex a owner=1\nvertex b owner=2\n"
+                   "edge a b weight=1\nedge b a weight=1\nstart a\n")
+    go = _write(tmp_path, "go.strategy", "strategy go kind=memoryless\nmove a -> b weight=1\n")
+    cert = _write(tmp_path, "bool.json", '{"schema": "qg-cert/1", "variant": "KoenigBound", '
+                  '"body": {"level": 1, "open_sub": {%s, "threshold": %s}}}'
+                  % (OPEN_SUB % 1, flag))
+    assert main(["verify", "--arena", arena, "--cert", cert, "--p1", go]) == 1
+    assert capsys.readouterr() == ("", "error: KoenigBound certificate field open_sub: "
+                                   "not an exact number: %s\n" % flag.capitalize())
+
+
 def test_cli_synthesize_writes_a_strategy(tmp_path, capsys):
     path = _write(tmp_path, "pos.txt", POS_ARENA)
     out = str(tmp_path / "pos.strategy")
@@ -1497,10 +1511,6 @@ def _subcommands(parser, prefix=""):
     yield prefix.strip(), parser
 
 
-# every subcommand name, as the words of one command line
-ALL_NAMES = " ".join(CLI_OPTIONS).split()
-
-
 def _readme_command_lines():
     """(subcommand name, argv) for each line of README's command-line
     block, with ``N`` read as ``1``, and the line's own words."""
@@ -1516,7 +1526,7 @@ def _readme_command_lines():
 def test_cli_subcommands_declare_exactly_the_options_their_handlers_read():
     found = {name: {flag for action in p._actions for flag in action.option_strings
                     if flag not in ("-h", "--help")}
-             for name, p in _subcommands(build_parser(ALL_NAMES))}
+             for name, p in _subcommands(build_parser())}
     assert found == CLI_OPTIONS
     assert sum(len(options) for options in found.values()) == 26
 
@@ -1524,13 +1534,13 @@ def test_cli_subcommands_declare_exactly_the_options_their_handlers_read():
 def test_readme_command_lines_parse_with_every_option_of_their_subcommand():
     named = set()
     for name, argv, words in _readme_command_lines():
-        build_parser(argv).parse_args(argv)
+        build_parser().parse_args(argv)
         assert {w for w in words if w.startswith("--")} == CLI_OPTIONS[name], words
         named.add(name)
     assert named == set(CLI_OPTIONS)
 
 
-def test_cli_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, capsys):
+def test_cli_builds_no_parser_for_a_canonical_line(monkeypatch, capsys):
     calls, parsers = [], []
     add_argument = argparse.ArgumentParser.add_argument
     construct = argparse.ArgumentParser.__init__
@@ -1545,14 +1555,68 @@ def test_cli_builds_only_the_options_of_the_subcommand_it_runs(monkeypatch, caps
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructed)
-    assert main(["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
-                 "--m-max", "1"]) == 0
-    # the root and its seven subcommands, but not zoo's list and export
-    assert len(parsers) == 8
-    # the root's -h, synthesize's -h and its five options; no other -h
-    assert calls == [("-h", "--help"), ("-h", "--help"), ("--arena",), ("--depth",),
-                     ("--out",), ("--objective",), ("--m-max",)]
-    assert capsys.readouterr().err == ""
+    argv = ["synthesize", "--arena", "zoo:bitarena", "--objective", "tp:limsup:>=:0",
+            "--m-max", "1"]
+    assert main(argv) == 0
+    # the option table reads the line: no parser, no option declared
+    assert (parsers, calls) == ([], [])
+    canonical = capsys.readouterr()
+    assert canonical.err == ""
+    # argparse reads the same line spelled --m-max=1, to the same effect
+    assert main(argv[:-2] + ["--m-max=1"]) == 0
+    assert capsys.readouterr() == canonical
+    # the whole parser: ten -h and the 26 options
+    assert len(parsers) == 10 and len(calls) == 36
+
+
+def _canonical_lines():
+    """Every README command line, each subcommand with its required flags
+    and every subset of its optional ones, in declared and reversed order
+    (an int option given 4, any other x), and ``--m-max`` texts ``int``
+    reads other than as they print."""
+    lines = [argv for _, argv, _ in _readme_command_lines()]
+    for name, p in _subcommands(build_parser()):
+        options = [a for a in p._actions if a.option_strings and a.dest != "help"]
+        required = [a for a in options if a.required]
+        optional = [a for a in options if not a.required]
+        for k in range(len(optional) + 1):
+            for subset in itertools.combinations(optional, k):
+                chosen = required + list(subset)
+                for order in (chosen, chosen[::-1]):
+                    lines.append(name.split() + [word for a in order for word in (
+                        a.option_strings[0], "4" if a.type is int else "x")])
+    synth = ["synthesize", "--arena", "x", "--objective", "mp:limsup:>=:0", "--m-max"]
+    return lines + [synth + [text] for text in ("04", "+4", " 4", "4_0", "٣")]
+
+
+_SYNTH = ["synthesize", "--arena", "x", "--objective", "mp:limsup:>=:0", "--m-max", "4"]
+# lines the option table leaves to argparse
+_DECLINED = [
+    _SYNTH[:-2] + ["--m-max=4"], ["synthesize", "--ar", "x", "--objective", "mp:limsup:>=:0"],
+    _SYNTH + ["--m-max", "5"], ["bench", "--horizon", "-1"], ["bench", "--horizon"],
+    ["synthesize", "--arena", "x"], ["synthesize", "--arena", "x", "--objective", "o", "--p1", "y"],
+    ["synthesize", "--arena", "x", "--objective", "o", "x"], _SYNTH[:-1] + ["four"],
+    ["zoo"], ["zoo", "--arena", "x"], ["--arena", "x"], ["nosuch"], ["--"], _SYNTH + ["--"],
+    _SYNTH[:1] + ["--"] + _SYNTH[1:], [],
+] + [_SYNTH[:k] + ["-h"] + _SYNTH[k:] for k in range(len(_SYNTH) + 1)]
+
+
+@pytest.mark.parametrize("argv", _canonical_lines() + _DECLINED,
+                         ids=lambda argv: " ".join(argv) or "-")
+def test_cli_option_table_reads_a_line_as_argparse_does_or_declines_it(monkeypatch, capsys,
+                                                                       argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    table = cli._canonical_args(argv)
+    assert (table is None) == (argv in _DECLINED)
+    try:
+        want = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # help or an error: main prints argparse's text
+        assert table is None
+        printed = (cli.FAILED if exc.code else cli.OK, capsys.readouterr())
+        assert (main(argv), capsys.readouterr()) == printed
+        return
+    if table is not None:  # the same namespace, its attributes in the same order
+        assert list(vars(table).items()) == list(want.items())
 
 
 PARSER_TEXT = json.loads((Path(__file__).parent / "data" / "parser_text.json").read_text())
@@ -1568,15 +1632,6 @@ def test_cli_help_usage_and_errors_match_the_goldens(monkeypatch, capsys, case):
     monkeypatch.setenv("COLUMNS", str(PARSER_TEXT["columns"]))
     assert main(list(case["argv"])) == case["exit_code"]
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
-
-
-def test_cli_naming_other_subcommands_changes_no_subcommand(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    for name, argv, _ in _readme_command_lines():
-        alone, among_all = build_parser(name.split()), build_parser(ALL_NAMES)
-        assert (dict(_subcommands(alone))[name].format_help()
-                == dict(_subcommands(among_all))[name].format_help()), name
-        assert alone.parse_args(argv) == among_all.parse_args(argv), name
 
 
 def test_cli_reports_an_exhausted_node_cap(capsys, monkeypatch):
