@@ -285,8 +285,7 @@ def _synth_report_text(report: SynthReport) -> str:
 # takes the zoo entry's W' fields, which serve tp-limsup>=r at r = 0
 _FINITE_ORACLES = {
     "tp-limsup>=r": (finite_wprime_oracle, lambda arena, start, deco, m_max, oracle, depth:
-                     sc1bit_synthesize(arena, start, m_max, oracle, depth_cap=depth,
-                                       threshold=deco.objective.threshold)),
+                     sc1bit_synthesize(arena, start, m_max, oracle, depth_cap=depth)),
     "mp-limsup>=r": (finite_mp_oracle, lambda arena, start, deco, m_max, oracle, depth:
                      bubble_synthesize(arena, start, deco, m_max, oracle, depth_cap=depth)),
 }

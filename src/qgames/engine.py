@@ -204,14 +204,14 @@ class Layers:
     Opponent vertices branch over all edges; owned vertices follow the
     strategy where it has a choice (``moves``).  Each layer (a list of
     Nodes) is yielded before it is expanded, so the caller may read it,
-    append nodes to it to have them expanded too, or stop.  Children for which ``prune`` holds are
-    dropped.  With a ``key``, children with equal keys are merged into
-    the one of least ``order``, the first of several that tie, or the
-    first of all without an ``order``; without one, none merge.  With an
-    ``open_sub``, ``satisfied`` records whether it fired along the
-    history.  Every child kept past pruning counts against the node cap;
-    exhausting it ends the walk with ``truncated`` set to an Inconclusive
-    naming the cap and the depth.
+    append nodes to it to have them expanded too, or stop.  With
+    ``prune``, a satisfied child is dropped before it is built.  With a
+    ``key``, children with equal keys merge into the one of least
+    ``order``, the first of several that tie, or the first of all
+    without an ``order``; without one, none merge.  With an ``open_sub``,
+    ``satisfied`` records whether it fired along the history.  Each
+    child kept counts against the node cap; exhausting it ends the walk
+    with ``truncated`` set to an Inconclusive naming the cap and depth.
 
     ``resume`` = (layer, depth, created) starts the walk at a layer that
     another walk reached, instead of at the root: the layer at that depth
@@ -221,8 +221,7 @@ class Layers:
     """
 
     def __init__(self, arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
-                 open_sub: Optional[OpenSub] = None,
-                 prune: Optional[Callable[[Node], bool]] = None,
+                 open_sub: Optional[OpenSub] = None, prune: bool = False,
                  key: Optional[Callable[[Node], Hashable]] = None,
                  order: Optional[Callable[[Node], object]] = None,
                  node_cap: Optional[int] = None,
@@ -258,9 +257,9 @@ class Layers:
                     tp = node.tp + e.weight
                     sat = node.satisfied or (sub is not None
                                              and sub.step_satisfies(d + 1, tp, e.weight))
-                    child = Node(e.dst, d + 1, tp, node, e, sigma.step_state(node.state, e), sat)
-                    if self.prune is not None and self.prune(child):
+                    if sat and self.prune:
                         continue
+                    child = Node(e.dst, d + 1, tp, node, e, sigma.step_state(node.state, e), sat)
                     if self.key is None:
                         unmerged.append(child)
                     else:
@@ -346,7 +345,7 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
     """Layers pruning satisfied branches and merging histories with equal
     (vertex, strategy state), keeping the lowest running total."""
     return Layers(arena, v0, sigma, depth, open_sub=open_sub,
-                  prune=lambda node: node.satisfied,
+                  prune=True,
                   key=lambda node: (node.vertex, node.state),
                   order=lambda node: node.tp, node_cap=node_cap, resume=resume)
 

@@ -450,11 +450,11 @@ def sc_from_strategy(arena: Arena, v0: VertexId, sigma_prime: Strategy, open_sub
 
 
 class WPrimeOracle(NamedTuple):
-    """Winning-region oracle: a region over (vertex, sum) pairs, a safe
-    memoryless strategy that never leaves it, and ``winning_from(v, r)``,
-    a strategy winning from every pair of the region.  A synthesis asks
-    for it once, at the start pair (v0, 0), and each bubble's composite
-    plays it as its tail from the boundary pair on.
+    """Winning-region oracle at a ``threshold`` r: a region over (vertex,
+    sum) pairs, a safe memoryless strategy that never leaves it, and
+    ``winning_from(v, total)``, a strategy winning from every pair of the
+    region.  A synthesis asks for it once (``_start``), and each bubble's
+    composite plays it as its tail from the boundary pair on.
 
     ``wprime`` must be upward closed in the sum: if (v, r) is in the
     region, so is (v, r') for every r' >= r.  The final report checks
@@ -464,6 +464,7 @@ class WPrimeOracle(NamedTuple):
     wprime: Callable[[VertexId, Weight], bool]
     safe: Strategy
     winning_from: Callable[[VertexId, Weight], Strategy]
+    threshold: Weight = 0
 
 
 def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
@@ -471,7 +472,7 @@ def finite_mp_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracl
     threshold, won by the mean-payoff witness."""
     vm = solve_values(arena, "mp")
     return WPrimeOracle(lambda v, r: vm.values[v] >= threshold, vm.witness,
-                        lambda v, r: vm.witness)
+                        lambda v, r: vm.witness, threshold)
 
 
 def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeOracle:
@@ -479,18 +480,11 @@ def finite_wprime_oracle(arena: ArenaExplicit, threshold: Weight = 0) -> WPrimeO
     value >= threshold, upward closed in the sum, and the limsup-TP
     witness as the safe strategy and from every pair.  The witness never
     leaves the region: its moves keep the value, weight + value of the
-    target = value, and every reply keeps it or raises it."""
+    target = value, and every reply keeps it or raises it.  An infinite
+    value is a float, so the one comparison decides its pairs too."""
     vm = solve_values(arena, "tpsup")
-
-    def region(v: VertexId, total: Weight) -> bool:
-        val = vm.values[v]
-        if val == POS_INF:
-            return True
-        if val == NEG_INF:
-            return False
-        return total + val >= threshold
-
-    return WPrimeOracle(region, vm.witness, lambda v, r: vm.witness)
+    return WPrimeOracle(lambda v, total: total + vm.values[v] >= threshold, vm.witness,
+                        lambda v, r: vm.witness, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +516,7 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     """Fix a step-counter table on growing step intervals, one open
     sub-objective per bubble, then re-certify every level on the final
     table and check the winning region is never left."""
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    if not oracle.wprime(v0, 0):
-        raise ValueError("start vertex %s is outside the winning region" % (v0,))
-    cont = oracle.winning_from(v0, 0)
+    cont = _start(v0, m_max, oracle)
     fixed: dict[tuple[VertexId, int, int], Edge] = {}
     schedule: list[tuple[int, int]] = []
     k_prev = 0
@@ -547,6 +537,18 @@ def bubble_synthesize(arena: Arena, v0: VertexId, decomposition: Decomposition,
     strategy = StepCounterTable(fixed, k_prev, FIRST_EDGE, name="bubble_sc")
     return _final_report(arena, v0, strategy, schedule, decomposition.sub, oracle.wprime,
                          node_cap)
+
+
+def _start(v0: VertexId, m_max: int, oracle: WPrimeOracle) -> Strategy:
+    """The continuation a synthesis starts from, ``winning_from(v0, 0)``,
+    once it has refused fewer than one bubble and a start pair outside
+    the region."""
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    if not oracle.wprime(v0, 0):
+        raise ValueError("start %s with sum 0 is outside the winning region at threshold %s"
+                         % (v0, oracle.threshold))
+    return oracle.winning_from(v0, 0)
 
 
 def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
@@ -592,18 +594,17 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
 
 
 def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOracle,
-                      depth_cap: int = 400, node_cap: Optional[int] = None,
-                      threshold: Weight = 0) -> SynthReport:
+                      depth_cap: int = 400, node_cap: Optional[int] = None) -> SynthReport:
     """Synthesize a step-counter-plus-one-bit strategy for the objective
-    that the running total payoff is at least ``threshold`` (r) in the
-    limit superior; the oracle's region is read at the same r.
+    that the running total payoff is at least the oracle's ``threshold``
+    (r) in the limit superior.
 
     Per bubble, with boundary k: the scheduled sub-objective asks for a
     running total at least r - 1/(k+1) at some position past k+1.  Bit 0
     mimics the strategy induced by minimal consistent histories; the bit
     flips to 1 as soon as the mimicked history's one-step extension
     already satisfies the sub-objective, after which a safe memoryless
-    strategy keeps the (vertex, sum) pair winnable; the bit resets at
+    strategy keeps the (vertex, sum) pair in the region; the bit resets at
     every bubble boundary.
 
     Each bubble's walks resume from the layer before its boundary, kept
@@ -613,11 +614,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     before they expand it, so those layers are the ones the bubble's walks
     would build from the root.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    if not oracle.wprime(v0, 0):
-        raise ValueError("start %s with sum 0 is outside the winnable region" % (v0,))
-    cont = oracle.winning_from(v0, 0)
+    cont = _start(v0, m_max, oracle)
 
     # the table under construction; each bubble fills the levels it adds
     live = StepCounterTable({}, depth_cap, ERROR, k=2, name="sc1bit_partial")
@@ -630,7 +627,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 
     for _ in range(m_max):
         m_sched = k_prev + 1
-        sub = OpenSub("tp-sup", m=m_sched, threshold=threshold)
+        sub = OpenSub("tp-sup", m=m_sched, threshold=oracle.threshold)
         resumes = [None, None]
         if k_prev > 0:
             # the run walk, then the minimal-history walk, resumed from the
@@ -654,14 +651,14 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, built))
         k_m, violation = built
         if violation is not None:
-            return _failed(schedule, "left the winnable region: %s" % violation, False)
+            return _failed(schedule, "left the winning region: %s" % violation, False)
         schedule.append((m_sched, k_m))
         k_prev = k_m
 
     strategy = StepCounterTable(table, k_prev, FIRST_EDGE, k=2, bit_update=bitupd, name="sc1bit")
     return _final_report(arena, v0, strategy, schedule,
-                         lambda m: OpenSub("tp-sup", m=m, threshold=threshold), oracle.wprime,
-                         node_cap)
+                         lambda m: OpenSub("tp-sup", m=m, threshold=oracle.threshold),
+                         oracle.wprime, node_cap)
 
 
 def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optional[OpenSub],

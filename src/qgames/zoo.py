@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .arena import (DEFAULT_VERTEX_CAP, Arena, Edge, LetterMemory, MealyMemory, VertexId, Weight,
-                    P1, P2, V, _new_edge, _new_vertex, make_edge)
+                    P1, P2, V, _new_edge, _new_vertex, make_edge, read_number)
 from .strategies import FiniteMemory, Memoryless, Strategy
 
 E = make_edge  # short alias used heavily by the expansions
@@ -47,6 +47,8 @@ class ZooEntry(_ZooEntry):
         return self.arena.start
 
     def strategy(self, name: str) -> Strategy:
+        """A named strategy, or a factory's at the index ``name`` ends in,
+        written as it prints and at least 0."""
         if name in self.strategies:
             return self.strategies[name]
         for prefix, factory in self.strategy_factories.items():
@@ -56,6 +58,9 @@ class ZooEntry(_ZooEntry):
                     arg = int(suffix)
                 except ValueError:
                     continue
+                if arg < 0 or str(arg) != suffix:
+                    raise ValueError("entry %s strategy %r must end in an integer of at least 0,"
+                                     " written as it prints" % (self.name, name))
                 return factory(arg)
         have = sorted(self.strategies) + ["%s<int>" % p for p in sorted(self.strategy_factories)]
         raise KeyError("entry %s has no strategy %r (have: %s)" % (self.name, name, ", ".join(have)))
@@ -96,7 +101,7 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
             return P2, tuple(E(s, -i, t) for i in range(1, b + 1))
         if v == t:
             return P1, tuple(E(t, i, back) for i in range(0, b + 1))
-        if v == q:
+        if v == q and not repeated:
             return P1, (E(q, 0, q),)
         raise KeyError(v)
 
@@ -122,11 +127,13 @@ def _make_a1(b: int, repeated: bool = False) -> ZooEntry:
 
 def _make_a2() -> ZooEntry:
     def expand(v: VertexId):
-        i, j = v.params
-        if v.name == "a":  # P2 climbing chain, +1 per step
-            return P2, (E(v, 1, V("a", (i, j + 1))), E(v, -2 * j, V("b", (i, 0))))
-        if v.name == "b":  # P1 descending chain, -1 per step
-            return P1, (E(v, -1, V("b", (i, j + 1))), E(v, 2 * j, V("a", (i + 1, 0))))
+        name, params = v
+        if len(params) == 2 and min(params) >= 0:
+            i, j = params
+            if name == "a":  # P2 climbing chain, +1 per step
+                return P2, (E(v, 1, V("a", (i, j + 1))), E(v, -2 * j, V("b", (i, 0))))
+            if name == "b":  # P1 descending chain, -1 per step
+                return P1, (E(v, -1, V("b", (i, j + 1))), E(v, 2 * j, V("a", (i + 1, 0))))
         raise KeyError(v)
 
     arena = Arena("a2", V("a", (0, 0)), expand)
@@ -165,26 +172,26 @@ def _a2_p2_pick(j: int) -> Strategy:
 def _a3_expand(v: VertexId):
     """A3's rows; a vertex outside its family's domain falls through to ``KeyError(v)``."""
     name, params = v
-    if name == "s":
+    if name == "s" and len(params) == 1:
         (i,) = params
         if i >= 0:
             descent_to = V("t", (0,)) if i == 0 else V("d", (i, 1))
             return P2, (E(v, 1, V("s", (i + 1,))), E(v, -1, descent_to))
-    elif name == "d":  # descent intermediates, 2i+1 weight -1 edges total
+    elif name == "d" and len(params) == 2:  # descent intermediates, 2i+1 weight -1 edges total
         i, p = params
         if 1 <= p <= 2 * i:
             nxt = V("t", (i,)) if p == 2 * i else V("d", (i, p + 1))
             return P2, (E(v, -1, nxt),)
-    elif name == "t":
+    elif name == "t" and len(params) == 1:
         (i,) = params
         if i >= 0:
             return P1, (E(v, 0, V("e", (i, 1))), E(v, i, V("r0", ())))
-    elif name == "e":  # delay intermediates, 3 weight-0 edges per delay
+    elif name == "e" and len(params) == 2:  # delay intermediates, 3 weight-0 edges per delay
         i, p = params
         if i >= 0 and p in (1, 2):
             nxt = V("t", (i + 1,)) if p == 2 else V("e", (i, p + 1))
             return P1, (E(v, 0, nxt),)
-    elif name == "r0":
+    elif name == "r0" and not params:
         return P1, (E(v, 0, v),)
     raise KeyError(v)
 
@@ -241,36 +248,36 @@ def _a4_expand(v: VertexId):
     weight is an int affine in the int parameters, so exact as built.  A
     vertex outside its family's domain falls through to ``KeyError(v)``."""
     name, params = v
-    if name == "s":
+    if name == "s" and len(params) == 1:
         (i,) = params
         if i >= 0:
             return P2, (_new_edge((v, -1, _new_vertex(("d", (i, 1))))),
                         _new_edge((v, 0, _new_vertex(("s", (i + 1,))))))
         if i == -1:  # a4guarded's guard vertex, the only negative index
             return P2, (_new_edge((v, 1, _new_vertex(("s", (0,))))),)
-    elif name == "d":  # entry descent: 2i+3 edges, total -2(i+1)
+    elif name == "d" and len(params) == 2:  # entry descent: 2i+3 edges, total -2(i+1)
         i, p = params
         if i >= 0 and 1 <= p <= 2 * i + 2:
             if p == 2 * i + 2:
                 return P2, (_new_edge((v, 0, _new_vertex(("t", (i,))))),)
             return P2, (_new_edge((v, -1, _new_vertex(("d", (i, p + 1))))),)
-    elif name == "t":
+    elif name == "t" and len(params) == 1:
         (i,) = params
         if i >= 0:
             return P1, (_new_edge((v, 1, _new_vertex(("g", (i, 1))))),
                         _new_edge((v, i + 1, _new_vertex(("r0", ())))))
-    elif name == "g":  # gadget chain: climb +1 or drop towards t(i+j)
+    elif name == "g" and len(params) == 2:  # gadget chain: climb +1 or drop towards t(i+j)
         i, j = params
         if i >= 0 and j >= 1:
             return P2, (_new_edge((v, -1, _new_vertex(("dr", (i, j, 1))))),
                         _new_edge((v, 1, _new_vertex(("g", (i, j + 1))))))
-    elif name == "dr":  # drop path: 2j edges in total, summing to -2j+1
+    elif name == "dr" and len(params) == 3:  # drop path: 2j edges in total, summing to -2j+1
         i, j, p = params
         if i >= 0 and 1 <= p <= 2 * j - 1:
             if p == 2 * j - 1:
                 return P2, (_new_edge((v, 0, _new_vertex(("t", (i + j,))))),)
             return P2, (_new_edge((v, -1, _new_vertex(("dr", (i, j, p + 1))))),)
-    elif name == "r0":
+    elif name == "r0" and not params:
         return P1, (_new_edge((v, 0, v)),)
     raise KeyError(v)
 
@@ -353,26 +360,25 @@ def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
 
 
 def _bit_expand(v: VertexId):
-    if v.name == "v":
-        (i,) = v.params
-        if i == 0:
-            return P2, (E(v, -1, V("v", (1,))),)
-        return P2, (E(v, 0, V("vz", (i,))), E(v, i, V("vc", (i,))))
-    if v.name == "vz":
-        (i,) = v.params
-        return P2, (E(v, 0, V("u", (i,))),)
-    if v.name == "vc":
-        (i,) = v.params
-        return P2, (E(v, -i - 1, V("u", (i,))),)
-    if v.name == "u":
-        (i,) = v.params
-        return P1, (E(v, 0, V("uz", (i,))), E(v, i, V("uc", (i,))))
-    if v.name == "uz":
-        (i,) = v.params
-        return P1, (E(v, 0, V("v", (i + 1,))),)
-    if v.name == "uc":
-        (i,) = v.params
-        return P1, (E(v, -i - 1, V("v", (i + 1,))),)
+    """BitArena's rows: v(0), then round i >= 1 from v(i); a vertex
+    outside them is ``KeyError(v)``."""
+    name, params = v
+    i = params[0] if len(params) == 1 else -1  # -1: in no family's domain
+    if name == "v" and i == 0:
+        return P2, (E(v, -1, V("v", (1,))),)
+    if i >= 1:
+        if name == "v":
+            return P2, (E(v, 0, V("vz", (i,))), E(v, i, V("vc", (i,))))
+        if name == "vz":
+            return P2, (E(v, 0, V("u", (i,))),)
+        if name == "vc":
+            return P2, (E(v, -i - 1, V("u", (i,))),)
+        if name == "u":
+            return P1, (E(v, 0, V("uz", (i,))), E(v, i, V("uc", (i,))))
+        if name == "uz":
+            return P1, (E(v, 0, V("v", (i + 1,))),)
+        if name == "uc":
+            return P1, (E(v, -i - 1, V("v", (i + 1,))),)
     raise KeyError(v)
 
 
@@ -448,15 +454,15 @@ def _make_buchia(k: int) -> ZooEntry:
     if k < 2:
         raise ValueError("need at least 2 colours")
     def expand(v: VertexId):
-        if v.name == "x":
-            (i,) = v.params
+        name, params = v
+        i = params[0] if len(params) == 1 else -1  # -1: in no family's domain
+        if name == "x" and i >= 0:
             forward = E(v, 0, V("x", (i + 1,)))
             if i == 0:
                 return P1, (forward,)
             colour = 1 + (i - 1) % (k - 1)
             return P1, (forward, E(v, colour, V("y", (i,))))
-        if v.name == "y":
-            (i,) = v.params
+        if name == "y" and i >= 1:
             return P1, (E(v, 0, V("x", (i + 1,))),)
         raise KeyError(v)
 
@@ -476,15 +482,17 @@ def _make_buchib(b: int) -> ZooEntry:
         raise ValueError("zoo parameter 'b' must be between 1 and the vertex cap %d, got %d"
                          % (DEFAULT_VERTEX_CAP, b))
     def expand(v: VertexId):
-        if v.name == "v":
+        name, params = v
+        if name == "v" and not params:
             return P1, (E(v, 1, v), E(v, 0, V("u", ())))
-        if v.name == "u":
+        if name == "u" and not params:
             out = [E(v, 0, V("v", ())) if n == 1 else E(v, 0, V("w", (n, 1))) for n in range(1, b + 1)]
             return P2, tuple(out)
-        if v.name == "w":
-            n, p = v.params
-            nxt = V("v", ()) if p == n - 1 else V("w", (n, p + 1))
-            return P2, (E(v, 0, nxt),)
+        if name == "w" and len(params) == 2:
+            n, p = params  # the padding of length n, at its p-th vertex
+            if 1 <= p < n <= b:
+                nxt = V("v", ()) if p == n - 1 else V("w", (n, p + 1))
+                return P2, (E(v, 0, nxt),)
         raise KeyError(v)
 
     arena = Arena("buchib", V("v", ()), expand)
@@ -509,13 +517,13 @@ def _make_buchib(b: int) -> ZooEntry:
 
 def _make_nonuniform(start_index: int) -> ZooEntry:
     def expand(v: VertexId):
-        if v.name == "st":
-            (i,) = v.params
-            return P1, (E(v, -i, V("ray", (0,))),)
-        if v.name == "ray":
-            (j,) = v.params
+        name, params = v
+        if name == "st" and params == (start_index,):
+            return P1, (E(v, -start_index, V("ray", (0,))),)
+        if name == "ray" and len(params) == 1 and params[0] >= 0:
+            (j,) = params
             return P1, (E(v, j, V("r0", ())), E(v, 0, V("ray", (j + 1,))))
-        if v.name == "r0":
+        if name == "r0" and not params:
             return P1, (E(v, 0, v),)
         raise KeyError(v)
 
@@ -586,9 +594,8 @@ def parse_uri(uri: str) -> ZooEntry:
                 raise ValueError("malformed zoo parameter %r" % pair)
             if key in params:
                 raise ValueError("zoo parameter %r given twice" % key)
-            try:
-                params[key] = int(val)
-            except ValueError:
-                raise ValueError("zoo parameter %r must be an integer, got %r"
-                                 % (key, val)) from None
+            params[key] = read_number(int, val, "zoo parameter %r must be an integer" % key)
+            if str(params[key]) != val:
+                raise ValueError("zoo parameter %r must be written %s, got %r"
+                                 % (key, params[key], val))
     return make(name, **params)

@@ -18,6 +18,7 @@ from qgames.arena import ArenaExplicit, Edge, VertexId, exact
 from qgames.cli import build_parser, main, parse_arena, serialize_arena, truncate_generator
 from qgames.engine import (ColourStarvation, EarlyExitNegative, LevelSatisfaction,
                            certificate_from_json, certificate_to_json, check_certificate, play)
+from qgames.objectives import parse_objective, rewrite_strict_tp
 from qgames.strategies import (FIRST_EDGE, StepCounterTable, Strategy,
                                parse_strategy, serialize_strategy, table_edges)
 from qgames.synthesis import WPrimeOracle, brute_force_values
@@ -1791,7 +1792,9 @@ def test_cli_certifies_a_strict_tp_threshold_exactly_where_the_start_value_excee
             assert code == (0 if value > exact(r) else 1), (k, r)
             codes.add(code)
             if code == 1:
-                assert captured.err.endswith(" is outside the winnable region\n"), (k, r)
+                threshold = rewrite_strict_tp(arena, parse_objective(objective)).threshold
+                assert captured.err == ("error: start %s with sum 0 is outside the winning region"
+                                        " at threshold %s\n" % (arena.start, threshold)), (k, r)
                 continue
             cert = _write(tmp_path, "levels.json",
                           certificate_to_json(LevelSatisfaction(_schedule(captured.out))))
@@ -1819,8 +1822,11 @@ def test_cli_certifies_a_strict_tp_threshold_exactly_where_the_start_value_excee
      "move t(-4) -> g(-4,1) weight=1\n", "names vertex t(-4), which is not in arena a4"),
     ("zoo:a3", "delay_twice_exit", "P", "strategy outside kind=memoryless player=2\n"
      "move d(0,1) -> t(0) weight=-1\n", "names vertex d(0,1), which is not in arena a3"),
+    # bitarena's rounds start at v(1): v(-3) is no vertex a play reaches
+    ("zoo:bitarena", "opposite", "P", "strategy outside kind=memoryless player=2\n"
+     "move v(-3) -> vz(-3) weight=0\n", "names vertex v(-3), which is not in arena bitarena"),
 ], ids=["a1prime-b1", "a1-b1", "a3-nowhere", "bitarena-bitupd", "a4-below-the-guard",
-        "a4-outside-t", "a3-outside-d"])
+        "a4-outside-t", "a3-outside-d", "bitarena-outside-v"])
 def test_cli_refuses_a_strategy_file_naming_a_non_edge_of_its_arena(tmp_path, capsys, arena, p1,
                                                                    p2, text, message):
     path = _write(tmp_path, "bad.strategy", text)
@@ -1844,15 +1850,18 @@ def _synthesize_and_verify(capsys, arena_path, objective="mp:limsup:>=:0"):
     """qg synthesize --objective <objective> --m-max 4 on an arena file
     <stem>.txt, then, if it certified, qg verify on the written strategy
     with its schedule as a LevelSatisfaction certificate; the synthesis's
-    exit code.  Exit 1 must be a start outside the winning region."""
+    exit code.  Exit 1 must be a start outside the winning region at the
+    objective's threshold."""
     stem = arena_path[:-len(".txt")]
     strategy_path, cert_path = stem + ".strategy", stem + ".json"
+    threshold = objective.split(":")[3]
+    refusal = " with sum 0 is outside the winning region at threshold %s\n" % threshold
     objective = ["--objective", objective]
     code = main(["synthesize", "--arena", arena_path, *objective, "--m-max", "4",
                  "--out", strategy_path])
     captured = capsys.readouterr()
     if code == 1:
-        assert captured.err.endswith(" is outside the winning region\n")
+        assert captured.err.startswith("error: start ") and captured.err.endswith(refusal)
     if code == 0:
         schedule = _schedule(captured.out)
         assert len(schedule) == 4
@@ -1984,11 +1993,15 @@ SINK_CERT = ('{"schema": "qg-cert/1", "variant": "SinkPayoff", '
     (["verify", "--arena", "{arena}", "--cert", "{cert}", "--objective", "tp:liminf:>=:inf"],
      "objective tp:liminf:>=:inf: Sigma03; sufficiency open"),
     (["zoo", "export", "--arena", "{arena}"], "zoo export takes a zoo: URI"),
+    (["simulate", "--arena", "zoo:a3", "--p1", "delay_twice_exit", "--p2", "p2_enter_01"],
+     "entry a3 strategy 'p2_enter_01' must end in an integer of at least 0, written as it prints"),
+    (["validate", "--arena", "zoo:buchib?b=+8"], "zoo parameter 'b' must be written 8, got '+8'"),
 ], ids=["defeat-arena-file", "defeat-no-routine", "synthesize-shift-generator",
         "synthesize-open-objective", "synthesize-open-objective-at-1",
         "synthesize-open-strict-objective", "synthesize-unsupported-objective",
         "verify-open-objective", "synthesize-objective-as-typed",
-        "verify-objective-as-typed", "export-arena-file"])
+        "verify-objective-as-typed", "export-arena-file", "simulate-strategy-index-text",
+        "validate-uri-value-text"])
 def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
     files = {"arena": _write(tmp_path, "pos.txt", POS_ARENA),
              "cert": _write(tmp_path, "sink.json", SINK_CERT)}

@@ -181,10 +181,37 @@ def test_bubble_synthesize_rejects_losing_start():
     arena = ArenaExplicit({A: 1}, [E(A, -1, A)], A)
     oracle = finite_mp_oracle(arena)
     decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
-    with pytest.raises(ValueError, match=r"^start vertex a is outside the winning region$"):
+    refusal = r"^start a with sum 0 is outside the winning region at threshold 0$"
+    with pytest.raises(ValueError, match=refusal):
         bubble_synthesize(arena, A, decomp, 2, oracle)
-    with pytest.raises(ValueError, match=r"^start a with sum 0 is outside the winnable region$"):
+    with pytest.raises(ValueError, match=refusal):
         sc1bit_synthesize(arena, A, 2, finite_wprime_oracle(arena))
+
+
+# a's only edge is a loop of weight -1: mean payoff -1, limsup total -inf
+LOSING_LOOP = "arena loop\nvertex a owner=1\nedge a a weight=-1\nstart a\n"
+
+
+@pytest.mark.parametrize("r", ["-1/2", "0", "1"])
+@pytest.mark.parametrize("family", ["mp", "tp"])
+def test_both_synthesizers_refuse_a_losing_start_in_one_message_naming_r(tmp_path, capsys,
+                                                                         family, r):
+    arena = parse_arena(LOSING_LOOP)
+    deco = decompose(Objective(family, "limsup", ">=", F(r)))
+    refusal = "start a with sum 0 is outside the winning region at threshold %s" % r
+    with pytest.raises(ValueError) as refused:
+        if family == "mp":
+            bubble_synthesize(arena, A, deco, 2, finite_mp_oracle(arena, F(r)))
+        else:
+            sc1bit_synthesize(arena, A, 2, finite_wprime_oracle(arena, F(r)))
+    assert str(refused.value) == refusal
+    path = tmp_path / "loop.txt"
+    path.write_text(LOSING_LOOP)
+    out = tmp_path / "loop.strategy"
+    assert main(["synthesize", "--arena", str(path), "--objective",
+                 "%s:limsup:>=:%s" % (family, r), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % refusal)
+    assert not out.exists()
 
 
 def test_sc1bit_on_pos_arena():
@@ -219,7 +246,7 @@ def test_sc1bit_reports_a_region_violation_but_a_cap_as_not_checked():
     # a region without b, which every play reaches at step 1
     only_a = WPrimeOracle(lambda v, r: v == A, oracle.safe, oracle.winning_from)
     left = sc1bit_synthesize(arena, A, 1, only_a)
-    assert (left.failure, left.region_ok) == ("left the winnable region: (b, 1) at step 1", False)
+    assert (left.failure, left.region_ok) == ("left the winning region: (b, 1) at step 1", False)
     capped = sc1bit_synthesize(arena, A, 1, oracle, depth_cap=0)
     assert capped.failure.startswith("bubble m=1: depth cap 0 exhausted")
     assert capped.region_ok is None and not capped.certified

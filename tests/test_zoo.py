@@ -47,31 +47,42 @@ def test_a4_has_no_negative_index_below_the_guard(name):
     ("a4", "g(-1,1)"), ("a4", "dr(0,0,5)"), ("a4", "dr(0,1,2)"), ("a4", "dr(-1,2,1)"),
     ("a3", "s(-5)"), ("a3", "t(-2)"), ("a3", "d(0,1)"), ("a3", "d(1,3)"), ("a3", "d(2,0)"),
     ("a3", "e(1,7)"), ("a3", "e(1,0)"), ("a3", "e(-1,1)"),
+    # every entry at its default parameters, wrong arities included
+    ("a1", "s(1)"), ("a1prime", "q"), ("a2", "a(-1,0)"), ("a2", "b(0,-3)"), ("a2", "a(1)"),
+    ("a3", "r0(1)"), ("a3", "s(1,2)"), ("a4", "r0(0)"), ("a4", "g(1)"), ("a4guarded", "t"),
+    ("bitarena", "v(-3)"), ("bitarena", "u(0)"), ("bitarena", "vz(-1)"), ("bitarena", "v(1,2)"),
+    ("buchia", "x(-1)"), ("buchia", "y(0)"), ("buchia", "x"), ("buchib", "w(0,5)"),
+    ("buchib", "w(1,0)"), ("buchib", "w(7,1)"), ("buchib", "v(3)"), ("nonuniform", "ray(-2)"),
+    ("nonuniform", "st(-1)"), ("nonuniform", "st(1)"), ("nonuniform", "r0(1)"),
 ])
 def test_a3_and_a4_refuse_a_vertex_outside_its_family(name, vertex):
     with pytest.raises(KeyError):
         make(name).arena.row(V.parse(vertex))
 
 
-# every family of a3 and a4, with the number of its parameters
-_FAMILIES = {"a3": {"s": 1, "d": 2, "t": 1, "e": 2}, "a4guarded": {"s": 1, "d": 2, "t": 1,
-                                                                    "g": 2, "dr": 3}}
+# the vertex family names of every zoo entry
+_FAMILIES = "s t q a b d e r0 g dr v vz vc u uz uc x y w st ray".split()
 
 
-@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@pytest.mark.parametrize("name", names())
 def test_a3_and_a4_have_rows_exactly_at_their_reachable_vertices(name):
-    """Within a box of parameters, a vertex has a row iff a play from the
-    start reaches it (a4guarded's start s(-1) leads into a4's s(0))."""
+    """Within a box of parameters and arities, a vertex of any entry's
+    family names has a row iff a play from the start reaches it
+    (a4guarded's start s(-1) leads into a4's s(0)).  a4 shares
+    a4guarded's rows, so it also answers the guard s(-1)
+    (``test_a4_has_no_negative_index_below_the_guard``)."""
     arena = make(name).arena
-    reached = reach(arena, arena.start, 40)
-    for family, arity in _FAMILIES[name].items():
-        for params in itertools.product(range(-2, 6), repeat=arity):
-            v = V(family, params)
-            if v in reached:
-                assert arena.edges(v)
-            else:
-                with pytest.raises(KeyError):
-                    arena.row(v)
+    box = [V(family, params) for family in _FAMILIES for arity in range(4)
+           for params in itertools.product(range(-2, 6), repeat=arity)]
+    reached = set(reach(arena, arena.start, 40)) | ({V("s", (-1,))} if name == "a4" else set())
+    answered = set()
+    for v in box:
+        try:
+            assert arena.edges(v)
+        except KeyError:
+            continue
+        answered.add(v)
+    assert answered == reached & set(box)
 
 
 @pytest.mark.parametrize("name", names())
@@ -109,6 +120,26 @@ def test_entries_report_their_declared_uri_parameters():
     assert make("nonuniform").params == {"start_index": 0}
     assert make("a1prime").params == {"b": 8}
     assert make("a4guarded").params == {}
+
+
+@pytest.mark.parametrize("name, strategy", [
+    ("a3", "p2_enter_01"), ("a3", "p2_enter_+1"), ("a3", "p2_enter_ 1"), ("a3", "p2_enter_1_0"),
+    ("a3", "p2_enter_-1"), ("a4", "p2_enter_-1"), ("a4", "sigma_02"), ("a2", "p2_pick_\u0663"),
+])
+def test_a_zoo_strategy_index_reads_only_as_the_integer_it_prints(name, strategy):
+    with pytest.raises(ValueError) as refused:
+        make(name).strategy(strategy)
+    assert str(refused.value) == ("entry %s strategy %r must end in an integer of at least 0,"
+                                  " written as it prints" % (name, strategy))
+
+
+@pytest.mark.parametrize("value", ["+8", "08", " 8", "8 ", "8_0", "-0", "\u0668"])
+def test_a_zoo_uri_value_reads_only_as_the_integer_it_prints(value):
+    with pytest.raises(ValueError) as refused:
+        parse_uri("zoo:buchib?b=" + value)
+    assert str(refused.value) == "zoo parameter 'b' must be written %d, got %r" % (
+        int(value), value)
+    assert parse_uri("zoo:nonuniform?start_index=-3").start == V("st", (-3,))
 
 
 def test_parse_uri_errors():
