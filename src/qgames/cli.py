@@ -306,7 +306,12 @@ def cmd_synthesize(args) -> int:
                               entry.extras["winning_from"])
     else:
         return _err("zoo entry %r has no winning-region oracle for %s" % (entry.name, objective))
-    report = synthesize(arena, arena.start, deco, args.m_max, oracle, args.depth)
+    try:
+        report = synthesize(arena, arena.start, deco, args.m_max, oracle, args.depth)
+    except ValueError as exc:  # a refusal names a rewritten strict objective as typed
+        if parse_objective(args.objective) == objective:
+            raise
+        raise ValueError("%s (%s is read as %s)" % (exc, args.objective, objective)) from None
     print(_synth_report_text(report), end="")
     if report.strategy is not None and args.out:
         _atomic_write(args.out, [serialize_strategy(report.strategy)])

@@ -278,7 +278,6 @@ class Layers:
 
 
 class ExploreResult(NamedTuple):
-    origin: VertexId
     levels: list[list[Node]]
     nodes: int
     truncated: Optional[Inconclusive] = None
@@ -299,7 +298,7 @@ def explore_consistent(arena: Arena, v0: VertexId, sigma: Strategy, depth: int
     levels completed so far and the truncation."""
     walk = Layers(arena, v0, sigma, depth)
     levels = list(walk)
-    return ExploreResult(v0, levels, walk.created, walk.truncated)
+    return ExploreResult(levels, walk.created, walk.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +325,6 @@ def depth_cap_exhausted(depth: int, remaining: int) -> Inconclusive:
                         % (depth, remaining, "" if remaining == 1 else "es"))
 
 
-class RefutedBranch(NamedTuple):
-    """A lasso along which the open predicate provably never fires."""
-
-    prefix_len: int
-    cycle_len: int
-    vertex: VertexId
-    cycle_tp: Weight
-    detail: str
-
-    def __str__(self) -> str:
-        return "%s, at %s from step %d" % (self.detail, self.vertex, self.prefix_len)
-
-
 def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
                   open_sub: Optional[OpenSub] = None, node_cap: Optional[int] = None,
                   resume: Optional[tuple[list[Node], int, int]] = None) -> Layers:
@@ -353,60 +339,24 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
 def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
                  max_depth: int, node_cap: Optional[int] = None,
                  resume: Optional[tuple[list[Node], int, int]] = None
-                 ) -> Union[KoenigBound, Inconclusive, RefutedBranch]:
+                 ) -> Union[KoenigBound, Inconclusive]:
     """Least level by which every sigma-consistent history satisfies the
     open sub-objective.
 
     Satisfied branches are pruned (the predicate is monotone).  Branches
     in equal (vertex, strategy state), whose decisions agree forever, are
     merged, keeping the lowest running total, which is the hardest to
-    satisfy.  A repeated (vertex, state) along a branch with a
-    non-positive cycle total refutes the bound for TP-style families.
+    satisfy.  Otherwise the walk ends in the Inconclusive of the cap that
+    stopped it: the node cap, or ``max_depth`` with branches unsatisfied.
     With ``resume`` (see ``Layers``) levels count from the resumed depth.
     """
     walk = koenig_layers(arena, v0, sigma, max_depth, open_sub, node_cap, resume)
     for d, frontier in enumerate(walk, 0 if resume is None else resume[1]):
         if not frontier:
             return KoenigBound(d, open_sub)
-        refuted = _detect_refuted(sigma, frontier, open_sub)
-        if refuted is not None:
-            return refuted
     if walk.truncated is not None:
         return walk.truncated
     return depth_cap_exhausted(max_depth, len(frontier))
-
-
-def _detect_refuted(sigma: Strategy, frontier: list[Node], open_sub: OpenSub
-                    ) -> Optional[RefutedBranch]:
-    if open_sub.family not in ("tp-sup", "tp-inf"):
-        return None
-    # pumping a cycle is only consistent with strategies whose choices are
-    # independent of the elapsed step count: those of a finite memory
-    if sigma.mealy is None:
-        return None
-    bar = (open_sub.threshold - exact(1, open_sub.m) if open_sub.family == "tp-sup"
-           else open_sub.m)
-    for node in frontier:
-        anc = node.parent
-        while anc is not None:
-            if anc.vertex == node.vertex and anc.state == node.state:
-                delta = node.tp - anc.tp
-                high = node.tp
-                cur = node
-                while cur is not anc:
-                    high = max(high, cur.tp)
-                    cur = cur.parent
-                # the pumped branch stays unsatisfied only if every running
-                # total along the cycle sits strictly below the firing bar
-                if delta <= 0 and high < bar:
-                    return RefutedBranch(
-                        prefix_len=anc.depth,
-                        cycle_len=node.depth - anc.depth,
-                        vertex=node.vertex,
-                        cycle_tp=delta,
-                        detail="unsatisfied branch pumps a cycle with total %s" % delta)
-            anc = anc.parent
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional, Union
 from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact
 from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
                      koenig_layers)
-from .objectives import Decomposition, ExtValue, OpenSub, POS_INF, NEG_INF, TP, MP
+from .objectives import (Decomposition, ExtValue, Objective, OpenSub, POS_INF, NEG_INF, TP, MP,
+                         decompose)
 from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
 
 # ---------------------------------------------------------------------------
@@ -599,8 +600,9 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     that the running total payoff is at least the oracle's ``threshold``
     (r) in the limit superior.
 
-    Per bubble, with boundary k: the scheduled sub-objective asks for a
-    running total at least r - 1/(k+1) at some position past k+1.  Bit 0
+    Per bubble, with boundary k: the scheduled sub-objective, member k+1
+    of ``decompose``'s schedule, asks for a running total at least
+    r - 1/(k+1) at some position past k+1.  Bit 0
     mimics the strategy induced by minimal consistent histories; the bit
     flips to 1 as soon as the mimicked history's one-step extension
     already satisfies the sub-objective, after which a safe memoryless
@@ -615,6 +617,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     would build from the root.
     """
     cont = _start(v0, m_max, oracle)
+    subs = decompose(Objective(TP, threshold=oracle.threshold)).sub
 
     # the table under construction; each bubble fills the levels it adds
     live = StepCounterTable({}, depth_cap, ERROR, k=2, name="sc1bit_partial")
@@ -627,7 +630,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
 
     for _ in range(m_max):
         m_sched = k_prev + 1
-        sub = OpenSub("tp-sup", m=m_sched, threshold=oracle.threshold)
+        sub = subs(m_sched)
         resumes = [None, None]
         if k_prev > 0:
             # the run walk, then the minimal-history walk, resumed from the
@@ -656,9 +659,7 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
         k_prev = k_m
 
     strategy = StepCounterTable(table, k_prev, FIRST_EDGE, k=2, bit_update=bitupd, name="sc1bit")
-    return _final_report(arena, v0, strategy, schedule,
-                         lambda m: OpenSub("tp-sup", m=m, threshold=oracle.threshold),
-                         oracle.wprime, node_cap)
+    return _final_report(arena, v0, strategy, schedule, subs, oracle.wprime, node_cap)
 
 
 def _run_layers(arena: Arena, v0: VertexId, live: StepCounterTable, sub: Optional[OpenSub],

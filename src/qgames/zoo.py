@@ -253,8 +253,6 @@ def _a4_expand(v: VertexId):
         if i >= 0:
             return P2, (_new_edge((v, -1, _new_vertex(("d", (i, 1))))),
                         _new_edge((v, 0, _new_vertex(("s", (i + 1,))))))
-        if i == -1:  # a4guarded's guard vertex, the only negative index
-            return P2, (_new_edge((v, 1, _new_vertex(("s", (0,))))),)
     elif name == "d" and len(params) == 2:  # entry descent: 2i+3 edges, total -2(i+1)
         i, p = params
         if i >= 0 and 1 <= p <= 2 * i + 2:
@@ -282,13 +280,21 @@ def _a4_expand(v: VertexId):
     raise KeyError(v)
 
 
+def _a4guarded_expand(v: VertexId):
+    """a4guarded's rows: a4's, and its start, the guard s(-1), into s(0)."""
+    if v == ("s", (-1,)):
+        return P2, (E(v, 1, V("s", (0,))),)
+    return _a4_expand(v)
+
+
 def _count_delay(delays: int, e: Edge) -> int:
     """Delay count on A4 after one more edge."""
     return delays + 1 if e.src.name == "t" and e.dst.name == "g" else delays
 
 
 def _make_a4(guarded: bool = False) -> ZooEntry:
-    arena = Arena("a4guarded" if guarded else "a4", V("s", (-1 if guarded else 0,)), _a4_expand)
+    arena = (Arena("a4guarded", V("s", (-1,)), _a4guarded_expand) if guarded
+             else Arena("a4", V("s", (0,)), _a4_expand))
 
     def sigma_k_factory(k: int) -> Strategy:
         def decide(ar: Arena, v: VertexId, delays: int) -> Edge:
@@ -334,14 +340,12 @@ def _make_a4(guarded: bool = False) -> ZooEntry:
 def a4_router(entry: int, gaps: list[int], cycle_from: int = 0) -> Strategy:
     """Opponent routing on A4: enter at ``entry``, then stretch each delay
     by the successive gaps (cycling from ``cycle_from`` when exhausted)."""
-    if entry < 0 or any(g < 1 for g in gaps):
+    if entry < 0 or not gaps or any(g < 1 for g in gaps):
         raise ValueError("entry >= 0 and gaps >= 1 required")
 
     def gap_at(idx: int) -> int:
         if idx < len(gaps):
             return gaps[idx]
-        if not gaps:
-            return 1
         cycle = gaps[cycle_from:] or gaps
         return cycle[(idx - len(gaps)) % len(cycle)]
 

@@ -620,31 +620,37 @@ def _loop_arena(tmp_path, w):
 
 
 CERTIFICATES = Path(__file__).parent / "data" / "certificates"
-_PUMPS = "unsatisfied branch pumps a cycle with total %s, at a from step 0"
+_CAPPED = "depth cap %d exhausted with 1 unsatisfied branch"
+# a tp-sup bound that the w = 1 loop reaches at level 999: the walk that
+# re-derives it is linear in the level
+_LONG_BOUND = {"schema": "qg-cert/1", "variant": "KoenigBound", "body": {"level": 999, "open_sub": {
+    "colour": None, "family": "tp-sup", "i": 1, "m": 1, "threshold": "1000"}}}
 
 
 @pytest.mark.parametrize("w, cert, objective, code, out", [
     # a tp-sup m=2 bound claimed at level 5
     ("0", "koenig_bound_tp_sup", None, 0, ["bound reproduced at level 2"]),
-    ("-1", "koenig_bound_tp_sup", None, 1, ["bound did not reproduce: " + _PUMPS % -1]),
+    ("-1", "koenig_bound_tp_sup", None, 1, ["bound did not reproduce: " + _CAPPED % 5]),
+    ("1", _LONG_BOUND, None, 0, ["bound reproduced at level 999"]),
     ("0", "level_satisfaction", "tp:limsup:>=:0", 0,
      ["m=1 certified at level 1 <= 1", "m=2 certified at level 2 <= 4"]),
     ("-1", "level_satisfaction", "tp:limsup:>=:0", 1,
-     ["m=1 certified at level 1 <= 1", "level (m=2, k=4) failed: " + _PUMPS % -1]),
+     ["m=1 certified at level 1 <= 1", "level (m=2, k=4) failed: " + _CAPPED % 4]),
     ("0", "level_satisfaction", "tp:limsup:>=:+inf", 1,
-     ["level (m=1, k=1) failed: " + _PUMPS % 0]),
+     ["level (m=1, k=1) failed: " + _CAPPED % 1]),
     ("0", "level_satisfaction", "buchi-all:1", 0,
      ["m=1 certified at level 1 <= 1", "m=2 certified at level 2 <= 4"]),
     ("0", "level_satisfaction", "buchi-all:2", 1,
      ["m=1 certified at level 1 <= 1",
       "level (m=2, k=4) failed: depth cap 4 exhausted with 1 unsatisfied branch"]),
     ("0", "sink_payoff", None, 1, ["play does not reach a sink within 1 steps"]),
-], ids=["koenig-accepted", "koenig-pumped", "levels-accepted", "levels-pumped", "levels-tp-inf",
-        "levels-buchi-accepted", "levels-buchi-capped", "sink-never-reached"])
+], ids=["koenig-accepted", "koenig-pumped", "koenig-long", "levels-accepted", "levels-pumped",
+        "levels-tp-inf", "levels-buchi-accepted", "levels-buchi-capped", "sink-never-reached"])
 def test_cli_verify_rederives_bounds_levels_and_sinks_on_a_loop(tmp_path, capsys, w, cert,
                                                                  objective, code, out):
     arena, loop = _loop_arena(tmp_path, w)
-    data = json.loads((CERTIFICATES / (cert + ".json")).read_text())
+    data = (cert if isinstance(cert, dict)
+            else json.loads((CERTIFICATES / (cert + ".json")).read_text()))
     if cert == "koenig_bound_tp_sup":
         data["body"]["level"] = 5
     path = _write(tmp_path, "cert.json", json.dumps(data))
@@ -1794,7 +1800,8 @@ def test_cli_certifies_a_strict_tp_threshold_exactly_where_the_start_value_excee
             if code == 1:
                 threshold = rewrite_strict_tp(arena, parse_objective(objective)).threshold
                 assert captured.err == ("error: start %s with sum 0 is outside the winning region"
-                                        " at threshold %s\n" % (arena.start, threshold)), (k, r)
+                                        " at threshold %s (%s is read as tp:limsup:>=:%s)\n"
+                                        % (arena.start, threshold, objective, threshold)), (k, r)
                 continue
             cert = _write(tmp_path, "levels.json",
                           certificate_to_json(LevelSatisfaction(_schedule(captured.out))))
@@ -1996,12 +2003,16 @@ SINK_CERT = ('{"schema": "qg-cert/1", "variant": "SinkPayoff", '
     (["simulate", "--arena", "zoo:a3", "--p1", "delay_twice_exit", "--p2", "p2_enter_01"],
      "entry a3 strategy 'p2_enter_01' must end in an integer of at least 0, written as it prints"),
     (["validate", "--arena", "zoo:buchib?b=+8"], "zoo parameter 'b' must be written 8, got '+8'"),
+    # the start value is 1: a strict objective is named as typed and as read
+    (["synthesize", "--arena", "{arena}", "--objective", "tp:limsup:>:1"],
+     "start a with sum 0 is outside the winning region at threshold 2 "
+     "(tp:limsup:>:1 is read as tp:limsup:>=:2)"),
 ], ids=["defeat-arena-file", "defeat-no-routine", "synthesize-shift-generator",
         "synthesize-open-objective", "synthesize-open-objective-at-1",
         "synthesize-open-strict-objective", "synthesize-unsupported-objective",
         "verify-open-objective", "synthesize-objective-as-typed",
         "verify-objective-as-typed", "export-arena-file", "simulate-strategy-index-text",
-        "validate-uri-value-text"])
+        "validate-uri-value-text", "synthesize-strict-objective-as-typed"])
 def test_cli_names_why_it_refuses_a_job(tmp_path, capsys, argv, message):
     files = {"arena": _write(tmp_path, "pos.txt", POS_ARENA),
              "cert": _write(tmp_path, "sink.json", SINK_CERT)}

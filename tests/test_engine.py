@@ -9,8 +9,8 @@ from qgames.arena import (ROW_STORE_BOUND, Arena, ArenaExplicit, Edge, History, 
                           ValidationReport, VertexId, make_edge)
 from qgames.engine import (CheckResult, ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, KoenigBound, LevelSatisfaction, PlayRecord,
-                           RefutedBranch, SinkPayoff, _detect_refuted, certificate_from_json,
-                           certificate_to_json, check_certificate,
+                           SinkPayoff, certificate_from_json, certificate_to_json,
+                           check_certificate,
                            explore_consistent, koenig_bound, koenig_layers, missing_context,
                            play)
 from qgames.objectives import OpenSub
@@ -109,15 +109,15 @@ def test_integer_weights_give_int_totals_and_an_exact_mp_column():
     assert empty.final_tp == 0 and type(empty.final_tp) is int
 
 
-def test_a_refuted_branch_prints_its_detail_vertex_and_step():
+def test_a_branch_that_never_fires_names_the_depth_cap_it_exhausts():
     arena = ArenaExplicit({A: 1}, [make_edge(A, -2, A)], A)
     sigma = Memoryless({A: arena.edges(A)[0]})
-    refuted = koenig_bound(arena, A, sigma, OpenSub("tp-sup", m=1), 10)
-    assert isinstance(refuted, RefutedBranch) and refuted.cycle_tp == -2
+    capped = koenig_bound(arena, A, sigma, OpenSub("tp-sup", m=1), 10)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "depth cap 10 exhausted with 1 unsatisfied branch"
     check = KoenigBound(1, OpenSub("tp-sup", m=1)).check({"arena": arena, "v0": A, "sigma1": sigma})
     assert check.diagnostics == [
-        "bound did not reproduce: unsatisfied branch pumps a cycle with total -2, "
-        "at a from step 0"]
+        "bound did not reproduce: depth cap 1 exhausted with 1 unsatisfied branch"]
 
 
 def test_play_stops_at_sink():
@@ -215,11 +215,12 @@ def test_koenig_bound_tp_inf():
     assert res2.level == 3
 
 
-def test_koenig_bound_refutes_capped_branch():
+def test_koenig_bound_runs_a_capped_branch_to_the_depth_cap():
     arena = branch_arena()
     # P2 replying -1 forever keeps TP at most 1, so TP >= 2 never fires
     res = koenig_bound(arena, A, P1_UP, OpenSub("tp-inf", m=2, i=1), 30)
-    assert isinstance(res, RefutedBranch)
+    assert isinstance(res, Inconclusive)
+    assert res.reason == "depth cap 30 exhausted with 1 unsatisfied branch"
 
 
 def test_koenig_bound_inconclusive_on_depth():
@@ -229,17 +230,17 @@ def test_koenig_bound_inconclusive_on_depth():
     assert isinstance(res, Inconclusive)
 
 
-def test_refuted_branch_requires_real_pumping():
+def test_koenig_bound_caps_a_cycle_below_the_bar_and_bounds_one_touching_it():
     # P1 memoryless into a cycle whose running totals stay below the bar
     arena = ArenaExplicit(
         {A: 1, B: 2},
         [E(A, -1, B), E(B, 0, A), E(B, 1, A)], A)
     down = Memoryless({A: E(A, -1, B)})
     res = koenig_bound(arena, A, down, OpenSub("tp-inf", m=1, i=1), 30)
-    assert isinstance(res, RefutedBranch)
-    assert res.cycle_tp <= 0
-    # but a zero cycle touching the bar is NOT refuted for tp-sup: the
-    # step index alone delays satisfaction
+    assert isinstance(res, Inconclusive)
+    assert res.reason == "depth cap 30 exhausted with 1 unsatisfied branch"
+    # but a zero cycle touching the bar is bounded for tp-sup: the step
+    # index alone delays satisfaction
     up = ArenaExplicit(
         {A: 1, B: 2},
         [E(A, 1, B), E(B, -1, A), E(B, 0, B)], A)
@@ -286,19 +287,21 @@ def test_a_koenig_walk_over_a_finite_memory_strategy_merges_on_vertex_and_memory
     assert [(node.vertex, node.tp) for node in layers[2]] == [(d, -1)]
 
 
-def test_a_cycle_is_pumped_for_a_finite_memory_strategy_only_where_its_memory_state_repeats():
+def test_a_finite_memory_walk_that_never_fires_names_its_branches_at_the_depth_cap():
     arena, d = _lap_arena()
     never = OpenSub("tp-inf", m=1, i=1)
     one = _back_to_a(arena, d, (0,), lambda m, e: 0)
-    refuted = koenig_bound(arena, A, one, never, 10)
-    assert isinstance(refuted, RefutedBranch)
-    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex, refuted.cycle_tp) == (0, 3, A, -1)
-    # a memory that flips on every lap is back in its state only after two laps
+    capped = koenig_bound(arena, A, one, never, 10)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "depth cap 10 exhausted with 2 unsatisfied branches"
+    # a memory that flips on every lap
     laps = _back_to_a(arena, d, (0, 1), lambda m, e: 1 - m if e.src == d else m)
-    assert isinstance(koenig_bound(arena, A, laps, never, 5), Inconclusive)
-    refuted = koenig_bound(arena, A, laps, never, 10)
-    assert isinstance(refuted, RefutedBranch)
-    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex, refuted.cycle_tp) == (0, 6, A, -2)
+    capped = koenig_bound(arena, A, laps, never, 5)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "depth cap 5 exhausted with 1 unsatisfied branch"
+    capped = koenig_bound(arena, A, laps, never, 10)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "depth cap 10 exhausted with 2 unsatisfied branches"
 
 
 def _debt_then_loop():
@@ -310,19 +313,15 @@ def _debt_then_loop():
     return arena, FiniteMemory(MealyMemory((0,), 0, lambda m, e: 0), {(A, 0): E(A, 0, A)})
 
 
-def test_a_pumped_cycle_is_refuted_below_the_threshold_bar_only():
-    # the totals -1/2 stay in [-1/m, r - 1/m) at m = 2 and r = 1: refuted at
+def test_a_loop_below_the_threshold_bar_runs_to_the_depth_cap_and_one_at_it_is_bounded():
+    # the totals -1/2 stay in [-1/m, r - 1/m) at m = 2 and r = 1: capped at
     # r = 1, while at r = 0 the bar -1/2 is reached, so the bound is the step index
     arena, sigma = _debt_then_loop()
-    frontier = list(koenig_layers(arena, B, sigma, 2))[2]
-    assert _detect_refuted(sigma, frontier, OpenSub("tp-sup", m=2)) is None
-    refuted = _detect_refuted(sigma, frontier, OpenSub("tp-sup", m=2, threshold=1))
-    assert (refuted.prefix_len, refuted.cycle_len, refuted.vertex) == (1, 1, A)
-    assert refuted.cycle_tp == 0
     assert koenig_bound(arena, B, sigma, OpenSub("tp-sup", m=2), 10) \
         == KoenigBound(2, OpenSub("tp-sup", m=2))
-    assert isinstance(koenig_bound(arena, B, sigma, OpenSub("tp-sup", m=2, threshold=1), 10),
-                      RefutedBranch)
+    capped = koenig_bound(arena, B, sigma, OpenSub("tp-sup", m=2, threshold=1), 10)
+    assert isinstance(capped, Inconclusive)
+    assert capped.reason == "depth cap 10 exhausted with 1 unsatisfied branch"
 
 
 def test_a_koenig_bound_written_without_a_threshold_reads_as_threshold_0_and_rechecks():

@@ -35,8 +35,13 @@ def test_a_zoo_entry_reads_its_name_and_start_from_its_arena():
 
 @pytest.mark.parametrize("name", ["a4", "a4guarded"])
 def test_a4_has_no_negative_index_below_the_guard(name):
+    """Only a4guarded answers its guard s(-1): a4 plays never reach it."""
     arena = make(name).arena
-    assert arena.edges(V("s", (-1,))) == (Edge(V("s", (-1,)), 1, V("s", (0,))),)
+    if name == "a4guarded":
+        assert arena.edges(V("s", (-1,))) == (Edge(V("s", (-1,)), 1, V("s", (0,))),)
+    else:
+        with pytest.raises(KeyError):
+            arena.row(V("s", (-1,)))
     for i in (-2, -5):
         with pytest.raises(KeyError):
             arena.row(V("s", (i,)))
@@ -68,13 +73,12 @@ _FAMILIES = "s t q a b d e r0 g dr v vz vc u uz uc x y w st ray".split()
 def test_a3_and_a4_have_rows_exactly_at_their_reachable_vertices(name):
     """Within a box of parameters and arities, a vertex of any entry's
     family names has a row iff a play from the start reaches it
-    (a4guarded's start s(-1) leads into a4's s(0)).  a4 shares
-    a4guarded's rows, so it also answers the guard s(-1)
-    (``test_a4_has_no_negative_index_below_the_guard``)."""
+    (a4guarded's start s(-1) leads into a4's s(0), and a4 has no row at
+    the guard)."""
     arena = make(name).arena
     box = [V(family, params) for family in _FAMILIES for arity in range(4)
            for params in itertools.product(range(-2, 6), repeat=arity)]
-    reached = set(reach(arena, arena.start, 40)) | ({V("s", (-1,))} if name == "a4" else set())
+    reached = set(reach(arena, arena.start, 40))
     answered = set()
     for v in box:
         try:
