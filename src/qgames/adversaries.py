@@ -16,10 +16,11 @@ import itertools
 from functools import cache, reduce
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arena import Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex
+from .arena import (Arena, Edge, LetterMemory, VertexId, Weight, V, _new_edge, _new_vertex,
+                    node_cap_from_env)
 from .engine import (Certificate, ColourStarvation, Divergence, EarlyExitNegative,
-                     Inconclusive, PlayRecord, play, _round_signature)
-from .strategies import FIRST_EDGE, StepCounterTable, Strategy
+                     Inconclusive, PlayRecord, lasso, play, _round_signature)
+from .strategies import StepCounterTable, Strategy
 from .zoo import ZooEntry, a4_router, _edge_to, _edge_to_weight
 
 
@@ -453,77 +454,21 @@ def _entry_states(sigma: Strategy, entry: ZooEntry) -> Callable[[int], object]:
 # Step counters lose the two-colour objective on BuchiB
 
 
-def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry, horizon: int = 600) -> DefeatResult:
-    """Steer every arrival at the decision vertex into one of the table's
-    exit steps (the loop colour starves), or past the finitely many exit
-    steps (the exit colour starves), reading the exit steps off the table."""
+def defeat_sc_buchi(sigma: Strategy, entry: ZooEntry) -> DefeatResult:
+    """Pad every arrival at the decision vertex by one step (``pad_1``)
+    until the lasso closes (``engine.lasso``): past its last row a
+    ``fallback=first`` table plays v's first edge, the exit, so the loop
+    colour never recurs.  A ``fallback=error`` table stops at its first
+    missing cell (``HorizonExceeded``)."""
     _require_step_counter(sigma, "defeat_sc_buchi")
-    arena = entry.arena
-    b = entry.params["b"]
-    v = V("v", ())
-
-    # a history reaching v at step s meets the table's cell (v, s) whatever
-    # its path: the exit steps are the rows moving to u and, under
-    # fallback=first, the missing cells and every step from the horizon on,
-    # since v's first edge is the exit
-    first = sigma.fallback == FIRST_EDGE
-    rows = [(s, e.dst.name == "u") for (w, s, _), e in sigma.table.items()
-            if w == v and s < sigma.horizon]
-    row_exits = {s for s, exit_row in rows if exit_row}
-    last_exit = float("inf") if first else max(row_exits, default=-1)
-    # colour 1 can recur until the play has passed the last row that loops
-    last_loop = max((s for s, exit_row in rows if not exit_row), default=-1)
-
-    def exits(step: int) -> bool:
-        return step in row_exits or (first and (step >= sigma.horizon
-                                                or (v, step, 0) not in sigma.table))
-
-    def pad_length(step_at_u: int) -> Optional[int]:
-        """The padding landing on an exit step, 1 once no exit lies beyond
-        (any padding works), or None when exits remain but none is in reach."""
-        for n in range(1, b + 1):
-            if exits(step_at_u + n):
-                return n
-        return 1 if last_exit <= step_at_u else None
-
-    def decide(ar: Arena, w: VertexId, step: int) -> Edge:
-        n = pad_length(step) or 1
-        for e in ar.edges(w):
-            if n == 1 and e.dst.name == "v":
-                return e
-            if e.dst.name == "w" and e.dst.params[0] == n:
-                return e
-        raise AssertionError("no padding of length %d" % n)
-
-    p2 = Strategy("pad_into_exits", 0, lambda step, e: step + 1, decide, player=2)
-    record = play(arena, entry.start, sigma, p2, horizon)
-    loop_steps = [i for i, e in enumerate(record.edges) if e.src == v and e.dst == v]
-    exit_uses = [i for i, e in enumerate(record.edges) if e.src == v and e.dst.name == "u"]
-    # every arrival at u that the play leaves, the padding chosen or forced
-    blocked = next((i + 1 for i in exit_uses if i + 1 < len(record.edges)
-                    and pad_length(i + 1) is None), None)
-    if blocked is not None:
-        raise Inconclusive("cannot steer into an exit from step %d within padding %d"
-                           % (blocked, b))
-    if not loop_steps or (exit_uses and loop_steps[-1] < exit_uses[0]):
-        # the self-check replays one step more: the move at the last vertex
-        if record.vertex_at(len(record.edges)) == v and not exits(len(record.edges)):
-            raise Inconclusive("horizon too small: the loop colour occurs at step %d"
-                               % len(record.edges))
-        if len(record.edges) <= last_loop:
-            raise Inconclusive("horizon too small: the table loops at step %d" % last_loop)
-        after = 0 if not loop_steps else loop_steps[-1] + 1
-        cert = ColourStarvation(1, after, len(record.edges))
-        return DefeatResult(p2, cert, record, False, ["every arrival hits an exit step"])
-    if exit_uses and loop_steps and exit_uses[-1] < loop_steps[-1]:
-        last_zero = max(i for i, e in enumerate(record.edges) if e.weight == 0)
-        cert = ColourStarvation(0, last_zero + 1, len(record.edges))
-        return DefeatResult(p2, cert, record, False,
-                            ["exit steps exhausted; the loop colour remains"])
-    raise Inconclusive("both colours keep occurring within the horizon")
-
-
-__all__ = [
-    "AdversaryPlan", "DefeatResult",
-    "defeat_a1prime", "defeat_a2", "defeat_sc_buchi", "defeat_sc_on_A3", "ramsey_adversary",
-]
+    p2 = entry.strategy("pad_1")
+    cap = node_cap_from_env()
+    edges, cycle_from = lasso(entry.arena, entry.start, sigma, p2, cap)
+    if cycle_from is None:
+        raise Inconclusive("the play closes no lasso within the node cap %d" % cap, node_cap=cap)
+    closure = len(edges)
+    after = max((i + 1 for i, e in enumerate(edges) if e.weight == 1), default=0)
+    record = play(entry.arena, entry.start, sigma, p2, closure)
+    return DefeatResult(p2, ColourStarvation(1, after, closure), record, False,
+                        ["the lasso closes at step %d; colour 1 does not occur from step %d on"
+                         % (closure, after)])

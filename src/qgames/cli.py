@@ -233,19 +233,16 @@ def cmd_defeat(args) -> int:
     if entry is None:
         return _err("defeat targets zoo entries; pass a zoo: URI")
     sigma = _load_strategy(args.strategy, arena, entry, 1)
-    # the one map from a zoo entry to its adversary
-    if entry.name == "a1prime":
-        result = defeat_a1prime(sigma, entry)
-    elif entry.name == "a2":
-        result = defeat_a2(sigma, entry)
+    # the one map from a zoo entry to its adversary; these three read no option
+    plain = {"a1prime": defeat_a1prime, "a2": defeat_a2, "buchib": defeat_sc_buchi}
+    if entry.name in plain:
+        result = plain[entry.name](sigma, entry)
     elif entry.name == "a3":
         result = defeat_sc_on_A3(sigma, entry, horizon=args.horizon)
     elif entry.name in ("a4", "a4guarded"):
         plan, result = ramsey_adversary(sigma, entry, window=args.window,
                                         horizon=max(args.horizon, 2000))
         print("plan: enter %d, route %s" % (plan.entry, plan.routing))
-    elif entry.name == "buchib":
-        result = defeat_sc_buchi(sigma, entry, horizon=args.horizon)
     else:
         return _err("no adversary routine for zoo entry %r" % entry.name)
     for note in result.notes:
@@ -421,8 +418,8 @@ _COMMANDS = {
                  {"help": "play two strategies, emit the play CSV"}),
     "defeat": (cmd_defeat, "--arena! --horizon --out --strategy! --window", {}, {
         "help": "construct an opponent defeating the strategy",
-        "epilog": "--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play "
-                  "horizon is max(--horizon, 2000); a1prime and a2 do not read it"}),
+        "epilog": "--horizon is the horizon on a3; on a4 and a4guarded the play horizon is "
+                  "max(--horizon, 2000); a1prime, a2 and buchib do not read it"}),
     "synthesize": (cmd_synthesize, "--arena! --depth --out --objective! --m-max", {"depth": 200},
                    {"help": "synthesize a certified strategy"}),
     "verify": (cmd_verify, "--arena! --cert! --p1 --p2 --objective", {},

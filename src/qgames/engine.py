@@ -8,20 +8,22 @@ checkers re-derive every claimed quantity from scratch.
 
 Each certificate variant is one named tuple, listed once in ``Certificate``:
 ``needs`` names the context keys its check reads, ``check`` re-derives the
-claim (the play-based variants from one replay, ``_check_play``), and
+claim (the play-based variants from one replay, ``_check_play`` or, for a
+colour starvation, ``lasso``, each capped by ``QG_NODE_CAP``), and
 ``certificate_to_json`` and ``certificate_from_json`` write and read each
 field by its annotation (``_annotations``, ``_WRITERS``, ``_READERS``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from math import gcd
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union, get_args
 
 from .arena import (_VERTEX_FORMATS, Arena, Edge, History, Inconclusive, VertexId, Weight,
                     exact, node_cap_from_env)
-from .objectives import OpenSub
+from .objectives import Lasso, OpenSub
 from .strategies import Strategy
 
 CERT_SCHEMA = "qg-cert/1"
@@ -38,10 +40,6 @@ class PlayRecord(NamedTuple):
     mem1_trace: list[object]
     mem2_trace: list[object]
     termination: str  # "horizon" | "sink"
-
-    @property
-    def colours(self) -> list[Weight]:
-        return [e.weight for e in self.edges]
 
     @property
     def final_tp(self) -> Weight:
@@ -164,6 +162,25 @@ def play(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
     at = edges[-1].dst if edges else v0
     return PlayRecord(v0, edges, tp_trace, mem1, mem2,
                       "sink" if arena.is_sink(at) else "horizon")
+
+
+def lasso(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
+          horizon: int) -> tuple[list[Edge], Optional[int]]:
+    """The edges of the play of ``steps`` up to the horizon, and where its
+    lasso's cycle starts, or None: it stops at the first position whose
+    vertex and both strategies' settled values (``Strategy.settled``, not
+    None) repeat an earlier one's, from which the play repeats forever."""
+    edges, seen = [], {}
+    state1, state2, at = sigma1.initial, sigma2.initial, v0
+    for edge, *_ in itertools.chain(steps(arena, v0, sigma1, sigma2, horizon), [(None,)]):
+        key = (at, sigma1.settled(state1), sigma2.settled(state2))
+        if None not in key[1:] and seen.setdefault(key, len(edges)) < len(edges):
+            return edges, seen[key]
+        if edge is None:  # a sink repeats its weight-0 self-loop forever
+            return (edges + [Edge(at, 0, at)], len(edges)) if arena.is_sink(at) else (edges, None)
+        edges.append(edge)
+        state1, state2 = sigma1.step_state(state1, edge), sigma2.step_state(state2, edge)
+        at = edge.dst
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +385,18 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
 _PLAY_NEEDS = ("sigma1", "sigma2")
 
 
+def _replay_length(claim) -> int:
+    """The steps a play claim replays, ``horizon`` + 1, below the node cap."""
+    cap = node_cap_from_env()
+    if claim.horizon >= cap:
+        raise Inconclusive("%s claims %d steps; replaying them passes the node cap %d"
+                           % (type(claim).__name__, claim.horizon, cap), node_cap=cap)
+    return claim.horizon + 1
+
+
 def _check_play(claim, context: dict) -> CheckResult:
     record = play(context["arena"], context["v0"], context["sigma1"], context["sigma2"],
-                  claim.horizon + 1)
+                  _replay_length(claim))
     return claim.check_record(context["arena"], record, CheckResult(True))
 
 
@@ -523,25 +549,35 @@ class Divergence(_Divergence):
 
 
 class ColourStarvation(NamedTuple):
-    """Beyond ``after_step``, the named colour never occurs in the play
-    within the simulated horizon."""
+    """From ``after_step`` on, the named colour never occurs in the play:
+    in the whole play where the replay of ``horizon`` + 1 steps closes its
+    lasso (``lasso``), else in the steps replayed."""
 
     colour: Weight
     after_step: int
     horizon: int
 
-    needs, check = _PLAY_NEEDS, _check_play
+    needs = _PLAY_NEEDS
 
-    def check_record(self, arena: Arena, record: PlayRecord, result: CheckResult) -> CheckResult:
+    def check(self, context: dict) -> CheckResult:
+        result = CheckResult(True)
         if not 0 <= self.after_step <= self.horizon:
             return result.fail("after_step %d is outside steps 0 to %d"
                                % (self.after_step, self.horizon))
-        tail = record.colours[self.after_step:]
+        edges, first = lasso(context["arena"], context["v0"], context["sigma1"],
+                             context["sigma2"], _replay_length(self))
+        colours, end = [e.weight for e in edges], len(edges)
+        if first is not None:  # the cycle repeats forever: unroll it one period past after_step
+            colours = Lasso(tuple(colours[:first]), tuple(colours[first:])).unroll(
+                max(self.after_step, first) + end - first)
+        tail = colours[self.after_step:]
         if self.colour in tail:
             return result.fail("colour %s occurs again at step %d"
                                % (self.colour, self.after_step + tail.index(self.colour)))
-        result.diagnostics.append("colour %s absent after step %d over %d steps"
-                                  % (self.colour, self.after_step, len(record.edges)))
+        result.diagnostics.append("colour %s absent after step %d" % (self.colour, self.after_step)
+                                  + (" over %d steps" % end if first is None else
+                                     "; the lasso closes at step %d, repeating steps %d to %d "
+                                     "forever" % (end, first, end)))
         return result
 
 
@@ -572,11 +608,16 @@ def _same(value):
     return value
 
 
-def _int(value) -> int:
-    """A JSON integer, unchanged; ``true`` reads as a bool, which is an int subclass."""
-    if type(value) is not int:
-        raise ValueError("%s is not an integer" % json.dumps(value))
-    return value
+def _exactly(kind: type, what: str) -> Callable:
+    """The reader of a JSON value of exactly ``kind``: ``true`` is no int."""
+    def read(value):
+        if type(value) is not kind:
+            raise ValueError("%s is not %s" % (json.dumps(value), what))
+        return value
+    return read
+
+
+_int, _text = _exactly(int, "an integer"), _exactly(str, "a string")
 
 
 def _optional(fn: Callable) -> Callable:
@@ -611,10 +652,10 @@ _WRITERS: dict[str, Callable] = {
 # certificate field annotation -> how certificate_from_json reads the field
 _READERS: dict[str, Callable] = {
     "int": _int,
-    "str": _same,  # taken as written
+    "str": _text,
     "Weight": exact,
     "Optional[Weight]": _optional(exact),
-    "VertexId": VertexId.parse,
+    "VertexId": lambda text: VertexId.parse(_text(text)),
     "OpenSub": _read_open_sub,
     "list[int]": lambda xs: [_int(x) for x in xs],
     "list[str]": lambda xs: [str(x) for x in xs],

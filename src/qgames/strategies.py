@@ -60,6 +60,11 @@ class Strategy:
     def choose(self, arena: Arena, vertex: VertexId, state) -> Edge:
         return self.decide(arena, vertex, state)
 
+    def settled(self, state):
+        """Once not None, a value that with the vertex decides every later
+        move and settled value (``engine.lasso``): a finite memory's state."""
+        return None if self.mealy is None else (state,)
+
 
 class Memoryless(Strategy):
     mealy = LetterMemory((None,), None, lambda state, letter: None)  # one state
@@ -158,6 +163,15 @@ class StepCounterTable(Strategy):
             return arena.edges(vertex)[0]
         raise HorizonExceeded("no table entry for %s at step %d and fallback is 'error'"
                               % (vertex, step))
+
+    def settled(self, state):
+        """The mode, once a ``fallback=first`` table with no tail is past
+        its last row and mode update: it plays first edges from there.  The
+        latest rows are read first, as tables are filled in step order."""
+        step, mode = state
+        first = self.tail is None and self.fallback == FIRST_EDGE
+        return mode if first and not (any(s >= step for _, s, _ in reversed(self.table)) or any(
+            s >= step for s, _, _ in reversed(self.bit_update))) else None
 
 
 def move(arena: Arena, strategy: Strategy, vertex: VertexId, state) -> Edge:

@@ -510,9 +510,11 @@ def _make_buchib(b: int) -> ZooEntry:
             "colour-0 exit into opponent-chosen colour-0 padding of length "
             "1..%d; alternating loop-then-exit sees both colours forever, "
             "but any step-counter exit schedule can be padded into." % b)
+    # player 2 pads every arrival by one step, the edge back to v
+    pad_1 = Memoryless({V("u", ()): E(V("u", ()), 0, V("v", ()))}, player=2, name="pad_1")
     return ZooEntry(arena, note,
                     strategies={"alternating": Strategy("alternating", None, _last_edge,
-                                                        alternating)})
+                                                        alternating), "pad_1": pad_1})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 No ``qg`` job runs these.  Each states a property of arenas, strategies,
 objectives or minimal histories by the most direct computation: a step
 count by a first-reach walk, a strategy's move by folding a whole
-history, a lasso's membership by its exact limit, and the prefix
+history, a Buchi game against a step-counter table by a search of its
+finite graph, a lasso's membership by its exact limit, and the prefix
 preorder by comparing two whole words.
 """
 
@@ -156,6 +157,41 @@ def collapse_sc_fm(arena: Arena, strategy: Strategy, n_map: dict[VertexId, int]
         return strategy.bit_update.get((level(edge.src), mode, edge), mode)
 
     return FiniteMemory(MealyMemory(modes, 0, update), table, player=strategy.player, name=name)
+
+
+def starves_a_colour(arena: Arena, table: StepCounterTable) -> bool:
+    """Whether player 2 can keep colour 0 or colour 1 away forever, from
+    some step on, against a ``fallback=first`` step-counter table on a
+    finite arena such as buchib.  The table's move at a step past its last
+    row, S, is its move at S, so the game is played on the finite graph
+    of (vertex, min(step, S)); with the table fixed it is player 2's
+    alone, who wins iff a reachable node starts an infinite path with no
+    edge of the colour."""
+    settle = 1 + max((s for _, s, _ in table.table), default=-1)
+
+    def successors(node):
+        v, t = node
+        owner, out = arena.row(v)
+        edges = (move(arena, table, v, (t, 0)),) if owner == table.player else out
+        return [(e, (e.dst, min(t + 1, settle))) for e in edges]
+
+    reached, todo = {(arena.start, 0)}, [(arena.start, 0)]
+    while todo:
+        for _, nxt in successors(todo.pop()):
+            if nxt not in reached:
+                reached.add(nxt)
+                todo.append(nxt)
+    for colour in (0, 1):
+        alive = set(reached)  # shrinks to the nodes with an infinite colour-free path
+        while True:
+            dead = {node for node in alive if not any(
+                e.weight != colour and nxt in alive for e, nxt in successors(node))}
+            if not dead:
+                break
+            alive -= dead
+        if alive:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from qgames.adversaries import (AdversaryPlan, DefeatResult, defeat_a1prime, def
 from qgames.arena import Edge, LetterMemory, MealyMemory, VertexId
 from qgames.engine import (ColourStarvation, Divergence, EarlyExitNegative,
                            Inconclusive, check_certificate)
-from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, Memoryless, StepCounterTable,
-                               Strategy)
+from qgames.strategies import (ERROR, FIRST_EDGE, FiniteMemory, HorizonExceeded, Memoryless,
+                               StepCounterTable, Strategy)
 from qgames.zoo import make
 
 F = Fraction
@@ -132,24 +132,31 @@ def _exit_every_third_step(horizon):
     return StepCounterTable(table, horizon, name="exit_every_third_step")
 
 
-@pytest.mark.parametrize("horizon", [60, 200, 600])
-def test_defeat_sc_buchi_pads_two_steps_into_every_third_step_exit(horizon):
-    # at 60 and 600 the last arrival before the horizon must be padded
-    # into an exit step past it, or the certificate's replay sees the loop;
-    # the table ends at the horizon, so colour 1 starves beyond it too
+@pytest.mark.parametrize("horizon, after, closure", [(60, 58, 62), (200, 199, 202),
+                                                     (600, 598, 602)])
+def test_defeat_sc_buchi_claims_the_lasso_past_an_every_third_step_exit(horizon, after,
+                                                                        closure):
+    # padded by one step, each exit at 3k+1 returns to v at 3k+3, which
+    # loops; past the last row every arrival exits, and the lasso closes
+    # two steps after the play passes it
     entry = make("buchib", b=6)
     sigma = _exit_every_third_step(horizon)
-    result = defeat_sc_buchi(sigma, entry, horizon=horizon)
+    result = defeat_sc_buchi(sigma, entry)
     assert isinstance(result, DefeatResult)
-    assert result.notes == ["every arrival hits an exit step"]
-    # the exit at step 1 reaches u at step 2, so the padding takes two steps
+    assert result.p2 is entry.strategy("pad_1")
+    assert result.notes == ["the lasso closes at step %d; colour 1 does not occur from step %d on"
+                            % (closure, after)]
     assert [e.dst for e in result.record.edges[1:5]] == \
-        [V("u", ()), V("w", (2, 1)), V("v", ()), V("u", ())]
+        [V("u", ()), V("v", ()), V("v", ()), V("u", ())]
     cert = result.certificate
-    assert isinstance(cert, ColourStarvation) and cert.colour == F(1)
+    assert cert == ColourStarvation(1, after, closure)
     ctx = {"arena": entry.arena, "v0": entry.start,
            "sigma1": sigma, "sigma2": result.p2}
-    assert check_certificate(cert, ctx).ok
+    check = check_certificate(cert, ctx)
+    assert check.ok
+    assert check.diagnostics == ["colour 1 absent after step %d; the lasso closes at step %d, "
+                                 "repeating steps %d to %d forever"
+                                 % (after, closure, closure - 2, closure)]
 
 
 def _a3_table(name, exits):
@@ -273,16 +280,14 @@ def test_ramsey_guards_and_no_clique():
         ramsey_adversary(entry.strategy("always_delay"), entry, window=1)
 
 
-def _buchib_table(entry, name, exits):
+def _buchib_table(entry, name, exits, fallback=FIRST_EDGE):
     # exits at the steps where exits(step) holds and loops elsewhere, past
-    # the adversary's horizon 600 plus the longest padding and one; with no
-    # fallback tail, since under fallback=first every step from the horizon
-    # on would play v's first edge, the exit
+    # the longest padding and one
     v = V("v", ())
     table = {(v, step, 0): next(e for e in entry.arena.edges(v)
                              if (e.dst.name == "u") == exits(step))
              for step in range(607)}
-    return StepCounterTable(table, 607, ERROR, name=name)
+    return StepCounterTable(table, 607, fallback, name=name)
 
 
 def test_defeat_sc_buchi_starves_the_loop_colour():
@@ -293,22 +298,22 @@ def test_defeat_sc_buchi_starves_the_loop_colour():
     cert = result.certificate
     assert isinstance(cert, ColourStarvation)
     assert cert.colour == F(1)
+    # v at the even steps, u at the odd ones: past the last row at 606 the
+    # lasso closes from u at 607 to u at 609
+    assert (cert.after_step, cert.horizon) == (0, 609)
     ctx = {"arena": entry.arena, "v0": entry.start,
            "sigma1": sigma, "sigma2": result.p2}
     assert check_certificate(cert, ctx).ok
 
 
-def test_defeat_sc_buchi_starves_the_exit_colour():
+def test_defeat_sc_buchi_stops_an_error_table_at_its_first_missing_cell():
+    # the table exits once and loops through step 606; at 607 it has no
+    # cell, and fallback=error refuses to play on
     entry = make("buchib", b=6)
-    sigma = _buchib_table(entry, "exit_once", lambda step: step == 0)
-    result = defeat_sc_buchi(sigma, entry)
-    assert isinstance(result, DefeatResult)
-    cert = result.certificate
-    assert isinstance(cert, ColourStarvation)
-    assert cert.colour == F(0)
-    ctx = {"arena": entry.arena, "v0": entry.start,
-           "sigma1": sigma, "sigma2": result.p2}
-    assert check_certificate(cert, ctx).ok
+    sigma = _buchib_table(entry, "exit_once", lambda step: step == 0, ERROR)
+    with pytest.raises(HorizonExceeded,
+                       match="^no table entry for v at step 607 and fallback is 'error'$"):
+        defeat_sc_buchi(sigma, entry)
 
 
 def test_defeat_sc_buchi_guards():

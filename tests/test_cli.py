@@ -25,6 +25,7 @@ from qgames.synthesis import WPrimeOracle, brute_force_values
 from qgames import cli, engine, zoo
 from qgames.zoo import make
 
+import oracles
 import small_scope
 import sweeps
 from test_values import random_arenas
@@ -409,20 +410,20 @@ def test_cli_defeat_without_out_writes_the_certificate_to_stdout(tmp_path, capsy
         + cert.read_text() + "defeat: certificate accepted\n")
 
 
-def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsys):
+def test_cli_defeat_claims_the_lasso_of_a_step_counter_on_buchib(tmp_path, capsys):
     # the table exits the decision vertex at steps 1, 4, 7, ... and loops
-    # there at every other step below its horizon, the adversary's; from
-    # there fallback=first exits at every step
+    # there at every other step below its horizon; padded by one step, the
+    # play loops last at step 57, and from step 60 on fallback=first exits
+    # at every arrival, so the lasso closes at step 62
     v, u = V("v", ()), V("u", ())
     table = {(v, s, 0): Edge(v, F(0), u) if s % 3 == 1 else Edge(v, F(1), v) for s in range(60)}
     strat = _write(tmp_path, "third.strategy",
                    serialize_strategy(StepCounterTable(table, 60, name="third")))
-    assert main(["defeat", "--arena", "zoo:buchib", "--strategy", strat,
-                 "--horizon", "60"]) == 0
+    assert main(["defeat", "--arena", "zoo:buchib", "--strategy", strat]) == 0
     captured = capsys.readouterr()
     assert captured.out == (
-        "note: every arrival hits an exit step\n"
-        '{\n  "body": {\n    "after_step": 1,\n    "colour": "1",\n    "horizon": 60\n  },\n'
+        "note: the lasso closes at step 62; colour 1 does not occur from step 58 on\n"
+        '{\n  "body": {\n    "after_step": 58,\n    "colour": "1",\n    "horizon": 62\n  },\n'
         '  "schema": "qg-cert/1",\n  "variant": "ColourStarvation"\n}\n'
         "defeat: certificate accepted\n")
     assert captured.err == ""
@@ -431,7 +432,7 @@ def test_cli_defeat_pads_a_step_counter_into_its_exits_on_buchib(tmp_path, capsy
 def test_cli_defeat_on_buchib_reads_the_rows_not_every_step_of_a_huge_table_horizon(
         tmp_path, capsys):
     # the file's horizon= is unbounded: the adversary's work follows the
-    # table's rows and --horizon, not the file's horizon
+    # table's rows, not the file's horizon
     strat = _write(tmp_path, "huge.strategy",
                    "strategy huge kind=sc horizon=1000000000 fallback=first\n"
                    "move v step=1 -> v weight=1\n")
@@ -440,8 +441,25 @@ def test_cli_defeat_on_buchib_reads_the_rows_not_every_step_of_a_huge_table_hori
                  "--horizon", "30"]) == 0
     assert time.perf_counter() - start < 5
     out = capsys.readouterr().out
-    assert out.startswith("note: every arrival hits an exit step\n")
+    # no history meets the row: v is reached at even steps only
+    assert out.startswith("note: the lasso closes at step 4; colour 1 does not occur from "
+                          "step 0 on\n")
     assert out.endswith("defeat: certificate accepted\n")
+
+
+def test_cli_defeat_on_buchib_asks_a_long_table_whether_it_settled_in_linear_time(
+        tmp_path, capsys):
+    # 20 000 rows: a lasso that rescanned every row at every step would
+    # read 4 * 10^8 of them; v is met at even steps only, which all exit
+    rows = "".join("move v step=%d -> %s\n" % (s, "v weight=1" if s % 2 else "u weight=0")
+                   for s in range(20000))
+    strat = _write(tmp_path, "long.strategy",
+                   "strategy long kind=sc horizon=20000 fallback=first\n" + rows)
+    start = time.perf_counter()
+    assert main(["defeat", "--arena", "zoo:buchib?b=1", "--strategy", strat]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.startswith(
+        "note: the lasso closes at step 20002; colour 1 does not occur from step 0 on\n")
 
 
 def test_cli_verify_rechecks_the_levels_of_a_synthesized_strategy(tmp_path, capsys):
@@ -669,6 +687,39 @@ def test_cli_verify_accepts_a_sink_payoff_it_replays(tmp_path, capsys):
     assert capsys.readouterr() == ("sink s reached with TP -2\nverify: accepted\n", "")
 
 
+def test_cli_verify_refuses_a_certificate_vertex_that_is_not_text(tmp_path, capsys):
+    arena, loop = _loop_arena(tmp_path, "0")
+    cert = _write(tmp_path, "cert.json", json.dumps({
+        "schema": "qg-cert/1", "variant": "SinkPayoff",
+        "body": {"final_tp": "-2", "sink": -1, "steps": 1}}))
+    assert main(["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert", cert]) == 1
+    assert capsys.readouterr() == (
+        "", "error: SinkPayoff certificate field sink: -1 is not a string\n")
+
+
+@pytest.mark.parametrize("cap, steps, code, out", [
+    (None, 10 ** 30, 2, "inconclusive: SinkPayoff claims %d steps; replaying them passes the "
+                        "node cap 1000000\n" % 10 ** 30),
+    ("5", 5, 2, "inconclusive: SinkPayoff claims 5 steps; replaying them passes the node "
+                "cap 5\n"),
+    ("5", 4, 1, "play does not reach a sink within 4 steps\nverify: refuted\n"),
+], ids=["default-cap", "at-the-cap", "below-the-cap"])
+def test_cli_verify_replays_a_claimed_play_only_below_the_node_cap(tmp_path, capsys,
+                                                                  monkeypatch, cap, steps,
+                                                                  code, out):
+    # the loop never reaches a sink, so the replay runs to the claimed length
+    if cap is not None:
+        monkeypatch.setenv("QG_NODE_CAP", cap)
+    arena, loop = _loop_arena(tmp_path, "0")
+    cert = _write(tmp_path, "cert.json", json.dumps({
+        "schema": "qg-cert/1", "variant": "SinkPayoff",
+        "body": {"final_tp": "0", "sink": "a", "steps": steps}}))
+    start = time.perf_counter()
+    assert main(["verify", "--arena", arena, "--p1", loop, "--p2", IDLE, "--cert", cert]) == code
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (out, "")
+
+
 @pytest.mark.parametrize("reader", ["arena", "strategy", "objective", "certificate"])
 def test_cli_refuses_a_zero_denominator_with_one_error_line(tmp_path, capsys, reader):
     arena, loop = _loop_arena(tmp_path, "0")
@@ -756,7 +807,7 @@ def defeat_certificates(tmp_path_factory):
     runs = {"a3-exit": (a3, exit2, a3.strategy("p2_enter_2")),
             "a3-stay": (a3, stay, a3.strategy("p2_enter_0")),
             # v's first edge exits, so colour 1 starves from step 0
-            "buchib-exit": (buchib, stay, defeat_sc_buchi(stay, buchib, horizon=200).p2),
+            "buchib-exit": (buchib, stay, defeat_sc_buchi(stay, buchib).p2),
             # qg defeat runs the Ramsey adversary at these window and horizon
             "a4-delay": (a4, always_delay,
                          ramsey_adversary(always_delay, a4, window=2000, horizon=2000)[1].p2)}
@@ -803,8 +854,9 @@ def defeat_certificates(tmp_path_factory):
     # steps outside 0 to the horizon: the replay has no such position to check
     ("a3-stay", {"round_starts": [-2, 1, 4]}, "round boundary -2 is before step 0"),
     ("a3-stay", {"round_starts": [1, 4, 201]}, "round boundaries exceed the simulated horizon"),
-    ("buchib-exit", {"after_step": -2}, "after_step -2 is outside steps 0 to 200"),
-    ("buchib-exit", {"after_step": 201}, "after_step 201 is outside steps 0 to 200"),
+    # the lasso closes at step 2: v exits to u, which pads back to v
+    ("buchib-exit", {"after_step": -2}, "after_step -2 is outside steps 0 to 2"),
+    ("buchib-exit", {"after_step": 3}, "after_step 3 is outside steps 0 to 2"),
 ], ids=["wrong-sink", "exit-not-below", "no-sink", "boundaries-out-of-order",
         "boundary-past-horizon", "cycle-from-out-of-range", "round-states-differ",
         "stagnation-round-gains", "round-loses-too-little", "spike-above-elevation",
@@ -846,18 +898,7 @@ INCONCLUSIVE_CASES = Path(__file__).parent / "data" / "inconclusive"
     # exits at t(1), step 4: the horizon's last vertex, so the play never absorbs
     ("zoo:a3", "a3_exit_at_step_4", ["--horizon", "4"],
      "horizon too small to absorb after entering at 1"),
-    # exits at steps 0 and 5 only: from step 1 no padding of length 1 lands on one
-    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "20"],
-     "cannot steer into an exit from step 1 within padding 1"),
-    # the same within two steps: the table's exit at step 5 lies past them
-    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "2"],
-     "cannot steer into an exit from step 1 within padding 1"),
-    # every arrival within two steps exits, but from step 3 no padding of
-    # length 1 lands on an exit: colour 1 recurs at step 4
-    ("zoo:buchib?b=1", "buchib_exit_at_0_and_2", ["--horizon", "2"],
-     "horizon too small: the table loops at step 6"),
-], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon", "buchib-padding",
-        "buchib-padding-within-two-steps", "buchib-table-loops-past-the-horizon"])
+], ids=["a2-probe-cap", "a3-horizon", "a3-exit-at-horizon"])
 def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strategy, options,
                                                              reason):
     path = str(INCONCLUSIVE_CASES / (strategy + ".strategy"))
@@ -865,6 +906,33 @@ def test_cli_defeat_reports_an_exhausted_cap_as_inconclusive(capsys, uri, strate
     captured = capsys.readouterr()
     assert captured.out == "inconclusive: %s\n" % reason
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("uri, strategy, options, after, closure", [
+    # exits at steps 0 and 5 only, and loops at every other row up to 39
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "20"], 40, 42),
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_5", ["--horizon", "2"], 40, 42),
+    # exits at steps 0 and 2, then loops at steps 4 to 6 before the rows end
+    ("zoo:buchib?b=1", "buchib_exit_at_0_and_2", ["--horizon", "2"], 7, 9),
+], ids=["buchib-padding", "buchib-padding-within-two-steps",
+        "buchib-table-loops-past-the-horizon"])
+def test_cli_defeat_claims_the_lasso_on_buchib_whatever_the_horizon(
+        tmp_path, capsys, uri, strategy, options, after, closure):
+    """Files once named as an exhausted horizon: the adversary plays
+    ``pad_1`` until the lasso closes, and ``qg verify --p2 pad_1`` accepts
+    the certificate, naming the step where it closes."""
+    path, cert = str(INCONCLUSIVE_CASES / (strategy + ".strategy")), tmp_path / "cert.json"
+    assert main(["defeat", "--arena", uri, "--strategy", path, "--out", str(cert)]
+                + options) == 0
+    assert capsys.readouterr() == (
+        "note: the lasso closes at step %d; colour 1 does not occur from step %d on\n"
+        "certificate written to %s\ndefeat: certificate accepted\n" % (closure, after, cert), "")
+    assert certificate_from_json(cert.read_text()) == ColourStarvation(1, after, closure)
+    assert main(["verify", "--arena", uri, "--p1", path, "--p2", "pad_1",
+                 "--cert", str(cert)]) == 0
+    assert capsys.readouterr() == (
+        "colour 1 absent after step %d; the lasso closes at step %d, repeating steps %d to %d "
+        "forever\nverify: accepted\n" % (after, closure, closure - 2, closure), "")
 
 
 @pytest.mark.parametrize("strategy", ["a3_stay", "a3_exit_at_step_4"])
@@ -883,10 +951,10 @@ def test_cli_defeat_emits_no_certificate_its_self_check_refutes(tmp_path, capsys
     # an adversary claiming colour-1 starvation over two steps, where the
     # table loops at step 2, fails its own replay; the refuted certificate
     # is not emitted
-    def overclaiming(sigma, entry, horizon):
+    def overclaiming(sigma, entry):
         p2 = Strategy("pad_one", 0, lambda step, e: step + 1, lambda ar, w, step: ar.edges(w)[0],
                       player=2)
-        return DefeatResult(p2, ColourStarvation(1, 0, horizon), None, False,
+        return DefeatResult(p2, ColourStarvation(1, 0, 2), None, False,
                             ["every arrival hits an exit step"])
 
     monkeypatch.setattr(cli, "defeat_sc_buchi", overclaiming)
@@ -907,6 +975,39 @@ def test_cli_defeat_reads_a_step_counter_table_and_never_writes_a_false_certific
     runs = sweeps.buchib_runs([1, 3], [0, 2, 7]) + sweeps.a3_runs([4, 10, 20])
     assert len(runs) == 768 + 600
     assert sweeps.sweep(runs) == []
+
+
+def test_a_buchib_certificate_passes_qg_verify_with_pad_1_in_a_fresh_process(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    strategy, cert = str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy"), str(tmp_path / "C")
+    common = ["--arena", "zoo:buchib?b=3"]
+    for argv, out in [(["defeat", "--strategy", strategy, "--out", cert],
+                       "certificate written to %s\ndefeat: certificate accepted\n" % cert),
+                      (["verify", "--p1", strategy, "--p2", "pad_1", "--cert", cert],
+                       "colour 1 absent after step 40; the lasso closes at step 42, repeating "
+                       "steps 40 to 42 forever\nverify: accepted\n")]:
+        done = subprocess.run([sys.executable, "-m", "qgames.cli", *argv[:1], *common, *argv[1:]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith(out)
+
+
+def test_cli_defeat_on_buchib_exits_0_exactly_where_player_2_starves_a_colour(tmp_path,
+                                                                              capsys):
+    # the exact oracle solves the finite game on (vertex, min(step, S));
+    # on a two-vertex cycle whose colours both recur it finds no win
+    a, b = V("a"), V("b")
+    cycle = ArenaExplicit({a: 1, b: 2}, [Edge(a, 1, b), Edge(b, 0, a)], a)
+    assert not oracles.starves_a_colour(cycle, StepCounterTable({}, 0))
+    path = tmp_path / "t.strategy"
+    for n in (1, 2, 3):
+        arena = make("buchib", b=n).arena
+        for text in sweeps.buchib_tables(7):
+            path.write_text(text)
+            wins = oracles.starves_a_colour(arena, parse_strategy(text))
+            code = main(["defeat", "--arena", "zoo:buchib?b=%d" % n, "--strategy", str(path)])
+            capsys.readouterr()
+            assert (code == 0) == wins, text
 
 
 def test_cli_synthesize_decides_a_seeded_sample_of_the_small_scope():
@@ -991,9 +1092,9 @@ _CHOICE_RUNS = {
                           "delay_twice_exit"], 0),
     "defeat-buchib-b1": (["defeat", "--arena", "zoo:buchib?b=1", "--strategy",
                           str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy"),
-                          "--horizon", "20"], 2),
+                          "--horizon", "20"], 0),
     "defeat-buchib": (["defeat", "--arena", "zoo:buchib", "--strategy",
-                       str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy")], 2),
+                       str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy")], 0),
     "bench": (["bench"], 0),
     "synthesize-bitarena": (["synthesize", "--arena", "zoo:bitarena",
                              "--objective", "tp:limsup:>=:0", "--m-max", "6"], 0),
@@ -1491,8 +1592,8 @@ def test_cli_exits_1_on_a_malformed_command_line(capsys):
 def test_cli_defeat_help_says_which_adversaries_read_the_horizon(capsys):
     assert main(["defeat", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert ("--horizon is the horizon on a3 and buchib; on a4 and a4guarded the play horizon "
-            "is max(--horizon, 2000); a1prime and a2 do not read it") in text
+    assert ("--horizon is the horizon on a3; on a4 and a4guarded the play horizon is "
+            "max(--horizon, 2000); a1prime, a2 and buchib do not read it") in text
 
 
 # the options each subcommand takes, and nothing else

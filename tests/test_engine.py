@@ -512,6 +512,20 @@ def test_check_colour_starvation():
     assert not check_certificate(ColourStarvation(F(1), 2, 20), ctx).ok
 
 
+def test_check_colour_starvation_closes_a_sink_on_its_weight_0_self_loop():
+    # A reaches the sink S at step 1, and the infinite play then takes S's
+    # self-loop forever: colour 0 recurs, colour 1 does not
+    arena = ArenaExplicit({A: 1, S: 1}, [E(A, 1, S), E(S, 0, S)], A)
+    first = Memoryless(lambda ar, v: ar.edges(v)[0])
+    ctx = {"arena": arena, "v0": A, "sigma1": first,
+           "sigma2": Memoryless(lambda ar, v: ar.edges(v)[0], player=2)}
+    check = check_certificate(ColourStarvation(F(0), 1, 5), ctx)
+    assert check == (False, ["colour 0 occurs again at step 1"])
+    check = check_certificate(ColourStarvation(F(1), 1, 5), ctx)
+    assert check == (True, ["colour 1 absent after step 1; the lasso closes at step 2, "
+                            "repeating steps 1 to 2 forever"])
+
+
 def test_check_koenig_bound_reproduces():
     arena = grow_arena()
     one = Memoryless({A: E(A, 1, B)})

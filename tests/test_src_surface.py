@@ -21,7 +21,6 @@ SRC = ROOT / "src" / "qgames"
 # top-level names that no other src/ code reads, each with its reason
 ALLOWED = {
     "__version__": "the package version, which pyproject.toml reads",
-    "__all__": "the names a star import of its module takes",
     "brute_force_values": "perfbench/make_pool.py imports it and perfbench/spans.py traces it",
     "minimal_history_levels": "perfbench/spans.py traces it",
     "lasso_limit": "perfbench/spans.py traces it",

@@ -7,7 +7,7 @@ import pytest
 
 from qgames.arena import Edge, VertexId, make_edge, reach, validate
 from qgames.engine import play
-from qgames.strategies import Memoryless, Strategy, parse_strategy
+from qgames.strategies import Memoryless, Strategy, parse_strategy, serialize_strategy
 from qgames.zoo import ZooEntry, a4_router, bitarena_wprime, make, names, parse_uri
 
 from history_scans import scanning
@@ -291,7 +291,7 @@ def test_buchia_round_robin_sees_every_colour():
     entry = make("buchia", k=4)
     record = play(entry.arena, entry.start, entry.strategy("round_robin"),
                   P2_FIRST, 80)
-    seen = record.colours
+    seen = [e.weight for e in record.edges]
     for colour in (F(0), F(1), F(2), F(3)):
         assert seen.count(colour) >= 3
 
@@ -300,8 +300,9 @@ def test_buchib_alternating_sees_both_colours():
     entry = make("buchib", b=6)
     record = play(entry.arena, entry.start, entry.strategy("alternating"),
                   P2_FIRST, 60)
-    assert record.colours.count(F(1)) >= 5
-    assert record.colours.count(F(0)) >= 5
+    colours = [e.weight for e in record.edges]
+    assert colours.count(F(1)) >= 5
+    assert colours.count(F(0)) >= 5
 
 
 @pytest.mark.parametrize("j", [3, 5, 9])
@@ -464,6 +465,13 @@ ZOO_P2 = Path(__file__).parent / "data" / "zoo_p2"
 def _challenge(c):
     return parse_strategy("strategy challenge_%d kind=memoryless player=2\n"
                           "move s -> t weight=-%d\n" % (c, c))
+
+
+@pytest.mark.parametrize("b", [1, 6])
+def test_buchib_pad_1_is_the_zoo_p2_file(b):
+    # the buchib adversary's opponent, which qg verify --p2 pad_1 rebuilds
+    assert serialize_strategy(make("buchib", b=b).strategy("pad_1")) == \
+        (ZOO_P2 / "buchib_pad_1.strategy").read_text()
 
 
 def _p2_file(name):
