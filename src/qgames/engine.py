@@ -230,11 +230,10 @@ class Layers:
     child kept counts against the node cap; exhausting it ends the walk
     with ``truncated`` set to an Inconclusive naming the cap and depth.
 
-    ``resume`` = (layer, depth, created) starts the walk at a layer that
-    another walk reached, instead of at the root: the layer at that depth
-    and the nodes created up to it.  Depths in the truncation message and
-    the node count then read as those of a walk from the root, provided
-    the skipped prefix is the one this walk would have built.
+    ``resume`` starts the walk at a point another walk reached (``reach``)
+    instead of at the root.  Depths in the truncation message and the
+    node count then read as those of a walk from the root, provided the
+    skipped prefix is the one this walk would have built.
     """
 
     def __init__(self, arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
@@ -249,6 +248,8 @@ class Layers:
         self.resume = resume
         self.created = 0
         self.truncated: Optional[Inconclusive] = None
+        self.reached: list[tuple[list[Node], int, int]] = []  # ``reach``'s, by depth
+        self._pass: Optional[Iterator[list[Node]]] = None
 
     def moves(self, node: Node) -> tuple[Edge, ...]:
         """The edges the walk takes from a node: the strategy's choice
@@ -258,13 +259,19 @@ class Layers:
             return (self.sigma.choose(self.arena, node.vertex, node.state),)
         return out
 
+    def reach(self, depth: int) -> Optional[tuple[list[Node], int, int]]:
+        """The point at ``depth`` of one pass from the root, advanced no
+        further, or None where the walk ends before it: the layer there,
+        its depth and the nodes created up to it, which ``resume`` reads."""
+        self._pass = self._pass or iter(self)
+        while len(self.reached) <= depth and (layer := next(self._pass, None)) is not None:
+            self.reached.append((layer, len(self.reached), self.created))
+        return self.reached[depth] if depth < len(self.reached) else None
+
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub, order = self.sigma, self.open_sub, self.order
-        if self.resume is None:
-            root = Node(self.v0, 0, 0, None, None, sigma.initial)
-            layer, first, self.created = [root], 0, 1
-        else:
-            layer, first, self.created = self.resume
+        layer, first, self.created = self.resume or (
+            [Node(self.v0, 0, 0, None, None, sigma.initial)], 0, 1)
         for d in range(first, self.depth):
             yield layer
             unmerged: list[Node] = []
@@ -347,8 +354,7 @@ def koenig_layers(arena: Arena, v0: VertexId, sigma: Strategy, depth: int,
                   resume: Optional[tuple[list[Node], int, int]] = None) -> Layers:
     """Layers pruning satisfied branches and merging histories with equal
     (vertex, strategy state), keeping the lowest running total."""
-    return Layers(arena, v0, sigma, depth, open_sub=open_sub,
-                  prune=True,
+    return Layers(arena, v0, sigma, depth, open_sub=open_sub, prune=True,
                   key=lambda node: (node.vertex, node.state),
                   order=lambda node: node.tp, node_cap=node_cap, resume=resume)
 
@@ -365,15 +371,34 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     merged, keeping the lowest running total, which is the hardest to
     satisfy.  Otherwise the walk ends in the Inconclusive of the cap that
     stopped it: the node cap, or ``max_depth`` with branches unsatisfied.
-    With ``resume`` (see ``Layers``) levels count from the resumed depth.
+    ``level_bounds`` alone passes a ``resume`` point (``Layers.reach``).
     """
     walk = koenig_layers(arena, v0, sigma, max_depth, open_sub, node_cap, resume)
     for d, frontier in enumerate(walk, 0 if resume is None else resume[1]):
         if not frontier:
             return KoenigBound(d, open_sub)
-    if walk.truncated is not None:
-        return walk.truncated
-    return depth_cap_exhausted(max_depth, len(frontier))
+    return walk.truncated or depth_cap_exhausted(max_depth, len(frontier))
+
+
+def level_bounds(arena: Arena, v0: VertexId, sigma: Strategy, levels: list[tuple[int, int]],
+                 subs: Callable[[int], OpenSub], node_cap: Optional[int] = None
+                 ) -> tuple[Iterator[Union[KoenigBound, Inconclusive]], Layers]:
+    """Each (m, k_m) level's ``koenig_bound`` of ``subs(m)`` to depth k_m,
+    as from the root, and the one ``koenig_layers`` walk with no
+    sub-objective that they share.  A level resumes there just below its
+    step index, before which no branch fires, so none is pruned; past the
+    walk's truncation, it is that.  Each walks as far as it is read."""
+    walk = koenig_layers(arena, v0, sigma, max((k for _, k in levels), default=0),
+                         node_cap=node_cap)
+
+    def bounds():
+        for m, k_m in levels:
+            sub = subs(m)
+            point = walk.reach(max(min(sub.step_index, k_m) - 1, 0))
+            yield (walk.truncated if point is None
+                   else koenig_bound(arena, v0, sigma, sub, k_m, node_cap, point))
+
+    return bounds(), walk
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +479,9 @@ class LevelSatisfaction(NamedTuple):
         if not self.levels:
             return CheckResult(False, ["no level claimed"])
         result = CheckResult(True)
-        for m, k_m in self.levels:
-            again = koenig_bound(context["arena"], context["v0"], context["sigma1"],
-                                 context["subs"](m), k_m)
+        bounds, _ = level_bounds(context["arena"], context["v0"], context["sigma1"],
+                                 self.levels, context["subs"])
+        for (m, k_m), again in zip(self.levels, bounds):
             if not isinstance(again, KoenigBound):
                 return result.fail("level (m=%d, k=%d) failed: %s" % (m, k_m, again))
             result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))

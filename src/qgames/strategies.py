@@ -165,10 +165,13 @@ class StepCounterTable(Strategy):
                               % (vertex, step))
 
     def settled(self, state):
-        """The mode, once a ``fallback=first`` table with no tail is past
-        its last row and mode update: it plays first edges from there.  The
+        """The tail's settled value from the horizon on, where there is a
+        tail; else the mode, once a ``fallback=first`` table is past its
+        last row and mode update: it plays first edges from there.  The
         latest rows are read first, as tables are filled in step order."""
         step, mode = state
+        if step is self.tail:
+            return step.settled(mode)
         first = self.tail is None and self.fallback == FIRST_EDGE
         return mode if first and not (any(s >= step for _, s, _ in reversed(self.table)) or any(
             s >= step for s, _, _ in reversed(self.bit_update))) else None

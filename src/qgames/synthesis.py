@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact
 from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
-                     koenig_layers)
+                     level_bounds)
 from .objectives import (Decomposition, ExtValue, Objective, OpenSub, POS_INF, NEG_INF, TP, MP,
                          decompose)
 from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
@@ -559,34 +559,27 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
     """Re-certify every scheduled level on the final strategy and check
     that no consistent history up to the last level leaves the region.
 
-    One ``koenig_layers`` walk of the final strategy without sub-objective,
-    to the last level, serves both.  Each level's ``koenig_bound`` resumes,
-    with its node count, from that walk's layer below the step index: no
-    branch fires, so none is pruned, before it.  The walk keeps the lowest
-    total of each (vertex, state) cell, and the region is upward
-    closed in the total (``WPrimeOracle``), so checking the kept nodes
-    checks every consistent history.  It reads only the final strategy,
-    independently of the synthesizer.
+    The levels are ``level_bounds``'s, as ``qg verify`` re-checks them,
+    and the region check reads every layer of the walk they share, to the
+    last level.  A node cap is named at the first level it stops, else at
+    the region check.  The walk keeps the lowest total of each (vertex,
+    state) cell, and the region is upward closed in the total
+    (``WPrimeOracle``), so checking the kept nodes checks every consistent
+    history.  It reads only the final strategy, independently of the
+    synthesizer.
     """
-    walk = koenig_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0,
-                         node_cap=node_cap)
-    resumes = [(layer, d, walk.created) for d, layer in enumerate(walk)]
+    bounds, walk = level_bounds(arena, v0, strategy, schedule, subs, node_cap)
     level_certs = []
-    for (m, k_m) in schedule:
-        sub = subs(m)
-        start = max(min(sub.step_index, k_m) - 1, 0)
-        # a node cap that ended the walk at or below the level's layer is
-        # named here, as a walk from the root would name it
-        again = (koenig_bound(arena, v0, strategy, sub, k_m, node_cap, resumes[start])
-                 if start < len(resumes) else walk.truncated)
+    for (m, k_m), again in zip(schedule, bounds):
         if isinstance(again, Inconclusive) and again.node_cap is not None:
             return SynthReport(schedule, strategy, level_certs, None,
                                failure="level m=%d: %s" % (m, again.reason))
-        level_certs.append((m, k_m, isinstance(again, KoenigBound) and again.level <= k_m))
-    if walk.truncated is not None:
+        level_certs.append((m, k_m, isinstance(again, KoenigBound)))
+    if walk.reach(walk.depth) is None:
         return SynthReport(schedule, strategy, level_certs, None,
                            failure="region check: %s" % walk.truncated.reason)
-    region_ok = all(member(node.vertex, node.tp) for layer, _, _ in resumes for node in layer)
+    region_ok = all(member(node.vertex, node.tp)
+                    for layer, _, _ in walk.reached for node in layer)
     return SynthReport(schedule, strategy, level_certs, region_ok)
 
 
@@ -609,12 +602,12 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     strategy keeps the (vertex, sum) pair in the region; the bit resets at
     every bubble boundary.
 
-    Each bubble's walks resume from the layer before its boundary, kept
-    as it stands by two walks of the live table, whose state the bubble's
-    composite shares up to its boundary: no scheduled sub-objective fires
-    by the boundary, and the table and bit updates at a depth are final
-    before they expand it, so those layers are the ones the bubble's walks
-    would build from the root.
+    Each bubble's walks resume from the point before its boundary that
+    two walks of the live table reach (``Layers.reach``), whose state the
+    bubble's composite shares up to its boundary: no scheduled
+    sub-objective fires by the boundary, and the table and bit updates at
+    a depth are final before they expand it, so those layers are the ones
+    the bubble's walks would build from the root.
     """
     cont = _start(v0, m_max, oracle)
     subs = decompose(Objective(TP, threshold=oracle.threshold)).sub
@@ -624,32 +617,30 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     table, bitupd = live.table, live.bit_update
     runs = _run_layers(arena, v0, live, None, depth_cap, node_cap)
     mimics = _minimal_layers(arena, v0, live, None, depth_cap, node_cap)
-    kept = [(runs, iter(runs)), (mimics, iter(mimics))]
     schedule: list[tuple[int, int]] = []
     k_prev = 0
 
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = subs(m_sched)
-        resumes = [None, None]
+        points = [None, None]
         if k_prev > 0:
-            # the run walk, then the minimal-history walk, resumed from the
-            # layer before the boundary as it stands
-            resumes = []
-            for walk, layers in kept:
-                layer = next((layer for layer in layers if layer[0].depth == k_prev - 1), None)
+            # the run walk, then the minimal-history walk, at the layer
+            # before the boundary as it stands
+            points = []
+            for walk in (runs, mimics):
+                points.append(walk.reach(k_prev - 1))
                 if walk.truncated is not None:
                     return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
-                resumes.append((layer, k_prev - 1, walk.created))
             # reset the bit entering this bubble: the update on every edge
             # crossing the boundary, from the run walk's layer, yields mode 0
-            for node in resumes[0][0]:
+            for node in points[0][0]:
                 for e in runs.moves(node):
                     bitupd[(k_prev - 1, 0, e)] = 0
                     bitupd[(k_prev - 1, 1, e)] = 0
 
         built = _build_bubble(arena, v0, live, sub, k_prev, oracle, cont, depth_cap, node_cap,
-                              *resumes)
+                              *points)
         if isinstance(built, Inconclusive):
             return _failed(schedule, "bubble m=%d: %s" % (m_sched, built))
         k_m, violation = built

@@ -316,6 +316,23 @@ def test_defeat_sc_buchi_stops_an_error_table_at_its_first_missing_cell():
         defeat_sc_buchi(sigma, entry)
 
 
+@pytest.mark.parametrize("horizon, closure", [(0, 2), (3, 5)])
+def test_defeat_sc_buchi_closes_the_lasso_of_a_table_with_a_tail(horizon, closure):
+    # the table loops at v before its horizon, then its memoryless tail
+    # exits at v: the play settles on the tail and closes its lasso at once,
+    # not at the node cap
+    entry = make("buchib", b=1)
+    v = V("v", ())
+    loop, exit_ = (next(e for e in entry.arena.edges(v) if (e.dst.name == "u") == leaves)
+                   for leaves in (False, True))
+    sigma = StepCounterTable({(v, step, 0): loop for step in range(horizon)}, horizon,
+                             tail=Memoryless({v: exit_}))
+    result = defeat_sc_buchi(sigma, entry)
+    assert result.certificate == ColourStarvation(1, horizon, closure)
+    ctx = {"arena": entry.arena, "v0": entry.start, "sigma1": sigma, "sigma2": result.p2}
+    assert check_certificate(result.certificate, ctx).ok
+
+
 def test_defeat_sc_buchi_guards():
     entry = make("buchib")
     with pytest.raises(ValueError):

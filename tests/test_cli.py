@@ -977,6 +977,14 @@ def test_cli_defeat_reads_a_step_counter_table_and_never_writes_a_false_certific
     assert sweeps.sweep(runs) == []
 
 
+def test_cli_defeat_on_buchib_prints_the_same_bytes_at_every_horizon():
+    # the buchib adversary reads no --horizon: a seeded sample of tables
+    # exits alike and writes the same output and certificate at 0, 7 and 40
+    pairs = random.Random(52).sample([("zoo:buchib?b=%d" % b, text) for b in (1, 3)
+                                      for text in sweeps.buchib_tables(7)], 16)
+    assert sweeps.horizon_blind(pairs) == []
+
+
 def test_a_buchib_certificate_passes_qg_verify_with_pad_1_in_a_fresh_process(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     strategy, cert = str(INCONCLUSIVE_CASES / "buchib_exit_at_0_and_5.strategy"), str(tmp_path / "C")

@@ -551,6 +551,22 @@ def test_check_level_satisfaction():
     assert check_certificate(LevelSatisfaction([]), ctx) == (False, ["no level claimed"])
 
 
+def test_level_satisfaction_asks_only_what_walks_from_the_root_ask():
+    # a loops at 0 or leaves for b at -1, and b returns; each level's walk
+    # from the root ends by step 2, its one branch satisfied, so the table
+    # needs cells at steps 0 and 1 only, and the one walk the levels share
+    # must not ask for more; nor is the sub-objective of a level past a
+    # refuted one asked for, though there is none of m = 0
+    arena = ArenaExplicit({A: 1, B: 2}, [E(A, -1, B), E(A, 0, A), E(B, 0, A)], A)
+    table = StepCounterTable({(A, 0, 0): E(A, 0, A), (A, 1, 0): E(A, 0, A)}, 2, "error")
+    ctx = {"arena": arena, "v0": A, "sigma1": table,
+           "subs": lambda m: OpenSub("tp-sup", m=m)}
+    assert check_certificate(LevelSatisfaction([(1, 1), (2, 5)]), ctx) == (
+        True, ["m=1 certified at level 1 <= 1", "m=2 certified at level 2 <= 5"])
+    assert check_certificate(LevelSatisfaction([(2, 1), (0, 5)]), ctx) == (
+        False, ["level (m=2, k=1) failed: depth cap 1 exhausted with 1 unsatisfied branch"])
+
+
 def test_plays_validate_linearly_many_history_edges(monkeypatch):
     # a play checks each history edge a bounded number of times, also with
     # a strategy deciding from the full history, and reads a bounded number

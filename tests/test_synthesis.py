@@ -8,8 +8,9 @@ import pytest
 
 from qgames.arena import ArenaExplicit, Edge, History, VertexId
 from qgames.cli import main, parse_arena
-from qgames.engine import (Inconclusive, KoenigBound, Layers, explore_consistent, koenig_bound,
-                           koenig_layers, play)
+from qgames.engine import (Inconclusive, KoenigBound, Layers, LevelSatisfaction,
+                           check_certificate, explore_consistent, koenig_bound, koenig_layers,
+                           play)
 from qgames.objectives import (NEG_INF, OpenSub, Objective, POS_INF, decompose)
 from qgames.strategies import Memoryless, StepCounterTable
 from qgames.strategies import serialize_strategy
@@ -441,7 +442,31 @@ def _recertified_from_the_root(arena, v0, report, subs, node_cap):
     return certs, None
 
 
-def _assert_recertified_as_from_the_root(arena, report, subs, member, node_caps):
+def _checked_from_the_root(arena, strategy, levels, subs, node_cap):
+    """LevelSatisfaction's result and diagnostics, from a koenig_bound walk
+    from the root per level."""
+    diagnostics = []
+    for m, k in levels:
+        again = koenig_bound(arena, arena.start, strategy, subs(m), k, node_cap)
+        if not isinstance(again, KoenigBound):
+            return False, diagnostics + ["level (m=%d, k=%d) failed: %s" % (m, k, again)]
+        diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k))
+    return True, diagnostics
+
+
+def _assert_checked_as_from_the_root(monkeypatch, arena, strategy, levels, subs, node_caps):
+    """``qg verify``'s check of the levels (``LevelSatisfaction``) gives the
+    result and diagnostics of walks from the root, at each node cap."""
+    context = {"arena": arena, "v0": arena.start, "sigma1": strategy, "subs": subs}
+    for node_cap in node_caps:
+        with monkeypatch.context() as patch:
+            if node_cap is not None:
+                patch.setenv("QG_NODE_CAP", str(node_cap))
+            assert tuple(check_certificate(LevelSatisfaction(levels), context)) == (
+                _checked_from_the_root(arena, strategy, levels, subs, node_cap)), node_cap
+
+
+def _assert_recertified_as_from_the_root(monkeypatch, arena, report, subs, member, node_caps):
     assert report.certified, report.failure
     for node_cap in node_caps:
         again = _final_report(arena, arena.start, report.strategy, report.schedule, subs,
@@ -449,17 +474,46 @@ def _assert_recertified_as_from_the_root(arena, report, subs, member, node_caps)
         failure = again.failure if (again.failure or "").startswith("level") else None
         assert (again.level_certs, failure) == _recertified_from_the_root(
             arena, arena.start, report, subs, node_cap), node_cap
+    _assert_checked_as_from_the_root(monkeypatch, arena, report.strategy, report.schedule, subs,
+                                     node_caps)
 
 
 def _tp_sub(m):
     return OpenSub("tp-sup", m=m)
 
 
-def test_sc1bit_recertification_matches_walks_from_the_root_on_bitarena():
+def test_sc1bit_recertification_matches_walks_from_the_root_on_bitarena(monkeypatch):
     entry = make("bitarena")
     for m_max in range(1, 41):
-        _assert_recertified_as_from_the_root(entry.arena, _bitarena_sc1bit(m_max), _tp_sub,
-                                             entry.wprime, (None, 7 * m_max))
+        _assert_recertified_as_from_the_root(monkeypatch, entry.arena, _bitarena_sc1bit(m_max),
+                                             _tp_sub, entry.wprime, (None, 7 * m_max))
+
+
+@pytest.mark.parametrize("change", ["reversed", "shuffled", "repeated", "early", "zero",
+                                    "lowered"])
+def test_level_satisfaction_matches_walks_from_the_root_on_hand_written_schedules(monkeypatch,
+                                                                                 change):
+    # levels out of order, a repeated level, a level of k below its step
+    # index, which no walk satisfies by depth k, one of k = 0, and a level
+    # one too low
+    entry = make("bitarena")
+    report = _bitarena_sc1bit(16)
+    levels = list(report.schedule)
+    if change == "reversed":
+        levels.reverse()
+    elif change == "shuffled":
+        random.Random(5).shuffle(levels)
+    elif change == "repeated":
+        levels[3:3] = [levels[8], levels[1], levels[8]]
+    elif change == "early":
+        levels[6:6] = [(13, 3)]
+    elif change == "zero":
+        levels[4:4] = [(5, 0)]
+    else:
+        levels[-5] = (levels[-5][0], levels[-5][1] - 1)
+    assert len(levels) > 3
+    _assert_checked_as_from_the_root(monkeypatch, entry.arena, report.strategy, levels, _tp_sub,
+                                     (None, 3, 10, 20, 50, 117, 200))
 
 
 def _pool_arenas(kind):
@@ -468,18 +522,18 @@ def _pool_arenas(kind):
             if cell.startswith(kind) for member in members]
 
 
-def test_sc1bit_recertification_matches_walks_from_the_root_on_the_tp_pool():
+def test_sc1bit_recertification_matches_walks_from_the_root_on_the_tp_pool(monkeypatch):
     arenas = _pool_arenas("tp-")
     assert len(arenas) == 16
     for arena in arenas:
         oracle = finite_wprime_oracle(arena)
         if oracle.wprime(arena.start, F(0)):
             report = sc1bit_synthesize(arena, arena.start, 8, oracle)
-            _assert_recertified_as_from_the_root(arena, report, _tp_sub, oracle.wprime,
-                                                 (None, 10, 30, 100))
+            _assert_recertified_as_from_the_root(monkeypatch, arena, report, _tp_sub,
+                                                 oracle.wprime, (None, 10, 30, 100))
 
 
-def test_bubble_recertification_matches_walks_from_the_root_on_the_mp_pool():
+def test_bubble_recertification_matches_walks_from_the_root_on_the_mp_pool(monkeypatch):
     # mp-sup step indices run 1, 2, 1, 3, ..., so a level may resume below
     # the layer the previous level resumed from
     decomp = decompose(Objective("mp", "limsup", ">=", F(0)))
@@ -487,8 +541,10 @@ def test_bubble_recertification_matches_walks_from_the_root_on_the_mp_pool():
         oracle = finite_mp_oracle(arena)
         if oracle.wprime(arena.start, F(0)):
             report = bubble_synthesize(arena, arena.start, decomp, 4, oracle)
-            _assert_recertified_as_from_the_root(arena, report, decomp.sub, oracle.wprime,
-                                                 (None, 5, 10, 30, 100))
+            _assert_recertified_as_from_the_root(monkeypatch, arena, report, decomp.sub,
+                                                 oracle.wprime, (None, 5, 10, 30, 100))
+            _assert_checked_as_from_the_root(monkeypatch, arena, report.strategy,
+                                             report.schedule[::-1], decomp.sub, (None, 5, 10))
 
 
 @pytest.mark.parametrize("node_cap, failure", [
