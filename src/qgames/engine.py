@@ -248,8 +248,8 @@ class Layers:
         self.resume = resume
         self.created = 0
         self.truncated: Optional[Inconclusive] = None
-        self.reached: list[tuple[list[Node], int, int]] = []  # ``reach``'s, by depth
-        self._pass: Optional[Iterator[list[Node]]] = None
+        self.reached: dict[int, Optional[tuple[list[Node], int, int]]] = {}  # ``reach``'s points
+        self._pass = self._here = self._keep = None  # ``reach``'s pass, its last point, keep-all
 
     def moves(self, node: Node) -> tuple[Edge, ...]:
         """The edges the walk takes from a node: the strategy's choice
@@ -260,13 +260,22 @@ class Layers:
         return out
 
     def reach(self, depth: int) -> Optional[tuple[list[Node], int, int]]:
-        """The point at ``depth`` of one pass from the root, advanced no
+        """The point at ``depth`` of a pass from the root, advanced no
         further, or None where the walk ends before it: the layer there,
-        its depth and the nodes created up to it, which ``resume`` reads."""
-        self._pass = self._pass or iter(self)
-        while len(self.reached) <= depth and (layer := next(self._pass, None)) is not None:
-            self.reached.append((layer, len(self.reached), self.created))
-        return self.reached[depth] if depth < len(self.reached) else None
+        its depth and the nodes created up to it, which ``resume`` reads.
+        The pass keeps the points asked of it and lets the layers between
+        them go.  A depth behind it not asked for starts a second pass,
+        which keeps every point, so no third is needed."""
+        if depth not in self.reached:
+            if self._pass is None or depth < self._here[1]:
+                self._keep = self._pass is not None
+                self._pass, self._here, self.reached = iter(self), (None, -1, 0), {}
+            while self._here[1] < depth and (layer := next(self._pass, None)) is not None:
+                self._here = (layer, self._here[1] + 1, self.created)
+                if self._keep:
+                    self.reached[self._here[1]] = self._here
+            self.reached[depth] = self._here if self._here[1] == depth else None
+        return self.reached[depth]
 
     def __iter__(self) -> Iterator[list[Node]]:
         sigma, sub, order = self.sigma, self.open_sub, self.order
@@ -380,25 +389,19 @@ def koenig_bound(arena: Arena, v0: VertexId, sigma: Strategy, open_sub: OpenSub,
     return walk.truncated or depth_cap_exhausted(max_depth, len(frontier))
 
 
-def level_bounds(arena: Arena, v0: VertexId, sigma: Strategy, levels: list[tuple[int, int]],
-                 subs: Callable[[int], OpenSub], node_cap: Optional[int] = None
-                 ) -> tuple[Iterator[Union[KoenigBound, Inconclusive]], Layers]:
+def level_bounds(walk: Layers, levels: list[tuple[int, int]], subs: Callable[[int], OpenSub]
+                 ) -> Iterator[Union[KoenigBound, Inconclusive]]:
     """Each (m, k_m) level's ``koenig_bound`` of ``subs(m)`` to depth k_m,
-    as from the root, and the one ``koenig_layers`` walk with no
-    sub-objective that they share.  A level resumes there just below its
-    step index, before which no branch fires, so none is pruned; past the
-    walk's truncation, it is that.  Each walks as far as it is read."""
-    walk = koenig_layers(arena, v0, sigma, max((k for _, k in levels), default=0),
-                         node_cap=node_cap)
-
-    def bounds():
-        for m, k_m in levels:
-            sub = subs(m)
-            point = walk.reach(max(min(sub.step_index, k_m) - 1, 0))
-            yield (walk.truncated if point is None
-                   else koenig_bound(arena, v0, sigma, sub, k_m, node_cap, point))
-
-    return bounds(), walk
+    as from the root, resumed from ``walk``: a ``koenig_layers`` walk of
+    the strategy with no sub-objective, to the last k_m at least.  A level
+    resumes there just below its step index, before which no branch
+    fires, so none is pruned; past the walk's truncation, it is that.
+    Each walks as far as it is read."""
+    for m, k_m in levels:
+        sub = subs(m)
+        point = walk.reach(max(min(sub.step_index, k_m) - 1, 0))
+        yield (walk.truncated if point is None else
+               koenig_bound(walk.arena, walk.v0, walk.sigma, sub, k_m, walk.node_cap, point))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +482,9 @@ class LevelSatisfaction(NamedTuple):
         if not self.levels:
             return CheckResult(False, ["no level claimed"])
         result = CheckResult(True)
-        bounds, _ = level_bounds(context["arena"], context["v0"], context["sigma1"],
-                                 self.levels, context["subs"])
-        for (m, k_m), again in zip(self.levels, bounds):
+        walk = koenig_layers(context["arena"], context["v0"], context["sigma1"],
+                             max(k for _, k in self.levels))
+        for (m, k_m), again in zip(self.levels, level_bounds(walk, self.levels, context["subs"])):
             if not isinstance(again, KoenigBound):
                 return result.fail("level (m=%d, k=%d) failed: %s" % (m, k_m, again))
             result.diagnostics.append("m=%d certified at level %d <= %d" % (m, again.level, k_m))

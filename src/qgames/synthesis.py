@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .arena import Arena, ArenaExplicit, Edge, VertexId, Weight, exact
 from .engine import (Inconclusive, KoenigBound, Layers, Node, depth_cap_exhausted, koenig_bound,
-                     level_bounds)
+                     koenig_layers, level_bounds)
 from .objectives import (Decomposition, ExtValue, Objective, OpenSub, POS_INF, NEG_INF, TP, MP,
                          decompose)
 from .strategies import ERROR, FIRST_EDGE, Memoryless, StepCounterTable, Strategy, move
@@ -559,27 +559,29 @@ def _final_report(arena: Arena, v0: VertexId, strategy: Strategy,
     """Re-certify every scheduled level on the final strategy and check
     that no consistent history up to the last level leaves the region.
 
-    The levels are ``level_bounds``'s, as ``qg verify`` re-checks them,
-    and the region check reads every layer of the walk they share, to the
-    last level.  A node cap is named at the first level it stops, else at
-    the region check.  The walk keeps the lowest total of each (vertex,
+    One ``koenig_layers`` walk of the final strategy without sub-objective,
+    to the last level, serves both: the region check reads every layer of
+    it, and the levels are ``level_bounds``'s from it, as ``qg verify``
+    re-checks them.  A node cap is named at the first level it stops, else
+    at the region check.  The walk keeps the lowest total of each (vertex,
     state) cell, and the region is upward closed in the total
     (``WPrimeOracle``), so checking the kept nodes checks every consistent
     history.  It reads only the final strategy, independently of the
     synthesizer.
     """
-    bounds, walk = level_bounds(arena, v0, strategy, schedule, subs, node_cap)
+    walk = koenig_layers(arena, v0, strategy, schedule[-1][1] if schedule else 0,
+                         node_cap=node_cap)
+    layers = [point[0] for d in range(walk.depth + 1) if (point := walk.reach(d))]
     level_certs = []
-    for (m, k_m), again in zip(schedule, bounds):
+    for (m, k_m), again in zip(schedule, level_bounds(walk, schedule, subs)):
         if isinstance(again, Inconclusive) and again.node_cap is not None:
             return SynthReport(schedule, strategy, level_certs, None,
                                failure="level m=%d: %s" % (m, again.reason))
         level_certs.append((m, k_m, isinstance(again, KoenigBound)))
-    if walk.reach(walk.depth) is None:
+    if walk.truncated is not None:
         return SynthReport(schedule, strategy, level_certs, None,
                            failure="region check: %s" % walk.truncated.reason)
-    region_ok = all(member(node.vertex, node.tp)
-                    for layer, _, _ in walk.reached for node in layer)
+    region_ok = all(member(node.vertex, node.tp) for layer in layers for node in layer)
     return SynthReport(schedule, strategy, level_certs, region_ok)
 
 
@@ -623,15 +625,13 @@ def sc1bit_synthesize(arena: Arena, v0: VertexId, m_max: int, oracle: WPrimeOrac
     for _ in range(m_max):
         m_sched = k_prev + 1
         sub = subs(m_sched)
-        points = [None, None]
+        # the run walk, then the minimal-history walk, at the layer before
+        # the boundary as it stands
+        points = [walk.reach(k_prev - 1) for walk in (runs, mimics)] if k_prev else [None, None]
+        truncated = runs.truncated or mimics.truncated
+        if truncated is not None:
+            return _failed(schedule, "bubble m=%d: %s" % (m_sched, truncated.reason))
         if k_prev > 0:
-            # the run walk, then the minimal-history walk, at the layer
-            # before the boundary as it stands
-            points = []
-            for walk in (runs, mimics):
-                points.append(walk.reach(k_prev - 1))
-                if walk.truncated is not None:
-                    return _failed(schedule, "bubble m=%d: %s" % (m_sched, walk.truncated.reason))
             # reset the bit entering this bubble: the update on every edge
             # crossing the boundary, from the run walk's layer, yields mode 0
             for node in points[0][0]:

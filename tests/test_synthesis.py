@@ -516,6 +516,39 @@ def test_level_satisfaction_matches_walks_from_the_root_on_hand_written_schedule
                                      (None, 3, 10, 20, 50, 117, 200))
 
 
+def test_reach_reads_one_pass_from_the_root_asked_in_any_order(monkeypatch):
+    # the first pass keeps only the points asked of it; a depth behind it
+    # not asked for starts a second pass, which keeps every point, so no
+    # third pass is walked
+    from qgames import engine
+
+    entry = make("bitarena")
+    strategy = _bitarena_sc1bit(8).strategy
+
+    def cells(point):
+        layer, depth, created = point
+        return [(node.vertex, node.depth, node.tp, node.state) for node in layer], depth, created
+
+    fresh = koenig_layers(entry.arena, entry.start, strategy, 40)
+    expected = [cells((layer, d, fresh.created)) for d, layer in enumerate(fresh)]
+    assert len(expected) == 41
+    passes = []
+    walk_iter = engine.Layers.__iter__
+
+    def counting(self):
+        passes.append(self)
+        return walk_iter(self)
+
+    monkeypatch.setattr(engine.Layers, "__iter__", counting)
+    walk = koenig_layers(entry.arena, entry.start, strategy, 40)
+    for depth, kept, walked in ((20, {20}, 1), (20, {20}, 1), (25, {20, 25}, 1),
+                                (5, set(range(6)), 2), (30, set(range(31)), 2),
+                                (12, set(range(31)), 2), (41, set(range(42)), 2)):
+        point = walk.reach(depth)
+        assert (point and cells(point)) == (expected[depth] if depth <= 40 else None), depth
+        assert (set(walk.reached), len(passes)) == (kept, walked), depth
+
+
 def _pool_arenas(kind):
     pool = json.loads(POOL.read_text())
     return [parse_arena(member["arena"]) for cell, members in sorted(pool.items())
