@@ -360,26 +360,20 @@ def ramsey_adversary(sigma: Strategy, entry: ZooEntry, window: int = 2000,
                        % (size, window))
 
 
-def _cliques(lo: int, hi: int, size: int, label):
-    """Lexicographically ordered monochromatic cliques with gaps >= 2, as
-    many as the caller takes."""
-
-    def extend(chosen: list[int], colour):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        nxt_lo = lo if not chosen else chosen[-1] + 2
-        for cand in range(nxt_lo, hi + 1):
-            if colour is None:
-                if len(chosen) == 0:
-                    yield from extend([cand], None)
-                else:
-                    yield from extend(chosen + [cand], label(chosen[0], cand))
-                continue
-            if all(label(c, cand) == colour for c in chosen):
-                yield from extend(chosen + [cand], colour)
-
-    yield from extend([], None)
+def _cliques(lo: int, hi: int, size: int, label, chosen: tuple = (), colour=None):
+    """Lexicographically ordered monochromatic cliques with gaps >= 2 that
+    extend ``chosen`` (all of colour ``colour``), as many as the caller
+    takes.  It recurses through its own module-level name: a nested
+    function that calls itself is a reference cycle, and ``cli.main`` runs
+    a job with the cyclic collector off."""
+    if len(chosen) == size:
+        yield chosen
+        return
+    for cand in range(chosen[-1] + 2 if chosen else lo, hi + 1):
+        if len(chosen) == 1:
+            yield from _cliques(lo, hi, size, label, chosen + (cand,), label(chosen[0], cand))
+        elif not chosen or all(label(c, cand) == colour for c in chosen):
+            yield from _cliques(lo, hi, size, label, chosen + (cand,), colour)
 
 
 def _run_plan(sigma: Strategy, entry: ZooEntry, clique: tuple, states, index,

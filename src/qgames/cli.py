@@ -10,6 +10,7 @@ are written atomically.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -484,6 +485,13 @@ def _canonical_args(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one ``qg`` command line and return its exit code.
+
+    The subcommand runs with the cyclic garbage collector off.  ``src/``
+    makes no reference cycles (``tests/identity.py`` checks every job of
+    its corpus for them), so reference counting frees everything, and a
+    collection would only rescan the job's live vertices, edges and rows.
+    The caller's collector state is put back on every exit path."""
     if argv is None:
         argv = sys.argv[1:]
     args = _canonical_args(argv)
@@ -492,6 +500,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on a malformed command line, 0 after --help
             return FAILED if exc.code else OK
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         node_cap_from_env()
         for option, least in _BOUNDS.items():
@@ -505,6 +515,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _err(str(exc.args[0]) if exc.args else str(exc))
     except (OSError, ValueError) as exc:
         return _err(str(exc))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

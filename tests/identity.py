@@ -7,6 +7,12 @@ step's exit code, stdout and stderr, then of every file the directory holds
 afterwards.  ``tests/data/identity.json`` keeps the digest of every job,
 keyed by its id.
 
+Each step runs with the cyclic collector off and ``gc.DEBUG_SAVEALL`` set,
+as a ``qg`` job runs with the collector off (``cli.main``), so what it
+leaves in reference cycles is kept for a look: a job fails if that holds
+an instance of a ``qgames`` class or anything besides the closures of one
+``json.dumps(indent=2)`` call, which hold each other.
+
 The corpus:
 - ``qg synthesize --out`` on the 80 benchmark pool arenas, each with its
   cell's family (mp or tp), at r in {-1, 0, 1, -1/2} and ``--m-max`` 4 and
@@ -27,12 +33,14 @@ The corpus:
 - ``qg verify`` of every file of ``tests/data/certificates`` on a loop.
 
 Run ``PYTHONPATH=src python tests/identity.py`` to check every job (the
-default; it names each job whose digest changed and exits 1 if one did),
+default; it names each job whose digest changed or that left reference
+cycles, with the first type it found there, and exits 1 if one did),
 or with ``--write`` to regenerate the digests.
 """
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -40,6 +48,7 @@ import os
 import random
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 from qgames import cli, zoo
@@ -203,20 +212,67 @@ def _levels(stdout: str, change=None) -> str:
                        "body": {"levels": levels}}, indent=2, sort_keys=True) + "\n"
 
 
+def _cycle(garbage):
+    """The type of the first instance of a ``qgames`` class in ``garbage``,
+    else of the first object outside the closures of
+    ``json.dumps(indent=2)``, which hold each other for the length of one
+    call; None if there is neither."""
+    held = {id(obj) for obj in garbage}
+    todo = [obj for obj in garbage
+            if isinstance(obj, types.FunctionType) and obj.__module__ == "json.encoder"]
+    dumps = set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in dumps:
+            dumps.add(id(obj))
+            todo.extend(ref for ref in gc.get_referents(obj) if id(ref) in held)
+    strays = [type(obj) for obj in garbage
+              if type(obj).__module__.startswith("qgames") or id(obj) not in dumps]
+    strays.sort(key=lambda cls: not cls.__module__.startswith("qgames"))
+    return "%s.%s" % (strays[0].__module__, strays[0].__qualname__) if strays else None
+
+
+def cycles(fn):
+    """``fn()``, run with the collector off as a ``qg`` job is, and what it
+    left in reference cycles (``_cycle``)."""
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.freeze()  # what exists now is not fn's, and the collection skips it
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        result = fn()
+        gc.collect()
+        return result, _cycle(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 def _call(argv):
+    """A step's exit code, stdout and stderr, and what it left in
+    reference cycles."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except Exception as exc:  # a raise is output too: it must stay the same
-            code = "raised %s: %s" % (type(exc).__name__, exc)
-    return code, out.getvalue(), err.getvalue()
+
+    def step():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return cli.main(argv)
+            except Exception as exc:  # a raise is output too: it must stay the same
+                return "raised %s: %s" % (type(exc).__name__, exc)
+
+    code, cycle = cycles(step)
+    return code, out.getvalue(), err.getvalue(), cycle
 
 
-def digest(job) -> str:
-    """The job's digest, from a fresh directory."""
+def run(job) -> tuple:
+    """The job's digest, from a fresh directory, and the first thing that
+    one of its steps left in reference cycles (None if none did)."""
     h = hashlib.sha256()
     here, env = os.getcwd(), dict(os.environ)
+    cycle = None
     with tempfile.TemporaryDirectory() as workdir:
         try:
             os.chdir(workdir)
@@ -231,7 +287,8 @@ def digest(job) -> str:
                 if argv[0] == "env":
                     os.environ[argv[1]] = argv[2]
                     continue
-                code, stdout, stderr = _call(argv)
+                code, stdout, stderr, left = _call(argv)
+                cycle = cycle or left
                 h.update(repr((argv, code, stdout, stderr)).encode())
             for name in sorted(os.listdir(".")):
                 if name != "data":
@@ -240,7 +297,7 @@ def digest(job) -> str:
             os.chdir(here)
             os.environ.clear()
             os.environ.update(env)
-    return h.hexdigest()
+    return h.hexdigest(), cycle
 
 
 def sample(ids, count: int, seed: int) -> list:
@@ -248,10 +305,17 @@ def sample(ids, count: int, seed: int) -> list:
 
 
 def check(corpus: dict, ids) -> list:
-    """The ids among ``ids`` whose digest differs from the committed one."""
+    """A line for each id among ``ids`` whose digest differs from the
+    committed one, and for each whose steps leave reference cycles."""
     committed = json.loads(DIGESTS.read_text())
-    return [job_id for job_id in ids
-            if job_id not in committed or digest(corpus[job_id]) != committed[job_id]]
+    problems = []
+    for job_id in ids:
+        got, cycle = run(corpus[job_id])
+        if got != committed.get(job_id):
+            problems.append("changed: %s" % job_id)
+        if cycle is not None:
+            problems.append("cycle: %s leaves a %s in a reference cycle" % (job_id, cycle))
+    return problems
 
 
 def main(argv=None) -> int:
@@ -260,19 +324,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     corpus = jobs()
     if args.write:
-        DIGESTS.write_text(json.dumps({job_id: digest(job) for job_id, job in corpus.items()},
+        DIGESTS.write_text(json.dumps({job_id: run(job)[0] for job_id, job in corpus.items()},
                                       indent=1, sort_keys=True) + "\n")
         print("%d digests written to %s" % (len(corpus), DIGESTS.relative_to(TESTS.parent)))
         return 0
     committed = json.loads(DIGESTS.read_text())
     stale = sorted(set(committed) - set(corpus))
-    changed = check(corpus, sorted(corpus))
+    problems = check(corpus, sorted(corpus))
     for job_id in stale:
         print("no such job: %s" % job_id)
-    for job_id in changed:
-        print("changed: %s" % job_id)
-    print("%d jobs, %d changed" % (len(corpus), len(changed)))
-    return 1 if changed or stale else 0
+    for line in problems:
+        print(line)
+    changed = sum(line.startswith("changed: ") for line in problems)
+    print("%d jobs, %d changed, %d leave reference cycles"
+          % (len(corpus), changed, len(problems) - changed))
+    return 1 if problems or stale else 0
 
 
 if __name__ == "__main__":

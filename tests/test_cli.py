@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import argparse
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 import pytest
 
 from qgames.adversaries import DefeatResult, defeat_sc_buchi, ramsey_adversary
@@ -184,6 +186,38 @@ def test_cli_validate_ok(tmp_path, capsys):
 
 def test_cli_validate_zoo_uri(capsys):
     assert main(["validate", "--arena", "zoo:bitarena", "--depth", "10"]) == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("outcome, code", [
+    (types.SimpleNamespace(ok=True, violations=[], explored=1), 0),
+    (ValueError("no such vertex"), 1),
+    (engine.Inconclusive("vertex cap exceeded"), 2),
+    (RuntimeError("a bug"), RuntimeError),
+])
+def test_cli_runs_a_job_with_the_cyclic_collector_off_and_restores_the_callers_state(
+        monkeypatch, capsys, collecting, outcome, code):
+    seen = []
+
+    def validate(arena, depth):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "validate", validate)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError):
+                main(["validate", "--arena", "zoo:a4"])
+        else:
+            assert main(["validate", "--arena", "zoo:a4"]) == code
+        assert seen == [False]
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_cli_simulate_deterministic_csv(tmp_path):
