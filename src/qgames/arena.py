@@ -29,7 +29,8 @@ owner's strategy, check the edge, fold it into both memories), the
 adversary's folds of its closed-form paths (``adversaries._fold``: a
 letter memory by runs, any other memory one update per edge).  On a
 generator a play's visit to a vertex outside the store expands its row
-and orders it, a two-edge row by one comparison (``Arena.row``): the
+and orders it, a two-edge row by comparing its fields, and stores a row
+that ``expand`` returned in order as it came (``Arena.row``): the
 largest share of a ``qg simulate`` job on a4 (see README).  Code on that
 path keeps three rules.  Weights stay exact: each goes through ``exact``
 (which takes an ``int`` as it is) unless it is an ``int`` by construction.
@@ -38,10 +39,9 @@ frame-free, from one field tuple, with ``_new_vertex`` and ``_new_edge``
 (``tuple.__new__`` bound to the class, which skips only the Python frame
 of their ``__new__``), and ``_new_edge`` only with an ``int`` weight or
 one already exact; ``validate`` reports a generator edge whose weight is
-not.  Checks are kept:
-``steps`` refuses a non-edge, and a memory refuses a state outside its
-set on every transition it computes, the steps inside
-``LetterMemory.run`` included.
+not.  Checks are kept: ``steps`` refuses a non-edge, and a memory refuses
+a state outside its set on every transition it computes, the steps
+inside ``LetterMemory.run`` included.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ class Edge(NamedTuple):
         return "%s -%s-> %s" % (self.src, self.weight, self.dst)
 
 
-# an edge's (dst, weight), the order of every edge row; a C key, as rows
-# are sorted once per expanded generator vertex
+# an edge's (dst, weight), the order of every edge row, as a C sort key
 _edge_sort_key = itemgetter(2, 1)
 # _new_vertex((name, params)) is VertexId(name, params) and _new_edge((src,
 # weight, dst)) is Edge(src, weight, dst), without the Python frame of the
@@ -208,35 +207,37 @@ class Arena:
 
     def row(self, v: VertexId) -> tuple[int, tuple[Edge, ...]]:
         """The owner of ``v`` and its edges, from one lookup.  A row expanded
-        on a miss is put in (dst, weight) order as a stable sort would: a
-        two-edge row, the common case, by one comparison, swapped iff its
-        second edge's key is the smaller; a longer row by ``sorted``.  A
-        store holding ``ROW_STORE_BOUND`` rows is emptied before the row
-        goes in: ``expand`` is pure, so an evicted row is built equal on
-        its next read, and an explicit arena, which never misses, keeps
-        every row."""
+        on a miss is put in (dst, weight) order as a stable sort would: two
+        edges by comparing fields, more by ``sorted``.  An ``(owner, edges)``
+        tuple of edges already in order is stored as ``expand`` returned it,
+        any other row as a new tuple.  A store holding ``ROW_STORE_BOUND``
+        rows is emptied before the row goes in: ``expand`` is pure, so an
+        evicted row is built equal on its next read, and an explicit arena,
+        which never misses, keeps every row."""
         hit = self._cache.get(v)
         if hit is not None:
             return hit
         if self.expand is None:
             raise KeyError(v)
-        owner, es = self.expand(v)
+        owner, es = row = self.expand(v)
         if type(es) is not tuple:
             es = tuple(es)
         n = len(es)
         if n == 2:
             a, b = es
-            if (b[2], b[1]) < (a[2], a[1]):
+            if b.dst < a.dst or b.dst == a.dst and b.weight < a.weight:
                 es = (b, a)
         elif n > 2:
             es = tuple(sorted(es, key=_edge_sort_key))
         elif not n:
             raise ValueError("generator produced blocking vertex %s" % (v,))
+        if type(row) is not tuple or row[1] is not es:
+            row = (owner, es)
         cache = self._cache
         if len(cache) >= ROW_STORE_BOUND:
             cache.clear()
-        result = cache[v] = (owner, es)
-        return result
+        cache[v] = row
+        return row
 
     def owner(self, v: VertexId) -> int:
         return self.row(v)[0]

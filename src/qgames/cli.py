@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import islice
 from typing import Iterable, Optional
 
 from . import zoo
@@ -128,14 +129,25 @@ def truncate_generator(arena: Arena, depth: int) -> ArenaExplicit:
 # Helpers
 
 
+CHUNK_LINES = 512
+
+
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    """Writes the lines to ``fh``, ``CHUNK_LINES`` joined per write: a write
+    per line costs more than its text, and a chunk is all the text held."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        fh.write("".join(chunk))
+
+
 def _atomic_write(path: str, lines: Iterable[str]) -> None:
-    """Writes the lines to a temporary file beside ``path``, renamed onto
-    it after the last line: a failure part-way leaves ``path`` as it was."""
+    """Writes the lines to a temporary file beside ``path`` in chunks, renamed
+    onto it after the last line: a failure part-way leaves ``path`` as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qg-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(lines)
+            _write_lines(fh, lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,13 +157,13 @@ def _atomic_write(path: str, lines: Iterable[str]) -> None:
 
 def _emit(lines: Iterable[str], out: Optional[str]) -> None:
     """Writes the lines to ``out`` (``_atomic_write``), or to stdout after
-    the last one, spooled meanwhile to an anonymous temporary file: either
-    way a failure part-way writes nothing, and the text is never held whole."""
+    the last one, spooled meanwhile in chunks to an anonymous temporary file:
+    either way a failure part-way writes nothing, and the text is never held whole."""
     if out:
         _atomic_write(out, lines)
         return
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        spool.writelines(lines)
+        _write_lines(spool, lines)
         spool.seek(0)
         shutil.copyfileobj(spool, sys.stdout)
 

@@ -84,11 +84,11 @@ def csv_lines(origin: VertexId, steps: Iterable[tuple[Edge, Weight, object, obje
     ending in a newline, as the steps ``(edge, tp, mem1, mem2)`` come.
     ``mp`` is the exact tp/(step+1), found without a Fraction division:
     with tp = n/d in lowest terms and g = gcd(n, step+1), (n/g) /
-    (d*(step+1)/g) is in lowest terms.  A vertex with at most three
-    parameters is formatted inline (``VertexId.__str__`` without its
-    frame), and a memory state is formatted once per run of steps that
-    trace the same object: the same object prints the same text, and
-    neither hashing nor equality is asked of a state."""
+    (d*(step+1)/g) is in lowest terms.  Each line is one f-string.  A
+    vertex with at most three parameters is formatted inline
+    (``VertexId.__str__`` without its frame), and a memory state once per
+    run of steps that trace the same object: the same object prints the
+    same text, and neither hashing nor equality is asked of a state."""
     yield "step,from,to,weight,tp,mp,mem1,mem2\n"
     formats, short = _VERTEX_FORMATS, len(_VERTEX_FORMATS)
     src = str(origin)  # each row starts where the previous one ended
@@ -105,9 +105,8 @@ def csv_lines(origin: VertexId, steps: Iterable[tuple[Edge, Weight, object, obje
         n, k = tp.numerator, j + 1
         g = gcd(n, k)
         den = tp.denominator * (k // g)
-        yield "%d,%s,%s,%s,%s,%s,%s,%s\n" % (
-            j, src, dst, e.weight, tp, n // g if den == 1 else "%d/%d" % (n // g, den),
-            text1, text2)
+        mp = n // g if den == 1 else f"{n // g}/{den}"
+        yield f"{j},{src},{dst},{e.weight},{tp},{mp},{text1},{text2}\n"
         src, j = dst, k
 
 
@@ -135,13 +134,10 @@ def steps(arena: Arena, v0: VertexId, sigma1: Strategy, sigma2: Strategy,
         owner, out = row(at)
         if len(out) == 1:  # a forced move, asked of neither strategy
             edge = out[0]
-            if edge.dst == at and edge.weight == 0:  # Arena.is_sink, inline
+            if edge.weight == 0 and edge.dst == at:  # Arena.is_sink, inline
                 return
         else:
-            if owner == 1:
-                edge = choose1(arena, at, state1)
-            else:
-                edge = choose2(arena, at, state2)
+            edge = choose1(arena, at, state1) if owner == 1 else choose2(arena, at, state2)
             if edge.src != at or edge not in out:
                 raise ValueError("strategy for player %d returned a non-edge %s at %s"
                                  % (owner, edge, at))

@@ -16,6 +16,7 @@ from .arena import (DEFAULT_VERTEX_CAP, Arena, Edge, LetterMemory, MealyMemory, 
 from .strategies import FiniteMemory, Memoryless, Strategy
 
 E = make_edge  # short alias used heavily by the expansions
+_R0 = V("r0")  # a3's and a4's exit sink: one vertex for every t(i) row
 
 
 class _ZooEntry(NamedTuple):
@@ -185,7 +186,7 @@ def _a3_expand(v: VertexId):
     elif name == "t" and len(params) == 1:
         (i,) = params
         if i >= 0:
-            return P1, (E(v, 0, V("e", (i, 1))), E(v, i, V("r0", ())))
+            return P1, (E(v, 0, V("e", (i, 1))), E(v, i, _R0))
     elif name == "e" and len(params) == 2:  # delay intermediates, 3 weight-0 edges per delay
         i, p = params
         if i >= 0 and p in (1, 2):
@@ -263,7 +264,7 @@ def _a4_expand(v: VertexId):
         (i,) = params
         if i >= 0:
             return P1, (_new_edge((v, 1, _new_vertex(("g", (i, 1))))),
-                        _new_edge((v, i + 1, _new_vertex(("r0", ())))))
+                        _new_edge((v, i + 1, _R0)))
     elif name == "g" and len(params) == 2:  # gadget chain: climb +1 or drop towards t(i+j)
         i, j = params
         if i >= 0 and j >= 1:

@@ -6,7 +6,7 @@ import pytest
 from qgames.arena import (Arena, ArenaExplicit, Edge, History, Inconclusive, LetterMemory,
                           MealyMemory, VertexId, _new_edge, _new_vertex, exact, make_edge,
                           node_cap_from_env, product, reach, validate)
-from qgames.engine import SinkPayoff, certificate_to_json
+from qgames.engine import SinkPayoff, certificate_to_json, play
 from qgames.zoo import make
 
 from oracles import StepCounter, encodes_step_count
@@ -502,6 +502,58 @@ def test_a_generator_row_is_its_edges_in_stable_dst_weight_order(edges):
     # equal keys keep the order given, which == cannot see
     assert [type(e.weight) for e in row] == [type(e.weight) for e in want]
     assert all(got is e for got, e in zip(row, want))
+
+
+def test_an_ordered_row_is_stored_as_expanded_and_any_other_as_a_new_sorted_tuple():
+    twins = [make_edge(_a, 2, _b), _new_edge((_a, F(2), _b))]  # equal keys, in the order given
+    for row in [(1, (make_edge(_a, 0, _b), make_edge(_a, 5, _c))), (1, tuple(twins)),
+                (1, (make_edge(_a, -1, _b), make_edge(_a, 1, _b))), (2, (make_edge(_a, 0, _a),))]:
+        arena = Arena("generator", _a, lambda v: row)
+        assert arena.row(_a) is row and arena._cache[_a] is row and arena.row(_a) is row
+    for row in [(1, (make_edge(_a, 0, _c), make_edge(_a, 5, _b))),  # reversed
+                (1, (make_edge(_a, 1, _b), make_edge(_a, -1, _b))),  # reversed weights
+                (1, [make_edge(_a, 0, _b), make_edge(_a, 5, _c)]),  # a list, in order
+                [1, (make_edge(_a, 0, _b), make_edge(_a, 5, _c))],  # the row a list
+                (1, list(twins)),
+                (1, (make_edge(_a, 3, _c), make_edge(_a, 1, _b), make_edge(_a, -1, _b))),
+                (1, (make_edge(_a, -1, _b), make_edge(_a, 1, _b), make_edge(_a, 3, _c)))]:
+        stored = Arena("generator", _a, lambda v: row).row(_a)
+        want = (1, tuple(sorted(row[1], key=lambda e: (e.dst, e.weight))))
+        assert stored is not row and type(stored) is tuple and type(stored[1]) is tuple
+        assert stored == want and all(got is e for got, e in zip(stored[1], want[1]))
+
+
+class _RowsPut(dict):
+    """A row store that also lists every (vertex, row) put in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.put = []
+
+    def __setitem__(self, v, row):
+        self.put.append((v, row))
+        super().__setitem__(v, row)
+
+
+@pytest.mark.parametrize("name, horizon", [("a4", 4000), ("a4guarded", 1000)])
+def test_a4_plays_store_every_row_as_expanded(name, horizon):
+    entry = make(name)
+    arena, expand, expanded = entry.arena, entry.arena.expand, []
+
+    def recorded(v):
+        expanded.append((v, expand(v)))
+        return expanded[-1][1]
+
+    arena.expand, arena._cache = recorded, _RowsPut()
+    record = play(arena, entry.start, entry.strategy("always_delay"),
+                  entry.strategy("p2_enter_1"), horizon)
+    assert len(record.edges) == horizon and len(expanded) > horizon
+    assert len(arena._cache.put) == len(expanded)
+    assert all(pv == ev and prow is erow for (pv, prow), (ev, erow)
+               in zip(arena._cache.put, expanded))
+    # every t(i) row's exit edge points at one r0 vertex
+    exits = {id(es[1].dst) for v, (_, es) in expanded if v.name == "t"}
+    assert len(exits) == 1
 
 
 def test_validate_names_a_generator_edge_whose_weight_is_not_canonical_exact():

@@ -2085,6 +2085,27 @@ def test_cli_simulate_reports_a_table_without_fallback(tmp_path, capsys):
         assert not list(tmp_path.glob(".qg-*"))
 
 
+@pytest.mark.parametrize("n", [0, 1, cli.CHUNK_LINES - 1, cli.CHUNK_LINES, cli.CHUNK_LINES + 1,
+                               2 * cli.CHUNK_LINES + 3])
+def test_emit_writes_every_line_in_order_across_chunks_and_nothing_if_it_fails(tmp_path, capsys,
+                                                                               n):
+    lines = ["" if i % 7 == 3 else "line %d\n" % i for i in range(n)]  # empty ones too
+    out = tmp_path / "out.txt"
+    cli._emit(iter(lines), str(out))
+    cli._emit(iter(lines), None)
+    assert out.read_text() == capsys.readouterr().out == "".join(lines)
+
+    def failing():  # fails after the chunks of the n lines are written
+        yield from lines
+        raise ValueError("part-way")
+
+    for to in (str(out), None):
+        with pytest.raises(ValueError, match="^part-way$"):
+            cli._emit(failing(), to)
+        assert out.read_text() == "".join(lines) and capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.parametrize("m_max", ["0", "-1"])
 def test_cli_synthesize_rejects_fewer_than_one_bubble(tmp_path, capsys, m_max):
     path = _write(tmp_path, "pos.txt", POS_ARENA)
